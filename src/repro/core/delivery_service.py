@@ -37,17 +37,7 @@ from repro.membership.heartbeat import HeartbeatService
 from repro.membership.views import LocalView
 from repro.net.latency import ProcessingModel
 from repro.net.message import Message
-from repro.sim.tracing import (
-    _FLUSH_BYTES,
-    _K_PROCESS,
-    _K_SENSOR,
-    _K_SEQ,
-    _NF,
-    _PACK_D,
-    _kind_lp,
-    _pack_int,
-    _pack_str,
-)
+from repro.sim.tracing import DeviceChannel
 
 CMD_FWD = "cmd_fwd"
 
@@ -140,13 +130,13 @@ class DeliveryService:
         self._instances: dict[str, object] = {}
         self._coordinators: dict[str, PollCoordinator] = {}
         self._rb: ReliableBroadcast | None = None
-        # sensor -> constant middle of the ingest_unrouted digest payload
-        # (see on_ingest; with no app routing installed, every ingested
-        # event records one, so the fleet tier hits this lane constantly).
-        # The inline lane needs the simulator trace and clock; duck-typed
-        # like the heartbeat's fast path, so stub/real-time envs without
-        # them keep the generic trace_device route.
-        self._unrouted_mids: dict[str, bytes] = {}
+        # sensor -> ingest_unrouted trace channel (see on_ingest; with no
+        # app routing installed, every ingested event records one, so the
+        # fleet tier hits this lane constantly). The channel needs the
+        # simulator trace and clock; duck-typed like the heartbeat's fast
+        # path, so stub/real-time envs without them keep the generic
+        # trace_device route.
+        self._unrouted: dict[str, DeviceChannel] = {}
         env = ctx.env
         self._fast_trace = getattr(env, "_trace", None)
         self._fast_sched = getattr(env, "_scheduler", None)
@@ -240,50 +230,19 @@ class DeliveryService:
         """Direct sensor receipt, handed up from the adapter layer."""
         instance = self._instances.get(event.sensor_id)
         if instance is None:
-            # Same record as trace("ingest_unrouted", sensor=..., seq=...),
-            # routed down the positional device lane — with no app routing
-            # installed this fires for every ingested event, so the
-            # count+digest configuration is inlined with a cached payload
-            # mid (as in RadioNetwork.emit); anything fancier falls back
-            # to the generic call.
+            # Same record as trace("ingest_unrouted", sensor=..., seq=...).
             trace = self._fast_trace
-            if trace is not None:
-                state = trace._kind_state.get("ingest_unrouted")
-            else:
-                state = None
-            if (state is not None and not state[2] and state[3] is None
-                    and state[4] is None and not trace._subscribers):
-                state[0] += 1
-                buf = trace._dig_buf
-                if buf is not None:
-                    sensor_id = event.sensor_id
-                    mid = self._unrouted_mids.get(sensor_id)
-                    if mid is None:
-                        mid = (_NF[3] + _kind_lp("ingest_unrouted")
-                               + _K_PROCESS + _pack_str(self._ctx.env.name)
-                               + _K_SENSOR + _pack_str(sensor_id) + _K_SEQ)
-                        self._unrouted_mids[sensor_id] = mid
-                    now = self._fast_sched._now
-                    if now == trace._lt:
-                        tr = trace._ltr
-                    else:
-                        trace._lt = now
-                        tr = trace._ltr = _PACK_D(now)
-                    seq = event.seq
-                    if seq == trace._ls:
-                        sr = trace._lsr
-                    else:
-                        trace._ls = seq
-                        sr = trace._lsr = _pack_int(seq)
-                    buf += tr
-                    buf += mid
-                    buf += sr
-                    if len(buf) >= _FLUSH_BYTES:
-                        trace._flush_hash()
-            else:
+            if trace is None:
                 self._ctx.env.trace_device(
                     "ingest_unrouted", "sensor", event.sensor_id, event.seq
                 )
+                return
+            channel = self._unrouted.get(event.sensor_id)
+            if channel is None:
+                self._unrouted[event.sensor_id] = channel = trace.device_channel(
+                    "ingest_unrouted", event.sensor_id, self._ctx.env.name
+                )
+            channel.record(self._fast_sched._now, event.seq)
             return
         instance.on_ingest(event)
 

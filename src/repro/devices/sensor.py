@@ -25,17 +25,7 @@ from repro.devices.battery import (
 from repro.net.radio import RadioNetwork, RadioTechnology
 from repro.sim.random import RandomSource
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import (
-    _FLUSH_BYTES,
-    _K_SENSOR,
-    _K_SEQ,
-    _NF,
-    _PACK_D,
-    _kind_lp,
-    _pack_int,
-    _pack_str,
-    Trace,
-)
+from repro.sim.tracing import Trace
 
 
 class Sensor:
@@ -70,10 +60,7 @@ class Sensor:
         self._drift_rate = 0.0
         self._drift_start = 0.0
         self._brownout_rng: RandomSource | None = None
-        # Constant middle of the sensor_emit digest payload (the name is
-        # fixed for the sensor's lifetime) — see PushSensor.emit.
-        self._emit_mid = (_NF[2] + _kind_lp("sensor_emit")
-                          + _K_SENSOR + _pack_str(name) + _K_SEQ)
+        self._emit_channel = trace.device_channel("sensor_emit", name)
         radio.register_device(self)
 
     @property
@@ -188,39 +175,7 @@ class PushSensor(Sensor):
             return None
         event = self._next_event(self._apply_faults(value))
         self.battery.drain(EVENT_EMISSION_COST)
-        # Positional device lane: same record and digest bytes as
-        # record(..., sensor=..., seq=...) without the kwargs dict. The
-        # count+digest configuration is inlined with the precomputed
-        # payload mid (as in RadioNetwork.emit); anything fancier falls
-        # back to the generic call.
-        trace = self._trace
-        now = self._scheduler._now
-        state = trace._kind_state.get("sensor_emit")
-        if (state is not None and not state[2] and state[3] is None
-                and state[4] is None and not trace._subscribers):
-            state[0] += 1
-            buf = trace._dig_buf
-            if buf is not None:
-                if now == trace._lt:
-                    tr = trace._ltr
-                else:
-                    trace._lt = now
-                    tr = trace._ltr = _PACK_D(now)
-                seq = event.seq
-                if seq == trace._ls:
-                    sr = trace._lsr
-                else:
-                    trace._ls = seq
-                    sr = trace._lsr = _pack_int(seq)
-                buf += tr
-                buf += self._emit_mid
-                buf += sr
-                if len(buf) >= _FLUSH_BYTES:
-                    trace._flush_hash()
-        else:
-            trace.record_device(
-                now, "sensor_emit", "sensor", self.name, None, event.seq
-            )
+        self._emit_channel.record(self._scheduler._now, event.seq)
         self._radio.emit(self.name, event)
         return event
 

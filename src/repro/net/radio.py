@@ -39,18 +39,7 @@ from typing import Any, Callable, Protocol
 from repro.core.events import Command, Event
 from repro.sim.random import RandomSource
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import (
-    _FLUSH_BYTES,
-    _K_PROCESS,
-    _K_SENSOR,
-    _K_SEQ,
-    _NF,
-    _PACK_D,
-    _kind_lp,
-    _pack_int,
-    _pack_str,
-    Trace,
-)
+from repro.sim.tracing import DeviceChannel, Trace
 
 POLL_REQUEST_BYTES = 8
 
@@ -167,9 +156,9 @@ class RadioNetwork:
         # streams they reference live in _streams and survive rebuilds, so
         # draw sequences never reset.
         self._link_state: dict[tuple[str, str], list] = {}
-        # device -> ([(link, listener, loss stream, digest mid), ...],
-        #            radio_emit digest mid) — see _build_fanout.
-        self._fanout: dict[str, tuple[list, str]] = {}
+        # device -> ([(link, listener, loss stream, radio_delivered
+        # channel), ...], radio_emit channel) — see _build_fanout.
+        self._fanout: dict[str, tuple[list, DeviceChannel]] = {}
 
     def _stream(self, name: str) -> RandomSource:
         """A persistent named child stream (fresh children would repeat)."""
@@ -216,7 +205,7 @@ class RadioNetwork:
             )
         return stream
 
-    def _build_fanout(self, device_name: str) -> list[tuple[Link, RadioListener, RandomSource]]:
+    def _build_fanout(self, device_name: str) -> tuple[list, DeviceChannel]:
         """Precompute the emission fan-out of one device, in link order.
 
         Links whose process has no registered listener are omitted: the
@@ -233,16 +222,10 @@ class RadioNetwork:
             if listener is None:
                 continue
             state = self._link_entry(link.device, link.process)
-            # Constant middle of the radio_delivered digest payload for
-            # this link — everything but the timestamp and sequence number
-            # (sorted key order "process" < "sensor" < "seq" is fixed by
-            # the alphabet, as in Trace.record_device's digest lane).
-            del_mid = (_NF[3] + _kind_lp("radio_delivered")
-                       + _K_PROCESS + _pack_str(link.process)
-                       + _K_SENSOR + _pack_str(link.device) + _K_SEQ)
-            entries.append((link, listener, state[_LOSS_RNG], del_mid))
-        fan = (entries, _NF[2] + _kind_lp("radio_emit")
-               + _K_SENSOR + _pack_str(device_name) + _K_SEQ)
+            delivered = self._trace.device_channel(
+                "radio_delivered", link.device, link.process)
+            entries.append((link, listener, state[_LOSS_RNG], delivered))
+        fan = (entries, self._trace.device_channel("radio_emit", device_name))
         self._fanout[device_name] = fan
         return fan
 
@@ -331,36 +314,8 @@ class RadioNetwork:
         fan = self._fanout.get(sensor_name)
         if fan is None:
             fan = self._build_fanout(sensor_name)
-        fanout, emit_mid = fan
-        # Trace.record_device's digest lane, inlined with the precomputed
-        # payload mid (the emission loop is the device-side hot path).
-        # Anything beyond count+digest — kept events, subscribers, an
-        # aggregate-bearing profile — falls back to the generic call;
-        # either way the record is byte-identical.
-        state = trace._kind_state.get("radio_emit")
-        if (state is not None and not state[2] and state[3] is None
-                and state[4] is None and not trace._subscribers):
-            state[0] += 1
-            buf = trace._dig_buf
-            if buf is not None:
-                if now == trace._lt:
-                    tr = trace._ltr
-                else:
-                    trace._lt = now
-                    tr = trace._ltr = _PACK_D(now)
-                if seq == trace._ls:
-                    sr = trace._lsr
-                else:
-                    trace._ls = seq
-                    sr = trace._lsr = _pack_int(seq)
-                buf += tr
-                buf += emit_mid
-                buf += sr
-                if len(buf) >= _FLUSH_BYTES:
-                    trace._flush_hash()
-        else:
-            trace.record_device(now, "radio_emit", "sensor", sensor_name,
-                                None, seq)
+        fanout, emit_channel = fan
+        emit_channel.record(now, seq)
         # ``chance``, ``jittered`` and ``post_at`` inlined bit-identically
         # (same draws in the same order, same bucket placement) — this loop
         # runs once per sensor emission per linked process, the device-side
@@ -373,7 +328,7 @@ class RadioNetwork:
         heap = scheduler._heap
         posted = 0
         size = event.size_bytes
-        for link, listener, loss_rng, del_mid in fanout:
+        for link, listener, loss_rng, delivered in fanout:
             if not link.enabled:
                 continue
             rate = link.loss_rate
@@ -389,50 +344,27 @@ class RadioNetwork:
             bucket = buckets.get(deliver_at)
             if bucket is None:
                 buckets[deliver_at] = bucket = [
-                    (deliver, (listener, link, event, del_mid))
+                    (deliver, (listener, link, event, delivered))
                 ]
                 heapq.heappush(heap, (deliver_at, bucket))
             else:
-                bucket.append((deliver, (listener, link, event, del_mid)))
+                bucket.append((deliver, (listener, link, event, delivered)))
             posted += 1
         scheduler._live += posted
 
     def _deliver_event(
-        self, listener: RadioListener, link: Link, event: Event, del_mid: bytes
+        self,
+        listener: RadioListener,
+        link: Link,
+        event: Event,
+        delivered: DeviceChannel,
     ) -> None:
-        trace = self._trace
         now = self._scheduler._now
         if not listener.alive:
-            trace.record_device(now, "radio_undelivered", "sensor",
-                                link.device, link.process, event.seq)
+            self._trace.record_device(now, "radio_undelivered", "sensor",
+                                      link.device, link.process, event.seq)
             return
-        # Same inline digest lane as `emit`, with the per-link payload mid
-        # carried in the posted tuple.
-        state = trace._kind_state.get("radio_delivered")
-        if (state is not None and not state[2] and state[3] is None
-                and state[4] is None and not trace._subscribers):
-            state[0] += 1
-            buf = trace._dig_buf
-            if buf is not None:
-                if now == trace._lt:
-                    tr = trace._ltr
-                else:
-                    trace._lt = now
-                    tr = trace._ltr = _PACK_D(now)
-                seq = event.seq
-                if seq == trace._ls:
-                    sr = trace._lsr
-                else:
-                    trace._ls = seq
-                    sr = trace._lsr = _pack_int(seq)
-                buf += tr
-                buf += del_mid
-                buf += sr
-                if len(buf) >= _FLUSH_BYTES:
-                    trace._flush_hash()
-        else:
-            trace.record_device(now, "radio_delivered", "sensor",
-                                link.device, link.process, event.seq)
+        delivered.record(now, event.seq)
         listener.on_sensor_event(event)
 
     # -- polling ----------------------------------------------------------------

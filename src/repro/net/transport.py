@@ -35,7 +35,7 @@ from repro.net.partition import PartitionState
 from repro.net.wire import wire_size
 from repro.sim.random import RandomSource
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import _FLUSH_BYTES, _PACK_D, _PACK_Q, Trace, _pack_str
+from repro.sim.tracing import _FLUSH_BYTES, _PACK_D, Trace
 
 # _pair_cache entry layout: one list per (src, dst) pair ever used on the
 # send path, so one dict lookup resolves everything `send` needs.
@@ -222,54 +222,7 @@ class HomeNetwork:
         bytes_on_wire = message._wire_bytes
         if bytes_on_wire is None:
             bytes_on_wire = wire_size(message)
-        kind = message.kind
-        # MessageChannel.record inlined for the two hot configurations —
-        # aggregates-only (no kept events, no subscribers, no streaming
-        # hash) and aggregates+digest (the fleet's streaming-digest mode).
-        # Anything else falls back to the channel's full path. The digest
-        # arm reuses the channel's suffix memo and the trace's repr(time)
-        # memo and stages the payload string on the trace's hash buffer,
-        # byte-for-byte what MessageChannel.record would have done.
-        trace = self._trace
-        channel = entry[_SEND]
-        state = channel._state
-        if state[3] is None and state[4] is None and not trace._subscribers:
-            state[0] += 1
-            state[1] += bytes_on_wire
-            if kind == channel._last_tkind:
-                tally = channel._last_tally
-            else:
-                tallies = channel._tallies
-                tally = tallies.get(kind)
-                if tally is None:
-                    tallies[kind] = tally = [0, 0]
-                channel._last_tkind = kind
-                channel._last_tally = tally
-            tally[0] += 1
-            tally[1] += bytes_on_wire
-            channel._pair_cell[0] += 1
-            buf = trace._dig_buf
-            if buf is not None:
-                if now == trace._lt:
-                    tr = trace._ltr
-                else:
-                    trace._lt = now
-                    tr = trace._ltr = _PACK_D(now)
-                if kind == channel._last_sub and bytes_on_wire == channel._last_nb:
-                    payload = tr + channel._last_suffix
-                else:
-                    suffix = (channel._dig_bytes + _PACK_Q(bytes_on_wire)
-                              + channel._dig_mid + _pack_str(kind)
-                              + channel._dig_tail)
-                    channel._last_sub = kind
-                    channel._last_nb = bytes_on_wire
-                    channel._last_suffix = suffix
-                    payload = tr + suffix
-                buf += payload
-                if len(buf) >= _FLUSH_BYTES:
-                    trace._flush_hash()
-        else:
-            channel.record(now, kind, bytes_on_wire)
+        entry[_SEND].record(now, message.kind, bytes_on_wire)
 
         live = self._live_count_cache
         if live is None:
@@ -333,34 +286,18 @@ class HomeNetwork:
             if nbytes is None:
                 nbytes = wire_size(message)
             message._wire_bytes = nbytes
-            channel = entry[_SEND]
-            if state is None:
-                # One per-kind state list and one (net_send, kind) tally
-                # cell are shared by every channel of the kind.
-                state = channel._state
-                tallies = channel._tallies
-                tally = tallies.get(kind)
-                if tally is None:
-                    tallies[kind] = tally = [0, 0]
-            suffix = (channel._dig_bytes + _PACK_Q(nbytes)
-                      + channel._dig_mid + _pack_str(kind)
-                      + channel._dig_tail)
+            # One per-kind state list and one (net_send, kind) tally cell
+            # are shared by every channel of the kind.
+            state, tally, pair_cell, suffix = entry[_SEND].bind(kind, nbytes)
             # The delivery side is just as predictable as the send side:
             # the copy's (src, dst, kind) are fixed, so the net_deliver
-            # aggregate cells and digest suffix can be prebound into the
+            # aggregate cells and digest suffix are prebound into the
             # posted callback — _deliver_quiescent then skips the channel
-            # resolution and suffix memo entirely. Crash/partition checks
-            # stay per-delivery (they read live state).
-            dchannel = entry[_DELIVER]
-            dtallies = dchannel._tallies
-            dtally = dtallies.get(kind)
-            if dtally is None:
-                dtallies[kind] = dtally = [0, 0]
-            dsuffix = dchannel._dig_plain + _pack_str(kind) + dchannel._dig_tail
+            # call entirely. Crash/partition checks stay per-delivery
+            # (they read live state).
             post = (self._deliver_quiescent,
-                    (entry, message, dchannel._state, dtally,
-                     dchannel._pair_cell, dsuffix))
-            peers.append((entry, post, channel._pair_cell, suffix))
+                    (entry, message, *entry[_DELIVER].bind(kind)))
+            peers.append((entry, post, pair_cell, suffix))
         plan = [dsts, kind, self._mcast_epoch, state, tally, sender,
                 nbytes, peers, len(peers) * (nbytes or 0),
                 None, -1, 0.0, 0.0, 0.0]
@@ -418,11 +355,7 @@ class HomeNetwork:
         buf = trace._dig_buf
         hashing = buf is not None
         if hashing:
-            if now == trace._lt:
-                tr = trace._ltr
-            else:
-                trace._lt = now
-                tr = trace._ltr = _PACK_D(now)
+            tr = _PACK_D(now)
 
         live = self._live_count_cache
         if live is None:
@@ -511,7 +444,7 @@ class HomeNetwork:
         state: list,
         tally: list,
         pair_cell: list,
-        suffix: str,
+        suffix: bytes,
     ) -> None:
         """Deliver one quiescent multicast copy with prebound accounting.
 
@@ -546,9 +479,6 @@ class HomeNetwork:
             pair_cell[0] += 1
             buf = trace._dig_buf
             if buf is not None:
-                # Quiescent copies land at per-copy jittered instants, so
-                # the same-instant timestamp memo would never hit here —
-                # pack directly and leave the memo to the chained lanes.
                 # Staged as two pieces: the hash runs over the buffer's
                 # accumulated bytes, so the split is digest-neutral.
                 buf += _PACK_D(self._scheduler._now)
@@ -581,45 +511,7 @@ class HomeNetwork:
             )
             return
         kind = message.kind
-        trace = self._trace
-        channel = entry[_DELIVER]
-        state = channel._state
-        if state[3] is None and state[4] is None and not trace._subscribers:
-            # Same inline as `send` (no bytes field on deliver records).
-            state[0] += 1
-            if kind == channel._last_tkind:
-                tally = channel._last_tally
-            else:
-                tallies = channel._tallies
-                tally = tallies.get(kind)
-                if tally is None:
-                    tallies[kind] = tally = [0, 0]
-                channel._last_tkind = kind
-                channel._last_tally = tally
-            tally[0] += 1
-            channel._pair_cell[0] += 1
-            buf = trace._dig_buf
-            if buf is not None:
-                now = self._scheduler._now
-                if now == trace._lt:
-                    tr = trace._ltr
-                else:
-                    trace._lt = now
-                    tr = trace._ltr = _PACK_D(now)
-                if kind == channel._last_sub and channel._last_nb is None:
-                    payload = tr + channel._last_suffix
-                else:
-                    suffix = (channel._dig_plain + _pack_str(kind)
-                              + channel._dig_tail)
-                    channel._last_sub = kind
-                    channel._last_nb = None
-                    channel._last_suffix = suffix
-                    payload = tr + suffix
-                buf += payload
-                if len(buf) >= _FLUSH_BYTES:
-                    trace._flush_hash()
-        else:
-            channel.record(self._scheduler._now, kind)
+        entry[_DELIVER].record(self._scheduler._now, kind)
         # Dispatch straight to the destination's handler when we hold its
         # live handler dict (liveness was checked above; a crash clears the
         # dict in place, so the cached reference never goes stale). The

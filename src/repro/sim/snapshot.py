@@ -43,10 +43,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.fleet import Fleet
 
 MAGIC = "rivulet-fleet-snapshot"
-#: Version 2: trace digests inside the snapshot (sealed segments, memos)
-#: use the binary digest-v2 encoding; a v1 snapshot restored here would
-#: fold v1 sealed segments into v2 digests and never match anything.
-FORMAT_VERSION = 2
+#: Version 3: sealed trace segments are digest-v3 hex, and the pickled
+#: graph holds trace channel objects where v2 held per-site digest bytes; an
+#: older snapshot restored here would fold foreign segments into v3 digests
+#: and fail on missing attributes mid-run.
+FORMAT_VERSION = 3
 
 
 class SnapshotError(RuntimeError):
@@ -114,6 +115,13 @@ def load_fleet(path: Any) -> "Fleet":
         raise SnapshotError(f"no snapshot at {source}") from None
     except (pickle.UnpicklingError, EOFError) as exc:
         raise SnapshotError(f"corrupt snapshot {source}: {exc}") from exc
+    except (AttributeError, ImportError) as exc:
+        # Header and fleet are one pickle, so a graph naming a class or slot
+        # this build no longer has fails before the version can be read.
+        raise SnapshotError(
+            f"snapshot {source} was written by an incompatible build "
+            f"(this build reads format version {FORMAT_VERSION}): {exc}"
+        ) from exc
     if not isinstance(payload, dict) or payload.get("magic") != MAGIC:
         raise SnapshotError(f"{source} is not a fleet snapshot")
     version = payload.get("format_version")

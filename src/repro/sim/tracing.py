@@ -17,18 +17,23 @@ O(1) appends and O(1) aggregate queries:
   :meth:`repro.net.transport.HomeNetwork.bytes_sent` never re-scan;
 - the hottest record families bypass the kwargs path entirely:
   :meth:`Trace.message_channel` hands the transport a per-``(kind, src,
-  dst)`` :class:`MessageChannel` with every aggregate cell pre-resolved, and
-  :meth:`Trace.record_device` is the positional lane for the radio/device
-  kinds (``radio_*``, ``poll_*``, ``command_*``, ``sensor_*``) whose
+  dst)`` :class:`MessageChannel` with every aggregate cell pre-resolved,
+  :meth:`Trace.device_channel` hands the radio, the sensors and the
+  delivery service a per-``(kind, sensor[, process])``
+  :class:`DeviceChannel` for the once-per-event records, and
+  :meth:`Trace.record_device` is the positional lane for the remaining
+  radio/device kinds (``radio_lost``, ``poll_*``, ``command_*``) whose
   records carry no aggregate fields;
-- perf runs can opt into ``quiet=True`` (aggregates only: no stored events,
-  no subscribers, no digest) or ``sample_every=N`` (store every Nth event
-  per kind; aggregates stay exact) to bound trace overhead and memory;
+- this module is the only one that knows the digest byte layout: one
+  encoder per record shape (:func:`_record_bytes` for any fields dict,
+  :class:`MessageChannel` and :class:`DeviceChannel` for their fixed
+  shapes), all byte-identical for the same record — a run's digest does
+  not depend on which lane wrote it or on what observes the trace;
 - ``events`` / ``of_kind`` return **read-only views** over internal lists
   (no copying); ``iter_kind`` is the matching lazy iterator;
 - :class:`TraceEvent` is slot-based, and ``digest()`` provides a stable
   hash over the full record stream so determinism can be asserted cheaply.
-  The digest payload is the versioned **binary v2 encoding** (see
+  The digest payload is a versioned **binary encoding** (see
   :data:`DIGEST_VERSION` and :func:`_pack_value`): floats are packed to 8
   bytes with ``struct.pack("<d", ...)`` instead of ``repr()``-ed, strings
   and ints are length-prefixed/tagged, and the format version seeds every
@@ -48,13 +53,16 @@ from typing import Any, Callable, Iterator
 #: whose version string seeds every hasher, so digests produced by
 #: different format versions can never collide — and can never be compared
 #: by accident either (reports carry ``digest_version``; see
-#: :mod:`repro.eval.report`).
-DIGEST_VERSION = 2
+#: :mod:`repro.eval.report`). v3 is v2 with one string framing: v2's
+#: generic encoder framed top-level strings with a uint32 length while its
+#: precomposed lanes used the compact prefix, so a v2 digest depended on
+#: the lane that wrote each record.
+DIGEST_VERSION = 3
 
 #: Fed into every hasher before any record bytes. Changing the encoding
 #: REQUIRES bumping this string (and :data:`DIGEST_VERSION`): that is what
-#: makes a v2 digest self-describing.
-_VERSION_PREFIX = b"rivulet-digest/2\n"
+#: makes a digest self-describing.
+_VERSION_PREFIX = b"rivulet-digest/3\n"
 
 _PACK_D = struct.Struct("<d").pack   # float64, little-endian (8 bytes)
 _PACK_Q = struct.Struct("<q").pack   # int64, little-endian (8 bytes)
@@ -88,7 +96,7 @@ def _hexdigest(hasher: "hashlib._Hash") -> str:
 
 
 def _clen(n: int) -> bytes:
-    """One length/count in v2 framing: one byte, or 0xff + uint32."""
+    """One length/count: one byte, or 0xff + uint32."""
     return _LEN1[n] if n < 255 else b"\xff" + _PACK_I(n)
 
 
@@ -122,7 +130,7 @@ def _kind_lp(kind: str) -> bytes:
 
 
 def _pack_str(value: str) -> bytes:
-    """One string *value* in v2 framing: tag + length + UTF-8 bytes."""
+    """One string *value*: tag + compact length + UTF-8 bytes."""
     encoded = value.encode("utf-8", "backslashreplace")
     n = len(encoded)
     return (b"s" + _LEN1[n] + encoded) if n < 255 else (
@@ -139,7 +147,7 @@ def _pack_int(value: int) -> bytes:
 
 
 def _pack_value(value: Any) -> bytes:
-    """A deterministic binary form of one trace field value (digest v2).
+    """A deterministic binary form of one trace field value.
 
     Every variable-length piece is length-prefixed and every scalar is
     tagged with a one-byte type marker, so the concatenation of packed
@@ -153,10 +161,7 @@ def _pack_value(value: Any) -> bytes:
     """
     t = type(value)
     if t is str:
-        encoded = value.encode("utf-8", "backslashreplace")
-        n = len(encoded)
-        return (b"s" + _LEN1[n] + encoded) if n < 255 else (
-            b"s\xff" + _PACK_I(n) + encoded)
+        return _pack_str(value)
     if t is float:
         return b"f" + _PACK_D(value)
     if t is int:
@@ -257,16 +262,8 @@ class Trace:
 
     ``digest=True`` additionally feeds every record (kept or not) through a
     streaming hash; :meth:`digest` then works even when nothing is stored.
-
-    Two opt-in modes bound trace overhead on perf runs:
-
-    - ``quiet=True`` maintains aggregates only: no events are stored, no
-      subscribers may attach, ``digest()`` is unavailable. The record fast
-      lanes then reduce to a handful of counter increments.
-    - ``sample_every=N`` stores only every Nth record of each kind (the
-      1st, the N+1th, ...). Aggregates stay exact; the streaming hash (if
-      enabled) still covers every record, so ``digest()`` with
-      ``digest=True`` is unaffected by sampling.
+    ``Trace(keep_kinds=set())`` is the aggregate-only trace: the record
+    fast lanes then reduce to a handful of counter increments.
     """
 
     # _kind_state value layout: one mutable list per record kind, looked up
@@ -287,13 +284,7 @@ class Trace:
         keep_kinds: set[str] | None = None,
         *,
         digest: bool = False,
-        quiet: bool = False,
-        sample_every: int | None = None,
     ) -> None:
-        if quiet and digest:
-            raise ValueError("quiet=True maintains no digest; drop digest=True")
-        if sample_every is not None and sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
         self._events: list[TraceEvent] = []
         self._by_kind: dict[str, list[TraceEvent]] = {}
         self._kind_state: dict[str, list] = {}
@@ -305,8 +296,6 @@ class Trace:
         # reference without re-hashing the key.
         self._pair_counts: dict[tuple[str, str, str], list[int]] = {}
         self._keep_kinds = keep_kinds
-        self._quiet = quiet
-        self._sample = sample_every if sample_every != 1 else None
         self._subscribers: list[Callable[[TraceEvent], None]] = []
         self._kind_subscribers: dict[str, list[Callable[[TraceEvent], None]]] = {}
         self._hasher = _new_hasher() if digest else None
@@ -320,7 +309,7 @@ class Trace:
         # hash runs over the accumulated bytes, so how payloads were split
         # when appended is digest-neutral.
         self._hash_buf = bytearray()
-        # One-load digest gate for the inline lanes: the staging buffer
+        # One-load digest gate for the channel lanes: the staging buffer
         # itself when a streaming hash is live, None otherwise — so the
         # hottest paths test and fetch with a single attribute load.
         self._dig_buf = self._hash_buf if digest else None
@@ -356,7 +345,7 @@ class Trace:
             | (self._HAS_PAIR if "src" in fields and "dst" in fields else 0)
         )
         kept: list[TraceEvent] | None = None
-        if not self._quiet and (self._keep_kinds is None or kind in self._keep_kinds):
+        if self._keep_kinds is None or kind in self._keep_kinds:
             kept = self._by_kind.setdefault(kind, [])
         if profile & self._HAS_SUB:
             self._sub_tallies.setdefault(kind, {})
@@ -373,11 +362,9 @@ class Trace:
         event = None
         kept = state[3]
         if kept is not None:
-            sample = self._sample
-            if sample is None or (state[0] - 1) % sample == 0:
-                event = TraceEvent(time, kind, fields)
-                self._events.append(event)
-                kept.append(event)
+            event = TraceEvent(time, kind, fields)
+            self._events.append(event)
+            kept.append(event)
         kind_subs = state[4]
         if kind_subs is not None or self._subscribers:
             if event is None:
@@ -437,11 +424,9 @@ class Trace:
         event = None
         kept = state[3]
         if kept is not None:
-            sample = self._sample
-            if sample is None or (state[0] - 1) % sample == 0:
-                event = TraceEvent(time, kind, fields)
-                self._events.append(event)
-                kept.append(event)
+            event = TraceEvent(time, kind, fields)
+            self._events.append(event)
+            kept.append(event)
         kind_subs = state[4]
         if kind_subs is not None or self._subscribers:
             if event is None:
@@ -532,50 +517,10 @@ class Trace:
         ``src``+``dst``) fall back to the generic path.
         """
         state = self._kind_state.get(kind)
-        if state is None or state[2]:
-            fields = {id_field: id_value}
-            if process is not None:
-                fields["process"] = process
-            if seq is not None:
-                fields["seq"] = seq
-            if action is not None:
-                fields["action"] = action
-            self.record(time, kind, **fields)
-            return
-        state[0] += 1
-        if state[3] is None and state[4] is None and not self._subscribers:
-            buf = self._dig_buf
-            if buf is None:
+        if state is not None and not state[2]:
+            state[0] += 1
+            if state[3] is None and state[4] is None and not self._has_observers:
                 return
-            if id_field == "sensor" and action is None:
-                # Digest-only fast path for the hot radio shapes. Sorted
-                # key order is fixed by the alphabet — "process" < "sensor"
-                # < "seq" — so the payload is composed directly,
-                # byte-identical to _record_bytes over the fields dict.
-                if time == self._lt:
-                    tr = self._ltr
-                else:
-                    self._lt = time
-                    tr = self._ltr = _PACK_D(time)
-                n = 1 + (process is not None) + (seq is not None)
-                if process is None:
-                    payload = (tr + _NF[n] + _kind_lp(kind)
-                               + _K_SENSOR + _pack_str(id_value))
-                else:
-                    payload = (tr + _NF[n] + _kind_lp(kind)
-                               + _K_PROCESS + _pack_str(process)
-                               + _K_SENSOR + _pack_str(id_value))
-                if seq is not None:
-                    payload += _K_SEQ + (
-                        _pack_int(seq) if type(seq) is int else _pack_value(seq)
-                    )
-                buf += payload
-                if len(buf) >= _FLUSH_BYTES:
-                    self._flush_hash()
-                return
-        elif not (state[3] is not None or state[4] is not None
-                  or self._has_observers):
-            return
         fields = {id_field: id_value}
         if process is not None:
             fields["process"] = process
@@ -583,7 +528,10 @@ class Trace:
             fields["seq"] = seq
         if action is not None:
             fields["action"] = action
-        self._finish(time, kind, state, fields)
+        if state is None or state[2]:
+            self.record(time, kind, **fields)
+        else:
+            self._finish(time, kind, state, fields)
 
     def message_channel(self, kind: str, src: str, dst: str) -> "MessageChannel":
         """A pre-resolved recorder for one ``(kind, src, dst)`` message flow.
@@ -610,6 +558,17 @@ class Trace:
             self, kind, src, dst, state, self._sub_tallies.setdefault(kind, {}), cell
         )
 
+    def device_channel(
+        self, kind: str, sensor: str, process: str | None = None
+    ) -> "DeviceChannel":
+        """A pre-resolved recorder for one ``(kind, sensor[, process])`` flow.
+
+        The device-side sibling of :meth:`message_channel`: the radio, the
+        sensors and the delivery service hold one :class:`DeviceChannel`
+        per call site for the records written once per sensor event.
+        """
+        return DeviceChannel(self, kind, sensor, process)
+
     def subscribe(
         self,
         callback: Callable[[TraceEvent], None],
@@ -621,8 +580,6 @@ class Trace:
         crucially for long runs — records of *other* kinds skip event
         construction entirely when nothing else needs one.
         """
-        if self._quiet:
-            raise RuntimeError("subscribe() on a quiet trace (aggregates only)")
         if kinds is None:
             self._has_observers = True
             self._subscribers.append(callback)
@@ -719,12 +676,9 @@ class Trace:
             if self._sealed:
                 return _fold_segments(self._sealed, _hexdigest(self._hasher))
             return _hexdigest(self._hasher)
-        if self._quiet:
-            raise RuntimeError("digest() on a quiet trace (aggregates only)")
-        if self._keep_kinds is not None or self._sample is not None:
+        if self._keep_kinds is not None:
             raise RuntimeError(
-                "digest() on a kind-limited or sampled trace requires "
-                "Trace(digest=True)"
+                "digest() on a kind-limited trace requires Trace(digest=True)"
             )
         hasher = _new_hasher()
         for event in self._events:
@@ -800,7 +754,6 @@ class MessageChannel:
     """
 
     __slots__ = ("_trace", "_state", "_tallies", "_pair_cell", "kind", "src", "dst",
-                 "_dig_plain", "_dig_bytes", "_dig_mid", "_dig_tail",
                  "_last_sub", "_last_nb", "_last_suffix",
                  "_last_tkind", "_last_tally")
 
@@ -821,22 +774,7 @@ class MessageChannel:
         self._state = state
         self._tallies = tallies
         self._pair_cell = pair_cell
-        # Precomposed digest segments (binary v2 framing). A channel's
-        # records hash to `<packed time><field count><kind><sorted fields>`
-        # where only the time, sub-kind and byte count vary per record, so
-        # everything else is fixed at construction: with a bytes field the
-        # sorted key order is (bytes, dst, kind, src); without it
-        # (dst, kind, src). The fast path below concatenates these with
-        # the three variable packings and feeds the hasher directly —
-        # byte-identical to _record_bytes over the equivalent fields dict,
-        # without building it. _dig_bytes ends with the int tag byte, so
-        # only the raw 8-byte int64 packing of nbytes follows it.
-        self._dig_plain = (_NF[3] + _kind_lp(kind)
-                           + _K_DST + _pack_str(dst) + _K_KIND)
-        self._dig_bytes = _NF[4] + _kind_lp(kind) + _K_BYTES + b"q"
-        self._dig_mid = _K_DST + _pack_str(dst) + _K_KIND
-        self._dig_tail = _K_SRC + _pack_str(src)
-        # (sub_kind, nbytes) -> composed suffix memo of depth one. A
+        # (sub_kind, nbytes) -> digest suffix memo of depth one. A
         # channel's records are overwhelmingly a single repeated shape
         # (keepalives of a fixed wire size), so the whole digest payload
         # minus the timestamp is usually one cached byte string.
@@ -846,6 +784,41 @@ class MessageChannel:
         # Last sub-kind tally cell, memoised for the same reason.
         self._last_tkind: str | None = None
         self._last_tally: list[int] | None = None
+
+    def _suffix(self, sub_kind: str, nbytes: int | None) -> bytes:
+        """A reason-less record's digest payload after the packed time.
+
+        Byte-identical to :func:`_record_bytes` over the equivalent fields
+        dict: sorted key order is (bytes, dst, kind, src) with a byte
+        count, (dst, kind, src) without.
+        """
+        head = _kind_lp(self.kind)
+        if nbytes is None:
+            head = _NF[3] + head
+        else:
+            head = _NF[4] + head + _K_BYTES + _pack_int(nbytes)
+        return (head + _K_DST + _pack_str(self.dst) + _K_KIND
+                + _pack_str(sub_kind) + _K_SRC + _pack_str(self.src))
+
+    def bind(
+        self, sub_kind: str, nbytes: int | None = None
+    ) -> tuple[list, list[int], list[int], bytes]:
+        """The cells and digest suffix of one fixed ``(sub_kind, nbytes)``.
+
+        Returns ``(kind state, sub-kind tally cell, pair-count cell, digest
+        suffix)`` for a caller that writes records of that one shape itself:
+        bump ``state[0]``, ``tally[0]`` and ``pair[0]`` (and add ``nbytes``
+        to ``state[1]`` and ``tally[1]``), then stage ``packed time +
+        suffix`` on the trace's digest buffer — and only while the kind is
+        neither kept nor subscribed to (otherwise call :meth:`record`).
+        The quiescent multicast pair in :mod:`repro.net.transport` is the
+        one such caller: a ``record`` call per copy instead costs a quiet
+        fleet run 17% (docs/performance.md).
+        """
+        tally = self._tallies.get(sub_kind)
+        if tally is None:
+            self._tallies[sub_kind] = tally = [0, 0]
+        return self._state, tally, self._pair_cell, self._suffix(sub_kind, nbytes)
 
     def record(
         self,
@@ -881,27 +854,15 @@ class MessageChannel:
                 else:
                     trace._lt = time
                     tr = trace._ltr = _PACK_D(time)
-                if sub_kind == self._last_sub and nbytes == self._last_nb:
-                    payload = tr + self._last_suffix
-                else:
-                    if nbytes is None:
-                        suffix = (self._dig_plain + _pack_str(sub_kind)
-                                  + self._dig_tail)
-                    else:
-                        suffix = (self._dig_bytes + _PACK_Q(nbytes)
-                                  + self._dig_mid + _pack_str(sub_kind)
-                                  + self._dig_tail)
+                if sub_kind != self._last_sub or nbytes != self._last_nb:
                     self._last_sub = sub_kind
                     self._last_nb = nbytes
-                    self._last_suffix = suffix
-                    payload = tr + suffix
-                buf += payload
+                    self._last_suffix = self._suffix(sub_kind, nbytes)
+                buf += tr
+                buf += self._last_suffix
                 if len(buf) >= _FLUSH_BYTES:
                     trace._flush_hash()
                 return
-        elif not (state[3] is not None or state[4] is not None
-                  or trace._has_observers):
-            return
         fields = {"src": self.src, "dst": self.dst, "kind": sub_kind}
         if nbytes is not None:
             fields["bytes"] = nbytes
@@ -911,6 +872,78 @@ class MessageChannel:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MessageChannel {self.kind} {self.src}->{self.dst}>"
+
+
+class DeviceChannel:
+    """A per-``(kind, sensor[, process])`` fast recorder handed out by
+    :meth:`Trace.device_channel`.
+
+    Semantics are identical to ``Trace.record(time, kind, sensor=sensor,
+    [process=process], seq=seq)``: same counts, same kept events, same
+    digest bytes. Everything but the timestamp and the sequence number is
+    fixed at construction, so a count+digest record stages three pieces.
+    """
+
+    __slots__ = ("_trace", "_state", "kind", "sensor", "process", "_mid")
+
+    def __init__(
+        self, trace: Trace, kind: str, sensor: str, process: str | None
+    ) -> None:
+        self._trace = trace
+        self.kind = kind
+        self.sensor = sensor
+        self.process = process
+        # None until the kind's first record fixed its profile (see record).
+        self._state: list | None = trace._kind_state.get(kind)
+        # Digest payload between the packed time and the packed seq; the
+        # sorted key order "process" < "sensor" < "seq" is fixed by the
+        # alphabet, as in _record_bytes over the equivalent fields dict.
+        if process is None:
+            self._mid = (_NF[2] + _kind_lp(kind)
+                         + _K_SENSOR + _pack_str(sensor) + _K_SEQ)
+        else:
+            self._mid = (_NF[3] + _kind_lp(kind)
+                         + _K_PROCESS + _pack_str(process)
+                         + _K_SENSOR + _pack_str(sensor) + _K_SEQ)
+
+    def record(self, time: float, seq: int) -> None:
+        state = self._state
+        trace = self._trace
+        if state is None or state[2]:
+            # The kind's first record fixes its aggregate profile on the
+            # generic path; a kind that carries aggregate fields stays there.
+            trace.record_device(time, self.kind, "sensor", self.sensor,
+                                self.process, seq)
+            self._state = trace._kind_state[self.kind]
+            return
+        state[0] += 1
+        if state[3] is None and state[4] is None and not trace._subscribers:
+            buf = trace._dig_buf
+            if buf is not None:
+                if time == trace._lt:
+                    tr = trace._ltr
+                else:
+                    trace._lt = time
+                    tr = trace._ltr = _PACK_D(time)
+                if seq == trace._ls:
+                    sr = trace._lsr
+                else:
+                    trace._ls = seq
+                    sr = trace._lsr = _pack_int(seq)
+                buf += tr
+                buf += self._mid
+                buf += sr
+                if len(buf) >= _FLUSH_BYTES:
+                    trace._flush_hash()
+            return
+        fields = {"sensor": self.sensor}
+        if self.process is not None:
+            fields["process"] = self.process
+        fields["seq"] = seq
+        trace._finish(time, self.kind, state, fields)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<DeviceChannel {self.kind} {self.sensor}>"
 
 
 _EMPTY_DICT: dict = {}
@@ -958,8 +991,7 @@ def _record_bytes(time: float, kind: str, fields: dict[str, Any]) -> bytes:
         # Exact-type dispatch mirrors _pack_value's scalar branches,
         # inlined to skip a call per field on the hot path.
         if t is str:
-            encoded = value.encode("utf-8", "backslashreplace")
-            append(b"s" + _PACK_I(len(encoded)) + encoded)
+            append(_pack_str(value))
         elif t is float:
             append(b"f" + _PACK_D(value))
         elif t is int:

@@ -15,6 +15,7 @@ import repro.eval.parallel as parallel_mod
 from repro.eval.fleet import run_fleet_sweep
 from repro.eval.perf import bench_fleet_city
 from repro.eval.workloads import DAY_S, fleet_deployment, fleet_home_ids
+from repro.sim.tracing import DIGEST_VERSION
 
 HOMES = 6
 DAYS = 0.05
@@ -41,7 +42,7 @@ def test_parallel_sequential_and_monolithic_digests_agree(monolithic_digest):
     assert parallel["summary"]["fleet_digest"] == monolithic_digest
     # Beyond the fleet digest: the merged reports are byte-identical.
     assert parallel["digest"] == sequential["digest"]
-    assert parallel["digest_version"] == 2
+    assert parallel["digest_version"] == DIGEST_VERSION
 
 
 def test_bench_fleet_city_parallel_matches_monolithic(monolithic_digest):

@@ -18,12 +18,11 @@ from __future__ import annotations
 from repro.eval.workloads import single_sensor_home
 from repro.sim.faults import FaultPlan
 
-# blake2b-128 digest of the mixed-fault scenario below. If an intentional
-# behaviour change invalidates it, regenerate with scenario_digest(7) and
-# say so in the commit message. Last regenerated for the digest-v2 PR: the
-# trace digest switched from text to versioned binary encoding (same record
-# stream, new bytes), invalidating every v1 hex value at once.
-GOLDEN_DIGEST = "0ebbfc52a2b5861854755fa03d375a30"
+# Digest of the mixed-fault scenario below. If an intentional behaviour
+# change invalidates it, regenerate with scenario_digest(7) and say so in
+# the commit message. Last regenerated for digest v3 (one string framing in
+# every lane; same record stream, new bytes), from the unchanged simulation.
+GOLDEN_DIGEST = "97e2640623f95214d6bd86a97db7ac04"
 
 
 def run_mixed_fault_scenario(seed: int = 7):
@@ -61,13 +60,13 @@ def test_golden_digest_unchanged_by_optimizations():
     assert scenario_digest(7) == GOLDEN_DIGEST
 
 
-# blake2b-128 digest of the device-fault scenario below: every soft device
+# Digest of the device-fault scenario below: every soft device
 # fault (stick/drift/flap/ghost/brownout) plus its clearing action, over the
 # standard device workload with the repair layer on. Pins both the fault
 # models and the repair layer's decisions. Regenerate with
 # device_fault_scenario_digest(11) on intentional behaviour change. Last
-# regenerated for the digest-v2 binary encoding.
-DEVICE_FAULT_GOLDEN = "d3b7ff6abdf6a8d4295c15a9f55d5e56"
+# regenerated for digest v3.
+DEVICE_FAULT_GOLDEN = "d889cbd97bcf850c63d6a72cd0229e21"
 
 
 def device_fault_scenario_digest(seed: int = 11) -> str:
@@ -111,3 +110,46 @@ def test_digest_matches_incremental_hasher():
         trace.record(1.0, "suspect", peers=["p1", "p2"])
         trace.record(1.5, "custom", data={"k": (1, 2)}, flag=None)
     assert stored.digest() == streamed.digest()
+
+
+def fig1_home_run(keep_kinds, subscribe_to=None, seed: int = 7):
+    """The Fig. 1 home with a streaming digest, from midnight until the
+    residents have left for work; returns (digest, counts)."""
+    from repro.core.home import Home, HomeConfig
+    from repro.eval.workloads import (
+        FIG1_LINK_LOSS,
+        OccupancyConfig,
+        OccupancyWorkload,
+        _declare_fig1_home,
+    )
+    from repro.sim.random import RandomSource
+
+    home = Home(HomeConfig(
+        seed=seed, heartbeat_interval=60.0, failure_detection_s=180.0,
+        kv_sync_interval=3600.0, keep_trace_kinds=keep_kinds, trace_digest=True,
+    ))
+    motion, doors = _declare_fig1_home(home)
+    workload = OccupancyWorkload(
+        home=home, motion_sensors=motion, door_sensors=doors,
+        rng=RandomSource(seed).child("occupancy"),
+        config=OccupancyConfig(days=1.0),
+    )
+    home.start()
+    for (sensor, process), loss in FIG1_LINK_LOSS.items():
+        home.set_link_loss(sensor, process, loss)
+    if subscribe_to is not None:
+        home.trace.subscribe(lambda event: None, kinds=subscribe_to)
+    workload.schedule()
+    home.run_until(0.4 * 86_400.0)
+    return home.trace.digest(), home.trace.counts
+
+
+def test_fig1_home_digest_is_independent_of_what_observes_the_trace():
+    """Aggregate-only (multicast plans, channel digest lanes), every record
+    kept (per-message send, the generic encoder) and a read-only net_send
+    subscriber are the same run: same counts, one digest. Under digest v2
+    these were three different values."""
+    aggregate_only = fig1_home_run(set())
+    assert aggregate_only[1]["net_send"] > 0 and aggregate_only[1]["radio_emit"] > 0
+    assert fig1_home_run(None) == aggregate_only
+    assert fig1_home_run(set(), subscribe_to=("net_send",)) == aggregate_only

@@ -62,6 +62,11 @@ def test_checkpoint_roundtrip_in_process(tmp_path):
     restored = Fleet.restore(snap)
     restored.run_until(2 * DAY_S)
     assert restored.digest() == fleet.digest()
+    # The trace channels held by sensors, radio fan-outs and in-flight
+    # quiescent deliveries came back bound to the restored traces' cells:
+    # a copy that lost that identity would still digest, but stop counting.
+    for home in fleet.homes():
+        assert restored.home(home.home_id).trace.counts == home.trace.counts
 
 
 def test_checkpoint_refused_mid_day(tmp_path):
@@ -69,6 +74,13 @@ def test_checkpoint_refused_mid_day(tmp_path):
     fleet.run_until(0.25 * DAY_S)
     with pytest.raises(SnapshotError, match="day boundary"):
         fleet.checkpoint(tmp_path / "fleet.snap")
+
+
+class _StaleGraph:
+    """Unpickles by reading an attribute the current build does not have."""
+
+    def __reduce__(self):
+        return getattr, (Fleet, "_removed_in_a_later_build")
 
 
 def test_load_rejects_foreign_and_future_files(tmp_path):
@@ -90,6 +102,26 @@ def test_load_rejects_foreign_and_future_files(tmp_path):
     }))
     with pytest.raises(SnapshotError, match="format version"):
         load_fleet(future)
+
+    # The parent build's format: refused by its header...
+    previous = tmp_path / "previous.snap"
+    previous.write_bytes(pickle.dumps({
+        "magic": "rivulet-fleet-snapshot",
+        "format_version": 2,
+        "fleet": None,
+    }))
+    with pytest.raises(SnapshotError, match="format version 2"):
+        load_fleet(previous)
+    # ...and, when its object graph names state this build no longer has
+    # (unpickling fails before the header can be read), still refused with
+    # SnapshotError instead of an AttributeError.
+    previous.write_bytes(pickle.dumps({
+        "magic": "rivulet-fleet-snapshot",
+        "format_version": 2,
+        "fleet": _StaleGraph(),
+    }))
+    with pytest.raises(SnapshotError, match="incompatible build"):
+        load_fleet(previous)
 
     with pytest.raises(SnapshotError, match="no snapshot"):
         load_fleet(tmp_path / "missing.snap")

@@ -33,8 +33,8 @@ def digest_of(records) -> str:
 # -- versioning ---------------------------------------------------------------
 
 
-def test_digest_version_is_2():
-    assert DIGEST_VERSION == 2
+def test_digest_version_is_3():
+    assert DIGEST_VERSION == 3
 
 
 def test_empty_trace_digest_is_version_seeded():

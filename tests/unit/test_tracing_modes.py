@@ -1,4 +1,4 @@
-"""Quiet and sampling trace modes, and the channel/device fast lanes."""
+"""The aggregate-only trace and the channel/device fast lanes."""
 
 import pytest
 
@@ -14,7 +14,7 @@ def fill(trace: Trace, n: int = 10) -> Trace:
 
 
 def test_quiet_keeps_aggregates_but_stores_nothing():
-    trace = fill(Trace(quiet=True))
+    trace = fill(Trace(keep_kinds=set()))
     assert trace.count("net_send") == 10
     assert trace.bytes_of_kind("net_send") == 1000
     assert trace.tally("net_send", "keepalive") == (10, 1000)
@@ -24,47 +24,7 @@ def test_quiet_keeps_aggregates_but_stores_nothing():
     assert len(trace.of_kind("net_send")) == 0
 
 
-def test_quiet_refuses_digest_subscribers_and_digest_flag():
-    with pytest.raises(ValueError):
-        Trace(quiet=True, digest=True)
-    trace = Trace(quiet=True)
-    with pytest.raises(RuntimeError):
-        trace.subscribe(lambda e: None)
-    with pytest.raises(RuntimeError):
-        trace.digest()
-
-
-def test_sampling_stores_every_nth_but_counts_all():
-    trace = Trace(sample_every=3)
-    for i in range(10):
-        trace.record(float(i), "tick", n=i)
-    assert trace.count("tick") == 10
-    kept = [e["n"] for e in trace.of_kind("tick")]
-    assert kept == [0, 3, 6, 9]
-
-
-def test_sampling_rejects_bad_interval_and_sample_one_is_full():
-    with pytest.raises(ValueError):
-        Trace(sample_every=0)
-    trace = Trace(sample_every=1)
-    for i in range(5):
-        trace.record(float(i), "tick", n=i)
-    assert len(trace.of_kind("tick")) == 5
-
-
-def test_sampled_digest_equals_unsampled_digest():
-    """The streaming hash covers every record, kept or not — sampling must
-    not change what the digest sees."""
-    full = fill(Trace(digest=True))
-    sampled = fill(Trace(digest=True, sample_every=4))
-    assert full.digest() == sampled.digest()
-    assert len(sampled.of_kind("radio_emit")) < len(full.of_kind("radio_emit"))
-
-
 def test_digest_requires_hasher_when_stream_is_partial():
-    trace = fill(Trace(sample_every=2))
-    with pytest.raises(RuntimeError):
-        trace.digest()
     trace = fill(Trace(keep_kinds=set()))
     with pytest.raises(RuntimeError):
         trace.digest()
