@@ -5,6 +5,7 @@ pytest-benchmark's statistical timing: they are the operations the
 simulator and the asyncio runtime execute millions of times.
 """
 
+import asyncio
 import random
 
 from repro.core.events import Event
@@ -12,7 +13,9 @@ from repro.core.intervals import IntervalSet
 from repro.core.marzullo import Interval, fuse
 from repro.net.message import Message
 from repro.net.wire import ProcessIdSet, wire_size
-from repro.rt.wire import decode_body, encode_message, split_frame
+from repro.rt.wire import (
+    decode_body, encode_message, frame_kind, read_frames, split_frame,
+)
 from repro.sim.scheduler import Scheduler
 
 
@@ -42,20 +45,46 @@ def test_wire_size_computation(benchmark):
     assert size > 100
 
 
-def test_rt_frame_roundtrip(benchmark):
+def _gapless_message() -> Message:
     event = Event(sensor_id="door", seq=7, emitted_at=1.25, value=True,
                   size_bytes=4, epoch=3)
-    message = Message(kind="gapless_fwd", src="a", dst="b",
-                      payload={"sensor": "door", "event": event,
-                               "S": ProcessIdSet({"a"}),
-                               "V": ProcessIdSet({"a", "b", "c"})})
+    return Message(kind="gapless_fwd", src="a", dst="b",
+                   payload={"sensor": "door", "event": event,
+                            "S": ProcessIdSet({"a"}),
+                            "V": ProcessIdSet({"a", "b", "c"})})
+
+
+def test_rt_frame_roundtrip(benchmark):
+    message = _gapless_message()
 
     def roundtrip():
         frame = encode_message(message)
         return decode_body(split_frame(frame)[1])
 
     decoded = benchmark(roundtrip)
-    assert decoded["event"] == event
+    assert decoded["event"] == message["event"]
+
+
+def test_rt_frame_splitter(benchmark):
+    """1 000 frames out of one in-memory stream, read in 64 KB chunks."""
+    frame = encode_message(_gapless_message())
+    stream = frame * 1000
+
+    async def split() -> int:
+        reader = asyncio.StreamReader(limit=len(stream))
+        reader.feed_data(stream)
+        reader.feed_eof()
+        count = 0
+        async for _body in read_frames(reader):
+            count += 1
+        return count
+
+    assert benchmark(lambda: asyncio.run(split())) == 1000
+
+
+def test_rt_frame_kind(benchmark):
+    frame = encode_message(_gapless_message())
+    assert benchmark(frame_kind, frame) == "gapless_fwd"
 
 
 def test_interval_set_dense_inserts(benchmark):

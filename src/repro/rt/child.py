@@ -65,6 +65,10 @@ def _atomic_write_json(path: str, payload: dict[str, Any]) -> None:
     os.replace(tmp, path)
 
 
+#: One journal line: plain ``json.dumps`` layout, the frames' tag table.
+_journal_line = json.JSONEncoder(default=wire.tag_default).encode
+
+
 class JournalTrace(Trace):
     """A Trace that also appends every record to a line-buffered journal.
 
@@ -79,19 +83,12 @@ class JournalTrace(Trace):
 
     def record(self, time: float, kind: str, /, **fields: Any) -> None:
         super().record(time, kind, **fields)
-        line = json.dumps([
-            "trace", time, kind,
-            {key: wire.to_jsonable(value) for key, value in fields.items()},
-        ])
-        self._journal.write(line + "\n")
+        self._journal.write(_journal_line(["trace", time, kind, fields]) + "\n")
 
     def journal_actuation(self, time: float, actuator: str, command_id: tuple,
                           action: str, value: Any) -> None:
-        line = json.dumps([
-            "actuation", time, actuator, list(command_id), action,
-            wire.to_jsonable(value),
-        ])
-        self._journal.write(line + "\n")
+        self._journal.write(_journal_line(
+            ["actuation", time, actuator, command_id, action, value]) + "\n")
 
 
 class _ChildNode:

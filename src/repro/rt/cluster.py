@@ -46,11 +46,16 @@ from repro.sim.random import RandomSource
 from repro.sim.tracing import Trace
 
 
-def free_port() -> int:
-    """Ask the OS for an ephemeral port and release it immediately."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
+def bound_socket() -> socket.socket:
+    """A TCP socket bound to an OS-chosen localhost port, not yet listening.
+
+    While it stays open nobody else is handed that port — neither another
+    process nor this one's own ephemeral listeners (the fault proxy's). No
+    SO_REUSEADDR: Linux lets two such sockets share a port until one listens.
+    """
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.bind(("127.0.0.1", 0))
+    return sock
 
 
 #: Trace kinds whose counts constitute "protocol activity" for
@@ -164,8 +169,10 @@ class LocalCluster:
             apps=list(self._apps),
         )
         plan.validate()
-        ports = {name: free_port() for name in self._process_names}
-        addresses = {name: ("127.0.0.1", port) for name, port in ports.items()}
+        # Bound before the proxy opens its ephemeral listeners and handed
+        # to the nodes still open, so no port is ever given out twice.
+        listeners = {name: bound_socket() for name in self._process_names}
+        addresses = {name: sock.getsockname() for name, sock in listeners.items()}
         if self.use_proxy:
             self.proxy = FaultProxy(
                 self._process_names, addresses, seed=self.seed, trace=self.trace
@@ -187,7 +194,7 @@ class LocalCluster:
             )
             node = AsyncRivuletNode(
                 name,
-                ports[name],
+                addresses[name][1],
                 peer_addresses,
                 plan,
                 device_info=self._device_info,
@@ -201,8 +208,8 @@ class LocalCluster:
                 trace=self.trace,
             )
             self.nodes[name] = node
-        for node in self.nodes.values():
-            await node.start()
+        for name, node in self.nodes.items():
+            await node.start(listeners[name])
 
     async def stop(self) -> None:
         for node in self.nodes.values():

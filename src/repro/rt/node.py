@@ -19,6 +19,7 @@ user-supplied handler.
 from __future__ import annotations
 
 import asyncio
+import socket
 from typing import Any, Callable
 
 from repro.core.delivery import PollMode
@@ -106,12 +107,13 @@ class AsyncRivuletNode(RuntimeEnv):
 
     # -- lifecycle ----------------------------------------------------------------
 
-    async def start(self) -> None:
+    async def start(self, sock: socket.socket | None = None) -> None:
+        """Listen (on ``sock`` if given: a cluster binds every node's port
+        before anything else can take it, and hands it over) and boot."""
         self._loop = asyncio.get_running_loop()
         self._alive = True
-        self._server = await asyncio.start_server(
-            self._on_connection, "127.0.0.1", self.port
-        )
+        where = {"sock": sock} if sock is not None else {"host": "127.0.0.1", "port": self.port}
+        self._server = await asyncio.start_server(self._on_connection, **where)
         self._boot_services()
         self.trace("boot")
 
@@ -197,42 +199,24 @@ class AsyncRivuletNode(RuntimeEnv):
         if queue is None:
             queue = asyncio.Queue(maxsize=10_000)
             self._queues[dst] = queue
-            self._sender_tasks[dst] = asyncio.ensure_future(self._sender(dst, queue))
+            self._sender_tasks[dst] = asyncio.ensure_future(
+                wire.send_frames(queue, self.peer_addresses[dst]))
         try:
-            queue.put_nowait(frame)
+            queue.put_nowait((0.0, frame))  # due at once
         except asyncio.QueueFull:
             self.trace("send_dropped", dst=dst, reason="queue_full")
 
-    async def _sender(self, dst: str, queue: asyncio.Queue) -> None:
-        """Per-destination ordered sender with lazy reconnect."""
-        writer: asyncio.StreamWriter | None = None
-        address = self.peer_addresses[dst]
-        while True:
-            frame = await queue.get()
-            if writer is None:
-                # asyncio.timeout (not wait_for): under 3.11's wait_for, an
-                # external cancel racing the connect timeout is swallowed as
-                # TimeoutError, leaving a zombie sender that stop() awaits
-                # forever.
-                try:
-                    async with asyncio.timeout(1.0):
-                        _reader, writer = await asyncio.open_connection(*address)
-                except (OSError, asyncio.TimeoutError):
-                    continue  # peer unreachable: the frame is lost (TCP-like)
-            try:
-                writer.write(frame)
-                await writer.drain()
-            except (OSError, ConnectionError):
-                writer = None  # peer went away mid-stream: frame lost
-
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> CancelHandle:
         loop = self._loop or asyncio.get_event_loop()
+        if delay <= 0:
+            # FIFO and off the timer heap: the ProcessingModel is all zeros
+            # here, so most protocol steps are zero-delay hand-offs.
+            return loop.call_soon(self._fire, fn, args)
+        return loop.call_later(delay, self._fire, fn, args)
 
-        def guarded() -> None:
-            if self._alive:
-                fn(*args)
-
-        return loop.call_later(delay, guarded)
+    def _fire(self, fn: Callable[..., None], args: tuple) -> None:
+        if self._alive:
+            fn(*args)
 
     def register_handler(self, kind: str, fn: Callable[[Message], None]) -> None:
         self._handlers[kind] = fn
@@ -260,12 +244,10 @@ class AsyncRivuletNode(RuntimeEnv):
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            while True:
-                message = await wire.read_frame(reader)
-                if message is None:
-                    break
+            async for body in wire.read_frames(reader):
                 if not self._alive:
                     break
+                message = wire.decode_body(body)
                 handler = self._handlers.get(message.kind)
                 if handler is None:
                     self.trace("unhandled_message", kind=message.kind)

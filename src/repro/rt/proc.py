@@ -31,6 +31,7 @@ in :mod:`repro.eval.rt` work on either harness unchanged.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import json
 import os
@@ -46,7 +47,7 @@ from repro.core.events import Event
 from repro.core.invariants import GroundTruth, RunRecord
 from repro.net.message import Message
 from repro.rt import wire
-from repro.rt.cluster import free_port
+from repro.rt.cluster import bound_socket
 from repro.rt.proxy import FaultProxy
 from repro.sim.random import RandomSource
 from repro.sim.tracing import Trace
@@ -62,7 +63,7 @@ def _read_journal(path: str) -> list[list]:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 try:
-                    entries.append(json.loads(line))
+                    entries.append(json.loads(line, object_hook=wire.untag_hook))
                 except json.JSONDecodeError:
                     break  # torn tail: everything before it is intact
     except OSError:
@@ -143,12 +144,16 @@ class ProcessHome:
         self._t0 = self._loop.time()
         self.workdir = tempfile.mkdtemp(prefix="rivulet-rt-")
         names = list(self.scenario.processes)
-        ports = {name: free_port() for name in names}
-        addresses = {name: ("127.0.0.1", port) for name, port in ports.items()}
-        if self.use_proxy:
-            self.proxy = FaultProxy(names, addresses, seed=self.seed,
-                                    trace=self.trace)
-            await self.proxy.start()
+        # Every child's port stays bound here until the proxy has its own
+        # ephemeral listeners, so it cannot be handed one of them; the
+        # children bind theirs after the release.
+        with contextlib.ExitStack() as held:
+            addresses = {name: held.enter_context(bound_socket()).getsockname()
+                         for name in names}
+            if self.use_proxy:
+                self.proxy = FaultProxy(names, addresses, seed=self.seed,
+                                        trace=self.trace)
+                await self.proxy.start()
 
         src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)
@@ -164,7 +169,7 @@ class ProcessHome:
             spec = {
                 "scenario": self.scenario.name,
                 "node": name,
-                "port": ports[name],
+                "port": addresses[name][1],
                 "addresses": {p: list(a) for p, a in peer_addresses.items()},
                 "seed": self.seed,
                 "heartbeat_interval": self.heartbeat_interval,
@@ -179,7 +184,7 @@ class ProcessHome:
                 stderr=open(stderr_path, "wb"),
                 env=env,
             )
-            self.nodes[name] = ProcessNode(name, ports[name], popen, stderr_path)
+            self.nodes[name] = ProcessNode(name, addresses[name][1], popen, stderr_path)
         for node in self.nodes.values():
             await self._connect_control(node)
 
@@ -455,17 +460,11 @@ class ProcessHome:
             for entry in _read_journal(path):
                 if entry[0] == "trace":
                     _tag, t, kind, fields = entry
-                    entries.append((
-                        t, kind,
-                        {key: wire.from_jsonable(value)
-                         for key, value in fields.items()},
-                    ))
+                    entries.append((t, kind, fields))
                 elif entry[0] == "actuation":
                     _tag, t, actuator, command_id, action, value = entry
                     actuations.append((actuator, tuple(command_id), t))
-                    applied.append(
-                        (actuator, action, wire.from_jsonable(value), t)
-                    )
+                    applied.append((actuator, action, value, t))
         ordered = Trace()
         for t, kind, fields in sorted(entries, key=lambda item: item[0]):
             ordered.record(t, kind, **fields)

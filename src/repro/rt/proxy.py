@@ -103,13 +103,9 @@ class FaultProxy:
         for server in self._servers:
             await server.wait_closed()
         self._servers.clear()
-        for task in list(self._pumps):
+        for task in self._pumps:
             task.cancel()
-        for task in list(self._pumps):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
+        await asyncio.gather(*self._pumps, return_exceptions=True)
         self._pumps.clear()
 
     def address_map_for(self, src: str) -> dict[str, tuple[str, int]]:
@@ -173,16 +169,13 @@ class FaultProxy:
     ) -> None:
         src, dst = pair
         queue: asyncio.Queue = asyncio.Queue()
-        pump = asyncio.ensure_future(self._pump(dst, queue))
+        pump = asyncio.ensure_future(wire.send_frames(queue, self._targets[dst]))
         self._pumps.add(pump)
         policy = self._policy[pair]
         stats = self.stats[pair]
         loop = self._loop or asyncio.get_running_loop()
         try:
-            while True:
-                frame = await wire.read_raw_frame(reader)
-                if frame is None:
-                    break
+            async for frame in wire.read_frames(reader, raw=True):
                 now = loop.time()
                 if policy.blocked or not self._partition.can_communicate(src, dst):
                     self._drop(now, src, dst, frame, stats, "partition")
@@ -218,30 +211,3 @@ class FaultProxy:
             self._trace.record_message(
                 now, "net_drop", src, dst, kind, reason=reason
             )
-
-    async def _pump(self, dst: str, queue: asyncio.Queue) -> None:
-        """Forward queued frames to the real destination, in order."""
-        writer: asyncio.StreamWriter | None = None
-        address = self._targets[dst]
-        loop = self._loop or asyncio.get_running_loop()
-        try:
-            while True:
-                deliver_at, frame = await queue.get()
-                wait = deliver_at - loop.time()
-                if wait > 0:
-                    await asyncio.sleep(wait)
-                if writer is None:
-                    # asyncio.timeout, not wait_for: see AsyncRivuletNode._sender.
-                    try:
-                        async with asyncio.timeout(1.0):
-                            _reader, writer = await asyncio.open_connection(*address)
-                    except (OSError, asyncio.TimeoutError):
-                        continue  # destination down: frame lost, like real TCP
-                try:
-                    writer.write(frame)
-                    await writer.drain()
-                except (OSError, ConnectionError):
-                    writer = None
-        finally:
-            if writer is not None:
-                writer.close()

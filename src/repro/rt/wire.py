@@ -6,7 +6,8 @@ The version byte and the :data:`MAX_FRAME` sanity bound exist to fail
 prefix pointing megabytes into garbage, raises :class:`WireError` at the
 frame boundary instead of silently desyncing the stream and misparsing
 every subsequent byte. Rivulet payloads contain a handful of non-JSON types
-which are encoded with type tags:
+which are encoded with type tags, by the one ``default=`` / ``object_hook=``
+pair (:func:`tag_default`, :func:`untag_hook`) frames and journals share:
 
 - :class:`repro.core.events.Event`   -> ``{"__event__": {...}}``
 - :class:`repro.core.events.Command` -> ``{"__command__": {...}}``
@@ -17,9 +18,11 @@ which are encoded with type tags:
 
 from __future__ import annotations
 
+import asyncio
+import dataclasses
 import json
 import struct
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.events import Command, Event
 from repro.net.message import Message
@@ -38,84 +41,90 @@ HEADER_SIZE = _HEADER.size
 #: peer, and buffering it would just delay the inevitable desync.
 MAX_FRAME = 16 * 1024 * 1024
 
+#: Bytes asked of the stream per read (the StreamReader's own buffer limit).
+_READ_CHUNK = 64 * 1024
+
 
 class WireError(ValueError):
     """Malformed frame, wrong frame version, or unserializable payload."""
 
 
-def _encode_value(value: Any) -> Any:
+def tag_default(value: Any) -> Any:
+    """``json`` ``default=`` hook: the tagged form of a non-JSON payload type.
+
+    The encoder walks whatever this returns, so nested values (an ``Event``
+    inside ``Event.value``, a set of sets) are tagged by the same hook.
+    """
     if isinstance(value, Event):
         return {"__event__": {
             "sensor_id": value.sensor_id, "seq": value.seq,
-            "emitted_at": value.emitted_at, "value": _encode_value(value.value),
+            "emitted_at": value.emitted_at, "value": value.value,
             "size_bytes": value.size_bytes, "epoch": value.epoch,
         }}
     if isinstance(value, Command):
         return {"__command__": {
             "actuator_id": value.actuator_id, "seq": value.seq,
             "issued_at": value.issued_at, "action": value.action,
-            "value": _encode_value(value.value), "size_bytes": value.size_bytes,
+            "value": value.value, "size_bytes": value.size_bytes,
             "issued_by": value.issued_by,
         }}
     if isinstance(value, ProcessIdSet):
         return {"__pidset__": sorted(value)}
     if isinstance(value, (set, frozenset)):
-        return {"__set__": [_encode_value(v) for v in sorted(value)]}
-    if isinstance(value, (list, tuple)):
-        return [_encode_value(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _encode_value(v) for k, v in value.items()}
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
+        return {"__set__": sorted(value)}
     raise WireError(f"cannot serialize {type(value).__name__} on the wire")
 
 
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        if "__event__" in value and len(value) == 1:
-            fields = value["__event__"]
-            return Event(
-                sensor_id=fields["sensor_id"], seq=fields["seq"],
-                emitted_at=fields["emitted_at"],
-                value=_decode_value(fields["value"]),
-                size_bytes=fields["size_bytes"], epoch=fields["epoch"],
-            )
-        if "__command__" in value and len(value) == 1:
-            fields = value["__command__"]
-            return Command(
-                actuator_id=fields["actuator_id"], seq=fields["seq"],
-                issued_at=fields["issued_at"], action=fields["action"],
-                value=_decode_value(fields["value"]),
-                size_bytes=fields["size_bytes"], issued_by=fields["issued_by"],
-            )
-        if "__pidset__" in value and len(value) == 1:
-            return ProcessIdSet(value["__pidset__"])
-        if "__set__" in value and len(value) == 1:
-            return frozenset(_decode_value(v) for v in value["__set__"])
-        return {k: _decode_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode_value(v) for v in value]
-    return value
+def _untagger(cls: type) -> Callable[[dict[str, Any]], Any]:
+    names = {f.name for f in dataclasses.fields(cls)}
+
+    def build(fields: dict[str, Any]) -> Any:
+        if fields.keys() != names:
+            raise TypeError(f"fields {sorted(fields)} != {sorted(names)}")
+        return cls(**fields)
+
+    return build
 
 
-def to_jsonable(value: Any) -> Any:
-    """Public tag-encoder for report files (same codec as frame bodies)."""
-    return _encode_value(value)
+_UNTAG: dict[str, Callable[[Any], Any]] = {
+    "__event__": _untagger(Event), "__command__": _untagger(Command),
+    "__pidset__": ProcessIdSet, "__set__": frozenset,
+}
 
 
-def from_jsonable(value: Any) -> Any:
-    """Inverse of :func:`to_jsonable`."""
-    return _decode_value(value)
+def untag_hook(obj: dict[str, Any]) -> Any:
+    """``json`` ``object_hook=``: inverse of :func:`tag_default`.
+
+    Called bottom-up on every decoded object, so by the time a tag object
+    is seen its nested values are already untagged.
+    """
+    if len(obj) != 1:
+        return obj
+    (tag, tagged), = obj.items()
+    build = _UNTAG.get(tag)
+    if build is None:
+        return obj
+    try:
+        return build(tagged)
+    except (TypeError, AttributeError) as exc:
+        raise WireError(f"malformed {tag} object: {exc}") from exc
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=tag_default)
+_DECODER = json.JSONDecoder(object_hook=untag_hook)
 
 
 def encode_message(message: Message) -> bytes:
     """One message as a complete frame (version + length prefix included)."""
-    body = json.dumps({
-        "kind": message.kind,
-        "src": message.src,
-        "dst": message.dst,
-        "payload": {k: _encode_value(v) for k, v in message.payload.items()},
-    }, separators=(",", ":")).encode("utf-8")
+    try:
+        body = _ENCODER.encode({
+            "kind": message.kind, "src": message.src, "dst": message.dst,
+            "payload": message.payload,
+        }).encode("utf-8")
+    except (TypeError, ValueError, RecursionError) as exc:
+        # An untaggable value (WireError is a ValueError), a dict key json
+        # cannot stringify, unorderable set members, a self-containing payload.
+        raise WireError(f"cannot serialize {message.kind!r}: {exc}") from exc
     if len(body) > MAX_FRAME:
         raise WireError(f"frame of {len(body)} bytes exceeds MAX_FRAME")
     return _HEADER.pack(WIRE_VERSION, len(body)) + body
@@ -133,34 +142,41 @@ def split_frame(frame: bytes) -> tuple[int, bytes]:
     return version, body
 
 
+_KIND_AT = HEADER_SIZE + len(b'{"kind":"')
+
+
 def frame_kind(frame: bytes) -> str | None:
     """The message ``kind`` of a complete frame, or None if unparsable.
 
     Used by the fault proxy to classify forwarded traffic for overhead
-    accounting without fully decoding payloads.
+    accounting without decoding payloads: :func:`encode_message` writes
+    ``kind`` first, so it is peeked from the body prefix. A kind holding an
+    escape, or a body laid out any other way, takes the full parse.
     """
+    if frame.startswith(b'{"kind":"', HEADER_SIZE):
+        end = frame.find(b'"', _KIND_AT)
+        kind = frame[_KIND_AT:end]
+        if end != -1 and b"\\" not in kind and kind.isascii():
+            return kind.decode("ascii")
     try:
         _, body = split_frame(frame)
         kind = json.loads(body.decode("utf-8")).get("kind")
-    except (WireError, UnicodeDecodeError, json.JSONDecodeError, AttributeError):
+    except (ValueError, AttributeError):  # WireError, bad UTF-8, bad JSON
         return None
     return kind if isinstance(kind, str) else None
 
 
 def decode_body(body: bytes) -> Message:
     try:
-        data = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"malformed frame: {exc}") from exc
-    if not isinstance(data, dict):
-        raise WireError(f"frame body is {type(data).__name__}, not an object")
-    for key in ("kind", "src", "dst", "payload"):
-        if key not in data:
-            raise WireError(f"frame missing {key!r}")
-    return Message(
-        kind=data["kind"], src=data["src"], dst=data["dst"],
-        payload={k: _decode_value(v) for k, v in data["payload"].items()},
-    )
+        data = _DECODER.decode(body.decode("utf-8"))
+        kind, src, dst = data["kind"], data["src"], data["dst"]
+        payload = data["payload"]
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError,
+            KeyError, TypeError) as exc:  # TypeError: body is not an object
+        raise WireError(f"malformed frame: {exc!r}") from exc
+    if not isinstance(payload, dict):
+        raise WireError(f"frame payload is {type(payload).__name__}, not an object")
+    return Message(kind=kind, src=src, dst=dst, payload=payload)
 
 
 def _check_header(version: int, length: int) -> None:
@@ -172,53 +188,84 @@ def _check_header(version: int, length: int) -> None:
         raise WireError(f"frame of {length} bytes exceeds MAX_FRAME")
 
 
-async def _read_header(reader) -> tuple[int, int] | None:
-    import asyncio
+async def read_frames(reader: asyncio.StreamReader, *, raw: bool = False):
+    """Yield every frame on ``reader`` until EOF: bodies, or ``raw`` frames.
 
-    try:
-        header = await reader.readexactly(HEADER_SIZE)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    version, length = _HEADER.unpack(header)
-    _check_header(version, length)
-    return version, length
+    The one read path (a node decodes bodies, the fault proxy forwards
+    whole frames verbatim). The stream is read in chunks and every complete
+    frame of a chunk is yielded without another await; a frame the chunk
+    cuts is completed by one ``readexactly`` of the missing bytes, so a
+    megabyte sync frame is joined once. EOF or a reset, between frames or
+    inside one, just ends the iteration.
 
-
-async def read_frame(reader) -> Message | None:
-    """Read and decode one frame; None on clean EOF.
-
-    Raises :class:`WireError` on a wrong version byte or an oversized
-    length — the stream is unrecoverable past either, so callers must
-    drop the connection rather than resynchronize.
+    Raises :class:`WireError` at a frame with a wrong version byte or an
+    oversized length, after yielding every frame before it — the stream is
+    unrecoverable past either, so callers must drop the connection.
     """
-    import asyncio
-
-    header = await _read_header(reader)
-    if header is None:
-        return None
-    _, length = header
+    skip = 0 if raw else HEADER_SIZE
+    buf = b""  # between chunks: at most a partial header
     try:
-        body = await reader.readexactly(length)
+        while chunk := await reader.read(_READ_CHUNK):
+            buf += chunk
+            pos, size = 0, len(buf)
+            while size - pos >= HEADER_SIZE:
+                version, length = _HEADER.unpack_from(buf, pos)
+                _check_header(version, length)
+                end = pos + HEADER_SIZE + length
+                if end > size:
+                    buf = buf[pos:] + await reader.readexactly(end - size)
+                    pos, end = 0, len(buf)  # buf is exactly that frame now
+                    size = end
+                yield buf[pos + skip:end]
+                pos = end
+            buf = buf[pos:]
     except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    return decode_body(body)
+        return
 
 
-async def read_raw_frame(reader) -> bytes | None:
-    """Read one complete frame as raw bytes (header included); None on EOF.
+async def send_frames(queue: asyncio.Queue, address: tuple[str, int]) -> None:
+    """Write the queue's ``(due, frame)`` items to ``address``, in order.
 
-    The fault proxy forwards frames verbatim, so it validates the header
-    (same :class:`WireError` rules as :func:`read_frame`) but never decodes
-    the body.
+    The one write path (a node's per-peer sender, the fault proxy's pump):
+    it dials lazily and redials after a failure, and a frame that meets an
+    unreachable peer is lost, as on TCP. A frame waits until ``due`` (a
+    loop time); everything queued behind it that is due too goes out in the
+    same ``write`` + ``drain`` — a batch is what has piled up, never waited for.
+    Runs until cancelled.
     """
-    import asyncio
-
-    header = await _read_header(reader)
-    if header is None:
-        return None
-    version, length = header
+    loop = asyncio.get_running_loop()
+    writer: asyncio.StreamWriter | None = None
+    held: tuple[float, bytes] | None = None  # dequeued, found not yet due
     try:
-        body = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    return _HEADER.pack(version, length) + body
+        while True:
+            due, frame = held or await queue.get()
+            held = None
+            wait = due - loop.time()
+            if wait > 0:
+                await asyncio.sleep(wait)
+            if writer is None:
+                # asyncio.timeout (not wait_for): under 3.11's wait_for, an
+                # external cancel racing the connect timeout is swallowed as
+                # TimeoutError, leaving a zombie task its owner awaits forever.
+                try:
+                    async with asyncio.timeout(1.0):
+                        _reader, writer = await asyncio.open_connection(*address)
+                except (OSError, asyncio.TimeoutError):
+                    continue  # peer unreachable: the frame is lost
+            if not queue.empty():
+                frames, now = [frame], loop.time()
+                while not queue.empty():
+                    held = queue.get_nowait()
+                    if held[0] > now:
+                        break
+                    frames.append(held[1])
+                    held = None
+                frame = b"".join(frames)
+            try:
+                writer.write(frame)
+                await writer.drain()
+            except (OSError, ConnectionError):
+                writer = None  # peer went away mid-stream: frames lost
+    finally:
+        if writer is not None:
+            writer.close()

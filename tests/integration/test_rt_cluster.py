@@ -162,3 +162,79 @@ def test_cluster_validates_deployment():
         await cluster.stop()
 
     run(scenario())
+
+
+def test_zero_delay_callbacks_are_fifo_cancellable_and_die_with_the_node():
+    async def scenario():
+        ran: list[str] = []
+        cluster = make_cluster()
+        async with cluster:
+            node = cluster.node("hub")
+            node.schedule(0.0, ran.append, "A")
+            node.schedule(0.0, ran.append, "skipped").cancel()
+            node.schedule(0.0, ran.append, "B")
+            node.schedule(-1.0, ran.append, "C")  # a past deadline is "now"
+            node.schedule(0.01, ran.append, "later")
+            assert ran == []  # never run inline, whatever the delay
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            assert ran == ["A", "B", "C"]
+            await cluster.wait_for(lambda: ran[-1] == "later", timeout=2.0)
+            node.schedule(0.0, ran.append, "after-stop")
+            node.schedule(0.01, ran.append, "after-stop")
+            await cluster.crash("hub")
+            await asyncio.sleep(0.05)
+            assert ran == ["A", "B", "C", "later"]
+
+    run(scenario())
+
+
+def test_crash_closes_the_listener_the_cluster_reserved():
+    async def scenario():
+        cluster = make_cluster(use_proxy=True)
+        async with cluster:
+            port = cluster.node("tv").port
+            _reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.close()
+            await cluster.crash("tv")
+            with pytest.raises(OSError):
+                await asyncio.open_connection("127.0.0.1", port)
+
+    run(scenario())
+
+
+def test_fifty_proxied_clusters_start_and_stop_without_a_port_clash(monkeypatch):
+    """Node ports stay bound from the moment they are chosen.
+
+    They used to be picked with a bind-and-release probe and bound again
+    only after the proxy had opened its six ephemeral listeners, one of
+    which now and then was the very port just released (EADDRINUSE about
+    once in a thousand starts). So besides starting fifty clusters, check
+    the mechanism: when the proxy starts, nobody can bind a node's port.
+    """
+    import socket
+
+    from repro.rt.proxy import FaultProxy
+
+    proxy_start = FaultProxy.start
+    taken = []
+
+    async def start_after_probing(proxy):
+        for address in proxy._targets.values():
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+                with pytest.raises(OSError):
+                    probe.bind(address)
+                taken.append(address)
+        await proxy_start(proxy)
+
+    monkeypatch.setattr(FaultProxy, "start", start_after_probing)
+
+    async def scenario():
+        for _ in range(50):
+            cluster = make_cluster(use_proxy=True)
+            await cluster.start()
+            assert len({node.port for node in cluster.nodes.values()}) == 3
+            await cluster.stop()
+
+    run(scenario())
+    assert len(taken) == 150

@@ -11,7 +11,7 @@ from repro.core.graph import App
 from repro.core.operators import Operator
 from repro.core.windows import CountWindow
 from repro.rt import LocalCluster
-from repro.rt.cluster import free_port
+from repro.rt.cluster import bound_socket
 from repro.rt.wire import WIRE_VERSION
 
 
@@ -148,6 +148,12 @@ def test_replicated_store_over_tcp():
     run(scenario())
 
 
-def test_free_port_returns_bindable_ports():
-    ports = {free_port() for _ in range(5)}
-    assert all(1024 < p < 65536 for p in ports)
+def test_bound_sockets_hold_distinct_ports():
+    socks = [bound_socket() for _ in range(5)]
+    try:
+        ports = {sock.getsockname()[1] for sock in socks}
+        assert len(ports) == 5  # held, so never handed out twice
+        assert all(1024 < p < 65536 for p in ports)
+    finally:
+        for sock in socks:
+            sock.close()

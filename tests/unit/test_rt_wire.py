@@ -1,5 +1,7 @@
 """Unit tests for the asyncio runtime's wire format."""
 
+import asyncio
+
 import pytest
 
 from repro.core.events import Command, Event
@@ -13,6 +15,7 @@ from repro.rt.wire import (
     decode_body,
     encode_message,
     frame_kind,
+    read_frames,
     split_frame,
 )
 
@@ -123,16 +126,14 @@ def test_frame_kind_peeks_without_decoding():
     assert frame_kind(b"\x01\x00\x00\x00\x03abc") is None
 
 
-def _read_from_bytes(data: bytes):
-    import asyncio
-
-    from repro.rt.wire import read_frame
+def _frames_from_bytes(data: bytes, **kwargs) -> list[bytes]:
+    """Everything :func:`read_frames` yields for ``data`` followed by EOF."""
 
     async def go():
         reader = asyncio.StreamReader()
         reader.feed_data(data)
         reader.feed_eof()
-        return await read_frame(reader)
+        return [frame async for frame in read_frames(reader, **kwargs)]
 
     return asyncio.run(go())
 
@@ -141,9 +142,187 @@ def test_read_frame_rejects_wrong_version_on_stream():
     bad = bytearray(encode_message(Message(kind="k", src="a", dst="b", payload={})))
     bad[0] = 9
     with pytest.raises(WireError, match="version"):
-        _read_from_bytes(bytes(bad))
+        _frames_from_bytes(bytes(bad))
 
 
 def test_read_frame_rejects_oversized_length_on_stream():
     with pytest.raises(WireError, match="MAX_FRAME"):
-        _read_from_bytes(bytes([WIRE_VERSION]) + (2**31).to_bytes(4, "big"))
+        _frames_from_bytes(bytes([WIRE_VERSION]) + (2**31).to_bytes(4, "big"))
+
+
+def test_read_frames_yields_bodies_or_whole_frames():
+    frames = [encode_message(Message(kind=f"k{i}", src="a", dst="b",
+                                     payload={"i": i})) for i in range(3)]
+    stream = b"".join(frames)
+    assert _frames_from_bytes(stream, raw=True) == frames
+    bodies = _frames_from_bytes(stream)
+    assert bodies == [frame[HEADER_SIZE:] for frame in frames]
+    assert [decode_body(body)["i"] for body in bodies] == [0, 1, 2]
+
+
+def test_read_frames_ends_cleanly_on_eof_mid_frame():
+    frame = encode_message(Message(kind="k", src="a", dst="b", payload={}))
+    for cut in (2, HEADER_SIZE, len(frame) - 1):  # in header, at body, in body
+        assert _frames_from_bytes(frame + frame[:cut], raw=True) == [frame]
+
+
+def test_read_frames_completes_a_frame_larger_than_the_chunk():
+    big = encode_message(Message(kind="sync", src="a", dst="b",
+                                 payload={"blob": "x" * (1 << 20)}))
+    small = encode_message(Message(kind="k", src="a", dst="b", payload={}))
+
+    async def go():
+        reader = asyncio.StreamReader(limit=2 << 20)
+        reader.feed_data(small + big + small)
+        reader.feed_eof()
+        return [frame async for frame in read_frames(reader, raw=True)]
+
+    assert asyncio.run(go()) == [small, big, small]
+
+
+# -- frame_kind: the peeked prefix agrees with the full parse -----------------------
+
+
+def _frame(body: bytes) -> bytes:
+    return bytes([WIRE_VERSION]) + len(body).to_bytes(4, "big") + body
+
+
+@pytest.mark.parametrize("kind", ["gapless_fwd", 'a"b', "a\\b", "é", "", "k\n"])
+def test_frame_kind_of_encoded_message(kind):
+    frame = encode_message(Message(kind=kind, src="a", dst="b", payload={"x": 1}))
+    assert frame_kind(frame) == kind == decode_body(split_frame(frame)[1]).kind
+
+
+@pytest.mark.parametrize("body, kind", [
+    (b'{"src":"a","kind":"late","dst":"b","payload":{}}', "late"),
+    (b' {"kind": "spaced", "src": "a"}', "spaced"),
+    ('{"kind":"é"}'.encode("utf-8"), "é"),
+    (b'{"kind":"a\\u0041"}', "aA"),
+    (b'{"kind":7}', None),
+    (b'{"kind":"torn', None),
+    (b"[1,2]", None),
+    (b"\xff\xfe", None),
+    (b"", None),
+])
+def test_frame_kind_falls_back_to_the_full_parse(body, kind):
+    assert frame_kind(_frame(body)) == kind
+
+
+def test_frame_kind_of_garbage_is_none():
+    assert frame_kind(b"") is None
+    assert frame_kind(b"\x01\x00") is None
+    assert frame_kind(bytes([WIRE_VERSION + 1]) + b'\x00\x00\x00\x02{}') is None
+
+
+# -- error surface: nothing but WireError leaves the codec --------------------------
+
+
+@pytest.mark.parametrize("payload", [
+    {"obj": object()},
+    {"deep": {"list": [1, {"obj": object()}]}},
+    {"event": Event(sensor_id="s", seq=1, emitted_at=0.0, value=object(),
+                    size_bytes=4)},
+    {"key": {(1, 2): "tuple key"}},
+    {"mixed": {1, "a"}},
+    {"bytes": b"raw"},
+])
+def test_unserializable_values_raise_wire_error(payload):
+    with pytest.raises(WireError):
+        encode_message(Message(kind="k", src="a", dst="b", payload=payload))
+
+
+def test_self_containing_payload_raises_wire_error():
+    loop: list = []
+    loop.append(loop)
+    with pytest.raises(WireError):
+        encode_message(Message(kind="k", src="a", dst="b", payload={"l": loop}))
+
+
+@pytest.mark.parametrize("body", [
+    b"\xff\xfe{}",                                    # bad UTF-8
+    b'"a string"', b"7", b"null",                       # not an object
+    b'{"kind":"k","src":"a","dst":"b"}',                # no payload
+    b'{"kind":"k","src":"a","dst":"b","payload":[1]}',  # payload not an object
+    b'{"kind":"k","src":"a","dst":"b","payload":null}',
+    b'{"__set__":[1]}',                                 # a tag where the body goes
+    b'{"kind":"k","src":"a","dst":"b","payload":{"e":{"__event__":'
+    b'{"sensor_id":"s","seq":1}}}}',                    # tag object, fields missing
+    b'{"kind":"k","src":"a","dst":"b","payload":{"e":{"__event__":'
+    b'{"sensor_id":"s","seq":1,"emitted_at":0,"value":1,"size_bytes":4,'
+    b'"epoch":null,"extra":1}}}}',                      # ... one too many
+    b'{"kind":"k","src":"a","dst":"b","payload":{"c":{"__command__":7}}}',
+    b'{"kind":"k","src":"a","dst":"b","payload":{"p":{"__pidset__":3}}}',
+    b'{"kind":"k","src":"a","dst":"b","payload":{"s":{"__set__":[[1]]}}}',
+    b"[" * 100_000,                                     # nesting past the recursion limit
+])
+def test_malformed_bodies_raise_wire_error(body):
+    with pytest.raises(WireError):
+        decode_body(body)
+
+
+def test_nested_tagged_values_roundtrip():
+    inner = Event(sensor_id="cam", seq=1, emitted_at=0.5, value={1, 2}, size_bytes=4)
+    outer = Event(sensor_id="hub", seq=2, emitted_at=1.0,
+                  value=[inner, {"ids": ProcessIdSet({"p0"})}], size_bytes=8)
+    decoded = roundtrip(Message(kind="k", src="a", dst="b",
+                                payload={"event": outer, "sets": [{"x"}, set()]}))
+    assert decoded["event"] == outer
+    assert decoded["event"].value == [inner, {"ids": ProcessIdSet({"p0"})}]
+    assert decoded["event"].value[0].value == frozenset({1, 2})
+    assert decoded["sets"] == [frozenset({"x"}), frozenset()]
+
+
+# -- the journal shares the frames' tag table -----------------------------------------
+
+#: Three lines exactly as the commit before the shared codec wrote them
+#: (``to_jsonable`` walk, then ``json.dumps``).
+PARENT_JOURNAL = (
+    '["trace", 1.5, "ingest", {"sensor": "s1", "seq": 3}]\n'
+    '["trace", 2.0, "odd", {"event": {"__event__": {"sensor_id": "s1", "seq": 3, '
+    '"emitted_at": 1.25, "value": {"k": [1, 2]}, "size_bytes": 4, "epoch": null}}, '
+    '"members": {"__pidset__": ["p0", "p1"]}, "tags": {"__set__": ["a", "b"]}, '
+    '"cmd": {"__command__": {"actuator_id": "light", "seq": 2, "issued_at": 9.0, '
+    '"action": "set", "value": false, "size_bytes": 8, "issued_by": "app@p1"}}}]\n'
+    '["actuation", 2.5, "light", ["light", "app@p1", 2], "set", {"__set__": [1, 2]}]\n'
+)
+
+
+def _journal_records(journal) -> None:
+    journal.record(1.5, "ingest", sensor="s1", seq=3)
+    journal.record(
+        2.0, "odd",
+        event=Event("s1", 3, 1.25, {"k": (1, 2)}, 4, epoch=None),
+        members=ProcessIdSet({"p1", "p0"}), tags=frozenset({"b", "a"}),
+        cmd=Command("light", 2, 9.0, "set", value=False, issued_by="app@p1"),
+    )
+    journal.journal_actuation(2.5, "light", ("light", "app@p1", 2), "set",
+                              frozenset({1, 2}))
+
+
+def test_journal_lines_are_the_parent_commits_bytes(tmp_path):
+    from repro.rt.child import JournalTrace
+
+    path = tmp_path / "p0.journal"
+    journal = JournalTrace(str(path))
+    _journal_records(journal)
+    journal._journal.close()
+    assert path.read_text(encoding="utf-8") == PARENT_JOURNAL
+
+
+def test_parent_written_journal_still_loads(tmp_path):
+    from repro.rt.proc import _read_journal
+
+    path = tmp_path / "p0.journal"
+    path.write_text(PARENT_JOURNAL + '["trace", 3.0, "torn", {"se', encoding="utf-8")
+    ingest, odd, actuation = _read_journal(str(path))
+    assert ingest == ["trace", 1.5, "ingest", {"sensor": "s1", "seq": 3}]
+    fields = odd[3]
+    assert fields["event"] == Event("s1", 3, 1.25, None, 4)
+    assert fields["event"].value == {"k": [1, 2]}
+    assert fields["members"] == ProcessIdSet({"p0", "p1"})
+    assert isinstance(fields["members"], ProcessIdSet)
+    assert fields["tags"] == frozenset({"a", "b"})
+    assert fields["cmd"] == Command("light", 2, 9.0, "set", value=False,
+                                    issued_by="app@p1")
+    assert actuation == ["actuation", 2.5, "light", ["light", "app@p1", 2], "set",
+                         frozenset({1, 2})]
