@@ -8,9 +8,14 @@ simulator and the asyncio runtime execute millions of times.
 import asyncio
 import random
 
+from repro.core.delivery import GAPLESS
 from repro.core.events import Event
+from repro.core.graph import App
+from repro.core.home import Home, HomeConfig
 from repro.core.intervals import IntervalSet
 from repro.core.marzullo import Interval, fuse
+from repro.core.operators import Operator
+from repro.core.windows import CountWindow
 from repro.net.message import Message
 from repro.net.wire import ProcessIdSet, wire_size
 from repro.rt.wire import (
@@ -43,6 +48,36 @@ def test_wire_size_computation(benchmark):
                       payload={"sensor": "s", "event": event, "S": ids, "V": ids})
     size = benchmark(wire_size, message)
     assert size > 100
+
+
+def test_keepalive_tick_with_unchanged_piggyback(benchmark):
+    """ns per keep-alive tick (send to 3 peers, 3 deliveries) of an idle
+    4-process home whose one Gapless app has processed events: the
+    watermark piggyback is present on every keep-alive and never changes."""
+    home = Home(HomeConfig(seed=7, heartbeat_interval=0.5, keep_trace_kinds=set()))
+    for i in range(4):
+        home.add_process(f"p{i}", adapters=("ip",))
+    home.add_sensor("s1", kind="door", technology="ip",
+                    processes=["p0", "p1", "p2", "p3"])
+    op = Operator("L", on_window=lambda ctx, combined: None)
+    op.add_sensor("s1", GAPLESS, CountWindow(1))
+    home.deploy(App("app", op))
+    home.start()
+    for second in range(1, 6):
+        home.scheduler.call_at(float(second), home.sensor("s1").emit, True)
+    home.run_until(10.0)
+    assert any(p.heartbeat._payload for p in home.processes.values())
+    builds = sum(p.heartbeat.payload_builds for p in home.processes.values())
+    ticks_per_round = 4 * 100
+
+    def run():
+        home.run_until(home.scheduler.now + 50.0)
+
+    benchmark(run)
+    assert sum(p.heartbeat.payload_builds for p in home.processes.values()) == builds
+    benchmark.extra_info["ns_per_tick"] = round(
+        benchmark.stats.stats.mean * 1e9 / ticks_per_round
+    )
 
 
 def _gapless_message() -> Message:

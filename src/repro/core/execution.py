@@ -91,9 +91,11 @@ class LogicRuntime:
         self._processed: dict[str, IntervalSet] = {}
         self._remote_processed: dict[str, IntervalSet] = {}
         requirements = app.sensor_requirements()
-        self._gapless_sensors = {
+        # Sorted once: the gossiped dict's key order (rt frame bytes, journal
+        # lines) must not depend on PYTHONHASHSEED.
+        self._gapless_sensors = tuple(sorted(
             s for s, req in requirements.items() if req.delivery is GAPLESS
-        }
+        ))
         self._sensor_bindings: dict[tuple[str, str], SensorBinding] = {
             (op.name, b.sensor): b
             for op in app.operators
@@ -123,12 +125,14 @@ class LogicRuntime:
     def _promote(self) -> None:
         self.env.trace("promotion", app=self.app.name)
         self.active = True
+        self.service.watermarks_changed()
         self._build_operator_state()
         self._replay_outstanding()
 
     def _demote(self, new_active: str | None) -> None:
         self.env.trace("demotion", app=self.app.name, new_active=new_active)
         self.active = False
+        self.service.watermarks_changed()
         self._teardown_operator_state()
 
     def _replay_outstanding(self) -> None:
@@ -141,7 +145,7 @@ class LogicRuntime:
         only ``seq > max`` would skip the hole forever.
         """
         pending: list[tuple[str, Event]] = []
-        for sensor in sorted(self._gapless_sensors):
+        for sensor in self._gapless_sensors:
             log = self.service.store.log_for(sensor)
             remote = self._remote_processed.get(sensor, IntervalSet())
             own = self._processed.get(sensor)
@@ -230,6 +234,7 @@ class LogicRuntime:
         if event.seq in processed:
             return
         processed.add(event.seq)
+        self.service.watermarks_changed()
         now = self.env.now()
         self.env.trace(
             "logic_delivery", app=self.app.name, sensor=sensor, seq=event.seq,
@@ -397,6 +402,14 @@ class ExecutionService:
         self.active_replicas = active_replicas
         self.runtimes: dict[str, LogicRuntime] = {}
         self._delivery: "DeliveryService | None" = None
+        # The keep-alive piggyback, built on change: watermarks_changed()
+        # drops ``_gossip`` and the next tick builds a *new* dict (a sent one
+        # is never edited — it may be in flight). ``_merged`` is each
+        # sender's last merged payload; like the ``_remote_processed`` sets
+        # it guards, it starts empty on recover().
+        self._gossip: dict[str, dict[str, list[tuple[int, int]]]] | None = None
+        self._merged: dict[str, Any] = {}
+        self.watermark_builds = 0
 
     def bind_delivery(self, delivery: "DeliveryService") -> None:
         self._delivery = delivery
@@ -439,18 +452,32 @@ class ExecutionService:
         for runtime in self.runtimes.values():
             runtime.apply_view(view)
 
+    def watermarks_changed(self) -> None:
+        """A runtime processed an event or changed role: gossip a new payload."""
+        self._gossip = None
+
     def _watermark_payload(self) -> dict[str, dict[str, list[tuple[int, int]]]]:
-        payload: dict[str, dict[str, list[tuple[int, int]]]] = {}
-        for name, runtime in self.runtimes.items():
-            if runtime.active:
-                marks = runtime.watermarks()
-                if marks:
-                    payload[name] = marks
+        payload = self._gossip
+        if payload is None:
+            self.watermark_builds += 1
+            payload = {}
+            for name, runtime in self.runtimes.items():
+                if runtime.active:
+                    marks = runtime.watermarks()
+                    if marks:
+                        payload[name] = marks
+            self._gossip = payload
         return payload
 
     def _on_watermarks(
         self, sender: str, value: dict[str, dict[str, list[tuple[int, int]]]]
     ) -> None:
+        # The merge is a monotone, idempotent union: a payload equal to the
+        # last one merged from this sender cannot add anything. Equality, not
+        # identity — the asyncio runtime decodes a fresh object per frame.
+        if self._merged.get(sender) == value:
+            return
+        self._merged[sender] = value
         for app_name, marks in value.items():
             runtime = self.runtimes.get(app_name)
             if runtime is None:

@@ -133,6 +133,10 @@ class RivuletProcess(RuntimeEnv):
         self._rng_root = rng.child(f"process/{name}")
         self._rng_streams: dict[str, RandomSource] = {}
         self._peers_cache: list[str] | None = None
+        # The last multicast payload object and its wire size (payloads are
+        # immutable once sent, so the same object has the same size).
+        self._sized_payload: dict | None = None
+        self._sized_bytes = 0
         self.plan = plan
         self.device_info = device_info
         self.processing = processing or ProcessingModel()
@@ -280,14 +284,16 @@ class RivuletProcess(RuntimeEnv):
             # kept records) — fall through to per-message sends, which
             # record drops etc. exactly as before.
             return
-        wire_bytes = None
+        # Identical payload, identical wire image: every copy carries the
+        # size measured once for this payload object — on an earlier tick,
+        # when the heartbeat hands the same object again.
+        wire_bytes = self._sized_bytes if payload is self._sized_payload else None
         for dst in dsts:
             message = Message(kind, name, dst, payload)
             if wire_bytes is None:
-                wire_bytes = wire_size(message)
+                self._sized_payload = payload
+                self._sized_bytes = wire_bytes = wire_size(message)
             else:
-                # Identical payload, identical wire image: reuse the size
-                # computed for the first copy instead of re-measuring.
                 message._wire_bytes = wire_bytes
             network.send(message)
 

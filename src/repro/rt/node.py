@@ -89,6 +89,7 @@ class AsyncRivuletNode(RuntimeEnv):
         self._handlers: dict[str, Callable[[Message], None]] = {}
         self._queues: dict[str, asyncio.Queue] = {}
         self._sender_tasks: dict[str, asyncio.Task] = {}
+        self._inbound: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._alive = False
@@ -113,7 +114,8 @@ class AsyncRivuletNode(RuntimeEnv):
         self._loop = asyncio.get_running_loop()
         self._alive = True
         where = {"sock": sock} if sock is not None else {"host": "127.0.0.1", "port": self.port}
-        self._server = await asyncio.start_server(self._on_connection, **where)
+        self._server = await asyncio.start_server(
+            wire.accept_into(self._inbound, self._on_connection), **where)
         self._boot_services()
         self.trace("boot")
 
@@ -161,15 +163,7 @@ class AsyncRivuletNode(RuntimeEnv):
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        tasks = list(self._sender_tasks.values())
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            # Bounded: a sender that somehow survives its cancel (e.g. a
-            # lost-cancel bug in a dependency) must not wedge shutdown.
-            done, pending = await asyncio.wait(tasks, timeout=2.0)
-            for task in pending:
-                task.cancel()
+        await wire.close_accepted(self._inbound, self._sender_tasks.values())
         self._sender_tasks.clear()
         self.trace("stop")
 

@@ -28,6 +28,7 @@ overhead counters it reads off simulated runs.
 from __future__ import annotations
 
 import asyncio
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -77,6 +78,7 @@ class FaultProxy:
         self._ports: dict[tuple[str, str], int] = {}
         self._servers: list[asyncio.AbstractServer] = []
         self._pumps: set[asyncio.Task] = set()
+        self._inbound: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         for src in self._processes:
             for dst in self._processes:
@@ -91,7 +93,8 @@ class FaultProxy:
         for pair in self._policy:
             src, dst = pair
             server = await asyncio.start_server(
-                lambda r, w, _pair=pair: self._serve_pair(_pair, r, w),
+                wire.accept_into(
+                    self._inbound, functools.partial(self._serve_pair, pair)),
                 "127.0.0.1", 0,
             )
             self._servers.append(server)
@@ -103,9 +106,9 @@ class FaultProxy:
         for server in self._servers:
             await server.wait_closed()
         self._servers.clear()
-        for task in self._pumps:
-            task.cancel()
-        await asyncio.gather(*self._pumps, return_exceptions=True)
+        # A handler cancels its own pump on the way out; one cancelled before
+        # its first step has neither a pump nor a ``finally``.
+        await wire.close_accepted(self._inbound, self._pumps)
         self._pumps.clear()
 
     def address_map_for(self, src: str) -> dict[str, tuple[str, int]]:

@@ -269,3 +269,40 @@ async def send_frames(queue: asyncio.Queue, address: tuple[str, int]) -> None:
     finally:
         if writer is not None:
             writer.close()
+
+
+def accept_into(inbound: dict, handler):
+    """A ``start_server`` callback that runs ``handler(reader, writer)`` as a
+    task registered in ``inbound`` (task -> writer) until it is done.
+
+    Registered at accept time, not inside the handler: a task cancelled
+    before its first step never reaches its ``finally``, so whoever stops
+    the listener must be able to close the writer itself
+    (:func:`close_accepted`).
+    """
+    def accept(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        task = asyncio.ensure_future(handler(reader, writer))
+        inbound[task] = writer
+        task.add_done_callback(inbound.pop)
+
+    return accept
+
+
+async def close_accepted(inbound: dict, also=()) -> None:
+    """Close every accepted connection in ``inbound``; cancel and await its
+    handler and the ``also`` tasks (senders, pumps); wait for the sockets."""
+    writers = list(inbound.values())
+    for writer in writers:
+        writer.close()
+    tasks = [*inbound, *also]
+    for task in tasks:
+        task.cancel()
+    if tasks:
+        # Bounded: a task that somehow survives its cancel (e.g. a
+        # lost-cancel bug in a dependency) must not wedge shutdown.
+        done, pending = await asyncio.wait(tasks, timeout=2.0)
+        for task in pending:
+            task.cancel()
+    await asyncio.gather(
+        *(writer.wait_closed() for writer in writers), return_exceptions=True
+    )

@@ -43,11 +43,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.fleet import Fleet
 
 MAGIC = "rivulet-fleet-snapshot"
-#: Version 3: sealed trace segments are digest-v3 hex, and the pickled
-#: graph holds trace channel objects where v2 held per-site digest bytes; an
-#: older snapshot restored here would fold foreign segments into v3 digests
-#: and fail on missing attributes mid-run.
-FORMAT_VERSION = 3
+#: Version 4: heartbeat, execution service and process carry the gossip-on-
+#: change state (assembled keep-alive payload, sized payload, merge memo); a
+#: v3 graph lacks those attributes and would fail on its first tick. (v3:
+#: digest-v3 trace segments and trace channel objects in the graph.)
+FORMAT_VERSION = 4
 
 
 class SnapshotError(RuntimeError):

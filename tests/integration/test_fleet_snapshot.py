@@ -127,6 +127,16 @@ def test_load_rejects_foreign_and_future_files(tmp_path):
         load_fleet(tmp_path / "missing.snap")
 
 
+def test_parent_written_v3_snapshot_is_refused():
+    """A real file from the build before gossip-on-change (format 3, a
+    2-process home checkpointed at day 1): its heartbeat services lack the
+    assembled-payload state, so resuming it would die with AttributeError
+    on the first tick. ``load_fleet`` must refuse it up front instead."""
+    parent = Path(__file__).parent / "data" / "fleet_v3_parent.snap"
+    with pytest.raises(SnapshotError, match="format version 3|incompatible build"):
+        load_fleet(parent)
+
+
 def test_snapshot_write_is_atomic(tmp_path):
     """A checkpoint overwrites the previous snapshot only as a whole file."""
     snap = tmp_path / "fleet.snap"

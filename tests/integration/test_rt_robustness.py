@@ -4,7 +4,10 @@ All waits are deadline-based (``wait_for``) rather than fixed sleeps.
 """
 
 import asyncio
+import gc
 import struct
+import sys
+import warnings
 
 from repro.core.delivery import GAPLESS
 from repro.core.graph import App
@@ -157,3 +160,50 @@ def test_bound_sockets_hold_distinct_ports():
     finally:
         for sock in socks:
             sock.close()
+
+
+def test_stopped_proxied_cluster_leaves_no_socket_open():
+    """start / emit / stop with ``ResourceWarning`` as an error: ``stop()``
+    itself closes every connection the nodes and the proxy accepted (a
+    handler still parked in ``read`` — or cancelled before its first step —
+    would otherwise leave its socket to the garbage collector)."""
+    def open_sockets() -> list:
+        return [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, asyncio.Transport)
+            and (sock := obj.get_extra_info("socket")) is not None
+            and sock.fileno() != -1
+        ]
+
+    async def scenario():
+        cluster = LocalCluster(use_proxy=True)
+        for name in ("a", "b", "c"):
+            cluster.add_process(name)
+        cluster.add_push_sensor("s1", receivers=["a"])
+        cluster.deploy(simple_app())
+        await cluster.start()
+        cluster.emit("s1", True)
+        await cluster.wait_for(
+            lambda: all(node.store.total_events() == 1
+                        for node in cluster.nodes.values()),
+            timeout=5.0,
+        )
+        # A connection whose handler has not run yet when stop() arrives.
+        _reader, late = await asyncio.open_connection(
+            "127.0.0.1", cluster.node("c").port)
+        await cluster.stop()
+        late.close()
+        await late.wait_closed()
+        assert open_sockets() == []
+
+    unraisable = []
+    hook = sys.unraisablehook
+    sys.unraisablehook = lambda info: unraisable.append(repr(info.exc_value))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            run(scenario())
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    assert unraisable == []

@@ -154,3 +154,66 @@ def test_returning_peer_resets_watermark_for_prompt_redetection():
     hb.stop()          # second silence
     sched.run_until(12.0 + 2.0 + 0.5 + 0.001)
     assert "b" not in ha.view
+
+
+def test_assembled_payload_is_reused_until_a_provider_hands_back_a_new_object():
+    sched, a, b, ha, hb = make_pair()
+    value = {"app": 7}
+    current = [value]
+    received = []
+    ha.add_payload_provider("wm", lambda: current[0])
+    ha.add_payload_provider("none", dict)  # a fresh empty dict every tick
+    hb.add_payload_consumer("wm", lambda sender, v: received.append(v))
+    ha.start()
+    hb.start()
+    sched.run_until(3.0)
+    # "none" changes identity every tick, so this pair rebuilds per tick...
+    assert ha.payload_builds == len(a.sent_of_kind("keepalive"))
+    assert all(v is value for v in received)
+
+    # ...and with only same-object providers the payload is assembled once.
+    sched, a, b, ha, hb = make_pair()
+    ha.add_payload_provider("wm", lambda: current[0])
+    hb.add_payload_consumer("wm", lambda sender, v: received.append(v))
+    ha.start()
+    hb.start()
+    sched.run_until(3.0)
+    assert ha.payload_builds == 1
+    assembled = ha._payload
+    sched.run_until(5.0)
+    assert ha._payload is assembled and ha.payload_builds == 1
+    # A changed value is a new object, and goes out on the next tick.
+    current[0] = {"app": 8}
+    del received[:]
+    sched.run_until(6.0)
+    assert ha.payload_builds == 2 and ha._payload is not assembled
+    assert assembled == {"wm": {"app": 7}}  # the sent one was not edited
+    assert received[-1] is current[0]
+    # A provider going empty drops its key again.
+    current[0] = {}
+    sched.run_until(7.0)
+    assert ha._payload == {} and ha.payload_builds == 3
+
+
+def test_returning_peer_order_is_unsuspect_then_consumers_then_listeners():
+    sched, a, b, ha, hb = make_pair(interval=0.5, timeout=2.0)
+    order = []
+    hb.add_payload_provider("wm", lambda: {"app": 7})
+    ha.add_payload_consumer("wm", lambda sender, v: order.append(
+        ("consumer", a.trace_log.count("unsuspect"))))
+    ha.add_view_listener(lambda view, added, removed: order.append(
+        ("listener", tuple(added), tuple(removed))))
+    ha.start()
+    hb.start()
+    sched.run_until(3.0)
+    hb.stop()
+    sched.run_until(10.0)
+    del order[:]
+    hb.start()
+    sched.run_until(10.01)
+    # One keep-alive from the returning peer: its unsuspect record is
+    # already written when the consumer runs, and the view listeners (which
+    # may promote/demote on what the consumer merged) come last.
+    assert order == [("consumer", 1), ("listener", ("b",), ())]
+    sched.run_until(11.0)
+    assert order[2:] and all(step == ("consumer", 1) for step in order[2:])
