@@ -75,9 +75,10 @@ def test_keepalive_tick_with_unchanged_piggyback(benchmark):
 
     benchmark(run)
     assert sum(p.heartbeat.payload_builds for p in home.processes.values()) == builds
-    benchmark.extra_info["ns_per_tick"] = round(
-        benchmark.stats.stats.mean * 1e9 / ticks_per_round
-    )
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["ns_per_tick"] = round(
+            benchmark.stats.stats.mean * 1e9 / ticks_per_round
+        )
 
 
 def _gapless_message() -> Message:

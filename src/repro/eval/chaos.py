@@ -44,8 +44,7 @@ layer removed::
 from __future__ import annotations
 
 import dataclasses
-import json
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.delivery import GAP, GAPLESS, PollMode, PollingPolicy
 from repro.core.delivery_service import GaplessOptions
@@ -61,7 +60,9 @@ from repro.core.repair import RepairPolicy
 from repro.core.windows import CountWindow
 from repro.eval.cache import RunCache
 from repro.eval.parallel import SweepTask, run_sweep
-from repro.eval.report import report_digest, require_digest_version
+from repro.eval.report import (
+    report_digest, require_digest_version, write_report,
+)
 from repro.sim.tracing import DIGEST_VERSION
 from repro.sim.chaos import (
     FaultDomain, FaultScheduleGenerator, PROFILES, shrink,
@@ -356,6 +357,31 @@ def run_campaign(
         seeds, horizon, intensities=intensities, modes=modes,
         gapless_options=gapless_options, max_shrink_evals=max_shrink_evals,
     )
+    return _campaign_report(
+        tasks, horizon, seeds, intensities, modes, out_path=out_path,
+        progress=progress, jobs=jobs, cache=cache,
+    )
+
+
+def _campaign_report(
+    tasks: list[SweepTask],
+    horizon: float,
+    seeds: list[int],
+    intensities: tuple[str, ...],
+    modes: tuple[str, ...],
+    *,
+    out_path: str | None,
+    progress: bool,
+    jobs: int | None,
+    cache: RunCache | None,
+    summarize: Callable[[list[dict[str, Any]]], dict[str, Any]] | None = None,
+) -> dict[str, Any]:
+    """Run the cells; assemble, digest and write the campaign report.
+
+    The tail both campaigns share: a cell that raised becomes an
+    ``"error"`` run (counted as a failure), and ``summarize`` adds
+    campaign-specific aggregates over the runs to ``summary``.
+    """
 
     def report_progress(done: int, total: int, result) -> None:  # pragma: no cover
         if result.ok:
@@ -375,18 +401,24 @@ def run_campaign(
         if result.ok:
             runs.append(result.value)
         else:
+            spec = result.task.spec
             runs.append({
                 "run_id": result.task.task_id,
-                "seed": result.task.spec["seed"],
-                "mode": result.task.spec["mode"],
-                "intensity": result.task.spec["intensity"],
+                "seed": spec["seed"],
+                "mode": spec["mode"],
+                "intensity": spec["intensity"],
                 "fault_actions": 0,
                 "verdict": "error",
                 "violations": [],
                 "error": result.error,
             })
 
-    failures = sum(1 for r in runs if r["verdict"] != "pass")
+    summary: dict[str, Any] = {
+        "total": len(runs),
+        "failures": sum(1 for r in runs if r["verdict"] != "pass"),
+    }
+    if summarize is not None:
+        summary.update(summarize(runs))
     report: dict[str, Any] = {
         "digest_version": DIGEST_VERSION,
         "campaign": {
@@ -396,13 +428,10 @@ def run_campaign(
             "modes": list(modes),
         },
         "runs": runs,
-        "summary": {"total": len(runs), "failures": failures},
+        "summary": summary,
     }
     report["digest"] = report_digest(report)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    write_report(report, out_path)
     return report
 
 
@@ -463,18 +492,30 @@ def replay_run(
 
 
 def render_campaign_summary(report: dict[str, Any]) -> str:
-    """A terminal-friendly summary of :func:`run_campaign` output."""
+    """A terminal-friendly summary of a campaign report, either scenario."""
     summary = report["summary"]
     campaign = report["campaign"]
-    lines = [
-        "chaos campaign",
-        f"  runs      : {summary['total']} "
-        f"({len(campaign['seeds'])} seeds x {len(campaign['intensities'])} "
-        f"intensities x {len(campaign['modes'])} modes)",
-        f"  horizon   : {campaign['horizon']:.0f} s",
-        f"  failures  : {summary['failures']}",
-        f"  digest    : {report['digest']}",
-    ]
+    deltas = summary.get("outcome_deltas")
+    if deltas is None:
+        lines = [
+            "chaos campaign",
+            f"  runs      : {summary['total']} "
+            f"({len(campaign['seeds'])} seeds x {len(campaign['intensities'])} "
+            f"intensities x {len(campaign['modes'])} modes)",
+        ]
+    else:
+        lines = [
+            "device-fault campaign (repair on vs. off)",
+            f"  runs      : {summary['total']} seeds",
+        ]
+    lines.append(f"  horizon   : {campaign['horizon']:.0f} s")
+    lines.append(f"  failures  : {summary['failures']}")
+    for name, delta in sorted((deltas or {}).items()):
+        lines.append(
+            f"  {name}: {delta['repair_off']} violation(s) unrepaired "
+            f"-> {delta['repair_on']} repaired"
+        )
+    lines.append(f"  digest    : {report['digest']}")
     for run in report["runs"]:
         if run["verdict"] == "fail":
             shrunk = run.get("reproducer_actions")
@@ -849,6 +890,8 @@ def device_campaign_tasks(
             runner=DEVICE_CELL_RUNNER,
             spec={
                 "seed": seed,
+                "mode": "device",
+                "intensity": "device",
                 "horizon": horizon,
                 "max_shrink_evals": max_shrink_evals,
             },
@@ -875,36 +918,14 @@ def run_device_campaign(
     tasks = device_campaign_tasks(
         seeds, horizon, max_shrink_evals=max_shrink_evals
     )
-
-    def report_progress(done: int, total: int, result) -> None:  # pragma: no cover
-        if result.ok:
-            tag = "cached" if result.cached else f"{result.seconds:.1f}s"
-            print(f"  [{done}/{total}] {result.task.task_id}: "
-                  f"{result.value['verdict']} "
-                  f"({result.value['fault_actions']} fault actions, {tag})")
-        else:
-            print(f"  [{done}/{total}] {result.task.task_id}: ERROR")
-
-    results = run_sweep(
-        tasks, jobs=jobs, cache=cache,
-        progress=report_progress if progress else None,
+    return _campaign_report(
+        tasks, horizon, seeds, ("device",), ("device",), out_path=out_path,
+        progress=progress, jobs=jobs, cache=cache, summarize=_outcome_deltas,
     )
-    runs: list[dict[str, Any]] = []
-    for result in results:
-        if result.ok:
-            runs.append(result.value)
-        else:
-            runs.append({
-                "run_id": result.task.task_id,
-                "seed": result.task.spec["seed"],
-                "mode": "device",
-                "intensity": "device",
-                "fault_actions": 0,
-                "verdict": "error",
-                "violations": [],
-                "error": result.error,
-            })
 
+
+def _outcome_deltas(runs: list[dict[str, Any]]) -> dict[str, Any]:
+    """Per outcome oracle, violations seen with repair on vs. repair off."""
     deltas: dict[str, dict[str, int]] = {
         name: {"repair_on": 0, "repair_off": 0} for name, _ in OUTCOME_ORACLES
     }
@@ -915,51 +936,4 @@ def run_device_campaign(
         for name in deltas:
             deltas[name]["repair_on"] += repair["on"]["outcome"].get(name, 0)
             deltas[name]["repair_off"] += repair["off"]["outcome"].get(name, 0)
-
-    failures = sum(1 for r in runs if r["verdict"] != "pass")
-    report: dict[str, Any] = {
-        "digest_version": DIGEST_VERSION,
-        "campaign": {
-            "horizon": horizon,
-            "seeds": list(seeds),
-            "intensities": ["device"],
-            "modes": ["device"],
-        },
-        "runs": runs,
-        "summary": {
-            "total": len(runs),
-            "failures": failures,
-            "outcome_deltas": deltas,
-        },
-    }
-    report["digest"] = report_digest(report)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return report
-
-
-def render_device_summary(report: dict[str, Any]) -> str:
-    """A terminal-friendly summary of :func:`run_device_campaign` output."""
-    summary = report["summary"]
-    campaign = report["campaign"]
-    lines = [
-        "device-fault campaign (repair on vs. off)",
-        f"  runs      : {summary['total']} seeds",
-        f"  horizon   : {campaign['horizon']:.0f} s",
-        f"  failures  : {summary['failures']}",
-    ]
-    for name, delta in sorted(summary["outcome_deltas"].items()):
-        lines.append(
-            f"  {name}: {delta['repair_off']} violation(s) unrepaired "
-            f"-> {delta['repair_on']} repaired"
-        )
-    lines.append(f"  digest    : {report['digest']}")
-    for run in report["runs"]:
-        if run["verdict"] == "fail":
-            shrunk = run.get("reproducer_actions")
-            note = f", reproducer has {shrunk} action(s)" if shrunk else ""
-            lines.append(f"  FAIL {run['run_id']}: "
-                         f"{len(run['violations'])} violation(s){note}")
-    return "\n".join(lines)
+    return {"outcome_deltas": deltas}

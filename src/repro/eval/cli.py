@@ -128,8 +128,8 @@ def _run_chaos(args) -> int:
     import json
 
     from repro.eval.chaos import (
-        DEFAULT_INTENSITIES, MODES, render_campaign_summary,
-        render_device_summary, replay_run, run_campaign, run_device_campaign,
+        DEFAULT_INTENSITIES, MODES, render_campaign_summary, replay_run,
+        run_campaign, run_device_campaign,
     )
     from repro.eval.report import DigestVersionMismatch
     from repro.sim.chaos import PROFILES
@@ -170,26 +170,22 @@ def _run_chaos(args) -> int:
                 "--profile and --intensities are mutually exclusive "
                 "(--profile selects a single profile)"
             )
-        if args.profile == "device":
-            out = args.out or "CHAOS_report.json"
-            report = run_device_campaign(
-                seeds, args.horizon, out_path=out, progress=True,
-                jobs=args.jobs or 1, cache=_make_cache(args),
-            )
-            print(render_device_summary(report))
-            print(f"wrote {out}")
-            return 1 if report["summary"]["failures"] else 0
         args.intensities = args.profile
-    intensities = parse_choice_list(
-        args.intensities, tuple(sorted(PROFILES)), DEFAULT_INTENSITIES,
-        "intensity",
-    )
-    modes = parse_choice_list(args.modes, MODES, MODES, "mode")
+    if args.profile == "device":
+        run, cells = run_device_campaign, {}
+    else:
+        run = run_campaign
+        cells = {
+            "intensities": parse_choice_list(
+                args.intensities, tuple(sorted(PROFILES)),
+                DEFAULT_INTENSITIES, "intensity",
+            ),
+            "modes": parse_choice_list(args.modes, MODES, MODES, "mode"),
+        }
     out = args.out or "CHAOS_report.json"
-    report = run_campaign(
-        seeds, args.horizon, intensities=intensities, modes=modes,
-        out_path=out, progress=True, jobs=args.jobs or 1,
-        cache=_make_cache(args),
+    report = run(
+        seeds, args.horizon, out_path=out, progress=True,
+        jobs=args.jobs or 1, cache=_make_cache(args), **cells,
     )
     print(render_campaign_summary(report))
     print(f"wrote {out}")
@@ -215,8 +211,8 @@ def _run_fleet_checkpointed(args) -> int:
             f"--checkpoint-every/--resume runs want a whole number of days, "
             f"got {days:g} (checkpoints are taken at day boundaries)"
         )
-    every = args.checkpoint_every or 0
-    if every < 0:
+    every = args.checkpoint_every
+    if every is not None and every < 1:
         raise CliError(f"--checkpoint-every wants a positive day count, got {every}")
     snapshot_path = args.snapshot or "FLEET_snapshot.pkl"
 
@@ -255,7 +251,7 @@ def _run_fleet_checkpointed(args) -> int:
 def _run_fleet(args) -> int:
     from repro.eval.fleet import render_fleet_summary, run_fleet_sweep
 
-    if args.checkpoint_every or args.resume:
+    if args.checkpoint_every is not None or args.resume:
         return _run_fleet_checkpointed(args)
 
     homes = args.homes if args.homes is not None else 10
@@ -315,16 +311,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all", "fleet", "perf", "chaos",
-                                       "profile", "rt"],
+        choices=sorted(EXPERIMENTS) + ["all", "fleet", "chaos", "rt"],
         help="which table/figure to regenerate, 'fleet' for a multi-home "
-        "fleet run sharded over cores, 'perf' for the kernel "
-        "throughput benchmark (writes BENCH_kernel.json), 'chaos' for a "
-        "randomized fault-injection campaign (writes CHAOS_report.json), "
-        "'profile' to run cProfile over hot workloads (writes "
-        "PROFILE_report.json), or 'rt' to run a home over real localhost "
-        "TCP with SIGKILL/proxy fault injection and cross-validate against "
-        "the simulator (writes RT_report.json)",
+        "fleet run sharded over cores, 'chaos' for a randomized "
+        "fault-injection campaign (writes CHAOS_report.json), or 'rt' to "
+        "run a home over real localhost TCP with SIGKILL/proxy fault "
+        "injection and cross-validate against the simulator (writes "
+        "RT_report.json)",
     )
     parser.add_argument("--duration", type=float, default=None,
                         help="run length in simulated seconds (paper: 200)")
@@ -337,12 +330,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="deployment length for fig1 (paper: 15)")
     parser.add_argument("--chart", action="store_true",
                         help="also draw an ASCII chart of the figure")
-    parser.add_argument("--quick", action="store_true",
-                        help="perf only: shrink workloads for a fast smoke run")
     parser.add_argument("--out", type=str, default=None,
                         help="output path for the result JSON (default "
-                        "BENCH_kernel.json / CHAOS_report.json; experiments "
-                        "sweeps write only when given)")
+                        "CHAOS_report.json / RT_report.json; fleet and "
+                        "experiment sweeps write only when given)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="fan sweep cells out over N worker processes "
                         "(digests are identical for every N; experiments "
@@ -394,12 +385,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="rt only: 'subprocess' (one OS process per "
                         "node, real SIGKILL; default) or 'in-process' "
                         "(asyncio nodes in this interpreter)")
-    parser.add_argument("--workloads", type=str, default=None,
-                        help="profile only: comma-separated workloads to "
-                        "profile (default fig1,network; also: chaos)")
-    parser.add_argument("--top", type=int, default=None, metavar="N",
-                        help="profile only: hotspots to keep per workload "
-                        "(default 25)")
     args = parser.parse_args(argv)
 
     try:
@@ -413,33 +398,6 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.experiment == "fleet":
             return _run_fleet(args)
-
-        if args.experiment == "profile":
-            from repro.eval.profile import (
-                TOP_N_DEFAULT, WORKLOADS, render_profile_summary, run_profile,
-            )
-
-            workloads = parse_choice_list(
-                args.workloads, tuple(sorted(WORKLOADS)), ("fig1", "network"),
-                "workload",
-            )
-            top_n = args.top if args.top is not None else TOP_N_DEFAULT
-            if top_n < 1:
-                raise CliError(f"--top wants a positive count, got {top_n}")
-            out = args.out or "PROFILE_report.json"
-            report = run_profile(workloads, top_n=top_n, out_path=out)
-            print(render_profile_summary(report))
-            print(f"wrote {out}")
-            return 0
-
-        if args.experiment == "perf":
-            from repro.eval.perf import render_summary, run_kernel_bench
-
-            out = args.out or "BENCH_kernel.json"
-            results = run_kernel_bench(out, quick=args.quick, jobs=args.jobs)
-            print(render_summary(results))
-            print(f"wrote {out}")
-            return 0
 
         names = (
             sorted(EXPERIMENTS) if args.experiment == "all"

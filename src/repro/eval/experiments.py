@@ -12,7 +12,6 @@ in EXPERIMENTS.md.
 from __future__ import annotations
 
 import inspect
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -25,7 +24,7 @@ from repro.core.operators import Operator
 from repro.core.windows import TimeWindow
 from repro.devices.catalog import SENSOR_CATALOG
 from repro.eval import metrics
-from repro.eval.report import render_table
+from repro.eval.report import render_table, report_digest, write_report
 from repro.eval.workloads import home_deployment, single_sensor_home
 from repro.net.message import Message
 from repro.net.wire import wire_size
@@ -539,7 +538,6 @@ def run_experiment_sweep(
     order and each cell is a pure function of its spec.
     """
     from repro.eval.parallel import SweepTask, run_sweep
-    from repro.eval.report import report_digest
 
     specs = sweep_cells(names, seeds=seeds, duration=duration, days=days)
     tasks = [
@@ -580,8 +578,5 @@ def run_experiment_sweep(
         "summary": {"total": len(cells), "errors": errors},
     }
     report["digest"] = report_digest(report)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    write_report(report, out_path)
     return report

@@ -19,12 +19,11 @@ tests pin.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.eval.cache import RunCache
 from repro.eval.parallel import SweepTask, run_sweep
-from repro.eval.report import report_digest
+from repro.eval.report import report_digest, write_report
 from repro.eval.workloads import DAY_S, fleet_deployment, fleet_home_ids
 from repro.sim.context import combine_digests
 from repro.sim.tracing import DIGEST_VERSION
@@ -140,10 +139,7 @@ def run_fleet_sweep(
         "errors": errors,
     }
     report["digest"] = report_digest(report)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    write_report(report, out_path)
     return report
 
 

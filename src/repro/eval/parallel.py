@@ -43,7 +43,6 @@ from repro.eval.cache import RunCache
 __all__ = [
     "SweepTask",
     "SweepResult",
-    "pools_available",
     "resolve_jobs",
     "resolve_runner",
     "run_sweep",
@@ -134,31 +133,6 @@ def _make_executor(jobs: int):
     except ValueError:
         context = multiprocessing.get_context()
     return ProcessPoolExecutor(max_workers=jobs, mp_context=context)
-
-
-#: Cached result of the one-time process-pool probe (None = not probed yet).
-_POOLS_OK: bool | None = None
-
-
-def pools_available() -> bool:
-    """True when this host can actually construct a process pool.
-
-    Constructing a :class:`ProcessPoolExecutor` builds the worker call and
-    result queues, which need working ``fork``/semaphore support — exactly
-    the failure set :func:`run_sweep` falls back on. Callers that want to
-    *decide* between a parallel and a sequential plan (rather than attempt
-    and fall back) can ask up front. The probe runs once per process.
-    """
-    global _POOLS_OK
-    if _POOLS_OK is None:
-        try:
-            executor = _make_executor(1)
-        except (ImportError, NotImplementedError, OSError, PermissionError):
-            _POOLS_OK = False
-        else:
-            executor.shutdown(wait=False)
-            _POOLS_OK = True
-    return _POOLS_OK
 
 
 ProgressFn = Callable[[int, int, SweepResult], None]

@@ -27,6 +27,15 @@ def report_digest(report: dict[str, Any]) -> str:
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
 
+def write_report(report: dict[str, Any], out_path: str | None) -> None:
+    """Write a report as indented, key-sorted JSON; no path, no file."""
+    if out_path is None:
+        return
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 class DigestVersionMismatch(ValueError):
     """A stored report was produced under a different trace-digest format.
 

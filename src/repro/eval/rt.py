@@ -25,7 +25,6 @@ the tolerance rationale.
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -38,6 +37,7 @@ from repro.core.invariants import RunRecord, Violation, check_all
 from repro.core.operators import Operator
 from repro.core.windows import CountWindow
 from repro.eval import metrics
+from repro.eval.report import write_report
 from repro.sim.faults import FaultPlan
 from repro.sim.random import RandomSource
 
@@ -548,9 +548,7 @@ def run_rt_report(
             and all(c["ok"] for c in checks)
         ),
     }
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+    write_report(report, out_path)
     return report
 
 

@@ -177,13 +177,14 @@ class ProcessHome:
                 "trace_path": os.path.join(self.workdir, f"{name}.journal"),
             }
             stderr_path = os.path.join(self.workdir, f"{name}.stderr")
-            popen = subprocess.Popen(
-                [self.python, "-m", "repro.rt.child", "--spec",
-                 json.dumps(spec)],
-                stdout=subprocess.DEVNULL,
-                stderr=open(stderr_path, "wb"),
-                env=env,
-            )
+            with open(stderr_path, "wb") as stderr:  # the child keeps its copy
+                popen = subprocess.Popen(
+                    [self.python, "-m", "repro.rt.child", "--spec",
+                     json.dumps(spec)],
+                    stdout=subprocess.DEVNULL,
+                    stderr=stderr,
+                    env=env,
+                )
             self.nodes[name] = ProcessNode(name, addresses[name][1], popen, stderr_path)
         for node in self.nodes.values():
             await self._connect_control(node)

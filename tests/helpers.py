@@ -9,6 +9,10 @@ full Home machinery.
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import sys
+import warnings
 from typing import Any, Callable
 
 from repro.core.env import CancelHandle, RuntimeEnv
@@ -16,6 +20,27 @@ from repro.net.message import Message
 from repro.sim.random import RandomSource
 from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import Trace
+
+
+@contextlib.contextmanager
+def resource_warnings_are_errors():
+    """Fail the block on any ``ResourceWarning``, finalizers included.
+
+    A warning turned into an error inside ``__del__`` is unraisable, so
+    those are collected through ``sys.unraisablehook`` and asserted on
+    exit, after a garbage collection.
+    """
+    unraisable: list[str] = []
+    hook = sys.unraisablehook
+    sys.unraisablehook = lambda info: unraisable.append(repr(info.exc_value))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            yield
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    assert not unraisable, unraisable
 
 
 class FakeEnv(RuntimeEnv):

@@ -1,7 +1,7 @@
 """Integration tests for the chaos campaign engine.
 
 The unmarked tests are a small smoke campaign (tier-1). The full sweep at
-paper scale is opt-in via ``-m chaos``, like the perf benchmarks.
+paper scale is opt-in via ``-m chaos``.
 """
 
 import json
@@ -196,7 +196,7 @@ def test_cli_chaos_unknown_profile_exits_2(capsys):
     assert "mutually exclusive" in capsys.readouterr().err
 
 
-# -- full sweep (opt-in, like perf) -------------------------------------------
+# -- full sweep (opt-in) ------------------------------------------------------
 
 
 @pytest.mark.chaos

@@ -1,10 +1,10 @@
-"""City-tier sharding invariance under digest v2.
+"""Sharding invariance of the fleet sweep.
 
-The claim the city benchmark stands on: a fleet's digest is a property of
-the *simulation*, not the execution schedule. Parallel-shard, sequential-
-shard and monolithic runs must all produce the same fleet digest — and
-when the host cannot run process pools, the tier must degrade to the
-sequential schedule, not crash or silently change results.
+A fleet's digest is a property of the *simulation*, not the execution
+schedule. Parallel-shard, sequential-shard and monolithic runs must all
+produce the same fleet digest — and when the host cannot run process
+pools, the sweep must degrade to the sequential schedule, not crash or
+silently change results.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 
 import repro.eval.parallel as parallel_mod
 from repro.eval.fleet import run_fleet_sweep
-from repro.eval.perf import bench_fleet_city
 from repro.eval.workloads import DAY_S, fleet_deployment, fleet_home_ids
 from repro.sim.tracing import DIGEST_VERSION
 
@@ -43,27 +42,6 @@ def test_parallel_sequential_and_monolithic_digests_agree(monolithic_digest):
     # Beyond the fleet digest: the merged reports are byte-identical.
     assert parallel["digest"] == sequential["digest"]
     assert parallel["digest_version"] == DIGEST_VERSION
-
-
-def test_bench_fleet_city_parallel_matches_monolithic(monolithic_digest):
-    city = bench_fleet_city(
-        homes=HOMES, days=DAYS, seed=SEED, homes_per_shard=2, jobs=2
-    )
-    assert city["digest"] == monolithic_digest
-    assert city["jobs"] == 2
-    assert city["errors"] == 0
-
-
-def test_bench_fleet_city_pool_unavailable_falls_back(
-    monolithic_digest, monkeypatch
-):
-    monkeypatch.setattr(parallel_mod, "pools_available", lambda: False)
-    city = bench_fleet_city(
-        homes=HOMES, days=DAYS, seed=SEED, homes_per_shard=2, jobs=4
-    )
-    assert city["jobs"] == 1
-    assert "jobs_note" in city
-    assert city["digest"] == monolithic_digest
 
 
 def test_run_sweep_pool_construction_failure_degrades_sequentially(

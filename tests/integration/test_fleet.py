@@ -1,5 +1,9 @@
 """Fleet integration: solo-equivalence, sibling insensitivity, sharding
-digests, scoped chaos, the fleet-isolation oracle, and the CLI surface."""
+digests, scoped chaos, the fleet-isolation oracle, the per-home memory
+bound, and the CLI surface."""
+
+import gc
+import tracemalloc
 
 import pytest
 
@@ -87,6 +91,33 @@ def test_ten_home_fleet_report_identical_jobs1_vs_jobs2():
     assert sequential == sharded
     assert sequential["summary"]["errors"] == 0
     assert sequential["summary"]["events_emitted"] > 0
+
+
+# -- memory: held bytes per home stay flat as the fleet grows -------------------------
+
+
+def _run_and_measure_held_kb(homes: int, days: float) -> tuple[float, Fleet]:
+    """Python memory still held after building and running a fleet, in KB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fleet, _workloads = fleet_deployment(homes=homes, days=days)
+        fleet.run_until(days * DAY_S)
+        gc.collect()
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held / 1024.0, fleet
+
+
+def test_fleet_memory_per_home_stays_flat():
+    """The streaming fold keeps a home at tens of KB; an accidental keep-all
+    trace or a per-record table is an order of magnitude past this ceiling."""
+    small_kb, _ = _run_and_measure_held_kb(2, 0.5)
+    large_kb, fleet = _run_and_measure_held_kb(6, 0.5)
+    marginal_kb_per_home = (large_kb - small_kb) / (6 - 2)
+    assert marginal_kb_per_home < 1024.0
+    assert all(not home.trace.events for home in fleet.homes())
 
 
 # -- scoped chaos ---------------------------------------------------------------------
@@ -248,6 +279,7 @@ def test_cli_fleet_rejects_bad_args_with_exit_2(capsys):
     assert main(["fleet", "--homes", "2", "--shards", "0"]) == 2
     assert main(["fleet", "--homes", "2", "--days", "0.5"]) == 2
     assert main(["fleet", "--homes", "2", "--jobs", "0"]) == 2
+    assert main(["fleet", "--homes", "2", "--checkpoint-every", "0"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
 

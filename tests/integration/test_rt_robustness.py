@@ -6,8 +6,6 @@ All waits are deadline-based (``wait_for``) rather than fixed sleeps.
 import asyncio
 import gc
 import struct
-import sys
-import warnings
 
 from repro.core.delivery import GAPLESS
 from repro.core.graph import App
@@ -16,6 +14,7 @@ from repro.core.windows import CountWindow
 from repro.rt import LocalCluster
 from repro.rt.cluster import bound_socket
 from repro.rt.wire import WIRE_VERSION
+from tests.helpers import resource_warnings_are_errors
 
 
 def run(coro):
@@ -196,14 +195,5 @@ def test_stopped_proxied_cluster_leaves_no_socket_open():
         await late.wait_closed()
         assert open_sockets() == []
 
-    unraisable = []
-    hook = sys.unraisablehook
-    sys.unraisablehook = lambda info: unraisable.append(repr(info.exc_value))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResourceWarning)
-            run(scenario())
-            gc.collect()
-    finally:
-        sys.unraisablehook = hook
-    assert unraisable == []
+    with resource_warnings_are_errors():
+        run(scenario())

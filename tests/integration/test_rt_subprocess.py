@@ -16,6 +16,7 @@ from repro.eval.rt import (
     scenario_named,
 )
 from repro.rt.proc import ProcessHome
+from tests.helpers import resource_warnings_are_errors
 
 pytestmark = pytest.mark.rt
 
@@ -79,6 +80,8 @@ def test_smoke3_full_case_passes_all_oracles():
 
 
 def test_emit_loss_drops_device_injections():
+    """Start / emit / stop, with ``ResourceWarning`` as an error: the
+    parent keeps no handle on a child's stderr file once it is spawned."""
     async def scenario():
         home = ProcessHome(scenario_named("smoke3"), seed=11, use_proxy=False)
         async with home:
@@ -91,7 +94,8 @@ def test_emit_loss_drops_device_injections():
             assert record.lossless is False
             assert record.trace.count("sensor_emit") == 1
 
-    run(scenario())
+    with resource_warnings_are_errors():
+        run(scenario())
 
 
 def test_startup_failure_reports_child_stderr():
