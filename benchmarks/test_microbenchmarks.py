@@ -16,6 +16,8 @@ from repro.core.intervals import IntervalSet
 from repro.core.marzullo import Interval, fuse
 from repro.core.operators import Operator
 from repro.core.windows import CountWindow
+from repro.devices.sensor import PushSensor
+from repro.eval.workloads import single_sensor_home
 from repro.net.message import Message
 from repro.net.wire import ProcessIdSet, wire_size
 from repro.rt.wire import (
@@ -79,6 +81,66 @@ def test_keepalive_tick_with_unchanged_piggyback(benchmark):
         benchmark.extra_info["ns_per_tick"] = round(
             benchmark.stats.stats.mean * 1e9 / ticks_per_round
         )
+
+
+def _ring_home() -> tuple[Home, PushSensor]:
+    """p0..p4 on aggregate-only traces, one Gapless no-op app pinned to p0
+    (one active logic node, four shadows), the sensor heard by p1 only."""
+    home, sensor = single_sensor_home(
+        n_processes=5, receiving=["p1"], seed=7, keep_trace_kinds=set()
+    )
+    home.run_until(1.0)
+    return home, sensor
+
+
+def _ns_per_event(benchmark, events: int) -> None:
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["ns_per_event"] = round(
+            benchmark.stats.stats.mean * 1e9 / events
+        )
+
+
+def test_gapless_ring_hop(benchmark):
+    """ns per event around the whole 5-process ring (ingest at p1, five
+    forwards until it is back at p1, five local deliveries, one logic
+    delivery at p0), heartbeats included: each hop reads the view, its
+    successor and the routes."""
+    home, sensor = _ring_home()
+    builds = sum(p.heartbeat.view_builds for p in home.processes.values())
+    events = 200
+
+    def run():
+        start = home.scheduler.now
+        for i in range(events):
+            home.scheduler.call_at(start + 0.01 * (i + 1), sensor.emit, True)
+        home.run_until(start + 0.01 * events + 0.5)
+
+    benchmark(run)
+    assert home.trace.tally("net_send", "gapless_fwd")[0] == 5 * sensor.events_emitted
+    assert home.trace.count("logic_delivery") == sensor.events_emitted
+    assert sum(p.heartbeat.view_builds for p in home.processes.values()) == builds
+    _ns_per_event(benchmark, events)
+
+
+def test_execution_fanout_to_shadows(benchmark):
+    """ns per ``ExecutionService.on_event`` on a shadow: the call every
+    process but the app-bearing one makes for every event it delivers
+    locally (four of five in the ring above)."""
+    home, _sensor = _ring_home()
+    shadow = home.processes["p3"].execution
+    assert not shadow.runtimes["app"].active
+    events = [Event(sensor_id="s1", seq=seq, emitted_at=1.0, value=True, size_bytes=4)
+              for seq in range(1, 1001)]
+
+    def run():
+        on_event = shadow.on_event
+        for event in events:
+            on_event("s1", event)
+
+    benchmark(run)
+    assert home.trace.count("logic_delivery") == 0
+    assert shadow.route_builds == 1
+    _ns_per_event(benchmark, len(events))
 
 
 def _gapless_message() -> Message:

@@ -69,7 +69,9 @@ class ReliableBroadcast:
 
     def _send_to_view(self, sensor: str, event: Event, exclude: frozenset) -> None:
         me = self._ctx.env.name
-        for member in self._ctx.heartbeat.view.members:
+        # Ring order, not ``members``: a frozenset of names iterates in an
+        # order that depends on PYTHONHASHSEED, and so would the sends.
+        for member in self._ctx.heartbeat.view.ring:
             if member == me or member in exclude:
                 continue
             self._ctx.env.send(member, RBCAST, sensor=sensor, event=event)
@@ -100,7 +102,7 @@ class NaiveBroadcastDelivery:
         self._mark_seen(event)
         self._deliver_local(event)
         me = self._ctx.env.name
-        for member in self._ctx.heartbeat.view.members:
+        for member in self._ctx.heartbeat.view.ring:
             if member != me:
                 self._ctx.env.send(member, NBCAST, sensor=self.sensor, event=event)
 

@@ -28,7 +28,7 @@ from repro.core.eventlog import EventStore
 from repro.core.events import Command, Event
 from repro.core.graph import App
 from repro.core.intervals import IntervalSet
-from repro.core.operators import Operator, SensorBinding
+from repro.core.operators import Operator
 from repro.core.placement import active_replica_set, placement_chain
 from repro.core.plan import DeploymentPlan
 from repro.core.repair import RepairSession
@@ -96,13 +96,24 @@ class LogicRuntime:
         self._gapless_sensors = tuple(sorted(
             s for s, req in requirements.items() if req.delivery is GAPLESS
         ))
-        self._sensor_bindings: dict[tuple[str, str], SensorBinding] = {
-            (op.name, b.sensor): b
-            for op in app.operators
-            for b in op.sensor_bindings
-        }
-        # Per-activation state:
-        self._op_windows: dict[str, dict[str, WindowInstance]] = {}
+        # Fixed for this boot: the app's wiring is configuration, and a
+        # recovered process gets a fresh runtime (so a fresh incarnation).
+        self._actuators = frozenset(app.actuators)
+        # ``issued_by`` must be unique per issuing runtime or command_ids
+        # collide: a recovered process restarts _cmd_seq from 0, so commands
+        # issued by incarnation k+1 would repeat incarnation k's ids. The
+        # suffix marks re-incarnated issuers (absent before the first crash,
+        # keeping the paper's plain "app@process" form in the common case).
+        incarnation = getattr(self.env, "incarnation", 0)
+        self._issuer = f"{app.name}@{self.env.name}" + (
+            f"+{incarnation}" if incarnation else ""
+        )
+        # Per-activation state. ``_streams`` is what an event walks:
+        # stream -> ((operator, staleness bound, window), ...) in
+        # ``App.consumers_of`` order.
+        self._streams: dict[
+            str, tuple[tuple[Operator, float | None, WindowInstance], ...]
+        ] = {}
         self._combiners: dict[str, Any] = {}
         self._grace_timers: dict[str, Any] = {}
         self._periodic_timers: list[Any] = []
@@ -165,7 +176,8 @@ class LogicRuntime:
     # -- operator state ------------------------------------------------------------
 
     def _build_operator_state(self) -> None:
-        self._op_windows = {}
+        # (operator, stream) -> (staleness bound, window), in creation order.
+        windows: dict[tuple[str, str], tuple[float | None, WindowInstance]] = {}
         self._combiners = {}
         self._grace_timers = {}
         self._emit_seq = {}
@@ -179,15 +191,23 @@ class LogicRuntime:
             combiner = op.combiner.clone()
             combiner.bind(op.name, op.input_streams)
             self._combiners[op.name] = combiner
-            windows: dict[str, WindowInstance] = {}
             for binding in op.sensor_bindings:
-                windows[binding.sensor] = self._make_window(
-                    op, binding.sensor, binding.window
+                windows[op.name, binding.sensor] = (
+                    binding.staleness_s,
+                    self._make_window(op, binding.sensor, binding.window),
                 )
             for upstream in op.upstream_bindings:
                 stream = f"op:{upstream.operator.name}"
-                windows[stream] = self._make_window(op, stream, upstream.window)
-            self._op_windows[op.name] = windows
+                windows[op.name, stream] = (
+                    None, self._make_window(op, stream, upstream.window)
+                )
+        self._streams = {
+            stream: tuple(
+                (op, *windows[op.name, stream])
+                for op in self.app.consumers_of(stream)
+            )
+            for stream in {stream for _op_name, stream in windows}
+        }
 
     def _make_window(self, op: Operator, stream: str, spec) -> WindowInstance:
         instance = WindowInstance(
@@ -219,7 +239,7 @@ class LogicRuntime:
         for handle in self._grace_timers.values():
             handle.cancel()
         self._grace_timers = {}
-        self._op_windows = {}
+        self._streams = {}
         self._combiners = {}
 
     # -- event flow ---------------------------------------------------------------------
@@ -255,23 +275,15 @@ class LogicRuntime:
 
     def _feed_stream(self, stream: str, event: Event) -> None:
         now = self.env.now()
-        for op in self.app.consumers_of(stream):
-            binding = self._sensor_bindings.get((op.name, stream))
-            if (
-                binding is not None
-                and binding.staleness_s is not None
-                and now - event.emitted_at > binding.staleness_s
-            ):
+        for op, staleness_s, window in self._streams.get(stream, ()):
+            if staleness_s is not None and now - event.emitted_at > staleness_s:
                 self.env.trace(
                     "stale_dropped", app=self.app.name, operator=op.name,
                     sensor=stream, seq=event.seq,
                     staleness=now - event.emitted_at,
                 )
                 continue
-            windows = self._op_windows.get(op.name)
-            if windows is None:
-                continue
-            windows[stream].add(event, now)
+            window.add(event, now)
 
     def _on_window_fired(self, op: Operator, snapshot: TriggeredWindow) -> None:
         if snapshot.empty and not isinstance(snapshot.events, tuple):
@@ -324,27 +336,18 @@ class LogicRuntime:
         self._feed_stream(stream, event)
 
     def actuate(self, op: Operator, actuator: str, action: str, value: Any) -> None:
-        if actuator not in self.app.actuators:
+        if actuator not in self._actuators:
             raise KeyError(
                 f"operator {op.name!r} actuated unbound actuator {actuator!r}"
             )
         self._cmd_seq += 1
-        # ``issued_by`` must be unique per issuing runtime or command_ids
-        # collide: a recovered process restarts _cmd_seq from 0, so commands
-        # issued by incarnation k+1 would repeat incarnation k's ids. The
-        # suffix marks re-incarnated issuers (absent before the first crash,
-        # keeping the paper's plain "app@process" form in the common case).
-        incarnation = getattr(self.env, "incarnation", 0)
-        issuer = f"{self.app.name}@{self.env.name}"
-        if incarnation:
-            issuer += f"+{incarnation}"
         command = Command(
             actuator_id=actuator,
             seq=self._cmd_seq,
             issued_at=self.env.now(),
             action=action,
             value=value,
-            issued_by=issuer,
+            issued_by=self._issuer,
         )
         self.env.trace(
             "command_issued", app=self.app.name, actuator=actuator, action=action,
@@ -358,7 +361,7 @@ class LogicRuntime:
         self.env.trace(
             "epoch_gap_delivered", app=self.app.name, sensor=sensor, epoch=gap.epoch,
         )
-        for op in self.app.consumers_of(sensor):
+        for op, _staleness_s, _window in self._streams.get(sensor, ()):
             op.handle_epoch_gap(_OperatorContext(self, op), gap)
 
     # -- watermarks --------------------------------------------------------------------------
@@ -380,6 +383,13 @@ class LogicRuntime:
 
 class ExecutionService:
     """All logic runtimes of one process, plus watermark gossip."""
+
+    # sensor -> ((app name, runtime), ...) in plan order. The deployment
+    # plan never changes at runtime (Section 3.3), so it is built once per
+    # boot (derived state: class-level so a restored graph without it
+    # rebuilds on its first event).
+    _routes: dict[str, list[tuple[str, LogicRuntime]]] | None = None
+    route_builds = 0
 
     def __init__(
         self,
@@ -417,6 +427,7 @@ class ExecutionService:
     def start(self) -> None:
         for app in self.plan.apps:
             self.runtimes[app.name] = LogicRuntime(self, app)
+        self._build_routes()
         self.heartbeat.add_view_listener(self._on_view_change)
         if self.runtimes:
             # With no apps installed the provider could only ever return
@@ -430,15 +441,31 @@ class ExecutionService:
 
     # -- inbound from the delivery service --------------------------------------------
 
+    def _build_routes(self) -> dict[str, list[tuple[str, LogicRuntime]]]:
+        self.route_builds += 1
+        self._routes = routes = {}
+        for app in self.plan.apps:
+            for sensor in app.sensors:
+                routes.setdefault(sensor, []).append(
+                    (app.name, self.runtimes[app.name])
+                )
+        return routes
+
     def on_event(self, sensor: str, event: Event, only_app: str | None = None) -> None:
-        for app in self.plan.apps_consuming(sensor):
-            if only_app is not None and app.name != only_app:
-                continue
-            self.runtimes[app.name].on_event(sensor, event)
+        routes = self._routes
+        if routes is None:
+            routes = self._build_routes()
+        for app_name, runtime in routes.get(sensor, ()):
+            # Shadows are placeholders; the event log is the buffer.
+            if runtime.active and (only_app is None or app_name == only_app):
+                runtime.on_event(sensor, event)
 
     def on_epoch_gap(self, sensor: str, gap: EpochGap) -> None:
-        for app in self.plan.apps_consuming(sensor):
-            self.runtimes[app.name].on_epoch_gap(sensor, gap)
+        routes = self._routes
+        if routes is None:
+            routes = self._build_routes()
+        for _app_name, runtime in routes.get(sensor, ()):
+            runtime.on_epoch_gap(sensor, gap)
 
     def send_command(self, command: Command, app: App) -> None:
         if self._delivery is None:

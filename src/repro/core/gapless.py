@@ -83,7 +83,7 @@ class GaplessDelivery:
         if self.sync_enabled and len(self._log) > 0:
             me = self._ctx.env.name
             ranges = tuple(self._log.seen.ranges())
-            for peer in sorted(self._ctx.heartbeat.view.members):
+            for peer in self._ctx.heartbeat.view.ring:
                 if peer == me:
                     continue
                 self._ctx.env.trace("sync_query", sensor=self.sensor, peer=peer)

@@ -176,7 +176,7 @@ def _delay_run(
 ) -> float:
     home, sensor = single_sensor_home(
         n_processes=n, receiving=receiving, guarantee=guarantee,
-        event_size=size, seed=seed,
+        event_size=size, seed=seed, keep_trace_kinds={"logic_delivery"},
     )
     home.run_until(1.0)
     sensor.start_periodic(rate)
@@ -246,6 +246,7 @@ def _overhead_run(
     home, sensor = single_sensor_home(
         n_processes=5, receiving=m, guarantee=guarantee,
         delivery_mode=mode, event_size=size, seed=seed,
+        keep_trace_kinds=set(),  # bytes/event reads the trace's tallies
     )
     home.run_until(1.0)
     sensor.start_periodic(rate)
@@ -313,6 +314,7 @@ def fig6_link_loss(
                     home, sensor = single_sensor_home(
                         n_processes=5, receiving=m,
                         guarantee=guarantee, loss_rate=loss, seed=seed,
+                        keep_trace_kinds={"logic_delivery"},
                     )
                     home.run_until(1.0)
                     sensor.start_periodic(rate)
@@ -351,6 +353,7 @@ def fig7_process_failure(
     for guarantee in (GAP, GAPLESS):
         home, sensor = single_sensor_home(
             n_processes=5, receiving=5, guarantee=guarantee, seed=seed,
+            keep_trace_kinds={"logic_delivery"},
         )
         home.run_until(1.0)
         sensor.start_periodic(rate)
@@ -408,7 +411,7 @@ def fig8_coordinated_polling(
             )
         operator.add_actuator("a1", GAPLESS)
         app = App("poll-study", operator)
-        home = Home(seed=seed)
+        home = Home(seed=seed, keep_trace_kinds={"poll_request"})
         for process in ("p0", "p1", "p2"):
             home.add_process(process)
         for name, kind, _epoch in FIG8_SENSORS:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from repro.sim.tracing import Trace
+from repro.sim.tracing import Trace, TraceEvent
 
 EVENT_CARRYING_KINDS = frozenset({"gapless_fwd", "gap_fwd", "nbcast", "rbcast"})
 
@@ -37,6 +37,22 @@ def percentile(values: Iterable[float], q: float) -> float:
     return items[index]
 
 
+def _kept(trace: Trace, kind: str) -> Sequence[TraceEvent]:
+    """Every record of ``kind``, or ValueError if the trace dropped some.
+
+    A home built with ``keep_trace_kinds`` counts every kind but stores only
+    the named ones; a metric scanning a kind that was not kept would read an
+    empty list and report NaN / 0 as if nothing had happened.
+    """
+    events = trace.of_kind(kind)
+    if len(events) != trace.count(kind):
+        raise ValueError(
+            f"trace counted {trace.count(kind)} {kind!r} records but kept "
+            f"{len(events)}: keep_trace_kinds must include {kind!r}"
+        )
+    return events
+
+
 # -- delay -----------------------------------------------------------------------------
 
 
@@ -44,7 +60,7 @@ def delivery_delays(trace: Trace, *, app: str | None = None) -> list[float]:
     """Per-event sensor-to-active-logic delays, in seconds."""
     return [
         event["delay"]
-        for event in trace.of_kind("logic_delivery")
+        for event in _kept(trace, "logic_delivery")
         if app is None or event["app"] == app
     ]
 
@@ -57,16 +73,16 @@ def mean_delay_ms(trace: Trace, *, app: str | None = None) -> float:
 
 
 def event_bytes_sent(trace: Trace, kinds: frozenset[str] = EVENT_CARRYING_KINDS) -> int:
-    """Wire bytes of event-carrying messages on the home network."""
-    return sum(
-        event["bytes"]
-        for event in trace.of_kind("net_send")
-        if event["kind"] in kinds
-    )
+    """Wire bytes of event-carrying messages on the home network.
+
+    Read from the trace's per-message-kind tallies, which count every
+    ``net_send`` whether or not the record itself was kept.
+    """
+    return sum(trace.tally("net_send", kind)[1] for kind in kinds)
 
 
 def event_messages_sent(trace: Trace, kinds: frozenset[str] = EVENT_CARRYING_KINDS) -> int:
-    return sum(1 for event in trace.of_kind("net_send") if event["kind"] in kinds)
+    return sum(trace.tally("net_send", kind)[0] for kind in kinds)
 
 
 def bytes_per_event(trace: Trace, events_emitted: int) -> float:
@@ -88,7 +104,7 @@ def delivered_fraction(trace: Trace, events_emitted: int, *, app: str | None = N
     if events_emitted == 0:
         return math.nan
     seen: set[tuple[str, int]] = set()
-    for event in trace.of_kind("logic_delivery"):
+    for event in _kept(trace, "logic_delivery"):
         if app is None or event["app"] == app:
             seen.add((event["sensor"], event["seq"]))
     return len(seen) / events_emitted
@@ -99,7 +115,7 @@ def deliveries_per_bucket(
 ) -> list[tuple[float, int]]:
     """Time series of events received by the app (Fig. 7)."""
     counts: Counter[int] = Counter()
-    for event in trace.of_kind("logic_delivery"):
+    for event in _kept(trace, "logic_delivery"):
         if app is None or event["app"] == app:
             counts[int(event.time // bucket_s)] += 1
     if not counts:
@@ -114,7 +130,7 @@ def deliveries_per_bucket(
 def poll_requests(trace: Trace, sensor: str | None = None) -> int:
     if sensor is None:
         return trace.count("poll_request")
-    return len(trace.where("poll_request", sensor=sensor))
+    return sum(1 for e in _kept(trace, "poll_request") if e["sensor"] == sensor)
 
 
 def normalized_poll_overhead(
@@ -131,7 +147,7 @@ def normalized_poll_overhead(
 def reception_matrix(trace: Trace) -> dict[str, dict[str, int]]:
     """events received per (sensor, process) from radio_delivered records."""
     matrix: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
-    for event in trace.of_kind("radio_delivered"):
+    for event in _kept(trace, "radio_delivered"):
         matrix[event["sensor"]][event["process"]] += 1
     return {s: dict(p) for s, p in matrix.items()}
 

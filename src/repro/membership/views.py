@@ -8,13 +8,20 @@ can compute locally without agreement.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
 class LocalView:
-    """An immutable snapshot of one process's membership belief."""
+    """An immutable snapshot of one process's membership belief.
+
+    The sorted ring and the owner's successor are computed on first use and
+    kept on the instance (outside equality, hash and repr): a view never
+    changes, so whoever holds one may memoise on its identity.
+    """
 
     owner: str
     members: frozenset[str]
@@ -37,15 +44,21 @@ class LocalView:
         member — the successor is then the first member sorting after it,
         which lets a process route around peers it has just removed.
         """
-        reference = self.owner if name is None else name
-        ordered = sorted(self.members)
-        if len(ordered) == 1 and ordered[0] == reference:
-            return None
-        for member in ordered:
-            if member > reference:
-                return member
-        first = ordered[0]
-        return first if first != reference else None
+        if name is None:
+            return self._own_successor
+        ring = self.ring
+        successor = ring[bisect_right(ring, name) % len(ring)]
+        return successor if successor != name else None
+
+    @cached_property
+    def ring(self) -> tuple[str, ...]:
+        """Members in ring (sorted) order. Iterate this, not ``members``,
+        wherever the order can be observed (sends, trace records)."""
+        return tuple(sorted(self.members))
+
+    @cached_property
+    def _own_successor(self) -> str | None:
+        return self.ring_successor(self.owner)
 
     def merged_with(self, names: Iterable[str]) -> frozenset[str]:
         """Union of this view's members with other process names."""
@@ -55,7 +68,7 @@ class LocalView:
         return name in self.members
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self.members))
+        return iter(self.ring)
 
     def __len__(self) -> int:
         return len(self.members)

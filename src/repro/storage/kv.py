@@ -133,7 +133,7 @@ class ReplicatedStore:
         self._backend.entries[key] = version
         self._env.trace("store_put", key=key, lamport=version.lamport)
         me = self._env.name
-        for member in self._heartbeat.view.members:
+        for member in self._heartbeat.view.ring:
             if member != me:
                 self._send_version(member, key, version)
 

@@ -4,6 +4,10 @@ Each experiment runs with reduced parameters; assertions target the paper's
 qualitative claims, not absolute numbers.
 """
 
+import pytest
+
+from repro.core.home import Home
+from repro.eval import experiments, metrics
 from repro.eval.experiments import (
     EXPERIMENTS,
     fig1_deployment_skew,
@@ -143,6 +147,70 @@ def test_fig8_bands():
             assert 1.4 <= ratio <= 2.6, (sensor, ratio)
         else:  # single poller: optimal, possibly missing failed epochs
             assert ratio <= 1.15, (sensor, ratio)
+
+
+# -- figure homes keep only the kinds their metric reads ------------------------------
+
+
+def _capture_homes(monkeypatch, *, keep_all: bool) -> list[Home]:
+    """Record every home a figure builds; ``keep_all`` gives it a full trace
+    (what the figures built before they named the kinds their metric reads)."""
+    homes: list[Home] = []
+    single_sensor_home = experiments.single_sensor_home
+
+    def sensor_home(**kwargs):
+        if keep_all:
+            kwargs["keep_trace_kinds"] = None
+        home, sensor = single_sensor_home(**kwargs)
+        homes.append(home)
+        return home, sensor
+
+    def plain_home(**kwargs):
+        if keep_all:
+            kwargs["keep_trace_kinds"] = None
+        homes.append(Home(**kwargs))
+        return homes[-1]
+
+    monkeypatch.setattr(experiments, "single_sensor_home", sensor_home)
+    monkeypatch.setattr(experiments, "Home", plain_home)
+    return homes
+
+
+@pytest.mark.parametrize("figure, kwargs, kept_kinds", [
+    (fig4a_delay_farthest,
+     dict(duration=5.0, sizes=(4,), process_counts=(3,)), {"logic_delivery"}),
+    (fig4b_delay_local,
+     dict(duration=5.0, sizes=(8,), process_counts=(2,)), {"logic_delivery"}),
+    (fig5_network_overhead,
+     dict(duration=5.0, sizes=(4,), receiving_counts=(1, 3)), set()),
+    (fig6_link_loss,
+     dict(duration=10.0, seeds=(42,), loss_rates=(0.25,), receiving_counts=(2,)),
+     {"logic_delivery"}),
+    (fig7_process_failure, dict(crash_at=6.0, duration=12.0), {"logic_delivery"}),
+    (fig8_coordinated_polling, dict(seeds=(42,), duration=30.0), {"poll_request"}),
+])
+def test_restricted_figure_homes_give_the_keep_all_table(
+    monkeypatch, figure, kwargs, kept_kinds
+):
+    with monkeypatch.context() as patch:
+        full_homes = _capture_homes(patch, keep_all=True)
+        full = figure(**kwargs)
+    with monkeypatch.context() as patch:
+        homes = _capture_homes(patch, keep_all=False)
+        restricted = figure(**kwargs)
+
+    assert restricted.to_dict() == full.to_dict()
+    assert len(homes) == len(full_homes) > 0
+    for home, full_home in zip(homes, full_homes):
+        # Same run (every kind counted the same), a fraction of it stored.
+        assert home.trace.counts == full_home.trace.counts
+        assert {e.kind for e in home.trace.events} <= kept_kinds
+        assert len(full_home.trace.events) == sum(full_home.trace.counts.values())
+        # The oracle for the tallied byte metric: scan the kept records.
+        sends = [e for e in full_home.trace.of_kind("net_send")
+                 if e["kind"] in metrics.EVENT_CARRYING_KINDS]
+        assert metrics.event_bytes_sent(home.trace) == sum(e["bytes"] for e in sends)
+        assert metrics.event_messages_sent(home.trace) == len(sends)
 
 
 def test_render_produces_text():

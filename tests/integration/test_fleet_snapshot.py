@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from repro.core.fleet import DAY_S, Fleet
-from repro.eval.workloads import fleet_deployment
+from repro.core.home import HomeConfig
+from repro.eval.workloads import OccupancyConfig, OccupancyWorkload, fleet_deployment
+from repro.sim.random import RandomSource
 from repro.sim.snapshot import FORMAT_VERSION, SnapshotError, load_fleet
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -135,6 +137,67 @@ def test_parent_written_v3_snapshot_is_refused():
     parent = Path(__file__).parent / "data" / "fleet_v3_parent.snap"
     with pytest.raises(SnapshotError, match="format version 3|incompatible build"):
         load_fleet(parent)
+
+
+def two_process_fleet() -> Fleet:
+    """One home, two processes, a door and a motion sensor, two resident-days.
+
+    ``data/fleet_v4_parent.snap`` is this fleet at day 1, written by the
+    commit before the change-time tables (51877c5) with::
+
+        PYTHONPATH=<51877c5>/src python -c "
+        from tests.integration.test_fleet_snapshot import two_process_fleet
+        from repro.core.fleet import DAY_S
+        fleet = two_process_fleet(); fleet.run_until(DAY_S)
+        fleet.checkpoint('tests/integration/data/fleet_v4_parent.snap')"
+
+    No app is deployed: that build (like this one) cannot checkpoint an
+    active logic node, whose windows close over a lambda.
+    """
+    fleet = Fleet(seed=11)
+    seed = fleet.context.home_seed("h000")
+    home = fleet.add_home("h000", config=HomeConfig(
+        seed=seed, heartbeat_interval=60.0, failure_detection_s=180.0,
+        kv_sync_interval=3600.0, keep_trace_kinds=set(), trace_digest=True,
+    ))
+    home.add_process("hub", adapters=("zwave", "ip"))
+    home.add_process("tv", adapters=("zwave", "ip"))
+    home.add_sensor("door1", kind="door")
+    home.add_sensor("motion1", kind="motion")
+    fleet.start()
+    OccupancyWorkload(
+        home=home, motion_sensors=["motion1"], door_sensors=["door1"],
+        rng=RandomSource(seed).child("occupancy"), config=OccupancyConfig(days=2.0),
+    ).schedule()
+    return fleet
+
+
+def _second_day_with_a_crash(fleet: Fleet) -> Fleet:
+    """Day 2 with the tv down for an hour: two view changes per process."""
+    fleet.scheduler.call_at(1.25 * DAY_S, fleet.crash_process, "h000/tv")
+    fleet.scheduler.call_at(1.25 * DAY_S + 3600.0, fleet.recover_process, "h000/tv")
+    return fleet.run_until(2 * DAY_S)
+
+
+def test_parent_written_v4_snapshot_loads_and_resumes():
+    """The view, ring and route tables are derived state, not snapshot
+    format: a file written by the build before them (format 4) loads, and
+    its heartbeats and routers — restored without the new attributes —
+    rebuild what they need on first use, through a crash and a recovery."""
+    parent = Path(__file__).parent / "data" / "fleet_v4_parent.snap"
+    resumed = load_fleet(parent)
+    assert FORMAT_VERSION == 4 and resumed.context.now == DAY_S
+    restored = resumed.home("h000").processes["hub"].heartbeat
+    assert "_view" not in vars(restored) and restored.view_builds == 0
+
+    _second_day_with_a_crash(resumed)
+    reference = _second_day_with_a_crash(two_process_fleet())
+    assert resumed.digest() == reference.digest()
+    assert resumed.metrics() == reference.metrics()
+    trace = resumed.home("h000").trace
+    assert trace.count("suspect") == trace.count("unsuspect") == 1
+    # One view for the restored state, one per change since.
+    assert restored.view_builds == 3
 
 
 def test_snapshot_write_is_atomic(tmp_path):

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from repro.eval import metrics
 from repro.sim.tracing import Trace
 
@@ -37,6 +39,57 @@ def test_event_bytes_and_messages():
     assert metrics.event_messages_sent(trace) == 2
     assert metrics.bytes_per_event(trace, 2) == 85.0
     assert math.isnan(metrics.bytes_per_event(trace, 0))
+
+
+def test_event_bytes_and_messages_are_exact_without_kept_records():
+    """The byte/message metrics read the (net_send, sub-kind) tallies, so a
+    trace that stores nothing answers the same as one that stores all."""
+    sends = [("gapless_fwd", 100), ("keepalive", 50), ("gap_fwd", 70),
+             ("nbcast", 31), ("rbcast", 9), ("cmd_fwd", 44)]
+    full, aggregate = Trace(), Trace(keep_kinds=set())
+    for trace in (full, aggregate):
+        for kind, nbytes in sends:
+            trace.record(0.0, "net_send", src="a", dst="b", kind=kind, bytes=nbytes)
+    scanned = [e for e in full.of_kind("net_send")
+               if e["kind"] in metrics.EVENT_CARRYING_KINDS]
+    assert len(aggregate.of_kind("net_send")) == 0
+    for trace in (full, aggregate):
+        assert metrics.event_bytes_sent(trace) == sum(e["bytes"] for e in scanned) == 210
+        assert metrics.event_messages_sent(trace) == len(scanned) == 4
+        assert metrics.event_bytes_sent(trace, frozenset({"cmd_fwd"})) == 44
+        assert metrics.bytes_per_event(trace, 2) == 105.0
+
+
+@pytest.mark.parametrize("kind, fields, read", [
+    ("logic_delivery", dict(app="a", sensor="s", seq=1, emitted_at=0.9, delay=0.1),
+     metrics.delivery_delays),
+    ("logic_delivery", dict(app="a", sensor="s", seq=1, emitted_at=0.9, delay=0.1),
+     metrics.mean_delay_ms),
+    ("logic_delivery", dict(app="a", sensor="s", seq=1, emitted_at=0.9, delay=0.1),
+     lambda trace: metrics.delivered_fraction(trace, 1)),
+    ("logic_delivery", dict(app="a", sensor="s", seq=1, emitted_at=0.9, delay=0.1),
+     metrics.deliveries_per_bucket),
+    ("poll_request", dict(sensor="t1", process="p0"),
+     lambda trace: metrics.poll_requests(trace, "t1")),
+    ("poll_request", dict(sensor="t1", process="p0"),
+     lambda trace: metrics.normalized_poll_overhead(trace, "t1", 2.0, 10.0)),
+    ("radio_delivered", dict(sensor="s1", process="hub", seq=1),
+     metrics.reception_matrix),
+])
+def test_scanning_metrics_refuse_a_trace_that_did_not_keep_their_kind(kind, fields, read):
+    """Counted but not kept: the scan would see nothing and report [] / NaN /
+    0 for a run in which the thing happened."""
+    dropped = Trace(keep_kinds={"something_else"})
+    dropped.record(1.0, kind, **fields)
+    with pytest.raises(ValueError, match=f"'{kind}'"):
+        read(dropped)
+    kept = Trace(keep_kinds={kind})
+    kept.record(1.0, kind, **fields)
+    read(kept)
+    # Nothing recorded is not the same as nothing kept.
+    read(Trace(keep_kinds=set()))
+    # The unfiltered poll count is a counter and needs no records.
+    assert metrics.poll_requests(dropped) == (1 if kind == "poll_request" else 0)
 
 
 def test_delivered_fraction_counts_distinct():
