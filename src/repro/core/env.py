@@ -5,7 +5,7 @@ reliable broadcast, coordinated polling, election) is written against this
 narrow interface and nothing else. Two implementations exist:
 
 - :class:`repro.core.runtime.RivuletProcess` — the deterministic simulator;
-- :class:`repro.rt.node.AsyncRuntimeEnv` — real asyncio TCP sockets.
+- :class:`repro.rt.node.AsyncRivuletNode` — real asyncio TCP sockets.
 
 Keeping protocols IO-free is what lets the test suite drive them through
 hand-crafted message sequences, the benchmark harness replay them
@@ -33,7 +33,7 @@ class _ChainedRepeating:
     Used by runtimes whose scheduler has no native repeating primitive
     (e.g. the asyncio runtime); the simulator overrides
     :meth:`RuntimeEnv.schedule_repeating` with the allocation-free
-    :meth:`repro.sim.scheduler.Scheduler.call_repeating`.
+    :meth:`repro.sim.scheduler.Scheduler.post_repeating`.
     """
 
     __slots__ = ("_env", "_interval", "_fn", "_args", "_cancelled", "_inner")

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.core.delivery_service import (
-    DeliveryContext,
     DeliveryService,
     DeviceInfo,
     GaplessOptions,
@@ -30,6 +29,7 @@ from repro.core.events import Command, Event
 from repro.core.execution import ExecutionService
 from repro.core.plan import DeploymentPlan
 from repro.core.delivery import PollMode
+from repro.core.stack import boot_services
 from repro.devices.adapters import ADAPTER_FACTORIES, AdapterSet
 from repro.membership.heartbeat import HeartbeatService
 from repro.net.latency import ProcessingModel
@@ -187,51 +187,24 @@ class RivuletProcess(RuntimeEnv):
                 adapter = factory(self.name, self._radio, self._scheduler)
             self.adapters.install(adapter)
 
-        self.heartbeat = HeartbeatService(
-            self,
-            interval=self._heartbeat_interval,
-            timeout=self._failure_detection_s,
-        )
-        ctx = DeliveryContext(
-            env=self,
-            heartbeat=self.heartbeat,
-            plan=self.plan,
-            store=self.store,
-            processing=self.processing,
-            deliver_local=self._deliver_to_logic,
-            on_epoch_gap=self._on_epoch_gap,
-            actuate_local=self._actuate_local,
-            poll_sensor=self._poll_sensor,
-            device_info=self.device_info,
-            active_replicas=self._active_replicas,
-        )
-        self.kv = ReplicatedStore(
-            self, self.heartbeat, self.kv_backend,
-            sync_interval=self._kv_sync_interval,
-        )
-        self.execution = ExecutionService(
-            self, self.heartbeat, self.plan, self.store, self.processing,
-            kv=self.kv, active_replicas=self._active_replicas,
-        )
-        self.delivery = DeliveryService(
-            ctx,
+        boot_services(
+            self, self.plan, self.store, self.kv_backend, self.processing,
+            self.device_info, self._deliver_to_logic, self._on_epoch_gap,
+            self._actuate_local, self._poll_sensor,
+            heartbeat_interval=self._heartbeat_interval,
+            failure_detection_s=self._failure_detection_s,
             delivery_override=self._delivery_override,
             gapless_options=self._gapless_options,
             poll_mode_override=self._poll_mode_override,
+            active_replicas=self._active_replicas,
+            kv_sync_interval=self._kv_sync_interval,
         )
-        self.execution.bind_delivery(self.delivery)
-        # Handlers must exist before the first message can arrive.
-        self.heartbeat.start()
-        self.kv.start()
-        self.delivery.start()
-        self.execution.start()
         if self._sensor_watch_enabled:
             self.sensor_watch = SensorWatch(
                 self, self.plan, self.device_info, self.delivery
             )
             self.sensor_watch.start()
         self.trace("boot", incarnation=self._incarnation)
-
 
     def crash(self) -> None:
         """Halt all activity (crash-stop until recovery)."""

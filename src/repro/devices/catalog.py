@@ -109,6 +109,15 @@ def technology_named(name: str) -> RadioTechnology:
         ) from None
 
 
+def sensor_spec(kind: str) -> SensorSpec:
+    try:
+        return SENSOR_CATALOG[kind]
+    except KeyError:
+        raise KeyError(
+            f"unknown sensor kind {kind!r}; known: {sorted(SENSOR_CATALOG)}"
+        ) from None
+
+
 def make_sensor(
     kind: str,
     name: str,
@@ -123,13 +132,7 @@ def make_sensor(
     failure_rate: float = 0.0,
 ) -> Sensor:
     """Instantiate a catalog sensor, optionally overriding its defaults."""
-    try:
-        spec = SENSOR_CATALOG[kind]
-    except KeyError:
-        raise KeyError(
-            f"unknown sensor kind {kind!r}; known: {sorted(SENSOR_CATALOG)}"
-        ) from None
-
+    spec = sensor_spec(kind)
     tech = technology_named(technology or spec.technology)
     size = spec.event_size if event_size is None else event_size
     common = dict(

@@ -46,19 +46,16 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable
 
-from repro.core.delivery import GAP, GAPLESS, PollMode, PollingPolicy
+from repro.apps.scenarios import MODES, chaos_scenario, device_scenario
 from repro.core.delivery_service import GaplessOptions
-from repro.core.graph import App
-from repro.core.home import Home, HomeConfig
+from repro.core.home import Home
 from repro.core.invariants import (
-    ORACLE_TRACE_KINDS, GroundTruth, RunRecord, check_all,
+    ORACLE_TRACE_KINDS, GroundTruth, check_all,
     check_hvac_no_empty_heat, check_intrusion_alarm_latency,
     check_safety_no_missed_alert,
 )
-from repro.core.operators import Operator
-from repro.core.repair import RepairPolicy
-from repro.core.windows import CountWindow
 from repro.eval.cache import RunCache
+from repro.eval.cases import run_case, toggle_script
 from repro.eval.parallel import SweepTask, run_sweep
 from repro.eval.report import (
     report_digest, require_digest_version, write_report,
@@ -70,9 +67,6 @@ from repro.sim.chaos import (
 from repro.sim.faults import FaultPlan
 from repro.sim.random import RandomSource
 
-#: Delivery modes the campaign sweeps for the push sensors.
-MODES = ("gapless", "gap", "naive-broadcast")
-
 #: Default intensity profiles for a campaign.
 DEFAULT_INTENSITIES = ("mild", "severe")
 
@@ -80,91 +74,25 @@ DEFAULT_INTENSITIES = ("mild", "severe")
 CLEANUP_FRACTION = 0.7
 EMISSION_STOP_FRACTION = 0.8
 
-_PROCESSES = ("p0", "p1", "p2", "p3")
-_PUSH_SENSORS = {"m1": ("p1", "p2"), "d1": ("p3",)}
-_POLL_SENSOR = ("t1", ("p0", "p1"))
-_LINKS = tuple(
-    (sensor, process)
-    for sensor, hosts in sorted(_PUSH_SENSORS.items())
-    for process in hosts
-)
-
-#: Mean seconds between scripted emissions, per push sensor.
-_EMIT_MEANS = {"m1": 20.0, "d1": 45.0}
+#: Mean seconds between scripted emissions, per push sensor in script order.
+_EMIT_MEANS = {"d1": 45.0, "m1": 20.0}
 
 
 def chaos_domain() -> FaultDomain:
     """The fault domain of the standard chaos scenario."""
+    home = chaos_scenario("gapless")
     return FaultDomain(
-        processes=_PROCESSES,
-        sensors=tuple(sorted(_PUSH_SENSORS)) + (_POLL_SENSOR[0],),
-        actuators=("a1", "a2"),
-        links=_LINKS,
+        processes=home.processes,
+        sensors=tuple(home.push_sensors) + tuple(home.poll_sensors),
+        actuators=tuple(home.actuators),
+        links=home.push_links,
     )
 
 
-def build_chaos_home(
-    seed: int,
-    mode: str,
-    *,
-    gapless_options: GaplessOptions | None = None,
-) -> Home:
-    """The standard chaos scenario home, not yet started.
-
-    ``mode`` selects the delivery protocol of the push sensors; the poll
-    sensor always runs Gapless with a coordinated polling policy so every
-    campaign run exercises the poll-epoch machinery too.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown delivery mode {mode!r} (choose from {MODES})")
-    push_delivery = GAP if mode == "gap" else GAPLESS
-    override = (
-        {name: "naive-broadcast" for name in _PUSH_SENSORS}
-        if mode == "naive-broadcast" else {}
-    )
-    config = HomeConfig(
-        seed=seed,
-        keep_trace_kinds=set(ORACLE_TRACE_KINDS),
-        delivery_override=override,
-        gapless_options=gapless_options or GaplessOptions(),
-    )
-    home = Home(config)
-    for name in _PROCESSES:
-        home.add_process(name, adapters=("ip", "zwave"))
-    for name, hosts in sorted(_PUSH_SENSORS.items()):
-        kind = "motion" if name.startswith("m") else "door"
-        home.add_sensor(name, kind=kind, technology="ip", processes=list(hosts))
-    poll_name, poll_hosts = _POLL_SENSOR
-    home.add_sensor(poll_name, kind="temperature", technology="zwave",
-                    processes=list(poll_hosts))
-    home.add_actuator("a1", processes=["p0"])
-    home.add_actuator("a2", processes=["p1"])
-
-    def alarm_logic(ctx, combined) -> None:
-        events = combined.all_events()
-        if events:
-            ctx.actuate("a1", "set", bool(events[-1].value))
-
-    alarm = Operator("AlarmLogic", on_window=alarm_logic)
-    for name in sorted(_PUSH_SENSORS):
-        alarm.add_sensor(name, push_delivery, CountWindow(1))
-    alarm.add_actuator("a1", push_delivery)
-
-    def climate_logic(ctx, combined) -> None:
-        events = combined.all_events()
-        if events and events[-1].value is not None:
-            ctx.actuate("a2", "set", round(float(events[-1].value)))
-
-    climate = Operator("ClimateLogic", on_window=climate_logic)
-    climate.add_sensor(
-        poll_name, GAPLESS, CountWindow(1),
-        polling=PollingPolicy(epoch_s=30.0, mode=PollMode.COORDINATED),
-    )
-    climate.add_actuator("a2", GAPLESS)
-
-    home.deploy(App("alarm", alarm))
-    home.deploy(App("climate", climate))
-    return home
+def _generated_plan(mode: str, intensity: str, horizon: float, seed: int) -> FaultPlan:
+    """The plan a campaign cell draws: a pure function of its arguments."""
+    domain = device_domain() if mode == "device" else chaos_domain()
+    return FaultScheduleGenerator(domain, PROFILES[intensity], horizon).generate(seed)
 
 
 def _schedule_workload(home: Home, seed: int, horizon: float) -> None:
@@ -173,44 +101,12 @@ def _schedule_workload(home: Home, seed: int, horizon: float) -> None:
     The stream is independent of the fault plan, so the workload is
     identical whether a full plan or a shrunk reproducer is replayed.
     """
-    source = RandomSource(seed).child("chaos-workload")
-    stop = horizon * EMISSION_STOP_FRACTION
-    for name in sorted(_PUSH_SENSORS):
-        rng = source.child(name)
-        sensor = home.sensor(name)
-        t = 1.0
-        toggle = True
-        while True:
-            t += rng.expovariate(1.0 / _EMIT_MEANS[name])
-            if t >= stop:
-                break
-            home.scheduler.call_at(t, sensor.emit, toggle)
-            toggle = not toggle
-
-
-def _schedule_cleanup(home: Home, horizon: float) -> None:
-    """Guarded repairs at 70% of the horizon so every run ends whole.
-
-    The fault generator already pairs faults with repairs inside its
-    window; this sweep only matters for shrunk sub-plans whose repair
-    action was removed. Every repair checks state first, so it never
-    raises ``FaultError`` whatever subset of the plan ran.
-    """
-    def cleanup() -> None:
-        for name, process in sorted(home.processes.items()):
-            if not process.alive:
-                home.recover_process(name)
-        home.heal_partition()
-        for name in home.sensor_names:
-            if home.sensor(name).failed:
-                home.recover_sensor(name)
-        for name in home.actuator_names:
-            if home.actuator(name).failed:
-                home.recover_actuator(name)
-        for sensor, process in _LINKS:
-            home.set_link_loss(sensor, process, 0.0)
-
-    home.scheduler.call_at(horizon * CLEANUP_FRACTION, cleanup)
+    script = toggle_script(
+        RandomSource(seed).child("chaos-workload"), _EMIT_MEANS,
+        1.0, horizon * EMISSION_STOP_FRACTION,
+    )
+    for t, name, value in script:
+        home.scheduler.call_at(t, home.sensor(name).emit, value)
 
 
 def run_chaos_case(
@@ -222,22 +118,24 @@ def run_chaos_case(
     gapless_options: GaplessOptions | None = None,
 ) -> tuple[list, Home]:
     """One run: apply ``plan``, drive the workload, check every oracle."""
-    home = build_chaos_home(seed, mode, gapless_options=gapless_options)
-    home.start()
-    plan.apply(home)
-    _schedule_cleanup(home, horizon)
-    _schedule_workload(home, seed, horizon)
-    home.run_until(horizon)
-    record = RunRecord.from_home(
-        home,
-        fault_free=len(plan) == 0,
-        lossless=not any(a.kind == "set_link_loss" for a in plan.actions),
+    record, home = run_case(
+        chaos_scenario(mode), seed=seed, plan=plan,
+        workload=lambda home: _schedule_workload(home, seed, horizon),
+        until=horizon, cleanup_at=horizon * CLEANUP_FRACTION,
+        keep_trace_kinds=set(ORACLE_TRACE_KINDS),
+        gapless_options=gapless_options or GaplessOptions(),
     )
     return check_all(record), home
 
 
-#: Dotted runner name the sweep executor resolves inside workers.
+#: Dotted runner names the sweep executor resolves inside workers.
 CELL_RUNNER = "repro.eval.chaos:run_campaign_cell"
+DEVICE_CELL_RUNNER = "repro.eval.chaos:run_device_cell"
+
+
+def _run_id(mode: str, intensity: str, seed: int) -> str:
+    """A cell's id; ``device`` is both the mode and the profile of its cells."""
+    return f"device-s{seed}" if mode == "device" else f"{mode}-{intensity}-s{seed}"
 
 
 def _case_spec(
@@ -262,6 +160,32 @@ def _case_spec(
     }
 
 
+def _cell_entry(
+    spec: dict[str, Any],
+    plan: FaultPlan,
+    violations: list[str],
+    is_failing: Callable[[FaultPlan], bool],
+    **measured: Any,
+) -> dict[str, Any]:
+    """The report entry of one cell; a failing cell carries its plan
+    shrunk to a minimal reproducer."""
+    entry = {
+        "run_id": _run_id(spec["mode"], spec["intensity"], spec["seed"]),
+        "seed": spec["seed"],
+        "mode": spec["mode"],
+        "intensity": spec["intensity"],
+        "fault_actions": len(plan),
+        "verdict": "fail" if violations else "pass",
+        "violations": violations,
+        **measured,
+    }
+    if violations:
+        reproducer = shrink(plan, is_failing, max_evals=spec["max_shrink_evals"])
+        entry["reproducer"] = reproducer.to_dicts()
+        entry["reproducer_actions"] = len(reproducer)
+    return entry
+
+
 def run_campaign_cell(spec: dict[str, Any]) -> dict[str, Any]:
     """One campaign cell, rebuilt entirely from its spec.
 
@@ -273,40 +197,22 @@ def run_campaign_cell(spec: dict[str, Any]) -> dict[str, Any]:
     """
     seed = spec["seed"]
     mode = spec["mode"]
-    intensity = spec["intensity"]
     horizon = spec["horizon"]
     options_dict = spec.get("gapless_options")
     gapless_options = (
         GaplessOptions(**options_dict) if options_dict is not None else None
     )
-    generator = FaultScheduleGenerator(chaos_domain(), PROFILES[intensity], horizon)
-    plan = generator.generate(seed)
-    violations, _ = run_chaos_case(
-        seed, mode, horizon, plan, gapless_options=gapless_options,
-    )
-    entry: dict[str, Any] = {
-        "run_id": f"{mode}-{intensity}-s{seed}",
-        "seed": seed,
-        "mode": mode,
-        "intensity": intensity,
-        "fault_actions": len(plan),
-        "verdict": "fail" if violations else "pass",
-        "violations": [str(v) for v in violations],
-    }
-    if violations:
-        def is_failing(candidate: FaultPlan) -> bool:
-            candidate_violations, _ = run_chaos_case(
-                seed, mode, horizon, candidate,
-                gapless_options=gapless_options,
-            )
-            return bool(candidate_violations)
 
-        reproducer = shrink(
-            plan, is_failing, max_evals=spec["max_shrink_evals"]
-        )
-        entry["reproducer"] = reproducer.to_dicts()
-        entry["reproducer_actions"] = len(reproducer)
-    return entry
+    def violations_of(candidate: FaultPlan) -> list:
+        return run_chaos_case(
+            seed, mode, horizon, candidate, gapless_options=gapless_options,
+        )[0]
+
+    plan = _generated_plan(mode, spec["intensity"], horizon, seed)
+    return _cell_entry(
+        spec, plan, [str(v) for v in violations_of(plan)],
+        lambda candidate: bool(violations_of(candidate)),
+    )
 
 
 def campaign_tasks(
@@ -325,8 +231,8 @@ def campaign_tasks(
             for seed in seeds:
                 tasks.append(SweepTask(
                     index=len(tasks),
-                    task_id=f"{mode}-{intensity}-s{seed}",
-                    runner=CELL_RUNNER,
+                    task_id=_run_id(mode, intensity, seed),
+                    runner=DEVICE_CELL_RUNNER if mode == "device" else CELL_RUNNER,
                     spec=_case_spec(seed, mode, intensity, horizon,
                                     gapless_options, max_shrink_evals),
                 ))
@@ -454,32 +360,21 @@ def replay_run(
         raise KeyError(f"no run {run_id!r} in report (e.g. {known})")
     entry = matches[0]
     horizon = report["campaign"]["horizon"]
-    is_device = entry["mode"] == "device"
+    seed, mode = entry["seed"], entry["mode"]
     if "reproducer" in entry:
         plan = FaultPlan.from_dicts(entry["reproducer"])
         source = "reproducer"
     else:
-        generator = FaultScheduleGenerator(
-            device_domain() if is_device else chaos_domain(),
-            PROFILES[entry["intensity"]], horizon,
-        )
-        plan = generator.generate(entry["seed"])
+        plan = _generated_plan(mode, entry["intensity"], horizon, seed)
         source = "regenerated plan"
-    if is_device:
+    if mode == "device":
         # Device cells replay with repair on — the same criterion their
         # shrinker used, so a stored reproducer keeps failing on replay.
-        protocol, outcome, _ = run_device_case(
-            entry["seed"], horizon, plan, True
-        )
-        violations: list = list(protocol)
-        violations.extend(
-            f"[{name}] {count} outcome violation(s) with repair on"
-            for name, count in sorted(outcome.items()) if count
-        )
+        protocol, outcome, _ = run_device_case(seed, horizon, plan, True)
+        violations = _repaired_violations(protocol, outcome)
     else:
         violations, _ = run_chaos_case(
-            entry["seed"], entry["mode"], horizon, plan,
-            gapless_options=gapless_options,
+            seed, mode, horizon, plan, gapless_options=gapless_options,
         )
     return {
         "run_id": run_id,
@@ -529,20 +424,6 @@ def render_campaign_summary(report: dict[str, Any]) -> str:
 # Device-fault scenario: soft faults vs. app-level repair policies.
 # ---------------------------------------------------------------------------
 
-_DEVICE_PROCESSES = ("hub", "tv", "fridge")
-#: Push sensors come in correlated primary/backup pairs per room function.
-_DEVICE_PUSH = {
-    "m1": "motion", "m2": "motion",
-    "d1": "door", "d2": "door",
-    "s1": "smoke", "s2": "smoke",
-}
-_DEVICE_POLL = "t1"
-_DEVICE_LINKS = tuple(
-    (sensor, process)
-    for sensor in sorted(_DEVICE_PUSH)
-    for process in _DEVICE_PROCESSES
-)
-
 #: Scripted-workload cadence. Primaries lead their backups by < 1 s, so
 #: a healthy primary is never "silent" relative to its backup's readings
 #: (the repair layer's echo-synthesis lead allowance is 2 s).
@@ -574,120 +455,15 @@ def device_domain() -> FaultDomain:
     app-level policy can repair a device the platform itself declared
     dead, and the ``device`` profile is about the faults apps *can* fix.
     """
+    home = device_scenario(True)
     return FaultDomain(
-        processes=_DEVICE_PROCESSES,
-        links=_DEVICE_LINKS,
+        processes=home.processes,
+        links=home.push_links,
         binary_sensors=("d1", "m1", "s1"),
-        numeric_sensors=(_DEVICE_POLL,),
-        battery_sensors=("d1", "m1", "s1", _DEVICE_POLL),
+        numeric_sensors=("t1",),
+        battery_sensors=("d1", "m1", "s1", "t1"),
         correlated=(("d1", "d2"), ("m1", "m2"), ("s1", "s2")),
     )
-
-
-def device_repair_policies() -> dict[str, RepairPolicy]:
-    """The per-app repair configurations of the device scenario."""
-    return {
-        # Substitute the backup motion sensor when m1 sticks; hold the
-        # last good occupancy over a retry-free glitch; quarantine (and
-        # alert the resident) after a sustained disagreement.
-        "hvac": RepairPolicy(
-            correlations={"m1": ("m2",)}, stuck_after=3, quarantine_after=8,
-            hold_last_known_good=True, echo_timeout_s=10.0,
-        ),
-        # Entry bursts are short: a tight echo timeout lets d2 speak for
-        # a flapped/browned-out d1 well inside the latency budget.
-        "intrusion": RepairPolicy(
-            correlations={"d1": ("d2",)}, stuck_after=3, echo_timeout_s=5.0,
-        ),
-        "safety": RepairPolicy(
-            correlations={"s1": ("s2",)}, stuck_after=3, echo_timeout_s=5.0,
-        ),
-        # The temperature sensor has no backup: bound it, retry briefly,
-        # then hold the last in-range reading.
-        "climate": RepairPolicy(
-            valid_range={_DEVICE_POLL: (10.0, 35.0)}, retry_timeout_s=20.0,
-            hold_last_known_good=True,
-        ),
-    }
-
-
-def build_device_home(
-    seed: int, repair: bool, *, trace_digest: bool = False
-) -> Home:
-    """The device-fault scenario home, not yet started.
-
-    ``repair`` toggles the apps' :class:`RepairPolicy` opt-ins — the
-    only difference between the two runs of a campaign cell.
-    """
-    policies = device_repair_policies()
-
-    def policy(app: str) -> RepairPolicy | None:
-        return policies[app] if repair else None
-
-    config = HomeConfig(
-        seed=seed,
-        keep_trace_kinds=set(ORACLE_TRACE_KINDS),
-        trace_digest=trace_digest,
-    )
-    home = Home(config)
-    for name in _DEVICE_PROCESSES:
-        home.add_process(name, adapters=("ip", "zwave"))
-    for name, kind in sorted(_DEVICE_PUSH.items()):
-        home.add_sensor(name, kind=kind, technology="ip",
-                        processes=list(_DEVICE_PROCESSES))
-    home.add_sensor(_DEVICE_POLL, kind="temperature", technology="zwave",
-                    processes=list(_DEVICE_PROCESSES))
-    home.add_actuator("thermostat", processes=["hub"])
-    home.add_actuator("siren", processes=["tv"])
-    home.add_actuator("vent", processes=["fridge"])
-
-    def hvac_logic(ctx, combined) -> None:
-        events = [e for e in combined.all_events() if e.sensor_id == "m1"]
-        if events:
-            occupied = bool(events[-1].value)
-            ctx.actuate("thermostat", "set_point", 21.5 if occupied else 16.0)
-
-    hvac = Operator("HvacLogic", on_window=hvac_logic)
-    for name in ("m1", "m2"):
-        hvac.add_sensor(name, GAPLESS, CountWindow(1))
-    hvac.add_actuator("thermostat", GAPLESS)
-
-    def intrusion_logic(ctx, combined) -> None:
-        events = [e for e in combined.all_events() if e.sensor_id == "d1"]
-        if events and events[-1].value:
-            ctx.actuate("siren", "sound", True)
-
-    intrusion = Operator("IntrusionLogic", on_window=intrusion_logic)
-    for name in ("d1", "d2"):
-        intrusion.add_sensor(name, GAPLESS, CountWindow(1))
-    intrusion.add_actuator("siren", GAPLESS)
-
-    def safety_logic(ctx, combined) -> None:
-        events = [e for e in combined.all_events() if e.sensor_id == "s1"]
-        if events and events[-1].value:
-            ctx.alert("hazard detected")
-
-    safety = Operator("SafetyLogic", on_window=safety_logic)
-    for name in ("s1", "s2"):
-        safety.add_sensor(name, GAPLESS, CountWindow(1))
-
-    def climate_logic(ctx, combined) -> None:
-        events = combined.all_events()
-        if events and events[-1].value is not None:
-            ctx.actuate("vent", "set", round(float(events[-1].value), 1))
-
-    climate = Operator("DeviceClimateLogic", on_window=climate_logic)
-    climate.add_sensor(
-        _DEVICE_POLL, GAPLESS, CountWindow(1),
-        polling=PollingPolicy(epoch_s=60.0, mode=PollMode.COORDINATED),
-    )
-    climate.add_actuator("vent", GAPLESS)
-
-    home.deploy(App("hvac", hvac, repair=policy("hvac")))
-    home.deploy(App("intrusion", intrusion, repair=policy("intrusion")))
-    home.deploy(App("safety", safety, repair=policy("safety")))
-    home.deploy(App("climate", climate, repair=policy("climate")))
-    return home
 
 
 def _schedule_device_workload(
@@ -768,51 +544,15 @@ def _schedule_device_workload(
     )
 
 
-def _schedule_device_cleanup(home: Home, horizon: float) -> None:
-    """Guarded repairs at 70% of the horizon, soft faults included."""
-    def cleanup() -> None:
-        for name, process in sorted(home.processes.items()):
-            if not process.alive:
-                home.recover_process(name)
-        home.heal_partition()
-        for name in home.sensor_names:
-            sensor = home.sensor(name)
-            if sensor.failed:
-                home.recover_sensor(name)
-            if sensor.stuck:
-                home.unstick_sensor(name)
-            if sensor.drifting:
-                home.stop_drift(name)
-            if home.is_flapping(name):
-                home.stop_flap(name)
-            if home.is_ghosting(name):
-                home.stop_ghost(name)
-            if sensor.battery.weak or sensor.battery.depleted:
-                home.replace_battery(name)
-        for name in home.actuator_names:
-            if home.actuator(name).failed:
-                home.recover_actuator(name)
-        for sensor_name, process in _DEVICE_LINKS:
-            home.set_link_loss(sensor_name, process, 0.0)
-
-    home.scheduler.call_at(horizon * CLEANUP_FRACTION, cleanup)
-
-
 def run_device_case(
     seed: int, horizon: float, plan: FaultPlan, repair: bool
 ) -> tuple[list, dict[str, int], Home]:
     """One device-scenario run: protocol violations, outcome counts, home."""
-    home = build_device_home(seed, repair)
-    home.start()
-    plan.apply(home)
-    _schedule_device_cleanup(home, horizon)
-    truth = _schedule_device_workload(home, seed, horizon)
-    home.run_until(horizon)
-    record = RunRecord.from_home(
-        home,
-        fault_free=len(plan) == 0,
-        lossless=not any(a.kind == "set_link_loss" for a in plan.actions),
-        ground_truth=truth,
+    record, home = run_case(
+        device_scenario(repair), seed=seed, plan=plan,
+        workload=lambda home: _schedule_device_workload(home, seed, horizon),
+        until=horizon, cleanup_at=horizon * CLEANUP_FRACTION,
+        keep_trace_kinds=set(ORACLE_TRACE_KINDS),
     )
     outcome = {
         name: len(oracle(record)) for name, oracle in OUTCOME_ORACLES
@@ -820,8 +560,12 @@ def run_device_case(
     return check_all(record), outcome, home
 
 
-#: Dotted runner name of one device-campaign cell.
-DEVICE_CELL_RUNNER = "repro.eval.chaos:run_device_cell"
+def _repaired_violations(protocol: list, outcome: dict[str, int]) -> list[str]:
+    """What a repair-on run is failed for: protocol, then outcome oracles."""
+    return [str(v) for v in protocol] + [
+        f"[{name}] {count} outcome violation(s) with repair on"
+        for name, count in sorted(outcome.items()) if count
+    ]
 
 
 def run_device_cell(spec: dict[str, Any]) -> dict[str, Any]:
@@ -834,10 +578,7 @@ def run_device_cell(spec: dict[str, Any]) -> dict[str, Any]:
     """
     seed = spec["seed"]
     horizon = spec["horizon"]
-    generator = FaultScheduleGenerator(
-        device_domain(), PROFILES["device"], horizon
-    )
-    plan = generator.generate(seed)
+    plan = _generated_plan("device", "device", horizon, seed)
     on_protocol, on_outcome, home = run_device_case(seed, horizon, plan, True)
     off_protocol, off_outcome, _ = run_device_case(seed, horizon, plan, False)
 
@@ -846,58 +587,21 @@ def run_device_cell(spec: dict[str, Any]) -> dict[str, Any]:
         key = rec.fields["decision"]
         decisions[key] = decisions.get(key, 0) + 1
 
-    violations = [str(v) for v in on_protocol]
-    violations.extend(
-        f"[{name}] {count} outcome violation(s) with repair on"
-        for name, count in sorted(on_outcome.items()) if count
-    )
-    violations.extend(str(v) for v in off_protocol)
-    entry: dict[str, Any] = {
-        "run_id": f"device-s{seed}",
-        "seed": seed,
-        "mode": "device",
-        "intensity": "device",
-        "fault_actions": len(plan),
-        "verdict": "fail" if violations else "pass",
-        "violations": violations,
-        "repair": {
+    def is_failing(candidate: FaultPlan) -> bool:
+        protocol, outcome, _ = run_device_case(seed, horizon, candidate, True)
+        return bool(protocol) or any(outcome.values())
+
+    return _cell_entry(
+        spec, plan,
+        _repaired_violations(on_protocol, on_outcome)
+        + [str(v) for v in off_protocol],
+        is_failing,
+        repair={
             "on": {"protocol": len(on_protocol), "outcome": on_outcome},
             "off": {"protocol": len(off_protocol), "outcome": off_outcome},
         },
-        "repair_decisions": dict(sorted(decisions.items())),
-    }
-    if violations:
-        def is_failing(candidate: FaultPlan) -> bool:
-            protocol, outcome, _ = run_device_case(
-                seed, horizon, candidate, True
-            )
-            return bool(protocol) or any(outcome.values())
-
-        reproducer = shrink(plan, is_failing, max_evals=spec["max_shrink_evals"])
-        entry["reproducer"] = reproducer.to_dicts()
-        entry["reproducer_actions"] = len(reproducer)
-    return entry
-
-
-def device_campaign_tasks(
-    seeds: list[int], horizon: float, *, max_shrink_evals: int = 64
-) -> list[SweepTask]:
-    """The device campaign's cell list, one cell per seed."""
-    return [
-        SweepTask(
-            index=i,
-            task_id=f"device-s{seed}",
-            runner=DEVICE_CELL_RUNNER,
-            spec={
-                "seed": seed,
-                "mode": "device",
-                "intensity": "device",
-                "horizon": horizon,
-                "max_shrink_evals": max_shrink_evals,
-            },
-        )
-        for i, seed in enumerate(seeds)
-    ]
+        repair_decisions=dict(sorted(decisions.items())),
+    )
 
 
 def run_device_campaign(
@@ -915,8 +619,9 @@ def run_device_campaign(
     ``summary.outcome_deltas`` aggregates, per outcome oracle, how many
     violations the campaign saw with repair on vs. repair off.
     """
-    tasks = device_campaign_tasks(
-        seeds, horizon, max_shrink_evals=max_shrink_evals
+    tasks = campaign_tasks(
+        seeds, horizon, intensities=("device",), modes=("device",),
+        max_shrink_evals=max_shrink_evals,
     )
     return _campaign_report(
         tasks, horizon, seeds, ("device",), ("device",), out_path=out_path,

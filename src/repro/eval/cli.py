@@ -99,14 +99,14 @@ def _supported_kwargs(fn, **candidates):
 
 def _run_rt(args) -> int:
     """Run a scenario on the real asyncio/subprocess runtime + cross-validate."""
-    from repro.eval.rt import SCENARIOS, render_rt_summary, run_rt_report
+    from repro.apps.scenarios import scenario_named
+    from repro.eval.rt import render_rt_summary, run_rt_report
 
     scenario = args.scenario or "smoke3"
-    if scenario not in SCENARIOS:
-        raise CliError(
-            f"unknown rt scenario {scenario!r} "
-            f"(choose from {', '.join(sorted(SCENARIOS))})"
-        )
+    try:
+        scenario_named(scenario)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     mode = args.rt_mode or "subprocess"
     if mode not in ("subprocess", "in-process"):
         raise CliError(

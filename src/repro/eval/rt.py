@@ -1,12 +1,12 @@
 """Real-runtime evaluation: the ``rt`` experiment surface.
 
-The simulator predicts; the rt harness verifies. This module defines a
-small registry of named scenarios that can be built *twice* — once as a
-simulated :class:`repro.core.home.Home` and once as a real
-:class:`repro.rt.cluster.LocalCluster` (in-process asyncio nodes) or
+The simulator predicts; the rt harness verifies. A registered
+:class:`~repro.core.scenario.Scenario` (:mod:`repro.apps.scenarios`)
+builds as a simulated :class:`repro.core.home.Home`, as a real
+:class:`repro.rt.cluster.LocalCluster` (in-process asyncio nodes) or as a
 :class:`repro.rt.proc.ProcessHome` (one OS process per node, faults via
-actual ``SIGKILL``) — driven by the same scripted workload and the same
-declarative :class:`~repro.sim.faults.FaultPlan`.
+actual ``SIGKILL``); this module drives all three with the same scripted
+workload and the same declarative :class:`~repro.sim.faults.FaultPlan`.
 
 Both runtimes produce the same runtime-agnostic
 :class:`~repro.core.invariants.RunRecord`, so:
@@ -25,171 +25,26 @@ the tolerance rationale.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
-from repro.core.delivery import GAP, GAPLESS, PollingPolicy, PollMode
-from repro.core.events import Event
-from repro.core.graph import App
-from repro.core.home import Home, HomeConfig
+from repro.apps.scenarios import scenario_named
 from repro.core.invariants import RunRecord, Violation, check_all
-from repro.core.operators import Operator
-from repro.core.windows import CountWindow
+from repro.core.scenario import Scenario
 from repro.eval import metrics
+from repro.eval.cases import run_case, toggle_script
 from repro.eval.report import write_report
+from repro.rt.cluster import build_cluster
+from repro.rt.faults import RtFaultDriver
+from repro.rt.harness import RtHarness
+from repro.rt.proc import ProcessHome
 from repro.sim.faults import FaultPlan
 from repro.sim.random import RandomSource
-
-# rt runs use tighter timing than the paper's 0.5 s / 2.0 s defaults so a
-# CI smoke run finishes in seconds; sim predictions use the same values so
-# the failover shapes are comparable.
-HEARTBEAT_INTERVAL = 0.15
-FAILURE_DETECTION_S = 0.6
 
 #: Emissions stop at this fraction of the duration so in-flight events can
 #: settle before the record is cut (mirrors chaos.EMISSION_STOP_FRACTION).
 EMISSION_STOP_FRACTION = 0.85
-
-
-@dataclass(frozen=True)
-class ProxyLossEpisode:
-    """An rt-only link degradation: frame loss between two processes.
-
-    The sim transport has no per-process-pair Bernoulli loss (TCP hides
-    it), so this episode exists only on the real wire, injected by
-    :class:`repro.rt.proxy.FaultProxy`. Cross-validation tolerances
-    account for it; see docs/rt.md.
-    """
-
-    src: str
-    dst: str
-    loss: float
-    start_frac: float
-    stop_frac: float
-
-
-@dataclass(frozen=True)
-class RtScenario:
-    """A home that can be built on either runtime."""
-
-    name: str
-    processes: tuple[str, ...]
-    push_sensors: dict[str, tuple[str, ...]]  # sensor -> receiving processes
-    poll_sensors: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    poll_epoch_s: float = 0.5
-    actuators: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    make_apps: Callable[[], list[App]] = lambda: []
-    delivery_override: dict[str, str] = field(default_factory=dict)
-    #: Process SIGKILLed (subprocess mode) / crash-stopped (in-process) at
-    #: ``crash_frac * duration``.
-    victim: str | None = None
-    crash_frac: float = 0.5
-    #: Sensor->process radio-loss episode, supported by BOTH runtimes
-    #: (sim ``set_link_loss`` / rt emit-loss): (sensor, process, rate).
-    radio_loss: tuple[str, str, float] | None = None
-    radio_loss_window: tuple[float, float] = (0.2, 0.6)
-    #: rt-only TCP degradation through the fault proxy.
-    proxy_loss: ProxyLossEpisode | None = None
-
-
-def _smoke3_apps() -> list[App]:
-    def alarm_logic(ctx, combined) -> None:
-        events = combined.all_events()
-        if events:
-            ctx.actuate("a1", "set", bool(events[-1].value))
-
-    alarm = Operator("AlarmLogic", on_window=alarm_logic)
-    alarm.add_sensor("m1", GAPLESS, CountWindow(1))
-    alarm.add_sensor("d1", GAPLESS, CountWindow(1))
-    alarm.add_actuator("a1", GAPLESS)
-
-    watch = Operator("WatchLogic", on_window=lambda ctx, c: None)
-    watch.add_sensor("d1", GAPLESS, CountWindow(1))
-    return [App("alarm", alarm), App("watch", watch)]
-
-
-def _parity4_apps() -> list[App]:
-    """The 4-app home both runtimes must pass ``check_all`` on."""
-
-    def alarm_logic(ctx, combined) -> None:
-        events = combined.all_events()
-        if events:
-            ctx.actuate("a1", "set", bool(events[-1].value))
-
-    alarm = Operator("AlarmLogic", on_window=alarm_logic)
-    alarm.add_sensor("m1", GAPLESS, CountWindow(1))
-    alarm.add_sensor("d1", GAP, CountWindow(1))
-    alarm.add_actuator("a1", GAPLESS)
-
-    def light_logic(ctx, combined) -> None:
-        events = combined.all_events()
-        if events:
-            ctx.actuate("a1", "dim", 30 if events[-1].value else 100)
-
-    light = Operator("LightLogic", on_window=light_logic)
-    light.add_sensor("d1", GAP, CountWindow(1))
-    light.add_actuator("a1", GAP)
-
-    def climate_logic(ctx, combined) -> None:
-        events = combined.all_events()
-        if events and events[-1].value is not None:
-            ctx.actuate("a2", "set", round(float(events[-1].value)))
-
-    climate = Operator("ClimateLogic", on_window=climate_logic)
-    climate.add_sensor(
-        "t1", GAPLESS, CountWindow(1),
-        polling=PollingPolicy(epoch_s=0.5, mode=PollMode.COORDINATED),
-    )
-    climate.add_actuator("a2", GAPLESS)
-
-    monitor = Operator("MonitorLogic", on_window=lambda ctx, c: None)
-    monitor.add_sensor("m1", GAPLESS, CountWindow(1))
-    return [
-        App("alarm", alarm), App("light", light),
-        App("climate", climate), App("monitor", monitor),
-    ]
-
-
-SCENARIOS: dict[str, RtScenario] = {
-    # The CI smoke home: 3 processes, every sensor keeps a live receiver
-    # when the victim dies, one radio-loss episode (both runtimes) and one
-    # TCP-loss episode (rt only, through the proxy).
-    "smoke3": RtScenario(
-        name="smoke3",
-        processes=("p0", "p1", "p2"),
-        push_sensors={"m1": ("p0", "p1"), "d1": ("p1", "p2")},
-        actuators={"a1": ("p0",)},
-        make_apps=_smoke3_apps,
-        victim="p2",
-        crash_frac=0.5,
-        radio_loss=("m1", "p0", 0.25),
-        radio_loss_window=(0.2, 0.55),
-        proxy_loss=ProxyLossEpisode("p0", "p1", 0.3, 0.25, 0.6),
-    ),
-    # The oracle-parity home: 4 apps over 3 processes, mixed Gap/Gapless
-    # plus a coordinated poll sensor; no faults, both record sources must
-    # pass check_all with zero violations.
-    "parity4": RtScenario(
-        name="parity4",
-        processes=("hub", "tv", "fridge"),
-        push_sensors={"m1": ("hub", "tv"), "d1": ("tv", "fridge")},
-        poll_sensors={"t1": ("hub", "tv")},
-        poll_epoch_s=0.5,
-        actuators={"a1": ("hub",), "a2": ("tv",)},
-        make_apps=_parity4_apps,
-        delivery_override={"d1": "gap"},
-    ),
-}
-
-
-def scenario_named(name: str) -> RtScenario:
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown rt scenario {name!r} (choose from {sorted(SCENARIOS)})"
-        ) from None
 
 
 # -- workload (shared by both runtimes) -------------------------------------------------
@@ -199,33 +54,18 @@ _EMIT_MEANS = {"m1": 0.35, "d1": 0.5}
 
 
 def workload_schedule(
-    scenario: RtScenario, seed: int, duration: float
+    scenario: Scenario, seed: int, duration: float
 ) -> list[tuple[float, str, Any]]:
     """Deterministic (time, sensor, value) script, identical on sim and rt."""
-    source = RandomSource(seed).child("rt-workload")
-    stop = duration * EMISSION_STOP_FRACTION
-    schedule: list[tuple[float, str, Any]] = []
-    for sensor in sorted(scenario.push_sensors):
-        rng = source.child(sensor)
-        mean = _EMIT_MEANS.get(sensor, 0.4)
-        t = 0.8
-        toggle = True
-        while True:
-            t += rng.expovariate(1.0 / mean)
-            if t >= stop:
-                break
-            schedule.append((t, sensor, toggle))
-            toggle = not toggle
-    schedule.sort(key=lambda item: item[0])
-    return schedule
+    script = toggle_script(
+        RandomSource(seed).child("rt-workload"),
+        {sensor: _EMIT_MEANS.get(sensor, 0.4) for sensor in scenario.push_sensors},
+        0.8, duration * EMISSION_STOP_FRACTION,
+    )
+    return sorted(script, key=lambda item: item[0])
 
 
-def thermometer_value(sensor: str, seq: int) -> float:
-    """Deterministic poll reading shared by rt poll handlers."""
-    return 21.0 + (seq % 5) * 0.5
-
-
-def fault_plan(scenario: RtScenario, duration: float) -> FaultPlan:
+def fault_plan(scenario: Scenario, duration: float) -> FaultPlan:
     """The declarative fault script for one run of ``scenario``.
 
     Expressed as a standard :class:`FaultPlan`, so the *same object* is
@@ -244,117 +84,48 @@ def fault_plan(scenario: RtScenario, duration: float) -> FaultPlan:
     return plan
 
 
-# -- builders --------------------------------------------------------------------------
-
-
-def build_cluster(scenario: RtScenario, *, seed: int, use_proxy: bool = True):
-    """The scenario as an in-process asyncio cluster (not yet started)."""
-    from repro.rt.cluster import LocalCluster
-
-    cluster = LocalCluster(
-        seed=seed,
-        heartbeat_interval=HEARTBEAT_INTERVAL,
-        failure_detection_s=FAILURE_DETECTION_S,
-        delivery_override=scenario.delivery_override or None,
-        use_proxy=use_proxy,
-    )
-    for name in scenario.processes:
-        cluster.add_process(name)
-    for sensor, receivers in sorted(scenario.push_sensors.items()):
-        cluster.add_push_sensor(sensor, receivers=list(receivers))
-    for sensor, receivers in sorted(scenario.poll_sensors.items()):
-        counter = {"seq": 0}
-
-        def handler(name: str, respond, _counter=counter) -> None:
-            _counter["seq"] += 1
-            respond(Event(
-                sensor_id=name, seq=_counter["seq"],
-                emitted_at=asyncio.get_event_loop().time(),
-                value=thermometer_value(name, _counter["seq"]), size_bytes=4,
-            ))
-
-        cluster.add_poll_sensor(
-            sensor, handler, receivers=list(receivers),
-            service_time=0.02, default_epoch=scenario.poll_epoch_s,
-        )
-    for actuator, hosts in sorted(scenario.actuators.items()):
-        cluster.add_actuator(actuator, hosts=list(hosts))
-    for app in scenario.make_apps():
-        cluster.deploy(app)
-    return cluster
-
-
-def build_sim_home(scenario: RtScenario, *, seed: int) -> Home:
-    """The same scenario as a simulated Home (not yet started)."""
-    config = HomeConfig(
-        seed=seed,
-        heartbeat_interval=HEARTBEAT_INTERVAL,
-        failure_detection_s=FAILURE_DETECTION_S,
-        delivery_override=dict(scenario.delivery_override),
-    )
-    home = Home(config)
-    for name in scenario.processes:
-        home.add_process(name, adapters=("ip", "zwave"))
-    for sensor, receivers in sorted(scenario.push_sensors.items()):
-        kind = "motion" if sensor.startswith("m") else "door"
-        home.add_sensor(sensor, kind=kind, technology="ip",
-                        processes=list(receivers))
-    for sensor, receivers in sorted(scenario.poll_sensors.items()):
-        home.add_sensor(sensor, kind="temperature", technology="zwave",
-                        processes=list(receivers))
-    for actuator, hosts in sorted(scenario.actuators.items()):
-        home.add_actuator(actuator, processes=list(hosts))
-    for app in scenario.make_apps():
-        home.deploy(app)
-    return home
-
-
 # -- runners ---------------------------------------------------------------------------
 
 
 def run_sim_case(
-    scenario: RtScenario, *, seed: int, duration: float, with_faults: bool = True
+    scenario: Scenario, *, seed: int, duration: float, with_faults: bool = True
 ) -> tuple[RunRecord, int]:
     """Run the scenario on the simulator; returns (record, events_emitted)."""
-    home = build_sim_home(scenario, seed=seed)
-    home.start()
-    plan = fault_plan(scenario, duration) if with_faults else FaultPlan()
-    plan.apply(home)
     schedule = workload_schedule(scenario, seed, duration)
-    for t, sensor, value in schedule:
-        home.scheduler.call_at(t, home.sensor(sensor).emit, value)
-    # Settle tail: virtual time is free, give retransmissions room.
-    home.run_until(duration + 3.0)
-    record = RunRecord.from_home(
-        home,
-        fault_free=len(plan) == 0,
-        lossless=not any(a.kind == "set_link_loss" for a in plan.actions),
+
+    def workload(home) -> None:
+        for t, sensor, value in schedule:
+            home.scheduler.call_at(t, home.sensor(sensor).emit, value)
+
+    record, _ = run_case(
+        scenario, seed=seed, workload=workload,
+        plan=fault_plan(scenario, duration) if with_faults else FaultPlan(),
+        # Settle tail: virtual time is free, give retransmissions room.
+        until=duration + 3.0,
     )
     return record, len(schedule)
 
 
-async def _drive_cluster(
-    cluster, scenario: RtScenario, *, seed: int, duration: float,
+async def _drive(
+    harness: RtHarness, scenario: Scenario, *, seed: int, duration: float,
     with_faults: bool,
 ) -> int:
-    """Shared driver: workload + fault plan + proxy episode, in wall time."""
-    from repro.rt.faults import RtFaultDriver
-
+    """Workload + fault plan + proxy episode, in wall time, on any harness."""
     loop = asyncio.get_running_loop()
     t0 = loop.time()
     driver = None
     if with_faults:
-        driver = RtFaultDriver(cluster)
+        driver = RtFaultDriver(harness)
         driver.schedule(fault_plan(scenario, duration))
         episode = scenario.proxy_loss
-        if episode is not None and cluster.proxy is not None:
+        if episode is not None and harness.proxy is not None:
             loop.call_later(
                 episode.start_frac * duration,
-                cluster.set_peer_loss, episode.src, episode.dst, episode.loss,
+                harness.set_peer_loss, episode.src, episode.dst, episode.loss,
             )
             loop.call_later(
                 episode.stop_frac * duration,
-                cluster.set_peer_loss, episode.src, episode.dst, 0.0,
+                harness.set_peer_loss, episode.src, episode.dst, 0.0,
             )
     schedule = workload_schedule(scenario, seed, duration)
     for t, sensor, value in schedule:
@@ -362,7 +133,7 @@ async def _drive_cluster(
         delay = target - loop.time()
         if delay > 0:
             await asyncio.sleep(delay)
-        cluster.emit(sensor, value)
+        harness.emit(sensor, value)
     remaining = (t0 + duration) - loop.time()
     if remaining > 0:
         await asyncio.sleep(remaining)
@@ -374,46 +145,39 @@ async def _drive_cluster(
         # a short fixed settle drains the in-flight push events instead.
         await asyncio.sleep(0.8)
     else:
-        await cluster.quiesce(idle_for=0.4, timeout=8.0)
+        await harness.quiesce(idle_for=0.4, timeout=8.0)
     return len(schedule)
 
 
-async def run_cluster_case(
-    scenario: RtScenario, *, seed: int, duration: float,
-    with_faults: bool = True, use_proxy: bool = True,
-) -> tuple[RunRecord, int]:
-    """Run the scenario on the in-process asyncio cluster."""
-    cluster = build_cluster(scenario, seed=seed, use_proxy=use_proxy)
-    async with cluster:
-        emitted = await _drive_cluster(
-            cluster, scenario, seed=seed, duration=duration,
-            with_faults=with_faults,
-        )
-        record = cluster.run_record()
-    return record, emitted
-
-
 def run_rt_case(
-    scenario: RtScenario, *, seed: int, duration: float, mode: str = "subprocess",
+    scenario: Scenario, *, seed: int, duration: float, mode: str = "subprocess",
     with_faults: bool = True,
 ) -> tuple[RunRecord, int]:
-    """Run the scenario on a real runtime (blocking wrapper).
+    """Run the scenario on a real runtime; returns (record, events_emitted).
 
     ``mode="subprocess"`` spawns one OS process per Rivulet node and
     injects crashes with real ``SIGKILL``; ``mode="in-process"`` runs
     asyncio nodes inside this interpreter (faster, used by tests).
     """
     if mode == "in-process":
-        return asyncio.run(run_cluster_case(
-            scenario, seed=seed, duration=duration, with_faults=with_faults,
-        ))
-    if mode == "subprocess":
-        from repro.rt.proc import run_process_case
+        harness = build_cluster(scenario, seed=seed)
+    elif mode == "subprocess":
+        harness = ProcessHome(scenario, seed=seed)
+    else:
+        raise ValueError(f"unknown rt mode {mode!r} (in-process|subprocess)")
 
-        return asyncio.run(run_process_case(
-            scenario, seed=seed, duration=duration, with_faults=with_faults,
-        ))
-    raise ValueError(f"unknown rt mode {mode!r} (in-process|subprocess)")
+    async def run() -> tuple[RunRecord, int]:
+        async with harness:
+            emitted = await _drive(
+                harness, scenario, seed=seed, duration=duration,
+                with_faults=with_faults,
+            )
+            record = harness.run_record()
+            if inspect.isawaitable(record):  # a ProcessHome harvests its children
+                record = await record
+        return record, emitted
+
+    return asyncio.run(run())
 
 
 # -- metrics + cross-validation --------------------------------------------------------

@@ -6,7 +6,7 @@ declared process, passing a JSON spec on the command line::
     python -m repro.rt.child --spec '{"scenario": "smoke3", "node": "p0", ...}'
 
 The child boots an :class:`~repro.rt.node.AsyncRivuletNode` from the named
-scenario in :data:`repro.eval.rt.SCENARIOS` and then serves the parent's
+scenario in :data:`repro.apps.scenarios.SCENARIOS` and then serves the parent's
 control messages on the node's ordinary wire port (control frames are
 regular versioned frames, just with ``ctl/*`` kinds the protocol core
 never uses):
@@ -39,18 +39,17 @@ import os
 import sys
 from typing import Any
 
-from repro.core.events import Command, Event
-from repro.core.plan import DeploymentPlan
+from repro.apps.scenarios import scenario_named
+from repro.core.events import Command
 from repro.rt import wire
+from repro.rt.cluster import QUIESCE_KINDS, thermometer_reading
 from repro.rt.node import AsyncRivuletNode
 from repro.sim.tracing import Trace
 
-#: Activity kinds summarized in light reports (mirrors
-#: repro.rt.cluster.QUIESCE_KINDS, minus parent-side kinds).
-LIGHT_COUNT_KINDS: tuple[str, ...] = (
-    "ingest", "relay_receive", "rbcast_receive", "logic_delivery",
-    "command_issued", "command_rerouted", "actuation",
-    "promotion", "promotion_replay",
+#: Activity kinds summarized in light reports: what ``LocalCluster.quiesce``
+#: watches, minus the poll replies (steady-state traffic never settles).
+LIGHT_COUNT_KINDS: tuple[str, ...] = tuple(
+    kind for kind in QUIESCE_KINDS if kind != "poll_served"
 )
 
 #: Per-process offset that keeps poll sequence numbers globally unique
@@ -95,44 +94,13 @@ class _ChildNode:
     """The node plus the parent-facing control surface."""
 
     def __init__(self, spec: dict[str, Any]) -> None:
-        from repro.eval.rt import scenario_named, thermometer_value
-
-        self.spec = spec
-        self.scenario = scenario_named(spec["scenario"])
+        scenario = scenario_named(spec["scenario"])
         self.name = spec["node"]
         self.stop_event = asyncio.Event()
         trace_path = spec.get("trace_path")
         self.trace = JournalTrace(trace_path) if trace_path else Trace()
-        self._poll_seq = POLL_SEQ_STRIDE * self.scenario.processes.index(self.name)
-        self._thermometer_value = thermometer_value
-
-        scenario = self.scenario
-        plan = DeploymentPlan(
-            processes=list(scenario.processes),
-            sensor_hosts={
-                **{s: list(r) for s, r in scenario.push_sensors.items()},
-                **{s: list(r) for s, r in scenario.poll_sensors.items()},
-            },
-            actuator_hosts={a: list(h) for a, h in scenario.actuators.items()},
-            apps=scenario.make_apps(),
-        )
-        from repro.core.delivery_service import DeviceInfo
-
-        device_info = {}
-        for sensor in scenario.push_sensors:
-            device_info[sensor] = DeviceInfo(
-                name=sensor, category="sensor", mode="push", technology="ip"
-            )
-        for sensor in scenario.poll_sensors:
-            device_info[sensor] = DeviceInfo(
-                name=sensor, category="sensor", mode="poll", technology="ip",
-                service_time=0.02, default_epoch=scenario.poll_epoch_s,
-            )
-        for actuator in scenario.actuators:
-            device_info[actuator] = DeviceInfo(
-                name=actuator, category="actuator", technology="ip"
-            )
-
+        self._poll_seq = POLL_SEQ_STRIDE * scenario.processes.index(self.name)
+        plan, device_info = scenario.rt_deployment()
         self.node = AsyncRivuletNode(
             self.name,
             spec["port"],
@@ -140,8 +108,8 @@ class _ChildNode:
             plan,
             device_info=device_info,
             seed=spec.get("seed", 42),
-            heartbeat_interval=spec.get("heartbeat_interval", 0.15),
-            failure_detection_s=spec.get("failure_detection_s", 0.6),
+            heartbeat_interval=scenario.heartbeat_interval,
+            failure_detection_s=scenario.failure_detection_s,
             on_actuate=self._on_actuate,
             poll_handler=self._serve_poll,
             delivery_override=scenario.delivery_override or None,
@@ -163,10 +131,7 @@ class _ChildNode:
     def _serve_poll(self, sensor: str, respond) -> None:
         self._poll_seq += 1
         seq = self._poll_seq
-        event = Event(
-            sensor_id=sensor, seq=seq, emitted_at=self._now(),
-            value=self._thermometer_value(sensor, seq), size_bytes=4,
-        )
+        event = thermometer_reading(sensor, seq, self._now())
         self.trace.record(self._now(), "poll_served", sensor=sensor, seq=seq)
         respond(event)
 

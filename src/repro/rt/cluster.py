@@ -35,15 +35,13 @@ import itertools
 import socket
 from typing import Any, Callable, Sequence
 
-from repro.core.delivery_service import DeviceInfo, GaplessOptions
+from repro.core.delivery_service import GaplessOptions
 from repro.core.events import Command, Event
 from repro.core.graph import App, validate_apps
 from repro.core.invariants import GroundTruth, RunRecord
-from repro.core.plan import DeploymentPlan
+from repro.core.scenario import RT_POLL_SERVICE_S, Scenario, rt_deployment
+from repro.rt.harness import RtHarness
 from repro.rt.node import AsyncRivuletNode, PollHandler
-from repro.rt.proxy import FaultProxy
-from repro.sim.random import RandomSource
-from repro.sim.tracing import Trace
 
 
 def bound_socket() -> socket.socket:
@@ -68,8 +66,10 @@ QUIESCE_KINDS: tuple[str, ...] = (
 )
 
 
-class LocalCluster:
+class LocalCluster(RtHarness):
     """A set of AsyncRivuletNode processes on localhost."""
+
+    nodes: dict[str, AsyncRivuletNode]
 
     def __init__(
         self,
@@ -81,30 +81,21 @@ class LocalCluster:
         gapless_options: GaplessOptions | None = None,
         use_proxy: bool = False,
     ) -> None:
-        self.seed = seed
+        super().__init__(seed=seed, use_proxy=use_proxy)
         self.heartbeat_interval = heartbeat_interval
         self.failure_detection_s = failure_detection_s
         self.delivery_override = delivery_override
         self.gapless_options = gapless_options
-        self.use_proxy = use_proxy
         self._process_names: list[str] = []
         self._sensor_receivers: dict[str, list[str]] = {}
+        #: poll sensor -> (service time, default epoch)
+        self._poll_timing: dict[str, tuple[float, float]] = {}
         self._actuator_hosts: dict[str, list[str]] = {}
-        self._device_info: dict[str, DeviceInfo] = {}
         self._poll_handlers: dict[str, PollHandler] = {}
         self._apps: list[App] = []
         self._event_seq: dict[str, itertools.count] = {}
-        self.nodes: dict[str, AsyncRivuletNode] = {}
-        self.trace = Trace()
-        self.proxy: FaultProxy | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._t0: float = 0.0
         self._actuation_log: list[tuple[str, tuple, float]] = []
         self._applied_log: list[tuple[str, str, Any, float]] = []
-        self._emit_loss: dict[tuple[str, str], float] = {}
-        self._loss_rng = RandomSource(seed).child("rt/emit-loss")
-        self._fault_free = True
-        self._lossless = True
         self._started = False
 
     # -- declaration ---------------------------------------------------------------
@@ -118,9 +109,6 @@ class LocalCluster:
     ) -> "LocalCluster":
         """A software push sensor; events are injected at the receivers."""
         self._sensor_receivers[name] = receivers or list(self._process_names)
-        self._device_info[name] = DeviceInfo(
-            name=name, category="sensor", mode="push", technology="ip"
-        )
         self._event_seq[name] = itertools.count(1)
         return self
 
@@ -134,19 +122,13 @@ class LocalCluster:
         default_epoch: float = 1.0,
     ) -> "LocalCluster":
         self._sensor_receivers[name] = receivers or list(self._process_names)
-        self._device_info[name] = DeviceInfo(
-            name=name, category="sensor", mode="poll", technology="ip",
-            service_time=service_time, default_epoch=default_epoch,
-        )
+        self._poll_timing[name] = (service_time, default_epoch)
         self._poll_handlers[name] = handler
         self._event_seq[name] = itertools.count(1)
         return self
 
     def add_actuator(self, name: str, *, hosts: list[str] | None = None) -> "LocalCluster":
         self._actuator_hosts[name] = hosts or list(self._process_names)
-        self._device_info[name] = DeviceInfo(
-            name=name, category="actuator", technology="ip"
-        )
         return self
 
     def deploy(self, app: App) -> "LocalCluster":
@@ -162,22 +144,15 @@ class LocalCluster:
         self._started = True
         self._loop = asyncio.get_running_loop()
         self._t0 = self._loop.time()
-        plan = DeploymentPlan(
-            processes=list(self._process_names),
-            sensor_hosts=dict(self._sensor_receivers),
-            actuator_hosts=dict(self._actuator_hosts),
-            apps=list(self._apps),
+        plan, device_info = rt_deployment(
+            self._process_names, self._sensor_receivers, self._poll_timing,
+            self._actuator_hosts, self._apps,
         )
-        plan.validate()
         # Bound before the proxy opens its ephemeral listeners and handed
         # to the nodes still open, so no port is ever given out twice.
         listeners = {name: bound_socket() for name in self._process_names}
         addresses = {name: sock.getsockname() for name, sock in listeners.items()}
-        if self.use_proxy:
-            self.proxy = FaultProxy(
-                self._process_names, addresses, seed=self.seed, trace=self.trace
-            )
-            await self.proxy.start()
+        await self._start_proxy(addresses)
 
         def make_poll_router() -> PollHandler:
             def route(sensor: str, respond) -> None:
@@ -188,16 +163,12 @@ class LocalCluster:
             return route
 
         for name in self._process_names:
-            peer_addresses = (
-                self.proxy.address_map_for(name) if self.proxy is not None
-                else addresses
-            )
             node = AsyncRivuletNode(
                 name,
                 addresses[name][1],
-                peer_addresses,
+                self._peer_addresses(name, addresses),
                 plan,
-                device_info=self._device_info,
+                device_info=device_info,
                 seed=self.seed,
                 heartbeat_interval=self.heartbeat_interval,
                 failure_detection_s=self.failure_detection_s,
@@ -218,13 +189,6 @@ class LocalCluster:
         if self.proxy is not None:
             await self.proxy.stop()
         self._started = False
-
-    async def __aenter__(self) -> "LocalCluster":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.stop()
 
     # -- driving ---------------------------------------------------------------------------
 
@@ -257,16 +221,14 @@ class LocalCluster:
         self, sensor: str, respond: Callable[[Event], None]
     ) -> Callable[[Event], None]:
         def traced(event: Event) -> None:
-            loop = self._loop or asyncio.get_event_loop()
-            self.trace.record(loop.time(), "poll_served",
+            self.trace.record(self._now(), "poll_served",
                               sensor=sensor, seq=event.seq)
             respond(event)
 
         return traced
 
     def _record_actuation(self, command: Command) -> None:
-        loop = self._loop or asyncio.get_event_loop()
-        now = loop.time()
+        now = self._now()
         self._actuation_log.append(
             (command.actuator_id, command.command_id, now)
         )
@@ -285,30 +247,6 @@ class LocalCluster:
         """
         await asyncio.sleep(seconds)
 
-    async def wait_for(
-        self,
-        predicate: Callable[[], Any],
-        *,
-        timeout: float = 5.0,
-        poll: float = 0.02,
-    ) -> Any:
-        """Poll ``predicate`` until truthy; raise on deadline.
-
-        Returns the truthy value, so callers can both wait and read:
-        ``hits = await cluster.wait_for(lambda: node.actuations)``.
-        """
-        loop = self._loop or asyncio.get_event_loop()
-        deadline = loop.time() + timeout
-        while True:
-            value = predicate()
-            if value:
-                return value
-            if loop.time() >= deadline:
-                raise TimeoutError(
-                    f"condition not reached within {timeout}s: {predicate!r}"
-                )
-            await asyncio.sleep(poll)
-
     async def quiesce(
         self,
         *,
@@ -319,105 +257,27 @@ class LocalCluster:
     ) -> bool:
         """Wait until protocol activity stops for ``idle_for`` seconds.
 
-        Deadline-based quiescence detection: the cluster is considered
-        quiescent once no new trace record of any activity kind has
-        appeared for a continuous ``idle_for`` window. Returns True when
-        quiescent, False if ``timeout`` elapsed first (callers that
-        require quiescence should assert on the result).
+        The cluster is considered quiescent once no new trace record of
+        any activity kind has appeared for a continuous ``idle_for``
+        window. Returns True when quiescent, False if ``timeout`` elapsed
+        first (callers that require quiescence should assert on the result).
         """
-        loop = self._loop or asyncio.get_event_loop()
-        deadline = loop.time() + timeout
         count = self.trace.count
-        last = tuple(count(kind) for kind in kinds)
-        idle_since = loop.time()
-        while True:
-            await asyncio.sleep(poll)
-            now = loop.time()
-            current = tuple(count(kind) for kind in kinds)
-            if current != last:
-                last = current
-                idle_since = now
-            elif now - idle_since >= idle_for:
-                return True
-            if now >= deadline:
-                return False
+
+        async def counts() -> tuple[int, ...]:
+            return tuple(count(kind) for kind in kinds)
+
+        return await self._until_idle(
+            counts, idle_for=idle_for, timeout=timeout, poll=poll,
+        )
 
     # -- fault injection -------------------------------------------------------------------
 
-    async def crash(self, name: str) -> None:
-        """Crash-stop a node (the in-process analogue of SIGKILL)."""
-        node = self.nodes[name]
-        if not node.alive:
-            return
-        self._fault_free = False
-        loop = self._loop or asyncio.get_event_loop()
-        self.trace.record(loop.time(), "crash", process=name)
+    async def _kill(self, node: AsyncRivuletNode) -> None:
+        """The in-process analogue of SIGKILL."""
         await node.stop()
 
-    def set_emit_loss(self, sensor: str, receiver: str, loss: float) -> None:
-        """Drop sensor->process injections with probability ``loss``.
-
-        The rt analogue of the simulator's radio link loss
-        (``set_link_loss``): the event is simply never handed to that
-        receiver's delivery service.
-        """
-        if not 0.0 <= loss <= 1.0:
-            raise ValueError(f"loss rate must be within [0, 1], got {loss}")
-        if sensor not in self._sensor_receivers:
-            raise KeyError(f"unknown sensor {sensor!r}")
-        if receiver not in self.nodes and receiver not in self._process_names:
-            raise KeyError(f"unknown process {receiver!r}")
-        self._emit_loss[(sensor, receiver)] = loss
-        if loss > 0.0:
-            self._fault_free = False
-            self._lossless = False
-
-    def set_peer_loss(
-        self, src: str, dst: str, loss: float, *, symmetric: bool = True
-    ) -> None:
-        """Drop inter-process frames with probability ``loss`` (needs proxy)."""
-        self._require_proxy().set_loss(src, dst, loss, symmetric=symmetric)
-        if loss > 0.0:
-            self._fault_free = False
-            self._lossless = False
-
-    def set_peer_delay(
-        self, src: str, dst: str, delay_s: float, *, symmetric: bool = True
-    ) -> None:
-        """Add fixed latency to inter-process frames (needs proxy)."""
-        self._require_proxy().set_delay(src, dst, delay_s, symmetric=symmetric)
-
-    def set_partition(self, groups: Sequence[Sequence[str]]) -> None:
-        """Partition the processes into isolated groups (needs proxy)."""
-        for group in groups:
-            for name in group:
-                if name not in self.nodes:
-                    raise KeyError(f"cannot partition unknown process {name!r}")
-        self._fault_free = False
-        proxy = self._require_proxy()
-        loop = self._loop or asyncio.get_event_loop()
-        self.trace.record(loop.time(), "partition",
-                          groups=[list(g) for g in groups])
-        proxy.set_partition(groups)
-
-    def heal_partition(self) -> None:
-        proxy = self._require_proxy()
-        loop = self._loop or asyncio.get_event_loop()
-        proxy.heal()
-        self.trace.record(loop.time(), "partition_healed")
-
-    def _require_proxy(self) -> FaultProxy:
-        if self.proxy is None:
-            raise RuntimeError(
-                "this fault needs the TCP proxy: construct "
-                "LocalCluster(use_proxy=True)"
-            )
-        return self.proxy
-
     # -- observation ------------------------------------------------------------------------
-
-    def all_actuations(self) -> dict[str, list]:
-        return {name: list(node.actuations) for name, node in self.nodes.items()}
 
     def run_record(
         self,
@@ -448,3 +308,41 @@ class LocalCluster:
             lossless=self._lossless if lossless is None else lossless,
             time_origin=self._t0,
         )
+
+
+def thermometer_reading(sensor: str, seq: int, now: float) -> Event:
+    """Deterministic poll reading shared by rt poll handlers."""
+    return Event(sensor_id=sensor, seq=seq, emitted_at=now,
+                 value=21.0 + (seq % 5) * 0.5, size_bytes=4)
+
+
+def build_cluster(
+    scenario: Scenario, *, seed: int, use_proxy: bool = True
+) -> LocalCluster:
+    """The scenario as an in-process asyncio cluster (not yet started)."""
+    cluster = LocalCluster(
+        seed=seed,
+        heartbeat_interval=scenario.heartbeat_interval,
+        failure_detection_s=scenario.failure_detection_s,
+        delivery_override=scenario.delivery_override or None,
+        use_proxy=use_proxy,
+    )
+    for name in scenario.processes:
+        cluster.add_process(name)
+    for sensor, receivers in scenario.push_sensors.items():
+        cluster.add_push_sensor(sensor, receivers=list(receivers))
+    for sensor, receivers in scenario.poll_sensors.items():
+        seq = itertools.count(1)
+
+        def handler(name: str, respond, _seq=seq) -> None:
+            respond(thermometer_reading(name, next(_seq), cluster._now()))
+
+        cluster.add_poll_sensor(
+            sensor, handler, receivers=list(receivers),
+            service_time=RT_POLL_SERVICE_S, default_epoch=scenario.poll_epoch_s,
+        )
+    for actuator, hosts in scenario.actuators.items():
+        cluster.add_actuator(actuator, hosts=list(hosts))
+    for app in scenario.make_apps():
+        cluster.deploy(app)
+    return cluster

@@ -1,8 +1,10 @@
 """Drive a declarative :class:`~repro.sim.faults.FaultPlan` against a real cluster.
 
 The simulator applies fault plans in virtual time; this driver applies the
-same plans to a :class:`~repro.rt.cluster.LocalCluster` in *wall-clock*
-time, mapping each action onto a real mechanism:
+same plans to an :class:`~repro.rt.harness.RtHarness` — a
+:class:`~repro.rt.cluster.LocalCluster` or a
+:class:`~repro.rt.proc.ProcessHome` — in *wall-clock* time, mapping each
+action onto a real mechanism:
 
 ====================  =====================================================
 plan action           rt mechanism
@@ -25,12 +27,9 @@ would "agree" with anything.
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING
 
+from repro.rt.harness import RtHarness
 from repro.sim.faults import FaultPlan
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.rt.cluster import LocalCluster
 
 
 class UnsupportedFaultAction(ValueError):
@@ -48,7 +47,7 @@ class RtFaultDriver:
 
     def __init__(
         self,
-        cluster: "LocalCluster",
+        cluster: RtHarness,
         *,
         time_scale: float = 1.0,
         skip_unsupported: bool = False,

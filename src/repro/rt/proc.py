@@ -21,11 +21,11 @@ Timestamps merge cleanly because ``loop.time()`` is ``CLOCK_MONOTONIC``,
 which is machine-global on Linux; :func:`repro.core.records.build_run_record`
 then rebases everything to the parent's start instant.
 
-Duck-compatible with :class:`~repro.rt.cluster.LocalCluster` where it
-matters: ``nodes`` / ``emit`` / ``crash`` / ``set_emit_loss`` /
-``set_peer_loss`` / ``set_partition`` / ``heal_partition`` / ``quiesce``,
-so :class:`~repro.rt.faults.RtFaultDriver` and the shared scenario driver
-in :mod:`repro.eval.rt` work on either harness unchanged.
+It shares :class:`~repro.rt.harness.RtHarness` with
+:class:`~repro.rt.cluster.LocalCluster` — one fault surface, one
+``wait_for`` — and answers ``nodes`` / ``emit`` / ``quiesce`` /
+``run_record`` the same way, so :class:`~repro.rt.faults.RtFaultDriver`
+and the scenario driver in :mod:`repro.eval.rt` work on either harness.
 """
 
 from __future__ import annotations
@@ -40,20 +40,18 @@ import subprocess
 import sys
 import tempfile
 import uuid
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any
 
 import repro
+from repro.apps.scenarios import SCENARIOS
 from repro.core.events import Event
 from repro.core.invariants import GroundTruth, RunRecord
+from repro.core.scenario import Scenario
 from repro.net.message import Message
 from repro.rt import wire
 from repro.rt.cluster import bound_socket
-from repro.rt.proxy import FaultProxy
-from repro.sim.random import RandomSource
+from repro.rt.harness import RtHarness
 from repro.sim.tracing import Trace
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.eval.rt import RtScenario
 
 
 def _read_journal(path: str) -> list[list]:
@@ -96,46 +94,34 @@ class ProcessNode:
             return ""
 
 
-class ProcessHome:
+class ProcessHome(RtHarness):
     """A scenario home where every Rivulet process is an OS process."""
+
+    nodes: dict[str, ProcessNode]
 
     def __init__(
         self,
-        scenario: "RtScenario",
+        scenario: Scenario,
         *,
         seed: int = 42,
         use_proxy: bool = True,
         python: str | None = None,
     ) -> None:
-        from repro.eval.rt import (
-            FAILURE_DETECTION_S, HEARTBEAT_INTERVAL, SCENARIOS,
-        )
-
         if scenario.name not in SCENARIOS:
             raise ValueError(
-                f"subprocess mode needs a registered scenario, got "
-                f"{scenario.name!r}"
+                f"subprocess mode needs a registered scenario (a child "
+                f"looks its home up by name), got {scenario.name!r}"
             )
+        super().__init__(seed=seed, use_proxy=use_proxy)
         self.scenario = scenario
-        self.seed = seed
-        self.use_proxy = use_proxy
         self.python = python or sys.executable
-        self.heartbeat_interval = HEARTBEAT_INTERVAL
-        self.failure_detection_s = FAILURE_DETECTION_S
-        self.nodes: dict[str, ProcessNode] = {}
-        self.trace = Trace()
-        self.proxy: FaultProxy | None = None
+        self._process_names = scenario.processes
+        self._sensor_receivers = scenario.push_sensors
         self.workdir: str | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._t0: float = 0.0
         self._event_seq: dict[str, itertools.count] = {
             sensor: itertools.count(1) for sensor in scenario.push_sensors
         }
-        self._emit_loss: dict[tuple[str, str], float] = {}
-        self._loss_rng = RandomSource(seed).child("rt/emit-loss")
         self._report_token = itertools.count(1)
-        self._fault_free = True
-        self._lossless = True
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -143,17 +129,13 @@ class ProcessHome:
         self._loop = asyncio.get_running_loop()
         self._t0 = self._loop.time()
         self.workdir = tempfile.mkdtemp(prefix="rivulet-rt-")
-        names = list(self.scenario.processes)
         # Every child's port stays bound here until the proxy has its own
         # ephemeral listeners, so it cannot be handed one of them; the
         # children bind theirs after the release.
         with contextlib.ExitStack() as held:
             addresses = {name: held.enter_context(bound_socket()).getsockname()
-                         for name in names}
-            if self.use_proxy:
-                self.proxy = FaultProxy(names, addresses, seed=self.seed,
-                                        trace=self.trace)
-                await self.proxy.start()
+                         for name in self._process_names}
+            await self._start_proxy(addresses)
 
         src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)
@@ -161,19 +143,14 @@ class ProcessHome:
             src_dir + os.pathsep + env["PYTHONPATH"]
             if env.get("PYTHONPATH") else src_dir
         )
-        for name in names:
-            peer_addresses = (
-                self.proxy.address_map_for(name) if self.proxy is not None
-                else {p: a for p, a in addresses.items() if p != name}
-            )
+        for name in self._process_names:
+            peer_addresses = self._peer_addresses(name, addresses)
             spec = {
                 "scenario": self.scenario.name,
                 "node": name,
                 "port": addresses[name][1],
                 "addresses": {p: list(a) for p, a in peer_addresses.items()},
                 "seed": self.seed,
-                "heartbeat_interval": self.heartbeat_interval,
-                "failure_detection_s": self.failure_detection_s,
                 "trace_path": os.path.join(self.workdir, f"{name}.journal"),
             }
             stderr_path = os.path.join(self.workdir, f"{name}.stderr")
@@ -192,8 +169,7 @@ class ProcessHome:
     async def _connect_control(self, node: ProcessNode, *,
                                timeout: float = 15.0) -> None:
         """Dial the child's real port; this connection carries ctl frames."""
-        loop = self._loop or asyncio.get_running_loop()
-        deadline = loop.time() + timeout
+        deadline = self._now() + timeout
         while True:
             if node.popen.poll() is not None:
                 raise RuntimeError(
@@ -206,7 +182,7 @@ class ProcessHome:
                 )
                 return
             except OSError:
-                if loop.time() >= deadline:
+                if self._now() >= deadline:
                     raise RuntimeError(
                         f"child {node.name!r} did not open its port within "
                         f"{timeout}s:\n{node.stderr_tail()}"
@@ -237,13 +213,6 @@ class ProcessHome:
             shutil.rmtree(self.workdir, ignore_errors=True)
             self.workdir = None
 
-    async def __aenter__(self) -> "ProcessHome":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.stop()
-
     # -- control channel ---------------------------------------------------------
 
     def _ctl(self, node: ProcessNode, kind: str, payload: dict[str, Any]) -> None:
@@ -262,8 +231,7 @@ class ProcessHome:
 
     def emit(self, sensor: str, value: Any, *, size_bytes: int = 4) -> Event:
         """Multicast one software-sensor event to every receiving child."""
-        loop = self._loop or asyncio.get_event_loop()
-        now = loop.time()
+        now = self._now()
         event = Event(
             sensor_id=sensor,
             seq=next(self._event_seq[sensor]),
@@ -272,7 +240,7 @@ class ProcessHome:
             size_bytes=size_bytes,
         )
         self.trace.record(now, "sensor_emit", sensor=sensor, seq=event.seq)
-        for receiver in self.scenario.push_sensors[sensor]:
+        for receiver in self._sensor_receivers[sensor]:
             node = self.nodes[receiver]
             if not node.alive:
                 continue
@@ -284,14 +252,8 @@ class ProcessHome:
 
     # -- fault injection -----------------------------------------------------------
 
-    async def crash(self, name: str) -> None:
+    async def _kill(self, node: ProcessNode) -> None:
         """SIGKILL a child: no cleanup, no goodbye — real TCP silence."""
-        node = self.nodes[name]
-        if not node.alive:
-            return
-        self._fault_free = False
-        loop = self._loop or asyncio.get_event_loop()
-        self.trace.record(loop.time(), "crash", process=name)
         node.popen.kill()
         node.alive = False
         await asyncio.to_thread(node.popen.wait)
@@ -299,53 +261,11 @@ class ProcessHome:
             node.writer.close()
             node.writer = None
 
-    def set_emit_loss(self, sensor: str, receiver: str, loss: float) -> None:
-        if not 0.0 <= loss <= 1.0:
-            raise ValueError(f"loss rate must be within [0, 1], got {loss}")
-        if sensor not in self.scenario.push_sensors:
-            raise KeyError(f"unknown push sensor {sensor!r}")
-        self._emit_loss[(sensor, receiver)] = loss
-        if loss > 0.0:
-            self._fault_free = False
-            self._lossless = False
-
-    def set_peer_loss(self, src: str, dst: str, loss: float, *,
-                      symmetric: bool = True) -> None:
-        self._require_proxy().set_loss(src, dst, loss, symmetric=symmetric)
-        if loss > 0.0:
-            self._fault_free = False
-            self._lossless = False
-
-    def set_peer_delay(self, src: str, dst: str, delay_s: float, *,
-                       symmetric: bool = True) -> None:
-        self._require_proxy().set_delay(src, dst, delay_s, symmetric=symmetric)
-
-    def set_partition(self, groups: Sequence[Sequence[str]]) -> None:
-        self._fault_free = False
-        loop = self._loop or asyncio.get_event_loop()
-        self.trace.record(loop.time(), "partition",
-                          groups=[list(g) for g in groups])
-        self._require_proxy().set_partition(groups)
-
-    def heal_partition(self) -> None:
-        self._require_proxy().heal()
-        loop = self._loop or asyncio.get_event_loop()
-        self.trace.record(loop.time(), "partition_healed")
-
-    def _require_proxy(self) -> FaultProxy:
-        if self.proxy is None:
-            raise RuntimeError(
-                "this fault needs the TCP proxy: construct "
-                "ProcessHome(use_proxy=True)"
-            )
-        return self.proxy
-
     # -- observation ---------------------------------------------------------------
 
     async def _harvest(self, *, timeout: float = 6.0) -> dict[str, dict]:
         """Request a state report from every live child; return name -> report."""
         assert self.workdir is not None, "home not started"
-        loop = self._loop or asyncio.get_running_loop()
         token = f"{next(self._report_token)}-{uuid.uuid4().hex[:8]}"
         paths: dict[str, str] = {}
         for name, node in self.nodes.items():
@@ -355,9 +275,9 @@ class ProcessHome:
             paths[name] = path
             self._ctl(node, "ctl/report", {"path": path, "token": token})
         reports: dict[str, dict] = {}
-        deadline = loop.time() + timeout
+        deadline = self._now() + timeout
         pending = dict(paths)
-        while pending and loop.time() < deadline:
+        while pending and self._now() < deadline:
             for name, path in list(pending.items()):
                 if not self.nodes[name].alive:  # killed mid-harvest
                     del pending[name]
@@ -378,26 +298,6 @@ class ProcessHome:
             )
         return reports
 
-    async def wait_for(
-        self,
-        predicate: Callable[[], Any],
-        *,
-        timeout: float = 5.0,
-        poll: float = 0.05,
-    ) -> Any:
-        """Poll a parent-side predicate until truthy; raise on deadline."""
-        loop = self._loop or asyncio.get_event_loop()
-        deadline = loop.time() + timeout
-        while True:
-            value = predicate()
-            if value:
-                return value
-            if loop.time() >= deadline:
-                raise TimeoutError(
-                    f"condition not reached within {timeout}s: {predicate!r}"
-                )
-            await asyncio.sleep(poll)
-
     async def views(self) -> dict[str, list[str]]:
         """Live children's current membership views (one report each)."""
         reports = await self._harvest()
@@ -411,24 +311,13 @@ class ProcessHome:
         poll: float = 0.25,
     ) -> bool:
         """True once children's activity counters stop moving for ``idle_for``."""
-        loop = self._loop or asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        last: Any = None
-        idle_since = loop.time()
-        while True:
+        async def counts() -> dict[str, dict]:
             reports = await self._harvest(timeout=max(2.0, poll * 4))
-            current = {
-                name: report["counts"] for name, report in sorted(reports.items())
-            }
-            now = loop.time()
-            if current != last:
-                last = current
-                idle_since = now
-            elif now - idle_since >= idle_for:
-                return True
-            if now >= deadline:
-                return False
-            await asyncio.sleep(poll)
+            return {name: report["counts"] for name, report in sorted(reports.items())}
+
+        return await self._until_idle(
+            counts, idle_for=idle_for, timeout=timeout, poll=poll,
+        )
 
     async def run_record(
         self,
@@ -439,7 +328,6 @@ class ProcessHome:
     ) -> RunRecord:
         """Harvest the survivors and assemble the merged, normalized record."""
         from repro.core.records import build_run_record
-        from repro.eval.rt import scenario_named
 
         reports = await self._harvest(timeout=8.0)
         entries: list[tuple[float, str, dict]] = [
@@ -456,7 +344,7 @@ class ProcessHome:
             for sensor, mode in report.get("sensor_modes", {}).items():
                 sensor_modes.setdefault(sensor, mode)
         # Journals survive SIGKILL: read every node's, dead ones included.
-        for name in self.scenario.processes:
+        for name in self._process_names:
             path = os.path.join(self.workdir or "", f"{name}.journal")
             for entry in _read_journal(path):
                 if entry[0] == "trace":
@@ -469,10 +357,9 @@ class ProcessHome:
         ordered = Trace()
         for t, kind, fields in sorted(entries, key=lambda item: item[0]):
             ordered.record(t, kind, **fields)
-        apps = scenario_named(self.scenario.name).make_apps()
         return build_run_record(
             ordered,
-            apps=apps,
+            apps=self.scenario.make_apps(),
             alive=alive,
             views=views,
             sensor_modes=sensor_modes,
@@ -483,23 +370,3 @@ class ProcessHome:
             lossless=self._lossless if lossless is None else lossless,
             time_origin=self._t0,
         )
-
-
-async def run_process_case(
-    scenario: "RtScenario", *, seed: int, duration: float,
-    with_faults: bool = True,
-) -> tuple[RunRecord, int]:
-    """Run one scenario on OS subprocesses; returns (record, events_emitted)."""
-    from repro.eval.rt import _drive_cluster
-
-    home = ProcessHome(scenario, seed=seed)
-    try:
-        await home.start()
-        emitted = await _drive_cluster(
-            home, scenario, seed=seed, duration=duration,
-            with_faults=with_faults,
-        )
-        record = await home.run_record()
-    finally:
-        await home.stop()
-    return record, emitted

@@ -8,9 +8,10 @@ import json
 
 import pytest
 
+from repro.apps.scenarios import chaos_scenario
 from repro.core.delivery_service import GaplessOptions
+from repro.core.scenario import build_sim_home
 from repro.eval.chaos import (
-    build_chaos_home,
     chaos_domain,
     replay_run,
     run_campaign,
@@ -105,7 +106,7 @@ def test_cli_chaos_smoke(tmp_path, capsys):
 
 @pytest.fixture
 def home():
-    h = build_chaos_home(0, "gapless")
+    h = build_sim_home(chaos_scenario("gapless"), seed=0)
     h.start()
     return h
 

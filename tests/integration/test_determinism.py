@@ -70,9 +70,15 @@ DEVICE_FAULT_GOLDEN = "d889cbd97bcf850c63d6a72cd0229e21"
 
 
 def device_fault_scenario_digest(seed: int = 11) -> str:
-    from repro.eval.chaos import _schedule_device_workload, build_device_home
+    from repro.apps.scenarios import device_scenario
+    from repro.core.invariants import ORACLE_TRACE_KINDS
+    from repro.core.scenario import build_sim_home
+    from repro.eval.chaos import _schedule_device_workload
 
-    home = build_device_home(seed, repair=True, trace_digest=True)
+    home = build_sim_home(
+        device_scenario(repair=True), seed=seed,
+        keep_trace_kinds=set(ORACLE_TRACE_KINDS), trace_digest=True,
+    )
     home.start()
     plan = (FaultPlan()
             .stick_sensor("m1", True, at=300.0)

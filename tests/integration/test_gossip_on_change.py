@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.execution import ExecutionService
+from repro.core import scenario
 from repro.core.home import Home, HomeConfig
 from repro.eval import chaos
 from repro.net import wire
@@ -108,7 +109,7 @@ def test_run_with_every_cache_defeated_is_bit_identical(
     monkeypatch, intensity, horizon, least_actions
 ):
     monkeypatch.setattr(
-        chaos, "HomeConfig", functools.partial(HomeConfig, trace_digest=True)
+        scenario, "HomeConfig", functools.partial(HomeConfig, trace_digest=True)
     )
     cached, actions = _run_cell(7, intensity, horizon)
     assert actions >= least_actions

@@ -4,15 +4,13 @@ The sim half is cheap (virtual time) and stays in tier-1; the rt half
 drives real sockets in wall time and is rt-marked.
 """
 
-import asyncio
-
 import pytest
 
 from repro.core.invariants import check_all
 from repro.eval.rt import (
     cross_validate,
     record_metrics,
-    run_cluster_case,
+    run_rt_case,
     run_sim_case,
     scenario_named,
     workload_schedule,
@@ -41,9 +39,9 @@ def test_parity4_sim_record_passes_all_oracles():
 
 @pytest.mark.rt
 def test_parity4_rt_record_passes_all_oracles():
-    record, emitted = asyncio.run(run_cluster_case(
-        PARITY, seed=42, duration=6.0, use_proxy=True,
-    ))
+    record, emitted = run_rt_case(
+        PARITY, seed=42, duration=6.0, mode="in-process",
+    )
     violations = check_all(record)
     assert violations == [], [str(v) for v in violations]
     # Same structural facts as the sim record.
@@ -57,9 +55,9 @@ def test_parity4_rt_record_passes_all_oracles():
 def test_smoke3_rt_agrees_with_sim_prediction():
     scenario = scenario_named("smoke3")
     sim_record, sim_emitted = run_sim_case(scenario, seed=42, duration=5.0)
-    rt_record, rt_emitted = asyncio.run(run_cluster_case(
-        scenario, seed=42, duration=5.0,
-    ))
+    rt_record, rt_emitted = run_rt_case(
+        scenario, seed=42, duration=5.0, mode="in-process",
+    )
     checks = cross_validate(
         record_metrics(rt_record, rt_emitted),
         record_metrics(sim_record, sim_emitted),

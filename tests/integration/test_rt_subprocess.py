@@ -8,13 +8,9 @@ import asyncio
 
 import pytest
 
+from repro.apps.scenarios import FAILURE_DETECTION_S, scenario_named
 from repro.core.invariants import check_all
-from repro.eval.rt import (
-    FAILURE_DETECTION_S,
-    record_metrics,
-    run_rt_case,
-    scenario_named,
-)
+from repro.eval.rt import record_metrics, run_rt_case
 from repro.rt.proc import ProcessHome
 from tests.helpers import resource_warnings_are_errors
 
