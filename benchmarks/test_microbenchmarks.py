@@ -6,6 +6,7 @@ simulator and the asyncio runtime execute millions of times.
 """
 
 import asyncio
+import itertools
 import random
 
 from repro.core.delivery import GAPLESS
@@ -52,10 +53,9 @@ def test_wire_size_computation(benchmark):
     assert size > 100
 
 
-def test_keepalive_tick_with_unchanged_piggyback(benchmark):
-    """ns per keep-alive tick (send to 3 peers, 3 deliveries) of an idle
-    4-process home whose one Gapless app has processed events: the
-    watermark piggyback is present on every keep-alive and never changes."""
+def _gossiping_home() -> Home:
+    """An idle 4-process home whose one Gapless app has processed events:
+    the watermark piggyback is present on every keep-alive."""
     home = Home(HomeConfig(seed=7, heartbeat_interval=0.5, keep_trace_kinds=set()))
     for i in range(4):
         home.add_process(f"p{i}", adapters=("ip",))
@@ -69,18 +69,43 @@ def test_keepalive_tick_with_unchanged_piggyback(benchmark):
         home.scheduler.call_at(float(second), home.sensor("s1").emit, True)
     home.run_until(10.0)
     assert any(p.heartbeat._payload for p in home.processes.values())
-    builds = sum(p.heartbeat.payload_builds for p in home.processes.values())
-    ticks_per_round = 4 * 100
+    return home
 
-    def run():
-        home.run_until(home.scheduler.now + 50.0)
 
-    benchmark(run)
-    assert sum(p.heartbeat.payload_builds for p in home.processes.values()) == builds
+def _ns_per_tick(benchmark, home: Home) -> None:
+    """Time 50 s of the home: 100 ticks (send to 3 peers, 3 deliveries) in
+    each of the 4 processes."""
+    benchmark(lambda: home.run_until(home.scheduler.now + 50.0))
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["ns_per_tick"] = round(
-            benchmark.stats.stats.mean * 1e9 / ticks_per_round
+            benchmark.stats.stats.mean * 1e9 / (4 * 100)
         )
+
+
+def test_keepalive_tick_with_unchanged_piggyback(benchmark):
+    """The piggyback never changes: every tick rides the multicast plan as
+    it stands."""
+    home = _gossiping_home()
+    builds = home.stats()["payload_builds"]
+    _ns_per_tick(benchmark, home)
+    assert home.stats()["payload_builds"] == builds
+    assert home.stats()["lane_refusals"] == {"partition": 0, "subscriber": 0, "kept": 0}
+
+
+def test_keepalive_tick_with_changing_piggyback(benchmark):
+    """A second provider hands back a new object every tick (the
+    ``paper_protocols`` case: 10 ev/s against 0.5 s heartbeats), so every
+    tick assembles, registers and re-payloads before it sends. Must not
+    cost more than a per-message tick (docs/performance.md)."""
+    home = _gossiping_home()
+    serial = itertools.count()
+    for process in home.processes.values():
+        process.heartbeat.add_payload_provider("n", lambda: {"n": next(serial)})
+    builds, repayloads = home.stats()["payload_builds"], home.stats()["plan_repayloads"]
+    _ns_per_tick(benchmark, home)
+    grown = home.stats()["payload_builds"] - builds
+    assert grown >= 4 * 100 and home.stats()["plan_repayloads"] - repayloads == grown
+    assert home.stats()["plan_builds"] == 4
 
 
 def _ring_home() -> tuple[Home, PushSensor]:

@@ -637,6 +637,27 @@ class Home:
     def apps(self) -> list[App]:
         return list(self._apps)
 
+    def stats(self) -> dict[str, Any]:
+        """Lane counters: what the change-time caches built, and why the
+        multicast lane refused. The transport's cover the whole run; the
+        four service counters are summed over each process's *current*
+        incarnation (a recovery boots fresh services)."""
+        network = self.network
+        stats: dict[str, Any] = {
+            "plan_builds": network.plan_builds,
+            "plan_repayloads": network.plan_repayloads,
+            "lane_refusals": dict(network.lane_refusals),
+        }
+        for service, counter in (
+            ("execution", "watermark_builds"), ("heartbeat", "payload_builds"),
+            ("heartbeat", "view_builds"), ("execution", "route_builds"),
+        ):
+            stats[counter] = sum(
+                getattr(getattr(process, service), counter)
+                for process in self.processes.values()
+            )
+        return stats
+
     # -- internals ---------------------------------------------------------------------------------
 
     def _live_process(self, name: str) -> RivuletProcess:

@@ -36,7 +36,6 @@ from repro.net.latency import ProcessingModel
 from repro.net.message import Message
 from repro.net.radio import RadioNetwork, TECHNOLOGIES
 from repro.net.transport import HomeNetwork
-from repro.net.wire import wire_size
 from repro.core.sensorwatch import SensorWatch
 from repro.sim.clock import LocalClock
 from repro.sim.random import RandomSource
@@ -133,10 +132,6 @@ class RivuletProcess(RuntimeEnv):
         self._rng_root = rng.child(f"process/{name}")
         self._rng_streams: dict[str, RandomSource] = {}
         self._peers_cache: list[str] | None = None
-        # The last multicast payload object and its wire size (payloads are
-        # immutable once sent, so the same object has the same size).
-        self._sized_payload: dict | None = None
-        self._sized_bytes = 0
         self.plan = plan
         self.device_info = device_info
         self.processing = processing or ProcessingModel()
@@ -250,24 +245,15 @@ class RivuletProcess(RuntimeEnv):
             return
         network = self._network
         name = self.name
-        if not payload and network.send_multicast(name, dsts, kind):
-            # Quiescent fast path: an empty-payload fan-out (the common
-            # keepalive case) rides the cached per-peer delivery plan.
-            # False means a slow-path condition (partition, subscribers,
-            # kept records) — fall through to per-message sends, which
-            # record drops etc. exactly as before.
-            return
-        # Identical payload, identical wire image: every copy carries the
-        # size measured once for this payload object — on an earlier tick,
-        # when the heartbeat hands the same object again.
-        wire_bytes = self._sized_bytes if payload is self._sized_payload else None
+        # The per-message path (the heartbeat offers its fan-outs to the
+        # transport's multicast lane first; this is where a refused one
+        # lands). Identical payload, identical wire image: every copy
+        # carries the size the transport measured when the payload was
+        # registered; an unregistered one is sized by each send.
+        wire_bytes = network.multicast_bytes(name, kind, payload)
         for dst in dsts:
             message = Message(kind, name, dst, payload)
-            if wire_bytes is None:
-                self._sized_payload = payload
-                self._sized_bytes = wire_bytes = wire_size(message)
-            else:
-                message._wire_bytes = wire_bytes
+            message._wire_bytes = wire_bytes
             network.send(message)
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> CancelHandle:

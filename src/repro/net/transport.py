@@ -70,6 +70,12 @@ _MP_DELAY = 11  # pre-jitter delay (identical for every copy)
 _MP_NEG = 12    # jitter expansion intermediates (see RandomSource.jittered)
 _MP_SPAN = 13
 
+_UNREGISTERED = (None, None)
+"""(payload, wire size) of a fan-out nobody registered: empty, sized on build."""
+
+_REFUSAL_CAUSES = ("partition", "subscriber", "kept")
+"""Why send_multicast hands a fan-out back: the keys of ``lane_refusals``."""
+
 
 class Endpoint(Protocol):
     """What the transport needs from a registered process."""
@@ -84,6 +90,11 @@ class Endpoint(Protocol):
 
 class HomeNetwork:
     """The single home WiFi network connecting all Rivulet processes."""
+
+    # Lane counters with lane_refusals, bumped off the fast path only (see
+    # Home.stats); class-level so a graph pickled without them reads 0.
+    plan_builds = 0
+    plan_repayloads = 0
 
     def __init__(
         self,
@@ -113,6 +124,10 @@ class HomeNetwork:
         # _mcast_epoch invalidates every plan on membership changes.
         self._mcast_plans: dict[str, list] = {}
         self._mcast_epoch = 0
+        # (src, kind) -> (payload, wire size): what src's fan-outs of kind
+        # carry, registered by the sender when it changes (multicast_payload).
+        self._mcast_payloads: dict[tuple[str, str], tuple[dict, int]] = {}
+        self.lane_refusals = dict.fromkeys(_REFUSAL_CAUSES, 0)
 
     def __getstate__(self) -> dict:
         # Two members don't pickle: the MappingProxyType endpoint view and
@@ -121,13 +136,20 @@ class HomeNetwork:
         state = self.__dict__.copy()
         del state["_endpoints_view"]
         del state["_random"]
-        # Multicast plans are pure caches over the pair cache and trace
-        # aggregates; rebuild lazily after restore instead of pickling the
-        # cached Message/post-tuple web.
+        # Multicast plans are pure caches over the pair cache, the payload
+        # table and trace aggregates; rebuild lazily after restore instead
+        # of pickling the cached Message/post-tuple web. The table itself is
+        # pickled: the memo keeps each payload the object its sender holds.
         state["_mcast_plans"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:
+        # Defaults for files written before the payload table and the lane
+        # counters existed. Exact without a FORMAT_VERSION bump: a home with
+        # an app cannot be pickled, so every such file has empty piggybacks,
+        # which is what an unregistered fan-out carries.
+        self._mcast_payloads = {}
+        self.lane_refusals = dict.fromkeys(_REFUSAL_CAUSES, 0)
         self.__dict__.update(state)
         self._endpoints_view = MappingProxyType(self._endpoints)
         self._random = self._rng._rng.random
@@ -266,23 +288,25 @@ class HomeNetwork:
     def _build_mcast_plan(self, src: str, dsts, kind: str) -> list:
         """Precompute everything a quiescent multicast needs per peer.
 
-        One cached :class:`Message` per peer (identical empty payload →
-        identical wire image, sized once; messages are immutable once sent,
-        so reusing the instance across ticks is safe even with copies in
-        flight), its resolved pair entry, the ready-to-post delivery tuple,
-        and the constant digest suffix. Raises ``KeyError`` for unknown
-        destinations exactly as the per-message path would.
+        One cached :class:`Message` per peer (the registered payload, or
+        an empty one → identical wire image, sized once; messages are
+        immutable once sent, so reusing the instance across ticks is safe
+        even with copies in flight), its resolved pair entry, the
+        ready-to-post delivery tuple, and the constant digest suffix.
+        Raises ``KeyError`` for unknown destinations exactly as the
+        per-message path would.
         """
+        self.plan_builds += 1
         peers = []
         sender = None
-        nbytes: int | None = None
+        payload, nbytes = self._mcast_payloads.get((src, kind), _UNREGISTERED)
         state = tally = None
         for dst in dsts:
             entry = self._pair_cache.get(src, _NO_PAIRS).get(dst)
             if entry is None:
                 entry = self._pair_entry(src, dst)
             sender = entry[_SENDER]
-            message = Message(kind, src, dst)
+            message = Message(kind, src, dst, payload)
             if nbytes is None:
                 nbytes = wire_size(message)
             message._wire_bytes = nbytes
@@ -304,9 +328,51 @@ class HomeNetwork:
         self._mcast_plans[src] = plan
         return plan
 
-    def send_multicast(self, src: str, dsts, kind: str) -> bool:
-        """Quiescent-path fan-out of one empty-payload message to ``dsts``.
+    def multicast_payload(self, src: str, kind: str, payload: dict) -> None:
+        """Register what ``src``'s fan-outs of ``kind`` carry from now on.
 
+        Called by the sender when the payload changes and when it boots,
+        never per send; ``payload`` is read-only from here on. A plan that
+        exists is re-payloaded in place: one new :class:`Message` per peer
+        around the size measured here, the prebound post tuples rebuilt,
+        and the size-dependent parts (send-side digest suffix, byte
+        totals, delay block) refreshed only when the wire size moved.
+        """
+        nbytes = wire_size(Message(kind, src, src, payload))
+        self._mcast_payloads[src, kind] = (payload, nbytes)
+        plan = self._mcast_plans.get(src)
+        if (
+            plan is None
+            or plan[_MP_KIND] != kind
+            or plan[_MP_EPOCH] != self._mcast_epoch
+        ):
+            return  # the next send_multicast builds from the table
+        self.plan_repayloads += 1
+        resized = nbytes != plan[_MP_NBYTES]
+        peers = plan[_MP_PEERS]
+        # bound is (entry, message, *net_deliver cells): see _build_mcast_plan.
+        for i, (entry, (deliver, bound), pair_cell, suffix) in enumerate(peers):
+            message = Message(kind, src, bound[1].dst, payload)
+            message._wire_bytes = nbytes
+            if resized:
+                suffix = entry[_SEND].bind(kind, nbytes)[3]
+            post = (deliver, (entry, message, *bound[2:]))
+            peers[i] = (entry, post, pair_cell, suffix)
+        if resized:
+            plan[_MP_NBYTES] = nbytes
+            plan[_MP_TBYTES] = len(peers) * nbytes
+            plan[_MP_LAT] = None  # the cached delay block is for the old size
+
+    def multicast_bytes(self, src: str, kind: str, payload: dict) -> int | None:
+        """The registered wire size, if ``payload`` is the registered object."""
+        registered, nbytes = self._mcast_payloads.get((src, kind), _UNREGISTERED)
+        return nbytes if registered is payload else None
+
+    def send_multicast(self, src: str, dsts, kind: str) -> bool:
+        """Quiescent-path fan-out of ``src``'s registered payload to ``dsts``.
+
+        The copies carry what :meth:`multicast_payload` last registered for
+        ``(src, kind)`` — nothing registered, empty payload.
         Returns True when the multicast was fully handled; False when the
         caller must fall back to per-message :meth:`send` — an active
         partition (so per-peer drops are recorded exactly as before), a
@@ -316,9 +382,11 @@ class HomeNetwork:
         bit-identical to the equivalent ``send`` loop.
         """
         if self.partition.group_of is not None:
+            self.lane_refusals["partition"] += 1
             return False
         trace = self._trace
         if trace._subscribers:
+            self.lane_refusals["subscriber"] += 1
             return False
         plan = self._mcast_plans.get(src)
         if (
@@ -334,6 +402,7 @@ class HomeNetwork:
             return True
         state = plan[_MP_STATE]
         if state[3] is not None or state[4] is not None:
+            self.lane_refusals["kept"] += 1
             return False
         sender = plan[_MP_SENDER]
         if sender is not None and not sender.alive:

@@ -40,6 +40,7 @@ from repro.core.events import Command, Event
 from repro.core.graph import App, validate_apps
 from repro.core.invariants import GroundTruth, RunRecord
 from repro.core.scenario import RT_POLL_SERVICE_S, Scenario, rt_deployment
+from repro.rt import wire
 from repro.rt.harness import RtHarness
 from repro.rt.node import AsyncRivuletNode, PollHandler
 
@@ -183,11 +184,18 @@ class LocalCluster(RtHarness):
             await node.start(listeners[name])
 
     async def stop(self) -> None:
-        for node in self.nodes.values():
-            if node.alive:
-                await node.stop()
+        # Dialers before the listeners they dial (nodes -> proxy -> nodes),
+        # with the loop given time to hand over what was already accepted:
+        # a listener closed under a half-accepted connection leaks it.
+        nodes = [node for node in self.nodes.values() if node.alive]
+        for node in nodes:
+            await node.halt()
+        await wire.accepts_handed_over()
         if self.proxy is not None:
             await self.proxy.stop()
+            await wire.accepts_handed_over()
+        for node in nodes:
+            await node.close()
         self._started = False
 
     # -- driving ---------------------------------------------------------------------------

@@ -134,14 +134,23 @@ class AsyncRivuletNode(RuntimeEnv):
 
     async def stop(self) -> None:
         """Crash-stop the node: close the server and all connections."""
+        await self.halt()
+        await self.close()
+
+    async def halt(self) -> None:
+        """First half of :meth:`stop`: no more activity, sends or dials."""
         self._alive = False
         if self.heartbeat is not None:
             self.heartbeat.stop()
+        await wire.close_accepted({}, self._sender_tasks.values())
+        self._sender_tasks.clear()
+
+    async def close(self) -> None:
+        """Second half: close the listener and what it accepted."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        await wire.close_accepted(self._inbound, self._sender_tasks.values())
-        self._sender_tasks.clear()
+        await wire.close_accepted(self._inbound)
         self.trace("stop")
 
     @property

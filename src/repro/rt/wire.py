@@ -288,6 +288,19 @@ def accept_into(inbound: dict, handler):
     return accept
 
 
+async def accepts_handed_over() -> None:
+    """Return once every dial that completed has reached its handler.
+
+    The loop accepts a connection in one turn, attaches its transport to
+    the server in the next and calls the :func:`accept_into` callback in a
+    third. A listener closed in between fails ``Server._attach``'s
+    assertion and asyncio drops the socket unclosed, so whoever closes
+    listeners stops their dialers first and then waits here.
+    """
+    for _ in range(3):
+        await asyncio.sleep(0)
+
+
 async def close_accepted(inbound: dict, also=()) -> None:
     """Close every accepted connection in ``inbound``; cancel and await its
     handler and the ``also`` tasks (senders, pumps); wait for the sockets."""

@@ -43,10 +43,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.fleet import Fleet
 
 MAGIC = "rivulet-fleet-snapshot"
-#: Version 4: heartbeat, execution service and process carry the gossip-on-
-#: change state (assembled keep-alive payload, sized payload, merge memo); a
-#: v3 graph lacks those attributes and would fail on its first tick. (v3:
-#: digest-v3 trace segments and trace channel objects in the graph.)
+#: Version 4: heartbeat and execution service carry the gossip-on-change
+#: state (assembled keep-alive payload, merge memo); a v3 graph lacks those
+#: attributes and would fail on its first tick. The transport's registered-
+#: payload table came later without a bump: HomeNetwork.__setstate__ says
+#: why its default is exact. (v3: digest-v3 trace segments and trace channel
+#: objects in the graph.)
 FORMAT_VERSION = 4
 
 

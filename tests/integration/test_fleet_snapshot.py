@@ -200,6 +200,86 @@ def test_parent_written_v4_snapshot_loads_and_resumes():
     assert restored.view_builds == 3
 
 
+class _Beacon:
+    """A picklable piggyback provider: the same non-empty dict until every
+    ``every``-th tick hands back a new one, of a different wire size."""
+
+    def __init__(self, every: int) -> None:
+        self.every = every
+        self.ticks = 0
+        self.value = {"n": 0}
+
+    def __call__(self) -> dict:
+        self.ticks += 1
+        if self.ticks % self.every == 0:
+            self.value = {"n": self.ticks, "pad": "x" * (self.ticks % 7)}
+        return self.value
+
+
+class _BeaconLog:
+    """The picklable consumer: what arrived goes into the digest."""
+
+    def __init__(self, process) -> None:
+        self.process = process
+
+    def __call__(self, sender: str, value: dict) -> None:
+        self.process.trace("beacon_seen", sender=sender, **value)
+
+
+def _beacon_fleet() -> Fleet:
+    """``two_process_fleet`` plus a third process, every heartbeat carrying
+    a registered, changing piggyback (no app: see ``two_process_fleet``)."""
+    fleet = Fleet(seed=11)
+    home = fleet.add_home("h000", config=HomeConfig(
+        seed=fleet.context.home_seed("h000"), heartbeat_interval=60.0,
+        failure_detection_s=180.0, kv_sync_interval=3600.0,
+        keep_trace_kinds=set(), trace_digest=True,
+    ))
+    for name in ("hub", "tv", "fridge"):
+        home.add_process(name, adapters=("zwave", "ip"))
+    home.add_sensor("door1", kind="door")
+    fleet.start()
+    for every, process in enumerate(home.processes.values(), start=5):
+        process.heartbeat.add_payload_provider("beacon", _Beacon(every))
+        process.heartbeat.add_payload_consumer("beacon", _BeaconLog(process))
+    return fleet
+
+
+def test_checkpoint_mid_run_with_a_registered_piggyback(tmp_path):
+    """The transport's payload table is snapshot state (the plans built
+    from it are not): a home whose keep-alives carry a registered,
+    non-empty payload resumes to the uninterrupted digest — through later
+    re-payloads, and a crash + recovery whose fresh heartbeat registers
+    its empty one."""
+    snap = tmp_path / "fleet.snap"
+    fleet = _beacon_fleet()
+    fleet.run_until(DAY_S)
+    fleet.checkpoint(snap)
+    resumed = load_fleet(snap)
+
+    home = resumed.home("h000")
+    network = home.network
+    assert network._mcast_plans == {} and network.plan_builds == 3
+    for name, process in home.processes.items():
+        payload, nbytes = network._mcast_payloads[name, "keepalive"]
+        # One object, as before the pickle: the fallback's size lookup and
+        # the next change both go by identity.
+        assert payload is process.heartbeat._payload and payload["beacon"]["n"] > 0
+        assert network.multicast_bytes(name, "keepalive", payload) == nbytes > 90
+    before = network.plan_repayloads
+
+    _second_day_with_a_crash(resumed)
+    reference = _second_day_with_a_crash(fleet)
+    assert resumed.digest() == reference.digest()
+    assert resumed.metrics() == reference.metrics()
+    trace = home.trace
+    assert trace.count("beacon_seen") == reference.home("h000").trace.count("beacon_seen")
+    assert trace.count("beacon_seen") > 2 * 2 * 1400  # 2 senders heard all of both days
+    # Plans came back from the table, then were patched on every change.
+    assert network.plan_builds == 6 and network.plan_repayloads > before + 300
+    assert home.stats() == {**reference.home("h000").stats(), "plan_builds": 6}
+
+
 def test_snapshot_write_is_atomic(tmp_path):
     """A checkpoint overwrites the previous snapshot only as a whole file."""
     snap = tmp_path / "fleet.snap"

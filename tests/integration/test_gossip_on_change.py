@@ -21,7 +21,9 @@ from repro.core.execution import ExecutionService
 from repro.core import scenario
 from repro.core.home import Home, HomeConfig
 from repro.eval import chaos
+from repro.membership.heartbeat import HeartbeatService
 from repro.net import wire
+from repro.net.transport import HomeNetwork
 from repro.sim.chaos import FaultScheduleGenerator, PROFILES
 from tests.integration.conftest import collector_app, five_process_home
 
@@ -84,6 +86,14 @@ def test_piggyback_is_built_and_sized_once_per_change(monkeypatch):
 # -- differential: caches defeated -----------------------------------------------
 
 
+@pytest.fixture
+def digesting_cells(monkeypatch):
+    """Campaign homes with the streaming digest on, so cells compare by it."""
+    monkeypatch.setattr(
+        scenario, "HomeConfig", functools.partial(HomeConfig, trace_digest=True)
+    )
+
+
 def _run_cell(seed: int, intensity: str, horizon: float):
     plan = FaultScheduleGenerator(
         chaos.chaos_domain(), PROFILES[intensity], horizon
@@ -98,7 +108,7 @@ def _run_cell(seed: int, intensity: str, horizon: float):
         },
         "bytes": home.network.bytes_sent(),
         "counts": dict(home.trace.counts),
-    }, len(plan)
+    }, len(plan), home
 
 
 @pytest.mark.parametrize(
@@ -106,19 +116,28 @@ def _run_cell(seed: int, intensity: str, horizon: float):
     [("mild", 2400.0, 4), ("severe", 1200.0, 20)],
 )
 def test_run_with_every_cache_defeated_is_bit_identical(
-    monkeypatch, intensity, horizon, least_actions
+    monkeypatch, digesting_cells, intensity, horizon, least_actions
 ):
-    monkeypatch.setattr(
-        scenario, "HomeConfig", functools.partial(HomeConfig, trace_digest=True)
-    )
-    cached, actions = _run_cell(7, intensity, horizon)
+    cached, actions, home = _run_cell(7, intensity, horizon)
     assert actions >= least_actions
     assert cached["net_send"]["keepalive"][0] > 9000
+    on_change = home.stats()["plan_repayloads"]
+    assert 0 < on_change < 1500
 
-    # The per-tick behaviour this PR replaced: the payload rebuilt from the
-    # runtimes every tick (so the heartbeat reassembles and the process
-    # re-sizes it), and a receiver that forgets what it merged (so every
-    # keep-alive is merged).
+    # The reference arm: a transport whose multicast lane always refuses,
+    # so every keep-alive is a per-message send (both other arms ride the
+    # lane, with the payload the heartbeat registered).
+    with monkeypatch.context() as patch:
+        patch.setattr(HomeNetwork, "send_multicast",
+                      lambda self, src, dsts, kind: False)
+        per_message, _, home = _run_cell(7, intensity, horizon)
+    assert per_message == cached
+    assert home.stats()["plan_builds"] == home.stats()["plan_repayloads"] == 0
+
+    # The per-tick behaviour PR 15 replaced: the payload rebuilt from the
+    # runtimes every tick (so the heartbeat reassembles it and the plan is
+    # re-payloaded every tick), and a receiver that forgets what it merged
+    # (so every keep-alive is merged).
     provider = ExecutionService._watermark_payload
     consumer = ExecutionService._on_watermarks
     calls = {"built": 0, "merged": 0}
@@ -135,9 +154,48 @@ def test_run_with_every_cache_defeated_is_bit_identical(
 
     monkeypatch.setattr(ExecutionService, "_watermark_payload", fresh_each_tick)
     monkeypatch.setattr(ExecutionService, "_on_watermarks", merge_always)
-    plain, _ = _run_cell(7, intensity, horizon)
+    plain, _, home = _run_cell(7, intensity, horizon)
     assert calls["built"] > 9000 and calls["merged"] > 1000
     assert plain == cached
+    assert home.stats()["plan_repayloads"] > 5 * on_change
+
+
+def test_lane_counters_bound_the_keepalive_work_of_a_mild_cell(
+    monkeypatch, digesting_cells
+):
+    """Every re-payload answers a registration, and a registration comes
+    from an assembled payload or a boot; a keep-alive reaches per-message
+    ``send`` only when the lane refused its fan-out, for a counted cause."""
+    services, sends = [], [0]
+    real_init, real_send = HeartbeatService.__init__, HomeNetwork.send
+
+    def collecting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        services.append(self)  # every incarnation's, not only the last one's
+
+    def counting_send(self, message):
+        sends[0] += message.kind == "keepalive"
+        real_send(self, message)
+
+    monkeypatch.setattr(HeartbeatService, "__init__", collecting_init)
+    monkeypatch.setattr(HomeNetwork, "send", counting_send)
+    # Seed 10's mild plan has a crash + recovery and a partition + heal.
+    _, actions, home = _run_cell(10, "mild", 2400.0)
+    assert actions == 8
+
+    stats = home.stats()
+    boots = home.trace.count("boot")
+    assert boots == len(services) > len(home.processes)  # somebody recovered
+    assert stats["payload_builds"] <= sum(s.payload_builds for s in services)
+    assert 0 < stats["plan_repayloads"] <= (
+        sum(s.payload_builds for s in services) + boots)
+    # One plan per process and boot-time epoch, rebuilt for nothing since.
+    assert stats["plan_builds"] == len(home.processes)
+    refusals = stats["lane_refusals"]
+    assert refusals["partition"] > 0 and refusals["subscriber"] == refusals["kept"] == 0
+    peers = len(home.processes) - 1
+    assert 0 < sends[0] <= sum(refusals.values()) * peers
+    assert sends[0] < home.trace.tally("net_send", "keepalive")[0] / 5
 
 
 # -- the receiver's skip across faults ---------------------------------------------

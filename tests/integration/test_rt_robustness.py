@@ -197,3 +197,29 @@ def test_stopped_proxied_cluster_leaves_no_socket_open():
 
     with resource_warnings_are_errors():
         run(scenario())
+
+
+def test_cluster_stopped_while_its_first_dials_land_leaks_nothing(caplog):
+    """Six start / stop cycles, stopped 5-30 ms after ``start()`` — while
+    the first keep-alive dials (node -> proxy -> node) are landing — in
+    asyncio's debug mode with ``ResourceWarning`` as an error. A listener
+    closed while a peer's dial sits between the loop's accept and
+    ``Server._attach`` trips that assertion ("Error on transport creation
+    for incoming connection") and the accepted socket is left to the
+    garbage collector; ``stop()`` halts every dialer before any listener
+    it dials closes."""
+    async def scenario():
+        for cycle in range(6):
+            cluster = LocalCluster(use_proxy=True, heartbeat_interval=0.05,
+                                   failure_detection_s=0.2)
+            for name in ("a", "b", "c"):
+                cluster.add_process(name)
+            cluster.add_push_sensor("s1", receivers=["a"])
+            cluster.deploy(simple_app())
+            await cluster.start()
+            await asyncio.sleep(0.005 * (cycle + 1))
+            await cluster.stop()
+
+    with caplog.at_level("ERROR", logger="asyncio"), resource_warnings_are_errors():
+        asyncio.run(scenario(), debug=True)
+    assert [record.getMessage() for record in caplog.records] == []

@@ -220,3 +220,110 @@ def test_multicast_digest_matches_per_message_sends():
         return trace.digest()
 
     assert run(multicast=True) == run(multicast=False)
+
+
+# -- registered payloads: the plan carries what the sender registered -------------
+
+
+def test_registered_payload_rides_the_plan_and_is_repayloaded_in_place():
+    sched, trace, net, (a, b, c) = make_mcast_net()
+    first, second = {"wm": 1}, {"wm": 2}
+    net.multicast_payload("a", "keepalive", first)
+    assert net.send_multicast("a", ("b", "c"), "keepalive")
+    plan = net._mcast_plans["a"]
+    # Copies of the first fan-out are still in flight when the payload
+    # changes: they keep the message they were posted with.
+    net.multicast_payload("a", "keepalive", second)
+    assert net.send_multicast("a", ("b", "c"), "keepalive")
+    sched.run()
+    assert net._mcast_plans["a"] is plan
+    assert (net.plan_builds, net.plan_repayloads) == (1, 1)
+    for sink in (b, c):
+        assert [m.payload for m in sink.received] == [first, second]
+        assert sink.received[0].payload is first and sink.received[1].payload is second
+        assert [m.dst for m in sink.received] == [sink.name] * 2
+
+
+def test_registration_is_per_source_and_kind_and_sized_once():
+    _sched, _trace, net, _sinks = make_mcast_net()
+    payload = {"wm": [1, 2, 3]}
+    net.multicast_payload("a", "keepalive", payload)
+    size = net.multicast_bytes("a", "keepalive", payload)
+    assert size == net.multicast_bytes("a", "keepalive", payload) > 90
+    # Identity, not equality: an equal dict somebody else built is unsized.
+    assert net.multicast_bytes("a", "keepalive", dict(payload)) is None
+    assert net.multicast_bytes("a", "other", payload) is None
+    assert net.multicast_bytes("b", "keepalive", payload) is None
+    # A plan of another kind is left alone; its own kind builds from the table.
+    assert net.send_multicast("a", ("b", "c"), "other")
+    assert net.plan_repayloads == 0
+    net.multicast_payload("a", "keepalive", payload)
+    assert net.plan_repayloads == 0
+
+
+def _payload_runs(multicast: bool) -> tuple:
+    """50 fan-outs whose payload changes every 5th: to an int (same size
+    as the last int) or, every 10th, to a string of another length."""
+    sched = Scheduler()
+    trace = Trace(digest=True, keep_kinds=set())
+    net = HomeNetwork(sched, RandomSource(1), trace)
+    sinks = [Sink(n) for n in ("a", "b", "c")]
+    for sink in sinks:
+        net.register(sink)
+    payload: dict = {}
+    for tick in range(50):
+        if tick % 5 == 0:
+            payload = {"wm": tick} if tick % 10 else {"wm": "x" * tick}
+            net.multicast_payload("a", "keepalive", payload)
+        if multicast:
+            assert net.send_multicast("a", ("b", "c"), "keepalive")
+        else:
+            size = net.multicast_bytes("a", "keepalive", payload)
+            for dst in ("b", "c"):
+                message = Message("keepalive", "a", dst, payload)
+                message._wire_bytes = size
+                net.send(message)
+        sched.run()
+    return (trace.digest(), trace.bytes_of_kind("net_send"),
+            trace.tally("net_send", "keepalive"),
+            [(m.dst, m.payload) for sink in sinks for m in sink.received])
+
+
+def test_repayloaded_multicast_digest_matches_per_message_sends():
+    lane, plain = _payload_runs(multicast=True), _payload_runs(multicast=False)
+    assert lane == plain
+    assert lane[1] > 100 * 90  # the payloads were on the wire
+
+
+def test_lane_refusals_are_counted_by_cause():
+    sched, trace, net, _sinks = make_mcast_net()
+    assert net.send_multicast("a", ("b", "c"), "keepalive")
+    assert net.lane_refusals == {"partition": 0, "subscriber": 0, "kept": 0}
+    net.partition.set_partition([("a",), ("b", "c")])
+    assert not net.send_multicast("a", ("b", "c"), "keepalive")
+    assert not net.send_multicast("a", ("b", "c"), "keepalive")
+    net.partition.heal()
+    trace.subscribe(lambda event: None, kinds=("net_send",))
+    assert not net.send_multicast("a", ("b", "c"), "keepalive")
+    trace.subscribe(lambda event: None)
+    assert not net.send_multicast("a", ("b", "c"), "keepalive")
+    assert net.lane_refusals == {"partition": 2, "subscriber": 1, "kept": 1}
+    assert net.plan_builds == 1
+    sched.run()
+
+
+def test_network_pickled_before_the_payload_table_restores_with_defaults():
+    """A parent-written graph has no table and no counters: the defaults
+    are what an unregistered (empty-payload) fan-out means."""
+    import pickle
+
+    _sched, _trace, net, _sinks = make_mcast_net()
+    assert net.send_multicast("a", ("b", "c"), "keepalive")
+    state = net.__getstate__()
+    for name in ("_mcast_payloads", "plan_builds", "lane_refusals"):
+        del state[name]
+    restored = HomeNetwork.__new__(HomeNetwork)
+    restored.__setstate__(pickle.loads(pickle.dumps(state)))
+    assert restored._mcast_payloads == {} and restored.plan_builds == 0
+    assert restored.lane_refusals == {"partition": 0, "subscriber": 0, "kept": 0}
+    assert restored.send_multicast("a", ("b", "c"), "keepalive")
