@@ -40,11 +40,11 @@ async def main() -> None:
     async with cluster:
         ports = {name: node.port for name, node in cluster.nodes.items()}
         print(f"== three Rivulet processes listening on {ports} ==")
-        await cluster.settle(0.3)
+        await asyncio.sleep(0.3)
 
         print("== door opens ==")
         cluster.emit("door", True)
-        await cluster.settle(0.4)
+        await asyncio.sleep(0.4)
         hub = cluster.node("hub")
         print(f"  hub actuations: "
               f"{[(c.action, c.value, c.issued_by) for c in hub.actuations]}")
@@ -53,11 +53,11 @@ async def main() -> None:
                   if node.execution.runtimes["door-light"].active][0]
         print(f"== crash the active logic node ({active}) ==")
         await cluster.crash(active)
-        await cluster.settle(1.2)  # failure detection over real sockets
+        await asyncio.sleep(1.2)  # failure detection over real sockets
 
         print("== door closes (handled by the promoted node) ==")
         cluster.emit("door", False)
-        await cluster.settle(0.4)
+        await asyncio.sleep(0.4)
         print(f"  hub actuations: "
               f"{[(c.action, c.value, c.issued_by) for c in hub.actuations]}")
 

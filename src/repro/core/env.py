@@ -2,7 +2,10 @@
 
 Every Rivulet protocol component (heartbeats, Gap chain, Gapless ring,
 reliable broadcast, coordinated polling, election) is written against this
-narrow interface and nothing else. Two implementations exist:
+narrow interface and nothing else. One host implements the part that does
+not depend on how bytes and time move — :class:`repro.core.stack.ServiceHost`
+(``rng``, ``peers``, and the service stack it boots) — and two runtimes
+subclass it for the rest:
 
 - :class:`repro.core.runtime.RivuletProcess` — the deterministic simulator;
 - :class:`repro.rt.node.AsyncRivuletNode` — real asyncio TCP sockets.

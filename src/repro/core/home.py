@@ -28,11 +28,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.core.delivery import PollMode
-from repro.core.delivery_service import DeviceInfo, GaplessOptions
+from repro.core.delivery_service import DeviceInfo
 from repro.core.graph import App, validate_apps
 from repro.core.plan import DeploymentPlan
 from repro.core.runtime import RivuletProcess
+from repro.core.stack import SERVICE_COUNTERS, StackConfig
 from repro.devices.actuator import Actuator
 from repro.devices.catalog import SENSOR_CATALOG, make_sensor, technology_named
 from repro.devices.sensor import PollSensor, PushSensor, Sensor
@@ -47,29 +47,14 @@ from repro.sim.tracing import Trace
 
 
 @dataclass
-class HomeConfig:
-    """Deployment-wide knobs (defaults reproduce the paper's testbed)."""
+class HomeConfig(StackConfig):
+    """Deployment-wide knobs (defaults reproduce the paper's testbed): the
+    stack every process boots with, plus what only the simulated home has."""
 
     seed: int = 42
-    heartbeat_interval: float = 0.5
-    failure_detection_s: float = 2.0
-    """The paper's failure-detection time threshold (Section 8.4)."""
-
     latency: LatencyModel = field(default_factory=LatencyModel)
     processing: ProcessingModel = field(default_factory=ProcessingModel)
     keep_trace_kinds: set[str] | None = None
-    delivery_override: dict[str, str] = field(default_factory=dict)
-    """Per-sensor protocol override: "gap" | "gapless" | "naive-broadcast"."""
-
-    gapless_options: GaplessOptions = field(default_factory=GaplessOptions)
-    poll_mode_override: PollMode | None = None
-
-    active_replicas: int = 1
-    """Concurrent active logic nodes per app (>1 = active replication)."""
-
-    kv_sync_interval: float = 5.0
-    """Anti-entropy period of the replicated state store."""
-
     sensor_watch: bool = False
     """Enable silent-sensor failure detection (see core.sensorwatch)."""
 
@@ -372,17 +357,11 @@ class Home:
                 rng=self.rng,
                 plan=self.plan,
                 device_info=device_info,
+                config=self.config,
                 adapter_technologies=decl.adapters,
                 processing=self.config.processing,
-                heartbeat_interval=self.config.heartbeat_interval,
-                failure_detection_s=self.config.failure_detection_s,
                 clock_skew=decl.clock_skew,
-                delivery_override=self.config.delivery_override,
-                gapless_options=self.config.gapless_options,
-                poll_mode_override=self.config.poll_mode_override,
                 modified_openzwave=decl.modified_openzwave,
-                active_replicas=self.config.active_replicas,
-                kv_sync_interval=self.config.kv_sync_interval,
                 sensor_watch=self.config.sensor_watch,
             )
             self.processes[name] = process
@@ -639,23 +618,17 @@ class Home:
 
     def stats(self) -> dict[str, Any]:
         """Lane counters: what the change-time caches built, and why the
-        multicast lane refused. The transport's cover the whole run; the
-        four service counters are summed over each process's *current*
-        incarnation (a recovery boots fresh services)."""
+        multicast lane refused, over the whole run: the four service
+        counters are summed over every incarnation of every process."""
         network = self.network
         stats: dict[str, Any] = {
             "plan_builds": network.plan_builds,
             "plan_repayloads": network.plan_repayloads,
             "lane_refusals": dict(network.lane_refusals),
         }
-        for service, counter in (
-            ("execution", "watermark_builds"), ("heartbeat", "payload_builds"),
-            ("heartbeat", "view_builds"), ("execution", "route_builds"),
-        ):
-            stats[counter] = sum(
-                getattr(getattr(process, service), counter)
-                for process in self.processes.values()
-            )
+        per_process = [p.service_counters() for p in self.processes.values()]
+        for _, counter in SERVICE_COUNTERS:
+            stats[counter] = sum(counters[counter] for counters in per_process)
         return stats
 
     # -- internals ---------------------------------------------------------------------------------

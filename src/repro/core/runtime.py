@@ -1,9 +1,9 @@
 """The per-host Rivulet process: the simulator's RuntimeEnv implementation.
 
-A :class:`RivuletProcess` glues one host's services together — heartbeat
-membership, delivery, execution, adapters — and implements the sans-IO
-:class:`~repro.core.env.RuntimeEnv` interface on top of the simulated home
-network.
+A :class:`RivuletProcess` is a :class:`~repro.core.stack.ServiceHost` —
+which owns the heartbeat, kv, execution and delivery services — on the
+simulated home network: it adds the scheduler, the transport endpoint, the
+radio adapters and crash/recover.
 
 Crash-recovery semantics (Section 3.1):
 
@@ -18,20 +18,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from repro.core.delivery_service import (
-    DeliveryService,
-    DeviceInfo,
-    GaplessOptions,
-)
-from repro.core.env import CancelHandle, RuntimeEnv
-from repro.core.eventlog import EventStore
+from repro.core.delivery_service import DeviceInfo
+from repro.core.env import CancelHandle
 from repro.core.events import Command, Event
-from repro.core.execution import ExecutionService
 from repro.core.plan import DeploymentPlan
-from repro.core.delivery import PollMode
-from repro.core.stack import boot_services
+from repro.core.stack import ServiceHost, StackConfig
 from repro.devices.adapters import ADAPTER_FACTORIES, AdapterSet
-from repro.membership.heartbeat import HeartbeatService
 from repro.net.latency import ProcessingModel
 from repro.net.message import Message
 from repro.net.radio import RadioNetwork, TECHNOLOGIES
@@ -41,7 +33,6 @@ from repro.sim.clock import LocalClock
 from repro.sim.random import RandomSource
 from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import Trace
-from repro.storage.kv import ReplicatedStore, StoreBackend
 
 
 class _GuardedHandle:
@@ -97,7 +88,7 @@ class _GuardedRepeating(_GuardedCall):
             self._handle.cancel()
 
 
-class RivuletProcess(RuntimeEnv):
+class RivuletProcess(ServiceHost):
     """One Rivulet runtime instance on one smart appliance or hub."""
 
     def __init__(
@@ -111,41 +102,24 @@ class RivuletProcess(RuntimeEnv):
         rng: RandomSource,
         plan: DeploymentPlan,
         device_info: dict[str, DeviceInfo],
+        config: StackConfig,
         adapter_technologies: tuple[str, ...] = ("zwave", "zigbee", "ble", "ip"),
         processing: ProcessingModel | None = None,
-        heartbeat_interval: float = 0.5,
-        failure_detection_s: float = 2.0,
         clock_skew: float = 0.0,
-        delivery_override: dict[str, str] | None = None,
-        gapless_options: GaplessOptions | None = None,
-        poll_mode_override: PollMode | None = None,
         modified_openzwave: bool = True,
-        active_replicas: int = 1,
-        kv_sync_interval: float = 5.0,
         sensor_watch: bool = False,
     ) -> None:
-        self.name = name
+        super().__init__(
+            name, plan, device_info, config, processing or ProcessingModel(),
+            rng.child(f"process/{name}"),
+        )
         self._scheduler = scheduler
         self._network = network
         self._radio = radio
         self._trace = trace
-        self._rng_root = rng.child(f"process/{name}")
-        self._rng_streams: dict[str, RandomSource] = {}
-        self._peers_cache: list[str] | None = None
-        self.plan = plan
-        self.device_info = device_info
-        self.processing = processing or ProcessingModel()
         self.clock = LocalClock(scheduler, skew=clock_skew)
-        self._heartbeat_interval = heartbeat_interval
-        self._failure_detection_s = failure_detection_s
-        self._delivery_override = delivery_override
-        self._gapless_options = gapless_options
-        self._poll_mode_override = poll_mode_override
         self._adapter_technologies = adapter_technologies
         self._modified_openzwave = modified_openzwave
-
-        self._active_replicas = active_replicas
-        self._kv_sync_interval = kv_sync_interval
         self._sensor_watch_enabled = sensor_watch
 
         # Plain attribute (not a property): the transport reads it on
@@ -153,14 +127,7 @@ class RivuletProcess(RuntimeEnv):
         # same way. Only crash()/recover() write it.
         self.alive = True
         self._incarnation = 0
-        self._handlers: dict[str, Callable[[Message], None]] = {}
-        self.store = EventStore(name)
-        self.kv_backend = StoreBackend(name)
         self.adapters = AdapterSet()
-        self.heartbeat: HeartbeatService | None = None
-        self.delivery: DeliveryService | None = None
-        self.execution: ExecutionService | None = None
-        self.kv: ReplicatedStore | None = None
         self.sensor_watch: SensorWatch | None = None
 
         network.register(self)
@@ -182,18 +149,7 @@ class RivuletProcess(RuntimeEnv):
                 adapter = factory(self.name, self._radio, self._scheduler)
             self.adapters.install(adapter)
 
-        boot_services(
-            self, self.plan, self.store, self.kv_backend, self.processing,
-            self.device_info, self._deliver_to_logic, self._on_epoch_gap,
-            self._actuate_local, self._poll_sensor,
-            heartbeat_interval=self._heartbeat_interval,
-            failure_detection_s=self._failure_detection_s,
-            delivery_override=self._delivery_override,
-            gapless_options=self._gapless_options,
-            poll_mode_override=self._poll_mode_override,
-            active_replicas=self._active_replicas,
-            kv_sync_interval=self._kv_sync_interval,
-        )
+        self.boot_services()
         if self._sensor_watch_enabled:
             self.sensor_watch = SensorWatch(
                 self, self.plan, self.device_info, self.delivery
@@ -256,6 +212,8 @@ class RivuletProcess(RuntimeEnv):
             message._wire_bytes = wire_bytes
             network.send(message)
 
+    # schedule, schedule_repeating and register_handler are defined on this
+    # class (not the host): bench/tracer.py wraps them via cls.__dict__.
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> CancelHandle:
         return _GuardedHandle(
             self._scheduler.call_later(delay, _GuardedCall(self, fn, args))
@@ -280,13 +238,6 @@ class RivuletProcess(RuntimeEnv):
     def register_handler(self, kind: str, fn: Callable[[Message], None]) -> None:
         self._handlers[kind] = fn
 
-    def rng(self, stream: str) -> RandomSource:
-        cached = self._rng_streams.get(stream)
-        if cached is None:
-            cached = self._rng_root.child(stream)
-            self._rng_streams[stream] = cached
-        return cached
-
     def trace(self, kind: str, /, **fields: Any) -> None:
         self._trace.record(self._scheduler._now, kind, process=self.name, **fields)
 
@@ -300,15 +251,6 @@ class RivuletProcess(RuntimeEnv):
             self._scheduler._now, kind, id_field, id_value,
             process=self.name, seq=seq,
         )
-
-    def peers(self) -> list[str]:
-        # The deployment plan is fixed for the lifetime of a run, so the
-        # peer list is computed once (heartbeats ask for it every tick).
-        peers = self._peers_cache
-        if peers is None:
-            peers = [p for p in self.plan.processes if p != self.name]
-            self._peers_cache = peers
-        return peers
 
     # -- transport endpoint ------------------------------------------------------------------
 
@@ -337,14 +279,6 @@ class RivuletProcess(RuntimeEnv):
         self.delivery.on_ingest(event)
 
     # -- internal plumbing -------------------------------------------------------------------------
-
-    def _deliver_to_logic(self, sensor: str, event: Event, only_app: str | None) -> None:
-        if self.execution is not None:
-            self.execution.on_event(sensor, event, only_app)
-
-    def _on_epoch_gap(self, sensor: str, gap) -> None:
-        if self.execution is not None:
-            self.execution.on_epoch_gap(sensor, gap)
 
     def _actuate_local(self, command: Command) -> None:
         info = self.device_info.get(command.actuator_id)

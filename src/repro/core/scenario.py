@@ -103,6 +103,15 @@ class Scenario:
             for process in receivers
         )
 
+    def stack_fields(self) -> dict[str, Any]:
+        """The :class:`~repro.core.stack.StackConfig` fields a scenario
+        states, for every builder to splat into its runtime's config."""
+        return {
+            "heartbeat_interval": self.heartbeat_interval,
+            "failure_detection_s": self.failure_detection_s,
+            "delivery_override": dict(self.delivery_override),
+        }
+
     def rt_deployment(self) -> tuple[DeploymentPlan, dict[str, DeviceInfo]]:
         """What every rt node of this home boots from (fresh app objects)."""
         return rt_deployment(
@@ -155,13 +164,7 @@ def build_sim_home(scenario: Scenario, *, seed: int, **config: Any) -> Home:
     by name on IP, poll sensors by name on Z-Wave, actuators and apps as
     listed.
     """
-    home = Home(HomeConfig(
-        seed=seed,
-        heartbeat_interval=scenario.heartbeat_interval,
-        failure_detection_s=scenario.failure_detection_s,
-        delivery_override=dict(scenario.delivery_override),
-        **config,
-    ))
+    home = Home(HomeConfig(seed=seed, **scenario.stack_fields(), **config))
     for name in scenario.processes:
         home.add_process(name, adapters=("ip", "zwave"))
     for technology, sensors in (

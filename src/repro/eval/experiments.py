@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.apps.catalog import TABLE1, run_catalog_app
-from repro.core.delivery import Delivery, GAP, GAPLESS, PollingPolicy, PollMode
+from repro.core.delivery import GAP, GAPLESS, PollingPolicy, PollMode
 from repro.core.events import Event
 from repro.core.graph import App
 from repro.core.home import Home
@@ -170,18 +170,48 @@ def table3_sensor_classes() -> ExperimentTable:
 # -- Fig. 4: delivery delay ----------------------------------------------------------------------
 
 
-def _delay_run(
-    *, n: int, receiving: list[str], guarantee: Delivery, size: int,
-    seed: int, duration: float, rate: float,
-) -> float:
-    home, sensor = single_sensor_home(
-        n_processes=n, receiving=receiving, guarantee=guarantee,
-        event_size=size, seed=seed, keep_trace_kinds={"logic_delivery"},
-    )
+def _periodic_run(
+    rate: float, until: float, *, crash_at: float | None = None, **deployment: Any
+) -> tuple[Home, Any]:
+    """A :func:`single_sensor_home` that settles for a second, then emits
+    at ``rate`` until ``until`` (``p0`` crashing at ``crash_at``, if set)."""
+    home, sensor = single_sensor_home(**deployment)
     home.run_until(1.0)
     sensor.start_periodic(rate)
-    home.run_until(1.0 + duration)
-    return metrics.mean_delay_ms(home.trace)
+    if crash_at is not None:
+        home.scheduler.call_at(crash_at, home.crash_process, "p0")
+    home.run_until(until)
+    return home, sensor
+
+
+def _fig4_delay(
+    experiment: str, title: str, note: str, receiver: str, *,
+    seeds: tuple[int, ...], duration: float, rate: float,
+    sizes: tuple[int, ...], process_counts: tuple[int, ...],
+) -> ExperimentTable:
+    """Delay vs #processes with ``receiver`` the one process hearing the sensor."""
+    table = ExperimentTable(
+        experiment=experiment,
+        title=title,
+        columns=["guarantee", "event_bytes", "processes", "delay_ms"],
+        notes=[note],
+    )
+    for guarantee in (GAP, GAPLESS):
+        for size in sizes:
+            for n in process_counts:
+                # No name holds a finished home while the next one is built.
+                delays = [
+                    metrics.mean_delay_ms(_periodic_run(
+                        rate, 1.0 + duration, n_processes=n, receiving=[receiver],
+                        guarantee=guarantee, event_size=size, seed=seed,
+                        keep_trace_kinds={"logic_delivery"},
+                    )[0].trace)
+                    for seed in seeds
+                ]
+                table.rows.append(
+                    [guarantee.value, size, n, metrics.mean(delays)]
+                )
+    return table
 
 
 def fig4a_delay_farthest(
@@ -190,24 +220,12 @@ def fig4a_delay_farthest(
     process_counts: tuple[int, ...] = (2, 3, 4, 5),
 ) -> ExperimentTable:
     """Delay vs #processes, receiver farthest from the app-bearing process."""
-    table = ExperimentTable(
-        experiment="fig4a",
-        title="Delay (ms), event-receiving process farthest from app",
-        columns=["guarantee", "event_bytes", "processes", "delay_ms"],
-        notes=["farthest = ring distance n-1 (receiver p1, app on p0)"],
+    return _fig4_delay(
+        "fig4a", "Delay (ms), event-receiving process farthest from app",
+        "farthest = ring distance n-1 (receiver p1, app on p0)", "p1",
+        seeds=seeds, duration=duration, rate=rate, sizes=sizes,
+        process_counts=process_counts,
     )
-    for guarantee in (GAP, GAPLESS):
-        for size in sizes:
-            for n in process_counts:
-                delays = [
-                    _delay_run(n=n, receiving=["p1"], guarantee=guarantee,
-                               size=size, seed=seed, duration=duration, rate=rate)
-                    for seed in seeds
-                ]
-                table.rows.append(
-                    [guarantee.value, size, n, metrics.mean(delays)]
-                )
-    return table
 
 
 def fig4b_delay_local(
@@ -216,24 +234,12 @@ def fig4b_delay_local(
     process_counts: tuple[int, ...] = (2, 3, 4, 5),
 ) -> ExperimentTable:
     """Delay when the app-bearing process receives events directly."""
-    table = ExperimentTable(
-        experiment="fig4b",
-        title="Delay (ms), app-bearing process receives directly",
-        columns=["guarantee", "event_bytes", "processes", "delay_ms"],
-        notes=["paper: approximately 1-2 ms for small events"],
+    return _fig4_delay(
+        "fig4b", "Delay (ms), app-bearing process receives directly",
+        "paper: approximately 1-2 ms for small events", "p0",
+        seeds=seeds, duration=duration, rate=rate, sizes=sizes,
+        process_counts=process_counts,
     )
-    for guarantee in (GAP, GAPLESS):
-        for size in sizes:
-            for n in process_counts:
-                delays = [
-                    _delay_run(n=n, receiving=["p0"], guarantee=guarantee,
-                               size=size, seed=seed, duration=duration, rate=rate)
-                    for seed in seeds
-                ]
-                table.rows.append(
-                    [guarantee.value, size, n, metrics.mean(delays)]
-                )
-    return table
 
 
 # -- Fig. 5: network overhead ----------------------------------------------------------------------
@@ -242,15 +248,12 @@ def fig4b_delay_local(
 def _overhead_run(
     *, mode: str, m: int, size: int, seed: int, duration: float, rate: float,
 ) -> float:
-    guarantee = GAP if mode == "gap" else GAPLESS
-    home, sensor = single_sensor_home(
-        n_processes=5, receiving=m, guarantee=guarantee,
+    home, sensor = _periodic_run(
+        rate, 1.0 + duration, n_processes=5, receiving=m,
+        guarantee=GAP if mode == "gap" else GAPLESS,
         delivery_mode=mode, event_size=size, seed=seed,
         keep_trace_kinds=set(),  # bytes/event reads the trace's tallies
     )
-    home.run_until(1.0)
-    sensor.start_periodic(rate)
-    home.run_until(1.0 + duration)
     return metrics.bytes_per_event(home.trace, sensor.events_emitted)
 
 
@@ -311,14 +314,11 @@ def fig6_link_loss(
             for loss in loss_rates:
                 fractions = []
                 for seed in seeds:
-                    home, sensor = single_sensor_home(
-                        n_processes=5, receiving=m,
+                    home, sensor = _periodic_run(
+                        rate, 1.0 + duration, n_processes=5, receiving=m,
                         guarantee=guarantee, loss_rate=loss, seed=seed,
                         keep_trace_kinds={"logic_delivery"},
                     )
-                    home.run_until(1.0)
-                    sensor.start_periodic(rate)
-                    home.run_until(1.0 + duration)
                     fractions.append(
                         metrics.delivered_fraction(
                             home.trace, sensor.events_emitted
@@ -351,14 +351,11 @@ def fig7_process_failure(
     )
     summary: dict[str, dict[str, float]] = {}
     for guarantee in (GAP, GAPLESS):
-        home, sensor = single_sensor_home(
+        home, sensor = _periodic_run(
+            rate, duration, crash_at=crash_at,
             n_processes=5, receiving=5, guarantee=guarantee, seed=seed,
             keep_trace_kinds={"logic_delivery"},
         )
-        home.run_until(1.0)
-        sensor.start_periodic(rate)
-        home.scheduler.call_at(crash_at, home.crash_process, "p0")
-        home.run_until(duration)
         for second, count in metrics.deliveries_per_bucket(home.trace):
             table.rows.append([guarantee.value, second, count])
         summary[guarantee.value] = {
@@ -489,23 +486,17 @@ def sweep_cells(
         if days is not None and "days" in parameters:
             base["days"] = days
         if "seeds" in parameters:
-            cell_seeds = seeds or tuple(parameters["seeds"].default)
-            for seed in cell_seeds:
-                cells.append({
-                    "cell_id": f"{name}-s{seed}",
-                    "experiment": name,
-                    "kwargs": {**base, "seeds": [seed]},
-                })
+            seeded = [(f"{name}-s{seed}", {"seeds": [seed]})
+                      for seed in seeds or parameters["seeds"].default]
         elif "seed" in parameters:
-            cell_seeds = seeds or (parameters["seed"].default,)
-            for seed in cell_seeds:
-                cells.append({
-                    "cell_id": f"{name}-s{seed}",
-                    "experiment": name,
-                    "kwargs": {**base, "seed": seed},
-                })
+            seeded = [(f"{name}-s{seed}", {"seed": seed})
+                      for seed in seeds or (parameters["seed"].default,)]
         else:
-            cells.append({"cell_id": name, "experiment": name, "kwargs": base})
+            seeded = [(name, {})]
+        cells.extend(
+            {"cell_id": cell_id, "experiment": name, "kwargs": {**base, **seed_kwargs}}
+            for cell_id, seed_kwargs in seeded
+        )
     return cells
 
 

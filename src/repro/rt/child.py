@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import os
 import sys
@@ -41,6 +42,7 @@ from typing import Any
 
 from repro.apps.scenarios import scenario_named
 from repro.core.events import Command
+from repro.core.stack import RT_STACK
 from repro.rt import wire
 from repro.rt.cluster import QUIESCE_KINDS, thermometer_reading
 from repro.rt.node import AsyncRivuletNode
@@ -106,13 +108,11 @@ class _ChildNode:
             spec["port"],
             {name: tuple(addr) for name, addr in spec["addresses"].items()},
             plan,
-            device_info=device_info,
+            device_info,
+            dataclasses.replace(RT_STACK, **scenario.stack_fields()),
             seed=spec.get("seed", 42),
-            heartbeat_interval=scenario.heartbeat_interval,
-            failure_detection_s=scenario.failure_detection_s,
             on_actuate=self._on_actuate,
             poll_handler=self._serve_poll,
-            delivery_override=scenario.delivery_override or None,
             trace=self.trace,
         )
 

@@ -31,15 +31,16 @@ injection against real TCP traffic (and ``net_send`` overhead accounting).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
 import socket
 from typing import Any, Callable, Sequence
 
-from repro.core.delivery_service import GaplessOptions
 from repro.core.events import Command, Event
 from repro.core.graph import App, validate_apps
 from repro.core.invariants import GroundTruth, RunRecord
 from repro.core.scenario import RT_POLL_SERVICE_S, Scenario, rt_deployment
+from repro.core.stack import RT_STACK
 from repro.rt import wire
 from repro.rt.harness import RtHarness
 from repro.rt.node import AsyncRivuletNode, PollHandler
@@ -72,21 +73,13 @@ class LocalCluster(RtHarness):
 
     nodes: dict[str, AsyncRivuletNode]
 
-    def __init__(
-        self,
-        *,
-        seed: int = 42,
-        heartbeat_interval: float = 0.15,
-        failure_detection_s: float = 0.6,
-        delivery_override: dict[str, str] | None = None,
-        gapless_options: GaplessOptions | None = None,
-        use_proxy: bool = False,
-    ) -> None:
+    # __init__ and emit are defined on this class (not the harness):
+    # bench/tracer.py wraps them via cls.__dict__.
+    def __init__(self, *, seed: int = 42, use_proxy: bool = False, **stack: Any) -> None:
+        """``stack`` overrides :data:`~repro.core.stack.RT_STACK` field by
+        field; every node boots from the resulting ``config``."""
         super().__init__(seed=seed, use_proxy=use_proxy)
-        self.heartbeat_interval = heartbeat_interval
-        self.failure_detection_s = failure_detection_s
-        self.delivery_override = delivery_override
-        self.gapless_options = gapless_options
+        self.config = dataclasses.replace(RT_STACK, **stack)
         self._process_names: list[str] = []
         self._sensor_receivers: dict[str, list[str]] = {}
         #: poll sensor -> (service time, default epoch)
@@ -106,9 +99,10 @@ class LocalCluster(RtHarness):
         return self
 
     def add_push_sensor(
-        self, name: str, *, receivers: list[str] | None = None, event_size: int = 4
+        self, name: str, *, receivers: list[str] | None = None
     ) -> "LocalCluster":
-        """A software push sensor; events are injected at the receivers."""
+        """A software push sensor; events are injected at the receivers
+        (:meth:`emit` sizes each one)."""
         self._sensor_receivers[name] = receivers or list(self._process_names)
         self._event_seq[name] = itertools.count(1)
         return self
@@ -169,14 +163,11 @@ class LocalCluster(RtHarness):
                 addresses[name][1],
                 self._peer_addresses(name, addresses),
                 plan,
-                device_info=device_info,
+                device_info,
+                self.config,
                 seed=self.seed,
-                heartbeat_interval=self.heartbeat_interval,
-                failure_detection_s=self.failure_detection_s,
                 on_actuate=self._record_actuation,
                 poll_handler=make_poll_router(),
-                delivery_override=self.delivery_override,
-                gapless_options=self.gapless_options,
                 trace=self.trace,
             )
             self.nodes[name] = node
@@ -245,15 +236,6 @@ class LocalCluster(RtHarness):
         )
 
     # -- waiting ---------------------------------------------------------------------------
-
-    async def settle(self, seconds: float) -> None:
-        """Let the cluster run for a fixed slice of real time.
-
-        Prefer :meth:`wait_for` (condition-based) or :meth:`quiesce`
-        (activity-based) — fixed sleeps either waste wall-clock or flake
-        on slow machines.
-        """
-        await asyncio.sleep(seconds)
 
     async def quiesce(
         self,
@@ -328,13 +310,7 @@ def build_cluster(
     scenario: Scenario, *, seed: int, use_proxy: bool = True
 ) -> LocalCluster:
     """The scenario as an in-process asyncio cluster (not yet started)."""
-    cluster = LocalCluster(
-        seed=seed,
-        heartbeat_interval=scenario.heartbeat_interval,
-        failure_detection_s=scenario.failure_detection_s,
-        delivery_override=scenario.delivery_override or None,
-        use_proxy=use_proxy,
-    )
+    cluster = LocalCluster(seed=seed, use_proxy=use_proxy, **scenario.stack_fields())
     for name in scenario.processes:
         cluster.add_process(name)
     for sensor, receivers in scenario.push_sensors.items():

@@ -1,10 +1,9 @@
 """One Rivulet process over real asyncio TCP.
 
-:class:`AsyncRivuletNode` implements :class:`repro.core.env.RuntimeEnv` on
-top of an event loop and runs the identical service stack the simulator
-boots: heartbeat membership, the delivery service (Gap chain / Gapless ring
-/ reliable broadcast / polling) and the execution service (election,
-logic runtimes).
+:class:`AsyncRivuletNode` is a :class:`repro.core.stack.ServiceHost` on an
+event loop: the host boots the identical service stack the simulator runs
+(heartbeat membership, the delivery service, the execution service, the
+replicated store); the node adds sockets, timers and the device hooks.
 
 Transport semantics match the paper's assumptions: per-peer ordered frames
 over TCP (one outbound queue per destination), silent loss when the peer is
@@ -22,30 +21,21 @@ import asyncio
 import socket
 from typing import Any, Callable
 
-from repro.core.delivery import PollMode
-from repro.core.delivery_service import (
-    DeliveryService,
-    DeviceInfo,
-    GaplessOptions,
-)
-from repro.core.env import CancelHandle, RuntimeEnv
-from repro.core.eventlog import EventStore
+from repro.core.delivery_service import DeviceInfo
+from repro.core.env import CancelHandle
 from repro.core.events import Command, Event
-from repro.core.execution import ExecutionService
 from repro.core.plan import DeploymentPlan
-from repro.core.stack import boot_services
-from repro.membership.heartbeat import HeartbeatService
+from repro.core.stack import ServiceHost, StackConfig
 from repro.net.latency import ProcessingModel
 from repro.net.message import Message
 from repro.rt import wire
 from repro.sim.random import RandomSource
 from repro.sim.tracing import Trace
-from repro.storage.kv import ReplicatedStore, StoreBackend
 
 PollHandler = Callable[[str, Callable[[Event], None]], None]
 
 
-class AsyncRivuletNode(RuntimeEnv):
+class AsyncRivuletNode(ServiceHost):
     """A Rivulet process listening on ``("127.0.0.1", port)``."""
 
     def __init__(
@@ -54,56 +44,36 @@ class AsyncRivuletNode(RuntimeEnv):
         port: int,
         peer_addresses: dict[str, tuple[str, int]],
         plan: DeploymentPlan,
-        device_info: dict[str, DeviceInfo] | None = None,
+        device_info: dict[str, DeviceInfo],
+        config: StackConfig,
         *,
         seed: int = 42,
-        heartbeat_interval: float = 0.15,
-        failure_detection_s: float = 0.6,
         on_actuate: Callable[[Command], None] | None = None,
         poll_handler: PollHandler | None = None,
-        delivery_override: dict[str, str] | None = None,
-        gapless_options: GaplessOptions | None = None,
-        poll_mode_override: PollMode | None = None,
-        active_replicas: int = 1,
         trace: Trace | None = None,
     ) -> None:
-        self.name = name
+        super().__init__(
+            name, plan, device_info, config,
+            # Real processing happens in real time; the model adds nothing here.
+            ProcessingModel(
+                local_dispatch=0.0, gapless_ingest_log=0.0, gapless_hop_processing=0.0
+            ),
+            RandomSource(seed).child(f"node/{name}"),
+        )
         self.port = port
         self.peer_addresses = dict(peer_addresses)
-        self.plan = plan
-        self.device_info = device_info or {}
-        self._heartbeat_interval = heartbeat_interval
-        self._failure_detection_s = failure_detection_s
         self._on_actuate = on_actuate
         self._poll_handler = poll_handler
-        self._delivery_override = delivery_override
-        self._gapless_options = gapless_options
-        self._poll_mode_override = poll_mode_override
-        self._active_replicas = active_replicas
 
         # Not `trace or Trace()`: an empty Trace is falsy, and a shared
         # cluster trace is always empty at construction time.
         self._trace = trace if trace is not None else Trace()
-        self._rng_root = RandomSource(seed).child(f"node/{name}")
-        self._rng_streams: dict[str, RandomSource] = {}
-        self._handlers: dict[str, Callable[[Message], None]] = {}
         self._queues: dict[str, asyncio.Queue] = {}
         self._sender_tasks: dict[str, asyncio.Task] = {}
         self._inbound: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._alive = False
-
-        self.store = EventStore(name)
-        self.kv_backend = StoreBackend(name)
-        # Real processing happens in real time; the model adds nothing here.
-        self.processing = ProcessingModel(
-            local_dispatch=0.0, gapless_ingest_log=0.0, gapless_hop_processing=0.0
-        )
-        self.heartbeat: HeartbeatService | None = None
-        self.delivery: DeliveryService | None = None
-        self.execution: ExecutionService | None = None
-        self.kv: ReplicatedStore | None = None
         self.actuations: list[Command] = []
 
     # -- lifecycle ----------------------------------------------------------------
@@ -116,21 +86,8 @@ class AsyncRivuletNode(RuntimeEnv):
         where = {"sock": sock} if sock is not None else {"host": "127.0.0.1", "port": self.port}
         self._server = await asyncio.start_server(
             wire.accept_into(self._inbound, self._on_connection), **where)
-        self._boot_services()
+        self.boot_services()
         self.trace("boot")
-
-    def _boot_services(self) -> None:
-        boot_services(
-            self, self.plan, self.store, self.kv_backend, self.processing,
-            self.device_info, self._deliver_to_logic, self._on_epoch_gap,
-            self._actuate_local, self._poll_sensor,
-            heartbeat_interval=self._heartbeat_interval,
-            failure_detection_s=self._failure_detection_s,
-            delivery_override=self._delivery_override,
-            gapless_options=self._gapless_options,
-            poll_mode_override=self._poll_mode_override,
-            active_replicas=self._active_replicas,
-        )
 
     async def stop(self) -> None:
         """Crash-stop the node: close the server and all connections."""
@@ -186,6 +143,8 @@ class AsyncRivuletNode(RuntimeEnv):
         except asyncio.QueueFull:
             self.trace("send_dropped", dst=dst, reason="queue_full")
 
+    # schedule and register_handler are defined on this class (not the
+    # host): bench/tracer.py wraps them via cls.__dict__.
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> CancelHandle:
         loop = self._loop or asyncio.get_event_loop()
         if delay <= 0:
@@ -201,22 +160,12 @@ class AsyncRivuletNode(RuntimeEnv):
     def register_handler(self, kind: str, fn: Callable[[Message], None]) -> None:
         self._handlers[kind] = fn
 
-    def rng(self, stream: str) -> RandomSource:
-        cached = self._rng_streams.get(stream)
-        if cached is None:
-            cached = self._rng_root.child(stream)
-            self._rng_streams[stream] = cached
-        return cached
-
     def trace(self, kind: str, /, **fields: Any) -> None:
         self._trace.record(self.now(), kind, process=self.name, **fields)
 
     @property
     def traced(self) -> Trace:
         return self._trace
-
-    def peers(self) -> list[str]:
-        return [p for p in self.plan.processes if p != self.name]
 
     # -- inbound ----------------------------------------------------------------------------
 
@@ -241,14 +190,6 @@ class AsyncRivuletNode(RuntimeEnv):
             writer.close()
 
     # -- service plumbing --------------------------------------------------------------------
-
-    def _deliver_to_logic(self, sensor: str, event: Event, only_app: str | None) -> None:
-        if self.execution is not None:
-            self.execution.on_event(sensor, event, only_app)
-
-    def _on_epoch_gap(self, sensor: str, gap) -> None:
-        if self.execution is not None:
-            self.execution.on_epoch_gap(sensor, gap)
 
     def _actuate_local(self, command: Command) -> None:
         self.actuations.append(command)

@@ -43,13 +43,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.fleet import Fleet
 
 MAGIC = "rivulet-fleet-snapshot"
-#: Version 4: heartbeat and execution service carry the gossip-on-change
-#: state (assembled keep-alive payload, merge memo); a v3 graph lacks those
-#: attributes and would fail on its first tick. The transport's registered-
-#: payload table came later without a bump: HomeNetwork.__setstate__ says
-#: why its default is exact. (v3: digest-v3 trace segments and trace channel
-#: objects in the graph.)
-FORMAT_VERSION = 4
+#: Version 5: a process keeps what its stack boots with as one ``config``
+#: (repro.core.stack.ServiceHost) and its retired build counters; a v4 graph
+#: holds seven ``RivuletProcess._heartbeat_interval``-style attributes
+#: instead and would die with AttributeError at its first recovery. (v4:
+#: gossip-on-change state on the heartbeat and execution services, later
+#: the transport's registered-payload table without a bump —
+#: HomeNetwork.__setstate__ says why its default is exact. v3: digest-v3
+#: trace segments and trace channel objects in the graph.)
+FORMAT_VERSION = 5
 
 
 class SnapshotError(RuntimeError):

@@ -129,27 +129,33 @@ def test_load_rejects_foreign_and_future_files(tmp_path):
         load_fleet(tmp_path / "missing.snap")
 
 
-def test_parent_written_v3_snapshot_is_refused():
-    """A real file from the build before gossip-on-change (format 3, a
-    2-process home checkpointed at day 1): its heartbeat services lack the
-    assembled-payload state, so resuming it would die with AttributeError
-    on the first tick. ``load_fleet`` must refuse it up front instead."""
-    parent = Path(__file__).parent / "data" / "fleet_v3_parent.snap"
-    with pytest.raises(SnapshotError, match="format version 3|incompatible build"):
+@pytest.mark.parametrize("name", ["fleet_v3_parent.snap", "fleet_v4_parent.snap"])
+def test_older_parent_written_snapshots_are_refused(name):
+    """Real files from earlier builds (a 2-process home checkpointed at day
+    1). v3, before gossip-on-change: its heartbeat services lack the
+    assembled-payload state and would die on the first tick. v4, before the
+    service host: its processes lack ``config`` and would die with
+    AttributeError at the first recovery. ``load_fleet`` must refuse both
+    up front with ``SnapshotError`` instead."""
+    parent = Path(__file__).parent / "data" / name
+    with pytest.raises(SnapshotError, match=r"format version [34]|incompatible build"):
         load_fleet(parent)
 
 
 def two_process_fleet() -> Fleet:
     """One home, two processes, a door and a motion sensor, two resident-days.
 
-    ``data/fleet_v4_parent.snap`` is this fleet at day 1, written by the
-    commit before the change-time tables (51877c5) with::
+    ``data/fleet_v5.snap`` is this fleet at day 1, written by the build
+    that introduced format 5 (the service host) with::
 
-        PYTHONPATH=<51877c5>/src python -c "
+        PYTHONPATH=src python -c "
         from tests.integration.test_fleet_snapshot import two_process_fleet
         from repro.core.fleet import DAY_S
         fleet = two_process_fleet(); fleet.run_until(DAY_S)
-        fleet.checkpoint('tests/integration/data/fleet_v4_parent.snap')"
+        fleet.checkpoint('tests/integration/data/fleet_v5.snap')"
+
+    so every later build reads a parent-written file
+    (``data/fleet_v4_parent.snap`` is the same fleet written by 51877c5).
 
     No app is deployed: that build (like this one) cannot checkpoint an
     active logic node, whose windows close over a lambda.
@@ -179,25 +185,23 @@ def _second_day_with_a_crash(fleet: Fleet) -> Fleet:
     return fleet.run_until(2 * DAY_S)
 
 
-def test_parent_written_v4_snapshot_loads_and_resumes():
-    """The view, ring and route tables are derived state, not snapshot
-    format: a file written by the build before them (format 4) loads, and
-    its heartbeats and routers — restored without the new attributes —
-    rebuild what they need on first use, through a crash and a recovery."""
-    parent = Path(__file__).parent / "data" / "fleet_v4_parent.snap"
+def test_parent_written_v5_snapshot_loads_and_resumes():
+    """A committed format-5 file loads and resumes — through a crash and a
+    recovery, which boots a new stack from the restored ``config`` — to the
+    digest of the uninterrupted run."""
+    parent = Path(__file__).parent / "data" / "fleet_v5.snap"
     resumed = load_fleet(parent)
-    assert FORMAT_VERSION == 4 and resumed.context.now == DAY_S
-    restored = resumed.home("h000").processes["hub"].heartbeat
-    assert "_view" not in vars(restored) and restored.view_builds == 0
+    assert FORMAT_VERSION == 5 and resumed.context.now == DAY_S
 
     _second_day_with_a_crash(resumed)
     reference = _second_day_with_a_crash(two_process_fleet())
     assert resumed.digest() == reference.digest()
     assert resumed.metrics() == reference.metrics()
-    trace = resumed.home("h000").trace
-    assert trace.count("suspect") == trace.count("unsuspect") == 1
-    # One view for the restored state, one per change since.
-    assert restored.view_builds == 3
+    home = resumed.home("h000")
+    assert home.trace.count("suspect") == home.trace.count("unsuspect") == 1
+    # The restored transport rebuilds its two multicast plans; every other
+    # counter — the services' through the recovery too — reads as uninterrupted.
+    assert home.stats() == {**reference.home("h000").stats(), "plan_builds": 4}
 
 
 class _Beacon:

@@ -3,7 +3,8 @@
 Every import statement under ``src/repro`` is read with ``ast`` —
 function-level imports included, since placing an import inside a function
 hides a module cycle without removing it. The table lists, per importing
-package, the packages it must not reach.
+package, the packages it must not reach. The same pass keeps the service
+stack assembled in one place: only ``repro.core.stack`` constructs a service.
 """
 
 import ast
@@ -52,3 +53,19 @@ def test_no_package_imports_upward():
                 offences.append(f"{relative}:{line} imports repro.{target}")
     assert packages == set(FORBIDDEN), "a new package needs a row in FORBIDDEN"
     assert not offences, "\n".join(offences)
+
+
+#: Constructed by ``ServiceHost.boot_services`` and nowhere else in ``src/``.
+SERVICES = {"HeartbeatService", "DeliveryService", "ExecutionService", "ReplicatedStore"}
+
+
+def test_only_the_service_host_constructs_a_service():
+    callers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+                if name in SERVICES:
+                    callers.add((str(path.relative_to(SRC)), name))
+    assert callers == {("core/stack.py", name) for name in SERVICES}
