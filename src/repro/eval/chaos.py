@@ -29,14 +29,17 @@ Campaign cells are independent, so ``--jobs N`` fans them out over a
 process pool (see :mod:`repro.eval.parallel`); results merge in task
 order, keeping the report digest byte-identical to a sequential run.
 
-The ``device`` intensity profile selects a second scenario
-(:func:`run_device_campaign`): soft device faults — stuck, drifting,
-flapping, ghosting, browned-out sensors — against four apps with opt-in
-:class:`~repro.core.repair.RepairPolicy` configurations. Each cell runs
-its plan twice, repair on and repair off, and the report's
+The device campaign is one more *mode* of the same campaign, not a second
+runner: ``run_campaign(seeds, horizon, modes=("device",),
+intensities=("device",))`` selects a second scenario — soft device faults
+(stuck, drifting, flapping, ghosting, browned-out sensors) against four
+apps with opt-in :class:`~repro.core.repair.RepairPolicy` configurations.
+Each cell runs its plan twice, repair on and repair off, and the report's
 ``summary.outcome_deltas`` shows per-oracle how many outcome failures
 (heating an empty home, missing an intrusion or a hazard) the repair
-layer removed::
+layer removed. ``device`` is both the mode and the profile of its cells,
+so it combines with no other mode or intensity (:func:`campaign_tasks`
+refuses the mix, ``--profile device --modes ...`` exits 2)::
 
     python -m repro.eval.cli chaos --profile device --seeds 120
 """
@@ -56,10 +59,8 @@ from repro.core.invariants import (
 )
 from repro.eval.cache import RunCache
 from repro.eval.cases import run_case, toggle_script
-from repro.eval.parallel import SweepTask, run_sweep
-from repro.eval.report import (
-    report_digest, require_digest_version, write_report,
-)
+from repro.eval.parallel import SweepResult, SweepTask, sweep_report
+from repro.eval.report import require_digest_version
 from repro.sim.tracing import DIGEST_VERSION
 from repro.sim.chaos import (
     FaultDomain, FaultScheduleGenerator, PROFILES, shrink,
@@ -128,11 +129,6 @@ def run_chaos_case(
     return check_all(record), home
 
 
-#: Dotted runner names the sweep executor resolves inside workers.
-CELL_RUNNER = "repro.eval.chaos:run_campaign_cell"
-DEVICE_CELL_RUNNER = "repro.eval.chaos:run_device_cell"
-
-
 def _run_id(mode: str, intensity: str, seed: int) -> str:
     """A cell's id; ``device`` is both the mode and the profile of its cells."""
     return f"device-s{seed}" if mode == "device" else f"{mode}-{intensity}-s{seed}"
@@ -195,6 +191,8 @@ def run_campaign_cell(spec: dict[str, Any]) -> dict[str, Any]:
     entry is a pure function of the spec, which is what makes ``--jobs N``
     merges and cache replays byte-identical to sequential runs.
     """
+    if spec["mode"] == "device":
+        return _device_cell_entry(spec)
     seed = spec["seed"]
     mode = spec["mode"]
     horizon = spec["horizon"]
@@ -224,19 +222,27 @@ def campaign_tasks(
     gapless_options: GaplessOptions | None = None,
     max_shrink_evals: int = 64,
 ) -> list[SweepTask]:
-    """The campaign's cell list, in the canonical (mode, intensity, seed) order."""
-    tasks: list[SweepTask] = []
-    for mode in modes:
-        for intensity in intensities:
-            for seed in seeds:
-                tasks.append(SweepTask(
-                    index=len(tasks),
-                    task_id=_run_id(mode, intensity, seed),
-                    runner=DEVICE_CELL_RUNNER if mode == "device" else CELL_RUNNER,
-                    spec=_case_spec(seed, mode, intensity, horizon,
-                                    gapless_options, max_shrink_evals),
-                ))
-    return tasks
+    """The campaign's cell list, in the canonical (mode, intensity, seed) order.
+
+    ``device`` names a scenario and the one profile its cells draw from,
+    so a device cell's id carries no intensity: mixed with anything else,
+    cells would collide on ``device-sN`` and ignore their intensity.
+    """
+    asked = (tuple(modes), tuple(intensities))
+    if "device" in asked[0] + asked[1] and asked != (("device",), ("device",)):
+        raise ValueError(
+            "the device campaign is modes=('device',) with "
+            "intensities=('device',) and combines with no other mode or "
+            f"intensity, got modes={asked[0]!r} intensities={asked[1]!r}"
+        )
+    return [
+        SweepTask(
+            _run_id(mode, intensity, seed), run_campaign_cell,
+            _case_spec(seed, mode, intensity, horizon,
+                       gapless_options, max_shrink_evals),
+        )
+        for mode in modes for intensity in intensities for seed in seeds
+    ]
 
 
 def run_campaign(
@@ -257,88 +263,54 @@ def run_campaign(
     ``jobs`` fans the cells out over a process pool (``None`` = all
     cores); results are merged in task order so the report digest is
     independent of ``jobs``. ``cache`` replays unchanged cells from the
-    content-addressed run cache instead of recomputing them.
+    content-addressed run cache instead of recomputing them. A cell that
+    raised becomes an ``"error"`` run, counted as a failure; the device
+    campaign (``"device" in modes``) adds ``summary.outcome_deltas``.
     """
     tasks = campaign_tasks(
         seeds, horizon, intensities=intensities, modes=modes,
         gapless_options=gapless_options, max_shrink_evals=max_shrink_evals,
     )
-    return _campaign_report(
-        tasks, horizon, seeds, intensities, modes, out_path=out_path,
-        progress=progress, jobs=jobs, cache=cache,
+
+    def assemble(results: list[SweepResult]) -> dict[str, Any]:
+        runs: list[dict[str, Any]] = []
+        for result in results:
+            if result.ok:
+                runs.append(result.value)
+            else:
+                spec = result.task.spec
+                runs.append({
+                    "run_id": result.task.task_id,
+                    "seed": spec["seed"],
+                    "mode": spec["mode"],
+                    "intensity": spec["intensity"],
+                    "fault_actions": 0,
+                    "verdict": "error",
+                    "violations": [],
+                    "error": result.error,
+                })
+        summary: dict[str, Any] = {
+            "total": len(runs),
+            "failures": sum(1 for r in runs if r["verdict"] != "pass"),
+        }
+        if "device" in modes:
+            summary["outcome_deltas"] = _outcome_deltas(runs)
+        return {
+            "digest_version": DIGEST_VERSION,
+            "campaign": {
+                "horizon": horizon,
+                "seeds": list(seeds),
+                "intensities": list(intensities),
+                "modes": list(modes),
+            },
+            "runs": runs,
+            "summary": summary,
+        }
+
+    return sweep_report(
+        tasks, assemble, jobs=jobs, cache=cache, out_path=out_path,
+        progress=progress,
     )
-
-
-def _campaign_report(
-    tasks: list[SweepTask],
-    horizon: float,
-    seeds: list[int],
-    intensities: tuple[str, ...],
-    modes: tuple[str, ...],
-    *,
-    out_path: str | None,
-    progress: bool,
-    jobs: int | None,
-    cache: RunCache | None,
-    summarize: Callable[[list[dict[str, Any]]], dict[str, Any]] | None = None,
-) -> dict[str, Any]:
-    """Run the cells; assemble, digest and write the campaign report.
-
-    The tail both campaigns share: a cell that raised becomes an
-    ``"error"`` run (counted as a failure), and ``summarize`` adds
-    campaign-specific aggregates over the runs to ``summary``.
-    """
-
-    def report_progress(done: int, total: int, result) -> None:  # pragma: no cover
-        if result.ok:
-            tag = "cached" if result.cached else f"{result.seconds:.1f}s"
-            print(f"  [{done}/{total}] {result.task.task_id}: "
-                  f"{result.value['verdict']} "
-                  f"({result.value['fault_actions']} fault actions, {tag})")
-        else:
-            print(f"  [{done}/{total}] {result.task.task_id}: ERROR")
-
-    results = run_sweep(
-        tasks, jobs=jobs, cache=cache,
-        progress=report_progress if progress else None,
-    )
-    runs: list[dict[str, Any]] = []
-    for result in results:
-        if result.ok:
-            runs.append(result.value)
-        else:
-            spec = result.task.spec
-            runs.append({
-                "run_id": result.task.task_id,
-                "seed": spec["seed"],
-                "mode": spec["mode"],
-                "intensity": spec["intensity"],
-                "fault_actions": 0,
-                "verdict": "error",
-                "violations": [],
-                "error": result.error,
-            })
-
-    summary: dict[str, Any] = {
-        "total": len(runs),
-        "failures": sum(1 for r in runs if r["verdict"] != "pass"),
-    }
-    if summarize is not None:
-        summary.update(summarize(runs))
-    report: dict[str, Any] = {
-        "digest_version": DIGEST_VERSION,
-        "campaign": {
-            "horizon": horizon,
-            "seeds": list(seeds),
-            "intensities": list(intensities),
-            "modes": list(modes),
-        },
-        "runs": runs,
-        "summary": summary,
-    }
-    report["digest"] = report_digest(report)
-    write_report(report, out_path)
-    return report
 
 
 def replay_run(
@@ -568,8 +540,8 @@ def _repaired_violations(protocol: list, outcome: dict[str, int]) -> list[str]:
     ]
 
 
-def run_device_cell(spec: dict[str, Any]) -> dict[str, Any]:
-    """One device-campaign cell: the same plan with repair on and off.
+def _device_cell_entry(spec: dict[str, Any]) -> dict[str, Any]:
+    """A device-campaign cell: the same plan with repair on and off.
 
     The verdict judges the repaired run (plus the protocol oracles of
     both runs — repair must never break platform guarantees); the
@@ -604,32 +576,7 @@ def run_device_cell(spec: dict[str, Any]) -> dict[str, Any]:
     )
 
 
-def run_device_campaign(
-    seeds: list[int],
-    horizon: float = 3600.0,
-    *,
-    out_path: str | None = "CHAOS_report.json",
-    max_shrink_evals: int = 64,
-    progress: bool = False,
-    jobs: int | None = 1,
-    cache: RunCache | None = None,
-) -> dict[str, Any]:
-    """Sweep seeds over the device-fault scenario; write the report.
-
-    ``summary.outcome_deltas`` aggregates, per outcome oracle, how many
-    violations the campaign saw with repair on vs. repair off.
-    """
-    tasks = campaign_tasks(
-        seeds, horizon, intensities=("device",), modes=("device",),
-        max_shrink_evals=max_shrink_evals,
-    )
-    return _campaign_report(
-        tasks, horizon, seeds, ("device",), ("device",), out_path=out_path,
-        progress=progress, jobs=jobs, cache=cache, summarize=_outcome_deltas,
-    )
-
-
-def _outcome_deltas(runs: list[dict[str, Any]]) -> dict[str, Any]:
+def _outcome_deltas(runs: list[dict[str, Any]]) -> dict[str, dict[str, int]]:
     """Per outcome oracle, violations seen with repair on vs. repair off."""
     deltas: dict[str, dict[str, int]] = {
         name: {"repair_on": 0, "repair_off": 0} for name, _ in OUTCOME_ORACLES
@@ -641,4 +588,4 @@ def _outcome_deltas(runs: list[dict[str, Any]]) -> dict[str, Any]:
         for name in deltas:
             deltas[name]["repair_on"] += repair["on"]["outcome"].get(name, 0)
             deltas[name]["repair_off"] += repair["off"]["outcome"].get(name, 0)
-    return {"outcome_deltas": deltas}
+    return deltas

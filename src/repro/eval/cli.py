@@ -129,7 +129,7 @@ def _run_chaos(args) -> int:
 
     from repro.eval.chaos import (
         DEFAULT_INTENSITIES, MODES, render_campaign_summary, replay_run,
-        run_campaign, run_device_campaign,
+        run_campaign,
     )
     from repro.eval.report import DigestVersionMismatch
     from repro.sim.chaos import PROFILES
@@ -172,20 +172,25 @@ def _run_chaos(args) -> int:
             )
         args.intensities = args.profile
     if args.profile == "device":
-        run, cells = run_device_campaign, {}
+        if args.modes is not None:
+            raise CliError(
+                "--profile device and --modes are mutually exclusive "
+                "(the device scenario is its own mode)"
+            )
+        intensities = modes = ("device",)
     else:
-        run = run_campaign
-        cells = {
-            "intensities": parse_choice_list(
-                args.intensities, tuple(sorted(PROFILES)),
-                DEFAULT_INTENSITIES, "intensity",
-            ),
-            "modes": parse_choice_list(args.modes, MODES, MODES, "mode"),
-        }
+        # "device" is a campaign of its own (--profile device), never one
+        # intensity among others: campaign_tasks refuses the mix.
+        intensities = parse_choice_list(
+            args.intensities, tuple(sorted(set(PROFILES) - {"device"})),
+            DEFAULT_INTENSITIES, "intensity",
+        )
+        modes = parse_choice_list(args.modes, MODES, MODES, "mode")
     out = args.out or "CHAOS_report.json"
-    report = run(
-        seeds, args.horizon, out_path=out, progress=True,
-        jobs=args.jobs or 1, cache=_make_cache(args), **cells,
+    report = run_campaign(
+        seeds, args.horizon, intensities=intensities, modes=modes,
+        out_path=out, progress=True, jobs=args.jobs or 1,
+        cache=_make_cache(args),
     )
     print(render_campaign_summary(report))
     print(f"wrote {out}")

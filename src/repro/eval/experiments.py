@@ -24,7 +24,7 @@ from repro.core.operators import Operator
 from repro.core.windows import TimeWindow
 from repro.devices.catalog import SENSOR_CATALOG
 from repro.eval import metrics
-from repro.eval.report import render_table, report_digest, write_report
+from repro.eval.report import render_table
 from repro.eval.workloads import home_deployment, single_sensor_home
 from repro.net.message import Message
 from repro.net.wire import wire_size
@@ -456,10 +456,6 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentTable]] = {
 
 # -- parallel sweep: one cell per (experiment, seed) ---------------------------------------------
 
-#: Dotted runner name the sweep executor resolves inside workers.
-CELL_RUNNER = "repro.eval.experiments:run_experiment_cell"
-
-
 def sweep_cells(
     names: list[str],
     *,
@@ -531,46 +527,39 @@ def run_experiment_sweep(
     is independent of ``jobs`` and of cache hits: cells merge in task
     order and each cell is a pure function of its spec.
     """
-    from repro.eval.parallel import SweepTask, run_sweep
+    from repro.eval.parallel import SweepTask, sweep_report
 
     specs = sweep_cells(names, seeds=seeds, duration=duration, days=days)
     tasks = [
-        SweepTask(index=i, task_id=spec["cell_id"], runner=CELL_RUNNER, spec=spec)
-        for i, spec in enumerate(specs)
+        SweepTask(spec["cell_id"], run_experiment_cell, spec) for spec in specs
     ]
 
-    def report_progress(done: int, total: int, result) -> None:  # pragma: no cover
-        tag = "cached" if result.cached else f"{result.seconds:.1f}s"
-        status = "ok" if result.ok else "ERROR"
-        print(f"  [{done}/{total}] {result.task.task_id}: {status} ({tag})")
+    def assemble(results: list) -> dict[str, Any]:
+        cells: list[dict[str, Any]] = []
+        errors = 0
+        for result in results:
+            if result.ok:
+                cells.append(result.value)
+            else:
+                errors += 1
+                cells.append({
+                    "cell_id": result.task.task_id,
+                    "experiment": result.task.spec["experiment"],
+                    "kwargs": result.task.spec["kwargs"],
+                    "error": result.error,
+                })
+        return {
+            "sweep": {
+                "experiments": list(names),
+                "seeds": list(seeds) if seeds is not None else None,
+                "duration": duration,
+                "days": days,
+            },
+            "cells": cells,
+            "summary": {"total": len(cells), "errors": errors},
+        }
 
-    results = run_sweep(
-        tasks, jobs=jobs, cache=cache,
-        progress=report_progress if progress else None,
+    return sweep_report(
+        tasks, assemble, jobs=jobs, cache=cache, out_path=out_path,
+        progress=progress,
     )
-    cells: list[dict[str, Any]] = []
-    errors = 0
-    for result in results:
-        if result.ok:
-            cells.append(result.value)
-        else:
-            errors += 1
-            cells.append({
-                "cell_id": result.task.task_id,
-                "experiment": result.task.spec["experiment"],
-                "kwargs": result.task.spec["kwargs"],
-                "error": result.error,
-            })
-    report: dict[str, Any] = {
-        "sweep": {
-            "experiments": list(names),
-            "seeds": list(seeds) if seeds is not None else None,
-            "duration": duration,
-            "days": days,
-        },
-        "cells": cells,
-        "summary": {"total": len(cells), "errors": errors},
-    }
-    report["digest"] = report_digest(report)
-    write_report(report, out_path)
-    return report

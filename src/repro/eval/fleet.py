@@ -8,11 +8,11 @@ monolithic run home-for-home. Every per-home quantity derives from
 so a home's trace digest is the same whether it ran alongside all of its
 siblings, a shard's worth of them, or none.
 
-:func:`run_fleet_sweep` exploits that through the existing
-:mod:`repro.eval.parallel` executor: one :class:`SweepTask` per shard,
-results merged by ``home_id`` (never by completion order), and a report
-digest over per-home content only — byte-identical for every ``--jobs``
-and ``--shards`` choice. The merged ``fleet_digest`` equals
+:func:`run_fleet_sweep` exploits that through the tail every sweep
+shares (:func:`repro.eval.parallel.sweep_report`): one :class:`SweepTask`
+per shard, results merged by ``home_id`` (never by completion order), and
+a report digest over per-home content only — byte-identical for every
+``--jobs`` and ``--shards`` choice. The merged ``fleet_digest`` equals
 ``Fleet.digest()`` of a monolithic in-process run, which the integration
 tests pin.
 """
@@ -22,14 +22,10 @@ from __future__ import annotations
 from typing import Any
 
 from repro.eval.cache import RunCache
-from repro.eval.parallel import SweepTask, run_sweep
-from repro.eval.report import report_digest, write_report
+from repro.eval.parallel import SweepResult, SweepTask, sweep_report
 from repro.eval.workloads import DAY_S, fleet_deployment, fleet_home_ids
 from repro.sim.context import combine_digests
 from repro.sim.tracing import DIGEST_VERSION
-
-#: Dotted runner name so shard tasks pickle as plain data.
-CELL_RUNNER = "repro.eval.fleet:run_fleet_cell"
 
 
 def run_fleet_cell(spec: dict[str, Any]) -> dict[str, Any]:
@@ -68,10 +64,8 @@ def fleet_tasks(
         chunk = home_ids[cursor:cursor + size]
         cursor += size
         tasks.append(SweepTask(
-            index=index,
-            task_id=f"fleet-cell{index}",
-            runner=CELL_RUNNER,
-            spec={"seed": seed, "days": days, "home_ids": chunk},
+            f"fleet-cell{index}", run_fleet_cell,
+            {"seed": seed, "days": days, "home_ids": chunk},
         ))
     return tasks
 
@@ -100,47 +94,40 @@ def run_fleet_sweep(
     shard_count = shards if shards is not None else n_homes
     tasks = fleet_tasks(home_ids, seed=seed, days=days, shards=shard_count)
 
-    def print_progress(done: int, total: int, result) -> None:
-        status = "cached" if result.cached else ("ok" if result.ok else "ERROR")
-        print(f"  [{done}/{total}] {result.task.task_id}: {status}")
+    def assemble(results: list[SweepResult]) -> dict[str, Any]:
+        homes: dict[str, dict[str, Any]] = {}
+        errors: list[dict[str, str]] = []
+        for result in results:
+            if not result.ok:
+                errors.append({"task_id": result.task.task_id,
+                               "error": result.error or ""})
+                continue
+            homes.update(result.value)
+        homes = {home_id: homes[home_id] for home_id in sorted(homes)}
 
-    results = run_sweep(
-        tasks, jobs=jobs, cache=cache,
-        progress=print_progress if progress else None,
+        summary_keys = ("events_emitted", "radio_delivered", "net_messages",
+                        "net_bytes", "logic_deliveries")
+        summary: dict[str, Any] = {
+            key: sum(per_home[key] for per_home in homes.values())
+            for key in summary_keys
+        }
+        summary["homes"] = len(homes)
+        summary["errors"] = len(errors)
+        summary["fleet_digest"] = combine_digests(
+            {home_id: per_home["digest"] for home_id, per_home in homes.items()}
+        )
+        return {
+            "digest_version": DIGEST_VERSION,
+            "fleet": {"n_homes": n_homes, "days": days, "seed": seed},
+            "homes": homes,
+            "summary": summary,
+            "errors": errors,
+        }
+
+    return sweep_report(
+        tasks, assemble, jobs=jobs, cache=cache, out_path=out_path,
+        progress=progress,
     )
-
-    homes: dict[str, dict[str, Any]] = {}
-    errors: list[dict[str, str]] = []
-    for result in results:
-        if not result.ok:
-            errors.append({"task_id": result.task.task_id,
-                           "error": result.error or ""})
-            continue
-        homes.update(result.value)
-    homes = {home_id: homes[home_id] for home_id in sorted(homes)}
-
-    summary_keys = ("events_emitted", "radio_delivered", "net_messages",
-                    "net_bytes", "logic_deliveries")
-    summary: dict[str, Any] = {
-        key: sum(per_home[key] for per_home in homes.values())
-        for key in summary_keys
-    }
-    summary["homes"] = len(homes)
-    summary["errors"] = len(errors)
-    summary["fleet_digest"] = combine_digests(
-        {home_id: per_home["digest"] for home_id, per_home in homes.items()}
-    )
-
-    report: dict[str, Any] = {
-        "digest_version": DIGEST_VERSION,
-        "fleet": {"n_homes": n_homes, "days": days, "seed": seed},
-        "homes": homes,
-        "summary": summary,
-        "errors": errors,
-    }
-    report["digest"] = report_digest(report)
-    write_report(report, out_path)
-    return report
 
 
 def render_fleet_summary(report: dict[str, Any]) -> str:

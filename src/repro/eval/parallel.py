@@ -1,13 +1,13 @@
-"""Multi-core sweep executor with deterministic merge.
+"""Multi-core sweep executor with deterministic merge, and the one sweep tail.
 
-Experiment tables and chaos campaigns are sweeps over independent cells —
-one ``(experiment, config, mode, seed)`` simulation each. Every cell is a
-pure, deterministic function of its picklable :class:`SweepTask` spec, so
-the executor can fan cells out across a process pool and still produce
-**byte-identical reports**: results are merged by task *index*, never by
-completion order, and each worker rebuilds its entire simulation (home,
-RNG streams, scheduler) from the task seed, sharing no state with its
-siblings.
+Experiment tables, chaos campaigns and fleet shards are sweeps over
+independent cells — one ``(experiment, config, mode, seed)`` simulation
+each. Every cell is a pure, deterministic function of its JSON-pure
+:class:`SweepTask` spec, so the executor can fan cells out across a
+process pool and still produce **byte-identical reports**: results are
+merged in task *order*, never in completion order, and each worker
+rebuilds its entire simulation (home, RNG streams, scheduler) from the
+task seed, sharing no state with its siblings.
 
 Key properties:
 
@@ -23,43 +23,48 @@ Key properties:
   unfinished cells inline.
 - Platforms without working process pools (no ``fork``/semaphores) get a
   warning and a sequential run, not a crash.
+- :attr:`SweepResult.seconds` is the cell's own run time, measured
+  around the runner call on whichever side ran it — never the time a
+  cell spent waiting for a free worker.
 
-Runners are referenced by dotted name (``"repro.eval.chaos:run_campaign_cell"``)
-so a task pickles as plain data regardless of the start method.
+A task carries its runner as the module-level function itself: it
+pickles by reference (module + qualified name) under ``fork`` and
+``spawn`` alike, and the cache key is the same ``"module:qualname"``
+string, derived from the function.
+
+:func:`sweep_report` is the tail every sweep shares: cells in, digested
+report out — :func:`run_sweep` with the one progress printer, the
+sweep's own ``assemble`` fold of the task-ordered results into its
+report body, then the content digest and the report file.
 """
 
 from __future__ import annotations
 
-import importlib
-import json
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.eval.cache import RunCache
+from repro.eval.report import report_digest, write_report
 
 __all__ = [
     "SweepTask",
     "SweepResult",
     "resolve_jobs",
-    "resolve_runner",
     "run_sweep",
+    "sweep_report",
 ]
 
 
 @dataclass(frozen=True)
 class SweepTask:
-    """One picklable sweep cell: a runner name plus its JSON-pure spec."""
+    """One picklable sweep cell: a module-level runner plus its JSON-pure spec."""
 
-    index: int
     task_id: str
-    runner: str  # dotted "package.module:function" path to a module-level callable
-    spec: dict[str, Any] = field(default_factory=dict)
-
-    def canonical_spec(self) -> str:
-        return json.dumps(self.spec, sort_keys=True, separators=(",", ":"))
+    runner: Callable[[dict[str, Any]], Any]
+    spec: dict[str, Any]
 
 
 @dataclass
@@ -69,8 +74,8 @@ class SweepResult:
     task: SweepTask
     value: Any = None
     error: str | None = None
-    cached: bool = False
     seconds: float = 0.0
+    cached: bool = False
 
     @property
     def ok(self) -> bool:
@@ -86,41 +91,32 @@ def resolve_jobs(jobs: int | None) -> int:
     fallback case.
     """
     if jobs is None:
-        try:
-            import os
+        import os
 
+        try:
             return max(1, len(os.sched_getaffinity(0)))
         except (AttributeError, OSError):
-            import os
-
             return max(1, os.cpu_count() or 1)
     if jobs < 1:
         raise ValueError(f"--jobs wants a positive worker count, got {jobs}")
     return int(jobs)
 
 
-def resolve_runner(dotted: str) -> Callable[[dict[str, Any]], Any]:
-    """Import ``"package.module:function"`` and return the callable."""
-    module_name, _, attr = dotted.partition(":")
-    if not module_name or not attr:
-        raise ValueError(f"runner must look like 'pkg.mod:fn', got {dotted!r}")
-    module = importlib.import_module(module_name)
-    runner = getattr(module, attr)
-    if not callable(runner):
-        raise TypeError(f"runner {dotted!r} resolved to non-callable {runner!r}")
-    return runner
-
-
-def _execute_cell(runner: str, spec: dict[str, Any]) -> tuple[bool, Any]:
-    """Run one cell; never raise. Returns ``(ok, result_or_error_text)``.
+def _execute_cell(
+    runner: Callable[[dict[str, Any]], Any], spec: dict[str, Any],
+) -> tuple[Any, str | None, float]:
+    """Run one cell and time it; never raise. Returns ``(value, error, seconds)``.
 
     This is the function workers execute, so Python-level exceptions come
-    back as data instead of poisoning the pool.
+    back as data instead of poisoning the pool, and ``seconds`` is the
+    cell's own time on whichever side of the pool ran it.
     """
+    started = time.perf_counter()
     try:
-        return True, resolve_runner(runner)(spec)
+        value, error = runner(spec), None
     except BaseException:  # noqa: BLE001 - the whole point is to contain it
-        return False, traceback.format_exc(limit=8)
+        value, error = None, traceback.format_exc(limit=8)
+    return value, error, time.perf_counter() - started
 
 
 def _make_executor(jobs: int):
@@ -138,43 +134,6 @@ def _make_executor(jobs: int):
 ProgressFn = Callable[[int, int, SweepResult], None]
 
 
-def _finish(
-    result: SweepResult,
-    cache: RunCache | None,
-    keys: dict[int, str],
-    done_counter: list[int],
-    total: int,
-    progress: ProgressFn | None,
-) -> None:
-    if cache is not None and result.ok and not result.cached:
-        cache.put(keys[result.task.index], result.value, spec=result.task.spec)
-    done_counter[0] += 1
-    if progress is not None:
-        progress(done_counter[0], total, result)
-
-
-def _run_inline(
-    tasks: list[SweepTask],
-    results: dict[int, SweepResult],
-    cache: RunCache | None,
-    keys: dict[int, str],
-    done_counter: list[int],
-    total: int,
-    progress: ProgressFn | None,
-) -> None:
-    for task in tasks:
-        t0 = time.perf_counter()
-        ok, payload = _execute_cell(task.runner, task.spec)
-        result = SweepResult(
-            task=task,
-            value=payload if ok else None,
-            error=None if ok else payload,
-            seconds=time.perf_counter() - t0,
-        )
-        results[task.index] = result
-        _finish(result, cache, keys, done_counter, total, progress)
-
-
 def run_sweep(
     tasks: list[SweepTask],
     *,
@@ -189,75 +148,93 @@ def run_sweep(
     and only misses hit the pool.
     """
     workers = resolve_jobs(jobs)
-    total = len(tasks)
-    results: dict[int, SweepResult] = {}
-    keys: dict[int, str] = {}
-    done_counter = [0]
+    results: dict[int, SweepResult] = {}  # task position -> result
+    keys = [] if cache is None else [
+        cache.key_for(f"{t.runner.__module__}:{t.runner.__qualname__}", t.spec)
+        for t in tasks
+    ]
 
-    pending: list[SweepTask] = []
-    for task in tasks:
-        if cache is not None:
-            key = cache.key_for(task.runner, task.spec)
-            keys[task.index] = key
-            hit = cache.get(key)
-            if hit is not None:
-                result = SweepResult(task=task, value=hit, cached=True)
-                results[task.index] = result
-                _finish(result, cache, keys, done_counter, total, progress)
-                continue
-        pending.append(task)
+    def finish(position: int, result: SweepResult) -> None:
+        results[position] = result
+        if cache is not None and result.ok and not result.cached:
+            cache.put(keys[position], result.value, spec=result.task.spec)
+        if progress is not None:
+            progress(len(results), len(tasks), result)
 
-    if not pending:
-        return [results[t.index] for t in tasks]
+    for position, key in enumerate(keys):
+        hit = cache.get(key)
+        if hit is not None:
+            finish(position, SweepResult(tasks[position], value=hit, cached=True))
+    pending = [p for p in range(len(tasks)) if p not in results]
 
-    if workers == 1 or len(pending) == 1:
-        _run_inline(pending, results, cache, keys, done_counter, total, progress)
-        return [results[t.index] for t in tasks]
-
-    try:
-        executor = _make_executor(min(workers, len(pending)))
-    except (ImportError, NotImplementedError, OSError, PermissionError) as exc:
-        print(
-            f"warning: process pools unavailable ({exc}); "
-            "running the sweep sequentially",
-            file=sys.stderr,
-        )
-        _run_inline(pending, results, cache, keys, done_counter, total, progress)
-        return [results[t.index] for t in tasks]
-
-    unfinished: dict[Any, SweepTask] = {}
-    started = time.perf_counter()
-    broken = False
-    with executor:
-        for task in pending:
-            future = executor.submit(_execute_cell, task.runner, task.spec)
-            unfinished[future] = task
-        from concurrent.futures import as_completed
-
-        for future in as_completed(list(unfinished)):
-            task = unfinished.pop(future)
-            try:
-                ok, payload = future.result()
-            except BaseException:  # pool died under this future
-                broken = True
-                unfinished[future] = task  # rerun it inline below
-                break
-            result = SweepResult(
-                task=task,
-                value=payload if ok else None,
-                error=None if ok else payload,
-                seconds=time.perf_counter() - started,
+    if workers > 1 and len(pending) > 1:
+        try:
+            executor = _make_executor(min(workers, len(pending)))
+        except (ImportError, NotImplementedError, OSError, PermissionError) as exc:
+            print(
+                f"warning: process pools unavailable ({exc}); "
+                "running the sweep sequentially",
+                file=sys.stderr,
             )
-            results[task.index] = result
-            _finish(result, cache, keys, done_counter, total, progress)
+        else:
+            from concurrent.futures import as_completed
 
-    if broken or unfinished:
-        leftovers = sorted(unfinished.values(), key=lambda t: t.index)
-        print(
-            f"warning: worker pool died; re-running {len(leftovers)} "
-            "unfinished cell(s) sequentially",
-            file=sys.stderr,
-        )
-        _run_inline(leftovers, results, cache, keys, done_counter, total, progress)
+            with executor:
+                futures = {
+                    executor.submit(_execute_cell, tasks[p].runner, tasks[p].spec): p
+                    for p in pending
+                }
+                for future in as_completed(futures):
+                    position = futures[future]
+                    try:
+                        outcome = future.result()
+                    except Exception:  # noqa: BLE001 - pool died under this future
+                        break
+                    finish(position, SweepResult(tasks[position], *outcome))
+            pending = [p for p in pending if p not in results]
+            if pending:
+                print(
+                    f"warning: worker pool died; re-running {len(pending)} "
+                    "unfinished cell(s) sequentially",
+                    file=sys.stderr,
+                )
 
-    return [results[t.index] for t in tasks]
+    for position in pending:
+        task = tasks[position]
+        finish(position, SweepResult(task, *_execute_cell(task.runner, task.spec)))
+    return [results[p] for p in range(len(tasks))]
+
+
+def _print_progress(done: int, total: int, result: SweepResult) -> None:
+    """The one per-cell progress line of every sweep."""
+    if result.cached:
+        status = "cached"
+    else:
+        status = f"ok ({result.seconds:.1f}s)" if result.ok else "ERROR"
+    print(f"  [{done}/{total}] {result.task.task_id}: {status}")
+
+
+def sweep_report(
+    tasks: list[SweepTask],
+    assemble: Callable[[list[SweepResult]], dict[str, Any]],
+    *,
+    jobs: int | None,
+    cache: RunCache | None,
+    out_path: str | None,
+    progress: bool,
+) -> dict[str, Any]:
+    """The tail every sweep shares: run the cells, digest and write the report.
+
+    ``assemble`` is the sweep's own fold of the task-ordered results into
+    its report body (its entries, its error entry, its summary); the
+    content digest covers that body and is independent of ``jobs`` and of
+    cache hits.
+    """
+    results = run_sweep(
+        tasks, jobs=jobs, cache=cache,
+        progress=_print_progress if progress else None,
+    )
+    report = assemble(results)
+    report["digest"] = report_digest(report)
+    write_report(report, out_path)
+    return report

@@ -12,14 +12,17 @@ from repro.apps.scenarios import chaos_scenario
 from repro.core.delivery_service import GaplessOptions
 from repro.core.scenario import build_sim_home
 from repro.eval.chaos import (
+    campaign_tasks,
     chaos_domain,
     replay_run,
     run_campaign,
     run_chaos_case,
-    run_device_campaign,
 )
 from repro.sim.chaos import FaultScheduleGenerator, PROFILES
 from repro.sim.faults import FaultError, FaultPlan
+
+#: The device campaign: one more mode of ``run_campaign``.
+DEVICE = dict(modes=("device",), intensities=("device",))
 
 #: Options that disable both Gapless repair mechanisms — the known-broken
 #: fixture the campaign must be able to catch and shrink.
@@ -143,9 +146,9 @@ def test_link_loss_validation(home):
 def test_device_campaign_repairs_outcomes_and_is_deterministic():
     """Seeds picked to trip two different outcome oracles with repair off;
     with repair on the campaign must be clean — and bit-identical on rerun."""
-    kwargs = dict(seeds=[2, 3], horizon=3600.0, out_path=None)
-    first = run_device_campaign(**kwargs)
-    second = run_device_campaign(**kwargs)
+    kwargs = dict(seeds=[2, 3], horizon=3600.0, out_path=None, **DEVICE)
+    first = run_campaign(**kwargs)
+    second = run_campaign(**kwargs)
     assert first["summary"]["failures"] == 0
     assert first["digest"] == second["digest"]
     deltas = first["summary"]["outcome_deltas"]
@@ -157,7 +160,7 @@ def test_device_campaign_repairs_outcomes_and_is_deterministic():
 
 
 def test_device_run_replays_from_the_report():
-    report = run_device_campaign(seeds=[2], horizon=1800.0, out_path=None)
+    report = run_campaign(seeds=[2], horizon=1800.0, out_path=None, **DEVICE)
     result = replay_run(report, "device-s2")
     assert result["source"] == "regenerated plan"
     assert result["verdict"] == "pass" == result["recorded_verdict"]
@@ -165,8 +168,29 @@ def test_device_run_replays_from_the_report():
 
 def test_device_report_round_trips_through_json(tmp_path):
     out = tmp_path / "device.json"
-    report = run_device_campaign(seeds=[2], horizon=1800.0, out_path=str(out))
+    report = run_campaign(
+        seeds=[2], horizon=1800.0, out_path=str(out), **DEVICE,
+    )
     assert json.loads(out.read_text()) == report
+
+
+@pytest.mark.parametrize("modes, intensities", [
+    (("device",), ("mild", "severe")),  # two cells both called device-s0
+    (("gapless", "device"), ("device",)),
+    (("gapless",), ("device",)),
+    (("device",), ("device", "device")),
+])
+def test_device_mode_combines_with_nothing_else(modes, intensities):
+    with pytest.raises(ValueError, match="combines with no other mode"):
+        campaign_tasks([0], 600.0, modes=modes, intensities=intensities)
+    with pytest.raises(ValueError, match="combines with no other mode"):
+        run_campaign([0], 600.0, modes=modes, intensities=intensities,
+                     out_path=None)
+
+
+def test_device_campaign_task_ids_are_unique():
+    tasks = campaign_tasks([0, 1], 600.0, **DEVICE)
+    assert [t.task_id for t in tasks] == ["device-s0", "device-s1"]
 
 
 def test_cli_chaos_device_profile_smoke(tmp_path, capsys):
@@ -195,6 +219,12 @@ def test_cli_chaos_unknown_profile_exits_2(capsys):
     assert main(["chaos", "--profile", "device",
                  "--intensities", "mild"]) == 2
     assert "mutually exclusive" in capsys.readouterr().err
+    # ... and the device scenario is its own mode: --modes is refused, not
+    # silently dropped, and "device" is never one intensity among others.
+    assert main(["chaos", "--profile", "device", "--modes", "gapless"]) == 2
+    assert "mutually exclusive" in capsys.readouterr().err
+    assert main(["chaos", "--intensities", "mild,device"]) == 2
+    assert "unknown intensity 'device'" in capsys.readouterr().err
 
 
 # -- full sweep (opt-in) ------------------------------------------------------

@@ -26,6 +26,21 @@ def test_key_changes_with_spec_runner_and_tree():
     assert task_key(RUNNER, {"seed": 1}, "edited-tree") != base
 
 
+def test_sweep_keys_a_task_by_its_runners_dotted_name(tmp_path):
+    # The executor derives "module:qualname" from the function a task
+    # carries, so entries keep the address the dotted-string runners had.
+    from repro.eval.chaos import campaign_tasks, run_campaign_cell
+    from repro.eval.parallel import run_sweep
+
+    [task] = campaign_tasks([0], 60.0, intensities=("mild",), modes=("gap",))
+    assert task.runner is run_campaign_cell
+    cache = RunCache(tmp_path, tree_digest="tree")
+    key = task_key("repro.eval.chaos:run_campaign_cell", task.spec, "tree")
+    cache.put(key, {"verdict": "replayed"})
+    [result] = run_sweep([task], cache=cache)
+    assert result.cached and result.value == {"verdict": "replayed"}
+
+
 def test_source_tree_digest_tracks_file_content(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()
