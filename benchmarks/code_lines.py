@@ -1,7 +1,9 @@
 """Code lines under src/repro: no comments, blank lines or docstrings.
 
-    python benchmarks/code_lines.py [ROOT]    # per package, then total
-(the number every simplicity PR reports in CHANGES.md; CI prints it, no gate)
+    python benchmarks/code_lines.py [ROOT]        # per package, then total
+    python benchmarks/code_lines.py FILE [...]    # per file, then total
+(the numbers every simplicity PR reports in CHANGES.md; CI prints them, no
+gate). Directories and files mix: a directory adds one row per package.
 """
 import ast
 import sys
@@ -30,11 +32,16 @@ def code_lines(path: Path) -> int:
 
 
 if __name__ == "__main__":
-    root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent / "src/repro")
+    roots = [Path(arg) for arg in sys.argv[1:]] or [Path(__file__).parent.parent / "src/repro"]
     totals: Counter = Counter()
-    for path in sorted(root.rglob("*.py")):
-        relative = path.relative_to(root)
-        totals[relative.parts[0] if len(relative.parts) > 1 else "."] += code_lines(path)
-    for package, count in sorted(totals.items()):
-        print(f"{package:12}{count:7}")
-    print(f"{'total':12}{sum(totals.values()):7}")
+    for root in roots:
+        if not root.is_dir():
+            totals[str(root)] += code_lines(root)
+            continue
+        for path in sorted(root.rglob("*.py")):
+            relative = path.relative_to(root)
+            totals[relative.parts[0] if len(relative.parts) > 1 else "."] += code_lines(path)
+    width = max([12, *(len(name) + 1 for name in totals)])
+    for name, count in sorted(totals.items()):
+        print(f"{name:{width}}{count:7}")
+    print(f"{'total':{width}}{sum(totals.values()):7}")

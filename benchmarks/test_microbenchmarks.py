@@ -44,6 +44,29 @@ def test_scheduler_throughput(benchmark):
     assert processed == 20 * 501
 
 
+def test_cancellable_timer_churn(benchmark):
+    """ns per cancellable timer: ``call_later`` a thousand timers, cancel
+    every other one (the answered timeouts) and let the rest fire — the
+    pattern of every ``RuntimeEnv.schedule`` in the simulator."""
+    scheduler = Scheduler()
+    timers = 1_000
+
+    def run():
+        start = scheduler.now
+        handles = [scheduler.call_later(0.001 * (i + 1), int) for i in range(timers)]
+        for handle in handles[::2]:
+            handle.cancel()
+        scheduler.run_until(start + 0.001 * (timers + 1))
+
+    benchmark(run)
+    assert scheduler.pending_events == 0
+    assert scheduler.processed_events % (timers // 2) == 0
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["ns_per_timer"] = round(
+            benchmark.stats.stats.mean * 1e9 / timers
+        )
+
+
 def test_wire_size_computation(benchmark):
     event = Event(sensor_id="s", seq=1, emitted_at=0.0, value=0, size_bytes=4)
     ids = ProcessIdSet({f"p{i}" for i in range(5)})

@@ -455,7 +455,7 @@ class Fleet:
 
     # -- checkpoint/restore ------------------------------------------------------------
 
-    def checkpoint(self, path: Any) -> str:
+    def checkpoint(self, path: Any, horizon_days: float | None = None) -> str:
         """Atomically snapshot the whole running fleet to ``path``.
 
         Captures the scheduler heap (pending timers and deliveries), every
@@ -464,18 +464,20 @@ class Fleet:
         run byte-identically. Must be called at a simulated-day boundary
         (right after ``run_until(k * DAY_S)``), where the streaming hash
         state has just been sealed; anywhere else the trace refuses to
-        serialize. See :mod:`repro.sim.snapshot`.
+        serialize. ``horizon_days`` goes into the header (see
+        :mod:`repro.sim.snapshot`).
         """
         from repro.sim.snapshot import save_fleet
 
-        return save_fleet(self, path)
+        return save_fleet(self, path, horizon_days)
 
     @classmethod
-    def restore(cls, path: Any) -> "Fleet":
-        """Load a :meth:`checkpoint` snapshot and return the live fleet."""
+    def restore(cls, path: Any, horizon_days: float | None = None) -> "Fleet":
+        """Load a :meth:`checkpoint` snapshot and return the live fleet;
+        with ``horizon_days``, refuse one checkpointed for another horizon."""
         from repro.sim.snapshot import load_fleet
 
-        return load_fleet(path)
+        return load_fleet(path, horizon_days)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Fleet seed={self.seed} homes={len(self._homes)}>"

@@ -35,18 +35,6 @@ from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import Trace
 
 
-class _GuardedHandle:
-    """A timer handle that is inert after crash or re-incarnation."""
-
-    __slots__ = ("_inner",)
-
-    def __init__(self, inner: CancelHandle) -> None:
-        self._inner = inner
-
-    def cancel(self) -> None:
-        self._inner.cancel()
-
-
 class _GuardedCall:
     """A scheduled callback that is inert after crash or re-incarnation.
 
@@ -215,9 +203,7 @@ class RivuletProcess(ServiceHost):
     # schedule, schedule_repeating and register_handler are defined on this
     # class (not the host): bench/tracer.py wraps them via cls.__dict__.
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> CancelHandle:
-        return _GuardedHandle(
-            self._scheduler.call_later(delay, _GuardedCall(self, fn, args))
-        )
+        return self._scheduler.call_later(delay, _GuardedCall(self, fn, args))
 
     def schedule_repeating(
         self,
@@ -227,13 +213,10 @@ class RivuletProcess(ServiceHost):
         first_delay: float | None = None,
     ) -> CancelHandle:
         guarded = _GuardedRepeating(self, fn, args)
-        # The repeating-post express lane: periodic service ticks
-        # (heartbeat, kv sync, polls) re-arm as bare list entries with no
-        # TimerHandle traffic; ordering is identical to call_repeating.
         guarded._handle = handle = self._scheduler.post_repeating(
             interval, guarded, first_delay=first_delay
         )
-        return _GuardedHandle(handle)
+        return handle
 
     def register_handler(self, kind: str, fn: Callable[[Message], None]) -> None:
         self._handlers[kind] = fn

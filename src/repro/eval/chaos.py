@@ -226,7 +226,9 @@ def campaign_tasks(
 
     ``device`` names a scenario and the one profile its cells draw from,
     so a device cell's id carries no intensity: mixed with anything else,
-    cells would collide on ``device-sN`` and ignore their intensity.
+    cells would collide on ``device-sN`` and ignore their intensity. Its
+    cells run the device scenario's own delivery, so they would ignore
+    ``gapless_options`` too.
     """
     asked = (tuple(modes), tuple(intensities))
     if "device" in asked[0] + asked[1] and asked != (("device",), ("device",)):
@@ -234,6 +236,11 @@ def campaign_tasks(
             "the device campaign is modes=('device',) with "
             "intensities=('device',) and combines with no other mode or "
             f"intensity, got modes={asked[0]!r} intensities={asked[1]!r}"
+        )
+    if "device" in asked[0] and gapless_options is not None:
+        raise ValueError(
+            "the device campaign takes no gapless_options: its cells would "
+            f"run without them, got {gapless_options!r}"
         )
     return [
         SweepTask(

@@ -223,7 +223,7 @@ def _run_fleet_checkpointed(args) -> int:
 
     if args.resume:
         try:
-            fleet = Fleet.restore(args.resume)
+            fleet = Fleet.restore(args.resume, horizon_days=total_days)
         except SnapshotError as exc:
             raise CliError(f"--resume {args.resume}: {exc}") from exc
         done_days = int(round(fleet.context.now / DAY_S))
@@ -239,7 +239,7 @@ def _run_fleet_checkpointed(args) -> int:
     for day in range(done_days + 1, total_days + 1):
         fleet.run_until(day * DAY_S)
         if every and (day % every == 0 or day == total_days):
-            path = fleet.checkpoint(snapshot_path)
+            path = fleet.checkpoint(snapshot_path, horizon_days=total_days)
             print(f"day {day}/{total_days}: checkpoint -> {path}")
         else:
             print(f"day {day}/{total_days}")

@@ -265,7 +265,15 @@ async def send_frames(queue: asyncio.Queue, address: tuple[str, int]) -> None:
                 writer.write(frame)
                 await writer.drain()
             except (OSError, ConnectionError):
-                writer = None  # peer went away mid-stream: frames lost
+                # Peer went away mid-stream: frames lost. Close the stream
+                # and collect the error it stored before dropping it, or the
+                # garbage collector may log that error as never retrieved.
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except (OSError, ConnectionError):
+                    pass
+                writer = None
     finally:
         if writer is not None:
             writer.close()

@@ -2,17 +2,23 @@
 
 The scheduler buckets entries by timestamp: the heap holds one ``(when,
 bucket)`` pair per *distinct* firing time, and each bucket is a plain list
-of entries in scheduling order — a :class:`TimerHandle`, a bare
-``(callback, args)`` pair for fire-and-forget :meth:`Scheduler.post_at`
-posts, or a ``[callback, args, interval, in_bucket]`` list for the
-repeating-post lane (:meth:`Scheduler.post_repeating`). Because a
-timestamp appears in the heap at most once, the heap never compares two
-entries beyond their ``when`` floats, and all same-instant callbacks drain
-in one heap pop, in exactly the order they were scheduled. That preserves
-the classic ``(when, seq)`` tie-break semantics without a per-entry
-sequence number, and it makes the fleet's aligned timer edges (N homes'
-heartbeats all firing at t = 60k) cost one pop + one push per edge instead
-of one per home.
+of entries in scheduling order. An entry has one of two shapes:
+
+- a bare ``(callback, args)`` tuple, stored by :meth:`Scheduler.post_at`
+  for fire-and-forget posts that are never cancelled;
+- a ``[callback, args, interval, in_bucket]`` list for every cancellable
+  timer: :meth:`Scheduler.call_at` / :meth:`~Scheduler.call_later` store
+  it with ``interval`` 0.0 (a one-shot), :meth:`Scheduler.post_repeating`
+  with the repeat period. A :class:`TimerHandle` wraps the list for
+  ``cancel()``; the drain loop never touches the handle.
+
+Because a timestamp appears in the heap at most once, the heap never
+compares two entries beyond their ``when`` floats, and all same-instant
+callbacks drain in one heap pop, in exactly the order they were scheduled.
+That preserves the classic ``(when, seq)`` tie-break semantics without a
+per-entry sequence number, and it makes the fleet's aligned timer edges (N
+homes' heartbeats all firing at t = 60k) cost one pop + one push per edge
+instead of one per home.
 
 Simulated time is a ``float`` number of seconds since the start of the run.
 
@@ -20,21 +26,22 @@ Hot-path design (see docs/performance.md):
 
 - ``pending_events`` is O(1): a live-entry counter is maintained on push,
   pop and cancel instead of scanning the heap;
-- cancelled entries stay in their bucket (lazy cancel) and are dropped
-  when drained; when they pile up past half the stored entries, the
-  buckets are compacted;
+- cancelling nulls the entry's ``interval`` slot and leaves the entry in
+  its bucket (lazy cancel); the drain skips it, and when dead entries pile
+  up past half the stored entries, the buckets are compacted;
 - a callback that schedules more work at the *current* instant appends to
   the bucket being drained and runs within the same batch, exactly as a
   fresh ``seq`` would have ordered it;
-- :meth:`call_repeating` serves the periodic-timer pattern with a single
-  reusable handle instead of allocating a new ``TimerHandle`` and closure
-  per tick; :meth:`post_repeating` is its express-lane sibling — the
-  entry is a bare 4-slot list, re-armed by the drain loop itself with no
-  handle attribute traffic, which is what keepalive and poll ticks ride;
-- the ``run_until`` drain batches its ``processed``/``live`` counter
-  updates per bucket and memoises the re-arm bucket across consecutive
-  same-interval repeating posts, so a fleet edge of N aligned ticks pays
-  one dictionary resolve (and at most one heap push) for all N re-arms.
+- a repeating entry is re-armed in place by the drain loop after its
+  callback returns, at ``when + interval`` — the arithmetic of a callback
+  that re-arms itself with ``call_later(interval, ...)``;
+- there is one drain, :meth:`Scheduler.run_until` (a solo-bucket express
+  path) plus ``_drain_open`` (any bucket holding more than one entry); it
+  batches its ``processed``/``live`` counter updates per bucket and
+  memoises the re-arm bucket across consecutive same-interval repeating
+  entries, so a fleet edge of N aligned ticks pays one dictionary resolve
+  (and at most one heap push) for all N re-arms. :meth:`Scheduler.run` is
+  ``run_until`` of the next timestamp, in a loop.
 """
 
 from __future__ import annotations
@@ -45,15 +52,14 @@ from typing import Any, Callable
 _COMPACT_MIN_CANCELLED = 64
 """Lazy-cancel compaction kicks in past this many dead stored entries."""
 
-# Repeating-post entry layout (a bare list, the mutable sibling of the
-# post_at tuple): [callback, args, interval, in_bucket]. ``interval`` is
-# None once cancelled; ``in_bucket`` tracks whether the entry is currently
-# stored in a heap bucket (False while its callback is running), which is
+# Timer entry layout (a bare list, the mutable sibling of the post_at
+# tuple): [callback, args, interval, in_bucket]. ``interval`` is 0.0 for a
+# one-shot, the period for a repeating timer and None once cancelled;
+# ``in_bucket`` tracks whether the entry is currently stored in a heap
+# bucket (False once drained, and while its callback is running), which is
 # what lets cancel() keep the live/lazy counters exact from either side.
-_RP_CALLBACK = 0
-_RP_ARGS = 1
-_RP_INTERVAL = 2
-_RP_IN_BUCKET = 3
+_INTERVAL = 2
+_IN_BUCKET = 3
 
 
 class SimulationError(RuntimeError):
@@ -61,70 +67,14 @@ class SimulationError(RuntimeError):
 
 
 class TimerHandle:
-    """A cancellable scheduled callback.
+    """The cancel handle of a timer entry.
 
-    Returned by :meth:`Scheduler.call_at` / :meth:`Scheduler.call_later`.
-    Cancelling an already-fired or already-cancelled timer is a no-op.
-    For repeating timers (:meth:`Scheduler.call_repeating`) the handle is
-    reused across firings; ``interval`` is then the repeat period.
-    """
-
-    __slots__ = ("when", "interval", "_callback", "_args", "_cancelled",
-                 "_fired", "_in_heap", "_scheduler")
-
-    def __init__(
-        self,
-        when: float,
-        callback: Callable[..., None],
-        args: tuple,
-        scheduler: "Scheduler | None" = None,
-        interval: float | None = None,
-    ):
-        self.when = when
-        self.interval = interval
-        self._callback = callback
-        self._args = args
-        self._cancelled = False
-        self._fired = False
-        self._in_heap = False
-        self._scheduler = scheduler
-
-    def cancel(self) -> None:
-        """Prevent the callback from running (no-op if it already ran)."""
-        if self._cancelled:
-            return
-        self._cancelled = True
-        if self._in_heap and self._scheduler is not None:
-            self._scheduler._on_cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
-
-    def _run(self) -> None:
-        if self._cancelled:
-            return
-        self._fired = True
-        self._callback(*self._args)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else ("fired" if self._fired else "pending")
-        kind = "repeating " if self.interval is not None else ""
-        return f"<{kind}TimerHandle when={self.when:.6f} {state} cb={self._callback!r}>"
-
-
-class RepeatingPost:
-    """The cancel handle for a :meth:`Scheduler.post_repeating` entry.
-
-    The scheduled entry itself is a bare 4-slot list living in the heap
-    buckets; this handle only wraps it for cancellation, so the per-tick
-    drain never touches a handle object at all. Cancelling twice is a
-    no-op; cancelling from inside the entry's own callback suppresses the
-    re-arm that would otherwise follow the callback's return.
+    Returned by :meth:`Scheduler.call_at`, :meth:`~Scheduler.call_later`,
+    :meth:`~Scheduler.post_repeating` and :meth:`~Scheduler.call_repeating`.
+    The scheduled entry itself is a bare 4-slot list in the heap buckets;
+    the handle only wraps it. Cancelling twice, or cancelling a one-shot
+    that already ran, is a no-op; cancelling a repeating timer from inside
+    its own callback suppresses the re-arm that would follow its return.
     """
 
     __slots__ = ("_entry", "_scheduler")
@@ -134,21 +84,31 @@ class RepeatingPost:
         self._scheduler = scheduler
 
     def cancel(self) -> None:
+        """Prevent any further firing."""
         entry = self._entry
-        if entry[_RP_INTERVAL] is None:
+        interval = entry[_INTERVAL]
+        if interval is None or not (interval or entry[_IN_BUCKET]):
             return
-        entry[_RP_INTERVAL] = None
-        if entry[_RP_IN_BUCKET]:
+        entry[_INTERVAL] = None
+        if entry[_IN_BUCKET]:
             self._scheduler._on_cancel()
 
     @property
     def cancelled(self) -> bool:
-        return self._entry[_RP_INTERVAL] is None
+        return self._entry[_INTERVAL] is None
+
+    @property
+    def fired(self) -> bool:
+        """True once a one-shot timer's callback has run (or is running)."""
+        entry = self._entry
+        return entry[_INTERVAL] == 0.0 and not entry[_IN_BUCKET]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        entry = self._entry
-        state = "cancelled" if entry[_RP_INTERVAL] is None else "armed"
-        return f"<RepeatingPost {state} cb={entry[_RP_CALLBACK]!r}>"
+        callback, _args, interval, in_bucket = self._entry
+        state = ("cancelled" if interval is None
+                 else "armed" if in_bucket else "fired")
+        kind = "repeating " if interval else ""
+        return f"<{kind}TimerHandle {state} cb={callback!r}>"
 
 
 class Scheduler:
@@ -165,9 +125,9 @@ class Scheduler:
         # is currently being drained. Scheduling into an existing key is a
         # list append — no heap operation at all.
         self._buckets: dict[float, list] = {}
-        # The bucket being drained right now (popped from the heap but
-        # still accepting same-instant appends), plus the resume cursor —
-        # shared by step() and run_until() so they interleave correctly.
+        # The bucket being drained by _drain_open (popped from the heap but
+        # still accepting same-instant appends), plus the resume cursor a
+        # raising callback leaves behind for the next run_until.
         self._draining: list | None = None
         self._drain_when = 0.0
         self._drain_idx = 0
@@ -192,20 +152,8 @@ class Scheduler:
 
     # -- internal bookkeeping ----------------------------------------------------
 
-    def _push(self, when: float, handle: TimerHandle) -> None:
-        handle.when = when
-        handle._in_heap = True
-        buckets = self._buckets
-        bucket = buckets.get(when)
-        if bucket is None:
-            buckets[when] = bucket = [handle]
-            heapq.heappush(self._heap, (when, bucket))
-        else:
-            bucket.append(handle)
-        self._live += 1
-
     def _on_cancel(self) -> None:
-        """A still-scheduled handle was cancelled; compact if worthwhile."""
+        """A still-stored entry was cancelled; compact if worthwhile."""
         self._live -= 1
         self._lazy_cancelled += 1
         if (
@@ -215,15 +163,15 @@ class Scheduler:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled handles from every heap bucket.
+        """Drop cancelled entries from every heap bucket.
 
         The bucket currently being drained (if any) is left alone — its
         dead entries are skipped by the drain loop itself — so the lazy
         counter is recomputed from what actually remains stored. While a
         drain is active, buckets that end up empty keep their heap slot
-        (the run_until re-arm memo may hold a reference to one, and bucket
-        object identity must survive); outside a drain they are dropped
-        so mass cancellation actually shrinks the heap.
+        (the re-arm memo may hold a reference to one, and bucket object
+        identity must survive); outside a drain they are dropped so mass
+        cancellation actually shrinks the heap.
         """
         draining = self._draining
         heap = self._heap
@@ -231,16 +179,8 @@ class Scheduler:
         for when, bucket in heap:
             kept = []
             for item in bucket:
-                t = type(item)
-                if t is tuple:
-                    kept.append(item)
-                elif t is list:
-                    if item[_RP_INTERVAL] is None:
-                        item[_RP_IN_BUCKET] = False
-                    else:
-                        kept.append(item)
-                elif item._cancelled:
-                    item._in_heap = False
+                if type(item) is list and item[_INTERVAL] is None:
+                    item[_IN_BUCKET] = False
                 else:
                     kept.append(item)
             bucket[:] = kept
@@ -249,25 +189,20 @@ class Scheduler:
             else:
                 del self._buckets[when]
         if draining is None and len(survivors) != len(heap):
-            # Mutate the heap in place: run_until/step hold local bindings
-            # to the heap list across callbacks (and compaction can run
-            # from any cancel() inside one), so the object must never be
-            # swapped out from under them.
+            # Mutate the heap in place: run_until holds a local binding to
+            # the heap list across callbacks (and compaction can run from
+            # any cancel() inside one), so the object must never be swapped
+            # out from under it.
             heap[:] = survivors
             heapq.heapify(heap)
         remaining = 0
-        draining = self._draining
         if draining is not None:
-            # The in_bucket/_in_heap flags distinguish still-stored dead
-            # entries from ones the drain loop already discarded, so this
-            # recount is exact even when the resume cursor is stale (the
-            # run_until drain writes it back once per bucket).
+            # The in_bucket flag distinguishes still-stored dead entries
+            # from ones the drain loop already discarded, so this recount is
+            # exact even though the drain writes its cursor back only once
+            # per bucket.
             for item in draining[self._drain_idx:]:
-                t = type(item)
-                if t is list:
-                    if item[_RP_INTERVAL] is None and item[_RP_IN_BUCKET]:
-                        remaining += 1
-                elif t is not tuple and item._cancelled and item._in_heap:
+                if type(item) is list and item[_INTERVAL] is None and item[_IN_BUCKET]:
                     remaining += 1
         self._lazy_cancelled = remaining
 
@@ -283,9 +218,16 @@ class Scheduler:
             raise SimulationError(
                 f"cannot schedule at t={when:.6f}, time is already t={self._now:.6f}"
             )
-        handle = TimerHandle(when, callback, args, self)
-        self._push(when, handle)
-        return handle
+        entry = [callback, args, 0.0, True]
+        buckets = self._buckets
+        bucket = buckets.get(when)
+        if bucket is None:
+            buckets[when] = bucket = [entry]
+            heapq.heappush(self._heap, (when, bucket))
+        else:
+            bucket.append(entry)
+        self._live += 1
+        return TimerHandle(entry, self)
 
     def call_later(self, delay: float, callback: Callable[..., None], *args: Any) -> TimerHandle:
         """Schedule ``callback(*args)`` after ``delay`` seconds (>= 0)."""
@@ -298,8 +240,7 @@ class Scheduler:
 
         The hot transport/radio delivery paths schedule hundreds of
         thousands of callbacks that are never cancelled; this lane stores a
-        bare ``(callback, args)`` pair — no ``TimerHandle`` is allocated at
-        all. The drain loops tell the entry shapes apart by type; bucket
+        bare ``(callback, args)`` pair — no list entry, no handle. Bucket
         position preserves scheduling order, so ordering and tie-breaking
         are identical to :meth:`call_at`.
         """
@@ -322,17 +263,15 @@ class Scheduler:
         callback: Callable[..., None],
         *args: Any,
         first_delay: float | None = None,
-    ) -> RepeatingPost:
-        """Repeating :meth:`post_at`: the express lane for periodic ticks.
+    ) -> TimerHandle:
+        """Run ``callback(*args)`` every ``interval`` seconds until cancelled.
 
-        Semantics match :meth:`call_repeating` exactly — first firing after
-        ``first_delay`` (default ``interval``), each next firing at
-        ``previous_when + interval``, same bucket ordering — but the stored
-        entry is a bare ``[callback, args, interval, in_bucket]`` list that
-        the drain loop re-arms in place: no ``TimerHandle``, no attribute
-        traffic, and consecutive same-interval re-arms share one resolved
-        bucket (the fleet's aligned heartbeat edges). Returns a
-        :class:`RepeatingPost` whose only job is :meth:`~RepeatingPost.cancel`.
+        The first firing happens after ``first_delay`` seconds (default:
+        ``interval``); each subsequent firing is scheduled at exactly
+        ``previous_when + interval``, matching the arithmetic of a callback
+        that re-arms itself with ``call_later(interval, ...)`` — so
+        converting self-rescheduling timers preserves determinism. The one
+        entry is re-armed in place for every firing: no per-tick allocation.
         """
         if interval <= 0:
             raise SimulationError(f"repeating interval must be > 0, got {interval!r}")
@@ -349,7 +288,7 @@ class Scheduler:
         else:
             bucket.append(entry)
         self._live += 1
-        return RepeatingPost(entry, self)
+        return TimerHandle(entry, self)
 
     def call_repeating(
         self,
@@ -358,94 +297,10 @@ class Scheduler:
         *args: Any,
         first_delay: float | None = None,
     ) -> TimerHandle:
-        """Run ``callback(*args)`` every ``interval`` seconds until cancelled.
-
-        The first firing happens after ``first_delay`` seconds (default:
-        ``interval``); each subsequent firing is scheduled at exactly
-        ``previous_when + interval``, matching the arithmetic of a callback
-        that re-arms itself with ``call_later(interval, ...)`` — so
-        converting self-rescheduling timers preserves determinism. One
-        handle is reused for every firing: no per-tick allocation. Callers
-        that never inspect the handle beyond ``cancel()`` should prefer
-        :meth:`post_repeating`.
-        """
-        if interval <= 0:
-            raise SimulationError(f"repeating interval must be > 0, got {interval!r}")
-        delay = interval if first_delay is None else first_delay
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        handle = TimerHandle(
-            self._now + delay, callback, args, self, interval=interval
-        )
-        self._push(handle.when, handle)
-        return handle
+        """Another name for :meth:`post_repeating`."""
+        return self.post_repeating(interval, callback, *args, first_delay=first_delay)
 
     # -- execution -------------------------------------------------------------------
-
-    def step(self) -> bool:
-        """Run the next pending callback. Returns False if none remain."""
-        while True:
-            bucket = self._draining
-            if bucket is not None:
-                when = self._drain_when
-                idx = self._drain_idx
-                while idx < len(bucket):
-                    item = bucket[idx]
-                    idx += 1
-                    cls = type(item)
-                    if cls is tuple:
-                        self._drain_idx = idx
-                        self._live -= 1
-                        self._now = when
-                        self._processed += 1
-                        item[0](*item[1])
-                        return True
-                    if cls is list:
-                        item[_RP_IN_BUCKET] = False
-                        if item[_RP_INTERVAL] is None:
-                            self._lazy_cancelled -= 1
-                            continue
-                        self._drain_idx = idx
-                        self._live -= 1
-                        self._now = when
-                        self._processed += 1
-                        item[0](*item[1])
-                        interval = item[_RP_INTERVAL]
-                        if interval is not None:
-                            nxt = when + interval
-                            buckets = self._buckets
-                            nxt_bucket = buckets.get(nxt)
-                            if nxt_bucket is None:
-                                buckets[nxt] = nxt_bucket = [item]
-                                heapq.heappush(self._heap, (nxt, nxt_bucket))
-                            else:
-                                nxt_bucket.append(item)
-                            item[_RP_IN_BUCKET] = True
-                            self._live += 1
-                        return True
-                    item._in_heap = False
-                    if item._cancelled:
-                        self._lazy_cancelled -= 1
-                        continue
-                    self._drain_idx = idx
-                    self._live -= 1
-                    self._now = when
-                    self._processed += 1
-                    item._fired = True
-                    item._callback(*item._args)
-                    if item.interval is not None and not item._cancelled:
-                        self._push(when + item.interval, item)
-                    return True
-                self._drain_idx = idx
-                self._draining = None
-                if self._buckets.get(when) is bucket:
-                    del self._buckets[when]
-            if not self._heap:
-                return False
-            when, bucket = heapq.heappop(self._heap)
-            self._draining = bucket
-            self._drain_when = when
-            self._drain_idx = 0
 
     def run_until(self, deadline: float) -> None:
         """Process all events with ``when <= deadline``; clock ends at deadline.
@@ -459,18 +314,18 @@ class Scheduler:
                 f"deadline t={deadline:.6f} is in the past (now t={self._now:.6f})"
             )
         if self._draining is not None:
-            # Finish a bucket a previous step()/run_until left open before
-            # touching the heap.
+            # Finish a bucket a raising callback left open before touching
+            # the heap.
             self._now = self._drain_when
             self._drain_open()
         heap = self._heap
         pop = heapq.heappop
         push = heapq.heappush
         buckets = self._buckets
-        # Local aliases for the list-entry slot indices: the solo repeating
+        # Local aliases for the list-entry slot indices: the solo timer
         # path reads them up to four times per event.
-        RP_INTERVAL = _RP_INTERVAL
-        RP_IN_BUCKET = _RP_IN_BUCKET
+        INTERVAL = _INTERVAL
+        IN_BUCKET = _IN_BUCKET
         # Executed-callback and live-entry deltas are tallied in locals for
         # the whole run and folded into the instance counters once, in the
         # outer finally (lazy-cancel decrements stay inline — dead entries
@@ -491,22 +346,21 @@ class Scheduler:
                     push(heap, (when, bucket))
                     break
                 if len(bucket) == 1:
-                    # Solo-bucket express paths. Jittered delivery
-                    # timestamps rarely collide, so nearly every tuple post
-                    # — and, outside fleet-aligned edges, every repeating
-                    # tick — drains through here: no resume-cursor loop,
-                    # drain state only published when a same-instant append
-                    # actually happens, and a repeating re-arm into a fresh
-                    # timestamp reuses the just-drained bucket object. The
-                    # cost: if a solo callback raises, its entry is already
-                    # consumed (a lost tick / a leaked past-time bucket
-                    # entry) — same class of degradation as the general
-                    # drain re-running a bucket prefix, and unreachable
-                    # for the guarded platform callbacks, which never leak
-                    # exceptions.
+                    # Solo-bucket express path. Jittered delivery and timer
+                    # timestamps rarely collide, so nearly every post and
+                    # timer — and, outside fleet-aligned edges, every
+                    # repeating tick — drains through here: no resume-cursor
+                    # loop, drain state only published when a same-instant
+                    # append actually happens, and a repeating re-arm into a
+                    # fresh timestamp reuses the just-drained bucket object.
+                    # The cost: if a solo callback raises, its entry is
+                    # already consumed (a lost tick / a leaked past-time
+                    # bucket entry) — same class of degradation as the
+                    # general drain re-running a bucket prefix, and
+                    # unreachable for the guarded platform callbacks, which
+                    # never leak exceptions.
                     item = bucket[0]
-                    cls = type(item)
-                    if cls is tuple:
+                    if type(item) is tuple:
                         self._now = when
                         ran += 1
                         live_delta -= 1
@@ -521,60 +375,58 @@ class Scheduler:
                             self._drain_idx = 1
                             self._drain_open()
                         continue
-                    if cls is list:
-                        # One unpack instead of three subscript reads.
-                        cb, cb_args, interval, _ = item
-                        if interval is None:
-                            item[RP_IN_BUCKET] = False
-                            self._lazy_cancelled -= 1
-                            del buckets[when]
-                            continue
-                        self._now = when
-                        item[RP_IN_BUCKET] = False
-                        ran += 1
-                        cb(*cb_args)
-                        # Re-read: the callback may have cancelled its own
-                        # entry, which must suppress the re-arm.
-                        interval = item[RP_INTERVAL]
-                        if interval is None:
-                            live_delta -= 1
-                            if len(bucket) == 1:
-                                del buckets[when]
-                            else:
-                                self._draining = bucket
-                                self._drain_when = when
-                                self._drain_idx = 1
-                                self._drain_open()
-                            continue
-                        nxt = when + interval
+                    # One unpack instead of three subscript reads.
+                    cb, cb_args, interval, _ = item
+                    if interval is None:
+                        item[IN_BUCKET] = False
+                        self._lazy_cancelled -= 1
+                        del buckets[when]
+                        continue
+                    self._now = when
+                    item[IN_BUCKET] = False
+                    ran += 1
+                    cb(*cb_args)
+                    # Re-read: the callback may have cancelled its own
+                    # entry, which must suppress the re-arm.
+                    interval = item[INTERVAL]
+                    if not interval:
+                        # A one-shot, or a cancelled repeating timer.
+                        live_delta -= 1
                         if len(bucket) == 1:
                             del buckets[when]
-                            # Single-lookup re-arm: on a fresh timestamp the
-                            # drained bucket (still exactly [item]) moves to
-                            # its new slot; on a collision the entry joins
-                            # the existing bucket.
-                            other = buckets.setdefault(nxt, bucket)
-                            if other is bucket:
-                                push(heap, (nxt, bucket))
-                            else:
-                                other.append(item)
-                            item[RP_IN_BUCKET] = True
-                            continue
-                        other = buckets.get(nxt)
-                        if other is None:
-                            buckets[nxt] = other = [item]
-                            push(heap, (nxt, other))
+                        else:
+                            self._draining = bucket
+                            self._drain_when = when
+                            self._drain_idx = 1
+                            self._drain_open()
+                        continue
+                    nxt = when + interval
+                    if len(bucket) == 1:
+                        del buckets[when]
+                        # Single-lookup re-arm: on a fresh timestamp the
+                        # drained bucket (still exactly [item]) moves to
+                        # its new slot; on a collision the entry joins
+                        # the existing bucket.
+                        other = buckets.setdefault(nxt, bucket)
+                        if other is bucket:
+                            push(heap, (nxt, bucket))
                         else:
                             other.append(item)
-                        item[RP_IN_BUCKET] = True
-                        self._draining = bucket
-                        self._drain_when = when
-                        self._drain_idx = 1
-                        self._drain_open()
+                        item[IN_BUCKET] = True
                         continue
-                    # A solo TimerHandle: the general drain handles it.
-                # Multi-entry (a fleet-aligned tick edge, a protocol burst)
-                # or TimerHandle bucket.
+                    other = buckets.get(nxt)
+                    if other is None:
+                        buckets[nxt] = other = [item]
+                        push(heap, (nxt, other))
+                    else:
+                        other.append(item)
+                    item[IN_BUCKET] = True
+                    self._draining = bucket
+                    self._drain_when = when
+                    self._drain_idx = 1
+                    self._drain_open()
+                    continue
+                # Multi-entry bucket: a fleet-aligned tick edge, a burst.
                 self._draining = bucket
                 self._drain_when = when
                 self._drain_idx = 0
@@ -588,23 +440,24 @@ class Scheduler:
     def _drain_open(self) -> None:
         """Drain the currently-open bucket (``self._draining``) to the end.
 
-        The general path shared by step()-style resume, multi-entry buckets
-        and TimerHandle entries. ``self._now`` is already the bucket's
-        timestamp. Counter deltas are batched per bucket and folded in the
-        ``finally`` so they stay exact when a callback raises.
+        The general path shared by multi-entry buckets, solo buckets that
+        grew a same-instant append, and the resume after a raising
+        callback. ``self._now`` is already the bucket's timestamp. Counter
+        deltas are batched per bucket and folded in the ``finally`` so they
+        stay exact when a callback raises.
         """
         bucket = self._draining
         when = self._drain_when
         buckets = self._buckets
         heap = self._heap
         push = heapq.heappush
-        RP_INTERVAL = _RP_INTERVAL
-        RP_IN_BUCKET = _RP_IN_BUCKET
+        INTERVAL = _INTERVAL
+        IN_BUCKET = _IN_BUCKET
         idx = self._drain_idx
         ran = 0
         live_delta = 0
-        # Re-arm memo: repeating posts of one bucket sharing an interval (a
-        # fleet edge of aligned heartbeat ticks across tenants) resolve
+        # Re-arm memo: repeating entries of one bucket sharing an interval
+        # (a fleet edge of aligned heartbeat ticks across tenants) resolve
         # their next bucket once and append — heap and dict traffic is paid
         # per edge, not per tenant.
         memo_when = -1.0
@@ -615,8 +468,7 @@ class Scheduler:
             while idx < len(bucket):
                 item = bucket[idx]
                 idx += 1
-                cls = type(item)
-                if cls is tuple:
+                if type(item) is tuple:
                     # The one-shot post lane: the hottest entry shape
                     # (every transport/radio delivery), nothing but the
                     # call itself.
@@ -624,45 +476,32 @@ class Scheduler:
                     live_delta -= 1
                     cb, cb_args = item
                     cb(*cb_args)
-                elif cls is list:
-                    cb, cb_args, interval, _ = item
-                    item[RP_IN_BUCKET] = False
-                    if interval is None:
-                        self._lazy_cancelled -= 1
-                        continue
-                    ran += 1
-                    live_delta -= 1
-                    cb(*cb_args)
-                    # Re-read: the callback may have cancelled its own
-                    # entry, which must suppress the re-arm.
-                    interval = item[RP_INTERVAL]
-                    if interval is not None:
-                        nxt = when + interval
-                        if nxt == memo_when:
-                            memo_bucket.append(item)
-                        else:
-                            memo_bucket = buckets.get(nxt)
-                            if memo_bucket is None:
-                                buckets[nxt] = memo_bucket = [item]
-                                push(heap, (nxt, memo_bucket))
-                            else:
-                                memo_bucket.append(item)
-                            memo_when = nxt
-                        item[RP_IN_BUCKET] = True
-                        live_delta += 1
-                else:
-                    item._in_heap = False
-                    if item._cancelled:
-                        self._lazy_cancelled -= 1
+                    continue
+                cb, cb_args, interval, _ = item
+                item[IN_BUCKET] = False
+                if interval is None:
+                    self._lazy_cancelled -= 1
+                    continue
+                ran += 1
+                live_delta -= 1
+                cb(*cb_args)
+                # Re-read: the callback may have cancelled its own entry,
+                # which must suppress the re-arm.
+                interval = item[INTERVAL]
+                if interval:
+                    nxt = when + interval
+                    if nxt == memo_when:
+                        memo_bucket.append(item)
                     else:
-                        ran += 1
-                        live_delta -= 1
-                        item._fired = True
-                        item._callback(*item._args)
-                        interval = item.interval
-                        if interval is not None and not item._cancelled:
-                            # _push bumps self._live directly.
-                            self._push(when + interval, item)
+                        memo_bucket = buckets.get(nxt)
+                        if memo_bucket is None:
+                            buckets[nxt] = memo_bucket = [item]
+                            push(heap, (nxt, memo_bucket))
+                        else:
+                            memo_bucket.append(item)
+                        memo_when = nxt
+                    item[IN_BUCKET] = True
+                    live_delta += 1
         finally:
             # Keep the resume cursor and counters honest even when a
             # callback raises, so a caller that catches can continue.
@@ -676,11 +515,17 @@ class Scheduler:
         del buckets[when]
 
     def run(self, max_events: int = 10_000_000) -> None:
-        """Run until no events remain (or the safety budget is exhausted)."""
-        remaining = max_events
-        while self.step():
-            remaining -= 1
-            if remaining <= 0:
+        """Run until no events remain (or the safety budget is exhausted).
+
+        :meth:`run_until` of the next timestamp, one timestamp at a time
+        (the clock ends at the last one that ran a callback); the budget is
+        checked after each one.
+        """
+        budget = self._processed + max_events
+        heap = self._heap
+        while self._live and (heap or self._draining is not None):
+            self.run_until(heap[0][0] if heap else self._now)
+            if self._processed >= budget:
                 raise SimulationError(f"exceeded event budget of {max_events}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

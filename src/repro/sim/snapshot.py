@@ -29,6 +29,10 @@ Design notes:
 - **Versioning.** The payload carries a magic string and a format version;
   :func:`load_fleet` refuses foreign or future files with a clear error
   rather than unpickling garbage.
+- **Horizon.** The header also records how many days the checkpointing run
+  was launched for: the workload scheduled its events for exactly that
+  long, so finishing it with another ``--days`` would silently run days
+  without occupancy. :func:`load_fleet` refuses such a resume when asked.
 """
 
 from __future__ import annotations
@@ -43,26 +47,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.fleet import Fleet
 
 MAGIC = "rivulet-fleet-snapshot"
-#: Version 5: a process keeps what its stack boots with as one ``config``
-#: (repro.core.stack.ServiceHost) and its retired build counters; a v4 graph
-#: holds seven ``RivuletProcess._heartbeat_interval``-style attributes
-#: instead and would die with AttributeError at its first recovery. (v4:
-#: gossip-on-change state on the heartbeat and execution services, later
-#: the transport's registered-payload table without a bump —
-#: HomeNetwork.__setstate__ says why its default is exact. v3: digest-v3
-#: trace segments and trace channel objects in the graph.)
-FORMAT_VERSION = 5
+#: Version 6: every cancellable timer in the scheduler heap is a bare
+#: ``[callback, args, interval, in_bucket]`` list behind a two-slot
+#: ``TimerHandle``, and the header records the run's ``horizon_days``; a v5
+#: graph holds the runtime's deleted handle wrapper around the old
+#: eight-slot ``TimerHandle`` and fails to unpickle. (v5: a process keeps
+#: what its stack boots with as one ``config`` (repro.core.stack.ServiceHost)
+#: and its retired build counters. v4: gossip-on-change state on the
+#: heartbeat and execution services, later the transport's registered-payload
+#: table without a bump — HomeNetwork.__setstate__ says why its default is
+#: exact. v3: digest-v3 trace segments and trace channel objects in the
+#: graph.)
+FORMAT_VERSION = 6
 
 
 class SnapshotError(RuntimeError):
     """A snapshot could not be written or read."""
 
 
-def save_fleet(fleet: "Fleet", path: Any) -> str:
+def save_fleet(fleet: "Fleet", path: Any, horizon_days: float | None = None) -> str:
     """Atomically write a snapshot of ``fleet`` to ``path``.
 
     Returns the final path. The fleet keeps running state — checkpointing
     is non-destructive; the caller may continue ``run_until`` immediately.
+    ``horizon_days`` is the length of the run the fleet's workload was
+    generated for; the header keeps it so a resume can refuse another one.
     """
     target = Path(path)
     payload = {
@@ -70,6 +79,7 @@ def save_fleet(fleet: "Fleet", path: Any) -> str:
         "format_version": FORMAT_VERSION,
         "sim_time": fleet.context.now,
         "n_homes": len(fleet),
+        "horizon_days": horizon_days,
         "fleet": fleet,
     }
     try:
@@ -109,8 +119,12 @@ def save_fleet(fleet: "Fleet", path: Any) -> str:
     return str(target)
 
 
-def load_fleet(path: Any) -> "Fleet":
-    """Read a :func:`save_fleet` snapshot and return the live fleet."""
+def load_fleet(path: Any, horizon_days: float | None = None) -> "Fleet":
+    """Read a :func:`save_fleet` snapshot and return the live fleet.
+
+    With ``horizon_days``, refuse a snapshot whose run was launched for any
+    other horizon: its workload scheduled exactly that many days.
+    """
     source = Path(path)
     try:
         with open(source, "rb") as fh:
@@ -133,5 +147,12 @@ def load_fleet(path: Any) -> "Fleet":
         raise SnapshotError(
             f"snapshot {source} has format version {version!r}; "
             f"this build reads version {FORMAT_VERSION}"
+        )
+    recorded = payload["horizon_days"]
+    if horizon_days is not None and recorded != horizon_days:
+        length = "unrecorded length" if recorded is None else f"{recorded:g} day(s)"
+        raise SnapshotError(
+            f"snapshot {source} was checkpointed by a run of {length}, not of "
+            f"{horizon_days:g} day(s): its workload covers only its own horizon"
         )
     return payload["fleet"]

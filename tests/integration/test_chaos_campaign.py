@@ -188,6 +188,20 @@ def test_device_mode_combines_with_nothing_else(modes, intensities):
                      out_path=None)
 
 
+def test_device_campaign_refuses_gapless_options():
+    """Device cells never read the options: taking them would report a
+    campaign that did not run with them."""
+    with pytest.raises(ValueError, match="takes no gapless_options"):
+        campaign_tasks([0], 600.0, gapless_options=BROKEN, **DEVICE)
+    with pytest.raises(ValueError, match="takes no gapless_options"):
+        run_campaign([0], 600.0, gapless_options=BROKEN, out_path=None, **DEVICE)
+    # Option-less cells keep their specs, hence their cache keys.
+    assert [t.spec for t in campaign_tasks([0], 600.0, **DEVICE)] == [{
+        "seed": 0, "mode": "device", "intensity": "device", "horizon": 600.0,
+        "gapless_options": None, "max_shrink_evals": 64,
+    }]
+
+
 def test_device_campaign_task_ids_are_unique():
     tasks = campaign_tasks([0, 1], 600.0, **DEVICE)
     assert [t.task_id for t in tasks] == ["device-s0", "device-s1"]

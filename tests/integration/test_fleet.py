@@ -331,3 +331,19 @@ def test_cli_fleet_checkpoint_digest_matches_sharded_sweep(capsys, tmp_path):
 
     report = run_fleet_sweep(2, 1.0, seed=5, jobs=1, shards=2, cache=None)
     assert report["summary"]["fleet_digest"] in out
+
+
+def test_cli_fleet_resume_refuses_another_horizon(capsys, tmp_path):
+    """The occupancy workload of a 2-day run schedules 2 days of events: a
+    resume asked to finish 3 days would run its third day empty."""
+    snap = tmp_path / "fleet.snap"
+    fleet, _ = fleet_deployment(homes=1, seed=5, days=2.0)
+    fleet.run_until(DAY_S)
+    fleet.checkpoint(snap, horizon_days=2)
+
+    assert main(["fleet", "--resume", str(snap), "--days", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "run of 2 day(s), not of 3 day(s)" in err
+
+    assert main(["fleet", "--resume", str(snap), "--days", "2"]) == 0
+    assert "day 2/2" in capsys.readouterr().out

@@ -129,33 +129,39 @@ def test_load_rejects_foreign_and_future_files(tmp_path):
         load_fleet(tmp_path / "missing.snap")
 
 
-@pytest.mark.parametrize("name", ["fleet_v3_parent.snap", "fleet_v4_parent.snap"])
+@pytest.mark.parametrize(
+    "name", ["fleet_v3_parent.snap", "fleet_v4_parent.snap", "fleet_v5.snap"]
+)
 def test_older_parent_written_snapshots_are_refused(name):
     """Real files from earlier builds (a 2-process home checkpointed at day
     1). v3, before gossip-on-change: its heartbeat services lack the
     assembled-payload state and would die on the first tick. v4, before the
     service host: its processes lack ``config`` and would die with
-    AttributeError at the first recovery. ``load_fleet`` must refuse both
-    up front with ``SnapshotError`` instead."""
+    AttributeError at the first recovery. v5, before the one timer entry:
+    its heap holds ``_GuardedHandle`` and eight-slot ``TimerHandle``
+    objects. ``load_fleet`` must refuse all three up front with
+    ``SnapshotError`` instead."""
     parent = Path(__file__).parent / "data" / name
-    with pytest.raises(SnapshotError, match=r"format version [34]|incompatible build"):
+    with pytest.raises(SnapshotError, match=r"format version [345]|incompatible build"):
         load_fleet(parent)
 
 
 def two_process_fleet() -> Fleet:
     """One home, two processes, a door and a motion sensor, two resident-days.
 
-    ``data/fleet_v5.snap`` is this fleet at day 1, written by the build
-    that introduced format 5 (the service host) with::
+    ``data/fleet_v6.snap`` is this fleet at day 1, written by the build
+    that introduced format 6 (one timer entry, the horizon in the header)
+    with::
 
         PYTHONPATH=src python -c "
         from tests.integration.test_fleet_snapshot import two_process_fleet
         from repro.core.fleet import DAY_S
         fleet = two_process_fleet(); fleet.run_until(DAY_S)
-        fleet.checkpoint('tests/integration/data/fleet_v5.snap')"
+        fleet.checkpoint('tests/integration/data/fleet_v6.snap', horizon_days=2)"
 
     so every later build reads a parent-written file
-    (``data/fleet_v4_parent.snap`` is the same fleet written by 51877c5).
+    (``data/fleet_v5.snap`` and ``data/fleet_v4_parent.snap`` are the same
+    fleet written by the builds of formats 5 and 4).
 
     No app is deployed: that build (like this one) cannot checkpoint an
     active logic node, whose windows close over a lambda.
@@ -185,13 +191,18 @@ def _second_day_with_a_crash(fleet: Fleet) -> Fleet:
     return fleet.run_until(2 * DAY_S)
 
 
-def test_parent_written_v5_snapshot_loads_and_resumes():
-    """A committed format-5 file loads and resumes — through a crash and a
+def test_parent_written_v6_snapshot_loads_and_resumes():
+    """A committed format-6 file loads and resumes — through a crash and a
     recovery, which boots a new stack from the restored ``config`` — to the
     digest of the uninterrupted run."""
-    parent = Path(__file__).parent / "data" / "fleet_v5.snap"
-    resumed = load_fleet(parent)
-    assert FORMAT_VERSION == 5 and resumed.context.now == DAY_S
+    parent = Path(__file__).parent / "data" / "fleet_v6.snap"
+    resumed = load_fleet(parent, horizon_days=2)
+    assert FORMAT_VERSION == 6 and resumed.context.now == DAY_S
+    # Both timer shapes were pickled as bare list entries: the services'
+    # one-shot timers (interval 0.0) and their repeating ticks.
+    intervals = [entry[2] for _when, bucket in resumed.scheduler._heap
+                 for entry in bucket if type(entry) is list]
+    assert 0.0 in intervals and any(interval > 0 for interval in intervals)
 
     _second_day_with_a_crash(resumed)
     reference = _second_day_with_a_crash(two_process_fleet())
@@ -282,6 +293,21 @@ def test_checkpoint_mid_run_with_a_registered_piggyback(tmp_path):
     # Plans came back from the table, then were patched on every change.
     assert network.plan_builds == 6 and network.plan_repayloads > before + 300
     assert home.stats() == {**reference.home("h000").stats(), "plan_builds": 6}
+
+
+def test_snapshot_header_records_the_horizon(tmp_path):
+    snap = tmp_path / "fleet.snap"
+    fleet, _ = fleet_deployment(homes=1, seed=3, days=2.0)
+    fleet.run_until(DAY_S)
+    fleet.checkpoint(snap, horizon_days=2)
+    assert load_fleet(snap, horizon_days=2).context.now == DAY_S
+    assert load_fleet(snap).context.now == DAY_S  # no horizon asked: no check
+    with pytest.raises(SnapshotError, match=r"run of 2 day\(s\), not of 3 day\(s\)"):
+        load_fleet(snap, horizon_days=3)
+
+    fleet.checkpoint(snap)  # written without a horizon: a resume cannot check it
+    with pytest.raises(SnapshotError, match="unrecorded length, not of 2 day"):
+        load_fleet(snap, horizon_days=2)
 
 
 def test_snapshot_write_is_atomic(tmp_path):

@@ -16,6 +16,7 @@ from repro.rt.wire import (
     encode_message,
     frame_kind,
     read_frames,
+    send_frames,
     split_frame,
 )
 
@@ -326,3 +327,50 @@ def test_parent_written_journal_still_loads(tmp_path):
                                     issued_by="app@p1")
     assert actuation == ["actuation", 2.5, "light", ["light", "app@p1", 2], "set",
                          frozenset({1, 2})]
+
+
+def test_send_frames_closes_the_writer_it_drops(monkeypatch):
+    """A peer that accepts and then hangs up mid-stream: the sender drops
+    its writer after the failed write and redials. The dropped writer must
+    be closed and the error its stream stored collected, not left to the
+    garbage collector — which logs an uncollected one as "Future exception
+    was never retrieved" when it happens to free the future first."""
+    dialed = []
+    real_open = asyncio.open_connection
+
+    async def recording_open(*args, **kwargs):
+        reader, writer = await real_open(*args, **kwargs)
+        dialed.append(writer)
+        return reader, writer
+
+    monkeypatch.setattr(asyncio, "open_connection", recording_open)
+
+    async def go():
+        async def hang_up(reader, writer):
+            await reader.read(1)
+            writer.transport.abort()
+
+        server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+        queue = asyncio.Queue()
+        sender = asyncio.ensure_future(
+            send_frames(queue, server.sockets[0].getsockname()[:2])
+        )
+        frame = encode_message(Message("k", "a", "b", {"pad": "x" * 1000}))
+        loop = asyncio.get_running_loop()
+        try:
+            async with asyncio.timeout(10):
+                while len(dialed) < 2:
+                    queue.put_nowait((loop.time(), frame))
+                    await asyncio.sleep(0.01)
+        finally:
+            sender.cancel()
+            await asyncio.gather(sender, return_exceptions=True)
+            server.close()
+            await server.wait_closed()
+        return dialed[0]
+
+    dropped = asyncio.run(go())
+    assert dropped.is_closing()
+    stored = dropped._protocol._get_close_waiter(dropped)
+    assert stored.done() and not stored._log_traceback  # already collected
+    assert isinstance(stored.exception(), OSError)

@@ -73,6 +73,7 @@ def test_cancel_after_fire_is_noop():
     sched.run()
     assert handle.fired
     handle.cancel()  # must not raise
+    assert handle.fired and not handle.cancelled
 
 
 def test_scheduling_in_the_past_rejected():

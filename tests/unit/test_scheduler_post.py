@@ -1,5 +1,5 @@
 """post_at — the fire-and-forget scheduling lane — must order exactly like
-call_at while mixing freely with handle-based entries in the same heap."""
+call_at while mixing freely with timer entries in the same heap."""
 
 import pytest
 
@@ -47,17 +47,6 @@ def test_posted_entries_survive_compaction():
         handle.cancel()  # triggers lazy-cancel compaction
     sched.run_until(10.0)
     assert fired == ["posted"]
-
-
-def test_step_executes_posted_entries():
-    sched = Scheduler()
-    fired = []
-    sched.post_at(1.0, fired.append, "a")
-    sched.call_at(2.0, fired.append, "b")
-    assert sched.step() and fired == ["a"]
-    assert sched.now == 1.0
-    assert sched.step() and fired == ["a", "b"]
-    assert not sched.step()
 
 
 def test_posted_callback_can_post_more_work():

@@ -1,9 +1,8 @@
 """Repeating-entry edge cases: cancellation timing, zero first delay, and
 ordering against one-shot posts sharing the same bucket.
 
-Both repeating lanes are covered — ``call_repeating`` (handle-based) and
-``post_repeating`` (the bare-list express lane) — because the drain loop
-re-arms them through different code paths that must agree on semantics.
+Both names are covered — ``post_repeating`` and ``call_repeating``, which
+delegates to it — so either spelling keeps the same semantics.
 """
 
 import pytest
