@@ -16,14 +16,15 @@ a coordinated poll sensor, two actuators, two small apps). Each run:
 
 Results go to ``CHAOS_report.json`` with a content digest, so determinism
 is checkable by re-running with the same seeds and comparing digests. Any
-recorded run is replayable by seed alone (:func:`replay_run`).
+recorded run is replayable by seed alone (:func:`replay_run`, the
+``replay`` subcommand).
 
 Command line::
 
     python -m repro.eval.cli chaos --seeds 20 --horizon 3600
     python -m repro.eval.cli chaos --seeds 20 --jobs 4        # multi-core fan-out
     python -m repro.eval.cli chaos --seeds 20 --no-cache      # force cold re-runs
-    python -m repro.eval.cli chaos --replay gapless-mild-s3 --report CHAOS_report.json
+    python -m repro.eval.cli replay gapless-mild-s3 --report CHAOS_report.json
 
 Campaign cells are independent, so ``--jobs N`` fans them out over a
 process pool (see :mod:`repro.eval.parallel`); results merge in task

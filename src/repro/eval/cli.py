@@ -1,19 +1,28 @@
 """Command-line entry point: regenerate any paper table/figure.
 
-Installed as ``rivulet-experiment``::
+Installed as ``rivulet-experiment``; one subcommand per surface::
 
-    rivulet-experiment fig5                # quick defaults
+    rivulet-experiment fig5                          # the figure's own defaults
     rivulet-experiment fig6 --duration 200 --seeds 1,2,3,4,5
-    rivulet-experiment all --jobs 4        # parallel per-seed sweep
+    rivulet-experiment all --jobs 4                  # every figure, 4 workers
     rivulet-experiment chaos --seeds 20 --jobs 4
+    rivulet-experiment replay gapless-mild-s3 --report CHAOS_report.json
     rivulet-experiment fleet --homes 50 --days 1 --jobs 4
-    rivulet-experiment all                 # everything, quick defaults
+    rivulet-experiment fleet --homes 50 --days 2 --checkpoint-every 1
+    rivulet-experiment rt --scenario parity4 --rt-mode in-process
 
-``--jobs N`` fans independent simulation cells out over a process pool;
-``--jobs N`` and ``--jobs 1`` produce byte-identical report digests.
-Sweeps cache per-cell results under ``.rivulet-cache/`` keyed on the
-source tree and the cell spec; ``--no-cache`` disables both lookup and
-storage.
+Each subcommand declares exactly the options its entry point reads, with
+the real default and the validation in the parser: an option a surface
+does not read is a usage error (exit 2), never silently dropped. A
+figure takes ``--seeds`` / ``--duration`` / ``--days`` exactly when its
+function takes ``seed``/``seeds``, ``duration`` or ``days``.
+
+Every figure runs as a sweep of cells (one per figure call, see
+:func:`repro.eval.experiments.sweep_cells`); ``--jobs N`` fans the cells
+of a sweep out over a process pool and yields a byte-identical report
+digest for every ``N``. Sweeps cache per-cell results under
+``.rivulet-cache/`` keyed on the source tree and the cell spec;
+``--no-cache`` disables both lookup and storage.
 """
 
 from __future__ import annotations
@@ -21,285 +30,98 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+from typing import Any, Callable
 
+from repro.apps.scenarios import MODES, SCENARIOS
+from repro.eval import figures
+from repro.eval.chaos import DEFAULT_INTENSITIES
 from repro.eval.experiments import EXPERIMENTS
+from repro.sim.chaos import PROFILES
+
+# -- option types: every value is checked while parsing, before a cell runs ----
 
 
-class CliError(Exception):
-    """A usage error: printed to stderr, exit status 2."""
+def _positive(kind: str, cast: Callable[[str], Any] = float) -> Callable[[str], Any]:
+    """A ``type=``: ``cast(text)`` when that is greater than zero."""
+    def parse(text: str) -> Any:
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not value > 0:
+            raise argparse.ArgumentTypeError(f"wants a positive {kind}, got {text!r}")
+        return value
+    return parse
 
 
-def parse_seed_list(
-    text: str | None, default: list[int], *, lone_int_is_range: bool = False,
-) -> list[int]:
-    """Shared ``--seeds`` parsing for the experiments and chaos surfaces.
+def _one_of(option: str, valid: Any) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in valid:
+            raise argparse.ArgumentTypeError(
+                f"unknown {option} {text!r} (choose from {', '.join(sorted(valid))})"
+            )
+        return text
+    return parse
 
-    A comma-separated list names explicit seeds. A lone integer is that
-    single seed on the experiments surface; on the chaos surface
-    (``lone_int_is_range=True``) it means seeds ``0..N-1``, matching the
-    documented ``chaos --seeds 20`` campaign shorthand. Raises
-    :class:`CliError` (exit 2) on anything else.
-    """
-    if not text:
-        return list(default)
+
+def _list_of(parse: Callable[[str], Any]) -> Callable[[str], tuple]:
+    """A comma-separated list of ``parse``'d values."""
+    return lambda text: tuple(parse(part.strip()) for part in text.split(","))
+
+
+def _seeds(text: str) -> tuple[int, ...]:
+    """``--seeds``: one seed, or a comma-separated list of seeds."""
     try:
-        if "," not in text:
-            value = int(text)
-            return list(range(value)) if lone_int_is_range else [value]
-        seeds = [int(s) for s in text.split(",") if s.strip()]
-        if not seeds:
-            raise ValueError(text)
-        return seeds
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise CliError(
-            f"--seeds wants an integer or a comma-separated list of "
-            f"integers, got {text!r}"
+        raise argparse.ArgumentTypeError(
+            f"wants an integer or a comma-separated list of integers, got {text!r}"
         ) from None
 
 
-def parse_choice_list(
-    text: str | None, valid: tuple[str, ...], default: tuple[str, ...],
-    option: str,
-) -> tuple[str, ...]:
-    """Shared comma-separated choice parsing (``--intensities``, ``--modes``)."""
-    if not text:
-        return tuple(default)
-    chosen = tuple(part.strip() for part in text.split(","))
-    for value in chosen:
-        if value not in valid:
-            raise CliError(
-                f"unknown {option} {value!r} "
-                f"(choose from {', '.join(sorted(valid))})"
-            )
-    return chosen
+def _seed_range(text: str) -> tuple[int, ...]:
+    """chaos ``--seeds``: a lone ``N`` means seeds ``0..N-1``."""
+    seeds = _seeds(text) if "," in text else tuple(range(*_seeds(text)))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"wants at least one seed, got {text!r}")
+    return seeds
 
 
-def parse_jobs(jobs: int | None) -> int | None:
-    """Reject ``--jobs 0`` and negatives up front with a usage error."""
-    if jobs is not None and jobs < 1:
-        raise CliError(
-            f"--jobs wants a positive worker count, got {jobs} "
-            "(omit the flag for sequential, or pass --jobs 1)"
-        )
-    return jobs
+# -- the surfaces ----------------------------------------------------------------
 
 
-def _make_cache(args):
+def _refuse(args: argparse.Namespace, why: str, *dests: str) -> None:
+    """Exit 2 if any of ``dests`` was given, by argparse's own test for
+    mutually exclusive options: the value is not the default object."""
+    for dest in dests:
+        if getattr(args, dest) is not args.parser.get_default(dest):
+            args.parser.error(f"--{dest.replace('_', '-')} {why}")
+
+
+def _cache(args: argparse.Namespace):
     from repro.eval.cache import RunCache
 
-    if args.no_cache:
-        return None
-    return RunCache(args.cache_dir)
+    return None if args.no_cache else RunCache(args.cache_dir)
 
 
-def _supported_kwargs(fn, **candidates):
-    parameters = inspect.signature(fn).parameters
-    return {k: v for k, v in candidates.items() if k in parameters and v is not None}
-
-
-def _run_rt(args) -> int:
-    """Run a scenario on the real asyncio/subprocess runtime + cross-validate."""
-    from repro.apps.scenarios import scenario_named
-    from repro.eval.rt import render_rt_summary, run_rt_report
-
-    scenario = args.scenario or "smoke3"
-    try:
-        scenario_named(scenario)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    mode = args.rt_mode or "subprocess"
-    if mode not in ("subprocess", "in-process"):
-        raise CliError(
-            f"--rt-mode wants subprocess or in-process, got {mode!r}"
-        )
-    duration = args.duration if args.duration is not None else 6.0
-    seed = args.seed if args.seed is not None else 42
-    out = args.out or "RT_report.json"
-    report = run_rt_report(
-        scenario_name=scenario, seed=seed, duration=duration, mode=mode,
-        out_path=out,
-    )
-    print(render_rt_summary(report))
-    print(f"wrote {out}")
-    return 0 if report["ok"] else 1
-
-
-def _run_chaos(args) -> int:
-    import json
-
-    from repro.eval.chaos import (
-        DEFAULT_INTENSITIES, MODES, render_campaign_summary, replay_run,
-        run_campaign,
-    )
-    from repro.eval.report import DigestVersionMismatch
-    from repro.sim.chaos import PROFILES
-
-    if args.replay:
-        try:
-            with open(args.report, "r", encoding="utf-8") as fh:
-                report = json.load(fh)
-        except FileNotFoundError:
-            raise CliError(
-                f"no report at {args.report!r} (run a campaign first)"
-            ) from None
-        try:
-            result = replay_run(report, args.replay)
-        except KeyError as exc:
-            raise CliError(str(exc.args[0])) from None
-        except DigestVersionMismatch as exc:
-            raise CliError(str(exc)) from None
-        print(f"replayed {result['run_id']} from {result['source']} "
-              f"({result['fault_actions']} fault actions)")
-        print(f"verdict: {result['verdict']} "
-              f"(recorded: {result['recorded_verdict']})")
-        for violation in result["violations"]:
-            print(f"  {violation}")
-        return 0 if result["verdict"] == result["recorded_verdict"] else 1
-
-    seeds = parse_seed_list(
-        args.seeds, default=list(range(5)), lone_int_is_range=True,
-    )
-    if args.profile is not None:
-        if args.profile not in PROFILES:
-            raise CliError(
-                f"unknown chaos profile {args.profile!r} "
-                f"(choose from {', '.join(sorted(PROFILES))})"
-            )
-        if args.intensities is not None:
-            raise CliError(
-                "--profile and --intensities are mutually exclusive "
-                "(--profile selects a single profile)"
-            )
-        args.intensities = args.profile
-    if args.profile == "device":
-        if args.modes is not None:
-            raise CliError(
-                "--profile device and --modes are mutually exclusive "
-                "(the device scenario is its own mode)"
-            )
-        intensities = modes = ("device",)
-    else:
-        # "device" is a campaign of its own (--profile device), never one
-        # intensity among others: campaign_tasks refuses the mix.
-        intensities = parse_choice_list(
-            args.intensities, tuple(sorted(set(PROFILES) - {"device"})),
-            DEFAULT_INTENSITIES, "intensity",
-        )
-        modes = parse_choice_list(args.modes, MODES, MODES, "mode")
-    out = args.out or "CHAOS_report.json"
-    report = run_campaign(
-        seeds, args.horizon, intensities=intensities, modes=modes,
-        out_path=out, progress=True, jobs=args.jobs or 1,
-        cache=_make_cache(args),
-    )
-    print(render_campaign_summary(report))
-    print(f"wrote {out}")
-    return 1 if report["summary"]["failures"] else 0
-
-
-def _run_fleet_checkpointed(args) -> int:
-    """The monolithic checkpoint/resume fleet path.
-
-    Runs one in-process fleet day by day, writing an atomic snapshot every
-    ``--checkpoint-every`` days; ``--resume`` picks a run back up from the
-    snapshot and finishes with a digest byte-identical to an uninterrupted
-    run of the same length.
-    """
-    from repro.core.fleet import DAY_S, Fleet
-    from repro.eval.workloads import fleet_deployment
-    from repro.sim.snapshot import SnapshotError
-
-    days = args.days if args.days is not None else 1.0
-    total_days = int(days)
-    if total_days != days or total_days < 1:
-        raise CliError(
-            f"--checkpoint-every/--resume runs want a whole number of days, "
-            f"got {days:g} (checkpoints are taken at day boundaries)"
-        )
-    every = args.checkpoint_every
-    if every is not None and every < 1:
-        raise CliError(f"--checkpoint-every wants a positive day count, got {every}")
-    snapshot_path = args.snapshot or "FLEET_snapshot.pkl"
-
-    if args.resume:
-        try:
-            fleet = Fleet.restore(args.resume, horizon_days=total_days)
-        except SnapshotError as exc:
-            raise CliError(f"--resume {args.resume}: {exc}") from exc
-        done_days = int(round(fleet.context.now / DAY_S))
-        print(f"resumed {len(fleet)} homes at day {done_days} from {args.resume}")
-    else:
-        homes = args.homes if args.homes is not None else 10
-        if homes < 1:
-            raise CliError(f"--homes wants a positive home count, got {homes}")
-        seed = args.seed if args.seed is not None else 42
-        fleet, _workloads = fleet_deployment(homes=homes, seed=seed, days=days)
-        done_days = 0
-
-    for day in range(done_days + 1, total_days + 1):
-        fleet.run_until(day * DAY_S)
-        if every and (day % every == 0 or day == total_days):
-            path = fleet.checkpoint(snapshot_path, horizon_days=total_days)
-            print(f"day {day}/{total_days}: checkpoint -> {path}")
-        else:
-            print(f"day {day}/{total_days}")
-
-    totals = fleet.metrics()["fleet"]
-    print(f"fleet: {totals['homes']} homes x {total_days} day(s)")
-    print(f"  events emitted  : {totals['events_emitted']:>12,}")
-    print(f"  net messages    : {totals['net_messages']:>12,} "
-          f"({totals['net_bytes']:,} bytes)")
-    print(f"  fleet digest    : {fleet.digest()}")
-    return 0
-
-
-def _run_fleet(args) -> int:
-    from repro.eval.fleet import render_fleet_summary, run_fleet_sweep
-
-    if args.checkpoint_every is not None or args.resume:
-        return _run_fleet_checkpointed(args)
-
-    homes = args.homes if args.homes is not None else 10
-    if homes < 1:
-        raise CliError(
-            f"--homes wants a positive home count, got {homes}"
-        )
-    if args.shards is not None and args.shards < 1:
-        raise CliError(
-            f"--shards wants a positive shard count, got {args.shards}"
-        )
-    days = args.days if args.days is not None else 1.0
-    if days < 1.0:
-        raise CliError(
-            f"--days wants at least one whole day for a fleet run, got {days:g} "
-            "(the occupancy workload schedules whole days)"
-        )
-    seed = args.seed if args.seed is not None else 42
-    report = run_fleet_sweep(
-        homes, days, seed=seed, jobs=args.jobs or 1, shards=args.shards,
-        cache=_make_cache(args), out_path=args.out, progress=True,
-    )
-    print(render_fleet_summary(report))
-    if args.out:
-        print(f"wrote {args.out}")
-    return 1 if report["summary"]["errors"] else 0
-
-
-def _run_experiment_sweep(args, names: list[str]) -> int:
+def _run_experiments(args: argparse.Namespace) -> int:
     from repro.eval.experiments import ExperimentTable, run_experiment_sweep
 
-    seeds = parse_seed_list(args.seeds, default=[])
     report = run_experiment_sweep(
-        names, jobs=args.jobs, cache=_make_cache(args),
-        seeds=tuple(seeds) or None, duration=args.duration, days=args.days,
-        out_path=args.out, progress=True,
+        args.names, seeds=args.seeds, duration=args.duration, days=args.days,
+        jobs=args.jobs, cache=_cache(args), out_path=args.out, progress=True,
     )
     for cell in report["cells"]:
         print(f"-- cell {cell['cell_id']} --")
         if "error" in cell:
             print(f"  ERROR:\n{cell['error']}")
             continue
-        print(ExperimentTable.from_dict(cell["table"]).render())
+        table = ExperimentTable.from_dict(cell["table"])
+        print(table.render())
+        chart = figures.chart_for(table) if args.chart else None
+        if chart is not None:
+            print()
+            print(chart)
         print()
     summary = report["summary"]
     print(f"sweep: {summary['total']} cells, {summary['errors']} errors")
@@ -309,131 +131,208 @@ def _run_experiment_sweep(args, names: list[str]) -> int:
     return 1 if summary["errors"] else 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="rivulet-experiment",
-        description="Regenerate the Rivulet paper's tables and figures.",
+def _run_chaos(args: argparse.Namespace) -> int:
+    from repro.eval.chaos import render_campaign_summary, run_campaign
+
+    intensities, modes = args.intensities, args.modes
+    if args.profile:
+        _refuse(args, "and --profile are mutually exclusive "
+                "(--profile selects a single profile)", "intensities")
+        intensities = (args.profile,)
+    if args.profile == "device":
+        _refuse(args, "and --profile device are mutually exclusive "
+                "(the device scenario is its own mode)", "modes")
+        modes = ("device",)
+    report = run_campaign(
+        list(args.seeds), args.horizon, intensities=intensities, modes=modes,
+        out_path=args.out, progress=True, jobs=args.jobs, cache=_cache(args),
     )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(EXPERIMENTS) + ["all", "fleet", "chaos", "rt"],
-        help="which table/figure to regenerate, 'fleet' for a multi-home "
-        "fleet run sharded over cores, 'chaos' for a randomized "
-        "fault-injection campaign (writes CHAOS_report.json), or 'rt' to "
-        "run a home over real localhost TCP with SIGKILL/proxy fault "
-        "injection and cross-validate against the simulator (writes "
-        "RT_report.json)",
-    )
-    parser.add_argument("--duration", type=float, default=None,
-                        help="run length in simulated seconds (paper: 200)")
-    parser.add_argument("--seeds", type=str, default=None,
-                        help="comma-separated seeds, e.g. 1,2,3 (for chaos, "
-                        "a lone integer N means seeds 0..N-1)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="single seed (experiments that take one)")
-    parser.add_argument("--days", type=float, default=None,
-                        help="deployment length for fig1 (paper: 15)")
-    parser.add_argument("--chart", action="store_true",
-                        help="also draw an ASCII chart of the figure")
-    parser.add_argument("--out", type=str, default=None,
-                        help="output path for the result JSON (default "
-                        "CHAOS_report.json / RT_report.json; fleet and "
-                        "experiment sweeps write only when given)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="fan sweep cells out over N worker processes "
-                        "(digests are identical for every N; experiments "
-                        "run the legacy sequential path when omitted)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the content-addressed run cache")
-    parser.add_argument("--cache-dir", type=str, default=".rivulet-cache",
-                        help="run cache directory (default .rivulet-cache)")
-    parser.add_argument("--homes", type=int, default=None, metavar="N",
-                        help="fleet only: number of homes to simulate "
-                        "(default 10)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="fleet only: shard the homes into N sweep "
-                        "cells (default: one cell per home; any value "
-                        "yields a byte-identical report)")
-    parser.add_argument("--checkpoint-every", type=int, default=None,
-                        metavar="D",
-                        help="fleet only: run monolithically and write an "
-                        "atomic snapshot every D simulated days (and at the "
-                        "end); see --snapshot/--resume")
-    parser.add_argument("--snapshot", type=str, default=None,
-                        help="fleet only: snapshot path for "
-                        "--checkpoint-every (default FLEET_snapshot.pkl)")
-    parser.add_argument("--resume", type=str, default=None, metavar="PATH",
-                        help="fleet only: resume a checkpointed run from "
-                        "PATH and continue to --days; the final digest is "
-                        "byte-identical to an uninterrupted run")
-    parser.add_argument("--horizon", type=float, default=3600.0,
-                        help="chaos only: per-run horizon in simulated "
-                        "seconds (default 3600)")
-    parser.add_argument("--intensities", type=str, default=None,
-                        help="chaos only: comma-separated intensity profiles "
-                        "(default mild,severe)")
-    parser.add_argument("--profile", type=str, default=None, metavar="NAME",
-                        help="chaos only: run a single named profile; "
-                        "'device' selects the soft device-fault scenario "
-                        "with repair-on/off outcome deltas")
-    parser.add_argument("--modes", type=str, default=None,
-                        help="chaos only: comma-separated delivery modes "
-                        "(default gapless,gap,naive-broadcast)")
-    parser.add_argument("--replay", type=str, default=None,
-                        help="chaos only: replay one recorded run_id from "
-                        "the report instead of running a campaign")
-    parser.add_argument("--report", type=str, default="CHAOS_report.json",
-                        help="chaos only: report to read for --replay")
-    parser.add_argument("--scenario", type=str, default=None,
-                        help="rt only: scenario name (default smoke3)")
-    parser.add_argument("--rt-mode", type=str, default=None,
-                        help="rt only: 'subprocess' (one OS process per "
-                        "node, real SIGKILL; default) or 'in-process' "
-                        "(asyncio nodes in this interpreter)")
-    args = parser.parse_args(argv)
+    print(render_campaign_summary(report))
+    print(f"wrote {args.out}")
+    return 1 if report["summary"]["failures"] else 0
+
+
+def _run_replay(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.eval.chaos import replay_run
+    from repro.eval.report import DigestVersionMismatch
 
     try:
-        parse_jobs(args.jobs)
+        with open(args.report, "r", encoding="utf-8") as fh:
+            report = json.load(fh)
+        result = replay_run(report, args.run_id)
+    except FileNotFoundError:
+        args.parser.error(f"no report at {args.report!r} (run a campaign first)")
+    except (KeyError, DigestVersionMismatch) as exc:
+        args.parser.error(str(exc.args[0]))
+    print(f"replayed {result['run_id']} from {result['source']} "
+          f"({result['fault_actions']} fault actions)")
+    print(f"verdict: {result['verdict']} (recorded: {result['recorded_verdict']})")
+    for violation in result["violations"]:
+        print(f"  {violation}")
+    return 0 if result["verdict"] == result["recorded_verdict"] else 1
 
-        if args.experiment == "rt":
-            return _run_rt(args)
 
-        if args.experiment == "chaos":
-            return _run_chaos(args)
+def _run_fleet(args: argparse.Namespace) -> int:
+    from repro.eval.fleet import render_fleet_summary, run_fleet_checkpointed, run_fleet_sweep
+    from repro.sim.snapshot import SnapshotError
 
-        if args.experiment == "fleet":
-            return _run_fleet(args)
-
-        names = (
-            sorted(EXPERIMENTS) if args.experiment == "all"
-            else [args.experiment]
+    if not args.checkpoint_every:
+        _refuse(args, "needs --checkpoint-every", "snapshot")
+    if args.resume:
+        _refuse(args, "does not apply to --resume (the snapshot holds the fleet)",
+                "homes", "seed")
+    if not (args.checkpoint_every or args.resume):
+        report = run_fleet_sweep(
+            args.homes, args.days, seed=args.seed, jobs=args.jobs, shards=args.shards,
+            cache=_cache(args), out_path=args.out, progress=True,
         )
-        if args.jobs is not None:
-            return _run_experiment_sweep(args, names)
+    else:
+        _refuse(args, "does not apply to a checkpointed run (one process, "
+                "uncached)", "shards", "jobs", "no_cache", "cache_dir")
+        try:
+            report = run_fleet_checkpointed(
+                args.homes, args.days, seed=args.seed, every=args.checkpoint_every,
+                snapshot=args.snapshot, resume=args.resume, out_path=args.out,
+                progress=True,
+            )
+        except SnapshotError as exc:
+            args.parser.error(f"--resume {args.resume}: {exc}")
+    print(render_fleet_summary(report))
+    if args.out:
+        print(f"wrote {args.out}")
+    return 1 if report["summary"]["errors"] else 0
 
-        seeds = None
-        if args.seeds:
-            seeds = tuple(parse_seed_list(args.seeds, default=[]))
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
-    for name in names:
-        fn = EXPERIMENTS[name]
-        kwargs = _supported_kwargs(
-            fn, duration=args.duration, seeds=seeds, seed=args.seed, days=args.days
+def _run_rt(args: argparse.Namespace) -> int:
+    """Run a scenario on the real asyncio/subprocess runtime + cross-validate."""
+    from repro.eval.rt import render_rt_summary, run_rt_report
+
+    report = run_rt_report(
+        scenario_name=args.scenario, seed=args.seed, duration=args.duration,
+        mode=args.rt_mode, out_path=args.out,
+    )
+    print(render_rt_summary(report))
+    print(f"wrote {args.out}")
+    return 0 if report["ok"] else 1
+
+
+# -- the parser ------------------------------------------------------------------
+
+_FIGURE_OPTIONS = {  # option -> (type, help)
+    "seeds": (_seeds, "seeds: one, or a comma-separated list"),
+    "duration": (_positive("duration"), "run length in simulated seconds "
+                 "(paper: 200)"),
+    "days": (_positive("day count"), "deployment length in days (paper: 15)"),
+}
+
+
+def _figure_defaults(fn: Callable) -> dict[str, Any]:
+    """The figure options ``fn`` reads, each with ``fn``'s own default."""
+    parameters = inspect.signature(fn).parameters
+    defaults = {key: parameters[key].default
+                for key in ("duration", "days") if key in parameters}
+    if "seeds" in parameters:
+        defaults["seeds"] = parameters["seeds"].default
+    elif "seed" in parameters:
+        defaults["seeds"] = (parameters["seed"].default,)
+    return defaults
+
+
+def _sweep_options(out: str | None, out_help: str) -> argparse.ArgumentParser:
+    """The parent parser of every sweep surface."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--jobs", type=_positive("worker count", int), default=1,
+                        metavar="N", help="worker processes (same digest for any N)")
+    parent.add_argument("--no-cache", action="store_true", help="skip the run cache")
+    parent.add_argument("--cache-dir", default=".rivulet-cache", help="run cache")
+    parent.add_argument("--out", default=out, help=out_help)
+    return parent
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rivulet-experiment", allow_abbrev=False,
+        description="Regenerate the Rivulet paper's tables and figures.",
+    )
+    surfaces = parser.add_subparsers(dest="surface", required=True)
+
+    def surface(name, run, about, parents=(), **defaults):
+        sub = surfaces.add_parser(
+            name, help=about.replace("%", "%%"), description=about, parents=list(parents),
+            allow_abbrev=False, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
         )
-        table = fn(**kwargs)
-        print(table.render())
-        if args.chart:
-            from repro.eval.figures import chart_for
+        sub.set_defaults(run=run, parser=sub, **defaults)
+        return sub
 
-            chart = chart_for(table)
-            if chart is not None:
-                print()
-                print(chart)
-        print()
-    return 0
+    experiments = _sweep_options(None, "write the sweep report JSON here")
+    for name in [*EXPERIMENTS, "all"]:
+        fn = EXPERIMENTS.get(name)
+        options = _figure_defaults(fn) if fn else dict.fromkeys(_FIGURE_OPTIONS)
+        sub = surface(
+            name, _run_experiments,
+            fn.__doc__.splitlines()[0] if fn else "every table and figure, "
+            "each with its own defaults", [experiments],
+            names=[name] if fn else sorted(EXPERIMENTS), chart=False,
+            **{key: None for key in _FIGURE_OPTIONS if key not in options},
+        )
+        for key, default in options.items():
+            kind, about = _FIGURE_OPTIONS[key]
+            sub.add_argument(f"--{key}", type=kind, default=default, help=about)
+        if name in figures.CHARTS or not fn:
+            sub.add_argument("--chart", action="store_true",
+                             help="also draw an ASCII chart of the figure")
+
+    chaos = surface("chaos", _run_chaos, "randomized fault-injection campaign",
+                    [_sweep_options("CHAOS_report.json", "campaign report path")])
+    chaos.add_argument("--seeds", type=_seed_range, default=tuple(range(5)),
+                       help="N for seeds 0..N-1, or a comma-separated list")
+    chaos.add_argument("--horizon", type=_positive("horizon"), default=3600.0,
+                       help="per-run horizon in simulated seconds")
+    chaos.add_argument("--intensities", default=DEFAULT_INTENSITIES,
+                       type=_list_of(_one_of("intensity", set(PROFILES) - {"device"})),
+                       help="comma-separated intensity profiles")
+    chaos.add_argument("--profile", type=_one_of("chaos profile", PROFILES),
+                       help="one profile; 'device' is the device-fault scenario")
+    chaos.add_argument("--modes", type=_list_of(_one_of("mode", MODES)),
+                       default=MODES, help="comma-separated delivery modes")
+
+    replay = surface("replay", _run_replay, "re-run one chaos run of a report")
+    replay.add_argument("run_id", help="a run_id of the report, e.g. device-s3")
+    replay.add_argument("--report", default="CHAOS_report.json", help="report")
+
+    fleet = surface("fleet", _run_fleet, "a multi-home fleet, sharded over cores",
+                    [_sweep_options(None, "write the fleet report JSON here")])
+    fleet.add_argument("--homes", type=_positive("home count", int), default=10,
+                       metavar="N", help="number of homes")
+    fleet.add_argument("--days", type=_positive("whole day count", lambda text:
+                       float(int(text))), default=1.0, help="simulated days")
+    fleet.add_argument("--seed", type=int, default=42, help="fleet seed")
+    fleet.add_argument("--shards", type=_positive("shard count", int), metavar="N",
+                       help="N cells (None: one per home; same report for any N)")
+    fleet.add_argument("--checkpoint-every", type=_positive("day count", int),
+                       metavar="D", help="one process, a snapshot every D days")
+    fleet.add_argument("--snapshot", default="FLEET_snapshot.pkl", help="snapshot")
+    fleet.add_argument("--resume", metavar="PATH", help="run a snapshot on to --days")
+
+    rt = surface("rt", _run_rt, "a home over real TCP, checked against the simulator")
+    rt.add_argument("--scenario", type=_one_of("scenario", SCENARIOS),
+                    default="smoke3", help="scenario name")
+    rt.add_argument("--rt-mode", choices=("subprocess", "in-process"),
+                    default="subprocess", help="an OS process per node, or one")
+    rt.add_argument("--duration", type=_positive("duration"), default=6.0, help="s")
+    rt.add_argument("--seed", type=int, default=42, help="run seed")
+    rt.add_argument("--out", default="RT_report.json", help="report path")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:  # a usage error (2) or --help (0)
+        return exc.code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -454,7 +454,7 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentTable]] = {
 }
 
 
-# -- parallel sweep: one cell per (experiment, seed) ---------------------------------------------
+# -- the sweep: one cell per call of a figure function -------------------------------------------
 
 def sweep_cells(
     names: list[str],
@@ -463,12 +463,13 @@ def sweep_cells(
     duration: float | None = None,
     days: float | None = None,
 ) -> list[dict[str, Any]]:
-    """Expand experiments into independent per-seed cell specs.
+    """Expand experiments into independent cell specs, one per figure call.
 
-    Experiments that average over a ``seeds`` tuple split into one cell
-    per seed (each cell runs ``seeds=(s,)``); single-``seed`` experiments
-    get one cell per requested seed; seedless ones (table3) are a single
-    cell. Each spec is JSON-pure and fully describes its cell, so cells
+    An experiment that averages over a ``seeds`` tuple is one cell
+    carrying the whole tuple, so its table is the averaged one;
+    single-``seed`` experiments get one cell per requested seed; seedless
+    ones (table3) are a single cell. ``None`` leaves a figure its own
+    default. Each spec is JSON-pure and fully describes its cell, so cells
     fan out to workers and content-address into the run cache.
     """
     cells: list[dict[str, Any]] = []
@@ -481,12 +482,11 @@ def sweep_cells(
             base["duration"] = duration
         if days is not None and "days" in parameters:
             base["days"] = days
-        if "seeds" in parameters:
-            seeded = [(f"{name}-s{seed}", {"seeds": [seed]})
-                      for seed in seeds or parameters["seeds"].default]
-        elif "seed" in parameters:
+        if "seed" in parameters:
             seeded = [(f"{name}-s{seed}", {"seed": seed})
                       for seed in seeds or (parameters["seed"].default,)]
+        elif "seeds" in parameters:
+            seeded = [(name, {"seeds": list(seeds or parameters["seeds"].default)})]
         else:
             seeded = [(name, {})]
         cells.extend(
@@ -521,11 +521,12 @@ def run_experiment_sweep(
     out_path: str | None = None,
     progress: bool = False,
 ) -> dict[str, Any]:
-    """Run experiments as a parallel per-seed sweep with a digested report.
+    """Run experiments as a sweep of :func:`sweep_cells` with a digested report.
 
-    The report's ``digest`` (see :func:`repro.eval.report.report_digest`)
-    is independent of ``jobs`` and of cache hits: cells merge in task
-    order and each cell is a pure function of its spec.
+    This is the one path every ``rivulet-experiment`` figure takes. The
+    report's ``digest`` (see :func:`repro.eval.report.report_digest`) is
+    independent of ``jobs`` and of cache hits: cells merge in task order
+    and each cell is a pure function of its spec.
     """
     from repro.eval.parallel import SweepTask, sweep_report
 

@@ -65,7 +65,7 @@ def bar_chart(
 
 def chart_for(table: "ExperimentTable", width: int = 50) -> str | None:
     """Best-effort chart for a known experiment table; None if not chartable."""
-    renderer = _RENDERERS.get(table.experiment)
+    renderer = CHARTS.get(table.experiment)
     if renderer is None:
         return None
     return renderer(table, width)
@@ -144,7 +144,7 @@ def _chart_fig8(table, width):
                      x_label="sensor", width=width, notes=table.notes)
 
 
-_RENDERERS = {
+CHARTS = {
     "fig1": _chart_fig1,
     "fig4a": lambda t, w: _chart_fig4(t, w, "4a"),
     "fig4b": lambda t, w: _chart_fig4(t, w, "4b"),

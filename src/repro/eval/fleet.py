@@ -15,14 +15,21 @@ a report digest over per-home content only — byte-identical for every
 ``--jobs`` and ``--shards`` choice. The merged ``fleet_digest`` equals
 ``Fleet.digest()`` of a monolithic in-process run, which the integration
 tests pin.
+
+:func:`run_fleet_checkpointed` is that monolithic run, day by day with
+atomic snapshots (and resumable from one). It folds its homes through
+the same :func:`fleet_report`, so its report — digest included — equals
+the sharded sweep's for the same homes, days and seed.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from repro.core.fleet import Fleet
 from repro.eval.cache import RunCache
 from repro.eval.parallel import SweepResult, SweepTask, sweep_report
+from repro.eval.report import report_digest, write_report
 from repro.eval.workloads import DAY_S, fleet_deployment, fleet_home_ids
 from repro.sim.context import combine_digests
 from repro.sim.tracing import DIGEST_VERSION
@@ -37,15 +44,51 @@ def run_fleet_cell(spec: dict[str, Any]) -> dict[str, Any]:
     shard a home landed in — runs it to the end of the workload horizon,
     and reports each home's trace digest and counters.
     """
-    seed = int(spec["seed"])
     days = float(spec["days"])
-    home_ids = list(spec["home_ids"])
-    fleet, _workloads = fleet_deployment(home_ids=home_ids, seed=seed, days=days)
+    fleet, _workloads = fleet_deployment(
+        home_ids=list(spec["home_ids"]), seed=int(spec["seed"]), days=days,
+    )
     fleet.run_until(days * DAY_S)
+    return home_rows(fleet)
+
+
+def home_rows(fleet: Fleet) -> dict[str, dict[str, Any]]:
+    """Each home's row of ``fleet.metrics()`` plus its trace digest."""
     metrics = fleet.metrics()["homes"]
     return {
         home_id: dict(metrics[home_id], digest=fleet.home(home_id).trace.digest())
-        for home_id in home_ids
+        for home_id in fleet.home_ids
+    }
+
+
+def fleet_report(
+    homes: dict[str, dict[str, Any]], errors: list[dict[str, str]], *,
+    n_homes: int, days: float, seed: int,
+) -> dict[str, Any]:
+    """The one fleet report body: per-home rows merged by ``home_id``, summed.
+
+    Both fleet paths fold through here — the sharded sweep and the
+    checkpointed run — so the same homes, days and seed give the same
+    report, hence the same digest, whichever path ran them.
+    """
+    homes = {home_id: homes[home_id] for home_id in sorted(homes)}
+    summary_keys = ("events_emitted", "radio_delivered", "net_messages",
+                    "net_bytes", "logic_deliveries")
+    summary: dict[str, Any] = {
+        key: sum(per_home[key] for per_home in homes.values())
+        for key in summary_keys
+    }
+    summary["homes"] = len(homes)
+    summary["errors"] = len(errors)
+    summary["fleet_digest"] = combine_digests(
+        {home_id: per_home["digest"] for home_id, per_home in homes.items()}
+    )
+    return {
+        "digest_version": DIGEST_VERSION,
+        "fleet": {"n_homes": n_homes, "days": days, "seed": seed},
+        "homes": homes,
+        "summary": summary,
+        "errors": errors,
     }
 
 
@@ -98,31 +141,12 @@ def run_fleet_sweep(
         homes: dict[str, dict[str, Any]] = {}
         errors: list[dict[str, str]] = []
         for result in results:
-            if not result.ok:
+            if result.ok:
+                homes.update(result.value)
+            else:
                 errors.append({"task_id": result.task.task_id,
                                "error": result.error or ""})
-                continue
-            homes.update(result.value)
-        homes = {home_id: homes[home_id] for home_id in sorted(homes)}
-
-        summary_keys = ("events_emitted", "radio_delivered", "net_messages",
-                        "net_bytes", "logic_deliveries")
-        summary: dict[str, Any] = {
-            key: sum(per_home[key] for per_home in homes.values())
-            for key in summary_keys
-        }
-        summary["homes"] = len(homes)
-        summary["errors"] = len(errors)
-        summary["fleet_digest"] = combine_digests(
-            {home_id: per_home["digest"] for home_id, per_home in homes.items()}
-        )
-        return {
-            "digest_version": DIGEST_VERSION,
-            "fleet": {"n_homes": n_homes, "days": days, "seed": seed},
-            "homes": homes,
-            "summary": summary,
-            "errors": errors,
-        }
+        return fleet_report(homes, errors, n_homes=n_homes, days=days, seed=seed)
 
     return sweep_report(
         tasks, assemble, jobs=jobs, cache=cache, out_path=out_path,
@@ -130,8 +154,46 @@ def run_fleet_sweep(
     )
 
 
+def run_fleet_checkpointed(
+    n_homes: int, days: float, *, seed: int = 42, every: int | None = None,
+    snapshot: str = "FLEET_snapshot.pkl", resume: str | None = None,
+    out_path: str | None = None, progress: bool = False,
+) -> dict[str, Any]:
+    """Run one in-process fleet day by day; snapshot it every ``every`` days.
+
+    Snapshots go atomically to ``snapshot`` every ``every`` days and at
+    the end. ``resume`` continues the fleet of a snapshot (its homes and
+    seed; ``n_homes`` and ``seed`` are not read) and refuses one taken for
+    another ``days`` (:class:`~repro.sim.snapshot.SnapshotError`). The
+    report is :func:`fleet_report`'s, equal to :func:`run_fleet_sweep`'s
+    for the same homes, days and seed, resumed or not.
+    """
+    total_days = int(days)
+    if resume:
+        fleet = Fleet.restore(resume, horizon_days=total_days)
+        done_days = int(round(fleet.context.now / DAY_S))
+        if progress:
+            print(f"resumed {len(fleet)} homes at day {done_days} from {resume}")
+    else:
+        fleet, _workloads = fleet_deployment(homes=n_homes, seed=seed, days=days)
+        done_days = 0
+    for day in range(done_days + 1, total_days + 1):
+        fleet.run_until(day * DAY_S)
+        line = f"day {day}/{total_days}"
+        if every and (day % every == 0 or day == total_days):
+            line += f": checkpoint -> {fleet.checkpoint(snapshot, horizon_days=total_days)}"
+        if progress:
+            print(line)
+    report = fleet_report(
+        home_rows(fleet), [], n_homes=len(fleet), days=float(days), seed=fleet.seed,
+    )
+    report["digest"] = report_digest(report)
+    write_report(report, out_path)
+    return report
+
+
 def render_fleet_summary(report: dict[str, Any]) -> str:
-    """A terminal-friendly summary of :func:`run_fleet_sweep` output."""
+    """A terminal-friendly summary of either fleet path's report."""
     fleet = report["fleet"]
     summary = report["summary"]
     lines = [

@@ -1,8 +1,9 @@
-"""Plain-text rendering of experiment results.
+"""Plain-text rendering of experiment results, and the report digest.
 
-The benchmark harness prints these tables so that running
-``pytest benchmarks/ --benchmark-only`` reproduces, in one place, every
-number the paper reports.
+``rivulet-experiment`` prints every regenerated table through
+:func:`render_table`, and every sweep report (experiments, chaos
+campaigns, fleets) is digested by :func:`report_digest` and written by
+:func:`write_report`.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ def report_digest(report: dict[str, Any]) -> str:
 
     Canonical JSON (sorted keys, no whitespace) through blake2b, so two
     reports are byte-identical iff their digests match. Shared by the
-    chaos campaign report and the parallel experiment-sweep report; the
-    ``--jobs N`` == ``--jobs 1`` determinism guarantee is stated in terms
-    of this digest.
+    three sweep reports — experiments, chaos campaign and fleet (either
+    fleet path); the ``--jobs N`` == ``--jobs 1`` determinism guarantee
+    is stated in terms of this digest.
     """
     content = {k: v for k, v in report.items() if k != "digest"}
     canonical = json.dumps(content, sort_keys=True, separators=(",", ":"))

@@ -3,6 +3,7 @@ digests, scoped chaos, the fleet-isolation oracle, the per-home memory
 bound, and the CLI surface."""
 
 import gc
+import json
 import tracemalloc
 
 import pytest
@@ -318,19 +319,29 @@ def test_large_fleet_home_ids_sort_numerically():
 
 
 def test_cli_fleet_checkpoint_digest_matches_sharded_sweep(capsys, tmp_path):
-    """The monolithic checkpointed CLI path reproduces the sweep digest."""
-    snap = tmp_path / "fleet.snap"
-    code = main([
-        "fleet", "--homes", "2", "--days", "1", "--seed", "5",
-        "--checkpoint-every", "1", "--snapshot", str(snap),
-    ])
-    assert code == 0
-    assert snap.exists()
-    out = capsys.readouterr().out
-    assert "checkpoint ->" in out
+    """Both fleet paths write one report: the checkpointed run, fresh or
+    resumed from a day-1 snapshot, has the sharded sweep's digest."""
+    def digest(*argv):
+        out = tmp_path / "report.json"
+        assert main(["fleet", *argv, "--out", str(out)]) == 0
+        return json.loads(out.read_text())["digest"]
 
-    report = run_fleet_sweep(2, 1.0, seed=5, jobs=1, shards=2, cache=None)
-    assert report["summary"]["fleet_digest"] in out
+    snap = tmp_path / "fleet.snap"
+    homes = ["--homes", "2", "--seed", "5"]
+    checkpointed = digest(*homes, "--days", "1", "--checkpoint-every", "1",
+                          "--snapshot", str(snap))
+    assert snap.exists()
+    assert "checkpoint ->" in capsys.readouterr().out
+    assert checkpointed == digest(*homes, "--days", "1", "--shards", "2",
+                                  "--jobs", "2", "--no-cache")
+    assert checkpointed == run_fleet_sweep(2, 1.0, seed=5, shards=1)["digest"]
+
+    fleet, _ = fleet_deployment(homes=2, seed=5, days=2.0)
+    fleet.run_until(DAY_S)
+    fleet.checkpoint(snap, horizon_days=2)
+    resumed = digest("--resume", str(snap), "--days", "2")
+    assert "resumed 2 homes at day 1" in capsys.readouterr().out
+    assert resumed == digest(*homes, "--days", "2", "--no-cache")
 
 
 def test_cli_fleet_resume_refuses_another_horizon(capsys, tmp_path):

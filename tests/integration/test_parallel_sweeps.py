@@ -56,10 +56,10 @@ def test_experiment_sweep_jobs2_matches_sequential_digest():
     sequential = run_experiment_sweep(["table3", "fig4b"], jobs=1, **kwargs)
     pooled = run_experiment_sweep(["table3", "fig4b"], jobs=2, **kwargs)
     assert sequential["digest"] == pooled["digest"]
-    assert [c["cell_id"] for c in pooled["cells"]] == [
-        "table3", "fig4b-s1", "fig4b-s2",
-    ]
-    assert pooled["summary"] == {"total": 3, "errors": 0}
+    # One cell per call of the figure function: fig4b averages its seeds.
+    assert [c["cell_id"] for c in pooled["cells"]] == ["table3", "fig4b"]
+    assert pooled["cells"][1]["kwargs"] == {"duration": 4.0, "seeds": [1, 2]}
+    assert pooled["summary"] == {"total": 2, "errors": 0}
 
 
 def test_experiment_sweep_cache_preserves_digest(tmp_path):
@@ -86,7 +86,7 @@ def test_runners_travel_by_reference_under_spawn(monkeypatch):
     sequential = run_experiment_sweep(["table3", "fig4b"], jobs=1, **kwargs)
     monkeypatch.setattr(parallel_mod, "_make_executor", spawn_executor)
     spawned = run_experiment_sweep(["table3", "fig4b"], jobs=2, **kwargs)
-    assert spawned["summary"] == {"total": 3, "errors": 0}
+    assert spawned["summary"] == {"total": 2, "errors": 0}
     assert spawned["cells"] == sequential["cells"]
     assert spawned["digest"] == sequential["digest"]
 
@@ -112,19 +112,20 @@ def _chaos_case():
 
 
 def _experiment_case():
+    # fig7 takes one seed, so two seeds are two cells.
     kwargs = dict(seeds=(1, 2), duration=2.0)
-    argv = ["fig4b", "--seeds", "1,2", "--duration", "2", "--jobs", "1"]
+    argv = ["fig7", "--seeds", "1,2", "--duration", "2"]
 
     def check(report, clean):
         bad, good = report["cells"]
-        assert bad["cell_id"] == "fig4b-s1" and "injected" in bad["error"]
+        assert bad["cell_id"] == "fig7-s1" and "injected" in bad["error"]
         assert "table" not in bad
         assert good == clean["cells"][1]
         assert report["summary"] == {"total": 2, "errors": 1}
 
     return (experiments_mod, "run_experiment_cell",
-            lambda spec: spec["cell_id"] == "fig4b-s1",
-            lambda: run_experiment_sweep(["fig4b"], **kwargs), argv, check)
+            lambda spec: spec["cell_id"] == "fig7-s1",
+            lambda: run_experiment_sweep(["fig7"], **kwargs), argv, check)
 
 
 def _fleet_case():
