@@ -28,7 +28,10 @@ generic assertion:
   application that no sensor ever emitted.
 
 The oracles only see trace kinds listed in :data:`ORACLE_TRACE_KINDS`, so
-campaign runs can use ``keep_trace_kinds`` to bound memory.
+campaign runs can use ``keep_trace_kinds`` to bound memory, and every rt
+harness keeps exactly that set (the other kinds are counted, not stored).
+:func:`check_all` refuses a trace that counted a record of one of those
+kinds without keeping it, rather than report a blinded run as clean.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.home import Home
 
 #: Trace kinds the oracles read. A campaign home may restrict its trace to
-#: this set (plus whatever else it wants) without blinding any checker.
+#: this set (plus whatever else it wants) without blinding any checker; an
+#: rt harness's trace keeps this set and nothing else.
 ORACLE_TRACE_KINDS: frozenset[str] = frozenset({
     "sensor_emit", "poll_served",
     "ingest", "relay_receive", "rbcast_receive",
@@ -553,7 +557,14 @@ ALL_ORACLES = (
 
 
 def check_all(record: RunRecord) -> list[Violation]:
-    """Run every oracle; the run passes iff the result is empty."""
+    """Run every oracle; the run passes iff the result is empty.
+
+    Raises ValueError if the trace dropped records of a kind the oracles
+    read: a checker scanning a kind that was not kept would see nothing
+    and pass.
+    """
+    for kind in sorted(ORACLE_TRACE_KINDS):
+        record.trace.all_of_kind(kind)
     violations: list[Violation] = []
     for oracle in ALL_ORACLES:
         violations.extend(oracle(record))

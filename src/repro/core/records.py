@@ -14,14 +14,15 @@ protocol core — the discrete-event simulator and the asyncio TCP runtime
   surface (``alive``, ``heartbeat.view.members``,
   ``delivery.instances[...].guarantee_name``), because they host the same
   service objects.
-- :func:`normalize_trace` rebases a wall-clock trace onto a run-relative
-  origin, so records collected from a real deployment (where ``now()`` is
-  ``loop.time()``) compare like-for-like with simulated traces that start
-  at t=0.
 - :func:`build_run_record` assembles the final record from either source.
 
-``RunRecord.from_home`` now delegates here; an rt cluster calls
-:func:`build_run_record` directly (see ``LocalCluster.run_record``).
+Both runtimes stamp run-relative time when they record: a simulated home
+starts at t=0, and every rt harness subtracts its start instant from
+``loop.time()`` (see :class:`~repro.rt.harness.RtHarness`). So the record
+wraps the trace it is given, as is: nothing is rebased or re-recorded.
+``RunRecord.from_home`` delegates here; an rt cluster calls
+:func:`build_run_record` directly over its live trace (see
+``LocalCluster.run_record``).
 """
 
 from __future__ import annotations
@@ -31,42 +32,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.core.invariants import GroundTruth, RunRecord
 from repro.sim.tracing import Trace
 
-__all__ = [
-    "normalize_trace",
-    "snapshot_processes",
-    "app_consumers",
-    "build_run_record",
-]
-
-#: Trace fields that hold *absolute* timestamps (same clock as the record
-#: times). :func:`normalize_trace` rebases these along with the record time
-#: so that wall-clock traces normalize cleanly; relative fields such as
-#: ``delay`` are untouched.
-_ABSOLUTE_TIME_FIELDS = ("emitted_at",)
-
-
-def normalize_trace(trace: Trace, origin: float) -> Trace:
-    """A copy of ``trace`` with all times rebased to ``origin``.
-
-    The normalized-time adapter for wall-clock runs: an rt harness records
-    with ``loop.time()`` (an arbitrary monotonic origin), while oracles,
-    metrics, and human readers expect run-relative seconds. Only kept
-    events survive — aggregates are rebuilt from them — so normalize the
-    trace *before* computing metrics, not after sampling kinds away.
-    """
-    normalized = Trace()
-    record = normalized.record
-    for event in trace.events:
-        fields = event.fields
-        patched = None
-        for key in _ABSOLUTE_TIME_FIELDS:
-            value = fields.get(key)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                if patched is None:
-                    patched = dict(fields)
-                patched[key] = value - origin
-        record(event.time - origin, event.kind, **(patched if patched is not None else fields))
-    return normalized
+__all__ = ["snapshot_processes", "app_consumers", "build_run_record"]
 
 
 def snapshot_processes(
@@ -120,7 +86,6 @@ def build_run_record(
     ground_truth: GroundTruth | None = None,
     fault_free: bool = False,
     lossless: bool = True,
-    time_origin: float | None = None,
 ) -> RunRecord:
     """Assemble a :class:`RunRecord` from any runtime's observations.
 
@@ -129,10 +94,7 @@ def build_run_record(
     ``sensor_modes`` mappings — a subprocess harness only has the latter,
     harvested from each child's exit report. Explicit mappings override the
     snapshot. ``consumers`` defaults to :func:`app_consumers` over ``apps``.
-
-    ``time_origin`` engages the normalized-time adapter: the trace and all
-    actuation timestamps are rebased so the record reads in run-relative
-    seconds, exactly like a simulated run.
+    ``trace`` and every timestamp must already be run-relative.
     """
     snap_alive: dict[str, bool] = {}
     snap_views: dict[str, frozenset[str]] = {}
@@ -149,26 +111,14 @@ def build_run_record(
     if consumers is None:
         consumers = app_consumers(apps)
 
-    origin = 0.0 if time_origin is None else time_origin
-    if time_origin is not None:
-        trace = normalize_trace(trace, origin)
-    actuation_list = sorted(
-        ((actuator, command_id, time - origin) for actuator, command_id, time in actuations),
-        key=lambda item: item[2],
-    )
-    applied_list = sorted(
-        ((actuator, action, value, time - origin)
-         for actuator, action, value, time in applied_actions),
-        key=lambda item: item[3],
-    )
     return RunRecord(
         trace=trace,
         alive=snap_alive,
         views=snap_views,
         sensor_modes=snap_modes,
         consumers=dict(consumers),
-        actuations=actuation_list,
-        applied_actions=applied_list,
+        actuations=sorted(actuations, key=lambda item: item[2]),
+        applied_actions=sorted(applied_actions, key=lambda item: item[3]),
         ground_truth=ground_truth,
         fault_free=fault_free,
         lossless=lossless,

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.sim.tracing import Trace, TraceEvent
+from repro.sim.tracing import Trace
 
 EVENT_CARRYING_KINDS = frozenset({"gapless_fwd", "gap_fwd", "nbcast", "rbcast"})
 
@@ -37,22 +37,6 @@ def percentile(values: Iterable[float], q: float) -> float:
     return items[index]
 
 
-def _kept(trace: Trace, kind: str) -> Sequence[TraceEvent]:
-    """Every record of ``kind``, or ValueError if the trace dropped some.
-
-    A home built with ``keep_trace_kinds`` counts every kind but stores only
-    the named ones; a metric scanning a kind that was not kept would read an
-    empty list and report NaN / 0 as if nothing had happened.
-    """
-    events = trace.of_kind(kind)
-    if len(events) != trace.count(kind):
-        raise ValueError(
-            f"trace counted {trace.count(kind)} {kind!r} records but kept "
-            f"{len(events)}: keep_trace_kinds must include {kind!r}"
-        )
-    return events
-
-
 # -- delay -----------------------------------------------------------------------------
 
 
@@ -60,7 +44,7 @@ def delivery_delays(trace: Trace, *, app: str | None = None) -> list[float]:
     """Per-event sensor-to-active-logic delays, in seconds."""
     return [
         event["delay"]
-        for event in _kept(trace, "logic_delivery")
+        for event in trace.all_of_kind("logic_delivery")
         if app is None or event["app"] == app
     ]
 
@@ -104,7 +88,7 @@ def delivered_fraction(trace: Trace, events_emitted: int, *, app: str | None = N
     if events_emitted == 0:
         return math.nan
     seen: set[tuple[str, int]] = set()
-    for event in _kept(trace, "logic_delivery"):
+    for event in trace.all_of_kind("logic_delivery"):
         if app is None or event["app"] == app:
             seen.add((event["sensor"], event["seq"]))
     return len(seen) / events_emitted
@@ -115,7 +99,7 @@ def deliveries_per_bucket(
 ) -> list[tuple[float, int]]:
     """Time series of events received by the app (Fig. 7)."""
     counts: Counter[int] = Counter()
-    for event in _kept(trace, "logic_delivery"):
+    for event in trace.all_of_kind("logic_delivery"):
         if app is None or event["app"] == app:
             counts[int(event.time // bucket_s)] += 1
     if not counts:
@@ -130,7 +114,7 @@ def deliveries_per_bucket(
 def poll_requests(trace: Trace, sensor: str | None = None) -> int:
     if sensor is None:
         return trace.count("poll_request")
-    return sum(1 for e in _kept(trace, "poll_request") if e["sensor"] == sensor)
+    return sum(1 for e in trace.all_of_kind("poll_request") if e["sensor"] == sensor)
 
 
 def normalized_poll_overhead(
@@ -147,7 +131,7 @@ def normalized_poll_overhead(
 def reception_matrix(trace: Trace) -> dict[str, dict[str, int]]:
     """events received per (sensor, process) from radio_delivered records."""
     matrix: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
-    for event in _kept(trace, "radio_delivered"):
+    for event in trace.all_of_kind("radio_delivered"):
         matrix[event["sensor"]][event["process"]] += 1
     return {s: dict(p) for s, p in matrix.items()}
 

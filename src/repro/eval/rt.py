@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 import inspect
 import math
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.apps.scenarios import scenario_named
 from repro.core.invariants import RunRecord, Violation, check_all
@@ -149,15 +149,26 @@ async def _drive(
     return len(schedule)
 
 
+class RtCase(NamedTuple):
+    """One rt run, checked and measured before its harness stopped."""
+
+    record: RunRecord
+    emitted: int
+    violations: list[Violation]
+    metrics: dict[str, Any]
+
+
 def run_rt_case(
     scenario: Scenario, *, seed: int, duration: float, mode: str = "subprocess",
     with_faults: bool = True,
-) -> tuple[RunRecord, int]:
-    """Run the scenario on a real runtime; returns (record, events_emitted).
+) -> RtCase:
+    """Run the scenario on a real runtime, then check and measure it.
 
     ``mode="subprocess"`` spawns one OS process per Rivulet node and
     injects crashes with real ``SIGKILL``; ``mode="in-process"`` runs
-    asyncio nodes inside this interpreter (faster, used by tests).
+    asyncio nodes inside this interpreter (faster, used by tests). The
+    oracles and metrics run inside ``async with``: an in-process record is
+    a live view of the cluster's trace, which stopping nodes still write to.
     """
     if mode == "in-process":
         harness = build_cluster(scenario, seed=seed)
@@ -166,7 +177,7 @@ def run_rt_case(
     else:
         raise ValueError(f"unknown rt mode {mode!r} (in-process|subprocess)")
 
-    async def run() -> tuple[RunRecord, int]:
+    async def run() -> RtCase:
         async with harness:
             emitted = await _drive(
                 harness, scenario, seed=seed, duration=duration,
@@ -175,7 +186,8 @@ def run_rt_case(
             record = harness.run_record()
             if inspect.isawaitable(record):  # a ProcessHome harvests its children
                 record = await record
-        return record, emitted
+            return RtCase(record, emitted, check_all(record),
+                          record_metrics(record, emitted))
 
     return asyncio.run(run())
 
@@ -267,11 +279,7 @@ def run_rt_report(
     """The full ``cli rt`` pipeline: rt run + sim prediction + bands."""
     scenario = scenario_named(scenario_name)
 
-    rt_record, rt_emitted = run_rt_case(
-        scenario, seed=seed, duration=duration, mode=mode,
-    )
-    rt_violations = check_all(rt_record)
-    rt_m = record_metrics(rt_record, rt_emitted)
+    rt = run_rt_case(scenario, seed=seed, duration=duration, mode=mode)
 
     sim_record, sim_emitted = run_sim_case(
         scenario, seed=seed, duration=duration,
@@ -279,7 +287,7 @@ def run_rt_report(
     sim_violations = check_all(sim_record)
     sim_m = record_metrics(sim_record, sim_emitted)
 
-    checks = cross_validate(rt_m, sim_m)
+    checks = cross_validate(rt.metrics, sim_m)
     report = {
         "scenario": scenario_name,
         "mode": mode,
@@ -298,8 +306,8 @@ def run_rt_report(
             if scenario.proxy_loss is not None else None
         ),
         "rt": {
-            "metrics": rt_m,
-            "violations": _violations_summary(rt_violations),
+            "metrics": rt.metrics,
+            "violations": _violations_summary(rt.violations),
         },
         "sim": {
             "metrics": sim_m,
@@ -307,7 +315,7 @@ def run_rt_report(
         },
         "cross_validation": checks,
         "ok": bool(
-            not rt_violations
+            not rt.violations
             and not sim_violations
             and all(c["ok"] for c in checks)
         ),

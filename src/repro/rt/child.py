@@ -27,7 +27,13 @@ partially written final line — the page cache keeps the rest — and the
 parent merges all journals, dead children's included, into the final
 :class:`~repro.core.invariants.RunRecord`. The write happens *before*
 any downstream protocol effect (watermark replication, acks), so a
-record another process acts upon is always on disk.
+record another process acts upon is always on disk. The journal is the
+child's only full record: its in-memory trace keeps no record and only
+counts, which is all a report reads.
+
+The spec's ``origin`` is the parent's run-clock zero on ``loop.time()``
+(``CLOCK_MONOTONIC``, machine-global), so the child stamps records,
+poll readings and actuations on the parent's run clock.
 """
 
 from __future__ import annotations
@@ -71,7 +77,8 @@ _journal_line = json.JSONEncoder(default=wire.tag_default).encode
 
 
 class JournalTrace(Trace):
-    """A Trace that also appends every record to a line-buffered journal.
+    """An aggregate-only Trace that appends every record to a line-buffered
+    journal: the file keeps the records, memory only the counts.
 
     Line buffering flushes each record to the OS on the newline, so a
     SIGKILL loses nothing already recorded (the page cache survives the
@@ -79,7 +86,7 @@ class JournalTrace(Trace):
     """
 
     def __init__(self, path: str) -> None:
-        super().__init__()
+        super().__init__(keep_kinds=set())
         self._journal = open(path, "a", encoding="utf-8", buffering=1)
 
     def record(self, time: float, kind: str, /, **fields: Any) -> None:
@@ -99,8 +106,9 @@ class _ChildNode:
         scenario = scenario_named(spec["scenario"])
         self.name = spec["node"]
         self.stop_event = asyncio.Event()
+        self._origin = spec["origin"]
         trace_path = spec.get("trace_path")
-        self.trace = JournalTrace(trace_path) if trace_path else Trace()
+        self.trace = JournalTrace(trace_path) if trace_path else Trace(keep_kinds=set())
         self._poll_seq = POLL_SEQ_STRIDE * scenario.processes.index(self.name)
         plan, device_info = scenario.rt_deployment()
         self.node = AsyncRivuletNode(
@@ -114,12 +122,13 @@ class _ChildNode:
             on_actuate=self._on_actuate,
             poll_handler=self._serve_poll,
             trace=self.trace,
+            origin=self._origin,
         )
 
     # -- device plumbing ---------------------------------------------------------
 
     def _now(self) -> float:
-        return asyncio.get_event_loop().time()
+        return asyncio.get_event_loop().time() - self._origin
 
     def _on_actuate(self, command: Command) -> None:
         if isinstance(self.trace, JournalTrace):

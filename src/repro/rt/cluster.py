@@ -20,8 +20,12 @@ one shared :class:`~repro.sim.tracing.Trace`, the cluster itself records
 the device/fault envelope (``sensor_emit``, ``poll_served``, ``crash``,
 ``partition``/``partition_healed``) with the same fields the simulator
 uses, and :meth:`run_record` assembles a runtime-agnostic
-:class:`~repro.core.invariants.RunRecord` — normalized to run-relative
-time — that the standard oracles and metrics consume unchanged.
+:class:`~repro.core.invariants.RunRecord` that the standard oracles and
+metrics consume unchanged. Everything is stamped on the harness's run
+clock as it is recorded, so the record is a live view: its ``trace`` *is*
+``cluster.trace``, and nothing is copied or rebased. That trace keeps only
+the oracle kinds (see :mod:`repro.rt.harness`); every other kind is
+counted.
 
 With ``use_proxy=True`` every inter-node connection is routed through a
 :class:`~repro.rt.proxy.FaultProxy`, enabling per-peer loss/delay/partition
@@ -116,6 +120,13 @@ class LocalCluster(RtHarness):
         service_time: float = 0.2,
         default_epoch: float = 1.0,
     ) -> "LocalCluster":
+        """A polled sensor: ``handler(sensor, respond)`` answers each poll.
+
+        Stamp the reading's ``emitted_at`` with :meth:`now`, the run clock
+        the nodes read: polling derives a reading's epoch from it, and the
+        delivery services its delay and staleness. ``loop.time()`` is not
+        that clock.
+        """
         self._sensor_receivers[name] = receivers or list(self._process_names)
         self._poll_timing[name] = (service_time, default_epoch)
         self._poll_handlers[name] = handler
@@ -169,6 +180,7 @@ class LocalCluster(RtHarness):
                 on_actuate=self._record_actuation,
                 poll_handler=make_poll_router(),
                 trace=self.trace,
+                origin=self._t0,
             )
             self.nodes[name] = node
         for name, node in self.nodes.items():
@@ -196,8 +208,7 @@ class LocalCluster(RtHarness):
 
     def emit(self, sensor: str, value: Any, *, size_bytes: int = 4) -> Event:
         """Multicast one software-sensor event to every receiving node."""
-        loop = self._loop or asyncio.get_event_loop()
-        now = loop.time()
+        now = self.now()
         event = Event(
             sensor_id=sensor,
             seq=next(self._event_seq[sensor]),
@@ -220,14 +231,14 @@ class LocalCluster(RtHarness):
         self, sensor: str, respond: Callable[[Event], None]
     ) -> Callable[[Event], None]:
         def traced(event: Event) -> None:
-            self.trace.record(self._now(), "poll_served",
+            self.trace.record(self.now(), "poll_served",
                               sensor=sensor, seq=event.seq)
             respond(event)
 
         return traced
 
     def _record_actuation(self, command: Command) -> None:
-        now = self._now()
+        now = self.now()
         self._actuation_log.append(
             (command.actuator_id, command.command_id, now)
         )
@@ -276,14 +287,15 @@ class LocalCluster(RtHarness):
         fault_free: bool | None = None,
         lossless: bool | None = None,
     ) -> RunRecord:
-        """The finished run as a runtime-agnostic, time-normalized record.
+        """The run so far as a runtime-agnostic record over the live trace.
 
         The same structure ``RunRecord.from_home`` yields for a simulated
-        run: trace times are rebased to the cluster's start instant, and
+        run: the trace is ``self.trace`` itself (already run-relative), and
         liveness/views/delivery modes are snapshotted straight off the
         node objects (they host the identical service stack). Feed it to
         :func:`repro.core.invariants.check_all` or
-        :mod:`repro.eval.metrics` unchanged.
+        :mod:`repro.eval.metrics` unchanged, before :meth:`stop`: the
+        snapshot is taken now, but the trace grows until the nodes halt.
         """
         from repro.core.records import build_run_record
 
@@ -296,7 +308,6 @@ class LocalCluster(RtHarness):
             ground_truth=ground_truth,
             fault_free=self._fault_free if fault_free is None else fault_free,
             lossless=self._lossless if lossless is None else lossless,
-            time_origin=self._t0,
         )
 
 
@@ -319,7 +330,7 @@ def build_cluster(
         seq = itertools.count(1)
 
         def handler(name: str, respond, _seq=seq) -> None:
-            respond(thermometer_reading(name, next(_seq), cluster._now()))
+            respond(thermometer_reading(name, next(_seq), cluster.now()))
 
         cluster.add_poll_sensor(
             sensor, handler, receivers=list(receivers),

@@ -5,6 +5,17 @@ interpreter) and :class:`~repro.rt.proc.ProcessHome` (one OS process per
 node) differ in how a node is started, fed and killed. How a fault is
 validated, applied and recorded does not, so it is written once here and
 :class:`~repro.rt.faults.RtFaultDriver` drives either through it.
+
+The clock is the run clock, :meth:`RtHarness.now`: seconds since
+``start()``, i.e. ``loop.time()`` minus the harness's origin ``_t0``.
+Nodes and subprocess children are handed the same origin, so every kept
+record, ``Event.emitted_at`` and actuation time is run-relative when it is
+written, exactly like a simulated run that starts at t=0. The trace keeps
+the kinds the oracles read (:data:`~repro.core.invariants.ORACLE_TRACE_KINDS`)
+and only counts the rest: the proxy's per-frame ``net_send``/``net_drop``
+(stamped on absolute ``loop.time()``, a time nothing reads), ``boot``,
+``send_dropped`` and the like reach counts, tallies and pair counts, never
+a stored record.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Awaitable, Callable, Mapping, Sequence
 
+from repro.core.invariants import ORACLE_TRACE_KINDS
 from repro.rt.proxy import FaultProxy
 from repro.sim.random import RandomSource
 from repro.sim.tracing import Trace
@@ -32,7 +44,7 @@ class RtHarness:
         self.seed = seed
         self.use_proxy = use_proxy
         self.nodes: dict[str, Any] = {}
-        self.trace = Trace()
+        self.trace = Trace(keep_kinds=set(ORACLE_TRACE_KINDS))
         self.proxy: FaultProxy | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0: float = 0.0
@@ -68,8 +80,10 @@ class RtHarness:
             return self.proxy.address_map_for(name)
         return {peer: address for peer, address in addresses.items() if peer != name}
 
-    def _now(self) -> float:
-        return (self._loop or asyncio.get_event_loop()).time()
+    def now(self) -> float:
+        """Run-clock seconds: ``loop.time()`` since ``start()``. Stamp a
+        poll reading's ``emitted_at`` with this, as the nodes do."""
+        return (self._loop or asyncio.get_event_loop()).time() - self._t0
 
     async def wait_for(
         self,
@@ -83,12 +97,12 @@ class RtHarness:
         Returns the truthy value, so callers can both wait and read:
         ``hits = await cluster.wait_for(lambda: node.actuations)``.
         """
-        deadline = self._now() + timeout
+        deadline = self.now() + timeout
         while True:
             value = predicate()
             if value:
                 return value
-            if self._now() >= deadline:
+            if self.now() >= deadline:
                 raise TimeoutError(
                     f"condition not reached within {timeout}s: {predicate!r}"
                 )
@@ -103,12 +117,12 @@ class RtHarness:
         Deadline-based quiescence detection: False if ``timeout`` elapsed
         first (callers that require quiescence assert on the result).
         """
-        deadline = self._now() + timeout
+        deadline = self.now() + timeout
         last: Any = None
-        idle_since = self._now()
+        idle_since = self.now()
         while True:
             current = await sample()
-            now = self._now()
+            now = self.now()
             if current != last:
                 last = current
                 idle_since = now
@@ -126,7 +140,7 @@ class RtHarness:
         if not node.alive:
             return
         self._fault_free = False
-        self.trace.record(self._now(), "crash", process=name)
+        self.trace.record(self.now(), "crash", process=name)
         await self._kill(node)
 
     def set_emit_loss(self, sensor: str, receiver: str, loss: float) -> None:
@@ -170,12 +184,12 @@ class RtHarness:
                     raise KeyError(f"cannot partition unknown process {name!r}")
         self._require_proxy().set_partition(groups)
         self._fault_free = False
-        self.trace.record(self._now(), "partition",
+        self.trace.record(self.now(), "partition",
                           groups=[list(g) for g in groups])
 
     def heal_partition(self) -> None:
         self._require_proxy().heal()
-        self.trace.record(self._now(), "partition_healed")
+        self.trace.record(self.now(), "partition_healed")
 
     def _require_proxy(self) -> FaultProxy:
         if self.proxy is None:

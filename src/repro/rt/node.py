@@ -13,6 +13,10 @@ Device IO is pluggable: sensors are injected through
 :meth:`AsyncRivuletNode.inject_event` (a software adapter), actuation lands
 in :attr:`actuations` or a user callback, and poll requests are served by a
 user-supplied handler.
+
+:meth:`AsyncRivuletNode.now` is the run clock of the harness that owns the
+node: ``loop.time()`` minus the ``origin`` it was handed, so what the
+services stamp (trace records, logic-delivery delays) is run-relative.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ class AsyncRivuletNode(ServiceHost):
         on_actuate: Callable[[Command], None] | None = None,
         poll_handler: PollHandler | None = None,
         trace: Trace | None = None,
+        origin: float = 0.0,
     ) -> None:
         super().__init__(
             name, plan, device_info, config,
@@ -61,6 +66,7 @@ class AsyncRivuletNode(ServiceHost):
             RandomSource(seed).child(f"node/{name}"),
         )
         self.port = port
+        self._origin = origin
         self.peer_addresses = dict(peer_addresses)
         self._on_actuate = on_actuate
         self._poll_handler = poll_handler
@@ -125,7 +131,7 @@ class AsyncRivuletNode(ServiceHost):
 
     def now(self) -> float:
         loop = self._loop or asyncio.get_event_loop()
-        return loop.time()
+        return loop.time() - self._origin
 
     def send(self, dst: str, kind: str, **payload: Any) -> None:
         if not self._alive:

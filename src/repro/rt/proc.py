@@ -18,8 +18,12 @@ view, negotiated delivery modes) are harvested from surviving children's
 reports only.
 
 Timestamps merge cleanly because ``loop.time()`` is ``CLOCK_MONOTONIC``,
-which is machine-global on Linux; :func:`repro.core.records.build_run_record`
-then rebases everything to the parent's start instant.
+which is machine-global on Linux: the parent hands each child its start
+instant as the spec's ``origin``, so parent and children all stamp on one
+run clock, and the merged record is run-relative as written. The parent's
+trace, like every rt harness's, keeps only the oracle kinds; the merge
+re-records the kept and journaled records once, in time order, and adds
+the parent's counts of the rest (the proxy's ``net_send``/``net_drop``).
 
 It shares :class:`~repro.rt.harness.RtHarness` with
 :class:`~repro.rt.cluster.LocalCluster` — one fault surface, one
@@ -45,7 +49,7 @@ from typing import Any
 import repro
 from repro.apps.scenarios import SCENARIOS
 from repro.core.events import Event
-from repro.core.invariants import GroundTruth, RunRecord
+from repro.core.invariants import ORACLE_TRACE_KINDS, GroundTruth, RunRecord
 from repro.core.scenario import Scenario
 from repro.net.message import Message
 from repro.rt import wire
@@ -151,6 +155,7 @@ class ProcessHome(RtHarness):
                 "port": addresses[name][1],
                 "addresses": {p: list(a) for p, a in peer_addresses.items()},
                 "seed": self.seed,
+                "origin": self._t0,
                 "trace_path": os.path.join(self.workdir, f"{name}.journal"),
             }
             stderr_path = os.path.join(self.workdir, f"{name}.stderr")
@@ -169,7 +174,7 @@ class ProcessHome(RtHarness):
     async def _connect_control(self, node: ProcessNode, *,
                                timeout: float = 15.0) -> None:
         """Dial the child's real port; this connection carries ctl frames."""
-        deadline = self._now() + timeout
+        deadline = self.now() + timeout
         while True:
             if node.popen.poll() is not None:
                 raise RuntimeError(
@@ -182,7 +187,7 @@ class ProcessHome(RtHarness):
                 )
                 return
             except OSError:
-                if self._now() >= deadline:
+                if self.now() >= deadline:
                     raise RuntimeError(
                         f"child {node.name!r} did not open its port within "
                         f"{timeout}s:\n{node.stderr_tail()}"
@@ -231,7 +236,7 @@ class ProcessHome(RtHarness):
 
     def emit(self, sensor: str, value: Any, *, size_bytes: int = 4) -> Event:
         """Multicast one software-sensor event to every receiving child."""
-        now = self._now()
+        now = self.now()
         event = Event(
             sensor_id=sensor,
             seq=next(self._event_seq[sensor]),
@@ -275,9 +280,9 @@ class ProcessHome(RtHarness):
             paths[name] = path
             self._ctl(node, "ctl/report", {"path": path, "token": token})
         reports: dict[str, dict] = {}
-        deadline = self._now() + timeout
+        deadline = self.now() + timeout
         pending = dict(paths)
-        while pending and self._now() < deadline:
+        while pending and self.now() < deadline:
             for name, path in list(pending.items()):
                 if not self.nodes[name].alive:  # killed mid-harvest
                     del pending[name]
@@ -326,13 +331,12 @@ class ProcessHome(RtHarness):
         fault_free: bool | None = None,
         lossless: bool | None = None,
     ) -> RunRecord:
-        """Harvest the survivors and assemble the merged, normalized record."""
+        """Harvest the survivors and assemble the merged record."""
         from repro.core.records import build_run_record
 
         reports = await self._harvest(timeout=8.0)
         entries: list[tuple[float, str, dict]] = [
-            (event.time, event.kind, dict(event.fields))
-            for event in self.trace.events
+            (event.time, event.kind, event.fields) for event in self.trace.events
         ]
         actuations: list[tuple[str, tuple, float]] = []
         applied: list[tuple[str, str, Any, float]] = []
@@ -354,11 +358,12 @@ class ProcessHome(RtHarness):
                     _tag, t, actuator, command_id, action, value = entry
                     actuations.append((actuator, tuple(command_id), t))
                     applied.append((actuator, action, value, t))
-        ordered = Trace()
+        merged = Trace(keep_kinds=set(ORACLE_TRACE_KINDS))
         for t, kind, fields in sorted(entries, key=lambda item: item[0]):
-            ordered.record(t, kind, **fields)
+            merged.record(t, kind, **fields)
+        merged.add_counts(self.trace)
         return build_run_record(
-            ordered,
+            merged,
             apps=self.scenario.make_apps(),
             alive=alive,
             views=views,
@@ -368,5 +373,4 @@ class ProcessHome(RtHarness):
             ground_truth=ground_truth,
             fault_free=self._fault_free if fault_free is None else fault_free,
             lossless=self._lossless if lossless is None else lossless,
-            time_origin=self._t0,
         )

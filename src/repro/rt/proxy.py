@@ -22,7 +22,10 @@ per-peer fault policy possible.
 The proxy is also the rt runtime's network observer: every forwarded frame
 is recorded as a ``net_send`` trace record (src/dst/kind/bytes) and every
 swallowed frame as ``net_drop``, giving :mod:`repro.eval.metrics` the same
-overhead counters it reads off simulated runs.
+overhead counters it reads off simulated runs. Both are stamped with
+absolute ``loop.time()``: an rt harness's trace counts, byte-sums and
+tallies these kinds but never keeps a record of them, so their times are
+never read.
 """
 
 from __future__ import annotations

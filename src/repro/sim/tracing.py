@@ -635,6 +635,28 @@ class Trace:
             if k == kind and cell[0]
         }
 
+    def add_counts(self, other: "Trace") -> None:
+        """Add ``other``'s aggregates of every kind it counted but did not keep.
+
+        A merge re-records ``other``'s kept records; this carries the rest —
+        counts, bytes, sub-kind tallies and pair counts — with no record.
+        """
+        for kind, theirs in other._kind_state.items():
+            if theirs[self._KEPT] is not None:
+                continue
+            state = self._kind_state.get(kind) or self._new_kind(kind, {})
+            state[self._PROFILE] |= theirs[self._PROFILE]
+            state[self._COUNT] += theirs[self._COUNT]
+            state[self._BYTES] += theirs[self._BYTES]
+            tallies = self._sub_tallies.setdefault(kind, {})
+            for sub, (count, nbytes) in other._sub_tallies.get(kind, _EMPTY_DICT).items():
+                tally = tallies.setdefault(sub, [0, 0])
+                tally[0] += count
+                tally[1] += nbytes
+        for (kind, src, dst), (count,) in other._pair_counts.items():
+            if other._kind_state[kind][self._KEPT] is None:
+                self._pair_counts.setdefault((kind, src, dst), [0])[0] += count
+
     # -- event access (read-only views, no copying) -----------------------------
 
     @property
@@ -646,6 +668,21 @@ class Trace:
         """Kept events of ``kind``, in record order (a read-only live view)."""
         per_kind = self._by_kind.get(kind)
         return EventsView(per_kind) if per_kind is not None else _EMPTY_VIEW
+
+    def all_of_kind(self, kind: str) -> EventsView:
+        """:meth:`of_kind`, or ValueError if the trace dropped some of them.
+
+        A trace built with ``keep_kinds`` counts every kind but stores only
+        the named ones; a reader scanning a kind that was not kept would see
+        an empty list and report nothing as if nothing had happened.
+        """
+        events = self.of_kind(kind)
+        if len(events) != self.count(kind):
+            raise ValueError(
+                f"trace counted {self.count(kind)} {kind!r} records but kept "
+                f"{len(events)}: its keep set must include {kind!r}"
+            )
+        return events
 
     def iter_kind(self, kind: str) -> Iterator[TraceEvent]:
         """Lazy iterator over kept events of ``kind``."""

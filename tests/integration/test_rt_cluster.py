@@ -118,15 +118,17 @@ def test_poll_based_sensor_over_tcp():
         polls = []
 
         def thermometer(sensor: str, respond):
-            polls.append(sensor)
+            polls.append(cluster.now())
             respond(Event(sensor_id=sensor, seq=len(polls),
-                          emitted_at=asyncio.get_event_loop().time(),
-                          value=21.5, size_bytes=4))
+                          emitted_at=polls[-1], value=21.5, size_bytes=4))
 
         deliveries = []
         op = Operator("Mon", on_window=lambda ctx, c: deliveries.extend(
             c.all_values()))
-        op.add_sensor("temp1", GAPLESS, TimeWindow(0.5),
+        # The span is two epochs: on the run clock the window's ticks and
+        # the poll epochs both start at t=0, so a one-epoch span would age
+        # out each reading delivered just after the tick it was polled before.
+        op.add_sensor("temp1", GAPLESS, TimeWindow(1.0),
                       polling=PollingPolicy(epoch_s=0.5,
                                             mode=PollMode.COORDINATED))
         app = App("monitor", op)
@@ -138,16 +140,23 @@ def test_poll_based_sensor_over_tcp():
                                 default_epoch=0.5)
         cluster.deploy(app)
         async with cluster:
-            started = asyncio.get_event_loop().time()
             await cluster.wait_for(
                 lambda: len(polls) >= 3 and len(deliveries) >= 1,
                 timeout=8.0,
             )
-            elapsed = asyncio.get_event_loop().time() - started
+            elapsed = cluster.now()
             # Coordinated polling: roughly one poll per 0.5 s epoch, not
             # one per process per epoch.
             assert len(polls) <= 4 + 2 * elapsed / 0.5
+            issued = list(cluster.trace.of_kind("poll_issued"))
         assert deliveries and all(v == 21.5 for v in deliveries)
+        # Readings are stamped on the nodes' run clock, so a node whose
+        # peer's reading already covers the epoch (by more than a delivery's
+        # slack) never polls in it.
+        assert all(0.0 <= at <= elapsed for at in polls)
+        for poll in issued:
+            assert not any(int(at // 0.5) == poll["epoch"] and at < poll.time - 0.15
+                           for at in polls), (poll, polls)
 
     run(scenario())
 
@@ -238,3 +247,48 @@ def test_fifty_proxied_clusters_start_and_stop_without_a_port_clash(monkeypatch)
 
     run(scenario())
     assert len(taken) == 150
+
+
+def test_run_record_is_a_live_run_relative_view_of_the_oracle_kinds():
+    """The record wraps ``cluster.trace`` itself, stamped on the run clock.
+
+    The trace keeps the oracle kinds only: the proxy's per-frame
+    ``net_send`` records are counted (and tallied per message kind) but
+    not stored, so a long run holds a few records per event.
+    """
+    from repro.core.invariants import check_all
+
+    events = 200
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        cluster = make_cluster(use_proxy=True)
+        async with cluster:
+            await converged(cluster)
+            hub = cluster.node("hub")
+            for batch in range(events // 20):
+                for _ in range(20):
+                    cluster.emit("door1", True)
+                await cluster.wait_for(
+                    lambda: len(hub.actuations) >= 20 * (batch + 1), timeout=10.0)
+            assert await cluster.quiesce(timeout=10.0)
+            record = cluster.run_record()
+            elapsed = loop.time() - started
+            forwarded = sum(s.forwarded for s in cluster.proxy.stats.values())
+        return cluster, record, elapsed, forwarded
+
+    cluster, record, elapsed, forwarded = run(scenario())
+    trace = record.trace
+    assert trace is cluster.trace
+    assert all(0.0 <= event.time <= elapsed for event in trace.events)
+    assert all(0.0 <= at <= elapsed for _, _, at in record.actuations)
+    deliveries = trace.of_kind("logic_delivery")
+    assert len(deliveries) >= events
+    for event in deliveries:
+        assert 0.0 <= event["emitted_at"] <= event.time
+        assert event["delay"] == pytest.approx(event.time - event["emitted_at"], abs=1e-3)
+    assert len(trace.events) <= 7.5 * events
+    assert len(trace.of_kind("net_send")) == 0
+    assert trace.count("net_send") == forwarded > 0
+    assert check_all(record) == []

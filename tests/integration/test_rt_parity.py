@@ -39,10 +39,9 @@ def test_parity4_sim_record_passes_all_oracles():
 
 @pytest.mark.rt
 def test_parity4_rt_record_passes_all_oracles():
-    record, emitted = run_rt_case(
+    record, _emitted, violations, _metrics = run_rt_case(
         PARITY, seed=42, duration=6.0, mode="in-process",
     )
-    violations = check_all(record)
     assert violations == [], [str(v) for v in violations]
     # Same structural facts as the sim record.
     assert record.sensor_modes["d1"] == "gap"
@@ -55,12 +54,7 @@ def test_parity4_rt_record_passes_all_oracles():
 def test_smoke3_rt_agrees_with_sim_prediction():
     scenario = scenario_named("smoke3")
     sim_record, sim_emitted = run_sim_case(scenario, seed=42, duration=5.0)
-    rt_record, rt_emitted = run_rt_case(
-        scenario, seed=42, duration=5.0, mode="in-process",
-    )
-    checks = cross_validate(
-        record_metrics(rt_record, rt_emitted),
-        record_metrics(sim_record, sim_emitted),
-    )
+    rt = run_rt_case(scenario, seed=42, duration=5.0, mode="in-process")
+    checks = cross_validate(rt.metrics, record_metrics(sim_record, sim_emitted))
     failed = [c for c in checks if not c["ok"]]
     assert not failed, failed

@@ -9,8 +9,7 @@ import asyncio
 import pytest
 
 from repro.apps.scenarios import FAILURE_DETECTION_S, scenario_named
-from repro.core.invariants import check_all
-from repro.eval.rt import record_metrics, run_rt_case
+from repro.eval.rt import run_rt_case
 from repro.rt.proc import ProcessHome
 from tests.helpers import resource_warnings_are_errors
 
@@ -59,19 +58,17 @@ def test_sigkill_detected_within_failure_detection_time():
 
 def test_smoke3_full_case_passes_all_oracles():
     """The acceptance scenario: SIGKILL + proxy loss, 0 violations."""
-    record, emitted = run_rt_case(
+    record, _emitted, violations, metrics = run_rt_case(
         scenario_named("smoke3"), seed=42, duration=5.0, mode="subprocess",
     )
-    violations = check_all(record)
     assert violations == [], [str(v) for v in violations]
     # The SIGKILL actually happened and is in the record.
     assert record.alive == {"p0": True, "p1": True, "p2": False}
     assert record.trace.count("crash") == 1
     # The proxy loss episode actually dropped frames on the real wire.
     assert record.trace.count("net_drop") > 0
-    metrics = record_metrics(record, emitted)
     assert metrics["delivered_fraction"] >= 0.9
-    # Normalized time: the record reads in run-relative seconds.
+    # One run clock: parent and children stamp run-relative seconds.
     assert all(0.0 <= e.time < 60.0 for e in record.trace.events)
 
 

@@ -5,6 +5,7 @@ campaign scenarios across random seeds), and each oracle must trip on a
 hand-built trace that violates exactly its invariant.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.invariants import (
@@ -52,6 +53,13 @@ def test_fault_free_runs_pass_every_oracle(seed, mode):
 
 def test_empty_trace_passes_every_oracle():
     assert check_all(record(Trace())) == []
+
+
+def test_check_all_refuses_a_trace_blind_to_an_oracle_kind():
+    trace = Trace(keep_kinds=set())
+    trace.record(1.0, "ingest", process="p0", sensor="s", seq=1)
+    with pytest.raises(ValueError, match="'ingest'"):
+        check_all(record(trace))
 
 
 # -- each oracle trips on a violating trace -----------------------------------

@@ -3,7 +3,6 @@
 from repro.core.records import (
     app_consumers,
     build_run_record,
-    normalize_trace,
     snapshot_processes,
 )
 from repro.sim.tracing import Trace
@@ -50,45 +49,6 @@ class FakeApp:
 
     def sensor_requirements(self):
         return {s: object() for s in self._sensors}
-
-
-# -- normalize_trace -------------------------------------------------------------------
-
-
-def test_normalize_trace_rebases_record_times():
-    trace = Trace()
-    trace.record(1000.5, "ingest", sensor="s1", seq=1)
-    trace.record(1002.0, "logic_delivery", app="a", sensor="s1", seq=1,
-                 delay=0.25)
-    normalized = normalize_trace(trace, origin=1000.0)
-    times = [event.time for event in normalized.events]
-    assert times == [0.5, 2.0]
-    # Relative fields are untouched.
-    assert normalized.events[1]["delay"] == 0.25
-
-
-def test_normalize_trace_rebases_absolute_emitted_at():
-    trace = Trace()
-    trace.record(1001.0, "ingest", sensor="s1", seq=1, emitted_at=1000.75)
-    normalized = normalize_trace(trace, origin=1000.0)
-    assert normalized.events[0]["emitted_at"] == 0.75
-
-
-def test_normalize_trace_leaves_non_numeric_emitted_at_alone():
-    trace = Trace()
-    trace.record(1001.0, "odd", emitted_at="n/a")
-    trace.record(1002.0, "odd", emitted_at=True)  # bool is not a timestamp
-    normalized = normalize_trace(trace, origin=1000.0)
-    assert normalized.events[0]["emitted_at"] == "n/a"
-    assert normalized.events[1]["emitted_at"] is True
-
-
-def test_normalize_trace_preserves_counts():
-    trace = Trace()
-    for i in range(5):
-        trace.record(10.0 + i, "ingest", sensor="s1", seq=i)
-    normalized = normalize_trace(trace, origin=10.0)
-    assert normalized.count("ingest") == 5
 
 
 # -- snapshot_processes ----------------------------------------------------------------
@@ -159,19 +119,18 @@ def test_build_run_record_explicit_mappings_override_snapshot():
     assert record.sensor_modes == {"s1": "gap"}
 
 
-def test_build_run_record_time_origin_rebases_everything():
+def test_build_run_record_wraps_the_given_trace_and_times_as_is():
     trace = Trace()
-    trace.record(100.2, "sensor_emit", sensor="s1", seq=1, emitted_at=100.2)
+    trace.record(0.2, "sensor_emit", sensor="s1", seq=1)
     record = build_run_record(
         trace,
-        actuations=[("a1", ("a1", "app@p0", 1), 100.9)],
-        applied_actions=[("a1", "set", True, 100.9)],
-        time_origin=100.0,
+        actuations=[("a1", ("a1", "app@p0", 1), 0.9)],
+        applied_actions=[("a1", "set", True, 0.9)],
     )
-    assert abs(record.trace.events[0].time - 0.2) < 1e-9
-    assert abs(record.trace.events[0]["emitted_at"] - 0.2) < 1e-9
-    assert abs(record.actuations[0][2] - 0.9) < 1e-9
-    assert abs(record.applied_actions[0][3] - 0.9) < 1e-9
+    assert record.trace is trace
+    assert record.trace.events[0].time == 0.2
+    assert record.actuations == [("a1", ("a1", "app@p0", 1), 0.9)]
+    assert record.applied_actions == [("a1", "set", True, 0.9)]
 
 
 def test_build_run_record_sorts_actuations_by_time():

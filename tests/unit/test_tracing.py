@@ -128,6 +128,27 @@ def test_pair_counts_track_src_dst():
     assert trace.pair_counts("net_send") == {("a", "b"): 2, ("b", "a"): 1}
 
 
+def test_add_counts_carries_the_aggregates_of_unkept_kinds():
+    source = Trace(keep_kinds={"ingest"})
+    source.record(0.0, "ingest", sensor="s", seq=1)
+    source.record_message(0.5, "net_send", "a", "b", "event_fwd", 40)
+    source.record_message(0.6, "net_send", "b", "a", "keepalive", 8)
+    source.record_message(0.7, "net_drop", "a", "b", "event_fwd", reason="loss")
+    merged = Trace(keep_kinds={"ingest"})
+    merged.record(0.0, "ingest", sensor="s", seq=1)  # kept: re-recorded
+    merged.record_message(0.8, "net_send", "a", "b", "event_fwd", 2)
+    merged.add_counts(source)
+    assert merged.count("ingest") == 1
+    assert merged.count("net_send") == 3
+    assert merged.bytes_of_kind("net_send") == 50
+    assert merged.tally("net_send", "event_fwd") == (2, 42)
+    assert merged.tally("net_send", "keepalive") == (1, 8)
+    assert merged.pair_counts("net_send") == {("a", "b"): 2, ("b", "a"): 1}
+    assert merged.tally("net_drop", "event_fwd") == (1, 0)
+    assert merged.pair_counts("net_drop") == {("a", "b"): 1}
+    assert not merged.of_kind("net_send")
+
+
 def test_record_message_matches_record():
     """The transport's fast lane must be indistinguishable from record()."""
     slow = Trace(digest=True)
