@@ -52,7 +52,7 @@ async def main() -> None:
         active = [n for n, node in cluster.nodes.items()
                   if node.execution.runtimes["door-light"].active][0]
         print(f"== crash the active logic node ({active}) ==")
-        await cluster.crash(active)
+        await cluster.crash_process(active)
         await asyncio.sleep(1.2)  # failure detection over real sockets
 
         print("== door closes (handled by the promoted node) ==")

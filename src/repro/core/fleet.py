@@ -10,9 +10,11 @@ of the ``Home`` facade:
   derived from ``(fleet seed, home_id)`` (override it to pin a seed);
 - **execution** — :meth:`run_until` / :meth:`run_for` start every home and
   drain the one scheduler, interleaving all tenants' events;
-- **fault injection** — the fleet implements the
-  :class:`~repro.sim.faults.FaultPlan` target protocol with *qualified*
-  names (``"h0/hub"``), routing each injection to the named tenant;
+- **fault injection** — tenants share the scheduler, so a tenant's
+  :class:`~repro.sim.faults.FaultPlan` applies to the tenant itself:
+  ``plan.apply(fleet.home("h003"))``. A plan naming another home's
+  process fails with that home's own ``FaultError``, and a heal cannot
+  reach a sibling;
 - **aggregation** — :meth:`metrics` reports per-home and fleet-level
   counters; :meth:`digest` combines per-home trace digests in sorted
   ``home_id`` order, byte-identical no matter how the fleet was sharded
@@ -37,7 +39,6 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.home import Home, HomeConfig
 from repro.sim.context import SimContext, combine_digests
-from repro.sim.faults import FaultError
 
 #: One simulated day: the fleet's metric-fold / digest-seal granularity.
 DAY_S = 86_400.0
@@ -121,15 +122,6 @@ class FleetMetrics:
             "net_bytes": sum(self.net_bytes),
             "logic_deliveries": sum(self.logic_deliveries),
         }
-
-
-def _split_target(name: str) -> tuple[str, str]:
-    home_id, sep, local = str(name).partition("/")
-    if not sep or not home_id or not local:
-        raise FaultError(
-            f"fleet fault target {name!r} must be qualified as 'home_id/name'"
-        )
-    return home_id, local
 
 
 class Fleet:
@@ -265,7 +257,7 @@ class Fleet:
 
     @property
     def scheduler(self):
-        """The shared scheduler (also the FaultPlan target protocol's)."""
+        """The one scheduler every tenant runs on."""
         return self.context.scheduler
 
     @property
@@ -284,141 +276,6 @@ class Fleet:
 
     def __len__(self) -> int:
         return len(self._homes)
-
-    def sensor(self, qualified: str):
-        home, local = self._route(qualified)
-        return home.sensor(local)
-
-    def actuator(self, qualified: str):
-        home, local = self._route(qualified)
-        return home.actuator(local)
-
-    def process(self, qualified: str):
-        home, local = self._route(qualified)
-        return home.process(local)
-
-    def _route(self, qualified: str) -> tuple[Home, str]:
-        home_id, local = _split_target(qualified)
-        home = self._homes.get(home_id)
-        if home is None:
-            raise FaultError(
-                f"unknown home {home_id!r} in fleet target {qualified!r}"
-            )
-        return home, local
-
-    # -- fault-injection surface (qualified FaultPlan target protocol) ----------------
-    #
-    # Each entry point accepts "home_id/name" targets and routes to the
-    # named tenant, which then performs its own validation (FaultError on
-    # unknown names, double crashes, out-of-range loss rates, ...). Tenant
-    # FaultErrors are re-raised with the qualified target prefixed, so a
-    # multi-tenant chaos failure identifies which home rejected the fault.
-
-    def _routed_call(self, qualified: str, method: str, *args: Any) -> None:
-        home, local = self._route(qualified)
-        try:
-            getattr(home, method)(local, *args)
-        except FaultError as exc:
-            raise FaultError(f"[{home.home_id}/{local}] {exc}") from None
-
-    def crash_process(self, name: str) -> None:
-        self._routed_call(name, "crash_process")
-
-    def recover_process(self, name: str) -> None:
-        self._routed_call(name, "recover_process")
-
-    def set_partition(self, groups: Sequence[Sequence[str]]) -> None:
-        """Partition one tenant; all group members must share a home."""
-        routed: list[list[str]] = []
-        target: Home | None = None
-        for group in groups:
-            local_group: list[str] = []
-            for name in group:
-                home, local = self._route(name)
-                if target is None:
-                    target = home
-                elif home is not target:
-                    raise FaultError(
-                        "a partition cannot span homes: "
-                        f"{name!r} is not in home {target.home_id!r}"
-                    )
-                local_group.append(local)
-            routed.append(local_group)
-        if target is None:
-            raise FaultError("cannot set an empty partition")
-        target.set_partition(routed)
-
-    def heal_partition(self) -> None:
-        """Heal every currently partitioned tenant.
-
-        Unpartitioned siblings are left untouched — healing records a
-        trace event, and a no-op heal must not leak records into homes a
-        campaign never partitioned (the fleet-isolation oracle checks
-        this).
-        """
-        for home_id in sorted(self._homes):
-            home = self._homes[home_id]
-            if home.network.partition.group_of is not None:
-                home.heal_partition()
-
-    def fail_sensor(self, name: str) -> None:
-        self._routed_call(name, "fail_sensor")
-
-    def recover_sensor(self, name: str) -> None:
-        self._routed_call(name, "recover_sensor")
-
-    def fail_actuator(self, name: str) -> None:
-        self._routed_call(name, "fail_actuator")
-
-    def recover_actuator(self, name: str) -> None:
-        self._routed_call(name, "recover_actuator")
-
-    def set_link_loss(self, device: str, process: str, loss_rate: float) -> None:
-        device_home, device_local = self._route(device)
-        process_home, process_local = self._route(process)
-        if device_home is not process_home:
-            raise FaultError(
-                f"link {device!r} -> {process!r} spans homes; "
-                "radio links are home-local"
-            )
-        try:
-            device_home.set_link_loss(device_local, process_local, loss_rate)
-        except FaultError as exc:
-            raise FaultError(
-                f"[{device_home.home_id}/{device_local}] {exc}"
-            ) from None
-
-    # -- soft device faults (qualified) ------------------------------------------------
-
-    def stick_sensor(self, name: str, value: Any) -> None:
-        self._routed_call(name, "stick_sensor", value)
-
-    def unstick_sensor(self, name: str) -> None:
-        self._routed_call(name, "unstick_sensor")
-
-    def drift_sensor(self, name: str, rate: float) -> None:
-        self._routed_call(name, "drift_sensor", rate)
-
-    def stop_drift(self, name: str) -> None:
-        self._routed_call(name, "stop_drift")
-
-    def flap_link(self, name: str, period: float, duty: float) -> None:
-        self._routed_call(name, "flap_link", period, duty)
-
-    def stop_flap(self, name: str) -> None:
-        self._routed_call(name, "stop_flap")
-
-    def ghost_events(self, name: str, rate: float) -> None:
-        self._routed_call(name, "ghost_events", rate)
-
-    def stop_ghost(self, name: str) -> None:
-        self._routed_call(name, "stop_ghost")
-
-    def brownout(self, name: str, level: float) -> None:
-        self._routed_call(name, "brownout", level)
-
-    def replace_battery(self, name: str) -> None:
-        self._routed_call(name, "replace_battery")
 
     # -- aggregation -------------------------------------------------------------------
 

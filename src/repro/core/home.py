@@ -171,8 +171,8 @@ class Home:
         home shares the context's scheduler (one virtual timeline across
         all tenants) while keeping its own trace, RNG root, transport and
         radio — so its trace is identical to a solo run of the same home.
-        ``home_id`` names the tenant inside the context and in qualified
-        fault targets ("h0/hub"); it may not contain "/".
+        ``home_id`` names the tenant inside the context; it may not
+        contain "/".
         """
         if config is None:
             config = HomeConfig(**overrides)
@@ -427,7 +427,7 @@ class Home:
         self.scheduler.run_until(self.scheduler.now + duration)
         return self
 
-    # -- fault-injection surface (the FaultPlan target protocol) --------------------------
+    # -- fault-injection surface (a FaultPlan action's kind is its method name) ------------
     #
     # Every entry point validates its arguments and raises FaultError on an
     # impossible injection (unknown names, crashing a dead process, loss

@@ -121,11 +121,11 @@ async def _drive(
         if episode is not None and harness.proxy is not None:
             loop.call_later(
                 episode.start_frac * duration,
-                harness.set_peer_loss, episode.src, episode.dst, episode.loss,
+                harness.set_link_loss, episode.src, episode.dst, episode.loss,
             )
             loop.call_later(
                 episode.stop_frac * duration,
-                harness.set_peer_loss, episode.src, episode.dst, 0.0,
+                harness.set_link_loss, episode.src, episode.dst, 0.0,
             )
     schedule = workload_schedule(scenario, seed, duration)
     for t, sensor, value in schedule:

@@ -3,8 +3,9 @@
 The simulator applies fault plans in virtual time; this driver applies the
 same plans to an :class:`~repro.rt.harness.RtHarness` — a
 :class:`~repro.rt.cluster.LocalCluster` or a
-:class:`~repro.rt.proc.ProcessHome` — in *wall-clock* time, mapping each
-action onto a real mechanism:
+:class:`~repro.rt.proc.ProcessHome` — in *wall-clock* time. An action's
+kind is the harness method it calls, as on the simulated
+:class:`~repro.core.home.Home`; only the mechanism differs:
 
 ====================  =====================================================
 plan action           rt mechanism
@@ -12,8 +13,9 @@ plan action           rt mechanism
 ``crash_process``     crash-stop the node (SIGKILL in subprocess harnesses)
 ``set_partition``     proxy swallows frames crossing group boundaries
 ``heal_partition``    proxy forwards everything again
-``set_link_loss``     device->process: drop injections at ``emit``;
-                      process->process: seeded frame drops in the proxy
+``set_link_loss``     sensor->process: drop injections at ``emit``;
+                      process->process: seeded frame drops in the proxy,
+                      both directions
 ====================  =====================================================
 
 Actions the real runtime cannot perform yet (process recovery, soft device
@@ -21,12 +23,14 @@ faults — there is no simulated device to degrade) raise
 :class:`UnsupportedFaultAction` at scheduling time, or are skipped and
 reported when ``skip_unsupported=True``. Failing loudly by default keeps
 cross-validation honest: an rt campaign silently ignoring half its plan
-would "agree" with anything.
+would "agree" with anything. Supporting one more kind is one harness
+method of that name plus one :data:`SUPPORTED_ACTIONS` entry.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
 
 from repro.rt.harness import RtHarness
 from repro.sim.faults import FaultPlan
@@ -81,24 +85,13 @@ class RtFaultDriver:
         self._handles.clear()
 
     async def drain(self) -> None:
-        """Wait for any in-flight crash tasks to finish."""
+        """Wait for any in-flight awaitable action (a crash) to finish."""
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
 
     def _fire(self, kind: str, args: tuple) -> None:
-        cluster = self.cluster
-        if kind == "crash_process":
-            task = asyncio.ensure_future(cluster.crash(args[0]))
+        result = getattr(self.cluster, kind)(*args)
+        if inspect.isawaitable(result):
+            task = asyncio.ensure_future(result)
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
-        elif kind == "set_partition":
-            cluster.set_partition(args[0])
-        elif kind == "heal_partition":
-            cluster.heal_partition()
-        elif kind == "set_link_loss":
-            device, process, rate = args
-            if device in cluster.nodes:
-                # Two process names: inter-process link loss via the proxy.
-                cluster.set_peer_loss(device, process, rate)
-            else:
-                cluster.set_emit_loss(device, process, rate)

@@ -25,6 +25,7 @@ from typing import Any, Awaitable, Callable, Mapping, Sequence
 
 from repro.core.invariants import ORACLE_TRACE_KINDS
 from repro.rt.proxy import FaultProxy
+from repro.sim.faults import FaultError
 from repro.sim.random import RandomSource
 from repro.sim.tracing import Trace
 
@@ -133,40 +134,44 @@ class RtHarness:
             await asyncio.sleep(poll)
 
     # -- fault injection: validate, then mutate, then record -----------------------
+    #
+    # A plan action's kind is the method it calls, exactly as on the
+    # simulated Home, and like Home every entry point raises FaultError on
+    # an impossible injection before any flag, proxy policy or record moves.
 
-    async def crash(self, name: str) -> None:
-        """Crash-stop a node; a dead one stays dead."""
-        node = self.nodes[name]
-        if not node.alive:
-            return
+    def crash_process(self, name: str) -> Awaitable[None]:
+        """Crash-stop a live node; returns the kill to await.
+
+        The refusal (an unknown or already-dead process) and the ``crash``
+        record happen on the call, so a fault driver firing it from a timer
+        fails loudly there.
+        """
+        self._check_process(name)
+        node = self.nodes.get(name)
+        if node is None or not node.alive:
+            raise FaultError(f"cannot crash {name!r}: not running")
         self._fault_free = False
         self.trace.record(self.now(), "crash", process=name)
-        await self._kill(node)
+        return self._kill(node)
 
-    def set_emit_loss(self, sensor: str, receiver: str, loss: float) -> None:
-        """Drop sensor->process injections with probability ``loss``.
+    def set_link_loss(self, device: str, process: str, loss_rate: float) -> None:
+        """Drop ``device -> process`` traffic with probability ``loss_rate``.
 
-        The rt analogue of the simulator's radio link loss
-        (``set_link_loss``): the event is simply never handed to that
-        receiver's delivery service.
+        A sensor's link is the rt analogue of the simulator's radio link:
+        a lost event is never handed to that receiver's delivery service.
+        A process pair is an inter-process link: the proxy drops its frames
+        in both directions (needs the proxy).
         """
-        if not 0.0 <= loss <= 1.0:
-            raise ValueError(f"loss rate must be within [0, 1], got {loss}")
-        if sensor not in self._sensor_receivers:
-            raise KeyError(f"unknown sensor {sensor!r}")
-        if receiver not in self._process_names:
-            raise KeyError(f"unknown process {receiver!r}")
-        self._emit_loss[(sensor, receiver)] = loss
-        if loss > 0.0:
-            self._fault_free = False
-            self._lossless = False
-
-    def set_peer_loss(
-        self, src: str, dst: str, loss: float, *, symmetric: bool = True
-    ) -> None:
-        """Drop inter-process frames with probability ``loss`` (needs proxy)."""
-        self._require_proxy().set_loss(src, dst, loss, symmetric=symmetric)
-        if loss > 0.0:
+        if not 0.0 <= loss_rate <= 1.0:
+            raise FaultError(f"loss rate must be in [0, 1], got {loss_rate}")
+        names = self._process_names
+        if device in names and process in names and device != process:
+            self._require_proxy().set_loss(device, process, loss_rate, symmetric=True)
+        elif process in self._sensor_receivers.get(device, ()):
+            self._emit_loss[(device, process)] = loss_rate
+        else:
+            raise FaultError(f"no link {device!r} -> {process!r}")
+        if loss_rate > 0.0:
             self._fault_free = False
             self._lossless = False
 
@@ -180,8 +185,7 @@ class RtHarness:
         """Partition the processes into isolated groups (needs proxy)."""
         for group in groups:
             for name in group:
-                if name not in self._process_names:
-                    raise KeyError(f"cannot partition unknown process {name!r}")
+                self._check_process(name)
         self._require_proxy().set_partition(groups)
         self._fault_free = False
         self.trace.record(self.now(), "partition",
@@ -190,6 +194,10 @@ class RtHarness:
     def heal_partition(self) -> None:
         self._require_proxy().heal()
         self.trace.record(self.now(), "partition_healed")
+
+    def _check_process(self, name: str) -> None:
+        if name not in self._process_names:
+            raise FaultError(f"unknown process {name!r}")
 
     def _require_proxy(self) -> FaultProxy:
         if self.proxy is None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.sim.faults import FaultAction, FaultPlan
+from repro.sim.faults import PAIRED_KINDS, FaultAction, FaultPlan
 from repro.sim.random import RandomSource
 
 _HOUR = 3600.0
@@ -164,26 +164,29 @@ class FaultDomain:
     failure class."""
 
 
+#: A soft-fault episode category -> the kind that starts it; the kind that
+#: clears it is ``PAIRED_KINDS[start]``.
+_EPISODE_START: dict[str, str] = {
+    "stick": "stick_sensor",
+    "drift": "drift_sensor",
+    "flap": "flap_link",
+    "ghost": "ghost_events",
+    "brownout": "brownout",
+}
+
+
 class FaultScheduleGenerator:
     """Samples valid fault plans, deterministically per seed."""
 
     def __init__(
-        self,
-        domain: FaultDomain,
-        profile: IntensityProfile,
-        horizon: float,
-        *,
-        home_id: str | None = None,
+        self, domain: FaultDomain, profile: IntensityProfile, horizon: float
     ) -> None:
-        """``home_id`` scopes the generator to one tenant of a fleet.
+        """A plan names the domain's processes and devices as they are.
 
-        The domain then names the tenant's *local* processes/devices and
-        the emitted plan carries qualified ``"home_id/name"`` targets, so
-        it applies directly to a :class:`~repro.core.fleet.Fleet`. The
-        sampling streams derive from ``chaos/<home_id>``, so differently
-        scoped generators sharing one seed draw independent schedules —
-        and an unscoped generator (``home_id=None``) keeps the historical
-        ``chaos`` stream, bit-identical to earlier campaigns.
+        A fleet tenant's independent schedule is
+        ``generate(fleet.context.home_seed(home_id))`` applied to
+        ``fleet.home(home_id)``: the per-home seed, not a scoped name,
+        keeps tenants apart.
         """
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
@@ -192,11 +195,7 @@ class FaultScheduleGenerator:
         self.domain = domain
         self.profile = profile
         self.horizon = horizon
-        self.home_id = home_id
         self.window = (horizon * FAULT_WINDOW[0], horizon * FAULT_WINDOW[1])
-
-    def _qualify(self, name: str) -> str:
-        return name if self.home_id is None else f"{self.home_id}/{name}"
 
     # -- sampling ---------------------------------------------------------------
 
@@ -215,8 +214,7 @@ class FaultScheduleGenerator:
 
     def generate(self, seed: int) -> FaultPlan:
         """One random-but-valid plan; the same seed yields the same plan."""
-        stream = "chaos" if self.home_id is None else f"chaos/{self.home_id}"
-        source = RandomSource(seed).child(stream)
+        source = RandomSource(seed).child("chaos")
         arrivals: list[tuple[float, str]] = []
         for category, rate in (
             ("crash", self.profile.crash_rate),
@@ -249,8 +247,8 @@ class FaultScheduleGenerator:
                     1.0 / self.profile.mean_downtime_s), end)
                 if back <= t:
                     continue
-                plan.crash(self._qualify(victim), at=t)
-                plan.recover(self._qualify(victim), at=back)
+                plan.crash(victim, at=t)
+                plan.recover(victim, at=back)
                 down_until[victim] = back
             elif category == "partition":
                 if t < partitioned_until or len(self.domain.processes) < 2:
@@ -262,11 +260,7 @@ class FaultScheduleGenerator:
                     1.0 / self.profile.mean_partition_s), end)
                 if heal_at <= t:
                     continue
-                plan.partition(
-                    [[self._qualify(n) for n in names[:cut]],
-                     [self._qualify(n) for n in names[cut:]]],
-                    at=t,
-                )
+                plan.partition([names[:cut], names[cut:]], at=t)
                 plan.heal(at=heal_at)
                 partitioned_until = heal_at
             elif category == "device":
@@ -281,11 +275,11 @@ class FaultScheduleGenerator:
                 if back <= t:
                     continue
                 if device in self.domain.sensors:
-                    plan.fail_sensor(self._qualify(device), at=t)
-                    plan.recover_sensor(self._qualify(device), at=back)
+                    plan.fail_sensor(device, at=t)
+                    plan.recover_sensor(device, at=back)
                 else:
-                    plan.fail_actuator(self._qualify(device), at=t)
-                    plan.recover_actuator(self._qualify(device), at=back)
+                    plan.fail_actuator(device, at=t)
+                    plan.recover_actuator(device, at=back)
                 device_down_until[device] = back
             else:  # link-loss ramp
                 if not self.domain.links:
@@ -297,10 +291,8 @@ class FaultScheduleGenerator:
                 if restore_at <= t:
                     continue
                 base = self.domain.base_loss.get((device, process), 0.0)
-                device_q = self._qualify(device)
-                process_q = self._qualify(process)
-                plan.set_link_loss(device_q, process_q, round(loss, 3), at=t)
-                plan.set_link_loss(device_q, process_q, base, at=restore_at)
+                plan.set_link_loss(device, process, round(loss, 3), at=t)
+                plan.set_link_loss(device, process, base, at=restore_at)
         self._add_device_episodes(plan, source, device_down_until)
         return plan
 
@@ -314,7 +306,7 @@ class FaultScheduleGenerator:
     ) -> None:
         """Sample paired soft-fault episodes from per-device streams.
 
-        Every eligible device gets its own ``chaos[/<home>]/<device>/<cat>``
+        Every eligible device gets its own ``chaos/<device>/<category>``
         stream (the per-home category rate is split evenly across the
         devices), and *all* episode parameters are drawn at collection
         time — conflict filtering afterwards cannot perturb another
@@ -371,7 +363,9 @@ class FaultScheduleGenerator:
             group = group_of.get(device)
             if group is not None and group_busy.get(group, 0.0) > t:
                 continue
-            self._emit_episode(plan, category, device, t, until, params)
+            start = _EPISODE_START[category]
+            plan.add(t, start, device, *params)
+            plan.add(until, PAIRED_KINDS[start], device)
             busy[device] = until
             if group is not None:
                 group_busy[group] = until
@@ -396,50 +390,14 @@ class FaultScheduleGenerator:
         # brownout: a level safely below the WEAK threshold.
         return (round(rng.uniform(0.0, 0.15), 3),)
 
-    def _emit_episode(
-        self,
-        plan: FaultPlan,
-        category: str,
-        device: str,
-        t: float,
-        until: float,
-        params: tuple,
-    ) -> None:
-        target = self._qualify(device)
-        if category == "stick":
-            plan.stick_sensor(target, params[0], at=t)
-            plan.unstick_sensor(target, at=until)
-        elif category == "drift":
-            plan.drift_sensor(target, params[0], at=t)
-            plan.stop_drift(target, at=until)
-        elif category == "flap":
-            plan.flap_link(target, params[0], params[1], at=t)
-            plan.stop_flap(target, at=until)
-        elif category == "ghost":
-            plan.ghost_events(target, params[0], at=t)
-            plan.stop_ghost(target, at=until)
-        else:
-            plan.brownout(target, params[0], at=t)
-            plan.replace_battery(target, at=until)
-
 
 # -- shrinking (greedy delta debugging) ---------------------------------------------
 
-
-#: Soft device-fault state machines: start kind -> clearing kind. A start
-#: while the state is active, or a clear while it is not, would raise
-#: FaultError on replay; normalize() drops both. ``brownout`` fits the
-#: same shape: with pairing enforced, every brownout happens on a fresh
-#: (or freshly replaced) battery, so its sampled level (<= 0.15, far
-#: below a fresh battery's ~1.0) is always monotone-valid.
-_PAIRED_DEVICE_KINDS: dict[str, str] = {
-    "stick_sensor": "unstick_sensor",
-    "drift_sensor": "stop_drift",
-    "flap_link": "stop_flap",
-    "ghost_events": "stop_ghost",
-    "brownout": "replace_battery",
+#: Every paired kind -> its start kind (a start maps to itself).
+_START_OF: dict[str, str] = {
+    **{start: start for start in PAIRED_KINDS},
+    **{clear: start for start, clear in PAIRED_KINDS.items()},
 }
-_CLEAR_TO_START: dict[str, str] = {v: k for k, v in _PAIRED_DEVICE_KINDS.items()}
 
 
 def normalize(actions: Sequence[FaultAction]) -> list[FaultAction]:
@@ -447,42 +405,28 @@ def normalize(actions: Sequence[FaultAction]) -> list[FaultAction]:
 
     Removing a ``recover`` from a plan leaves its process down, so a later
     ``crash`` of the same process would raise ``FaultError`` on replay.
-    This simulates the crash/recover state machine — and the analogous
-    paired state machines of every soft device fault (stick/unstick,
-    drift/stop, flap/stop, ghost/stop, brownout/replace) — over the
-    actions in apply order and drops the contradictions; every other
-    action kind is unconditionally replayable. The result is a valid plan
-    whose surviving actions keep their relative order.
+    This simulates every paired state machine of
+    :data:`~repro.sim.faults.PAIRED_KINDS` (crash/recover and the soft
+    device faults), keyed by ``(start kind, target)``, over the actions in
+    apply order and drops the contradictions; every other action kind is
+    unconditionally replayable. The result is a valid plan whose surviving
+    actions keep their relative order.
     """
     ordered = sorted(enumerate(actions), key=lambda pair: (pair[1].at, pair[0]))
-    down: set[str] = set()
     active: set[tuple[str, str]] = set()
     dropped: set[int] = set()
     for index, action in ordered:
-        if action.kind == "crash_process":
-            process = action.args[0]
-            if process in down:
-                dropped.add(index)
-            else:
-                down.add(process)
-        elif action.kind == "recover_process":
-            process = action.args[0]
-            if process in down:
-                down.discard(process)
-            else:
-                dropped.add(index)
-        elif action.kind in _PAIRED_DEVICE_KINDS:
-            key = (action.kind, action.args[0])
-            if key in active:
-                dropped.add(index)
-            else:
-                active.add(key)
-        elif action.kind in _CLEAR_TO_START:
-            key = (_CLEAR_TO_START[action.kind], action.args[0])
-            if key in active:
-                active.discard(key)
-            else:
-                dropped.add(index)
+        start = _START_OF.get(action.kind)
+        if start is None:
+            continue
+        key = (start, action.args[0])
+        opening = action.kind == start
+        if (key in active) == opening:
+            dropped.add(index)  # a start while active, or a clear while not
+        elif opening:
+            active.add(key)
+        else:
+            active.remove(key)
     return [a for i, a in enumerate(actions) if i not in dropped]
 
 

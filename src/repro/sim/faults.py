@@ -1,9 +1,11 @@
 """Declarative fault injection.
 
-A :class:`FaultPlan` is a list of timestamped actions against a deployment
-(duck-typed: anything exposing the small surface used below, in practice
-:class:`repro.core.home.Home`). Plans are data, so tests and benchmarks can
-build them declaratively and reuse them across delivery modes:
+A :class:`FaultPlan` is a list of timestamped actions. An action's kind is
+the one name of its fault: the method it calls on either real target, a
+simulated :class:`repro.core.home.Home` or a real-runtime
+:class:`repro.rt.harness.RtHarness`; nothing forwards or renames it. Plans
+are data, so tests and benchmarks can build them declaratively and reuse
+them across delivery modes and runtimes:
 
     plan = (FaultPlan()
             .crash("hub", at=24.0)
@@ -20,63 +22,42 @@ actuators that crash and recover.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
+
+if TYPE_CHECKING:
+    from repro.core.home import Home
 
 
 class FaultError(RuntimeError):
     """An invalid fault injection (crash an unknown or already-crashed
     process, recover a live one, a loss rate outside [0, 1], ...).
 
-    Raised by :class:`repro.core.home.Home`'s fault entry points so that
-    generated fault schedules fail loudly instead of silently misbehaving.
+    Raised by the fault entry points of :class:`repro.core.home.Home` and
+    :class:`repro.rt.harness.RtHarness` so that generated fault schedules
+    fail loudly instead of silently misbehaving.
     """
 
 
-class _FaultTarget(Protocol):  # pragma: no cover - typing only
-    scheduler: Any
-
-    def crash_process(self, name: str) -> None: ...
-
-    def recover_process(self, name: str) -> None: ...
-
-    def set_partition(self, groups: Sequence[Sequence[str]]) -> None: ...
-
-    def heal_partition(self) -> None: ...
-
-    def fail_sensor(self, name: str) -> None: ...
-
-    def recover_sensor(self, name: str) -> None: ...
-
-    def fail_actuator(self, name: str) -> None: ...
-
-    def recover_actuator(self, name: str) -> None: ...
-
-    def set_link_loss(self, sensor: str, process: str, loss_rate: float) -> None: ...
-
-    def stick_sensor(self, name: str, value: Any) -> None: ...
-
-    def unstick_sensor(self, name: str) -> None: ...
-
-    def drift_sensor(self, name: str, rate: float) -> None: ...
-
-    def stop_drift(self, name: str) -> None: ...
-
-    def flap_link(self, name: str, period: float, duty: float) -> None: ...
-
-    def stop_flap(self, name: str) -> None: ...
-
-    def ghost_events(self, name: str, rate: float) -> None: ...
-
-    def stop_ghost(self, name: str) -> None: ...
-
-    def brownout(self, name: str, level: float) -> None: ...
-
-    def replace_battery(self, name: str) -> None: ...
+#: The paired state machines, start kind -> clearing kind. A start while
+#: its (kind, target) is active, or a clear while it is not, raises
+#: FaultError on replay; :func:`repro.sim.chaos.normalize` drops both and
+#: the generator emits every episode as one such pair. ``brownout`` fits
+#: the same shape: with pairing enforced, every brownout happens on a fresh
+#: (or freshly replaced) battery, so its sampled level (<= 0.15, far below
+#: a fresh battery's ~1.0) is always monotone-valid.
+PAIRED_KINDS: dict[str, str] = {
+    "crash_process": "recover_process",
+    "stick_sensor": "unstick_sensor",
+    "drift_sensor": "stop_drift",
+    "flap_link": "stop_flap",
+    "ghost_events": "stop_ghost",
+    "brownout": "replace_battery",
+}
 
 
 @dataclass(frozen=True)
 class FaultAction:
-    """One scheduled fault: ``kind`` selects the Home method, args carry data."""
+    """One scheduled fault: ``kind`` names the target's method, args carry data."""
 
     at: float
     kind: str
@@ -89,7 +70,8 @@ class FaultPlan:
 
     actions: list[FaultAction] = field(default_factory=list)
 
-    def _add(self, at: float, kind: str, *args: Any) -> "FaultPlan":
+    def add(self, at: float, kind: str, *args: Any) -> "FaultPlan":
+        """Append ``kind(*args)`` at ``at``; every builder below is one call."""
         if at < 0:
             raise ValueError(f"fault time must be >= 0, got {at}")
         self.actions.append(FaultAction(at=at, kind=kind, args=args))
@@ -97,92 +79,98 @@ class FaultPlan:
 
     def crash(self, process: str, *, at: float) -> "FaultPlan":
         """Crash a Rivulet process (halts all activity, loses soft state)."""
-        return self._add(at, "crash_process", process)
+        return self.add(at, "crash_process", process)
 
     def recover(self, process: str, *, at: float) -> "FaultPlan":
         """Recover a previously crashed process."""
-        return self._add(at, "recover_process", process)
+        return self.add(at, "recover_process", process)
 
     def partition(self, groups: Sequence[Sequence[str]], *, at: float) -> "FaultPlan":
         """Partition the home network into isolated groups of processes."""
         frozen = tuple(tuple(g) for g in groups)
-        return self._add(at, "set_partition", frozen)
+        return self.add(at, "set_partition", frozen)
 
     def heal(self, *, at: float) -> "FaultPlan":
         """Remove any network partition."""
-        return self._add(at, "heal_partition")
+        return self.add(at, "heal_partition")
 
     def fail_sensor(self, sensor: str, *, at: float) -> "FaultPlan":
         """Sensor stops emitting / answering polls (battery drain, unplug)."""
-        return self._add(at, "fail_sensor", sensor)
+        return self.add(at, "fail_sensor", sensor)
 
     def recover_sensor(self, sensor: str, *, at: float) -> "FaultPlan":
-        return self._add(at, "recover_sensor", sensor)
+        return self.add(at, "recover_sensor", sensor)
 
     def fail_actuator(self, actuator: str, *, at: float) -> "FaultPlan":
         """Actuator stops responding to commands."""
-        return self._add(at, "fail_actuator", actuator)
+        return self.add(at, "fail_actuator", actuator)
 
     def recover_actuator(self, actuator: str, *, at: float) -> "FaultPlan":
-        return self._add(at, "recover_actuator", actuator)
+        return self.add(at, "recover_actuator", actuator)
 
     def set_link_loss(
         self, sensor: str, process: str, loss_rate: float, *, at: float
     ) -> "FaultPlan":
         """Change the Bernoulli loss rate of one sensor-process link."""
-        return self._add(at, "set_link_loss", sensor, process, loss_rate)
+        return self.add(at, "set_link_loss", sensor, process, loss_rate)
 
     # -- soft device faults (IoTRepair taxonomy) -------------------------------
 
     def stick_sensor(self, sensor: str, value: Any, *, at: float) -> "FaultPlan":
         """Stuck-at fault: the sensor keeps reporting ``value``."""
-        return self._add(at, "stick_sensor", sensor, value)
+        return self.add(at, "stick_sensor", sensor, value)
 
     def unstick_sensor(self, sensor: str, *, at: float) -> "FaultPlan":
         """Clear a stuck-at fault."""
-        return self._add(at, "unstick_sensor", sensor)
+        return self.add(at, "unstick_sensor", sensor)
 
     def drift_sensor(self, sensor: str, rate: float, *, at: float) -> "FaultPlan":
         """Calibration drift: numeric readings gain ``rate`` units/second."""
-        return self._add(at, "drift_sensor", sensor, rate)
+        return self.add(at, "drift_sensor", sensor, rate)
 
     def stop_drift(self, sensor: str, *, at: float) -> "FaultPlan":
         """Clear a calibration drift."""
-        return self._add(at, "stop_drift", sensor)
+        return self.add(at, "stop_drift", sensor)
 
     def flap_link(
         self, device: str, period: float, duty: float, *, at: float
     ) -> "FaultPlan":
         """Flapping connectivity: the device's links cycle down/up with the
         given ``period`` (seconds), up for ``duty`` fraction of each cycle."""
-        return self._add(at, "flap_link", device, period, duty)
+        return self.add(at, "flap_link", device, period, duty)
 
     def stop_flap(self, device: str, *, at: float) -> "FaultPlan":
         """Stop link flapping and re-enable the device's links."""
-        return self._add(at, "stop_flap", device)
+        return self.add(at, "stop_flap", device)
 
     def ghost_events(self, sensor: str, rate: float, *, at: float) -> "FaultPlan":
         """Ghost events: spurious emissions at ``rate`` events/hour."""
-        return self._add(at, "ghost_events", sensor, rate)
+        return self.add(at, "ghost_events", sensor, rate)
 
     def stop_ghost(self, sensor: str, *, at: float) -> "FaultPlan":
         """Stop injecting ghost events."""
-        return self._add(at, "stop_ghost", sensor)
+        return self.add(at, "stop_ghost", sensor)
 
     def brownout(self, device: str, level: float, *, at: float) -> "FaultPlan":
         """Battery brownout: drain the device's battery down to ``level``."""
-        return self._add(at, "brownout", device, level)
+        return self.add(at, "brownout", device, level)
 
     def replace_battery(self, device: str, *, at: float) -> "FaultPlan":
         """Swap in a fresh battery (clears a brownout)."""
-        return self._add(at, "replace_battery", device)
+        return self.add(at, "replace_battery", device)
 
     def merge(self, other: "FaultPlan") -> "FaultPlan":
         """A new plan containing both plans' actions."""
         return FaultPlan(actions=self.actions + other.actions)
 
-    def apply(self, target: _FaultTarget) -> None:
-        """Schedule every action on the target's scheduler.
+    def apply(self, target: "Home") -> None:
+        """Schedule every action on a simulated home's scheduler.
+
+        A kind is the name of the method it calls, on the two real targets:
+        a :class:`~repro.core.home.Home` here (a fleet tenant is
+        ``plan.apply(fleet.home(home_id))``), and an
+        :class:`~repro.rt.harness.RtHarness` through
+        :class:`~repro.rt.faults.RtFaultDriver`, in wall-clock time.
 
         Ordering is total and explicit: actions are applied by ``(at,
         insertion index)``, so two actions with the same timestamp fire in

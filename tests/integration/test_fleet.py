@@ -1,5 +1,5 @@
 """Fleet integration: solo-equivalence, sibling insensitivity, sharding
-digests, scoped chaos, the fleet-isolation oracle, the per-home memory
+digests, per-tenant chaos, the fleet-isolation oracle, the per-home memory
 bound, and the CLI surface."""
 
 import gc
@@ -16,7 +16,7 @@ from repro.eval.cli import main
 from repro.eval.fleet import run_fleet_sweep
 from repro.eval.workloads import DAY_S, fleet_deployment, noop_app
 from repro.sim.chaos import PROFILES, FaultDomain, FaultScheduleGenerator
-from repro.sim.faults import FaultError
+from repro.sim.faults import FaultError, FaultPlan
 
 
 def template(home: Home, index: int) -> None:
@@ -43,7 +43,7 @@ def test_pinned_seed_homes_match_each_other_and_a_solo_run():
         template(home, 0)
     fleet.start()
     for home_id in ("a", "b"):
-        drive(fleet.scheduler, fleet.sensor(f"{home_id}/door1"))
+        drive(fleet.scheduler, fleet.home(home_id).sensor("door1"))
     fleet.run_until(300.0)
 
     solo = Home(seed=7)
@@ -121,7 +121,7 @@ def test_fleet_memory_per_home_stays_flat():
     assert all(not home.trace.events for home in fleet.homes())
 
 
-# -- scoped chaos ---------------------------------------------------------------------
+# -- per-tenant chaos ----------------------------------------------------------------
 
 DOMAIN = FaultDomain(
     processes=["hub", "tv"],
@@ -129,42 +129,15 @@ DOMAIN = FaultDomain(
     actuators=["light1"],
     links=[("door1", "hub"), ("door1", "tv")],
 )
-
-
-def fault_targets(plan):
-    """All names a plan touches, flattening partition groups."""
-    names = []
-    for action in plan.actions:
-        if action.kind == "set_partition":
-            for group in action.args[0]:
-                names.extend(group)
-        elif action.kind == "set_link_loss":
-            names.extend(action.args[:2])
-        elif action.args:
-            names.append(action.args[0])
-    return names
-
-
-def test_scoped_generator_qualifies_every_target():
-    generator = FaultScheduleGenerator(
-        DOMAIN, PROFILES["severe"], 1800.0, home_id="h000",
-    )
-    plan = generator.generate(3)
-    targets = fault_targets(plan)
-    assert targets, "severe profile over 30 min should generate faults"
-    assert all(name.startswith("h000/") for name in targets)
-
-
-def test_unscoped_generator_stays_unqualified():
-    plan = FaultScheduleGenerator(DOMAIN, PROFILES["severe"], 1800.0).generate(3)
-    assert all("/" not in name for name in fault_targets(plan))
+GENERATOR = FaultScheduleGenerator(DOMAIN, PROFILES["severe"], 1800.0)
 
 
 def test_scope_changes_the_sampling_stream():
-    a = FaultScheduleGenerator(
-        DOMAIN, PROFILES["severe"], 1800.0, home_id="h000").generate(3)
-    b = FaultScheduleGenerator(
-        DOMAIN, PROFILES["severe"], 1800.0, home_id="h001").generate(3)
+    """Tenants draw independent schedules from their per-home seeds."""
+    fleet = Fleet(seed=42)
+    a, b = (GENERATOR.generate(fleet.context.home_seed(home_id))
+            for home_id in ("h000", "h001"))
+    assert len(a) and len(b)
     assert [x.at for x in a.actions] != [x.at for x in b.actions]
 
 
@@ -172,21 +145,20 @@ def build_pair() -> Fleet:
     fleet = Fleet.build(2, template, seed=42)
     fleet.start()
     for home_id in fleet.home_ids:
-        drive(fleet.scheduler, fleet.sensor(f"{home_id}/door1"),
+        drive(fleet.scheduler, fleet.home(home_id).sensor("door1"),
               count=100, period=17.0)
     return fleet
 
 
 def test_scoped_chaos_leaves_siblings_untouched():
-    """Faults scoped to h000 apply cleanly and never perturb h001."""
+    """A plan applied to h000 runs cleanly and never perturbs h001."""
     quiet = build_pair()
     quiet.run_until(1800.0)
 
     noisy = build_pair()
-    generator = FaultScheduleGenerator(
-        DOMAIN, PROFILES["severe"], 1800.0, home_id="h000",
-    )
-    generator.generate(3).apply(noisy)
+    plan = GENERATOR.generate(noisy.context.home_seed("h000"))
+    assert any(a.kind == "set_partition" for a in plan.actions)
+    plan.apply(noisy.home("h000"))
     noisy.run_until(1800.0)
 
     assert noisy.home("h001").trace.digest() == quiet.home("h001").trace.digest()
@@ -216,59 +188,14 @@ def test_isolation_oracle_flags_foreign_net_traffic():
     )
 
 
-# -- qualified fault routing ----------------------------------------------------------
-
-
-def test_fleet_rejects_unqualified_and_unknown_targets():
+def test_a_plan_naming_another_home_fails_in_its_target():
+    """Names are tenant-local: a foreign ``home_id/name`` is just an unknown
+    process to the home the plan was applied to."""
     fleet = Fleet.build(2, template, seed=42).start()
-    with pytest.raises(FaultError, match="must be qualified"):
-        fleet.crash_process("hub")
-    with pytest.raises(FaultError, match="unknown home"):
-        fleet.crash_process("h999/hub")
-    with pytest.raises(FaultError, match="unknown process"):
-        fleet.crash_process("h000/ghost")
-
-
-def test_fleet_rejects_cross_home_partition_and_link():
-    fleet = Fleet.build(2, template, seed=42).start()
-    with pytest.raises(FaultError, match="cannot span homes"):
-        fleet.set_partition([["h000/hub"], ["h001/tv"]])
-    with pytest.raises(FaultError, match="home-local"):
-        fleet.set_link_loss("h000/door1", "h001/hub", 0.5)
-
-
-def test_fleet_qualifies_fault_errors_with_home_and_device():
-    """Satellite: a FaultError surfacing through Fleet routing names the
-    ``home_id/name`` it came from, not just the bare local name."""
-    fleet = Fleet.build(2, template, seed=42).start()
-    with pytest.raises(FaultError, match=r"\[h000/door1\]"):
-        fleet.unstick_sensor("h000/door1")  # never stuck
-    fleet.stick_sensor("h001/door1", True)
-    with pytest.raises(FaultError, match=r"\[h001/door1\]"):
-        fleet.stick_sensor("h001/door1", False)  # already stuck
-    with pytest.raises(FaultError, match=r"\[h000/door1\]"):
-        fleet.brownout("h000/door1", 2.0)  # level out of range
-
-
-def test_fleet_routes_device_faults_to_one_home():
-    fleet = Fleet.build(2, template, seed=42).start()
-    fleet.stick_sensor("h000/door1", True)
-    assert fleet.home("h000").sensor("door1").stuck
-    assert not fleet.home("h001").sensor("door1").stuck
-    fleet.unstick_sensor("h000/door1")
-    fleet.brownout("h001/door1", 0.1)
-    assert fleet.home("h001").sensor("door1").battery.weak
-    fleet.replace_battery("h001/door1")
-    assert not fleet.home("h001").sensor("door1").battery.weak
-
-
-def test_heal_partition_does_not_leak_into_siblings():
-    fleet = Fleet.build(2, template, seed=42).start()
-    fleet.set_partition([["h000/hub"], ["h000/tv"]])
-    fleet.run_for(30.0)
-    fleet.heal_partition()
-    assert fleet.home("h000").trace.count("partition_healed") == 1
-    assert fleet.home("h001").trace.count("partition_healed") == 0
+    FaultPlan().crash("h001/tv", at=10.0).apply(fleet.home("h000"))
+    with pytest.raises(FaultError, match="unknown process 'h001/tv'"):
+        fleet.run_until(20.0)
+    assert fleet.home("h001").process("tv").alive
 
 
 # -- CLI surface ----------------------------------------------------------------------

@@ -186,8 +186,9 @@ def two_process_fleet() -> Fleet:
 
 def _second_day_with_a_crash(fleet: Fleet) -> Fleet:
     """Day 2 with the tv down for an hour: two view changes per process."""
-    fleet.scheduler.call_at(1.25 * DAY_S, fleet.crash_process, "h000/tv")
-    fleet.scheduler.call_at(1.25 * DAY_S + 3600.0, fleet.recover_process, "h000/tv")
+    home = fleet.home("h000")
+    fleet.scheduler.call_at(1.25 * DAY_S, home.crash_process, "tv")
+    fleet.scheduler.call_at(1.25 * DAY_S + 3600.0, home.recover_process, "tv")
     return fleet.run_until(2 * DAY_S)
 
 

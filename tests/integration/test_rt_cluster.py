@@ -94,7 +94,7 @@ def test_failover_over_tcp():
             active = [n for n, node in cluster.nodes.items()
                       if node.execution.runtimes["door-light"].active]
             assert active == ["tv"]  # tv hosts the sensor: placement winner
-            await cluster.crash("tv")
+            await cluster.crash_process("tv")
             # Survivors must detect the death (bounded by detection time),
             # then a new active must take over and route the next command.
             await cluster.wait_for(
@@ -191,7 +191,7 @@ def test_zero_delay_callbacks_are_fifo_cancellable_and_die_with_the_node():
             await cluster.wait_for(lambda: ran[-1] == "later", timeout=2.0)
             node.schedule(0.0, ran.append, "after-stop")
             node.schedule(0.01, ran.append, "after-stop")
-            await cluster.crash("hub")
+            await cluster.crash_process("hub")
             await asyncio.sleep(0.05)
             assert ran == ["A", "B", "C", "later"]
 
@@ -205,7 +205,7 @@ def test_crash_closes_the_listener_the_cluster_reserved():
             port = cluster.node("tv").port
             _reader, writer = await asyncio.open_connection("127.0.0.1", port)
             writer.close()
-            await cluster.crash("tv")
+            await cluster.crash_process("tv")
             with pytest.raises(OSError):
                 await asyncio.open_connection("127.0.0.1", port)
 

@@ -13,6 +13,7 @@ from repro.core.graph import App
 from repro.core.operators import Operator
 from repro.core.windows import CountWindow
 from repro.rt import LocalCluster
+from repro.sim.faults import FaultError
 
 pytestmark = pytest.mark.rt
 
@@ -74,10 +75,11 @@ def test_per_peer_loss_drops_frames_on_one_link_only():
         cluster = three_node_cluster()
         async with cluster:
             await converged(cluster)
-            # Kill every a->b frame (one direction). Heartbeat keepalives
+            # Kill every a->b frame (one direction: the proxy's own policy;
+            # a plan's set_link_loss is symmetric). Heartbeat keepalives
             # flow constantly, so drops accrue on exactly that link while
             # every other directed pair stays clean.
-            cluster.set_peer_loss("a", "b", 1.0, symmetric=False)
+            cluster.proxy.set_loss("a", "b", 1.0)
             await cluster.wait_for(
                 lambda: cluster.proxy.stats[("a", "b")].dropped >= 3,
                 timeout=5.0,
@@ -189,8 +191,8 @@ def test_loss_respects_rate_bounds():
     async def scenario():
         cluster = three_node_cluster()
         async with cluster:
-            with pytest.raises(ValueError):
-                cluster.set_peer_loss("a", "b", 1.5)
+            with pytest.raises(FaultError):
+                cluster.set_link_loss("a", "b", 1.5)
             with pytest.raises(ValueError):
                 cluster.set_peer_delay("a", "b", -0.1)
 
@@ -206,7 +208,7 @@ def test_faults_require_proxy():
         cluster.deploy(relay_app())
         async with cluster:
             with pytest.raises(RuntimeError):
-                cluster.set_peer_loss("a", "b", 0.5)
+                cluster.set_link_loss("a", "b", 0.5)
             with pytest.raises(RuntimeError):
                 cluster.set_partition([["a"], ["b"]])
 

@@ -48,7 +48,7 @@ def test_sends_to_dead_peer_do_not_crash_the_sender():
         cluster = two_node_cluster()
         async with cluster:
             await cluster.quiesce(idle_for=0.2, timeout=5.0)
-            await cluster.crash("b")
+            await cluster.crash_process("b")
             # a keeps emitting into the void: frames are dropped, a lives.
             for _ in range(5):
                 cluster.emit("s1", True)

@@ -37,7 +37,7 @@ def test_sigkill_detected_within_failure_detection_time():
                 pytest.fail(f"membership never converged: {views}")
 
             killed_at = loop.time()
-            await home.crash("p2")  # actual SIGKILL, no goodbye
+            await home.crash_process("p2")  # actual SIGKILL, no goodbye
             assert home.nodes["p2"].popen.poll() is not None
 
             # Survivors must evict p2 within the detection threshold
@@ -78,7 +78,7 @@ def test_emit_loss_drops_device_injections():
     async def scenario():
         home = ProcessHome(scenario_named("smoke3"), seed=11, use_proxy=False)
         async with home:
-            home.set_emit_loss("m1", "p0", 1.0)
+            home.set_link_loss("m1", "p0", 1.0)
             home.emit("m1", True)
             # The event still reaches p1 (m1's other receiver), so the
             # app processes it; p0 just never saw the radio frame.

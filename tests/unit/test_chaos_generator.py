@@ -1,5 +1,8 @@
 """Unit tests for the randomized fault-schedule generator and shrinker."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.sim.chaos import (
@@ -249,6 +252,32 @@ def test_legacy_profiles_are_digest_stable_with_device_fields():
             a = FaultScheduleGenerator(bare, PROFILES[profile], HORIZON)
             b = FaultScheduleGenerator(extended, PROFILES[profile], HORIZON)
             assert a.generate(seed).actions == b.generate(seed).actions
+
+
+#: SHA-256 over every campaign plan below: the chaos domain under the three
+#: historical profiles and the device domain under ``device``, seeds 0-19.
+CAMPAIGN_PLANS_SHA256 = (
+    "03572d14167a5ead0087074220383e8daf616dbc66495af47f2efa22e97d4426"
+)
+
+
+def test_generated_campaign_plans_are_pinned():
+    """The plans every campaign cell draws are a pure function of (domain,
+    profile, seed, horizon): a refactor of the generator must not move one
+    action, time or argument of them."""
+    from repro.eval.chaos import chaos_domain, device_domain
+
+    plans = []
+    for domain, profiles in ((chaos_domain(), ("mild", "moderate", "severe")),
+                             (device_domain(), ("device",))):
+        for profile in profiles:
+            gen = FaultScheduleGenerator(domain, PROFILES[profile], HORIZON)
+            plans.extend(
+                [profile, seed, gen.generate(seed).to_dicts()]
+                for seed in range(20)
+            )
+    blob = json.dumps(plans, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == CAMPAIGN_PLANS_SHA256
 
 
 # -- normalize ----------------------------------------------------------------
