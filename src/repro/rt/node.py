@@ -6,7 +6,8 @@ event loop: the host boots the identical service stack the simulator runs
 replicated store); the node adds sockets, timers and the device hooks.
 
 Transport semantics match the paper's assumptions: per-peer ordered frames
-over TCP (one outbound queue per destination), silent loss when the peer is
+over TCP (one :class:`repro.rt.wire.PeerSender` per destination, holding at
+most :data:`SEND_QUEUE_LIMIT` frames), silent loss when the peer is
 unreachable (the membership layer notices via missing keep-alives).
 
 Device IO is pluggable: sensors are injected through
@@ -37,6 +38,10 @@ from repro.sim.random import RandomSource
 from repro.sim.tracing import Trace
 
 PollHandler = Callable[[str, Callable[[Event], None]], None]
+
+#: Frames a node holds for one peer that is not taking them; the next send
+#: is dropped and traced as ``send_dropped``.
+SEND_QUEUE_LIMIT = 10_000
 
 
 class AsyncRivuletNode(ServiceHost):
@@ -74,8 +79,7 @@ class AsyncRivuletNode(ServiceHost):
         # Not `trace or Trace()`: an empty Trace is falsy, and a shared
         # cluster trace is always empty at construction time.
         self._trace = trace if trace is not None else Trace()
-        self._queues: dict[str, asyncio.Queue] = {}
-        self._sender_tasks: dict[str, asyncio.Task] = {}
+        self._senders: dict[str, wire.PeerSender] = {}
         self._inbound: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -105,8 +109,9 @@ class AsyncRivuletNode(ServiceHost):
         self._alive = False
         if self.heartbeat is not None:
             self.heartbeat.stop()
-        await wire.close_accepted({}, self._sender_tasks.values())
-        self._sender_tasks.clear()
+        senders = list(self._senders.values())
+        self._senders.clear()
+        await asyncio.gather(*(sender.close() for sender in senders))
 
     async def close(self) -> None:
         """Second half: close the listener and what it accepted."""
@@ -138,15 +143,11 @@ class AsyncRivuletNode(ServiceHost):
             return
         message = Message(kind=kind, src=self.name, dst=dst, payload=payload)
         frame = wire.encode_message(message)
-        queue = self._queues.get(dst)
-        if queue is None:
-            queue = asyncio.Queue(maxsize=10_000)
-            self._queues[dst] = queue
-            self._sender_tasks[dst] = asyncio.ensure_future(
-                wire.send_frames(queue, self.peer_addresses[dst]))
-        try:
-            queue.put_nowait((0.0, frame))  # due at once
-        except asyncio.QueueFull:
+        sender = self._senders.get(dst)
+        if sender is None:
+            sender = self._senders[dst] = wire.PeerSender(
+                self.peer_addresses[dst], limit=SEND_QUEUE_LIMIT)
+        if not sender.put(0.0, frame):  # due at once
             self.trace("send_dropped", dst=dst, reason="queue_full")
 
     # schedule and register_handler are defined on this class (not the

@@ -80,7 +80,6 @@ class FaultProxy:
         self.stats: dict[tuple[str, str], PairStats] = {}
         self._ports: dict[tuple[str, str], int] = {}
         self._servers: list[asyncio.AbstractServer] = []
-        self._pumps: set[asyncio.Task] = set()
         self._inbound: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         for src in self._processes:
@@ -109,10 +108,9 @@ class FaultProxy:
         for server in self._servers:
             await server.wait_closed()
         self._servers.clear()
-        # A handler cancels its own pump on the way out; one cancelled before
-        # its first step has neither a pump nor a ``finally``.
-        await wire.close_accepted(self._inbound, self._pumps)
-        self._pumps.clear()
+        # A handler closes its own sender on the way out; one cancelled
+        # before its first step has neither a sender nor a ``finally``.
+        await wire.close_accepted(self._inbound)
 
     def address_map_for(self, src: str) -> dict[str, tuple[str, int]]:
         """The peer-address map process ``src`` should dial through."""
@@ -174,9 +172,7 @@ class FaultProxy:
         writer: asyncio.StreamWriter,
     ) -> None:
         src, dst = pair
-        queue: asyncio.Queue = asyncio.Queue()
-        pump = asyncio.ensure_future(wire.send_frames(queue, self._targets[dst]))
-        self._pumps.add(pump)
+        sender = wire.PeerSender(self._targets[dst])
         policy = self._policy[pair]
         stats = self.stats[pair]
         loop = self._loop or asyncio.get_running_loop()
@@ -196,15 +192,14 @@ class FaultProxy:
                     self._trace.record_message(
                         now, "net_send", src, dst, kind, len(frame)
                     )
-                queue.put_nowait((now + policy.delay_s, frame))
+                sender.put(now + policy.delay_s, frame)
         except (asyncio.CancelledError, ConnectionError):
             pass
         except wire.WireError:
             pass  # corrupted upstream: drop the connection, peer will redial
         finally:
-            pump.cancel()
-            self._pumps.discard(pump)
             writer.close()
+            await sender.close()
 
     def _drop(
         self, now: float, src: str, dst: str, frame: bytes,

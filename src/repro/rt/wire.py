@@ -5,15 +5,29 @@ The version byte and the :data:`MAX_FRAME` sanity bound exist to fail
 *loudly*: a peer speaking a different frame revision, or a corrupted length
 prefix pointing megabytes into garbage, raises :class:`WireError` at the
 frame boundary instead of silently desyncing the stream and misparsing
-every subsequent byte. Rivulet payloads contain a handful of non-JSON types
-which are encoded with type tags, by the one ``default=`` / ``object_hook=``
-pair (:func:`tag_default`, :func:`untag_hook`) frames and journals share:
+every subsequent byte.
 
-- :class:`repro.core.events.Event`   -> ``{"__event__": {...}}``
-- :class:`repro.core.events.Command` -> ``{"__command__": {...}}``
+The body (version 2) is positional, like the paper's own serializer
+(§8.2): the array ``[kind, src, dst, payload]``, with ``kind`` first so
+:func:`frame_kind` peeks it from the prefix and ``payload`` a JSON object.
+Rivulet payloads contain a handful of non-JSON types which are encoded as
+single-key tag objects, by the one ``default=`` / ``object_hook=`` pair
+(:func:`tag_default`, :func:`untag_hook`) frames and journals share:
+
+- :class:`repro.core.events.Event` ->
+  ``{"__event__": [sensor_id, seq, emitted_at, value, size_bytes, epoch]}``
+- :class:`repro.core.events.Command` ->
+  ``{"__command__": [actuator_id, seq, issued_at, action, value, size_bytes,
+  issued_by]}``
 - :class:`repro.net.wire.ProcessIdSet` -> ``{"__pidset__": [...]}``
+- ``set`` / ``frozenset`` -> ``{"__set__": [...]}`` (decodes as ``frozenset``)
 - tuples decode as lists — protocol code treats sequence payloads
   structurally (the Gapless sync already normalizes its range pairs).
+
+The event and command arrays follow the dataclasses' field order, read
+once at import. The four tag keys are reserved: a payload dict whose one
+key is a tag decodes as that type, or raises :class:`WireError` when its
+value is not an array the type can be built from.
 """
 
 from __future__ import annotations
@@ -21,15 +35,17 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import operator
 import struct
-from typing import Any, Callable
+from collections import deque
+from typing import Any
 
 from repro.core.events import Command, Event
 from repro.net.message import Message
 from repro.net.wire import ProcessIdSet
 
 #: Current frame revision. Bump on any incompatible framing/body change.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: ``version byte || body length``.
 _HEADER = struct.Struct(">BI")
@@ -49,6 +65,13 @@ class WireError(ValueError):
     """Malformed frame, wrong frame version, or unserializable payload."""
 
 
+#: The tagged types' array layouts: their dataclass field order, read once.
+EVENT_FIELDS = tuple(f.name for f in dataclasses.fields(Event))
+COMMAND_FIELDS = tuple(f.name for f in dataclasses.fields(Command))
+_event_row = operator.attrgetter(*EVENT_FIELDS)
+_command_row = operator.attrgetter(*COMMAND_FIELDS)
+
+
 def tag_default(value: Any) -> Any:
     """``json`` ``default=`` hook: the tagged form of a non-JSON payload type.
 
@@ -56,18 +79,9 @@ def tag_default(value: Any) -> Any:
     inside ``Event.value``, a set of sets) are tagged by the same hook.
     """
     if isinstance(value, Event):
-        return {"__event__": {
-            "sensor_id": value.sensor_id, "seq": value.seq,
-            "emitted_at": value.emitted_at, "value": value.value,
-            "size_bytes": value.size_bytes, "epoch": value.epoch,
-        }}
+        return {"__event__": _event_row(value)}
     if isinstance(value, Command):
-        return {"__command__": {
-            "actuator_id": value.actuator_id, "seq": value.seq,
-            "issued_at": value.issued_at, "action": value.action,
-            "value": value.value, "size_bytes": value.size_bytes,
-            "issued_by": value.issued_by,
-        }}
+        return {"__command__": _command_row(value)}
     if isinstance(value, ProcessIdSet):
         return {"__pidset__": sorted(value)}
     if isinstance(value, (set, frozenset)):
@@ -75,20 +89,13 @@ def tag_default(value: Any) -> Any:
     raise WireError(f"cannot serialize {type(value).__name__} on the wire")
 
 
-def _untagger(cls: type) -> Callable[[dict[str, Any]], Any]:
-    names = {f.name for f in dataclasses.fields(cls)}
-
-    def build(fields: dict[str, Any]) -> Any:
-        if fields.keys() != names:
-            raise TypeError(f"fields {sorted(fields)} != {sorted(names)}")
-        return cls(**fields)
-
-    return build
-
-
-_UNTAG: dict[str, Callable[[Any], Any]] = {
-    "__event__": _untagger(Event), "__command__": _untagger(Command),
-    "__pidset__": ProcessIdSet, "__set__": frozenset,
+#: tag -> (type, arity): built positionally from an array of exactly that
+#: many fields, or (no arity) from the whole array, as the set types are.
+_UNTAG: dict[str, tuple[type, int | None]] = {
+    "__event__": (Event, len(EVENT_FIELDS)),
+    "__command__": (Command, len(COMMAND_FIELDS)),
+    "__pidset__": (ProcessIdSet, None),
+    "__set__": (frozenset, None),
 }
 
 
@@ -100,14 +107,17 @@ def untag_hook(obj: dict[str, Any]) -> Any:
     """
     if len(obj) != 1:
         return obj
-    (tag, tagged), = obj.items()
-    build = _UNTAG.get(tag)
-    if build is None:
+    (tag, row), = obj.items()
+    untag = _UNTAG.get(tag)
+    if untag is None:
         return obj
+    cls, arity = untag
+    if type(row) is not list or (arity is not None and len(row) != arity):
+        raise WireError(f"malformed {tag} tag: not an array of {arity or 'members'}")
     try:
-        return build(tagged)
-    except (TypeError, AttributeError) as exc:
-        raise WireError(f"malformed {tag} object: {exc}") from exc
+        return cls(*row) if arity else cls(row)
+    except TypeError as exc:  # an unhashable set member
+        raise WireError(f"malformed {tag} tag: {exc}") from exc
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"), default=tag_default)
@@ -117,10 +127,9 @@ _DECODER = json.JSONDecoder(object_hook=untag_hook)
 def encode_message(message: Message) -> bytes:
     """One message as a complete frame (version + length prefix included)."""
     try:
-        body = _ENCODER.encode({
-            "kind": message.kind, "src": message.src, "dst": message.dst,
-            "payload": message.payload,
-        }).encode("utf-8")
+        body = _ENCODER.encode(
+            [message.kind, message.src, message.dst, message.payload]
+        ).encode("utf-8")
     except (TypeError, ValueError, RecursionError) as exc:
         # An untaggable value (WireError is a ValueError), a dict key json
         # cannot stringify, unorderable set members, a self-containing payload.
@@ -142,7 +151,7 @@ def split_frame(frame: bytes) -> tuple[int, bytes]:
     return version, body
 
 
-_KIND_AT = HEADER_SIZE + len(b'{"kind":"')
+_KIND_AT = HEADER_SIZE + len(b'["')
 
 
 def frame_kind(frame: bytes) -> str | None:
@@ -150,33 +159,52 @@ def frame_kind(frame: bytes) -> str | None:
 
     Used by the fault proxy to classify forwarded traffic for overhead
     accounting without decoding payloads: :func:`encode_message` writes
-    ``kind`` first, so it is peeked from the body prefix. A kind holding an
-    escape, or a body laid out any other way, takes the full parse.
+    ``kind`` first, so it is peeked from the prefix ``["kind","`` (the rest
+    of the body is not read). A kind holding an escape, or a body laid out
+    any other way, takes the full parse, where anything but a version-2
+    body is None.
     """
-    if frame.startswith(b'{"kind":"', HEADER_SIZE):
+    if frame.startswith(b'["', HEADER_SIZE):
         end = frame.find(b'"', _KIND_AT)
         kind = frame[_KIND_AT:end]
-        if end != -1 and b"\\" not in kind and kind.isascii():
+        if (end != -1 and frame.startswith(b',"', end + 1)
+                and b"\\" not in kind and kind.isascii()):
             return kind.decode("ascii")
     try:
-        _, body = split_frame(frame)
-        kind = json.loads(body.decode("utf-8")).get("kind")
-    except (ValueError, AttributeError):  # WireError, bad UTF-8, bad JSON
+        return _fields(split_frame(frame)[1])[0]
+    except WireError:
         return None
-    return kind if isinstance(kind, str) else None
 
 
 def decode_body(body: bytes) -> Message:
+    """The message a frame body carries; :class:`WireError` if it is not a
+    version-2 body (``[kind, src, dst, payload]``, three strings and an
+    object)."""
+    kind, src, dst, payload = _fields(body)
+    return Message(kind, src, dst, payload)
+
+
+def _fields(body: bytes) -> list:
     try:
-        data = _DECODER.decode(body.decode("utf-8"))
-        kind, src, dst = data["kind"], data["src"], data["dst"]
-        payload = data["payload"]
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError,
-            KeyError, TypeError) as exc:  # TypeError: body is not an object
+        text = body.decode("utf-8")
+        try:
+            fields, end = _DECODER.raw_decode(text)  # decode() less two regexes
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(text):  # whitespace around the array, or not JSON
+            fields = _DECODER.decode(text)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise WireError(f"malformed frame: {exc!r}") from exc
-    if not isinstance(payload, dict):
+    # An exact list check, not an unpacking: a version-1 object body would
+    # unpack into its four keys and decode as kind "kind".
+    if type(fields) is not list or len(fields) != 4:
+        raise WireError("frame body is not a [kind, src, dst, payload] array")
+    kind, src, dst, payload = fields
+    if type(kind) is not str or type(src) is not str or type(dst) is not str:
+        raise WireError("frame kind, src and dst must be strings")
+    if type(payload) is not dict:
         raise WireError(f"frame payload is {type(payload).__name__}, not an object")
-    return Message(kind=kind, src=src, dst=dst, payload=payload)
+    return fields
 
 
 def _check_header(version: int, length: int) -> None:
@@ -223,60 +251,123 @@ async def read_frames(reader: asyncio.StreamReader, *, raw: bool = False):
         return
 
 
-async def send_frames(queue: asyncio.Queue, address: tuple[str, int]) -> None:
-    """Write the queue's ``(due, frame)`` items to ``address``, in order.
+class PeerSender:
+    """The one write path: frames to one peer address, in order, queue-free.
 
-    The one write path (a node's per-peer sender, the fault proxy's pump):
-    it dials lazily and redials after a failure, and a frame that meets an
-    unreachable peer is lost, as on TCP. A frame waits until ``due`` (a
-    loop time); everything queued behind it that is due too goes out in the
-    same ``write`` + ``drain`` — a batch is what has piled up, never waited for.
-    Runs until cancelled.
+    A node keeps one per destination, the fault proxy one per accepted
+    pair. :meth:`put` appends a ``(due, frame)`` (``due`` a loop time) and
+    arms at most one loop callback: ``call_soon`` when the head is due,
+    ``call_at`` its due time otherwise. The callback writes every due frame
+    in one ``write`` — a batch is what has piled up, never waited for — and
+    a due frame behind a head that is not due waits for it (per-peer FIFO).
+
+    The peer is dialled lazily when a frame falls due, and redialled once
+    the connection has closed under the sender; the frames due when a dial
+    fails met an unreachable peer and are lost, as on TCP. Against a peer
+    that stops reading, nothing is written while the transport's buffer is
+    past its high-water mark (the sender awaits ``drain()`` instead), so
+    frames wait in the queue, which ``limit`` bounds.
     """
-    loop = asyncio.get_running_loop()
-    writer: asyncio.StreamWriter | None = None
-    held: tuple[float, bytes] | None = None  # dequeued, found not yet due
-    try:
-        while True:
-            due, frame = held or await queue.get()
-            held = None
-            wait = due - loop.time()
-            if wait > 0:
-                await asyncio.sleep(wait)
-            if writer is None:
-                # asyncio.timeout (not wait_for): under 3.11's wait_for, an
-                # external cancel racing the connect timeout is swallowed as
-                # TimeoutError, leaving a zombie task its owner awaits forever.
-                try:
-                    async with asyncio.timeout(1.0):
-                        _reader, writer = await asyncio.open_connection(*address)
-                except (OSError, asyncio.TimeoutError):
-                    continue  # peer unreachable: the frame is lost
-            if not queue.empty():
-                frames, now = [frame], loop.time()
-                while not queue.empty():
-                    held = queue.get_nowait()
-                    if held[0] > now:
-                        break
-                    frames.append(held[1])
-                    held = None
-                frame = b"".join(frames)
-            try:
-                writer.write(frame)
-                await writer.drain()
-            except (OSError, ConnectionError):
-                # Peer went away mid-stream: frames lost. Close the stream
-                # and collect the error it stored before dropping it, or the
-                # garbage collector may log that error as never retrieved.
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (OSError, ConnectionError):
-                    pass
-                writer = None
-    finally:
+
+    def __init__(self, address: tuple[str, int], *, limit: int | None = None) -> None:
+        self._address = address
+        self._limit = limit
+        self._loop = asyncio.get_running_loop()
+        self._queue: deque[tuple[float, bytes]] = deque()
+        self._writer: asyncio.StreamWriter | None = None
+        # The one armed step while frames wait: a flush, a dial or a drain.
+        self._pending: asyncio.Handle | asyncio.Task | None = None
+
+    def put(self, due: float, frame: bytes) -> bool:
+        """Queue ``frame`` to leave at loop time ``due``; False if full."""
+        queue = self._queue
+        if self._limit is not None and len(queue) >= self._limit:
+            return False
+        queue.append((due, frame))
+        if self._pending is None:
+            self._arm()
+        return True
+
+    def _arm(self) -> None:
+        due = self._queue[0][0]
+        if due <= self._loop.time():
+            self._pending = self._loop.call_soon(self._flush)
+        else:
+            self._pending = self._loop.call_at(due, self._flush)
+
+    def _flush(self) -> None:
+        self._pending = None
+        writer = self._writer
+        if writer is None or writer.is_closing():
+            self._writer = None
+            self._pending = self._loop.create_task(self._dial(writer))
+            return
+        queue, now = self._queue, self._loop.time()
+        frames = []
+        while queue and queue[0][0] <= now:
+            frames.append(queue.popleft()[1])
+        if frames:
+            writer.write(frames[0] if len(frames) == 1 else b"".join(frames))
+        transport = writer.transport
+        if transport.get_write_buffer_size() > transport.get_write_buffer_limits()[1]:
+            self._pending = self._loop.create_task(self._drain(writer))
+        elif queue:
+            self._arm()
+
+    async def _dial(self, stale: asyncio.StreamWriter | None) -> None:
+        if stale is not None:
+            await _close_writer(stale)
+        try:
+            # asyncio.timeout (not wait_for): under 3.11's wait_for, an
+            # external cancel racing the connect timeout is swallowed as
+            # TimeoutError, leaving a zombie task its owner awaits forever.
+            async with asyncio.timeout(1.0):
+                _reader, writer = await asyncio.open_connection(*self._address)
+        except (OSError, asyncio.TimeoutError):
+            now, queue = self._loop.time(), self._queue
+            while queue and queue[0][0] <= now:
+                queue.popleft()  # peer unreachable: the due frames are lost
+        else:
+            self._writer = writer
+        self._pending = None
+        if self._queue:
+            self._arm()
+
+    async def _drain(self, writer: asyncio.StreamWriter) -> None:
+        try:
+            await writer.drain()
+        except (OSError, ConnectionError):
+            pass  # the next flush finds the writer closing and redials
+        self._pending = None
+        if self._queue:
+            self._arm()
+
+    async def close(self) -> None:
+        """Drop what is queued, cancel a dial or drain in flight, and close
+        the connection, waiting until it is closed. The owner puts nothing
+        after this."""
+        self._queue.clear()
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            pending.cancel()
+            if isinstance(pending, asyncio.Task):
+                await asyncio.gather(pending, return_exceptions=True)
+        writer, self._writer = self._writer, None
         if writer is not None:
-            writer.close()
+            await _close_writer(writer)
+
+
+async def _close_writer(writer: asyncio.StreamWriter) -> None:
+    """Close ``writer`` and collect the error its stream stored, or the
+    garbage collector may log that error as never retrieved."""
+    if writer.transport.get_write_buffer_size():
+        writer.transport.abort()  # a peer that stopped reading: close() would wait on it
+    else:
+        writer.close()
+    try:
+        await writer.wait_closed()
+    except (OSError, ConnectionError):
+        pass
 
 
 def accept_into(inbound: dict, handler):
@@ -309,13 +400,13 @@ async def accepts_handed_over() -> None:
         await asyncio.sleep(0)
 
 
-async def close_accepted(inbound: dict, also=()) -> None:
-    """Close every accepted connection in ``inbound``; cancel and await its
-    handler and the ``also`` tasks (senders, pumps); wait for the sockets."""
+async def close_accepted(inbound: dict) -> None:
+    """Close every accepted connection in ``inbound``, cancel and await its
+    handler, and wait for the sockets."""
     writers = list(inbound.values())
     for writer in writers:
         writer.close()
-    tasks = [*inbound, *also]
+    tasks = list(inbound)
     for task in tasks:
         task.cancel()
     if tasks:

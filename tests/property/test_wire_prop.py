@@ -31,8 +31,14 @@ json_scalars = st.one_of(
     st.text(max_size=30),
 )
 
-json_values = st.recursive(
-    json_scalars,
+#: Sets of one scalar type (json cannot order a mix, so the encoder refuses it).
+scalar_sets = st.one_of(
+    st.frozensets(st.integers(-50, 50), max_size=4),
+    st.frozensets(st.text(max_size=4), max_size=4),
+)
+
+nested_values = st.recursive(
+    st.one_of(json_scalars, scalar_sets),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.dictionaries(st.text(max_size=8), children, max_size=4),
@@ -45,14 +51,25 @@ events = st.builds(
     sensor_id=st.text(min_size=1, max_size=12),
     seq=st.integers(1, 2**31),
     emitted_at=st.floats(0, 1e9, allow_nan=False),
-    value=json_scalars,
+    value=nested_values,
     size_bytes=st.integers(0, 65_536),
     epoch=st.one_of(st.none(), st.integers(0, 10**6)),
 )
 
+commands = st.builds(
+    Command,
+    actuator_id=st.text(min_size=1, max_size=12),
+    seq=st.integers(1, 2**31),
+    issued_at=st.floats(0, 1e9, allow_nan=False),
+    action=st.sampled_from(["set", "toggle", "é"]),
+    value=nested_values,
+    size_bytes=st.integers(0, 64),
+    issued_by=st.text(max_size=8),
+)
+
 pidsets = st.sets(st.text(min_size=1, max_size=8), max_size=6).map(ProcessIdSet)
 
-payload_values = st.one_of(json_values, events, pidsets)
+payload_values = st.one_of(nested_values, events, commands, pidsets)
 
 
 def roundtrip(message: Message) -> Message:
@@ -77,9 +94,15 @@ def _normalize(value):
     """Tuples decode as lists; compare structurally."""
     if isinstance(value, ProcessIdSet):
         return ("pidset", tuple(sorted(value)))
+    if isinstance(value, frozenset):
+        return ("set", value)
     if isinstance(value, Event):
         return ("event", value.sensor_id, value.seq, value.emitted_at,
                 _normalize(value.value), value.size_bytes, value.epoch)
+    if isinstance(value, Command):
+        return ("command", value.actuator_id, value.seq, value.issued_at,
+                value.action, _normalize(value.value), value.size_bytes,
+                value.issued_by)
     if isinstance(value, (list, tuple)):
         return tuple(_normalize(v) for v in value)
     if isinstance(value, dict):
@@ -96,27 +119,25 @@ def test_event_roundtrip_exact(event):
     assert decoded["event"].epoch == event.epoch
 
 
-# -- the one-pass codec writes the bytes the recursive walker wrote -----------------
+# -- the one-pass codec writes the bytes a recursive walker writes -------------------
 #
-# The reference below is the encoder the runtime used before the codec moved
-# into json's ``default=`` hook, kept here verbatim as the oracle: equal
-# bytes over generated payloads are why WIRE_VERSION did not have to move.
+# The reference below walks a payload by hand and spells the version-2
+# layout out field by field (the codec takes its field order from the
+# dataclasses): equal bytes over generated payloads pin the layout the
+# module docstring documents.
 
 
 def _reference_value(value):
     if isinstance(value, Event):
-        return {"__event__": {
-            "sensor_id": value.sensor_id, "seq": value.seq,
-            "emitted_at": value.emitted_at, "value": _reference_value(value.value),
-            "size_bytes": value.size_bytes, "epoch": value.epoch,
-        }}
+        return {"__event__": [
+            value.sensor_id, value.seq, value.emitted_at,
+            _reference_value(value.value), value.size_bytes, value.epoch,
+        ]}
     if isinstance(value, Command):
-        return {"__command__": {
-            "actuator_id": value.actuator_id, "seq": value.seq,
-            "issued_at": value.issued_at, "action": value.action,
-            "value": _reference_value(value.value), "size_bytes": value.size_bytes,
-            "issued_by": value.issued_by,
-        }}
+        return {"__command__": [
+            value.actuator_id, value.seq, value.issued_at, value.action,
+            _reference_value(value.value), value.size_bytes, value.issued_by,
+        ]}
     if isinstance(value, ProcessIdSet):
         return {"__pidset__": sorted(value)}
     if isinstance(value, (set, frozenset)):
@@ -130,10 +151,10 @@ def _reference_value(value):
 
 
 def reference_encode(message: Message) -> bytes:
-    body = json.dumps({
-        "kind": message.kind, "src": message.src, "dst": message.dst,
-        "payload": {k: _reference_value(v) for k, v in message.payload.items()},
-    }, separators=(",", ":")).encode("utf-8")
+    body = json.dumps([
+        message.kind, message.src, message.dst,
+        {k: _reference_value(v) for k, v in message.payload.items()},
+    ], separators=(",", ":")).encode("utf-8")
     return struct.pack(">BI", WIRE_VERSION, len(body)) + body
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the asyncio runtime's wire format."""
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -8,15 +9,17 @@ from repro.core.events import Command, Event
 from repro.net.message import Message
 from repro.net.wire import ProcessIdSet
 from repro.rt.wire import (
+    COMMAND_FIELDS,
+    EVENT_FIELDS,
     HEADER_SIZE,
     MAX_FRAME,
     WIRE_VERSION,
+    PeerSender,
     WireError,
     decode_body,
     encode_message,
     frame_kind,
     read_frames,
-    send_frames,
     split_frame,
 )
 
@@ -95,6 +98,40 @@ def test_frame_carries_version_byte():
     frame = encode_message(Message(kind="k", src="a", dst="b", payload={}))
     assert frame[0] == WIRE_VERSION
     assert int.from_bytes(frame[1:5], "big") == len(frame) - HEADER_SIZE
+
+
+def test_tag_arrays_follow_the_documented_field_order():
+    """The version-2 tags are positional, in the dataclasses' field order.
+    A reorder in ``repro.core.events`` would silently swap what a position
+    means on the wire (``seq`` and ``emitted_at`` are both numbers), so it
+    must fail here first."""
+    assert [f.name for f in dataclasses.fields(Event)] == list(EVENT_FIELDS) == [
+        "sensor_id", "seq", "emitted_at", "value", "size_bytes", "epoch"]
+    assert [f.name for f in dataclasses.fields(Command)] == list(COMMAND_FIELDS) == [
+        "actuator_id", "seq", "issued_at", "action", "value", "size_bytes",
+        "issued_by"]
+    frame = encode_message(Message("k", "a", "b", {
+        "e": Event("s", 1, 2.5, "v", 4, 3),
+        "c": Command("light", 2, 9.0, "set", False, 8, "app@p1"),
+    }))
+    assert frame[HEADER_SIZE:] == (
+        b'["k","a","b",{"e":{"__event__":["s",1,2.5,"v",4,3]},'
+        b'"c":{"__command__":["light",2,9.0,"set",false,8,"app@p1"]}}]')
+
+
+def test_version_1_frame_is_a_wire_error():
+    """What the previous revision wrote for ``Message("k", "a", "b", {})``:
+    refused at its version byte, and its object body refused on its own."""
+    assert WIRE_VERSION == 2
+    body = b'{"kind":"k","src":"a","dst":"b","payload":{}}'
+    frame = bytes([1]) + len(body).to_bytes(4, "big") + body
+    with pytest.raises(WireError, match="version"):
+        split_frame(frame)
+    with pytest.raises(WireError, match="version"):
+        _frames_from_bytes(frame)
+    with pytest.raises(WireError, match="array"):
+        decode_body(body)
+    assert frame_kind(frame) is None
 
 
 def test_wrong_version_rejected_loudly():
@@ -195,10 +232,16 @@ def test_frame_kind_of_encoded_message(kind):
 
 
 @pytest.mark.parametrize("body, kind", [
-    (b'{"src":"a","kind":"late","dst":"b","payload":{}}', "late"),
-    (b' {"kind": "spaced", "src": "a"}', "spaced"),
-    ('{"kind":"é"}'.encode("utf-8"), "é"),
-    (b'{"kind":"a\\u0041"}', "aA"),
+    (b' ["spaced", "a", "b", {}]', "spaced"),          # not the peeked prefix
+    ('["é","a","b",{}]'.encode("utf-8"), "é"),         # a non-ASCII kind
+    (b'["a\\u0041","a","b",{}]', "aA"),                # an escaped kind
+    (b'[7,"a","b",{}]', None),                          # kind not a string
+    (b'["torn', None),
+    (b'["a"]', None),                                   # not four fields
+    (b'"abc"', None),                                   # not an array ("abc"[0] is "a")
+    # Version-1 object bodies, which nothing writes any more.
+    (b'{"src":"a","kind":"late","dst":"b","payload":{}}', None),
+    (b' {"kind": "spaced", "src": "a"}', None),
     (b'{"kind":7}', None),
     (b'{"kind":"torn', None),
     (b"[1,2]", None),
@@ -241,19 +284,28 @@ def test_self_containing_payload_raises_wire_error():
 
 @pytest.mark.parametrize("body", [
     b"\xff\xfe{}",                                    # bad UTF-8
-    b'"a string"', b"7", b"null",                       # not an object
-    b'{"kind":"k","src":"a","dst":"b"}',                # no payload
-    b'{"kind":"k","src":"a","dst":"b","payload":[1]}',  # payload not an object
-    b'{"kind":"k","src":"a","dst":"b","payload":null}',
+    b'"a string"', b"7", b"null",                       # not an array
+    b'"abcd"',                                          # ... nor four characters
+    b'{"kind":"k","src":"a","dst":"b"}',                # version-1 object bodies: an
+    b'{"kind":"k","src":"a","dst":"b","payload":{}}',   # unpacking yields their keys
     b'{"__set__":[1]}',                                 # a tag where the body goes
-    b'{"kind":"k","src":"a","dst":"b","payload":{"e":{"__event__":'
-    b'{"sensor_id":"s","seq":1}}}}',                    # tag object, fields missing
-    b'{"kind":"k","src":"a","dst":"b","payload":{"e":{"__event__":'
-    b'{"sensor_id":"s","seq":1,"emitted_at":0,"value":1,"size_bytes":4,'
-    b'"epoch":null,"extra":1}}}}',                      # ... one too many
-    b'{"kind":"k","src":"a","dst":"b","payload":{"c":{"__command__":7}}}',
-    b'{"kind":"k","src":"a","dst":"b","payload":{"p":{"__pidset__":3}}}',
-    b'{"kind":"k","src":"a","dst":"b","payload":{"s":{"__set__":[[1]]}}}',
+    b'["k","a","b"]',                                   # no payload
+    b'["k","a","b",{},{}]',                             # ... one field too many
+    b'[7,"a","b",{}]',                                  # kind, src, dst not strings
+    b'["k",null,"b",{}]',
+    b'["k","a",["b"],{}]',
+    b'["k","a","b",[1]]',                               # payload not an object
+    b'["k","a","b",null]',
+    b'["k","a","b",{"__set__":[1]}]',                   # ... but a tag
+    b'["k","a","b",{"e":{"__event__":["s",1]}}]',       # tag array, fields missing
+    b'["k","a","b",{"e":{"__event__":["s",1,0,1,4,null,1]}}]',  # ... one too many
+    b'["k","a","b",{"e":{"__event__":{"sensor_id":"s","seq":1,"emitted_at":0,'
+    b'"value":1,"size_bytes":4,"epoch":null}}}]',       # a version-1 object tag
+    b'["k","a","b",{"c":{"__command__":7}}]',           # tag value not an array
+    b'["k","a","b",{"c":{"__command__":["light",2,9.0,"set"]}}]',
+    b'["k","a","b",{"p":{"__pidset__":3}}]',
+    b'["k","a","b",{"p":{"__pidset__":"p0"}}]',
+    b'["k","a","b",{"s":{"__set__":[[1]]}}]',           # an unhashable member
     b"[" * 100_000,                                     # nesting past the recursion limit
 ])
 def test_malformed_bodies_raise_wire_error(body):
@@ -275,15 +327,13 @@ def test_nested_tagged_values_roundtrip():
 
 # -- the journal shares the frames' tag table -----------------------------------------
 
-#: Three lines exactly as the commit before the shared codec wrote them
-#: (``to_jsonable`` walk, then ``json.dumps``).
+#: Three lines exactly as a child writes them: ``json.dumps`` layout, the
+#: frames' version-2 tags.
 PARENT_JOURNAL = (
     '["trace", 1.5, "ingest", {"sensor": "s1", "seq": 3}]\n'
-    '["trace", 2.0, "odd", {"event": {"__event__": {"sensor_id": "s1", "seq": 3, '
-    '"emitted_at": 1.25, "value": {"k": [1, 2]}, "size_bytes": 4, "epoch": null}}, '
-    '"members": {"__pidset__": ["p0", "p1"]}, "tags": {"__set__": ["a", "b"]}, '
-    '"cmd": {"__command__": {"actuator_id": "light", "seq": 2, "issued_at": 9.0, '
-    '"action": "set", "value": false, "size_bytes": 8, "issued_by": "app@p1"}}}]\n'
+    '["trace", 2.0, "odd", {"event": {"__event__": ["s1", 3, 1.25, {"k": [1, 2]}, 4, '
+    'null]}, "members": {"__pidset__": ["p0", "p1"]}, "tags": {"__set__": ["a", "b"]}, '
+    '"cmd": {"__command__": ["light", 2, 9.0, "set", false, 8, "app@p1"]}}]\n'
     '["actuation", 2.5, "light", ["light", "app@p1", 2], "set", {"__set__": [1, 2]}]\n'
 )
 
@@ -329,12 +379,15 @@ def test_parent_written_journal_still_loads(tmp_path):
                          frozenset({1, 2})]
 
 
-def test_send_frames_closes_the_writer_it_drops(monkeypatch):
-    """A peer that accepts and then hangs up mid-stream: the sender drops
-    its writer after the failed write and redials. The dropped writer must
-    be closed and the error its stream stored collected, not left to the
-    garbage collector — which logs an uncollected one as "Future exception
-    was never retrieved" when it happens to free the future first."""
+# -- the sender: one PeerSender per peer, no task and no queue hop ------------------
+
+
+def test_peer_sender_closes_the_writer_it_drops(monkeypatch):
+    """A peer that accepts and then hangs up mid-stream: the sender finds
+    its writer closed at the next flush and redials. The dropped writer
+    must be closed and the error its stream stored collected, not left to
+    the garbage collector — which logs an uncollected one as "Future
+    exception was never retrieved" when it happens to free the future first."""
     dialed = []
     real_open = asyncio.open_connection
 
@@ -351,20 +404,16 @@ def test_send_frames_closes_the_writer_it_drops(monkeypatch):
             writer.transport.abort()
 
         server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
-        queue = asyncio.Queue()
-        sender = asyncio.ensure_future(
-            send_frames(queue, server.sockets[0].getsockname()[:2])
-        )
+        sender = PeerSender(server.sockets[0].getsockname()[:2])
         frame = encode_message(Message("k", "a", "b", {"pad": "x" * 1000}))
         loop = asyncio.get_running_loop()
         try:
             async with asyncio.timeout(10):
                 while len(dialed) < 2:
-                    queue.put_nowait((loop.time(), frame))
+                    sender.put(loop.time(), frame)
                     await asyncio.sleep(0.01)
         finally:
-            sender.cancel()
-            await asyncio.gather(sender, return_exceptions=True)
+            await sender.close()
             server.close()
             await server.wait_closed()
         return dialed[0]
@@ -374,3 +423,108 @@ def test_send_frames_closes_the_writer_it_drops(monkeypatch):
     stored = dropped._protocol._get_close_waiter(dropped)
     assert stored.done() and not stored._log_traceback  # already collected
     assert isinstance(stored.exception(), OSError)
+
+
+def test_frames_put_during_the_first_dial_arrive_complete_and_in_order(monkeypatch):
+    """The first dial is held open until every frame is put (some in the
+    loop turn of the first ``put``, most turns later, while the dial is in
+    flight): they wait for the connection, then leave in ``put`` order,
+    none lost and no second dial."""
+    real_open = asyncio.open_connection
+    dials = []
+
+    async def held_open(*args, **kwargs):
+        dials.append(args)
+        await dialled.wait()
+        return await real_open(*args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "open_connection", held_open)
+
+    async def go():
+        received = []
+
+        async def sink(reader, writer):
+            async for body in read_frames(reader):
+                received.append(decode_body(body)["i"])
+            writer.close()
+
+        server = await asyncio.start_server(sink, "127.0.0.1", 0)
+        sender = PeerSender(server.sockets[0].getsockname()[:2])
+        try:
+            for i in range(300):
+                assert sender.put(0.0, encode_message(Message("k", "a", "b", {"i": i})))
+                if i % 50 == 49:
+                    await asyncio.sleep(0)
+            assert len(dials) == 1 and received == []
+            dialled.set()
+            async with asyncio.timeout(5):
+                while len(received) < 300:
+                    await asyncio.sleep(0.01)
+        finally:
+            await sender.close()
+            server.close()
+            await server.wait_closed()
+        return received
+
+    dialled = asyncio.Event()
+    assert asyncio.run(go()) == list(range(300))
+    assert len(dials) == 1
+
+
+def test_a_peer_that_never_reads_gets_send_dropped_not_a_growing_buffer(monkeypatch):
+    """A node sending to a peer that accepts and never reads: once the
+    socket buffers are full, the sender stops writing at the transport's
+    high-water mark and frames pile up in its queue until the bound, after
+    which every send is dropped and traced as ``send_dropped``."""
+    from repro.core.scenario import rt_deployment
+    from repro.core.stack import RT_STACK
+    from repro.rt import node as node_module
+
+    limit = 50
+    monkeypatch.setattr(node_module, "SEND_QUEUE_LIMIT", limit)
+    pad = "x" * 4096
+
+    async def go():
+        stalled = []
+
+        async def never_read(reader, writer):
+            stalled.append(writer)  # held open, never read
+
+        server = await asyncio.start_server(never_read, "127.0.0.1", 0)
+        plan, device_info = rt_deployment(("hub", "tv"), {"s": ("hub",)}, {}, {}, [])
+        node = node_module.AsyncRivuletNode(
+            "hub", 0, {"tv": server.sockets[0].getsockname()[:2]}, plan,
+            device_info, RT_STACK)
+        await node.start()
+        try:
+            sent = 0
+            async with asyncio.timeout(20):
+                node.send("tv", "bulk", pad=pad)
+                sender = node._senders["tv"]
+                while sender._writer is None:  # connected before the flood
+                    await asyncio.sleep(0.01)
+                while not node.traced.of_kind("send_dropped"):
+                    for _ in range(16):  # fewer than the bound per loop turn
+                        node.send("tv", "bulk", pad=pad)
+                    sent += 16
+                    assert sent * len(pad) < 64 << 20, "nothing was ever dropped"
+                    await asyncio.sleep(0)
+            transport = sender._writer.transport
+            high = transport.get_write_buffer_limits()[1]
+            assert len(sender._queue) == limit
+            assert transport.get_write_buffer_size() <= high + limit * (len(pad) + 64)
+            for _ in range(10):
+                node.send("tv", "bulk", pad=pad)
+            assert len(sender._queue) == limit
+            drops = node.traced.of_kind("send_dropped")
+            assert len(drops) >= 10
+            assert {(d.fields["dst"], d.fields["reason"]) for d in drops} == {
+                ("tv", "queue_full")}
+        finally:
+            await node.stop()
+            for writer in stalled:
+                writer.close()
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(go())
