@@ -3,8 +3,8 @@ the evaluation runs, with the app logic each one deploys.
 
 A registered scenario builds on the simulator, on the in-process asyncio
 cluster and as OS subprocesses alike (a subprocess child finds its home
-here by name). What drives and judges a run — workloads, fault domains,
-oracles — lives in :mod:`repro.eval`.
+here by name), and states its own fault script. What drives and judges a
+run — workloads, chaos fault domains, oracles — lives in :mod:`repro.eval`.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from repro.core.delivery import GAP, GAPLESS, Delivery, PollingPolicy, PollMode
 from repro.core.graph import App
 from repro.core.operators import Operator
 from repro.core.repair import RepairPolicy
-from repro.core.scenario import ProxyLossEpisode, Scenario
+from repro.core.scenario import Scenario
 from repro.core.windows import CountWindow
+from repro.sim.faults import FaultPlan
 
 # The rt homes use tighter timing than the paper's 0.5 s / 2.0 s defaults so
 # a CI smoke run finishes in seconds; sim predictions use the same values so
@@ -62,6 +63,17 @@ def _smoke3_apps() -> list[App]:
     watch = Operator("WatchLogic", on_window=lambda ctx, c: None)
     watch.add_sensor("d1", GAPLESS, CountWindow(1))
     return [_alarm_app(("m1", GAPLESS), ("d1", GAPLESS)), App("watch", watch)]
+
+
+def _smoke3_faults(duration: float) -> FaultPlan:
+    """A radio-loss episode on m1 -> p0 (both runtimes), p2 crashed mid-run,
+    then a TCP-loss episode on p0 <-> p1 (rt only, through the proxy)."""
+    return (FaultPlan()
+            .set_link_loss("m1", "p0", 0.25, at=0.2 * duration)
+            .set_link_loss("m1", "p0", 0.0, at=0.55 * duration)
+            .crash("p2", at=0.5 * duration)
+            .set_link_loss("p0", "p1", 0.3, at=0.25 * duration)
+            .set_link_loss("p0", "p1", 0.0, at=0.6 * duration))
 
 
 def _parity4_apps() -> list[App]:
@@ -221,8 +233,7 @@ def device_scenario(repair: bool) -> Scenario:
 SCENARIOS: dict[str, Scenario] = {
     scenario.name: scenario for scenario in (
         # The CI smoke home: 3 processes, every sensor keeps a live receiver
-        # when the victim dies, one radio-loss episode (both runtimes) and
-        # one TCP-loss episode (rt only, through the proxy).
+        # when p2 dies.
         Scenario(
             name="smoke3",
             processes=("p0", "p1", "p2"),
@@ -231,10 +242,7 @@ SCENARIOS: dict[str, Scenario] = {
             make_apps=_smoke3_apps,
             heartbeat_interval=HEARTBEAT_INTERVAL,
             failure_detection_s=FAILURE_DETECTION_S,
-            victim="p2",
-            radio_loss=("m1", "p0", 0.25),
-            radio_loss_window=(0.2, 0.55),
-            proxy_loss=ProxyLossEpisode("p0", "p1", 0.3, 0.25, 0.6),
+            faults=_smoke3_faults,
         ),
         # The oracle-parity home: 4 apps over 3 processes, mixed Gap/Gapless
         # plus a coordinated poll sensor; no faults, both record sources

@@ -5,9 +5,10 @@ tenant :class:`~repro.core.home.Home`\\ s inside it — one shared virtual
 timeline, per-home traces and RNG roots. It is the multi-tenant analogue
 of the ``Home`` facade:
 
-- **construction** — :meth:`Fleet.build` stamps out N homes from a
-  template callable; :meth:`add_home` adds one home with a per-home seed
-  derived from ``(fleet seed, home_id)`` (override it to pin a seed);
+- **construction** — :meth:`Fleet.build` stamps out N homes
+  ``h000``, ``h001``, ... (see :func:`default_id_format`) from a template
+  callable; :meth:`add_home` adds one home with a per-home seed derived
+  from ``(fleet seed, home_id)`` (override it to pin a seed);
 - **execution** — :meth:`run_until` / :meth:`run_for` start every home and
   drain the one scheduler, interleaving all tenants' events;
 - **fault injection** — tenants share the scheduler, so a tenant's
@@ -42,13 +43,6 @@ from repro.sim.context import SimContext, combine_digests
 
 #: One simulated day: the fleet's metric-fold / digest-seal granularity.
 DAY_S = 86_400.0
-
-#: The default ``home_id`` pattern: zero-padded so lexicographic order
-#: (which fleet digests and reports sort by) matches numeric order.
-#: :meth:`Fleet.build` widens the pad when the fleet outgrows three digits
-#: (see :func:`default_id_format`); the three-digit constant is kept for
-#: callers that pass it explicitly.
-DEFAULT_ID_FORMAT = "h{index:03d}"
 
 HomeTemplate = Callable[[Home, int], None]
 
@@ -144,30 +138,21 @@ class Fleet:
         template: HomeTemplate,
         *,
         seed: int = 42,
-        id_format: str | None = None,
-        config_factory: Callable[[str, int], HomeConfig] | None = None,
     ) -> "Fleet":
         """Stamp out ``n_homes`` homes from a template callable.
 
         ``template(home, index)`` declares each home's processes, devices
-        and apps. ``config_factory(home_id, home_seed)`` (optional) builds
-        each tenant's :class:`HomeConfig`; the default config carries just
-        the derived per-home seed. ``id_format`` defaults to
-        :func:`default_id_format`, whose zero-pad width grows with the
-        fleet so sorted ``home_id`` order always matches numeric order.
+        and apps; each tenant's config carries just its derived per-home
+        seed. Home ids follow :func:`default_id_format`, whose zero-pad
+        width grows with the fleet so sorted ``home_id`` order always
+        matches numeric order.
         """
         if n_homes < 1:
             raise ValueError(f"a fleet needs at least one home, got {n_homes}")
-        if id_format is None:
-            id_format = default_id_format(n_homes)
+        id_format = default_id_format(n_homes)
         fleet = cls(seed=seed)
         for index in range(n_homes):
-            home_id = id_format.format(index=index)
-            config = None
-            if config_factory is not None:
-                config = config_factory(home_id, fleet.context.home_seed(home_id))
-            home = fleet.add_home(home_id, config=config)
-            template(home, index)
+            template(fleet.add_home(id_format.format(index=index)), index)
         return fleet
 
     # -- construction ---------------------------------------------------------------

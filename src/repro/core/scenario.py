@@ -12,8 +12,10 @@ that description as one value. Three runtimes read it:
   children look the scenario up by name and call
   :meth:`Scenario.rt_deployment`.
 
-Named scenarios live in :mod:`repro.apps.scenarios`; workloads, fault
-domains and oracles stay with the evaluation code that judges a run.
+A scenario also states its fault script, one
+:class:`~repro.sim.faults.FaultPlan` per run duration. Named scenarios live
+in :mod:`repro.apps.scenarios`; workloads, chaos fault domains and oracles
+stay with the evaluation code that judges a run.
 """
 
 from __future__ import annotations
@@ -27,27 +29,16 @@ from repro.core.graph import App
 from repro.core.home import Home, HomeConfig
 from repro.core.plan import DeploymentPlan
 from repro.devices.catalog import sensor_spec
+from repro.sim.faults import FaultPlan
 
 #: Service time of an rt poll device: a software handler answers at once
 #: (the Z-Wave service times of Section 8.5 belong to the simulated radios).
 RT_POLL_SERVICE_S = 0.02
 
 
-@dataclass(frozen=True)
-class ProxyLossEpisode:
-    """An rt-only link degradation: frame loss between two processes.
-
-    The sim transport has no per-process-pair Bernoulli loss (TCP hides
-    it), so this episode exists only on the real wire, injected by
-    :class:`repro.rt.proxy.FaultProxy`. Cross-validation tolerances
-    account for it; see docs/rt.md.
-    """
-
-    src: str
-    dst: str
-    loss: float
-    start_frac: float
-    stop_frac: float
+def _no_faults(duration: float) -> FaultPlan:
+    """The default fault script: a fault-free run of any duration."""
+    return FaultPlan()
 
 
 @dataclass(frozen=True)
@@ -66,16 +57,10 @@ class Scenario:
     failure_detection_s: float = 2.0
     #: Poll epoch an rt device falls back to when no app states a policy.
     poll_epoch_s: float = 0.5
-    #: Process SIGKILLed (subprocess mode) / crash-stopped (in-process) at
-    #: ``crash_frac * duration``.
-    victim: str | None = None
-    crash_frac: float = 0.5
-    #: Sensor->process radio-loss episode, supported by BOTH runtimes
-    #: (sim ``set_link_loss`` / rt emit-loss): (sensor, process, rate).
-    radio_loss: tuple[str, str, float] | None = None
-    radio_loss_window: tuple[float, float] = (0.2, 0.6)
-    #: rt-only TCP degradation through the fault proxy.
-    proxy_loss: ProxyLossEpisode | None = None
+    #: The run's fault script, given its duration in seconds: one plan for
+    #: every runtime (a process -> process ``set_link_loss`` is rt-only; see
+    #: :func:`repro.eval.rt.run_sim_case`).
+    faults: Callable[[float], FaultPlan] = _no_faults
 
     def _receivers(self, mode: str) -> dict[str, tuple[str, ...]]:
         return {

@@ -6,7 +6,7 @@ builds as a simulated :class:`repro.core.home.Home`, as a real
 :class:`repro.rt.cluster.LocalCluster` (in-process asyncio nodes) or as a
 :class:`repro.rt.proc.ProcessHome` (one OS process per node, faults via
 actual ``SIGKILL``); this module drives all three with the same scripted
-workload and the same declarative :class:`~repro.sim.faults.FaultPlan`.
+workload and the scenario's one :class:`~repro.sim.faults.FaultPlan`.
 
 Both runtimes produce the same runtime-agnostic
 :class:`~repro.core.invariants.RunRecord`, so:
@@ -65,41 +65,31 @@ def workload_schedule(
     return sorted(script, key=lambda item: item[0])
 
 
-def fault_plan(scenario: Scenario, duration: float) -> FaultPlan:
-    """The declarative fault script for one run of ``scenario``.
-
-    Expressed as a standard :class:`FaultPlan`, so the *same object* is
-    applied to the simulated home and replayed against the live cluster
-    by :class:`repro.rt.faults.RtFaultDriver`. The rt-only proxy episode
-    is not part of the plan (the sim transport cannot lose TCP frames).
-    """
-    plan = FaultPlan()
-    if scenario.radio_loss is not None:
-        sensor, process, rate = scenario.radio_loss
-        on, off = scenario.radio_loss_window
-        plan.set_link_loss(sensor, process, rate, at=on * duration)
-        plan.set_link_loss(sensor, process, 0.0, at=off * duration)
-    if scenario.victim is not None:
-        plan.crash(scenario.victim, at=scenario.crash_frac * duration)
-    return plan
-
-
 # -- runners ---------------------------------------------------------------------------
 
 
 def run_sim_case(
     scenario: Scenario, *, seed: int, duration: float, with_faults: bool = True
 ) -> tuple[RunRecord, int]:
-    """Run the scenario on the simulator; returns (record, events_emitted)."""
+    """Run the scenario on the simulator; returns (record, events_emitted).
+
+    The one place the two halves' fault scripts differ: the sim transport
+    is the paper's reliable TCP, so a process -> process ``set_link_loss``
+    has no sim analogue and is skipped here (docs/rt.md).
+    """
     schedule = workload_schedule(scenario, seed, duration)
+    actions = scenario.faults(duration).actions if with_faults else []
+    plan = FaultPlan([
+        action for action in actions
+        if not (action.kind == "set_link_loss" and action.args[0] in scenario.processes)
+    ])
 
     def workload(home) -> None:
         for t, sensor, value in schedule:
             home.scheduler.call_at(t, home.sensor(sensor).emit, value)
 
     record, _ = run_case(
-        scenario, seed=seed, workload=workload,
-        plan=fault_plan(scenario, duration) if with_faults else FaultPlan(),
+        scenario, seed=seed, workload=workload, plan=plan,
         # Settle tail: virtual time is free, give retransmissions room.
         until=duration + 3.0,
     )
@@ -110,23 +100,13 @@ async def _drive(
     harness: RtHarness, scenario: Scenario, *, seed: int, duration: float,
     with_faults: bool,
 ) -> int:
-    """Workload + fault plan + proxy episode, in wall time, on any harness."""
+    """Workload + fault plan, in wall time, on any harness."""
     loop = asyncio.get_running_loop()
     t0 = loop.time()
     driver = None
     if with_faults:
         driver = RtFaultDriver(harness)
-        driver.schedule(fault_plan(scenario, duration))
-        episode = scenario.proxy_loss
-        if episode is not None and harness.proxy is not None:
-            loop.call_later(
-                episode.start_frac * duration,
-                harness.set_link_loss, episode.src, episode.dst, episode.loss,
-            )
-            loop.call_later(
-                episode.stop_frac * duration,
-                harness.set_link_loss, episode.src, episode.dst, 0.0,
-            )
+        driver.schedule(scenario.faults(duration))
     schedule = workload_schedule(scenario, seed, duration)
     for t, sensor, value in schedule:
         target = t0 + t
@@ -293,18 +273,7 @@ def run_rt_report(
         "mode": mode,
         "seed": seed,
         "duration_s": duration,
-        "fault_plan": [
-            {"at": a.at, "kind": a.kind, "args": list(a.args)}
-            for a in fault_plan(scenario, duration).actions
-        ],
-        "proxy_loss": (
-            {
-                "src": scenario.proxy_loss.src,
-                "dst": scenario.proxy_loss.dst,
-                "loss": scenario.proxy_loss.loss,
-            }
-            if scenario.proxy_loss is not None else None
-        ),
+        "fault_plan": scenario.faults(duration).to_dicts(),
         "rt": {
             "metrics": rt.metrics,
             "violations": _violations_summary(rt.violations),

@@ -77,21 +77,21 @@ class LocalCluster(RtHarness):
 
     nodes: dict[str, AsyncRivuletNode]
 
-    # __init__ and emit are defined on this class (not the harness):
-    # bench/tracer.py wraps them via cls.__dict__.
+    # __init__ and emit are entries of this class's own __dict__:
+    # bench/tracer.py wraps them through it.
     def __init__(self, *, seed: int = 42, use_proxy: bool = False, **stack: Any) -> None:
         """``stack`` overrides :data:`~repro.core.stack.RT_STACK` field by
         field; every node boots from the resulting ``config``."""
         super().__init__(seed=seed, use_proxy=use_proxy)
         self.config = dataclasses.replace(RT_STACK, **stack)
         self._process_names: list[str] = []
-        self._sensor_receivers: dict[str, list[str]] = {}
+        self._push_receivers: dict[str, list[str]] = {}
+        self._poll_receivers: dict[str, list[str]] = {}
         #: poll sensor -> (service time, default epoch)
         self._poll_timing: dict[str, tuple[float, float]] = {}
         self._actuator_hosts: dict[str, list[str]] = {}
         self._poll_handlers: dict[str, PollHandler] = {}
         self._apps: list[App] = []
-        self._event_seq: dict[str, itertools.count] = {}
         self._actuation_log: list[tuple[str, tuple, float]] = []
         self._applied_log: list[tuple[str, str, Any, float]] = []
         self._started = False
@@ -107,8 +107,7 @@ class LocalCluster(RtHarness):
     ) -> "LocalCluster":
         """A software push sensor; events are injected at the receivers
         (:meth:`emit` sizes each one)."""
-        self._sensor_receivers[name] = receivers or list(self._process_names)
-        self._event_seq[name] = itertools.count(1)
+        self._push_receivers[name] = receivers or list(self._process_names)
         return self
 
     def add_poll_sensor(
@@ -127,10 +126,9 @@ class LocalCluster(RtHarness):
         delivery services its delay and staleness. ``loop.time()`` is not
         that clock.
         """
-        self._sensor_receivers[name] = receivers or list(self._process_names)
+        self._poll_receivers[name] = receivers or list(self._process_names)
         self._poll_timing[name] = (service_time, default_epoch)
         self._poll_handlers[name] = handler
-        self._event_seq[name] = itertools.count(1)
         return self
 
     def add_actuator(self, name: str, *, hosts: list[str] | None = None) -> "LocalCluster":
@@ -151,8 +149,8 @@ class LocalCluster(RtHarness):
         self._loop = asyncio.get_running_loop()
         self._t0 = self._loop.time()
         plan, device_info = rt_deployment(
-            self._process_names, self._sensor_receivers, self._poll_timing,
-            self._actuator_hosts, self._apps,
+            self._process_names, {**self._push_receivers, **self._poll_receivers},
+            self._poll_timing, self._actuator_hosts, self._apps,
         )
         # Bound before the proxy opens its ephemeral listeners and handed
         # to the nodes still open, so no port is ever given out twice.
@@ -206,26 +204,7 @@ class LocalCluster(RtHarness):
     def node(self, name: str) -> AsyncRivuletNode:
         return self.nodes[name]
 
-    def emit(self, sensor: str, value: Any, *, size_bytes: int = 4) -> Event:
-        """Multicast one software-sensor event to every receiving node."""
-        now = self.now()
-        event = Event(
-            sensor_id=sensor,
-            seq=next(self._event_seq[sensor]),
-            emitted_at=now,
-            value=value,
-            size_bytes=size_bytes,
-        )
-        self.trace.record(now, "sensor_emit", sensor=sensor, seq=event.seq)
-        for receiver in self._sensor_receivers[sensor]:
-            node = self.nodes[receiver]
-            if not node.alive:
-                continue
-            loss = self._emit_loss.get((sensor, receiver), 0.0)
-            if loss > 0.0 and self._loss_rng.chance(loss):
-                continue  # radio loss: the frame simply never arrives
-            node.inject_event(event)
-        return event
+    emit = RtHarness.emit  # an own __dict__ entry (see __init__)
 
     def _traced_responder(
         self, sensor: str, respond: Callable[[Event], None]

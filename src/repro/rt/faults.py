@@ -20,11 +20,12 @@ plan action           rt mechanism
 
 Actions the real runtime cannot perform yet (process recovery, soft device
 faults — there is no simulated device to degrade) raise
-:class:`UnsupportedFaultAction` at scheduling time, or are skipped and
-reported when ``skip_unsupported=True``. Failing loudly by default keeps
-cross-validation honest: an rt campaign silently ignoring half its plan
-would "agree" with anything. Supporting one more kind is one harness
-method of that name plus one :data:`SUPPORTED_ACTIONS` entry.
+:class:`UnsupportedFaultAction` at scheduling time: an rt campaign silently
+ignoring half its plan would "agree" with anything. A fault the harness
+refuses when it fires (a :class:`~repro.sim.faults.FaultError`, or a crash
+that fails) is kept, and :meth:`RtFaultDriver.drain` raises it, as
+``run_until`` does on the simulator. Supporting one more kind is one
+harness method of that name plus one :data:`SUPPORTED_ACTIONS` entry.
 """
 
 from __future__ import annotations
@@ -49,35 +50,26 @@ SUPPORTED_ACTIONS = frozenset({
 class RtFaultDriver:
     """Schedules a fault plan's actions on the cluster's event loop."""
 
-    def __init__(
-        self,
-        cluster: RtHarness,
-        *,
-        time_scale: float = 1.0,
-        skip_unsupported: bool = False,
-    ) -> None:
+    def __init__(self, cluster: RtHarness) -> None:
         self.cluster = cluster
-        self.time_scale = time_scale
-        self.skip_unsupported = skip_unsupported
-        self.skipped: list[tuple[float, str]] = []
         self._handles: list[asyncio.TimerHandle] = []
         self._tasks: set[asyncio.Task] = set()
+        self._error: Exception | None = None
 
     def schedule(self, plan: FaultPlan) -> None:
-        """Arm every supported action at ``action.at * time_scale`` seconds."""
+        """Arm every action ``action.at`` seconds from now; refuse the whole
+        plan if it holds a kind the harness cannot inject."""
+        unsupported = sorted({a.kind for a in plan.actions} - SUPPORTED_ACTIONS)
+        if unsupported:
+            raise UnsupportedFaultAction(
+                f"rt harness cannot inject {unsupported} "
+                f"(supported: {sorted(SUPPORTED_ACTIONS)})"
+            )
         loop = asyncio.get_running_loop()
         for action in plan.actions:
-            if action.kind not in SUPPORTED_ACTIONS:
-                if self.skip_unsupported:
-                    self.skipped.append((action.at, action.kind))
-                    continue
-                raise UnsupportedFaultAction(
-                    f"rt harness cannot inject {action.kind!r} "
-                    f"(supported: {sorted(SUPPORTED_ACTIONS)})"
-                )
-            delay = action.at * self.time_scale
-            handle = loop.call_later(delay, self._fire, action.kind, action.args)
-            self._handles.append(handle)
+            self._handles.append(
+                loop.call_later(action.at, self._fire, action.kind, action.args)
+            )
 
     def cancel(self) -> None:
         for handle in self._handles:
@@ -85,13 +77,29 @@ class RtFaultDriver:
         self._handles.clear()
 
     async def drain(self) -> None:
-        """Wait for any in-flight awaitable action (a crash) to finish."""
+        """Wait for any in-flight crash, then raise the first fault that
+        failed, if one did."""
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
+        if self._error is not None:
+            raise self._error
 
     def _fire(self, kind: str, args: tuple) -> None:
-        result = getattr(self.cluster, kind)(*args)
+        try:
+            result = getattr(self.cluster, kind)(*args)
+        except Exception as exc:
+            self._fail(exc)
+            return
         if inspect.isawaitable(result):
             task = asyncio.ensure_future(result)
             self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+            task.add_done_callback(self._settled)
+
+    def _settled(self, task: asyncio.Task) -> None:
+        self._tasks.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            self._fail(task.exception())
+
+    def _fail(self, exc: Exception) -> None:
+        if self._error is None:
+            self._error = exc

@@ -1,10 +1,12 @@
-"""What every rt harness shares: one clock, one trace, one fault surface.
+"""What every rt harness shares: one clock, one trace, one emit, one fault surface.
 
 :class:`~repro.rt.cluster.LocalCluster` (asyncio nodes in this
 interpreter) and :class:`~repro.rt.proc.ProcessHome` (one OS process per
-node) differ in how a node is started, fed and killed. How a fault is
-validated, applied and recorded does not, so it is written once here and
-:class:`~repro.rt.faults.RtFaultDriver` drives either through it.
+node) differ in how a node is started and killed. How a sensor event is
+numbered, recorded and handed to each node's ``inject_event``, and how a
+fault is validated, applied and recorded, do not, so they are written
+once here and :class:`~repro.rt.faults.RtFaultDriver` drives either
+through it.
 
 The clock is the run clock, :meth:`RtHarness.now`: seconds since
 ``start()``, i.e. ``loop.time()`` minus the harness's origin ``_t0``.
@@ -21,8 +23,12 @@ a stored record.
 from __future__ import annotations
 
 import asyncio
+import itertools
+from collections import defaultdict
+from functools import partial
 from typing import Any, Awaitable, Callable, Mapping, Sequence
 
+from repro.core.events import Event
 from repro.core.invariants import ORACLE_TRACE_KINDS
 from repro.rt.proxy import FaultProxy
 from repro.sim.faults import FaultError
@@ -33,13 +39,15 @@ from repro.sim.tracing import Trace
 class RtHarness:
     """The fault/observation surface of a home on the real runtime.
 
-    Subclasses declare ``_process_names`` and ``_sensor_receivers`` before
-    they start, fill ``nodes`` (handles with an ``alive`` flag) and
-    ``proxy`` in ``start()``, and implement ``_kill``.
+    Subclasses declare ``_process_names`` and ``_push_receivers`` (push
+    sensor -> receiving processes: the links :meth:`emit` feeds and
+    :meth:`set_link_loss` degrades) before they start, fill ``nodes``
+    (handles with an ``alive`` flag and an ``inject_event``) and ``proxy``
+    in ``start()``, and implement ``_kill``.
     """
 
     _process_names: Sequence[str]
-    _sensor_receivers: Mapping[str, Sequence[str]]
+    _push_receivers: Mapping[str, Sequence[str]]
 
     def __init__(self, *, seed: int, use_proxy: bool) -> None:
         self.seed = seed
@@ -49,6 +57,9 @@ class RtHarness:
         self.proxy: FaultProxy | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0: float = 0.0
+        self._event_seq: defaultdict[str, itertools.count] = defaultdict(
+            partial(itertools.count, 1)
+        )
         self._emit_loss: dict[tuple[str, str], float] = {}
         self._loss_rng = RandomSource(seed).child("rt/emit-loss")
         self._fault_free = True
@@ -85,6 +96,28 @@ class RtHarness:
         """Run-clock seconds: ``loop.time()`` since ``start()``. Stamp a
         poll reading's ``emitted_at`` with this, as the nodes do."""
         return (self._loop or asyncio.get_event_loop()).time() - self._t0
+
+    def emit(self, sensor: str, value: Any, *, size_bytes: int = 4) -> Event:
+        """Multicast one push-sensor event to every live receiving node."""
+        receivers = self._push_receivers[sensor]
+        now = self.now()
+        event = Event(
+            sensor_id=sensor,
+            seq=next(self._event_seq[sensor]),
+            emitted_at=now,
+            value=value,
+            size_bytes=size_bytes,
+        )
+        self.trace.record(now, "sensor_emit", sensor=sensor, seq=event.seq)
+        for receiver in receivers:
+            node = self.nodes[receiver]
+            if not node.alive:
+                continue
+            loss = self._emit_loss.get((sensor, receiver), 0.0)
+            if loss > 0.0 and self._loss_rng.chance(loss):
+                continue  # radio loss: the frame never leaves the device
+            node.inject_event(event)
+        return event
 
     async def wait_for(
         self,
@@ -157,8 +190,10 @@ class RtHarness:
     def set_link_loss(self, device: str, process: str, loss_rate: float) -> None:
         """Drop ``device -> process`` traffic with probability ``loss_rate``.
 
-        A sensor's link is the rt analogue of the simulator's radio link:
-        a lost event is never handed to that receiver's delivery service.
+        A push sensor's link is the rt analogue of the simulator's radio
+        link: a lost event is never handed to that receiver's delivery
+        service. A poll sensor has no such link (its readings are replies,
+        not :meth:`emit` injections), so naming one is refused.
         A process pair is an inter-process link: the proxy drops its frames
         in both directions (needs the proxy).
         """
@@ -167,7 +202,7 @@ class RtHarness:
         names = self._process_names
         if device in names and process in names and device != process:
             self._require_proxy().set_loss(device, process, loss_rate, symmetric=True)
-        elif process in self._sensor_receivers.get(device, ()):
+        elif process in self._push_receivers.get(device, ()):
             self._emit_loss[(device, process)] = loss_rate
         else:
             raise FaultError(f"no link {device!r} -> {process!r}")

@@ -26,8 +26,9 @@ re-records the kept and journaled records once, in time order, and adds
 the parent's counts of the rest (the proxy's ``net_send``/``net_drop``).
 
 It shares :class:`~repro.rt.harness.RtHarness` with
-:class:`~repro.rt.cluster.LocalCluster` — one fault surface, one
-``wait_for`` — and answers ``nodes`` / ``emit`` / ``quiesce`` /
+:class:`~repro.rt.cluster.LocalCluster` — one ``emit`` (a
+:class:`ProcessNode` injects an event as a ``ctl/emit`` frame), one fault
+surface, one ``wait_for`` — and answers ``nodes`` / ``quiesce`` /
 ``run_record`` the same way, so :class:`~repro.rt.faults.RtFaultDriver`
 and the scenario driver in :mod:`repro.eval.rt` work on either harness.
 """
@@ -89,6 +90,22 @@ class ProcessNode:
     def pid(self) -> int:
         return self.popen.pid
 
+    def ctl(self, kind: str, payload: dict[str, Any]) -> None:
+        """Fire one control frame at the child (best-effort, like a device)."""
+        if self.writer is None or self.writer.is_closing():
+            return
+        frame = wire.encode_message(
+            Message(kind=kind, src="parent", dst=self.name, payload=payload)
+        )
+        try:
+            self.writer.write(frame)
+        except (OSError, ConnectionError):
+            pass
+
+    def inject_event(self, event: Event) -> None:
+        """Hand one sensor event to the child's delivery service."""
+        self.ctl("ctl/emit", {"event": event})
+
     def stderr_tail(self, limit: int = 2000) -> str:
         try:
             with open(self.stderr_path, "r", encoding="utf-8",
@@ -120,11 +137,8 @@ class ProcessHome(RtHarness):
         self.scenario = scenario
         self.python = python or sys.executable
         self._process_names = scenario.processes
-        self._sensor_receivers = scenario.push_sensors
+        self._push_receivers = scenario.push_sensors
         self.workdir: str | None = None
-        self._event_seq: dict[str, itertools.count] = {
-            sensor: itertools.count(1) for sensor in scenario.push_sensors
-        }
         self._report_token = itertools.count(1)
 
     # -- lifecycle --------------------------------------------------------------
@@ -197,7 +211,7 @@ class ProcessHome(RtHarness):
     async def stop(self) -> None:
         for node in self.nodes.values():
             if node.alive:
-                self._ctl(node, "ctl/shutdown", {})
+                node.ctl("ctl/shutdown", {})
         await asyncio.sleep(0)  # let writes flush before waiting
         for node in self.nodes.values():
             if node.popen.poll() is None:
@@ -217,43 +231,6 @@ class ProcessHome(RtHarness):
         if self.workdir is not None:
             shutil.rmtree(self.workdir, ignore_errors=True)
             self.workdir = None
-
-    # -- control channel ---------------------------------------------------------
-
-    def _ctl(self, node: ProcessNode, kind: str, payload: dict[str, Any]) -> None:
-        """Fire one control frame at a child (best-effort, like a device)."""
-        if node.writer is None or node.writer.is_closing():
-            return
-        frame = wire.encode_message(
-            Message(kind=kind, src="parent", dst=node.name, payload=payload)
-        )
-        try:
-            node.writer.write(frame)
-        except (OSError, ConnectionError):
-            pass
-
-    # -- driving ------------------------------------------------------------------
-
-    def emit(self, sensor: str, value: Any, *, size_bytes: int = 4) -> Event:
-        """Multicast one software-sensor event to every receiving child."""
-        now = self.now()
-        event = Event(
-            sensor_id=sensor,
-            seq=next(self._event_seq[sensor]),
-            emitted_at=now,
-            value=value,
-            size_bytes=size_bytes,
-        )
-        self.trace.record(now, "sensor_emit", sensor=sensor, seq=event.seq)
-        for receiver in self._sensor_receivers[sensor]:
-            node = self.nodes[receiver]
-            if not node.alive:
-                continue
-            loss = self._emit_loss.get((sensor, receiver), 0.0)
-            if loss > 0.0 and self._loss_rng.chance(loss):
-                continue  # radio loss: the frame never leaves the device
-            self._ctl(node, "ctl/emit", {"event": event})
-        return event
 
     # -- fault injection -----------------------------------------------------------
 
@@ -278,7 +255,7 @@ class ProcessHome(RtHarness):
                 continue
             path = os.path.join(self.workdir, f"report-{name}-{token}.json")
             paths[name] = path
-            self._ctl(node, "ctl/report", {"path": path, "token": token})
+            node.ctl("ctl/report", {"path": path, "token": token})
         reports: dict[str, dict] = {}
         deadline = self.now() + timeout
         pending = dict(paths)

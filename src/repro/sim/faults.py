@@ -109,10 +109,16 @@ class FaultPlan:
         return self.add(at, "recover_actuator", actuator)
 
     def set_link_loss(
-        self, sensor: str, process: str, loss_rate: float, *, at: float
+        self, device: str, process: str, loss_rate: float, *, at: float
     ) -> "FaultPlan":
-        """Change the Bernoulli loss rate of one sensor-process link."""
-        return self.add(at, "set_link_loss", sensor, process, loss_rate)
+        """Change the Bernoulli loss rate of one ``device -> process`` link.
+
+        ``device`` is a sensor (its radio link; a simulated home and an rt
+        harness both apply it) or another process: a process -> process
+        pair is TCP frame loss in both directions, which only an rt harness
+        with its fault proxy can inject (the sim transport is reliable).
+        """
+        return self.add(at, "set_link_loss", device, process, loss_rate)
 
     # -- soft device faults (IoTRepair taxonomy) -------------------------------
 

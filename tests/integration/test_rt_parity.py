@@ -37,6 +37,25 @@ def test_parity4_sim_record_passes_all_oracles():
     assert record.sensor_modes["m1"] == "gapless"
 
 
+def test_smoke3_fault_script_is_one_plan():
+    assert scenario_named("smoke3").faults(10.0).to_dicts() == [
+        {"at": 2.0, "kind": "set_link_loss", "args": ["m1", "p0", 0.25]},
+        {"at": 5.5, "kind": "set_link_loss", "args": ["m1", "p0", 0.0]},
+        {"at": 5.0, "kind": "crash_process", "args": ["p2"]},
+        {"at": 2.5, "kind": "set_link_loss", "args": ["p0", "p1", 0.3]},
+        {"at": 6.0, "kind": "set_link_loss", "args": ["p0", "p1", 0.0]},
+    ]
+
+
+def test_smoke3_sim_half_skips_only_the_process_pair_loss():
+    # The sim applies the radio loss and the crash; the p0 <-> p1 TCP loss
+    # has no sim analogue. The digest was measured before the fault
+    # script became one plan, so the sim half provably did not move.
+    record, emitted = run_sim_case(scenario_named("smoke3"), seed=42, duration=5.0)
+    assert record.trace.digest() == "0198f9bfdfdda7c87af6e74a6269bd97"
+    assert (emitted, len(record.actuations)) == (12, 12)
+
+
 @pytest.mark.rt
 def test_parity4_rt_record_passes_all_oracles():
     record, _emitted, violations, _metrics = run_rt_case(

@@ -3,7 +3,8 @@
 Every kind a :class:`FaultPlan` builder emits is a method of the simulated
 :class:`Home`; every kind the rt driver declares supported is a method of
 :class:`RtHarness`, which the driver calls by that name; any other kind is
-refused when the plan is scheduled, never silently dropped.
+refused when the plan is scheduled, and a fault the harness refuses when
+it fires is raised by ``drain()``: never silently dropped.
 """
 
 import asyncio
@@ -14,7 +15,7 @@ import pytest
 from repro.core.home import Home
 from repro.rt.faults import SUPPORTED_ACTIONS, RtFaultDriver, UnsupportedFaultAction
 from repro.rt.harness import RtHarness
-from repro.sim.faults import PAIRED_KINDS, FaultPlan
+from repro.sim.faults import PAIRED_KINDS, FaultError, FaultPlan
 
 
 def builder_kinds() -> set[str]:
@@ -70,15 +71,13 @@ class _Recorder:
 def test_the_driver_refuses_any_other_kind(kind):
     plan = FaultPlan().heal(at=1.0).add(2.0, kind, "x")
 
-    async def schedule(**options):
-        driver = RtFaultDriver(_Recorder(), **options)
-        driver.schedule(plan)
-        driver.cancel()
-        return driver
+    async def schedule():
+        driver = RtFaultDriver(_Recorder())
+        with pytest.raises(UnsupportedFaultAction, match=kind):
+            driver.schedule(plan)
+        assert driver._handles == []  # refused whole: the heal is not armed
 
-    with pytest.raises(UnsupportedFaultAction, match=kind):
-        asyncio.run(schedule())
-    assert asyncio.run(schedule(skip_unsupported=True)).skipped == [(2.0, kind)]
+    asyncio.run(schedule())
 
 
 def test_the_driver_calls_each_kind_by_name_and_awaits_a_crash():
@@ -90,7 +89,7 @@ def test_the_driver_calls_each_kind_by_name_and_awaits_a_crash():
     harness = _Recorder()
 
     async def drive():
-        driver = RtFaultDriver(harness, time_scale=0.0)
+        driver = RtFaultDriver(harness)
         driver.schedule(plan)
         await asyncio.sleep(0.01)
         await driver.drain()
@@ -103,3 +102,31 @@ def test_the_driver_calls_each_kind_by_name_and_awaits_a_crash():
         ("heal_partition",),
     ]
     assert harness.crashed == ["p2"]
+
+
+class _Refuser:
+    """A harness that refuses every fault: ``set_link_loss`` on the call,
+    ``crash_process`` when its kill is awaited."""
+
+    def set_link_loss(self, *args):
+        raise FaultError(f"no link {args[0]!r} -> {args[1]!r}")
+
+    def crash_process(self, name):
+        async def kill():
+            raise FaultError(f"cannot crash {name!r}: not running")
+        return kill()
+
+
+@pytest.mark.parametrize("plan", [
+    FaultPlan().set_link_loss("ghost", "p0", 0.5, at=0.0),
+    FaultPlan().crash("p0", at=0.0),
+], ids=["sync", "async"])
+def test_drain_raises_the_fault_the_harness_refused(plan):
+    async def drive():
+        driver = RtFaultDriver(_Refuser())
+        driver.schedule(plan)
+        await asyncio.sleep(0.01)
+        await driver.drain()
+
+    with pytest.raises(FaultError):
+        asyncio.run(drive())

@@ -11,6 +11,7 @@ import pytest
 
 from repro.apps.scenarios import scenario_named
 from repro.rt import LocalCluster
+from repro.rt.cluster import build_cluster
 from repro.rt.harness import RtHarness
 from repro.rt.proc import ProcessHome
 from repro.sim.faults import FaultError
@@ -85,3 +86,16 @@ def test_emit_loss_is_the_same_on_both_harnesses(harness):
     assert harness._emit_loss == {("m1", "p0"): 0.25}
     assert not harness._fault_free and not harness._lossless
     assert not harness.trace.events  # a radio loss is not a trace record
+
+
+@pytest.mark.parametrize("build", [
+    lambda scenario: build_cluster(scenario, seed=42),
+    lambda scenario: ProcessHome(scenario),
+], ids=["cluster", "processes"])
+def test_a_poll_sensor_has_no_lossy_link_on_either_harness(build):
+    # t1's readings are poll replies, never emit injections: emit loss on
+    # it would be accepted and do nothing, so both harnesses refuse it.
+    harness = build(scenario_named("parity4"))
+    with pytest.raises(FaultError, match="'t1' -> 'hub'"):
+        harness.set_link_loss("t1", "hub", 0.5)
+    assert _untouched(harness)
