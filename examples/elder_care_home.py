@@ -42,8 +42,7 @@ def main() -> None:
     home.start()
 
     print("== morning activity: no alerts expected ==")
-    for t in range(5, 50, 7):
-        home.scheduler.call_at(float(t), home.sensor("hall-motion").emit, True)
+    home.play([(float(t), "hall-motion", True) for t in range(5, 50, 7)])
     home.run_until(55.0)
     print(f"  alerts so far: {home.trace.count('alert')}")
 

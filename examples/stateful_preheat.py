@@ -55,13 +55,11 @@ def main() -> None:
     home.deploy(preheat_app())
     home.start()
 
-    occupancy = home.sensor("occupancy")
     # Days of routine: home during "hours" 18-22, away during 8-17.
-    for day in range(4):
-        for hour in range(24):
-            at = (day * 24 + hour) * HOUR + 10.0
-            occupied = 18 <= hour <= 22 or hour <= 6
-            home.scheduler.call_at(at, occupancy.emit, occupied)
+    home.play([
+        ((day * 24 + hour) * HOUR + 10.0, "occupancy", 18 <= hour <= 22 or hour <= 6)
+        for day in range(4) for hour in range(24)
+    ])
 
     print("== learning for two days ==")
     home.run_until(2 * 24 * HOUR)

@@ -60,14 +60,11 @@ def build_home() -> Home:
 
 
 def schedule_day(home: Home) -> None:
-    motion = home.sensor("hall-motion")
-    meter = home.sensor("meter")
-    front = home.sensor("front-door")
-    for t in range(10, int(DAY), 15):
-        home.scheduler.call_at(float(t), motion.emit, True)
-    for t in range(5, int(DAY), 10):
-        home.scheduler.call_at(float(t), meter.emit, 12.5)  # Wh per tick
-    home.scheduler.call_at(140.0, front.emit, True)  # someone breaks in
+    home.play(
+        [(float(t), "hall-motion", True) for t in range(10, int(DAY), 15)]
+        + [(float(t), "meter", 12.5) for t in range(5, int(DAY), 10)]  # Wh per tick
+        + [(140.0, "front-door", True)]  # someone breaks in
+    )
 
 
 def main() -> None:

@@ -1,11 +1,13 @@
 """Table 1 as an executable catalog.
 
 Each :class:`AppSpec` carries the paper's Table 1 row (primary function,
-sensor type, category, desired delivery type) plus two callables the
-benchmark harness uses to run the app end to end in a small home:
+sensor type, category, desired delivery type) plus what the benchmark
+harness needs to run the app end to end in a small home:
 
 - ``setup(home)`` — declare the devices the app needs and return the app;
-- ``drive(home)`` — schedule a representative burst of sensor activity.
+- ``script`` — a representative burst of sensor activity, as
+  ``(t, sensor, value)`` emissions for :meth:`~repro.core.home.Home.play`
+  (empty for poll-based apps, which drive themselves through polling).
 """
 
 from __future__ import annotations
@@ -22,15 +24,7 @@ from repro.apps.safety import air_monitoring, flood_fire_alert, surveillance
 from repro.apps.tracking import activity_tracking
 from repro.core.delivery import Delivery, GAP, GAPLESS
 from repro.core.graph import App
-from repro.core.home import Home
-from repro.devices.sensor import PushSensor
-
-
-def _emit_series(home: Home, sensor: str, times_values: list[tuple[float, object]]) -> None:
-    device = home.sensor(sensor)
-    assert isinstance(device, PushSensor)
-    for at, value in times_values:
-        home.scheduler.call_at(at, device.emit, value)
+from repro.core.home import Home, Script
 
 
 @dataclass(frozen=True)
@@ -44,7 +38,7 @@ class AppSpec:
     category: str
     delivery: Delivery
     setup: Callable[[Home], App]
-    drive: Callable[[Home], None]
+    script: Script = ()
 
 
 def _setup_occupancy_hvac(home: Home) -> App:
@@ -53,18 +47,10 @@ def _setup_occupancy_hvac(home: Home) -> App:
     return occupancy_hvac("occ1", "thermostat")
 
 
-def _drive_occupancy(home: Home) -> None:
-    _emit_series(home, "occ1", [(1.0, True), (5.0, True), (9.0, False)])
-
-
 def _setup_user_hvac(home: Home) -> App:
     home.add_sensor("cam1", kind="camera")
     home.add_actuator("thermostat", kind="thermostat")
     return user_hvac("cam1", "thermostat")
-
-
-def _drive_user_hvac(home: Home) -> None:
-    _emit_series(home, "cam1", [(1.0, 0.8), (12.0, 0.2)])
 
 
 def _setup_lighting(home: Home) -> App:
@@ -75,29 +61,15 @@ def _setup_lighting(home: Home) -> App:
     return automated_lighting(["occ1", "cam1", "mic1"], "light1")
 
 
-def _drive_lighting(home: Home) -> None:
-    _emit_series(home, "occ1", [(1.0, True), (4.0, True)])
-    _emit_series(home, "mic1", [(2.0, 0.9)])
-
-
 def _setup_appliance_alert(home: Home) -> App:
     home.add_sensor("oven", kind="appliance")
     home.add_sensor("occ1", kind="occupancy")
     return appliance_alert("oven", "occ1", check_interval_s=15.0)
 
 
-def _drive_appliance_alert(home: Home) -> None:
-    _emit_series(home, "oven", [(1.0, 1800.0), (30.0, 1750.0)])
-    _emit_series(home, "occ1", [(2.0, False), (31.0, False)])
-
-
 def _setup_activity(home: Home) -> App:
     home.add_sensor("mic1", kind="microphone")
     return activity_tracking("mic1", window_s=10.0)
-
-
-def _drive_activity(home: Home) -> None:
-    _emit_series(home, "mic1", [(t, 0.8) for t in (1.0, 3.0, 5.0, 7.0)])
 
 
 def _setup_fall_alert(home: Home) -> App:
@@ -106,19 +78,10 @@ def _setup_fall_alert(home: Home) -> App:
     return fall_alert("wearable1", siren="siren")
 
 
-def _drive_fall(home: Home) -> None:
-    _emit_series(home, "wearable1", [(1.0, "walk"), (5.0, "fall")])
-
-
 def _setup_inactive(home: Home) -> App:
     home.add_sensor("motion1", kind="motion")
     home.add_sensor("door1", kind="door")
     return inactive_alert(["motion1", "door1"], inactivity_window_s=20.0)
-
-
-def _drive_inactive(home: Home) -> None:
-    _emit_series(home, "motion1", [(1.0, True)])
-    # ... then silence: the second 20 s window is empty -> alert.
 
 
 def _setup_flood_fire(home: Home) -> App:
@@ -128,10 +91,6 @@ def _setup_flood_fire(home: Home) -> App:
     return flood_fire_alert(["water1", "smoke1"], siren="siren")
 
 
-def _drive_flood_fire(home: Home) -> None:
-    _emit_series(home, "water1", [(3.0, True)])
-
-
 def _setup_intrusion(home: Home) -> App:
     home.add_sensor("door1", kind="door")
     home.add_sensor("door2", kind="door")
@@ -139,18 +98,10 @@ def _setup_intrusion(home: Home) -> App:
     return intrusion_detection(["door1", "door2"], siren="siren")
 
 
-def _drive_intrusion(home: Home) -> None:
-    _emit_series(home, "door1", [(2.0, True)])
-
-
 def _setup_billing(home: Home) -> App:
     home.add_sensor("power1", kind="energy")
     app, _state = energy_billing("power1", report_interval_s=10.0)
     return app
-
-
-def _drive_billing(home: Home) -> None:
-    _emit_series(home, "power1", [(float(t), 25.0) for t in range(1, 12)])
 
 
 def _setup_temperature_hvac(home: Home) -> App:
@@ -163,10 +114,6 @@ def _setup_temperature_hvac(home: Home) -> App:
     )
 
 
-def _drive_noop(home: Home) -> None:
-    """Poll-based apps drive themselves through the polling service."""
-
-
 def _setup_air(home: Home) -> App:
     home.add_sensor("co2_1", kind="co2")
     return air_monitoring("co2_1", threshold_ppm=400.0, epoch_s=5.0)
@@ -177,67 +124,73 @@ def _setup_surveillance(home: Home) -> App:
     return surveillance("cam1")
 
 
-def _drive_surveillance(home: Home) -> None:
-    frames: list[tuple[float, object]] = [
-        (float(t), {"object": "background"}) for t in range(1, 6)
-    ]
-    frames.append((6.0, {"object": "stranger"}))
-    _emit_series(home, "cam1", frames)
-
-
 TABLE1: list[AppSpec] = [
     AppSpec("occupancy-hvac", "Occupancy-based HVAC",
             "Set the thermostat set-point based on the occupancy",
             ("occupancy",), "Efficiency", GAP,
-            _setup_occupancy_hvac, _drive_occupancy),
+            _setup_occupancy_hvac,
+            [(1.0, "occ1", True), (5.0, "occ1", True), (9.0, "occ1", False)]),
     AppSpec("user-hvac", "User-based HVAC",
             "Set the thermostat set-point based on the user's clothing level",
             ("camera",), "Efficiency", GAP,
-            _setup_user_hvac, _drive_user_hvac),
+            _setup_user_hvac,
+            [(1.0, "cam1", 0.8), (12.0, "cam1", 0.2)]),
     AppSpec("automated-lighting", "Automated lighting",
             "Turn on lights if user is present",
             ("occupancy", "camera", "microphone"), "Convenience", GAP,
-            _setup_lighting, _drive_lighting),
+            _setup_lighting,
+            [(1.0, "occ1", True), (4.0, "occ1", True), (2.0, "mic1", 0.9)]),
     AppSpec("appliance-alert", "Appliance alert",
             "Alert user if appliance is left on while home is unoccupied",
             ("appliance", "energy"), "Efficiency", GAP,
-            _setup_appliance_alert, _drive_appliance_alert),
+            _setup_appliance_alert,
+            [(1.0, "oven", 1800.0), (30.0, "oven", 1750.0),
+             (2.0, "occ1", False), (31.0, "occ1", False)]),
     AppSpec("activity-tracking", "Activity tracking",
             "Periodically infer physical activity using microphone frames",
             ("microphone",), "Convenience", GAP,
-            _setup_activity, _drive_activity),
+            _setup_activity,
+            [(t, "mic1", 0.8) for t in (1.0, 3.0, 5.0, 7.0)]),
     AppSpec("fall-alert", "Fall alert",
             "Issue alert on a fall-detected event",
             ("wearable",), "Elder care", GAPLESS,
-            _setup_fall_alert, _drive_fall),
+            _setup_fall_alert,
+            [(1.0, "wearable1", "walk"), (5.0, "wearable1", "fall")]),
     AppSpec("inactive-alert", "Inactive alert",
             "Issue alert if motion/activity not detected",
             ("motion", "door"), "Elder care", GAPLESS,
-            _setup_inactive, _drive_inactive),
+            _setup_inactive,
+            # ... then silence: the second 20 s window is empty -> alert.
+            [(1.0, "motion1", True)]),
     AppSpec("flood-fire-alert", "Flood/fire alert",
             "Issue alert on a water (or fire) detected event",
             ("water", "smoke"), "Safety", GAPLESS,
-            _setup_flood_fire, _drive_flood_fire),
+            _setup_flood_fire,
+            [(3.0, "water1", True)]),
     AppSpec("intrusion-detection", "Intrusion-detection",
             "Record image/issue alert on a door/window-open event",
             ("door",), "Safety", GAPLESS,
-            _setup_intrusion, _drive_intrusion),
+            _setup_intrusion,
+            [(2.0, "door1", True)]),
     AppSpec("energy-billing", "Energy billing",
             "Update energy cost on a power-consumption event",
             ("energy",), "Billing", GAPLESS,
-            _setup_billing, _drive_billing),
+            _setup_billing,
+            [(float(t), "power1", 25.0) for t in range(1, 12)]),
     AppSpec("temperature-hvac", "Temperature-based HVAC",
             "Actuate heating/cooling if temperature crosses a threshold",
             ("temperature",), "Efficiency", GAPLESS,
-            _setup_temperature_hvac, _drive_noop),
+            _setup_temperature_hvac),
     AppSpec("air-monitoring", "Air (or light) monitoring",
             "Issue alert if CO2/CO level surpasses a threshold",
             ("co2",), "Safety", GAPLESS,
-            _setup_air, _drive_noop),
+            _setup_air),
     AppSpec("surveillance", "Surveillance",
             "Record image if it has an unknown object",
             ("camera",), "Safety", GAPLESS,
-            _setup_surveillance, _drive_surveillance),
+            _setup_surveillance,
+            [(float(t), "cam1", {"object": "background"}) for t in range(1, 6)]
+            + [(6.0, "cam1", {"object": "stranger"})]),
 ]
 
 
@@ -261,6 +214,6 @@ def run_catalog_app(spec: AppSpec, *, seed: int = 42, duration: float = 45.0) ->
     app = spec.setup(home)
     home.deploy(app)
     home.start()
-    spec.drive(home)
+    home.play(spec.script)
     home.run_until(duration)
     return home

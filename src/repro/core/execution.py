@@ -217,17 +217,11 @@ class LogicRuntime:
         )
         interval = spec.trigger.interval
         if interval is not None:
-            self._arm_periodic(instance, interval)
+            # One repeating timer per window, cancelled on demotion.
+            self._periodic_timers.append(self.env.schedule_repeating(
+                interval, lambda: instance.fire(self.env.now())
+            ))
         return instance
-
-    def _arm_periodic(self, instance: WindowInstance, interval: float) -> None:
-        def tick() -> None:
-            if not self.active:
-                return
-            instance.fire(self.env.now())
-            self._periodic_timers.append(self.env.schedule(interval, tick))
-
-        self._periodic_timers.append(self.env.schedule(interval, tick))
 
     def _teardown_operator_state(self) -> None:
         if self._repair is not None:

@@ -14,7 +14,7 @@ Typical use::
     home.add_actuator("light1", kind="switch", processes=["hub"])
     home.deploy(app)           # an App built from Operators
     home.run_for(60.0)
-    home.sensor("door1").emit(True)   # or let a workload drive it
+    home.sensor("door1").emit(True)   # or script it: home.play(script)
 
 A home may instead join a shared :class:`~repro.sim.context.SimContext` as
 one tenant of a fleet (``Home(config, context=ctx, home_id="h0")``); see
@@ -44,6 +44,9 @@ from repro.sim.context import SimContext
 from repro.sim.faults import FaultError
 from repro.sim.random import RandomSource
 from repro.sim.tracing import Trace
+
+#: A workload script: ``(time, sensor, value)`` emissions; see :meth:`Home.play`.
+Script = Sequence[tuple[float, str, Any]]
 
 
 @dataclass
@@ -416,6 +419,17 @@ class Home:
                 name=name, category="actuator", technology=actuator.technology.name,
             )
         return info
+
+    def play(self, script: Script) -> "Home":
+        """Schedule every ``(t, sensor, value)`` emission of ``script``.
+
+        Entries are scheduled in list order, and entries for the same
+        instant fire in scheduling order — so a script's order is part of
+        the run, as the pinned digests record it.
+        """
+        for t, sensor, value in script:
+            self.scheduler.call_at(t, self.sensor(sensor).emit, value)
+        return self
 
     def run_until(self, deadline: float) -> "Home":
         self.start()

@@ -1,20 +1,21 @@
-"""One simulated case: scenario + fault plan + workload -> RunRecord.
+"""One simulated case: scenario + fault plan + script -> RunRecord.
 
 Every sim evaluation that judges a run with the oracles — a chaos cell, a
 device cell, the sim half of an rt cross-validation — is the same
 sequence, so it is written once: build the scenario's home, start it,
-apply the fault plan, arm the guarded cleanup, script the workload, run,
-cut the record. The order is part of the contract: entries scheduled for
-the same instant fire in insertion order, so plan -> cleanup -> workload
-is what the pinned digests were recorded with.
+apply the fault plan, arm the guarded cleanup, play the workload script,
+run, cut the record. Both the plan and the script are values, so a case
+is data end to end. The order is part of the contract: entries scheduled
+for the same instant fire in insertion order, so plan -> cleanup ->
+script is what the pinned digests were recorded with.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
-from repro.core.home import Home
-from repro.core.invariants import GroundTruth, RunRecord
+from repro.core.home import Home, Script
+from repro.core.invariants import RunRecord
 from repro.core.scenario import Scenario, build_sim_home
 from repro.sim.faults import FaultPlan
 from repro.sim.random import RandomSource
@@ -79,29 +80,27 @@ def run_case(
     *,
     seed: int,
     plan: FaultPlan,
-    workload: Callable[[Home], GroundTruth | None],
+    script: Script,
     until: float,
     cleanup_at: float | None = None,
     **config: Any,
 ) -> tuple[RunRecord, Home]:
-    """Run ``scenario`` on the simulator under ``plan`` and ``workload``.
+    """Run ``scenario`` on the simulator under ``plan``, playing ``script``.
 
-    ``workload(home)`` schedules the scripted emissions and may return the
-    ground truth the outcome oracles need; ``cleanup_at`` arms
-    :func:`cleanup` over the scenario's push links; ``config`` reaches
-    :class:`~repro.core.home.HomeConfig` through the builder.
+    ``cleanup_at`` arms :func:`cleanup` over the scenario's push links;
+    ``config`` reaches :class:`~repro.core.home.HomeConfig` through the
+    builder.
     """
     home = build_sim_home(scenario, seed=seed, **config)
     home.start()
     plan.apply(home)
     if cleanup_at is not None:
         home.scheduler.call_at(cleanup_at, cleanup, home, scenario.push_links)
-    truth = workload(home)
+    home.play(script)
     home.run_until(until)
     record = RunRecord.from_home(
         home,
         fault_free=len(plan) == 0,
         lossless=not any(a.kind == "set_link_loss" for a in plan.actions),
-        ground_truth=truth,
     )
     return record, home

@@ -97,18 +97,16 @@ def _generated_plan(mode: str, intensity: str, horizon: float, seed: int) -> Fau
     return FaultScheduleGenerator(domain, PROFILES[intensity], horizon).generate(seed)
 
 
-def _schedule_workload(home: Home, seed: int, horizon: float) -> None:
-    """Pre-schedule scripted push-sensor emissions from a dedicated stream.
+def chaos_workload(seed: int, horizon: float) -> list[tuple[float, str, bool]]:
+    """Scripted push-sensor emissions from a dedicated stream.
 
     The stream is independent of the fault plan, so the workload is
     identical whether a full plan or a shrunk reproducer is replayed.
     """
-    script = toggle_script(
+    return list(toggle_script(
         RandomSource(seed).child("chaos-workload"), _EMIT_MEANS,
         1.0, horizon * EMISSION_STOP_FRACTION,
-    )
-    for t, name, value in script:
-        home.scheduler.call_at(t, home.sensor(name).emit, value)
+    ))
 
 
 def run_chaos_case(
@@ -119,10 +117,10 @@ def run_chaos_case(
     *,
     gapless_options: GaplessOptions | None = None,
 ) -> tuple[list, Home]:
-    """One run: apply ``plan``, drive the workload, check every oracle."""
+    """One run: apply ``plan``, play the workload, check every oracle."""
     record, home = run_case(
         chaos_scenario(mode), seed=seed, plan=plan,
-        workload=lambda home: _schedule_workload(home, seed, horizon),
+        script=chaos_workload(seed, horizon),
         until=horizon, cleanup_at=horizon * CLEANUP_FRACTION,
         keep_trace_kinds=set(ORACLE_TRACE_KINDS),
         gapless_options=gapless_options or GaplessOptions(),
@@ -446,10 +444,10 @@ def device_domain() -> FaultDomain:
     )
 
 
-def _schedule_device_workload(
-    home: Home, seed: int, horizon: float
-) -> GroundTruth:
-    """Script the device scenario's day and return its ground truth.
+def device_workload(
+    seed: int, horizon: float
+) -> tuple[list[tuple[float, str, bool]], GroundTruth]:
+    """The device scenario's scripted day and its ground truth.
 
     Occupancy alternates in fixed blocks; motion sensors report presence
     on a fixed cadence, door sensors burst on every entry and exit,
@@ -459,7 +457,7 @@ def _schedule_device_workload(
     reproducer replays against the identical workload.
     """
     stop = horizon * EMISSION_STOP_FRACTION
-    sched = home.scheduler
+    script: list[tuple[float, str, bool]] = []
 
     occupied: list[tuple[float, float]] = []
     start = _WARMUP_S
@@ -471,33 +469,21 @@ def _schedule_device_workload(
     def is_occupied(t: float) -> bool:
         return any(s <= t < e for s, e in occupied)
 
+    def periodic(name: str, period: float, value: Callable[[float], bool]) -> None:
+        t = period + _DEVICE_OFFSETS[name]
+        while t < stop:
+            script.append((t, name, value(t)))
+            t += period
+
     for name in ("m1", "m2"):
-        sensor = home.sensor(name)
-        t = _MOTION_PERIOD_S + _DEVICE_OFFSETS[name]
-        while t < stop:
-            sched.call_at(t, sensor.emit, is_occupied(t))
-            t += _MOTION_PERIOD_S
-
-    def door_burst(at: float) -> None:
+        periodic(name, _MOTION_PERIOD_S, is_occupied)
+    for at in entries + tuple(e for _, e in occupied):  # every entry, then exit
         for name in ("d1", "d2"):
-            sensor = home.sensor(name)
-            off = _DEVICE_OFFSETS[name]
-            for i in range(3):
-                sched.call_at(at + off + 1.2 * i, sensor.emit, True)
-            for i in range(2):
-                sched.call_at(at + off + 9.0 + 1.2 * i, sensor.emit, False)
-
-    for entry_at in entries:
-        door_burst(entry_at)
-    for _, exit_at in occupied:
-        door_burst(exit_at)
-
+            t0 = at + _DEVICE_OFFSETS[name]
+            script.extend((t0 + 1.2 * i, name, True) for i in range(3))
+            script.extend((t0 + 9.0 + 1.2 * i, name, False) for i in range(2))
     for name in ("s1", "s2"):
-        sensor = home.sensor(name)
-        t = _SMOKE_PERIOD_S + _DEVICE_OFFSETS[name]
-        while t < stop:
-            sched.call_at(t, sensor.emit, False)
-            t += _SMOKE_PERIOD_S
+        periodic(name, _SMOKE_PERIOD_S, lambda t: False)
 
     rng = RandomSource(seed).child("device-workload").child("hazards")
     hazards: list[float] = []
@@ -510,13 +496,11 @@ def _schedule_device_workload(
     hazards.sort()
     for h in hazards:
         for name in ("s1", "s2"):
-            sensor = home.sensor(name)
-            off = _DEVICE_OFFSETS[name]
-            for i in range(3):
-                sched.call_at(h + off + 1.0 * i, sensor.emit, True)
-            sched.call_at(h + off + 40.0, sensor.emit, False)
+            t0 = h + _DEVICE_OFFSETS[name]
+            script.extend((t0 + 1.0 * i, name, True) for i in range(3))
+            script.append((t0 + 40.0, name, False))
 
-    return GroundTruth(
+    return script, GroundTruth(
         occupied=tuple(occupied),
         entries=entries,
         hazards=tuple(hazards),
@@ -528,12 +512,13 @@ def run_device_case(
     seed: int, horizon: float, plan: FaultPlan, repair: bool
 ) -> tuple[list, dict[str, int], Home]:
     """One device-scenario run: protocol violations, outcome counts, home."""
+    script, truth = device_workload(seed, horizon)
     record, home = run_case(
-        device_scenario(repair), seed=seed, plan=plan,
-        workload=lambda home: _schedule_device_workload(home, seed, horizon),
+        device_scenario(repair), seed=seed, plan=plan, script=script,
         until=horizon, cleanup_at=horizon * CLEANUP_FRACTION,
         keep_trace_kinds=set(ORACLE_TRACE_KINDS),
     )
+    record.ground_truth = truth
     outcome = {
         name: len(oracle(record)) for name, oracle in OUTCOME_ORACLES
     }

@@ -30,6 +30,7 @@ import math
 from typing import Any, NamedTuple
 
 from repro.apps.scenarios import scenario_named
+from repro.core.home import Script
 from repro.core.invariants import RunRecord, Violation, check_all
 from repro.core.scenario import Scenario
 from repro.eval import metrics
@@ -69,7 +70,7 @@ def workload_schedule(
 
 
 def run_sim_case(
-    scenario: Scenario, *, seed: int, duration: float, with_faults: bool = True
+    scenario: Scenario, *, seed: int, duration: float
 ) -> tuple[RunRecord, int]:
     """Run the scenario on the simulator; returns (record, events_emitted).
 
@@ -77,56 +78,43 @@ def run_sim_case(
     is the paper's reliable TCP, so a process -> process ``set_link_loss``
     has no sim analogue and is skipped here (docs/rt.md).
     """
-    schedule = workload_schedule(scenario, seed, duration)
-    actions = scenario.faults(duration).actions if with_faults else []
+    script = workload_schedule(scenario, seed, duration)
     plan = FaultPlan([
-        action for action in actions
+        action for action in scenario.faults(duration).actions
         if not (action.kind == "set_link_loss" and action.args[0] in scenario.processes)
     ])
-
-    def workload(home) -> None:
-        for t, sensor, value in schedule:
-            home.scheduler.call_at(t, home.sensor(sensor).emit, value)
-
     record, _ = run_case(
-        scenario, seed=seed, workload=workload, plan=plan,
+        scenario, seed=seed, plan=plan, script=script,
         # Settle tail: virtual time is free, give retransmissions room.
         until=duration + 3.0,
     )
-    return record, len(schedule)
+    return record, len(script)
 
 
 async def _drive(
-    harness: RtHarness, scenario: Scenario, *, seed: int, duration: float,
-    with_faults: bool,
-) -> int:
-    """Workload + fault plan, in wall time, on any harness."""
+    harness: RtHarness, scenario: Scenario, script: Script, duration: float
+) -> None:
+    """Play ``script`` and the scenario's fault plan, in wall time."""
     loop = asyncio.get_running_loop()
     t0 = loop.time()
-    driver = None
-    if with_faults:
-        driver = RtFaultDriver(harness)
-        driver.schedule(scenario.faults(duration))
-    schedule = workload_schedule(scenario, seed, duration)
-    for t, sensor, value in schedule:
-        target = t0 + t
-        delay = target - loop.time()
+    driver = RtFaultDriver(harness)
+    driver.schedule(scenario.faults(duration))
+    for t, sensor, value in script:
+        delay = t0 + t - loop.time()
         if delay > 0:
             await asyncio.sleep(delay)
         harness.emit(sensor, value)
     remaining = (t0 + duration) - loop.time()
     if remaining > 0:
         await asyncio.sleep(remaining)
-    if driver is not None:
-        driver.cancel()
-        await driver.drain()
+    driver.cancel()
+    await driver.drain()
     if scenario.poll_sensors:
         # Poll epochs generate steady-state traffic that never quiesces;
         # a short fixed settle drains the in-flight push events instead.
         await asyncio.sleep(0.8)
     else:
         await harness.quiesce(idle_for=0.4, timeout=8.0)
-    return len(schedule)
 
 
 class RtCase(NamedTuple):
@@ -140,7 +128,6 @@ class RtCase(NamedTuple):
 
 def run_rt_case(
     scenario: Scenario, *, seed: int, duration: float, mode: str = "subprocess",
-    with_faults: bool = True,
 ) -> RtCase:
     """Run the scenario on a real runtime, then check and measure it.
 
@@ -157,17 +144,16 @@ def run_rt_case(
     else:
         raise ValueError(f"unknown rt mode {mode!r} (in-process|subprocess)")
 
+    script = workload_schedule(scenario, seed, duration)
+
     async def run() -> RtCase:
         async with harness:
-            emitted = await _drive(
-                harness, scenario, seed=seed, duration=duration,
-                with_faults=with_faults,
-            )
+            await _drive(harness, scenario, script, duration)
             record = harness.run_record()
             if inspect.isawaitable(record):  # a ProcessHome harvests its children
                 record = await record
-            return RtCase(record, emitted, check_all(record),
-                          record_metrics(record, emitted))
+            return RtCase(record, len(script), check_all(record),
+                          record_metrics(record, len(script)))
 
     return asyncio.run(run())
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import operator
 from array import array
 from dataclasses import dataclass, field, replace
+from typing import Any
 
 from repro.core.delivery import Delivery, GAPLESS
 from repro.core.fleet import Fleet, default_id_format
@@ -290,8 +291,18 @@ FIG1_LINK_LOSS: dict[tuple[str, str], float] = {
 }
 
 
-def _declare_fig1_home(home: Home) -> tuple[list[str], list[str]]:
-    """Declare the Fig. 1 topology on ``home``; returns (motion, doors)."""
+def _fig1_config(seed: int, **fields: Any) -> HomeConfig:
+    """The Fig. 1 home's stack: heartbeats slowed to one per minute so
+    days stay cheap to simulate (no failures are injected), hourly kv sync
+    (no app state in this study), and no record kept — stream counts only."""
+    return HomeConfig(
+        seed=seed, heartbeat_interval=60.0, failure_detection_s=180.0,
+        kv_sync_interval=3600.0, keep_trace_kinds=set(), **fields,
+    )
+
+
+def _fig1_workload(home: Home, seed: int, occupancy: OccupancyConfig) -> OccupancyWorkload:
+    """Declare the Fig. 1 topology on ``home``; returns its residents' routine."""
     for name in ("hub", "tv", "fridge"):
         home.add_process(name, adapters=("zwave", "zigbee", "ip"))
     motion = [f"motion{i}" for i in range(1, 5)]
@@ -300,7 +311,15 @@ def _declare_fig1_home(home: Home) -> tuple[list[str], list[str]]:
         home.add_sensor(name, kind="motion")
     for name in doors:
         home.add_sensor(name, kind="door")
-    return motion, doors
+    return OccupancyWorkload(
+        home=home, motion_sensors=motion, door_sensors=doors,
+        rng=RandomSource(seed).child("occupancy"), config=occupancy,
+    )
+
+
+def _set_fig1_link_loss(home: Home) -> None:
+    for (sensor, process), loss in FIG1_LINK_LOSS.items():
+        home.set_link_loss(sensor, process, loss)
 
 
 def home_deployment(
@@ -309,29 +328,11 @@ def home_deployment(
     """The Fig. 1 study home: 3 processes, 4 motion + 2 door Z-Wave sensors.
 
     No application is deployed — the study measures raw reception skew.
-    Heartbeats are slowed to one per minute so 15 days stay cheap to
-    simulate without affecting the measurement (no failures are injected).
     """
-    config = HomeConfig(
-        seed=seed,
-        heartbeat_interval=60.0,
-        failure_detection_s=180.0,
-        kv_sync_interval=3600.0,  # no app state in this study
-        keep_trace_kinds=set(),  # stream counts only; store nothing
-    )
-    home = Home(config)
-    motion, doors = _declare_fig1_home(home)
-
-    workload = OccupancyWorkload(
-        home=home,
-        motion_sensors=motion,
-        door_sensors=doors,
-        rng=RandomSource(seed).child("occupancy"),
-        config=OccupancyConfig(days=days),
-    )
+    home = Home(_fig1_config(seed))
+    workload = _fig1_workload(home, seed, OccupancyConfig(days=days))
     home.start()
-    for (sensor, process), loss in FIG1_LINK_LOSS.items():
-        home.set_link_loss(sensor, process, loss)
+    _set_fig1_link_loss(home)
     return home, workload
 
 
@@ -359,7 +360,6 @@ def fleet_deployment(
     home_ids: list[str] | None = None,
     seed: int = 42,
     days: float = 1.0,
-    phase_jitter_h: float = FLEET_PHASE_JITTER_H,
 ) -> tuple[Fleet, dict[str, OccupancyWorkload]]:
     """N Fig. 1 homes interleaved in one scheduler, phases offset per home.
 
@@ -385,39 +385,21 @@ def fleet_deployment(
     workloads: dict[str, OccupancyWorkload] = {}
     for home_id in home_ids:
         home_seed = fleet.context.home_seed(home_id)
-        config = HomeConfig(
-            seed=home_seed,
-            heartbeat_interval=60.0,
-            failure_detection_s=180.0,
-            kv_sync_interval=3600.0,
-            keep_trace_kinds=set(),
-            trace_digest=True,
-        )
-        home = fleet.add_home(home_id, config=config)
-        motion, doors = _declare_fig1_home(home)
+        home = fleet.add_home(home_id, config=_fig1_config(home_seed, trace_digest=True))
         offset = RandomSource(home_seed).child("phase").uniform(
-            -phase_jitter_h, phase_jitter_h
+            -FLEET_PHASE_JITTER_H, FLEET_PHASE_JITTER_H
         )
         base = OccupancyConfig(days=days)
-        occupancy = replace(
+        workloads[home_id] = _fig1_workload(home, home_seed, replace(
             base,
             wake_hour=base.wake_hour + offset,
             leave_hour=base.leave_hour + offset,
             return_hour=base.return_hour + offset,
             sleep_hour=base.sleep_hour + offset,
-        )
-        workloads[home_id] = OccupancyWorkload(
-            home=home,
-            motion_sensors=motion,
-            door_sensors=doors,
-            rng=RandomSource(home_seed).child("occupancy"),
-            config=occupancy,
-        )
+        ))
 
     fleet.start()
     for home_id in home_ids:
-        home = fleet.home(home_id)
-        for (sensor, process), loss in FIG1_LINK_LOSS.items():
-            home.set_link_loss(sensor, process, loss)
+        _set_fig1_link_loss(fleet.home(home_id))
         workloads[home_id].schedule()
     return fleet, workloads

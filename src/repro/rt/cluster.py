@@ -102,12 +102,17 @@ class LocalCluster(RtHarness):
         self._process_names.append(name)
         return self
 
+    def _hosts(self, hosts: list[str] | None) -> list[str]:
+        """``None`` is every process; an empty list is none."""
+        return list(self._process_names) if hosts is None else hosts
+
     def add_push_sensor(
         self, name: str, *, receivers: list[str] | None = None
     ) -> "LocalCluster":
         """A software push sensor; events are injected at the receivers
-        (:meth:`emit` sizes each one)."""
-        self._push_receivers[name] = receivers or list(self._process_names)
+        (:meth:`emit` sizes each one). ``None`` means every process; an
+        empty list none, as ``Home.add_sensor(processes=)`` has it."""
+        self._push_receivers[name] = self._hosts(receivers)
         return self
 
     def add_poll_sensor(
@@ -126,13 +131,13 @@ class LocalCluster(RtHarness):
         delivery services its delay and staleness. ``loop.time()`` is not
         that clock.
         """
-        self._poll_receivers[name] = receivers or list(self._process_names)
+        self._poll_receivers[name] = self._hosts(receivers)
         self._poll_timing[name] = (service_time, default_epoch)
         self._poll_handlers[name] = handler
         return self
 
     def add_actuator(self, name: str, *, hosts: list[str] | None = None) -> "LocalCluster":
-        self._actuator_hosts[name] = hosts or list(self._process_names)
+        self._actuator_hosts[name] = self._hosts(hosts)
         return self
 
     def deploy(self, app: App) -> "LocalCluster":

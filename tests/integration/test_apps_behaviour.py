@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.catalog import TABLE1, run_catalog_app
+from repro.apps.catalog import TABLE1, run_catalog_app, spec_named
 from repro.apps.energy import energy_billing
 from repro.apps.hvac import temperature_hvac
 from repro.apps.intrusion import intrusion_detection
@@ -14,6 +14,17 @@ def test_all_catalog_apps_run_without_operator_errors():
         home = run_catalog_app(spec, duration=40.0)
         assert home.trace.count("operator_error") == 0, spec.key
         assert home.trace.count("logic_delivery") > 0, spec.key
+
+
+@pytest.mark.parametrize("key, windows", [
+    ("temperature-hvac", 4), ("activity-tracking", 1), ("energy-billing", 1),
+])
+def test_periodic_window_timers_do_not_grow_with_run_length(key, windows):
+    home = run_catalog_app(spec_named(key), duration=900.0)
+    active = [p.execution.runtimes[key] for p in home.processes.values()
+              if p.execution.runtimes[key].active]
+    assert len(active) == 1
+    assert len(active[0]._periodic_timers) <= windows
 
 
 @pytest.mark.parametrize("spec", TABLE1, ids=lambda s: s.key)

@@ -73,7 +73,7 @@ def device_fault_scenario_digest(seed: int = 11) -> str:
     from repro.apps.scenarios import device_scenario
     from repro.core.invariants import ORACLE_TRACE_KINDS
     from repro.core.scenario import build_sim_home
-    from repro.eval.chaos import _schedule_device_workload
+    from repro.eval.chaos import device_workload
 
     home = build_sim_home(
         device_scenario(repair=True), seed=seed,
@@ -92,7 +92,7 @@ def device_fault_scenario_digest(seed: int = 11) -> str:
             .stop_ghost("s1", at=1100.0)
             .replace_battery("m1", at=1200.0))
     plan.apply(home)
-    _schedule_device_workload(home, seed, 1800.0)
+    home.play(device_workload(seed, 1800.0)[0])
     home.run_until(1800.0)
     return home.trace.digest()
 
@@ -103,6 +103,36 @@ def test_device_fault_scenario_digest_pinned():
 
 def test_device_fault_scenario_seed_sensitivity():
     assert device_fault_scenario_digest(12) != DEVICE_FAULT_GOLDEN
+
+
+# Trace digest of every Table 1 app run end to end by its catalog script
+# (seed 42, 45 s). Pins the scripts, their order at a shared instant, and
+# the periodic-window timers of the windowed apps.
+TABLE1_DIGESTS = {
+    "occupancy-hvac": "03ef03487925b013faa4798a78eccd07",
+    "user-hvac": "dafaa53db30128c138a21cd0fed2f9f5",
+    "automated-lighting": "beb8dd7bfa1ec39931884e055adec925",
+    "appliance-alert": "0491aae0858838baca9dc44ccae546a3",
+    "activity-tracking": "fc3867e0f8d966fe0367f41c2944502d",
+    "fall-alert": "e5a9e4bb1f9ddb0db8b1000337a414b8",
+    "inactive-alert": "848c6ab2e03ebe227676b936c3fd649c",
+    "flood-fire-alert": "17566d3cf0e3916f3eb740a69544fa49",
+    "intrusion-detection": "0a20b21f6c4310ebbedaeb2eb6a173b1",
+    "energy-billing": "a006fdaa643c0baa5640c6638b36ace4",
+    "temperature-hvac": "f6830b9df9386bab313775a5c146c8ea",
+    "air-monitoring": "e70e31bfebe1cd17f798b1e9b65fbcb3",
+    "surveillance": "e88626308e3536117e6bf755230cbada",
+}
+
+
+def test_table1_app_digests_pinned():
+    from repro.apps.catalog import TABLE1, run_catalog_app
+
+    digests = {
+        spec.key: run_catalog_app(spec, seed=42, duration=45.0).trace.digest()
+        for spec in TABLE1
+    }
+    assert digests == TABLE1_DIGESTS
 
 
 def test_digest_matches_incremental_hasher():
@@ -121,28 +151,18 @@ def test_digest_matches_incremental_hasher():
 def fig1_home_run(keep_kinds, subscribe_to=None, seed: int = 7):
     """The Fig. 1 home with a streaming digest, from midnight until the
     residents have left for work; returns (digest, counts)."""
-    from repro.core.home import Home, HomeConfig
-    from repro.eval.workloads import (
-        FIG1_LINK_LOSS,
-        OccupancyConfig,
-        OccupancyWorkload,
-        _declare_fig1_home,
-    )
-    from repro.sim.random import RandomSource
+    from dataclasses import replace
 
-    home = Home(HomeConfig(
-        seed=seed, heartbeat_interval=60.0, failure_detection_s=180.0,
-        kv_sync_interval=3600.0, keep_trace_kinds=keep_kinds, trace_digest=True,
-    ))
-    motion, doors = _declare_fig1_home(home)
-    workload = OccupancyWorkload(
-        home=home, motion_sensors=motion, door_sensors=doors,
-        rng=RandomSource(seed).child("occupancy"),
-        config=OccupancyConfig(days=1.0),
+    from repro.core.home import Home
+    from repro.eval.workloads import (
+        OccupancyConfig, _fig1_config, _fig1_workload, _set_fig1_link_loss,
     )
+
+    config = _fig1_config(seed, trace_digest=True)
+    home = Home(replace(config, keep_trace_kinds=keep_kinds))
+    workload = _fig1_workload(home, seed, OccupancyConfig(days=1.0))
     home.start()
-    for (sensor, process), loss in FIG1_LINK_LOSS.items():
-        home.set_link_loss(sensor, process, loss)
+    _set_fig1_link_loss(home)
     if subscribe_to is not None:
         home.trace.subscribe(lambda event: None, kinds=subscribe_to)
     workload.schedule()

@@ -238,7 +238,6 @@ def test_run_chaos_case_is_the_hand_written_sequence(monkeypatch, mode, faulted)
 def test_chaos_scenario_passes_every_oracle_on_a_local_cluster(mode):
     record, emitted, violations, _metrics = run_rt_case(
         chaos_scenario(mode), seed=7, duration=4.0, mode="in-process",
-        with_faults=False,
     )
     assert violations == [], [str(v) for v in violations]
     assert emitted >= 10

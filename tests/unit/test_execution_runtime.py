@@ -77,6 +77,18 @@ def test_periodic_time_window_fires_while_active():
     assert seen[0] == 1 and seen[1] == 0
 
 
+def test_periodic_windows_hold_one_timer_each_however_long_they_run():
+    seen = []
+    op = Operator("L", on_window=lambda ctx, c: seen.append(len(c.all_events())))
+    op.add_sensor("s", GAP, TimeWindow(1.0))
+    op.add_sensor("t", GAP, TimeWindow(2.0))
+    rig = Rig(App("a", op))
+    runtime = rig.service.runtimes["a"]
+    rig.run(500.5)
+    assert len(seen) == 500 + 250   # every tick of both windows fired
+    assert len(runtime._periodic_timers) <= 2
+
+
 def test_duplicate_events_processed_once():
     seen = []
     op = Operator("L", on_window=lambda ctx, c: seen.append(c.all_values()))

@@ -10,6 +10,7 @@ harnesses are exercised unstarted.
 import pytest
 
 from repro.apps.scenarios import scenario_named
+from repro.core.home import Home
 from repro.rt import LocalCluster
 from repro.rt.cluster import build_cluster
 from repro.rt.harness import RtHarness
@@ -99,3 +100,28 @@ def test_a_poll_sensor_has_no_lossy_link_on_either_harness(build):
     with pytest.raises(FaultError, match="'t1' -> 'hub'"):
         harness.set_link_loss("t1", "hub", 0.5)
     assert _untouched(harness)
+
+
+def test_an_empty_host_list_links_no_process_on_either_home():
+    """``[]`` means no process and ``None`` every process, on both homes."""
+    home, cluster = Home(seed=1), LocalCluster()
+    for name in ("p0", "p1"):
+        home.add_process(name, adapters=("ip", "zwave"))
+        cluster.add_process(name)
+    for hosts in ([], None):
+        suffix = "none" if hosts == [] else "all"
+        home.add_sensor(f"m-{suffix}", kind="motion", technology="ip", processes=hosts)
+        home.add_sensor(f"t-{suffix}", kind="temperature", processes=hosts)
+        home.add_actuator(f"a-{suffix}", technology="ip", processes=hosts)
+        cluster.add_push_sensor(f"m-{suffix}", receivers=hosts)
+        cluster.add_poll_sensor(f"t-{suffix}", lambda sensor, respond: None,
+                                receivers=hosts)
+        cluster.add_actuator(f"a-{suffix}", hosts=hosts)
+    home.start()
+    sensors = {**cluster._push_receivers, **cluster._poll_receivers}
+    assert home.plan.sensor_hosts == sensors == {
+        "m-none": [], "t-none": [], "m-all": ["p0", "p1"], "t-all": ["p0", "p1"],
+    }
+    assert home.plan.actuator_hosts == cluster._actuator_hosts == {
+        "a-none": [], "a-all": ["p0", "p1"],
+    }
