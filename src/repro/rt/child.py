@@ -22,12 +22,13 @@ Being a real process is the point: the parent can SIGKILL it mid-run and
 the survivors must detect the death over real TCP silence. Observations
 must survive that kill, so the child does what a real deployment does:
 every trace record and actuation is appended to an on-disk journal
-(line-buffered, one JSON line per record). SIGKILL loses at most a
-partially written final line — the page cache keeps the rest — and the
-parent merges all journals, dead children's included, into the final
-:class:`~repro.core.invariants.RunRecord`. The write happens *before*
-any downstream protocol effect (watermark replication, acks), so a
-record another process acts upon is always on disk. The journal is the
+(unbuffered, one binary record per ``write``, in the frames' codec).
+SIGKILL loses at most a partially written final record — the page cache
+keeps the rest — and the parent merges all journals, dead children's
+included, into the final :class:`~repro.core.invariants.RunRecord`.
+The write happens *before* any downstream protocol effect (watermark
+replication, acks), so a record another process acts upon is always on
+disk. The journal is the
 child's only full record: its in-memory trace keeps no record and only
 counts, which is all a report reads.
 
@@ -72,31 +73,29 @@ def _atomic_write_json(path: str, payload: dict[str, Any]) -> None:
     os.replace(tmp, path)
 
 
-#: One journal line: plain ``json.dumps`` layout, the frames' tag table.
-_journal_line = json.JSONEncoder(default=wire.tag_default).encode
-
-
 class JournalTrace(Trace):
-    """An aggregate-only Trace that appends every record to a line-buffered
-    journal: the file keeps the records, memory only the counts.
+    """An aggregate-only Trace that appends every record to an unbuffered
+    binary journal: the file keeps the records, memory only the counts.
 
-    Line buffering flushes each record to the OS on the newline, so a
-    SIGKILL loses nothing already recorded (the page cache survives the
-    process); only a torn final line is possible, which readers skip.
+    Each record is one :func:`repro.rt.wire.encode_record` (the frames'
+    codec) written by one ``write`` call, so a SIGKILL loses nothing
+    already recorded (the page cache survives the process); only a torn
+    final record is possible, which :func:`repro.rt.wire.decode_records`
+    stops before.
     """
 
     def __init__(self, path: str) -> None:
         super().__init__(keep_kinds=set())
-        self._journal = open(path, "a", encoding="utf-8", buffering=1)
+        self._journal = open(path, "ab", buffering=0)
 
     def record(self, time: float, kind: str, /, **fields: Any) -> None:
         super().record(time, kind, **fields)
-        self._journal.write(_journal_line(["trace", time, kind, fields]) + "\n")
+        self._journal.write(wire.encode_record(["trace", time, kind, fields]))
 
     def journal_actuation(self, time: float, actuator: str, command_id: tuple,
                           action: str, value: Any) -> None:
-        self._journal.write(_journal_line(
-            ["actuation", time, actuator, command_id, action, value]) + "\n")
+        self._journal.write(wire.encode_record(
+            ["actuation", time, actuator, command_id, action, value]))
 
 
 class _ChildNode:

@@ -60,18 +60,12 @@ from repro.sim.tracing import Trace
 
 
 def _read_journal(path: str) -> list[list]:
-    """Parse a child's journal, skipping a torn (SIGKILL-cut) final line."""
-    entries: list[list] = []
+    """A child's journal records, up to a torn (SIGKILL-cut) final record."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                try:
-                    entries.append(json.loads(line, object_hook=wire.untag_hook))
-                except json.JSONDecodeError:
-                    break  # torn tail: everything before it is intact
+        with open(path, "rb") as fh:
+            return wire.decode_records(fh.read())
     except OSError:
-        pass  # child died before writing anything
-    return entries
+        return []  # child died before writing anything
 
 
 class ProcessNode:
@@ -333,7 +327,7 @@ class ProcessHome(RtHarness):
                     entries.append((t, kind, fields))
                 elif entry[0] == "actuation":
                     _tag, t, actuator, command_id, action, value = entry
-                    actuations.append((actuator, tuple(command_id), t))
+                    actuations.append((actuator, command_id, t))
                     applied.append((actuator, action, value, t))
         merged = Trace(keep_kinds=set(ORACLE_TRACE_KINDS))
         for t, kind, fields in sorted(entries, key=lambda item: item[0]):

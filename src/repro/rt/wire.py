@@ -1,43 +1,71 @@
-"""Wire format for the asyncio runtime: versioned length-prefixed JSON frames.
+"""Wire format for the asyncio runtime: versioned length-prefixed binary frames.
 
-Every frame is ``1-byte version || 4-byte big-endian length || UTF-8 JSON``.
+Every frame is ``1-byte version || 4-byte big-endian length || body``.
 The version byte and the :data:`MAX_FRAME` sanity bound exist to fail
 *loudly*: a peer speaking a different frame revision, or a corrupted length
 prefix pointing megabytes into garbage, raises :class:`WireError` at the
 frame boundary instead of silently desyncing the stream and misparsing
 every subsequent byte.
 
-The body (version 2) is positional, like the paper's own serializer
-(§8.2): the array ``[kind, src, dst, payload]``, with ``kind`` first so
-:func:`frame_kind` peeks it from the prefix and ``payload`` a JSON object.
-Rivulet payloads contain a handful of non-JSON types which are encoded as
-single-key tag objects, by the one ``default=`` / ``object_hook=`` pair
-(:func:`tag_default`, :func:`untag_hook`) frames and journals share:
+The body (version 3) is struct-only binary, like the paper's own compact
+serializer (§8.2)::
 
-- :class:`repro.core.events.Event` ->
-  ``{"__event__": [sensor_id, seq, emitted_at, value, size_bytes, epoch]}``
-- :class:`repro.core.events.Command` ->
-  ``{"__command__": [actuator_id, seq, issued_at, action, value, size_bytes,
-  issued_by]}``
-- :class:`repro.net.wire.ProcessIdSet` -> ``{"__pidset__": [...]}``
-- ``set`` / ``frozenset`` -> ``{"__set__": [...]}`` (decodes as ``frozenset``)
-- tuples decode as lists — protocol code treats sequence payloads
-  structurally (the Gapless sync already normalizes its range pairs).
+    u16 header_len || header || values
 
-The event and command arrays follow the dataclasses' field order, read
-once at import. The four tag keys are reserved: a payload dict whose one
-key is a tag decodes as that type, or raises :class:`WireError` when its
-value is not an array the type can be built from.
+The header is ``u8 n_keys`` and then ``n_keys + 3`` names, each ``u8 len
+|| UTF-8``: kind, src, dst, then the payload keys in dict order. The kind
+sits at a fixed offset, so :func:`frame_kind` is one slice. The payload
+values follow in header-key order, each one tag byte and its body (all
+integers big-endian):
+
+=======  ==================  ===============================================
+tag      type                body
+=======  ==================  ===============================================
+``N``    ``None``            --
+``T``    ``True``            --
+``F``    ``False``           --
+``i``    ``int`` (int64)     ``q``
+``I``    ``int`` (other)     ``u32 n`` || n bytes, two's complement
+``f``    ``float``           ``d``
+``s``    ``str``             ``u32 n`` || n bytes UTF-8
+``b``    ``bytes``           ``u32 n`` || n bytes
+``l``    ``list``            ``u32 count`` || count values
+``t``    ``tuple``           ``u32 count`` || count values
+``d``    ``dict``            ``u32 count`` || count (key value) pairs
+``S``    ``set``/frozenset   ``u32 count`` || the members sorted
+``E``    ``Event``           ``q d q`` (seq, emitted_at, size_bytes)
+                             || sensor_id value epoch
+``C``    ``Command``         ``q d q`` (seq, issued_at, size_bytes)
+                             || actuator_id action value issued_by
+``P``    ``ProcessIdSet``    ``u32 n`` || n bytes: the names sorted, each
+                             ``u8 len || UTF-8``
+=======  ==================  ===============================================
+
+Dispatch is on the exact type, so a payload decodes to equal values of
+identical ``type()`` at every level — tuples stay tuples, int dict keys
+stay ints — except ``set``, which decodes as ``frozenset``. Anything else
+(a subclass, an ``Event`` whose seq is not an int) is refused on encode.
+
+A journal (:class:`repro.rt.child.JournalTrace`) is a file of records,
+each ``u32 length || one value`` in the same layout
+(:func:`encode_record`, :func:`decode_records`).
+
+Decoding is struct only: no ``pickle``, ``marshal`` or ``eval``. Every
+length and count is checked against the bytes left before it is used,
+nesting stops at :data:`MAX_DEPTH`, and an unknown tag, trailing bytes, a
+duplicate payload key or bad UTF-8 raise :class:`WireError`, the only
+exception that leaves :func:`decode_body`, :func:`split_frame`,
+:func:`read_frames` and :func:`decode_records`. A running home repeats a
+few headers and process-id sets, so both directions of each are memoized
+in module-level tables that stop growing at :data:`MEMO_CAP` entries.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
-import json
-import operator
 import struct
 from collections import deque
+from itertools import chain
 from typing import Any
 
 from repro.core.events import Command, Event
@@ -45,7 +73,7 @@ from repro.net.message import Message
 from repro.net.wire import ProcessIdSet
 
 #: Current frame revision. Bump on any incompatible framing/body change.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 #: ``version byte || body length``.
 _HEADER = struct.Struct(">BI")
@@ -60,83 +88,370 @@ MAX_FRAME = 16 * 1024 * 1024
 #: Bytes asked of the stream per read (the StreamReader's own buffer limit).
 _READ_CHUNK = 64 * 1024
 
+#: Deepest container nesting either direction accepts.
+MAX_DEPTH = 32
+
+#: Entries a memo table holds at most; inserts stop at the cap.
+MEMO_CAP = 4096
+
 
 class WireError(ValueError):
     """Malformed frame, wrong frame version, or unserializable payload."""
 
 
-#: The tagged types' array layouts: their dataclass field order, read once.
-EVENT_FIELDS = tuple(f.name for f in dataclasses.fields(Event))
-COMMAND_FIELDS = tuple(f.name for f in dataclasses.fields(Command))
-_event_row = operator.attrgetter(*EVENT_FIELDS)
-_command_row = operator.attrgetter(*COMMAND_FIELDS)
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_pack_i64 = struct.Struct(">Bq").pack
+_pack_f64 = struct.Struct(">Bd").pack
+_pack_sized = struct.Struct(">BI").pack
+_pack_stamp = struct.Struct(">Bqdq").pack
+_STAMP = struct.Struct(">qdq")  # an Event's or Command's seq, time, size_bytes
+_unpack_u32 = _U32.unpack_from
+
+_NONE, _TRUE, _FALSE = b"NTF"
+_INT, _BIGINT, _FLOAT, _STR, _BYTES = b"iIfsb"
+_LIST, _TUPLE, _DICT, _SET = b"ltdS"
+_EVENT, _COMMAND, _PIDSET = b"ECP"
+
+# The memo tables.
+_HEADS_OUT: dict[tuple, bytes] = {}      # (kind, src, dst, *keys) -> u16 len || header
+_HEADS_IN: dict[bytes, tuple] = {}       # header -> (kind, src, dst, keys)
+_PIDSETS_OUT: dict[ProcessIdSet, bytes] = {}  # set -> its tagged value
+_PIDSETS_IN: dict[bytes, ProcessIdSet] = {}   # names image -> set
 
 
-def tag_default(value: Any) -> Any:
-    """``json`` ``default=`` hook: the tagged form of a non-JSON payload type.
-
-    The encoder walks whatever this returns, so nested values (an ``Event``
-    inside ``Event.value``, a set of sets) are tagged by the same hook.
-    """
-    if isinstance(value, Event):
-        return {"__event__": _event_row(value)}
-    if isinstance(value, Command):
-        return {"__command__": _command_row(value)}
-    if isinstance(value, ProcessIdSet):
-        return {"__pidset__": sorted(value)}
-    if isinstance(value, (set, frozenset)):
-        return {"__set__": sorted(value)}
-    raise WireError(f"cannot serialize {type(value).__name__} on the wire")
+# -- encoding ------------------------------------------------------------------------
 
 
-#: tag -> (type, arity): built positionally from an array of exactly that
-#: many fields, or (no arity) from the whole array, as the set types are.
-_UNTAG: dict[str, tuple[type, int | None]] = {
-    "__event__": (Event, len(EVENT_FIELDS)),
-    "__command__": (Command, len(COMMAND_FIELDS)),
-    "__pidset__": (ProcessIdSet, None),
-    "__set__": (frozenset, None),
+def _name(name: Any) -> bytes:
+    if type(name) is not str:
+        raise WireError(f"name {name!r} is not a str")
+    raw = name.encode()
+    if len(raw) > 255:
+        raise WireError(f"name of {len(raw)} bytes is over 255")
+    return bytes((len(raw),)) + raw
+
+
+def _encode_header(key: tuple) -> bytes:
+    if len(key) > 258:
+        raise WireError(f"{len(key) - 3} payload keys, over 255")
+    head = bytes((len(key) - 3,)) + b"".join(map(_name, key))
+    if len(head) > 0xFFFF:
+        raise WireError(f"header of {len(head)} bytes")
+    head = _U16.pack(len(head)) + head
+    if len(_HEADS_OUT) < MEMO_CAP:
+        _HEADS_OUT[key] = head
+    return head
+
+
+def _put_fields(out: bytearray, values, depth: int) -> None:
+    if depth >= MAX_DEPTH:
+        raise WireError(f"payload nests deeper than {MAX_DEPTH}")
+    depth += 1
+    for value in values:
+        _PUT[type(value)](out, value, depth)
+
+
+def _put_items(out: bytearray, tag: int, items, depth: int) -> None:
+    out += _pack_sized(tag, len(items))
+    _put_fields(out, items, depth)
+
+
+def _put_int(out: bytearray, value: int, depth: int) -> None:
+    try:
+        out += _pack_i64(_INT, value)
+    except struct.error:  # outside int64
+        size = value.bit_length() // 8 + 1
+        out += _pack_sized(_BIGINT, size)
+        out += value.to_bytes(size, "big", signed=True)
+
+
+def _put_sized(out: bytearray, tag: int, raw: bytes) -> None:
+    out += _pack_sized(tag, len(raw))
+    out += raw
+
+
+def _put_dict(out: bytearray, value: dict, depth: int) -> None:
+    out += _pack_sized(_DICT, len(value))
+    _put_fields(out, chain.from_iterable(value.items()), depth)
+
+
+def _stamp(tag: int, seq: Any, at: Any, size: Any) -> bytes:
+    # Written as int64, float64, int64: anything else would not come back
+    # with its own type.
+    if type(seq) is not int or type(at) is not float or type(size) is not int:
+        raise WireError(
+            f"{chr(tag)} stamp must be (int, float, int), not "
+            f"({type(seq).__name__}, {type(at).__name__}, {type(size).__name__})")
+    return _pack_stamp(tag, seq, at, size)
+
+
+def _put_event(out: bytearray, event: Event, depth: int) -> None:
+    out += _stamp(_EVENT, event.seq, event.emitted_at, event.size_bytes)
+    _put_fields(out, (event.sensor_id, event.value, event.epoch), depth)
+
+
+def _put_command(out: bytearray, command: Command, depth: int) -> None:
+    out += _stamp(_COMMAND, command.seq, command.issued_at, command.size_bytes)
+    _put_fields(out, (command.actuator_id, command.action, command.value,
+                      command.issued_by), depth)
+
+
+def _put_pidset(out: bytearray, ids: ProcessIdSet, depth: int) -> None:
+    image = _PIDSETS_OUT.get(ids)
+    if image is None:
+        names = b"".join(map(_name, sorted(ids)))
+        image = _pack_sized(_PIDSET, len(names)) + names
+        if len(_PIDSETS_OUT) < MEMO_CAP:
+            _PIDSETS_OUT[ids] = image
+    out += image
+
+
+#: exact type -> writer of its tag and body.
+_PUT = {
+    type(None): lambda out, value, depth: out.append(_NONE),
+    bool: lambda out, value, depth: out.append(_TRUE if value else _FALSE),
+    int: _put_int,
+    float: lambda out, value, depth: out.extend(_pack_f64(_FLOAT, value)),
+    str: lambda out, value, depth: _put_sized(out, _STR, value.encode()),
+    bytes: lambda out, value, depth: _put_sized(out, _BYTES, value),
+    list: lambda out, value, depth: _put_items(out, _LIST, value, depth),
+    tuple: lambda out, value, depth: _put_items(out, _TUPLE, value, depth),
+    set: lambda out, value, depth: _put_items(out, _SET, sorted(value), depth),
+    frozenset: lambda out, value, depth: _put_items(out, _SET, sorted(value), depth),
+    dict: _put_dict,
+    Event: _put_event,
+    Command: _put_command,
+    ProcessIdSet: _put_pidset,
 }
 
 
-def untag_hook(obj: dict[str, Any]) -> Any:
-    """``json`` ``object_hook=``: inverse of :func:`tag_default`.
-
-    Called bottom-up on every decoded object, so by the time a tag object
-    is seen its nested values are already untagged.
-    """
-    if len(obj) != 1:
-        return obj
-    (tag, row), = obj.items()
-    untag = _UNTAG.get(tag)
-    if untag is None:
-        return obj
-    cls, arity = untag
-    if type(row) is not list or (arity is not None and len(row) != arity):
-        raise WireError(f"malformed {tag} tag: not an array of {arity or 'members'}")
+def _put_all(out: bytearray, values, what: str) -> None:
     try:
-        return cls(*row) if arity else cls(row)
-    except TypeError as exc:  # an unhashable set member
-        raise WireError(f"malformed {tag} tag: {exc}") from exc
-
-
-_ENCODER = json.JSONEncoder(separators=(",", ":"), default=tag_default)
-_DECODER = json.JSONDecoder(object_hook=untag_hook)
+        _put_fields(out, values, -1)
+    except KeyError as exc:  # a type _PUT has no writer for
+        raise WireError(f"cannot serialize {exc.args[0].__name__} in {what}") from None
+    except (TypeError, struct.error, UnicodeEncodeError) as exc:
+        # Unorderable set members, a stamp field past int64, a lone surrogate.
+        raise WireError(f"cannot serialize {what}: {exc}") from exc
 
 
 def encode_message(message: Message) -> bytes:
     """One message as a complete frame (version + length prefix included)."""
+    payload = message.payload
+    key = (message.kind, message.src, message.dst, *payload)
+    out = bytearray(HEADER_SIZE)
+    out += _HEADS_OUT.get(key) or _encode_header(key)
+    _put_all(out, payload.values(), repr(message.kind))
+    size = len(out) - HEADER_SIZE
+    if size > MAX_FRAME:
+        raise WireError(f"frame of {size} bytes exceeds MAX_FRAME")
+    _HEADER.pack_into(out, 0, WIRE_VERSION, size)
+    return bytes(out)
+
+
+def encode_record(value: Any) -> bytes:
+    """One journal record: ``u32 length || value``."""
+    out = bytearray(_U32.size)
+    _put_all(out, (value,), "a journal record")
+    size = len(out) - _U32.size
+    if size > MAX_FRAME:
+        raise WireError(f"journal record of {size} bytes exceeds MAX_FRAME")
+    _U32.pack_into(out, 0, size)
+    return bytes(out)
+
+
+# -- decoding ------------------------------------------------------------------------
+#
+# A reader takes the buffer, the position just past its tag and the
+# nesting depth, and returns ``(value, position after it)``.
+
+
+def _span(buf: bytes, pos: int) -> tuple[bytes, int]:
+    start = pos + 4
+    end = start + _unpack_u32(buf, pos)[0]
+    if end > len(buf):
+        raise WireError(f"length runs {end - len(buf)} bytes past the end")
+    return buf[start:end], end
+
+
+def _count(buf: bytes, pos: int, width: int) -> int:
+    """A container's item count, checked: each item takes a byte at least."""
+    count = _unpack_u32(buf, pos)[0]
+    if count * width > len(buf) - pos - 4:
+        raise WireError(f"count {count} runs past the end")
+    return count
+
+
+def _get_fields(buf: bytes, pos: int, depth: int, count: int) -> tuple[list, int]:
+    if depth >= MAX_DEPTH:
+        raise WireError(f"payload nests deeper than {MAX_DEPTH}")
+    items = []
+    depth += 1
+    for _ in range(count):
+        item, pos = _GET[buf[pos]](buf, pos + 1, depth)
+        items.append(item)
+    return items, pos
+
+
+def _get_sequence(build: type):
+    """The reader of a ``u32 count || values`` container built as ``build``."""
+    def read(buf: bytes, pos: int, depth: int) -> tuple[Any, int]:
+        items, pos = _get_fields(buf, pos + 4, depth, _count(buf, pos, 1))
+        return build(items), pos
+    return read
+
+
+def _get_dict(buf: bytes, pos: int, depth: int) -> tuple[dict, int]:
+    count = _count(buf, pos, 2)
+    parts, pos = _get_fields(buf, pos + 4, depth, 2 * count)
+    result = dict(zip(parts[::2], parts[1::2]))
+    if len(result) != count:
+        raise WireError("duplicate dict key")
+    return result, pos
+
+
+def _get_fixed(fmt: str):
+    """The reader of one fixed-width ``struct`` field."""
+    unpack, size = struct.Struct(fmt).unpack_from, struct.calcsize(fmt)
+    return lambda buf, pos, depth: (unpack(buf, pos)[0], pos + size)
+
+
+def _get_bigint(buf: bytes, pos: int, depth: int) -> tuple[int, int]:
+    raw, pos = _span(buf, pos)
+    return int.from_bytes(raw, "big", signed=True), pos
+
+
+def _get_str(buf: bytes, pos: int, depth: int) -> tuple[str, int]:
+    raw, pos = _span(buf, pos)
+    return raw.decode(), pos
+
+
+def _get_event(buf: bytes, pos: int, depth: int) -> tuple[Event, int]:
+    seq, at, size = _STAMP.unpack_from(buf, pos)
+    (sensor_id, value, epoch), pos = _get_fields(buf, pos + _STAMP.size, depth, 3)
+    return Event(sensor_id, seq, at, value, size, epoch), pos
+
+
+def _get_command(buf: bytes, pos: int, depth: int) -> tuple[Command, int]:
+    seq, at, size = _STAMP.unpack_from(buf, pos)
+    (actuator, action, value, issued_by), pos = _get_fields(
+        buf, pos + _STAMP.size, depth, 4)
+    return Command(actuator, seq, at, action, value, size, issued_by), pos
+
+
+def _names(data: bytes, pos: int) -> list[str]:
+    """Every ``u8 len || UTF-8`` name from ``pos`` to the end of ``data``."""
+    names = []
+    while pos < len(data):
+        end = pos + 1 + data[pos]
+        if end > len(data):
+            raise WireError("a name runs past the end")
+        names.append(data[pos + 1:end].decode())
+        pos = end
+    return names
+
+
+def _get_pidset(buf: bytes, pos: int, depth: int) -> tuple[ProcessIdSet, int]:
+    raw, pos = _span(buf, pos)
+    ids = _PIDSETS_IN.get(raw)
+    if ids is None:
+        ids = ProcessIdSet(_names(raw, 0))
+        if len(_PIDSETS_IN) < MEMO_CAP:
+            _PIDSETS_IN[raw] = ids
+    return ids, pos
+
+
+def _unknown_tag(buf: bytes, pos: int, depth: int):
+    raise WireError(f"unknown value tag {buf[pos - 1]:#04x}")
+
+
+_READERS = {
+    _NONE: lambda buf, pos, depth: (None, pos),
+    _TRUE: lambda buf, pos, depth: (True, pos),
+    _FALSE: lambda buf, pos, depth: (False, pos),
+    _INT: _get_fixed(">q"),
+    _BIGINT: _get_bigint,
+    _FLOAT: _get_fixed(">d"),
+    _STR: _get_str,
+    _BYTES: lambda buf, pos, depth: _span(buf, pos),
+    _LIST: _get_sequence(list),
+    _TUPLE: _get_sequence(tuple),
+    _DICT: _get_dict,
+    _SET: _get_sequence(frozenset),
+    _EVENT: _get_event,
+    _COMMAND: _get_command,
+    _PIDSET: _get_pidset,
+}
+#: tag byte -> reader.
+_GET = [_READERS.get(tag, _unknown_tag) for tag in range(256)]
+
+#: What a malformed body raises before it reaches a check of its own: a
+#: fixed-width field cut short, a tag past the end, an unhashable dict key
+#: or set member, bad UTF-8.
+_DECODE_ERRORS = (struct.error, IndexError, TypeError, UnicodeDecodeError)
+
+
+def _read_header(head: bytes) -> tuple:
+    if not head:
+        raise WireError("empty frame header")
+    names = _names(head, 1)
+    if len(names) != head[0] + 3:
+        raise WireError(f"frame header holds {len(names)} names, not {head[0] + 3}")
+    kind, src, dst, *keys = names
+    if len(set(keys)) != len(keys):
+        raise WireError("duplicate payload key")
+    fields = (kind, src, dst, tuple(keys))
+    if len(_HEADS_IN) < MEMO_CAP:
+        _HEADS_IN[head] = fields
+    return fields
+
+
+def decode_body(body: bytes) -> Message:
+    """The message a frame body carries; :class:`WireError` if it is not a
+    version-3 body."""
     try:
-        body = _ENCODER.encode(
-            [message.kind, message.src, message.dst, message.payload]
-        ).encode("utf-8")
-    except (TypeError, ValueError, RecursionError) as exc:
-        # An untaggable value (WireError is a ValueError), a dict key json
-        # cannot stringify, unorderable set members, a self-containing payload.
-        raise WireError(f"cannot serialize {message.kind!r}: {exc}") from exc
-    if len(body) > MAX_FRAME:
-        raise WireError(f"frame of {len(body)} bytes exceeds MAX_FRAME")
-    return _HEADER.pack(WIRE_VERSION, len(body)) + body
+        end = 2 + _U16.unpack_from(body)[0]
+        if end > len(body):
+            raise WireError("frame header runs past the end of the body")
+        head = body[2:end]
+        kind, src, dst, keys = _HEADS_IN.get(head) or _read_header(head)
+        payload = {}
+        for key in keys:
+            payload[key], end = _GET[body[end]](body, end + 1, 0)
+    except _DECODE_ERRORS as exc:
+        raise WireError(f"malformed frame body: {exc!r}") from exc
+    if end != len(body):
+        raise WireError(f"{len(body) - end} trailing bytes after the payload")
+    return Message(kind, src, dst, payload)
+
+
+def decode_records(data: bytes) -> list:
+    """Every complete journal record in ``data``, in order.
+
+    A record whose length runs past the end is a torn tail (a writer
+    killed mid-record): reading stops there, before it. A complete record
+    that does not decode, or a length over :data:`MAX_FRAME` (a file this
+    codec did not write), raises :class:`WireError`.
+    """
+    records, pos = [], 0
+    while len(data) - pos >= _U32.size:
+        size = _unpack_u32(data, pos)[0]
+        if size > MAX_FRAME:  # not a journal this codec wrote
+            raise WireError(f"journal record of {size} bytes exceeds MAX_FRAME")
+        start = pos + _U32.size
+        pos = start + size
+        if pos > len(data):
+            break
+        record = data[start:pos]
+        try:
+            value, end = _GET[record[0]](record, 1, 0)
+        except _DECODE_ERRORS as exc:
+            raise WireError(f"malformed journal record: {exc!r}") from exc
+        if end != len(record):
+            raise WireError(f"{len(record) - end} trailing bytes in a journal record")
+        records.append(value)
+    return records
 
 
 def split_frame(frame: bytes) -> tuple[int, bytes]:
@@ -151,60 +466,26 @@ def split_frame(frame: bytes) -> tuple[int, bytes]:
     return version, body
 
 
-_KIND_AT = HEADER_SIZE + len(b'["')
+#: Where the kind's length byte sits: past the frame header, the u16
+#: header length and the u8 key count.
+_KIND_AT = HEADER_SIZE + 3
 
 
 def frame_kind(frame: bytes) -> str | None:
-    """The message ``kind`` of a complete frame, or None if unparsable.
+    """The message ``kind`` of a complete frame, or None if it has none.
 
     Used by the fault proxy to classify forwarded traffic for overhead
-    accounting without decoding payloads: :func:`encode_message` writes
-    ``kind`` first, so it is peeked from the prefix ``["kind","`` (the rest
-    of the body is not read). A kind holding an escape, or a body laid out
-    any other way, takes the full parse, where anything but a version-2
-    body is None.
+    accounting without decoding payloads: the kind is one slice at a
+    fixed offset (the rest of the body is not read).
     """
-    if frame.startswith(b'["', HEADER_SIZE):
-        end = frame.find(b'"', _KIND_AT)
-        kind = frame[_KIND_AT:end]
-        if (end != -1 and frame.startswith(b',"', end + 1)
-                and b"\\" not in kind and kind.isascii()):
-            return kind.decode("ascii")
     try:
-        return _fields(split_frame(frame)[1])[0]
-    except WireError:
-        return None
-
-
-def decode_body(body: bytes) -> Message:
-    """The message a frame body carries; :class:`WireError` if it is not a
-    version-2 body (``[kind, src, dst, payload]``, three strings and an
-    object)."""
-    kind, src, dst, payload = _fields(body)
-    return Message(kind, src, dst, payload)
-
-
-def _fields(body: bytes) -> list:
-    try:
-        text = body.decode("utf-8")
-        try:
-            fields, end = _DECODER.raw_decode(text)  # decode() less two regexes
-        except json.JSONDecodeError:
-            end = -1
-        if end != len(text):  # whitespace around the array, or not JSON
-            fields = _DECODER.decode(text)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise WireError(f"malformed frame: {exc!r}") from exc
-    # An exact list check, not an unpacking: a version-1 object body would
-    # unpack into its four keys and decode as kind "kind".
-    if type(fields) is not list or len(fields) != 4:
-        raise WireError("frame body is not a [kind, src, dst, payload] array")
-    kind, src, dst, payload = fields
-    if type(kind) is not str or type(src) is not str or type(dst) is not str:
-        raise WireError("frame kind, src and dst must be strings")
-    if type(payload) is not dict:
-        raise WireError(f"frame payload is {type(payload).__name__}, not an object")
-    return fields
+        size = frame[_KIND_AT]
+        kind = frame[_KIND_AT + 1:_KIND_AT + 1 + size]
+        if frame[0] == WIRE_VERSION and len(kind) == size:
+            return kind.decode()
+    except (IndexError, UnicodeDecodeError):  # too short for a kind, or not UTF-8
+        pass
+    return None
 
 
 def _check_header(version: int, length: int) -> None:

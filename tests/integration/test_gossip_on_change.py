@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -313,5 +314,7 @@ def test_keepalive_frame_bytes_do_not_depend_on_the_hash_seed():
     assert frames[0] == frames[1] == frames[2]
     body = bytes.fromhex(frames[0])
     ordered = sorted(["door-front", "motion-hall", "temp", "window-3", "a", "zz", "smoke"])
-    positions = [body.index(f'"{sensor}"'.encode()) for sensor in ordered]
+    # A v3 str value: tag "s", u32 length, UTF-8.
+    positions = [body.index(b"s" + struct.pack(">I", len(sensor)) + sensor.encode())
+                 for sensor in ordered]
     assert positions == sorted(positions)

@@ -7,6 +7,8 @@ import asyncio
 import gc
 import struct
 
+import pytest
+
 from repro.core.delivery import GAPLESS
 from repro.core.graph import App
 from repro.core.operators import Operator
@@ -66,11 +68,13 @@ def test_garbage_frames_are_dropped():
         cluster = two_node_cluster()
         async with cluster:
             node = cluster.node("a")
-            # Correct header, garbage body: the node traces a wire error
-            # and drops the connection without dying.
+            # Correct header, garbage body (one payload key whose value
+            # has an unknown tag): the node traces a wire error and drops
+            # the connection without dying.
+            body = b"\x00\x07\x01\x01k\x00\x00\x01x" + b"?"
             await write_raw(
                 node.port,
-                bytes([WIRE_VERSION]) + struct.pack(">I", 11) + b"not json!!!",
+                bytes([WIRE_VERSION]) + struct.pack(">I", len(body)) + body,
             )
             await cluster.wait_for(
                 lambda: cluster.trace.count("wire_error") >= 1, timeout=5.0
@@ -146,6 +150,28 @@ def test_replicated_store_over_tcp():
                 lambda: cluster.node("b").kv.get("mode") == "home",
                 timeout=5.0,
             )
+
+    run(scenario())
+
+
+@pytest.mark.rt
+def test_replicated_value_reads_back_identical_on_a_peer():
+    """Int and None keys, tuples and a set survive the TCP hop: the peer's
+    replica holds the value the writer wrote, types and all."""
+    value = {1: "a", "1": "b", None: (1, 2), "s": {3, 4}, "l": [(5, "x")]}
+
+    async def scenario():
+        cluster = two_node_cluster()
+        async with cluster:
+            cluster.node("a").kv.put("mode", value)
+            await cluster.wait_for(
+                lambda: cluster.node("b").kv.get("mode") is not None, timeout=5.0,
+            )
+            replica = cluster.node("b").kv.get("mode")
+            assert replica == {**value, "s": frozenset({3, 4})}
+            assert list(map(type, replica)) == [int, str, type(None), str, str]
+            assert type(replica[None]) is tuple and type(replica["l"][0]) is tuple
+            assert type(replica["s"]) is frozenset
 
     run(scenario())
 

@@ -1,23 +1,26 @@
-"""Property-based round-trip tests for the asyncio wire format."""
+"""Property-based tests for the asyncio wire format: exact round trips,
+pinned version-3 bytes, and a decoder that raises nothing but WireError."""
 
 import asyncio
-import dataclasses
-import json
 import math
-import struct
+import tracemalloc
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.events import Command, Event
 from repro.net.message import Message
 from repro.net.wire import ProcessIdSet
+from repro.rt import wire
 from repro.rt.wire import (
     HEADER_SIZE,
     MAX_FRAME,
+    MEMO_CAP,
     WIRE_VERSION,
     WireError,
     decode_body,
+    decode_records,
     encode_message,
+    encode_record,
     frame_kind,
     read_frames,
     split_frame,
@@ -31,7 +34,7 @@ json_scalars = st.one_of(
     st.text(max_size=30),
 )
 
-#: Sets of one scalar type (json cannot order a mix, so the encoder refuses it).
+#: Sets of one scalar type (members must sort, or the encoder refuses them).
 scalar_sets = st.one_of(
     st.frozensets(st.integers(-50, 50), max_size=4),
     st.frozensets(st.text(max_size=4), max_size=4),
@@ -79,6 +82,41 @@ def roundtrip(message: Message) -> Message:
     return decode_body(body)
 
 
+def _decoded_form(value):
+    """What ``decode_body`` is specified to hand back for an encoded value:
+    the value itself, except that a ``set`` comes back as a ``frozenset``."""
+    if isinstance(value, (Event, Command)):
+        return type(value)(**{
+            **{f: getattr(value, f) for f in value.__dataclass_fields__},
+            "value": _decoded_form(value.value)})
+    if type(value) is set:
+        return frozenset(value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_decoded_form, value))
+    if isinstance(value, dict):
+        return {_decoded_form(k): _decoded_form(v) for k, v in value.items()}
+    return value
+
+
+def _same(a, b) -> bool:
+    """Equality of identical ``type()`` at every level: inside Event and
+    Command fields, set members and dict keys too, with NaN equal to itself."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    if isinstance(a, (Event, Command)):
+        return all(_same(getattr(a, f), getattr(b, f)) for f in a.__dataclass_fields__)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return len(a) == len(b) and all(
+            _same(ka, kb) and _same(a[ka], b[kb]) for ka, kb in zip(a, b))
+    if isinstance(a, frozenset):
+        return a == b and sorted(map(type, a), key=str) == sorted(map(type, b), key=str)
+    return a == b
+
+
 @given(st.dictionaries(st.text(min_size=1, max_size=10), payload_values,
                        max_size=5),
        st.text(min_size=1, max_size=10))
@@ -87,27 +125,7 @@ def test_roundtrip_preserves_payload(payload, kind):
     decoded = roundtrip(message)
     assert decoded.kind == kind
     assert decoded.src == "a" and decoded.dst == "b"
-    assert _normalize(decoded.payload) == _normalize(payload)
-
-
-def _normalize(value):
-    """Tuples decode as lists; compare structurally."""
-    if isinstance(value, ProcessIdSet):
-        return ("pidset", tuple(sorted(value)))
-    if isinstance(value, frozenset):
-        return ("set", value)
-    if isinstance(value, Event):
-        return ("event", value.sensor_id, value.seq, value.emitted_at,
-                _normalize(value.value), value.size_bytes, value.epoch)
-    if isinstance(value, Command):
-        return ("command", value.actuator_id, value.seq, value.issued_at,
-                value.action, _normalize(value.value), value.size_bytes,
-                value.issued_by)
-    if isinstance(value, (list, tuple)):
-        return tuple(_normalize(v) for v in value)
-    if isinstance(value, dict):
-        return tuple(sorted((k, _normalize(v)) for k, v in value.items()))
-    return value
+    assert _same(decoded.payload, _decoded_form(payload))
 
 
 @given(events)
@@ -115,59 +133,31 @@ def test_event_roundtrip_exact(event):
     decoded = roundtrip(Message(kind="k", src="a", dst="b",
                                 payload={"event": event}))
     assert decoded["event"] == event
-    assert decoded["event"].value == event.value
-    assert decoded["event"].epoch == event.epoch
+    assert _same(decoded["event"], event)
 
 
-# -- the one-pass codec writes the bytes a recursive walker writes -------------------
-#
-# The reference below walks a payload by hand and spells the version-2
-# layout out field by field (the codec takes its field order from the
-# dataclasses): equal bytes over generated payloads pin the layout the
-# module docstring documents.
+# -- every encodable type, nested anywhere, arrives with its own type ----------------
 
 
-def _reference_value(value):
-    if isinstance(value, Event):
-        return {"__event__": [
-            value.sensor_id, value.seq, value.emitted_at,
-            _reference_value(value.value), value.size_bytes, value.epoch,
-        ]}
-    if isinstance(value, Command):
-        return {"__command__": [
-            value.actuator_id, value.seq, value.issued_at, value.action,
-            _reference_value(value.value), value.size_bytes, value.issued_by,
-        ]}
-    if isinstance(value, ProcessIdSet):
-        return {"__pidset__": sorted(value)}
-    if isinstance(value, (set, frozenset)):
-        return {"__set__": [_reference_value(v) for v in sorted(value)]}
-    if isinstance(value, (list, tuple)):
-        return [_reference_value(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _reference_value(v) for k, v in value.items()}
-    assert value is None or isinstance(value, (bool, int, float, str))
-    return value
-
-
-def reference_encode(message: Message) -> bytes:
-    body = json.dumps([
-        message.kind, message.src, message.dst,
-        {k: _reference_value(v) for k, v in message.payload.items()},
-    ], separators=(",", ":")).encode("utf-8")
-    return struct.pack(">BI", WIRE_VERSION, len(body)) + body
+#: Hashable values, for dict keys and set members.
+keys = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(max_size=6), st.binary(max_size=4),
+    st.tuples(st.integers(-3, 3), st.text(max_size=2)),
+)
 
 
 def _containers(children):
     return st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=3).map(tuple),
-        st.dictionaries(st.text(max_size=8), children, max_size=4),
+        st.dictionaries(keys, children, max_size=4),
         st.sets(st.integers(-50, 50), max_size=4),
         st.frozensets(st.text(max_size=4), max_size=4),
+        st.frozensets(st.tuples(st.integers(0, 3), st.binary(max_size=2)), max_size=3),
         st.builds(
             Event, sensor_id=st.text(min_size=1, max_size=8),
-            seq=st.integers(1, 2**31), emitted_at=st.floats(0, 1e9),
+            seq=st.integers(-(2**63), 2**63 - 1), emitted_at=st.floats(),
             value=children, size_bytes=st.integers(0, 65_536),
             epoch=st.one_of(st.none(), st.integers(0, 10**6)),
         ),
@@ -181,54 +171,170 @@ def _containers(children):
 
 
 wire_values = st.recursive(
-    st.one_of(json_scalars, pidsets, st.floats(allow_nan=True)),
+    st.one_of(json_scalars, pidsets, keys, st.floats(), st.integers(),
+              st.binary(max_size=8)),
     _containers, max_leaves=10,
 )
 
 
-def _decoded_form(value):
-    """What ``decode_body`` is specified to hand back for an encoded value."""
-    if isinstance(value, Event):
-        return dataclasses.replace(value, value=_decoded_form(value.value))
-    if isinstance(value, Command):
-        return dataclasses.replace(value, value=_decoded_form(value.value))
-    if isinstance(value, ProcessIdSet):
-        return value
-    if isinstance(value, (set, frozenset)):
-        return frozenset(value)
-    if isinstance(value, (list, tuple)):
-        return [_decoded_form(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _decoded_form(v) for k, v in value.items()}
-    return value
-
-
-def _same(a, b) -> bool:
-    """Equality that looks inside Event/Command.value and treats NaN as itself."""
-    if isinstance(a, float) and isinstance(b, float):
-        return a == b or (math.isnan(a) and math.isnan(b))
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (Event, Command)):
-        return (dataclasses.replace(a, value=None) == dataclasses.replace(b, value=None)
-                and _same(a.value, b.value))
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_same, a, b))
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
-    return a == b
-
-
 @given(st.dictionaries(st.text(min_size=1, max_size=10), wire_values, max_size=5),
        st.text(max_size=12), st.text(max_size=6))
-def test_frames_are_byte_identical_to_the_recursive_encoder(payload, kind, src):
+@example({"v": {1: "a", None: 2, True: (1, 2)}, "d": {1: "a", "1": "b"}}, "k", "a")
+def test_frames_roundtrip_with_identical_types(payload, kind, src):
     message = Message(kind=kind, src=src, dst="b", payload=payload)
     frame = encode_message(message)
-    assert frame == reference_encode(message)
     assert frame_kind(frame) == kind
     decoded = decode_body(split_frame(frame)[1])
     assert (decoded.kind, decoded.src, decoded.dst) == (kind, src, "b")
+    assert list(decoded.payload) == list(payload)
     assert _same(decoded.payload, _decoded_form(payload))
+    record = encode_record(["trace", 1.0, kind, payload])
+    assert _same(decode_records(record), [["trace", 1.0, kind, _decoded_form(payload)]])
+
+
+# -- the version-3 bytes of two real messages ----------------------------------------
+
+
+def test_gapless_forward_bytes_are_pinned():
+    event = Event(sensor_id="door", seq=7, emitted_at=1.25, value=True, size_bytes=4)
+    frame = encode_message(Message("gapless_fwd", "p0", "p1", {
+        "sensor": "door", "event": event,
+        "S": ProcessIdSet({"p0"}), "V": ProcessIdSet({"p2", "p0", "p1"})}))
+    assert frame == (
+        b"\x03\x00\x00\x00\x69"                             # version 3, 105 B body
+        b"\x00\x24\x04\x0bgapless_fwd\x02p0\x02p1"          # header: 4 keys, kind, src, dst
+        b"\x06sensor\x05event\x01S\x01V"
+        b"s\x00\x00\x00\x04door"
+        b"E\x00\x00\x00\x00\x00\x00\x00\x07"                # seq 7
+        b"?\xf4\x00\x00\x00\x00\x00\x00"                    # emitted_at 1.25
+        b"\x00\x00\x00\x00\x00\x00\x00\x04"                 # size_bytes 4
+        b"s\x00\x00\x00\x04door" b"T" b"N"                  # sensor_id, value, epoch
+        b"P\x00\x00\x00\x03\x02p0"
+        b"P\x00\x00\x00\x09\x02p0\x02p1\x02p2")             # names sorted
+    assert frame_kind(frame) == "gapless_fwd"
+
+
+def test_cmd_fwd_bytes_are_pinned():
+    command = Command("light", 3, 2.5, "on", value=None, issued_by="lights@p0")
+    frame = encode_message(Message("cmd_fwd", "p0", "p2", {
+        "actuator": "light", "command": command, "app": "lights"}))
+    assert frame == (
+        b"\x03\x00\x00\x00\x74"
+        b"\x00\x24\x03\x07cmd_fwd\x02p0\x02p2\x08actuator\x07command\x03app"
+        b"s\x00\x00\x00\x05light"
+        b"C\x00\x00\x00\x00\x00\x00\x00\x03"                # seq 3
+        b"@\x04\x00\x00\x00\x00\x00\x00"                    # issued_at 2.5
+        b"\x00\x00\x00\x00\x00\x00\x00\x08"                 # size_bytes 8
+        b"s\x00\x00\x00\x05light" b"s\x00\x00\x00\x02on"    # actuator_id, action
+        b"N" b"s\x00\x00\x00\x09lights@p0"                  # value, issued_by
+        b"s\x00\x00\x00\x06lights")
+    assert frame_kind(frame) == "cmd_fwd"
+
+
+# -- fuzz: hostile bytes raise WireError and nothing else ----------------------------
+
+
+def _decode_or_wire_error(fn, data) -> None:
+    try:
+        fn(data)
+    except WireError:
+        pass
+
+
+def _read_all(streams) -> None:
+    """Run every stream through :func:`read_frames` (bodies and raw frames),
+    in one event loop; only WireError may end one early."""
+
+    async def go():
+        for data in streams:
+            for raw in (False, True):
+                reader = asyncio.StreamReader()
+                reader.feed_data(data)
+                reader.feed_eof()
+                try:
+                    async for _frame in read_frames(reader, raw=raw):
+                        pass
+                except WireError:
+                    pass
+
+    asyncio.run(go())
+
+
+def _all_decoders(data: bytes) -> None:
+    _decode_or_wire_error(decode_body, data)
+    _decode_or_wire_error(split_frame, data)
+    _decode_or_wire_error(decode_records, data)
+    _decode_or_wire_error(frame_kind, data)
+
+
+#: A frame whose body nests lists far past MAX_DEPTH.
+DEPTH_BOMB = b"\x00\x06\x01\x00\x00\x00\x01x" + b"l\x00\x00\x00\x01" * 10_000 + b"N"
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=200))
+@example(DEPTH_BOMB)
+@example(bytes([WIRE_VERSION]) + len(DEPTH_BOMB).to_bytes(4, "big") + DEPTH_BOMB)
+@example(b"\x00\x06\x01\x00\x00\x00\x01x" + b"l\xff\xff\xff\xff" + bytes(10))
+def test_arbitrary_bytes_raise_only_wire_error(data):
+    _all_decoders(data)
+    _all_decoders(bytes([WIRE_VERSION]) + len(data).to_bytes(4, "big") + data)
+    _all_decoders(len(data).to_bytes(4, "big") + data)
+    _read_all([data, bytes([WIRE_VERSION]) + len(data).to_bytes(4, "big") + data])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.text(min_size=1, max_size=6), wire_values, max_size=3),
+       st.integers(1, 255))
+def test_every_truncation_and_byte_flip_raises_only_wire_error(payload, mask):
+    frame = encode_message(Message("k", "a", "b", payload))
+    record = encode_record(["trace", 1.0, "k", payload])
+    variants = []
+    for whole in (frame, record):
+        variants += [whole[:cut] for cut in range(len(whole))]
+        variants += [whole[:i] + bytes([whole[i] ^ mask]) + whole[i + 1:]
+                     for i in range(len(whole))]
+    for data in variants:
+        _all_decoders(data)
+        _all_decoders(data[HEADER_SIZE:])
+    _read_all(variants[: 2 * len(frame)])
+
+
+def test_a_huge_count_fails_before_it_allocates():
+    """A u32 count of 2**32 - 1 with ten bytes left: refused on the count,
+    not after building a list of four billion slots."""
+    for tag in b"ltdS":
+        body = b"\x00\x06\x01\x00\x00\x00\x01x" + bytes([tag]) + b"\xff" * 4 + bytes(10)
+        tracemalloc.start()
+        try:
+            try:
+                decode_body(body)
+            except WireError as exc:
+                assert "count" in str(exc)
+            else:
+                raise AssertionError("a count past the body decoded")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_memo_tables_stop_at_their_cap():
+    """Ten thousand distinct headers, strings and process-id sets, sent and
+    received: every memo table ends at or below MEMO_CAP."""
+    for i in range(10_000):
+        name = f"hostile-{i}"
+        body = encode_message(Message(name, "a", "b", {
+            name: ProcessIdSet({name}), "s": name}))[HEADER_SIZE:]
+        decoded = decode_body(body)
+        assert decoded.kind == name and decoded["s"] == name
+    tables = [getattr(wire, table) for table in vars(wire)
+              if table.startswith("_") and table.endswith(("_IN", "_OUT"))]
+    assert len(tables) >= 4
+    assert all(len(table) <= MEMO_CAP for table in tables)
+    # Full tables still encode and decode correctly, they just stop growing.
+    message = Message("late", "a", "b", {"ids": ProcessIdSet({"x", "y"})})
+    assert roundtrip(message)["ids"] == ProcessIdSet({"x", "y"})
 
 
 # -- the frame splitter ----------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Unit tests for the asyncio runtime's wire format."""
 
 import asyncio
-import dataclasses
+import hashlib
 
 import pytest
 
@@ -9,15 +9,16 @@ from repro.core.events import Command, Event
 from repro.net.message import Message
 from repro.net.wire import ProcessIdSet
 from repro.rt.wire import (
-    COMMAND_FIELDS,
-    EVENT_FIELDS,
     HEADER_SIZE,
+    MAX_DEPTH,
     MAX_FRAME,
     WIRE_VERSION,
     PeerSender,
     WireError,
     decode_body,
+    decode_records,
     encode_message,
+    encode_record,
     frame_kind,
     read_frames,
     split_frame,
@@ -32,12 +33,29 @@ def roundtrip(message: Message) -> Message:
     return decode_body(body)
 
 
+def exactly(a, b) -> bool:
+    """Equal, and of identical ``type()`` at every level (inside an Event's
+    or Command's value too)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (Event, Command)):
+        return a == b and exactly(a.value, b.value) and all(
+            exactly(getattr(a, f), getattr(b, f))
+            for f in ("seq", "size_bytes", "epoch" if type(a) is Event else "issued_by"))
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(exactly, a, b))
+    if isinstance(a, dict):
+        return (list(map(type, a)) == list(map(type, b))
+                and a.keys() == b.keys() and all(exactly(a[k], b[k]) for k in a))
+    return a == b
+
+
 def test_plain_payload_roundtrip():
     message = Message(kind="k", src="a", dst="b",
                       payload={"x": 1, "y": 2.5, "z": "str", "w": None, "b": True})
     decoded = roundtrip(message)
     assert decoded.kind == "k"
-    assert decoded.payload == message.payload
+    assert exactly(decoded.payload, message.payload)
 
 
 def test_event_roundtrip():
@@ -68,15 +86,30 @@ def test_process_id_set_roundtrip():
 def test_nested_containers_roundtrip():
     payload = {"ranges": [(1, 5), (9, 9)], "map": {"k": [1, 2]}}
     decoded = roundtrip(Message(kind="k", src="a", dst="b", payload=payload))
-    # Tuples come back as lists; protocol code normalizes.
-    assert decoded["ranges"] == [[1, 5], [9, 9]]
-    assert decoded["map"] == {"k": [1, 2]}
+    # Tuples stay tuples: the payload arrives as it was sent.
+    assert exactly(decoded.payload, payload)
+    assert type(decoded["ranges"][0]) is tuple
 
 
 def test_set_roundtrip_as_frozenset():
     decoded = roundtrip(Message(kind="k", src="a", dst="b",
-                                payload={"s": frozenset({"x", "y"})}))
+                                payload={"s": frozenset({"x", "y"}), "t": {1, 2}}))
     assert decoded["s"] == frozenset({"x", "y"})
+    assert type(decoded["t"]) is frozenset and decoded["t"] == {1, 2}
+
+
+def test_payloads_arrive_with_the_types_they_were_sent_with():
+    """Version 2 sent JSON: int and None dict keys arrived as strings (and
+    collided with string keys), tuples as lists. A replicated value must
+    read back on a peer exactly as it was written."""
+    value = {1: "a", None: 2, True: (1, 2), "1": "b", 2.5: [b"raw", -(2**70)]}
+    message = Message("store_write", "p0", "p1",
+                      {"key": "k", "lamport": 3, "writer": "p0", "value": value})
+    decoded = roundtrip(message)
+    assert exactly(decoded.payload, message.payload)
+    assert decoded["value"][1] == (1, 2) and decoded["value"]["1"] == "b"
+    assert exactly(roundtrip(Message("k", "a", "b", {"d": {1: "a", "1": "b"}}))["d"],
+                   {1: "a", "1": "b"})
 
 
 def test_unserializable_payload_rejected():
@@ -92,6 +125,8 @@ def test_malformed_body_rejected():
         decode_body(b'{"kind": "k"}')
     with pytest.raises(WireError):
         decode_body(b"[1, 2, 3]")
+    with pytest.raises(WireError):
+        decode_body(encode_message(Message("k", "a", "b", {"x": 1}))[HEADER_SIZE:-1])
 
 
 def test_frame_carries_version_byte():
@@ -101,35 +136,60 @@ def test_frame_carries_version_byte():
 
 
 def test_tag_arrays_follow_the_documented_field_order():
-    """The version-2 tags are positional, in the dataclasses' field order.
-    A reorder in ``repro.core.events`` would silently swap what a position
-    means on the wire (``seq`` and ``emitted_at`` are both numbers), so it
+    """An Event is tag ``E``, then ``seq``, ``emitted_at`` and ``size_bytes``
+    as one ``>qdq``, then ``sensor_id``, ``value`` and ``epoch`` as values;
+    a Command is ``C``, the same ``>qdq`` (``seq``, ``issued_at``,
+    ``size_bytes``), then ``actuator_id``, ``action``, ``value`` and
+    ``issued_by``. ``seq`` and ``size_bytes`` are both int64s, so a swap
     must fail here first."""
-    assert [f.name for f in dataclasses.fields(Event)] == list(EVENT_FIELDS) == [
-        "sensor_id", "seq", "emitted_at", "value", "size_bytes", "epoch"]
-    assert [f.name for f in dataclasses.fields(Command)] == list(COMMAND_FIELDS) == [
-        "actuator_id", "seq", "issued_at", "action", "value", "size_bytes",
-        "issued_by"]
     frame = encode_message(Message("k", "a", "b", {
         "e": Event("s", 1, 2.5, "v", 4, 3),
         "c": Command("light", 2, 9.0, "set", False, 8, "app@p1"),
     }))
     assert frame[HEADER_SIZE:] == (
-        b'["k","a","b",{"e":{"__event__":["s",1,2.5,"v",4,3]},'
-        b'"c":{"__command__":["light",2,9.0,"set",false,8,"app@p1"]}}]')
+        b"\x00\x0b"                                    # header length
+        b"\x02\x01k\x01a\x01b\x01e\x01c"               # 2 keys; k, a, b; e, c
+        b"E" b"\x00\x00\x00\x00\x00\x00\x00\x01"       # seq 1
+        b"@\x04\x00\x00\x00\x00\x00\x00"               # emitted_at 2.5
+        b"\x00\x00\x00\x00\x00\x00\x00\x04"            # size_bytes 4
+        b"s\x00\x00\x00\x01s" b"s\x00\x00\x00\x01v"    # sensor_id, value
+        b"i\x00\x00\x00\x00\x00\x00\x00\x03"           # epoch 3
+        b"C" b"\x00\x00\x00\x00\x00\x00\x00\x02"       # seq 2
+        b'@"\x00\x00\x00\x00\x00\x00'                  # issued_at 9.0
+        b"\x00\x00\x00\x00\x00\x00\x00\x08"            # size_bytes 8
+        b"s\x00\x00\x00\x05light" b"s\x00\x00\x00\x03set" b"F"
+        b"s\x00\x00\x00\x06app@p1")
+
+
+def _v_frame(version: int, body: bytes) -> bytes:
+    return bytes([version]) + len(body).to_bytes(4, "big") + body
 
 
 def test_version_1_frame_is_a_wire_error():
-    """What the previous revision wrote for ``Message("k", "a", "b", {})``:
+    """What the first revision wrote for ``Message("k", "a", "b", {})``:
     refused at its version byte, and its object body refused on its own."""
-    assert WIRE_VERSION == 2
+    assert WIRE_VERSION == 3
     body = b'{"kind":"k","src":"a","dst":"b","payload":{}}'
-    frame = bytes([1]) + len(body).to_bytes(4, "big") + body
+    frame = _v_frame(1, body)
     with pytest.raises(WireError, match="version"):
         split_frame(frame)
     with pytest.raises(WireError, match="version"):
         _frames_from_bytes(frame)
-    with pytest.raises(WireError, match="array"):
+    with pytest.raises(WireError, match="past the end"):
+        decode_body(body)
+    assert frame_kind(frame) is None
+
+
+def test_version_2_frame_is_a_wire_error():
+    """What the previous revision wrote for ``Message("k", "a", "b", {})``
+    (a JSON array body): refused at its version byte, body and kind too."""
+    body = b'["k","a","b",{}]'
+    frame = _v_frame(2, body)
+    with pytest.raises(WireError, match="version"):
+        split_frame(frame)
+    with pytest.raises(WireError, match="version"):
+        _frames_from_bytes(frame)
+    with pytest.raises(WireError):
         decode_body(body)
     assert frame_kind(frame) is None
 
@@ -162,6 +222,9 @@ def test_frame_kind_peeks_without_decoding():
     frame = encode_message(Message(kind="hb/keepalive", src="a", dst="b", payload={}))
     assert frame_kind(frame) == "hb/keepalive"
     assert frame_kind(b"\x01\x00\x00\x00\x03abc") is None
+    # Only the kind is read: a payload past it is not looked at.
+    garbled = encode_message(Message("gapless_fwd", "a", "b", {"x": 1}))[:-3] + b"???"
+    assert frame_kind(garbled) == "gapless_fwd"
 
 
 def _frames_from_bytes(data: bytes, **kwargs) -> list[bytes]:
@@ -218,7 +281,7 @@ def test_read_frames_completes_a_frame_larger_than_the_chunk():
     assert asyncio.run(go()) == [small, big, small]
 
 
-# -- frame_kind: the peeked prefix agrees with the full parse -----------------------
+# -- frame_kind: one slice at a fixed offset ----------------------------------------
 
 
 def _frame(body: bytes) -> bytes:
@@ -232,14 +295,13 @@ def test_frame_kind_of_encoded_message(kind):
 
 
 @pytest.mark.parametrize("body, kind", [
-    (b' ["spaced", "a", "b", {}]', "spaced"),          # not the peeked prefix
-    ('["é","a","b",{}]'.encode("utf-8"), "é"),         # a non-ASCII kind
-    (b'["a\\u0041","a","b",{}]', "aA"),                # an escaped kind
-    (b'[7,"a","b",{}]', None),                          # kind not a string
+    (b' ["spaced", "a", "b", {}]', None),
+    ('["é","a","b",{}]'.encode("utf-8"), None),
+    (b'["a\\u0041","a","b",{}]', None),
+    (b'[7,"a","b",{}]', None),
     (b'["torn', None),
-    (b'["a"]', None),                                   # not four fields
-    (b'"abc"', None),                                   # not an array ("abc"[0] is "a")
-    # Version-1 object bodies, which nothing writes any more.
+    (b'["a"]', None),
+    (b'"abc"', None),
     (b'{"src":"a","kind":"late","dst":"b","payload":{}}', None),
     (b' {"kind": "spaced", "src": "a"}', None),
     (b'{"kind":7}', None),
@@ -249,6 +311,10 @@ def test_frame_kind_of_encoded_message(kind):
     (b"", None),
 ])
 def test_frame_kind_falls_back_to_the_full_parse(body, kind):
+    """The JSON bodies of versions 1 and 2, each of which version 2 sent
+    through a full parse when its prefix peek failed. Version 3 has no
+    fallback: behind a version-3 byte, none of them has a kind at the
+    fixed offset (each kind length runs past the frame)."""
     assert frame_kind(_frame(body)) == kind
 
 
@@ -256,9 +322,15 @@ def test_frame_kind_of_garbage_is_none():
     assert frame_kind(b"") is None
     assert frame_kind(b"\x01\x00") is None
     assert frame_kind(bytes([WIRE_VERSION + 1]) + b'\x00\x00\x00\x02{}') is None
+    assert frame_kind(_frame(b"\x00\x04\x00\x02\xff\xfe")) is None  # bad UTF-8
+    assert frame_kind(_frame(b"\x00\x04\x00\x09abc")) is None       # kind cut short
 
 
 # -- error surface: nothing but WireError leaves the codec --------------------------
+
+
+class _Level(int):
+    """An int subclass: it would decode as a plain int, so it is refused."""
 
 
 @pytest.mark.parametrize("payload", [
@@ -266,13 +338,32 @@ def test_frame_kind_of_garbage_is_none():
     {"deep": {"list": [1, {"obj": object()}]}},
     {"event": Event(sensor_id="s", seq=1, emitted_at=0.0, value=object(),
                     size_bytes=4)},
-    {"key": {(1, 2): "tuple key"}},
-    {"mixed": {1, "a"}},
-    {"bytes": b"raw"},
+    {"key": {(1, object()): "unencodable key"}},
+    {"mixed": {1, "a"}},                        # an unsortable set
+    {"bytes": bytearray(b"raw")},
+    {"level": _Level(3)},
+    {"event": Event(sensor_id="s", seq=1, emitted_at=0, value=1, size_bytes=4)},
+    {"event": Event(sensor_id="s", seq=True, emitted_at=0.0, value=1, size_bytes=4)},
+    {"command": Command("light", 2**63, 9.0, "set")},
+    {"ids": ProcessIdSet({"p" * 256})},         # a name over 255 bytes
+    {"ids": ProcessIdSet({1})},
+    {"surrogate": "\ud800"},
 ])
 def test_unserializable_values_raise_wire_error(payload):
     with pytest.raises(WireError):
         encode_message(Message(kind="k", src="a", dst="b", payload=payload))
+
+
+@pytest.mark.parametrize("message", [
+    Message("k" * 256, "a", "b", {}),
+    Message("k", "a", "b", {"x" * 256: 1}),
+    Message("k", "a", "b", {f"k{i}": i for i in range(256)}),
+    Message("k", "a", "b", {1: "an int key"}),
+    Message("k", "a", "b", {"big": "x" * (MAX_FRAME + 1)}),
+])
+def test_unframeable_messages_raise_wire_error(message):
+    with pytest.raises(WireError):
+        encode_message(message)
 
 
 def test_self_containing_payload_raises_wire_error():
@@ -280,6 +371,22 @@ def test_self_containing_payload_raises_wire_error():
     loop.append(loop)
     with pytest.raises(WireError):
         encode_message(Message(kind="k", src="a", dst="b", payload={"l": loop}))
+    nested: object = None
+    for _ in range(MAX_DEPTH + 1):
+        nested = [nested]
+    with pytest.raises(WireError, match="deeper"):
+        encode_message(Message(kind="k", src="a", dst="b", payload={"l": nested}))
+
+
+def _head(*names: str, keys: int | None = None) -> bytes:
+    """A version-3 header (with its u16 length) holding ``names``."""
+    keys = len(names) - 3 if keys is None else keys
+    head = bytes([keys]) + b"".join(
+        bytes([len(n.encode())]) + n.encode() for n in names)
+    return len(head).to_bytes(2, "big") + head
+
+
+_ONE = _head("k", "a", "b", "x")   # one payload key, "x"
 
 
 @pytest.mark.parametrize("body", [
@@ -307,6 +414,37 @@ def test_self_containing_payload_raises_wire_error():
     b'["k","a","b",{"p":{"__pidset__":"p0"}}]',
     b'["k","a","b",{"s":{"__set__":[[1]]}}]',           # an unhashable member
     b"[" * 100_000,                                     # nesting past the recursion limit
+    # Version-3 bodies, each broken in one way.
+    b"", b"\x00",                                       # no header length
+    b"\x00\x00",                                        # an empty header
+    b"\x00\x03\x00\x05k",                               # a name past the header
+    _head("k", "a", "b", keys=1),                       # fewer names than keys + 3
+    _head("k", "a", "b", "x", keys=0),                  # ... more
+    b"\x00\x05\x00\x01k\x01a\x01",                      # dst cut short
+    b"\x00\x07\x00\x01\xff\x01a\x01b",                  # a kind that is not UTF-8
+    _head("k", "a", "b", "x", "x") + b"NN",             # a duplicate payload key
+    _head("k", "a", "b") + b"N",                        # trailing bytes
+    _ONE,                                               # a value missing
+    _ONE + b"?",                                        # an unknown tag
+    _ONE + b"NN",                                       # trailing bytes after it
+    _ONE + b"i\x00\x00\x00",                            # an int cut short
+    _ONE + b"f\x00",                                    # ... a float
+    _ONE + b"s\x00\x00\x00\x09abc",                     # a str past the end
+    _ONE + b"s\x00\x00\x00\x02\xff\xfe",                # ... not UTF-8
+    _ONE + b"b\x00\x00\x00\x05ab",                      # bytes past the end
+    _ONE + b"I\x00\x00\x00\x09\x01",                    # a big int past the end
+    _ONE + b"l\xff\xff\xff\xff" + b"N" * 10,            # a count of 2**32 - 1
+    _ONE + b"d\x00\x00\x00\x06" + b"N" * 11,            # a dict needs two per item
+    _ONE + b"d\x00\x00\x00\x02i" + bytes(8) + b"Ni" + bytes(8) + b"N",  # duplicate key
+    _ONE + b"d\x00\x00\x00\x01l\x00\x00\x00\x00N",      # an unhashable key
+    _ONE + b"S\x00\x00\x00\x01l\x00\x00\x00\x00",       # ... set member
+    _ONE + b"l\x00\x00\x00\x01" * 100 + b"N",           # nesting past MAX_DEPTH
+    _ONE + (b"E" + bytes(24) + b"N") * 100 + b"NN" * 100,  # ... inside Event values
+    _ONE + b"E" + bytes(10),                            # an Event stamp cut short
+    _ONE + b"C" + bytes(24) + b"NNN",                   # a Command field missing
+    _ONE + b"P\x00\x00\x00\x03\x05ab",                  # a pid name past the set
+    _ONE + b"P\x00\x00\x00\x02\x01\xff",                # ... not UTF-8
+    _ONE + b"P\x00\x00\x00\x09\x01a",                   # the set past the end
 ])
 def test_malformed_bodies_raise_wire_error(body):
     with pytest.raises(WireError):
@@ -325,20 +463,36 @@ def test_nested_tagged_values_roundtrip():
     assert decoded["sets"] == [frozenset({"x"}), frozenset()]
 
 
-# -- the journal shares the frames' tag table -----------------------------------------
+# -- the journal: the frames' codec, one length-prefixed value per record -----------
 
-#: Three lines exactly as a child writes them: ``json.dumps`` layout, the
-#: frames' version-2 tags.
-PARENT_JOURNAL = (
-    '["trace", 1.5, "ingest", {"sensor": "s1", "seq": 3}]\n'
-    '["trace", 2.0, "odd", {"event": {"__event__": ["s1", 3, 1.25, {"k": [1, 2]}, 4, '
-    'null]}, "members": {"__pidset__": ["p0", "p1"]}, "tags": {"__set__": ["a", "b"]}, '
-    '"cmd": {"__command__": ["light", 2, 9.0, "set", false, 8, "app@p1"]}}]\n'
-    '["actuation", 2.5, "light", ["light", "app@p1", 2], "set", {"__set__": [1, 2]}]\n'
+#: The first record a child writes below, byte for byte.
+FIRST_RECORD = (
+    b"\x00\x00\x00K"                                    # u32 record length 75
+    b"l\x00\x00\x00\x04"                                # a list of four
+    b"s\x00\x00\x00\x05trace"
+    b"f?\xf8\x00\x00\x00\x00\x00\x00"                   # 1.5
+    b"s\x00\x00\x00\x06ingest"
+    b"d\x00\x00\x00\x02"                                # the fields, a dict of two
+    b"s\x00\x00\x00\x06sensor" b"s\x00\x00\x00\x02s1"
+    b"s\x00\x00\x00\x03seq" b"i\x00\x00\x00\x00\x00\x00\x00\x03"
 )
+#: SHA-256 of the whole three-record journal.
+JOURNAL_SHA256 = "9c783a6fb569a1fd7e60ec8d35e0fae8aa24a9af48dfedd1c12e3c9890f76601"
+
+JOURNAL_RECORDS = [
+    ["trace", 1.5, "ingest", {"sensor": "s1", "seq": 3}],
+    ["trace", 2.0, "odd", {
+        "event": Event("s1", 3, 1.25, {"k": (1, 2)}, 4, epoch=None),
+        "members": ProcessIdSet({"p0", "p1"}), "tags": frozenset({"a", "b"}),
+        "cmd": Command("light", 2, 9.0, "set", value=False, issued_by="app@p1")}],
+    ["actuation", 2.5, "light", ("light", "app@p1", 2), "set", frozenset({1, 2})],
+]
 
 
-def _journal_records(journal) -> None:
+def _write_journal(path):
+    from repro.rt.child import JournalTrace
+
+    journal = JournalTrace(str(path))
     journal.record(1.5, "ingest", sensor="s1", seq=3)
     journal.record(
         2.0, "odd",
@@ -348,35 +502,55 @@ def _journal_records(journal) -> None:
     )
     journal.journal_actuation(2.5, "light", ("light", "app@p1", 2), "set",
                               frozenset({1, 2}))
-
-
-def test_journal_lines_are_the_parent_commits_bytes(tmp_path):
-    from repro.rt.child import JournalTrace
-
-    path = tmp_path / "p0.journal"
-    journal = JournalTrace(str(path))
-    _journal_records(journal)
     journal._journal.close()
-    assert path.read_text(encoding="utf-8") == PARENT_JOURNAL
+    return path.read_bytes()
 
 
-def test_parent_written_journal_still_loads(tmp_path):
+def test_journal_records_are_pinned_v3_values(tmp_path):
+    data = _write_journal(tmp_path / "p0.journal")
+    assert data.startswith(FIRST_RECORD)
+    assert hashlib.sha256(data).hexdigest() == JOURNAL_SHA256
+    assert data[len(FIRST_RECORD):] == b"".join(map(encode_record, JOURNAL_RECORDS[1:]))
+
+
+def test_journal_reads_back_exactly_up_to_a_torn_tail(tmp_path):
     from repro.rt.proc import _read_journal
 
     path = tmp_path / "p0.journal"
-    path.write_text(PARENT_JOURNAL + '["trace", 3.0, "torn", {"se', encoding="utf-8")
-    ingest, odd, actuation = _read_journal(str(path))
-    assert ingest == ["trace", 1.5, "ingest", {"sensor": "s1", "seq": 3}]
-    fields = odd[3]
-    assert fields["event"] == Event("s1", 3, 1.25, None, 4)
-    assert fields["event"].value == {"k": [1, 2]}
-    assert fields["members"] == ProcessIdSet({"p0", "p1"})
-    assert isinstance(fields["members"], ProcessIdSet)
-    assert fields["tags"] == frozenset({"a", "b"})
-    assert fields["cmd"] == Command("light", 2, 9.0, "set", value=False,
-                                    issued_by="app@p1")
-    assert actuation == ["actuation", 2.5, "light", ["light", "app@p1", 2], "set",
-                         frozenset({1, 2})]
+    data = _write_journal(path)
+    records = _read_journal(str(path))
+    assert exactly(records, JOURNAL_RECORDS)
+    assert records[1][3]["event"].value == {"k": (1, 2)}
+    assert isinstance(records[1][3]["members"], ProcessIdSet)
+    # A SIGKILL mid-write leaves a record whose length runs past the end
+    # (or a tail too short to hold a length): every record before it loads.
+    last = len(data) - len(encode_record(JOURNAL_RECORDS[2]))
+    for cut in (last + 1, last + 3, last + 4, last + 20, len(data) - 1):
+        path.write_bytes(data[:cut])
+        assert exactly(_read_journal(str(path)), JOURNAL_RECORDS[:2])
+    assert _read_journal(str(tmp_path / "never-written.journal")) == []
+
+
+def test_a_json_journal_is_refused(tmp_path):
+    """A version-2 (JSON lines) journal is not read as a torn empty one:
+    its first four bytes are a length over MAX_FRAME."""
+    from repro.rt.proc import _read_journal
+
+    path = tmp_path / "p0.journal"
+    path.write_text('["trace", 1.5, "ingest", {"sensor": "s1", "seq": 3}]\n')
+    with pytest.raises(WireError, match="MAX_FRAME"):
+        _read_journal(str(path))
+
+
+@pytest.mark.parametrize("record", [
+    b"\x00\x00\x00\x00",                    # an empty record
+    b"\x00\x00\x00\x02NN",                  # trailing bytes
+    b"\x00\x00\x00\x01?",                   # an unknown tag
+    b"\x00\x00\x00\x05l\xff\xff\xff\xff",   # a count past the record
+])
+def test_malformed_journal_records_raise_wire_error(record):
+    with pytest.raises(WireError):
+        decode_records(encode_record(["trace", 1.0, "k", {}]) + record)
 
 
 # -- the sender: one PeerSender per peer, no task and no queue hop ------------------
