@@ -135,8 +135,9 @@ class RuntimeEnv(abc.ABC):
 
         Semantically identical to ``trace(kind, <id_field>=id_value,
         [seq=seq])`` — same aggregates, same digest bytes — but hot
-        environments (the simulator runtime) override it to skip the kwargs
-        packing on the records emitted once per sensor event per process.
+        environments (the simulator runtime, the rt node) override it to
+        write a positional row, skipping the kwargs packing on the records
+        emitted once per sensor event per process.
         """
         if seq is None:
             self.trace(kind, **{id_field: id_value})

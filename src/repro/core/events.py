@@ -53,7 +53,7 @@ class Event:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Command:
     """An actuation command emitted by a logic node toward an actuator.
 

@@ -107,7 +107,7 @@ class GapDelivery:
 
     def on_message(self, message: Message) -> None:
         event: Event = message["event"]
-        self._ctx.env.trace("relay_receive", sensor=self.sensor, seq=event.seq)
+        self._ctx.env.trace_device("relay_receive", "sensor", self.sensor, seq=event.seq)
         self._deliver_local(event, message["app"])
 
     def on_view_change(self, view: LocalView, added: frozenset, removed: frozenset) -> None:

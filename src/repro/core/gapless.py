@@ -125,7 +125,7 @@ class GaplessDelivery:
         view = self._ctx.heartbeat.view
 
         if self._record(event):
-            self._ctx.env.trace("relay_receive", sensor=self.sensor, seq=event.seq)
+            self._ctx.env.trace_device("relay_receive", "sensor", self.sensor, seq=event.seq)
             self._deliver_local(event)
             successor = view.ring_successor()
             if successor is not None:

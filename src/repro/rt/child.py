@@ -53,7 +53,7 @@ from repro.core.stack import RT_STACK
 from repro.rt import wire
 from repro.rt.cluster import QUIESCE_KINDS, thermometer_reading
 from repro.rt.node import AsyncRivuletNode
-from repro.sim.tracing import Trace
+from repro.sim.tracing import Trace, TraceEvent
 
 #: Activity kinds summarized in light reports: what ``LocalCluster.quiesce``
 #: watches, minus the poll replies (steady-state traffic never settles).
@@ -74,8 +74,9 @@ def _atomic_write_json(path: str, payload: dict[str, Any]) -> None:
 
 
 class JournalTrace(Trace):
-    """An aggregate-only Trace that appends every record to an unbuffered
-    binary journal: the file keeps the records, memory only the counts.
+    """An aggregate-only Trace that appends every record, whatever lane
+    wrote it, to an unbuffered binary journal: the file keeps the records,
+    memory only the counts.
 
     Each record is one :func:`repro.rt.wire.encode_record` (the frames'
     codec) written by one ``write`` call, so a SIGKILL loses nothing
@@ -87,10 +88,12 @@ class JournalTrace(Trace):
     def __init__(self, path: str) -> None:
         super().__init__(keep_kinds=set())
         self._journal = open(path, "ab", buffering=0)
+        self.subscribe(self._append)
 
-    def record(self, time: float, kind: str, /, **fields: Any) -> None:
-        super().record(time, kind, **fields)
-        self._journal.write(wire.encode_record(["trace", time, kind, fields]))
+    def _append(self, event: TraceEvent) -> None:
+        fields = dict(zip(event._names, event._values))
+        self._journal.write(
+            wire.encode_record(["trace", event.time, event.kind, fields]))
 
     def journal_actuation(self, time: float, actuator: str, command_id: tuple,
                           action: str, value: Any) -> None:

@@ -170,6 +170,13 @@ class AsyncRivuletNode(ServiceHost):
     def trace(self, kind: str, /, **fields: Any) -> None:
         self._trace.record(self.now(), kind, process=self.name, **fields)
 
+    def trace_device(
+        self, kind: str, id_field: str, id_value: str, seq: Any = None
+    ) -> None:
+        # The positional lane, as on the simulator's process.
+        self._trace.record_device(
+            self.now(), kind, id_field, id_value, process=self.name, seq=seq)
+
     @property
     def traced(self) -> Trace:
         return self._trace

@@ -118,6 +118,13 @@ class Scheduler:
     component anywhere, which is what makes experiment runs reproducible.
     """
 
+    #: The processed-count ceiling of an active :meth:`run`, else None. One
+    #: instant can hold any number of callbacks (a callback that re-posts
+    #: itself at delay 0 never leaves its instant), so ``_drain_open``
+    #: checks it too. A class default, set on the instance only while
+    #: ``run`` is active, so a pickled scheduler carries no budget.
+    _budget: int | None = None
+
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, list]] = []
@@ -331,8 +338,9 @@ class Scheduler:
         # outer finally (lazy-cancel decrements stay inline — dead entries
         # are rare and _compact recounts from the stored state). Callbacks
         # that schedule new work bump the instance counters directly, which
-        # commutes with the deferred deltas; nothing reads the counters
-        # mid-drain.
+        # commutes with the deferred deltas. The one mid-drain reader is
+        # ``_drain_open``'s budget check, so a solo callback's count is
+        # folded before its bucket is handed over.
         ran = 0
         live_delta = 0
         try:
@@ -373,6 +381,8 @@ class Scheduler:
                             self._draining = bucket
                             self._drain_when = when
                             self._drain_idx = 1
+                            self._processed += ran
+                            ran = 0
                             self._drain_open()
                         continue
                     # One unpack instead of three subscript reads.
@@ -398,6 +408,8 @@ class Scheduler:
                             self._draining = bucket
                             self._drain_when = when
                             self._drain_idx = 1
+                            self._processed += ran
+                            ran = 0
                             self._drain_open()
                         continue
                     nxt = when + interval
@@ -424,6 +436,8 @@ class Scheduler:
                     self._draining = bucket
                     self._drain_when = when
                     self._drain_idx = 1
+                    self._processed += ran
+                    ran = 0
                     self._drain_open()
                     continue
                 # Multi-entry bucket: a fleet-aligned tick edge, a burst.
@@ -454,6 +468,7 @@ class Scheduler:
         INTERVAL = _INTERVAL
         IN_BUCKET = _IN_BUCKET
         idx = self._drain_idx
+        budget = self._budget
         ran = 0
         live_delta = 0
         # Re-arm memo: repeating entries of one bucket sharing an interval
@@ -464,44 +479,54 @@ class Scheduler:
         memo_bucket: list | None = None
         try:
             # Appends made by callbacks at this same instant extend the
-            # bucket while we drain it, so re-check len() every pass.
-            while idx < len(bucket):
-                item = bucket[idx]
-                idx += 1
-                if type(item) is tuple:
-                    # The one-shot post lane: the hottest entry shape
-                    # (every transport/radio delivery), nothing but the
-                    # call itself.
+            # bucket while we drain it: drain it in passes, each up to the
+            # length the previous pass left, checking the budget between.
+            while True:
+                end = len(bucket)
+                if idx >= end:
+                    break
+                if budget is not None and self._processed + ran >= budget:
+                    raise SimulationError(
+                        f"exceeded event budget at t={when:.6f}: callbacks "
+                        "keep scheduling at the current instant"
+                    )
+                while idx < end:
+                    item = bucket[idx]
+                    idx += 1
+                    if type(item) is tuple:
+                        # The one-shot post lane: the hottest entry shape
+                        # (every transport/radio delivery), nothing but the
+                        # call itself.
+                        ran += 1
+                        live_delta -= 1
+                        cb, cb_args = item
+                        cb(*cb_args)
+                        continue
+                    cb, cb_args, interval, _ = item
+                    item[IN_BUCKET] = False
+                    if interval is None:
+                        self._lazy_cancelled -= 1
+                        continue
                     ran += 1
                     live_delta -= 1
-                    cb, cb_args = item
                     cb(*cb_args)
-                    continue
-                cb, cb_args, interval, _ = item
-                item[IN_BUCKET] = False
-                if interval is None:
-                    self._lazy_cancelled -= 1
-                    continue
-                ran += 1
-                live_delta -= 1
-                cb(*cb_args)
-                # Re-read: the callback may have cancelled its own entry,
-                # which must suppress the re-arm.
-                interval = item[INTERVAL]
-                if interval:
-                    nxt = when + interval
-                    if nxt == memo_when:
-                        memo_bucket.append(item)
-                    else:
-                        memo_bucket = buckets.get(nxt)
-                        if memo_bucket is None:
-                            buckets[nxt] = memo_bucket = [item]
-                            push(heap, (nxt, memo_bucket))
-                        else:
+                    # Re-read: the callback may have cancelled its own
+                    # entry, which must suppress the re-arm.
+                    interval = item[INTERVAL]
+                    if interval:
+                        nxt = when + interval
+                        if nxt == memo_when:
                             memo_bucket.append(item)
-                        memo_when = nxt
-                    item[IN_BUCKET] = True
-                    live_delta += 1
+                        else:
+                            memo_bucket = buckets.get(nxt)
+                            if memo_bucket is None:
+                                buckets[nxt] = memo_bucket = [item]
+                                push(heap, (nxt, memo_bucket))
+                            else:
+                                memo_bucket.append(item)
+                            memo_when = nxt
+                        item[IN_BUCKET] = True
+                        live_delta += 1
         finally:
             # Keep the resume cursor and counters honest even when a
             # callback raises, so a caller that catches can continue.
@@ -519,14 +544,25 @@ class Scheduler:
 
         :meth:`run_until` of the next timestamp, one timestamp at a time
         (the clock ends at the last one that ran a callback); the budget is
-        checked after each one.
+        checked after each one, and between the passes of one instant. The
+        first pass runs the entries the instant holds when it opens (or
+        resumes); each later pass runs what the previous pass scheduled at
+        that same instant, so a callback that keeps re-posting itself at
+        delay 0 raises too.
         """
-        budget = self._processed + max_events
+        budget = self._budget = self._processed + max_events
         heap = self._heap
-        while self._live and (heap or self._draining is not None):
-            self.run_until(heap[0][0] if heap else self._now)
-            if self._processed >= budget:
-                raise SimulationError(f"exceeded event budget of {max_events}")
+        try:
+            while self._live and (heap or self._draining is not None):
+                # An open bucket (a callback raised, or the budget ran out
+                # mid-instant) finishes alone, at its own instant.
+                self.run_until(
+                    heap[0][0] if heap and self._draining is None else self._now
+                )
+                if self._processed >= budget:
+                    raise SimulationError(f"exceeded event budget of {max_events}")
+        finally:
+            del self._budget
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Scheduler t={self._now:.6f} pending={self.pending_events}>"

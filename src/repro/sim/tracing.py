@@ -22,16 +22,19 @@ O(1) appends and O(1) aggregate queries:
   delivery service a per-``(kind, sensor[, process])``
   :class:`DeviceChannel` for the once-per-event records, and
   :meth:`Trace.record_device` is the positional lane for the remaining
-  radio/device kinds (``radio_lost``, ``poll_*``, ``command_*``) whose
-  records carry no aggregate fields;
+  radio/device kinds (``radio_lost``, ``poll_*``, ``command_*``) and for
+  ``trace_device`` (``ingest``, ``relay_receive``), whose records carry no
+  aggregate fields;
 - this module is the only one that knows the digest byte layout: one
-  encoder per record shape (:func:`_record_bytes` for any fields dict,
-  :class:`MessageChannel` and :class:`DeviceChannel` for their fixed
+  encoder per record shape (:func:`_record_bytes` for any row or fields
+  dict, :class:`MessageChannel` and :class:`DeviceChannel` for their fixed
   shapes), all byte-identical for the same record — a run's digest does
   not depend on which lane wrote it or on what observes the trace;
 - ``events`` / ``of_kind`` return **read-only views** over internal lists
   (no copying); ``iter_kind`` is the matching lazy iterator;
-- :class:`TraceEvent` is slot-based, and ``digest()`` provides a stable
+- a kept :class:`TraceEvent` is a row — time, kind, an interned field-name
+  tuple and a values tuple — which the positional lanes write without
+  building a fields dict; ``digest()`` provides a stable
   hash over the full record stream so determinism can be asserted cheaply.
   The digest payload is a versioned **binary encoding** (see
   :data:`DIGEST_VERSION` and :func:`_pack_value`): floats are packed to 8
@@ -46,7 +49,7 @@ import hashlib
 import struct
 from collections import Counter
 from collections.abc import Sequence
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 #: Digest format version. v1 hashed ``repr()``-joined text records; v2 is a
 #: length-prefixed binary framing (floats via ``struct.pack("<d", ...)``)
@@ -190,37 +193,137 @@ def _pack_value(value: Any) -> bytes:
     return b"r" + _clen(len(encoded)) + encoded
 
 
-class TraceEvent:
-    """One timestamped occurrence; ``fields`` is kind-specific.
+#: Field-name tuple -> itself. A kept record's names are interned here, so
+#: every record of one schema shares a single tuple object (and the
+#: same-schema fast path of :meth:`TraceEvent.__eq__` is an identity test).
+_NAMES: dict[tuple[str, ...], tuple[str, ...]] = {}
+_intern = _NAMES.setdefault
 
+
+class TraceEvent:
+    """One timestamped occurrence, stored as a row.
+
+    A record is ``time``, ``kind``, a field-name tuple and the matching
+    values tuple; ``fields`` is a dict derived on each read. The lanes pass
+    interned name tuples (:func:`_names`), so every record of one schema
+    shares one tuple object.
+    Storing rows instead of dicts roughly halves a kept record's bytes
+    (docs/performance.md), which is what bounds a long rt run's memory.
     Immutable by convention (nothing in the codebase mutates a recorded
-    event); slot-based so that recording half a million of them stays cheap.
+    event).
     """
 
-    __slots__ = ("time", "kind", "fields")
+    __slots__ = ("time", "kind", "_names", "_values")
 
-    def __init__(self, time: float, kind: str, fields: dict[str, Any]) -> None:
+    def __init__(
+        self, time: float, kind: str, names: tuple[str, ...], values: tuple
+    ) -> None:
         self.time = time
         self.kind = kind
-        self.fields = fields
+        self._names = names
+        self._values = values
+
+    @property
+    def fields(self) -> dict[str, Any]:
+        """The record's fields, as a fresh dict in recording order."""
+        return dict(zip(self._names, self._values))
 
     def __getitem__(self, key: str) -> Any:
-        return self.fields[key]
+        try:
+            return self._values[self._names.index(key)]
+        except ValueError:
+            raise KeyError(key) from None
 
     def get(self, key: str, default: Any = None) -> Any:
-        return self.fields.get(key, default)
+        names = self._names
+        return self._values[names.index(key)] if key in names else default
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceEvent):
             return NotImplemented
-        return (
-            self.time == other.time
-            and self.kind == other.kind
-            and self.fields == other.fields
-        )
+        if self.time != other.time or self.kind != other.kind:
+            return False
+        if self._names is other._names:
+            return self._values == other._values
+        return self.fields == other.fields
+
+    def __getstate__(self) -> tuple:
+        return (self.time, self.kind, self._names, self._values)
+
+    def __setstate__(self, state: tuple) -> None:
+        if len(state) == 2:
+            # The dict layout's slot state: (None, {"time", "kind", "fields"}).
+            slots = state[1]
+            fields = slots["fields"]
+            state = (slots["time"], slots["kind"], tuple(fields), tuple(fields.values()))
+        time, kind, names, values = state
+        self.__init__(time, kind, _intern(names, names), values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceEvent(time={self.time!r}, kind={self.kind!r}, fields={self.fields!r})"
+
+
+_new_event = object.__new__
+
+
+def _names(*names: str) -> tuple[str, ...]:
+    return _intern(names, names)
+
+
+#: The positional lanes' interned schemas, in each lane's field order.
+_N_MSG = _names("src", "dst", "kind")
+_N_MSG_BYTES = _names("src", "dst", "kind", "bytes")
+_N_MSG_REASON = _names("src", "dst", "kind", "reason")
+_N_MSG_BYTES_REASON = _names("src", "dst", "kind", "bytes", "reason")
+_N_SENSOR_SEQ = _names("sensor", "seq")
+_N_SENSOR_PROCESS_SEQ = _names("sensor", "process", "seq")
+
+
+def _message_row(
+    src: str, dst: str, sub_kind: str, nbytes: int | None, reason: str | None
+) -> tuple[tuple[str, ...], tuple]:
+    """A message record's row: ``src, dst, kind[, bytes][, reason]``."""
+    if reason is None:
+        if nbytes is None:
+            return _N_MSG, (src, dst, sub_kind)
+        return _N_MSG_BYTES, (src, dst, sub_kind, nbytes)
+    if nbytes is None:
+        return _N_MSG_REASON, (src, dst, sub_kind, reason)
+    return _N_MSG_BYTES_REASON, (src, dst, sub_kind, nbytes, reason)
+
+
+#: id field -> the interned names of its eight record_device shapes,
+#: indexed by which of process (1), seq (2) and action (4) are present.
+_DEVICE_NAMES: dict[str, tuple[tuple[str, ...], ...]] = {}
+
+
+def _device_shapes(id_field: str) -> tuple[tuple[str, ...], ...]:
+    optional = ("process", "seq", "action")
+    shapes = _DEVICE_NAMES[id_field] = tuple(
+        _names(id_field, *[name for bit, name in enumerate(optional) if mask >> bit & 1])
+        for mask in range(8)
+    )
+    return shapes
+
+
+def _device_row(
+    id_field: str, id_value: Any, process: Any, seq: Any, action: Any
+) -> tuple[tuple[str, ...], tuple]:
+    """A device record's row: ``<id_field>[, process][, seq][, action]``,
+    each optional field present unless None."""
+    shapes = _DEVICE_NAMES.get(id_field) or _device_shapes(id_field)
+    if process is None:
+        if seq is None:
+            mask, values = 0, (id_value,)
+        else:
+            mask, values = 2, (id_value, seq)
+    elif seq is None:
+        mask, values = 1, (id_value, process)
+    else:
+        mask, values = 3, (id_value, process, seq)
+    if action is None:
+        return shapes[mask], values
+    return shapes[mask | 4], values + (action,)
 
 
 class EventsView(Sequence):
@@ -353,22 +456,28 @@ class Trace:
         self._kind_state[kind] = state
         return state
 
-    def _finish(self, time: float, kind: str, state: list, fields: dict[str, Any]) -> None:
-        """Store / notify / hash one record whose fields dict is built.
+    def _finish(
+        self, time: float, kind: str, state: list, names: tuple[str, ...], values: tuple
+    ) -> None:
+        """Store / notify / hash one record given as a row: an interned
+        field-name tuple and its values.
 
-        Shared slow tail of the fast lanes; only called when at least one
-        of kept-storage, subscribers or the streaming hash needs the event.
+        The shared tail of every lane; only called when at least one of
+        kept-storage, subscribers or the streaming hash needs the record.
         """
-        event = None
         kept = state[3]
-        if kept is not None:
-            event = TraceEvent(time, kind, fields)
-            self._events.append(event)
-            kept.append(event)
         kind_subs = state[4]
-        if kind_subs is not None or self._subscribers:
-            if event is None:
-                event = TraceEvent(time, kind, fields)
+        if kept is not None or kind_subs is not None or self._subscribers:
+            # TraceEvent(time, kind, names, values), inlined: the call
+            # costs ~60 ns per kept record, ~1 % of rt_closed events/s.
+            event = _new_event(TraceEvent)
+            event.time = time
+            event.kind = kind
+            event._names = names
+            event._values = values
+            if kept is not None:
+                self._events.append(event)
+                kept.append(event)
             for subscriber in self._subscribers:
                 subscriber(event)
             if kind_subs is not None:
@@ -376,7 +485,7 @@ class Trace:
                     subscriber(event)
         if self._hasher is not None:
             buf = self._hash_buf
-            buf += _record_bytes(time, kind, fields)
+            buf += _record_bytes(time, kind, names, values)
             if len(buf) >= _FLUSH_BYTES:
                 self._flush_hash()
 
@@ -421,24 +530,12 @@ class Trace:
                     else:
                         cell[0] += 1
 
-        event = None
-        kept = state[3]
-        if kept is not None:
-            event = TraceEvent(time, kind, fields)
-            self._events.append(event)
-            kept.append(event)
-        kind_subs = state[4]
-        if kind_subs is not None or self._subscribers:
-            if event is None:
-                event = TraceEvent(time, kind, fields)
-            for subscriber in self._subscribers:
-                subscriber(event)
-            if kind_subs is not None:
-                for subscriber in kind_subs:
-                    subscriber(event)
-        if self._hasher is not None:
+        if state[3] is not None or state[4] is not None or self._subscribers:
+            names = tuple(fields)
+            self._finish(time, kind, state, _intern(names, names), tuple(fields.values()))
+        elif self._hasher is not None:
             buf = self._hash_buf
-            buf += _record_bytes(time, kind, fields)
+            buf += _record_bytes(time, kind, tuple(fields), fields.values())
             if len(buf) >= _FLUSH_BYTES:
                 self._flush_hash()
 
@@ -488,12 +585,8 @@ class Trace:
             cell[0] += 1
 
         if state[3] is not None or state[4] is not None or self._has_observers:
-            fields = {"src": src, "dst": dst, "kind": sub_kind}
-            if nbytes is not None:
-                fields["bytes"] = nbytes
-            if reason is not None:
-                fields["reason"] = reason
-            self._finish(time, kind, state, fields)
+            names, values = _message_row(src, dst, sub_kind, nbytes, reason)
+            self._finish(time, kind, state, names, values)
 
     def record_device(
         self,
@@ -509,29 +602,25 @@ class Trace:
 
         Semantically identical to ``record(time, kind, <id_field>=id_value,
         [process=...], [seq=...], [action=...])`` — same counts, same kept
-        events, same digest bytes — but positional, and the fields dict is
+        events, same digest bytes — but positional, and the record's row is
         only built when storage, a subscriber or the streaming hash needs
         it. Intended for the radio/device record kinds (``radio_*``,
-        ``poll_*``, ``command_*``, ``sensor_*``) whose schemas carry no
-        aggregate fields; kinds that do carry them (``bytes``, ``kind``,
-        ``src``+``dst``) fall back to the generic path.
+        ``poll_*``, ``command_*``, ``sensor_*``, ``ingest``,
+        ``relay_receive``) whose schemas carry no aggregate fields; kinds
+        that do carry them (``bytes``, ``kind``, ``src``+``dst``) fall back
+        to the generic path.
         """
         state = self._kind_state.get(kind)
         if state is not None and not state[2]:
             state[0] += 1
             if state[3] is None and state[4] is None and not self._has_observers:
                 return
-        fields = {id_field: id_value}
-        if process is not None:
-            fields["process"] = process
-        if seq is not None:
-            fields["seq"] = seq
-        if action is not None:
-            fields["action"] = action
-        if state is None or state[2]:
-            self.record(time, kind, **fields)
-        else:
-            self._finish(time, kind, state, fields)
+            # Unpacked first: a starred call costs more than the row.
+            names, values = _device_row(id_field, id_value, process, seq, action)
+            self._finish(time, kind, state, names, values)
+            return
+        names, values = _device_row(id_field, id_value, process, seq, action)
+        self.record(time, kind, **dict(zip(names, values)))
 
     def message_channel(self, kind: str, src: str, dst: str) -> "MessageChannel":
         """A pre-resolved recorder for one ``(kind, src, dst)`` message flow.
@@ -719,7 +808,7 @@ class Trace:
             )
         hasher = _new_hasher()
         for event in self._events:
-            hasher.update(_record_bytes(event.time, event.kind, event.fields))
+            hasher.update(_record_bytes(event.time, event.kind, event._names, event._values))
         return _hexdigest(hasher)
 
     def seal(self) -> str:
@@ -900,12 +989,8 @@ class MessageChannel:
                 if len(buf) >= _FLUSH_BYTES:
                     trace._flush_hash()
                 return
-        fields = {"src": self.src, "dst": self.dst, "kind": sub_kind}
-        if nbytes is not None:
-            fields["bytes"] = nbytes
-        if reason is not None:
-            fields["reason"] = reason
-        trace._finish(time, self.kind, state, fields)
+        names, values = _message_row(self.src, self.dst, sub_kind, nbytes, reason)
+        trace._finish(time, self.kind, state, names, values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MessageChannel {self.kind} {self.src}->{self.dst}>"
@@ -921,7 +1006,7 @@ class DeviceChannel:
     fixed at construction, so a count+digest record stages three pieces.
     """
 
-    __slots__ = ("_trace", "_state", "kind", "sensor", "process", "_mid")
+    __slots__ = ("_trace", "_state", "kind", "sensor", "process", "_names", "_mid")
 
     def __init__(
         self, trace: Trace, kind: str, sensor: str, process: str | None
@@ -932,6 +1017,7 @@ class DeviceChannel:
         self.process = process
         # None until the kind's first record fixed its profile (see record).
         self._state: list | None = trace._kind_state.get(kind)
+        self._names = _N_SENSOR_SEQ if process is None else _N_SENSOR_PROCESS_SEQ
         # Digest payload between the packed time and the packed seq; the
         # sorted key order "process" < "sensor" < "seq" is fixed by the
         # alphabet, as in _record_bytes over the equivalent fields dict.
@@ -973,11 +1059,9 @@ class DeviceChannel:
                 if len(buf) >= _FLUSH_BYTES:
                     trace._flush_hash()
             return
-        fields = {"sensor": self.sensor}
-        if self.process is not None:
-            fields["process"] = self.process
-        fields["seq"] = seq
-        trace._finish(time, self.kind, state, fields)
+        process = self.process
+        values = (self.sensor, seq) if process is None else (self.sensor, process, seq)
+        trace._finish(time, self.kind, state, self._names, values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DeviceChannel {self.kind} {self.sensor}>"
@@ -999,42 +1083,49 @@ def _fold_segments(sealed: list[str], open_segment: str) -> str:
     hasher.update(open_segment.encode("ascii"))
     return _hexdigest(hasher)
 
-#: Insertion-order key tuple -> (sorted keys, their length-prefixed
-#: encodings, the field-count byte). Record schemas are stable per call
-#: site, so the handful of distinct key sets are prepared once and every
-#: later record skips the sort and the key encoding entirely.
-_KEY_ORDERS: dict[tuple, tuple[tuple[str, ...], tuple[bytes, ...], bytes]] = {}
+#: Field-name tuple -> (each name's part index in sorted framing order, the
+#: parts list with every key's length-prefixed encoding in place). Record
+#: schemas are stable per call site, so the handful of distinct name tuples
+#: are prepared once and every later record skips the sort and the key
+#: encoding entirely.
+_KEY_ORDERS: dict[tuple[str, ...], tuple[tuple[int, ...], list]] = {}
 
 
-def _record_bytes(time: float, kind: str, fields: dict[str, Any]) -> bytes:
-    """One record's digest payload: packed time, field count, kind, fields."""
-    ikeys = tuple(fields)
-    cached = _KEY_ORDERS.get(ikeys)
+def _record_bytes(
+    time: float, kind: str, names: tuple[str, ...], values: "Iterable[Any]"
+) -> bytes:
+    """One record's digest payload: packed time, field count, kind, fields.
+
+    ``values`` are in ``names`` order: a row's values tuple, or a fields
+    dict's ``values()``. Fields are framed in sorted name order, so the
+    bytes do not depend on the order a lane lists them in.
+    """
+    cached = _KEY_ORDERS.get(names)
     if cached is None:
-        keys = tuple(sorted(ikeys))
-        cached = (
-            keys,
-            tuple(_lp(k.encode("utf-8", "backslashreplace")) for k in keys),
-            _NF[len(keys)],
-        )
-        _KEY_ORDERS[ikeys] = cached
-    keys, key_lps, nf = cached
-    parts = [_PACK_D(time), nf, _kind_lp(kind)]
-    append = parts.append
-    for key, key_lp in zip(keys, key_lps):
-        append(key_lp)
-        value = fields[key]
+        ranks = sorted(range(len(names)), key=names.__getitem__)
+        template = [b"", _NF[len(names)], b""]
+        for i in ranks:
+            template += (_lp(names[i].encode("utf-8", "backslashreplace")), b"")
+        slots = [0] * len(names)
+        for rank, i in enumerate(ranks):
+            slots[i] = 4 + 2 * rank
+        cached = _KEY_ORDERS[names] = (tuple(slots), template)
+    slots, template = cached
+    parts = template.copy()
+    parts[0] = _PACK_D(time)
+    parts[2] = _kind_lp(kind)
+    for slot, value in zip(slots, values):
         t = type(value)
         # Exact-type dispatch mirrors _pack_value's scalar branches,
         # inlined to skip a call per field on the hot path.
         if t is str:
-            append(_pack_str(value))
+            parts[slot] = _pack_str(value)
         elif t is float:
-            append(b"f" + _PACK_D(value))
+            parts[slot] = b"f" + _PACK_D(value)
         elif t is int:
-            append(_pack_int(value))
+            parts[slot] = _pack_int(value)
         elif t is bool:
-            append(b"T" if value else b"F")
+            parts[slot] = b"T" if value else b"F"
         else:
-            append(_pack_value(value))
+            parts[slot] = _pack_value(value)
     return b"".join(parts)

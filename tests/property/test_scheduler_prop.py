@@ -10,7 +10,10 @@ flag checked at pop time. Random programs of every scheduling call, cancels
 of the same instant, in bulk past the compaction threshold), same-instant
 scheduling from inside callbacks and ``run_until`` / ``run`` drains run
 against both; the ``(label, now)`` firing order, ``now``, ``pending_events``
-and ``processed_events`` must agree after every drain.
+and ``processed_events`` must agree after every drain. ``run`` checks its
+budget after each instant and between the passes of one instant: the first
+pass is the entries due at the instant when it opens, each later pass the
+entries the previous one scheduled at that instant.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.scheduler import Scheduler, SimulationError
 
@@ -48,7 +51,8 @@ class Model:
         self.now = 0.0
         self.processed_events = 0
         self._heap: list = []
-        self._seq = itertools.count()
+        self._seq = 0
+        self._budget = None
 
     @property
     def pending_events(self) -> int:
@@ -58,8 +62,12 @@ class Model:
         if when < self.now:
             raise SimulationError("in the past")
         entry = [callback, args, interval]
-        heapq.heappush(self._heap, (when, next(self._seq), entry))
+        self._push(when, entry)
         return _ModelHandle(entry)
+
+    def _push(self, when, entry):
+        heapq.heappush(self._heap, (when, self._seq, entry))
+        self._seq += 1
 
     def call_at(self, when, callback, *args):
         return self._arm(when, callback, args, 0.0)
@@ -80,23 +88,36 @@ class Model:
         if deadline < self.now:
             raise SimulationError("deadline in the past")
         heap = self._heap
+        instant = pass_end = None
         while heap and heap[0][0] <= deadline:
-            when, _seq, entry = heapq.heappop(heap)
+            when, seq, entry = heap[0]
+            if when != instant:
+                instant, pass_end = when, self._seq
+            elif seq >= pass_end:
+                # Scheduled at this instant by one of its callbacks: the
+                # next pass, and run's budget is checked before it.
+                if self._budget is not None and self.processed_events >= self._budget:
+                    raise SimulationError("budget")
+                pass_end = self._seq
+            heapq.heappop(heap)
             if entry[2] is None:
                 continue
             self.now = when
             self.processed_events += 1
             entry[0](*entry[1])
             if entry[2]:
-                heapq.heappush(heap, (when + entry[2], next(self._seq), entry))
+                self._push(when + entry[2], entry)
         self.now = deadline
 
     def run(self, max_events):
-        budget = self.processed_events + max_events
-        while self.pending_events:
-            self.run_until(self._heap[0][0])
-            if self.processed_events >= budget:
-                raise SimulationError("budget")
+        self._budget = self.processed_events + max_events
+        try:
+            while self.pending_events:
+                self.run_until(self._heap[0][0])
+                if self.processed_events >= self._budget:
+                    raise SimulationError("budget")
+        finally:
+            self._budget = None
 
 
 class Runaway(Exception):
@@ -226,8 +247,22 @@ program = st.lists(
 )
 
 
+#: An entry due at 0.0 whose callback schedules another at that instant.
+_REPOSTS = ("schedule", ("call_at", 0.0, 0.25, [("schedule", ("call_later", 0.0, 0.25))]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(program)
+# Budget spent in the first pass of a two-entry instant: both fire, and
+# run raises before the two entries they scheduled at that instant.
+@example([_REPOSTS, _REPOSTS, ("run", 1)])
+# The same after a solo first pass, then a resumed run that finishes it.
+@example([_REPOSTS, ("run", 1), ("run", 5)])
+# A budget raise mid-instant with a later instant pending: the next run
+# finishes the open instant (one more entry joined it meanwhile) and
+# raises before it reaches 1.0.
+@example([_REPOSTS, _REPOSTS, ("schedule", ("call_at", 1.0, 0.25, [])), ("run", 1),
+          ("schedule", ("call_later", 0.0, 0.25, [])), ("run", 3)])
 def test_scheduler_matches_the_reference_heap(ops):
     ops = ops + [("run_until", 5.0)]
     expected = Interpreter(Model()).run(ops)

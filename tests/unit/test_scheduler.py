@@ -1,8 +1,16 @@
 """Unit tests for the discrete-event scheduler."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.sim.scheduler import Scheduler, SimulationError
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def test_time_starts_at_zero():
@@ -120,6 +128,48 @@ def test_event_budget_guards_infinite_loops():
     sched.call_later(0.1, forever)
     with pytest.raises(SimulationError):
         sched.run(max_events=100)
+
+
+def test_event_budget_guards_a_loop_at_one_instant():
+    # A callback that re-posts itself at delay 0 never leaves its instant,
+    # so the budget must hold inside the drain too. Run in a subprocess: a
+    # scheduler without that bound spins forever instead of raising.
+    program = textwrap.dedent("""
+        from repro.sim.scheduler import Scheduler, SimulationError
+
+        sched = Scheduler()
+
+        def again():
+            sched.call_later(0.0, again)
+
+        sched.call_later(1.0, again)
+        try:
+            sched.run(max_events=1000)
+        except SimulationError:
+            assert sched.processed_events == 1000, sched.processed_events
+            assert sched.now == 1.0
+            print("raised")
+    """)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    try:
+        done = subprocess.run([sys.executable, "-c", program], env=env,
+                              capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("run(max_events=1000) spun at one instant instead of raising")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "raised"
+
+
+def test_budget_does_not_outlive_run():
+    sched = Scheduler()
+    sched.call_later(0.0, lambda: None)
+    sched.run(max_events=10)
+    assert "_budget" not in vars(sched)
+    ran = []
+    for i in range(50):
+        sched.call_at(1.0, ran.append, i)
+    sched.run_until(1.0)  # no budget outside run()
+    assert len(ran) == 50
 
 
 def test_pending_and_processed_counters():
