@@ -22,7 +22,7 @@ from repro.eval.workloads import single_sensor_home
 from repro.net.message import Message
 from repro.net.wire import ProcessIdSet, wire_size
 from repro.rt.wire import (
-    decode_body, encode_message, frame_kind, read_frames, split_frame,
+    FrameProtocol, decode_body, encode_message, frame_kind, split_frame,
 )
 from repro.sim.scheduler import Scheduler
 
@@ -212,18 +212,18 @@ def test_rt_frame_roundtrip(benchmark):
 
 
 def test_rt_frame_splitter(benchmark):
-    """1 000 frames out of one in-memory stream, read in 64 KB chunks."""
+    """1 000 frames out of one in-memory stream, fed in 64 KB chunks."""
     frame = encode_message(_gapless_message())
     stream = frame * 1000
+    chunks = [stream[i:i + (64 << 10)] for i in range(0, len(stream), 64 << 10)]
 
     async def split() -> int:
-        reader = asyncio.StreamReader(limit=len(stream))
-        reader.feed_data(stream)
-        reader.feed_eof()
-        count = 0
-        async for _body in read_frames(reader):
-            count += 1
-        return count
+        bodies: list[bytes] = []
+        protocol = FrameProtocol(bodies.append, set())
+        protocol.connection_made(None)
+        for chunk in chunks:
+            protocol.data_received(chunk)
+        return len(bodies)
 
     assert benchmark(lambda: asyncio.run(split())) == 1000
 

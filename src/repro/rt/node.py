@@ -23,6 +23,7 @@ services stamp (trace records, logic-delivery delays) is run-relative.
 from __future__ import annotations
 
 import asyncio
+import functools
 import socket
 from typing import Any, Callable
 
@@ -80,7 +81,9 @@ class AsyncRivuletNode(ServiceHost):
         # cluster trace is always empty at construction time.
         self._trace = trace if trace is not None else Trace()
         self._senders: dict[str, wire.PeerSender] = {}
-        self._inbound: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._inbound: set[wire.FrameProtocol] = set()
+        # Zero-delay steps, drained by one loop callback (see schedule()).
+        self._ready: list[_Step] = []
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._alive = False
@@ -94,8 +97,8 @@ class AsyncRivuletNode(ServiceHost):
         self._loop = asyncio.get_running_loop()
         self._alive = True
         where = {"sock": sock} if sock is not None else {"host": "127.0.0.1", "port": self.port}
-        self._server = await asyncio.start_server(
-            wire.accept_into(self._inbound, self._on_connection), **where)
+        self._server = await self._loop.create_server(functools.partial(
+            wire.FrameProtocol, self._dispatch, self._inbound, on_error=self._wire_error), **where)
         self.boot_services()
         self.trace("boot")
 
@@ -107,6 +110,7 @@ class AsyncRivuletNode(ServiceHost):
     async def halt(self) -> None:
         """First half of :meth:`stop`: no more activity, sends or dials."""
         self._alive = False
+        self._ready.clear()
         if self.heartbeat is not None:
             self.heartbeat.stop()
         senders = list(self._senders.values())
@@ -117,13 +121,18 @@ class AsyncRivuletNode(ServiceHost):
         """Second half: close the listener and what it accepted."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         await wire.close_accepted(self._inbound)
+        if self._server is not None:
+            await self._server.wait_closed()
         self.trace("stop")
 
     @property
     def alive(self) -> bool:
         return self._alive
+
+    def sender_stats(self) -> dict[str, wire.SenderStats]:
+        """Each peer's :class:`repro.rt.wire.SenderStats`, by name."""
+        return {dst: sender.stats for dst, sender in self._senders.items()}
 
     # -- device-side API -----------------------------------------------------------------
 
@@ -155,10 +164,29 @@ class AsyncRivuletNode(ServiceHost):
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> CancelHandle:
         loop = self._loop or asyncio.get_event_loop()
         if delay <= 0:
-            # FIFO and off the timer heap: the ProcessingModel is all zeros
-            # here, so most protocol steps are zero-delay hand-offs.
-            return loop.call_soon(self._fire, fn, args)
+            # The ProcessingModel is all zeros here, so most protocol steps
+            # are zero-delay hand-offs: FIFO, off the timer heap, and one
+            # loop callback runs every step queued by the time it runs.
+            if not self._ready:
+                loop.call_soon(self._drain)
+            step = _Step(fn, args)
+            self._ready.append(step)
+            return step
         return loop.call_later(delay, self._fire, fn, args)
+
+    def _drain(self) -> None:
+        """Run the queued steps. What they post goes to a fresh queue and
+        its own callback, the next loop turn, as ``call_soon`` would run
+        it: a cascade cannot starve I/O."""
+        steps, self._ready = self._ready, []
+        for step in steps:
+            if step.fn is not None and self._alive:
+                try:
+                    step.fn(*step.args)
+                except Exception as exc:
+                    asyncio.get_running_loop().call_exception_handler({
+                        "message": f"Exception in node {self.name}'s step {step.fn!r}",
+                        "exception": exc})
 
     def _fire(self, fn: Callable[..., None], args: tuple) -> None:
         if self._alive:
@@ -183,25 +211,18 @@ class AsyncRivuletNode(ServiceHost):
 
     # -- inbound ----------------------------------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            async for body in wire.read_frames(reader):
-                if not self._alive:
-                    break
-                message = wire.decode_body(body)
-                handler = self._handlers.get(message.kind)
-                if handler is None:
-                    self.trace("unhandled_message", kind=message.kind)
-                    continue
-                handler(message)
-        except (asyncio.CancelledError, ConnectionError):
-            pass  # node shutting down or peer gone: just drop the stream
-        except wire.WireError as exc:
-            self.trace("wire_error", error=str(exc))
-        finally:
-            writer.close()
+    def _dispatch(self, body: bytes) -> bool | None:
+        if not self._alive:
+            return False  # halted: hang up, dispatch nothing more
+        message = wire.decode_body(body)
+        handler = self._handlers.get(message.kind)
+        if handler is None:
+            self.trace("unhandled_message", kind=message.kind)
+        else:
+            handler(message)
+
+    def _wire_error(self, exc: wire.WireError) -> None:
+        self.trace("wire_error", error=str(exc))
 
     # -- service plumbing --------------------------------------------------------------------
 
@@ -217,3 +238,15 @@ class AsyncRivuletNode(ServiceHost):
             self.trace("poll_unserviced", sensor=sensor)
             return
         self._poll_handler(sensor, on_response)
+
+
+class _Step:
+    """A queued zero-delay step and its cancel handle."""
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: Callable[..., None] | None, args: tuple) -> None:
+        self.fn, self.args = fn, args
+
+    def cancel(self) -> None:
+        self.fn = None

@@ -17,7 +17,10 @@ lossy/partitionable transport:
 Topology: one listener per *directed* pair ``(src, dst)``. A plain proxy
 cannot know who connected to it, so each source process gets its own
 private ingress port per destination; the per-pair listener is what makes
-per-peer fault policy possible.
+per-peer fault policy possible. Every frame read on a pair's listener is
+judged and queued as it is read (:class:`repro.rt.wire.FrameProtocol`), and
+leaves through the pair's one :class:`repro.rt.wire.PeerSender`, whichever
+connection carried it in.
 
 The proxy is also the rt runtime's network observer: every forwarded frame
 is recorded as a ``net_send`` trace record (src/dst/kind/bytes) and every
@@ -80,7 +83,8 @@ class FaultProxy:
         self.stats: dict[tuple[str, str], PairStats] = {}
         self._ports: dict[tuple[str, str], int] = {}
         self._servers: list[asyncio.AbstractServer] = []
-        self._inbound: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._inbound: set[wire.FrameProtocol] = set()
+        self._senders: dict[tuple[str, str], wire.PeerSender] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         for src in self._processes:
             for dst in self._processes:
@@ -93,10 +97,11 @@ class FaultProxy:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         for pair in self._policy:
-            src, dst = pair
-            server = await asyncio.start_server(
-                wire.accept_into(
-                    self._inbound, functools.partial(self._serve_pair, pair)),
+            sender = self._senders[pair] = wire.PeerSender(self._targets[pair[1]])
+            forward = functools.partial(
+                self._forward, pair, self._policy[pair], self.stats[pair], sender)
+            server = await self._loop.create_server(
+                functools.partial(wire.FrameProtocol, forward, self._inbound, raw=True),
                 "127.0.0.1", 0,
             )
             self._servers.append(server)
@@ -105,12 +110,13 @@ class FaultProxy:
     async def stop(self) -> None:
         for server in self._servers:
             server.close()
+        await wire.close_accepted(self._inbound)
         for server in self._servers:
             await server.wait_closed()
         self._servers.clear()
-        # A handler closes its own sender on the way out; one cancelled
-        # before its first step has neither a sender nor a ``finally``.
-        await wire.close_accepted(self._inbound)
+        senders = list(self._senders.values())
+        self._senders.clear()
+        await asyncio.gather(*(sender.close() for sender in senders))
 
     def address_map_for(self, src: str) -> dict[str, tuple[str, int]]:
         """The peer-address map process ``src`` should dial through."""
@@ -165,41 +171,22 @@ class FaultProxy:
 
     # -- data path ----------------------------------------------------------------
 
-    async def _serve_pair(
-        self,
-        pair: tuple[str, str],
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    def _forward(self, pair: tuple[str, str], policy: PairPolicy, stats: PairStats,
+                 sender: wire.PeerSender, frame: bytes) -> None:
+        """Apply the pair's policy to one frame read from its source."""
         src, dst = pair
-        sender = wire.PeerSender(self._targets[dst])
-        policy = self._policy[pair]
-        stats = self.stats[pair]
-        loop = self._loop or asyncio.get_running_loop()
-        try:
-            async for frame in wire.read_frames(reader, raw=True):
-                now = loop.time()
-                if policy.blocked or not self._partition.can_communicate(src, dst):
-                    self._drop(now, src, dst, frame, stats, "partition")
-                    continue
-                if policy.loss > 0.0 and self._rng.chance(policy.loss):
-                    self._drop(now, src, dst, frame, stats, "loss")
-                    continue
-                stats.forwarded += 1
-                stats.bytes_forwarded += len(frame)
-                if self._trace is not None:
-                    kind = wire.frame_kind(frame) or "?"
-                    self._trace.record_message(
-                        now, "net_send", src, dst, kind, len(frame)
-                    )
-                sender.put(now + policy.delay_s, frame)
-        except (asyncio.CancelledError, ConnectionError):
-            pass
-        except wire.WireError:
-            pass  # corrupted upstream: drop the connection, peer will redial
-        finally:
-            writer.close()
-            await sender.close()
+        now = self._loop.time()
+        if policy.blocked or not self._partition.can_communicate(src, dst):
+            self._drop(now, src, dst, frame, stats, "partition")
+        elif policy.loss > 0.0 and self._rng.chance(policy.loss):
+            self._drop(now, src, dst, frame, stats, "loss")
+        else:
+            stats.forwarded += 1
+            stats.bytes_forwarded += len(frame)
+            if self._trace is not None:
+                kind = wire.frame_kind(frame) or "?"
+                self._trace.record_message(now, "net_send", src, dst, kind, len(frame))
+            sender.put(now + policy.delay_s, frame)
 
     def _drop(
         self, now: float, src: str, dst: str, frame: bytes,

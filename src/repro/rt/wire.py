@@ -55,9 +55,10 @@ length and count is checked against the bytes left before it is used,
 nesting stops at :data:`MAX_DEPTH`, and an unknown tag, trailing bytes, a
 duplicate payload key or bad UTF-8 raise :class:`WireError`, the only
 exception that leaves :func:`decode_body`, :func:`split_frame`,
-:func:`read_frames` and :func:`decode_records`. A running home repeats a
-few headers and process-id sets, so both directions of each are memoized
-in module-level tables that stop growing at :data:`MEMO_CAP` entries.
+:class:`FrameProtocol`'s splitter and :func:`decode_records`. A running
+home repeats a few headers and process-id sets, so both directions of
+each are memoized in module-level tables that stop growing at
+:data:`MEMO_CAP` entries.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ from __future__ import annotations
 import asyncio
 import struct
 from collections import deque
+from dataclasses import dataclass
 from itertools import chain
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.events import Command, Event
 from repro.net.message import Message
@@ -84,9 +86,6 @@ HEADER_SIZE = _HEADER.size
 #: megabyte; anything bigger is a corrupted length prefix or an abusive
 #: peer, and buffering it would just delay the inevitable desync.
 MAX_FRAME = 16 * 1024 * 1024
-
-#: Bytes asked of the stream per read (the StreamReader's own buffer limit).
-_READ_CHUNK = 64 * 1024
 
 #: Deepest container nesting either direction accepts.
 MAX_DEPTH = 32
@@ -497,46 +496,96 @@ def _check_header(version: int, length: int) -> None:
         raise WireError(f"frame of {length} bytes exceeds MAX_FRAME")
 
 
-async def read_frames(reader: asyncio.StreamReader, *, raw: bool = False):
-    """Yield every frame on ``reader`` until EOF: bodies, or ``raw`` frames.
+class FrameProtocol(asyncio.Protocol):
+    """The one read path: an accepted connection split into frames.
 
-    The one read path (a node decodes bodies, the fault proxy forwards
-    whole frames verbatim). The stream is read in chunks and every complete
-    frame of a chunk is yielded without another await; a frame the chunk
-    cuts is completed by one ``readexactly`` of the missing bytes, so a
-    megabyte sync frame is joined once. EOF or a reset, between frames or
-    inside one, just ends the iteration.
+    ``data_received`` hands every complete frame of a chunk to
+    ``deliver`` synchronously, in stream order: its body, or the whole
+    frame if ``raw`` (a node decodes bodies, the fault proxy forwards
+    frames verbatim). ``deliver`` returns False to hang up (a halted node):
+    the rest of the chunk is not delivered and the connection is closed;
+    any other return value reads on.
 
-    Raises :class:`WireError` at a frame with a wrong version byte or an
-    oversized length, after yielding every frame before it — the stream is
-    unrecoverable past either, so callers must drop the connection.
+    A frame the chunk cuts is kept as the chunks themselves and joined once
+    its last byte has arrived (together with the rest of that chunk), never
+    once per chunk. Its version byte and its length against
+    :data:`MAX_FRAME` are checked before anything past its header is kept.
+    A wrong version, an oversized length, or a :class:`WireError` that
+    ``deliver`` raises closes the connection and is passed to ``on_error``
+    — the stream is unrecoverable past it. EOF, between frames or inside
+    one, just closes the connection.
+
+    The protocol is in ``inbound`` from ``connection_made`` to
+    ``connection_lost``, which resolves :attr:`closed`
+    (:func:`close_accepted`).
     """
-    skip = 0 if raw else HEADER_SIZE
-    buf = b""  # between chunks: at most a partial header
-    try:
-        while chunk := await reader.read(_READ_CHUNK):
-            buf += chunk
-            pos, size = 0, len(buf)
+
+    def __init__(self, deliver: Callable[[bytes], bool | None], inbound: set, *,
+                 raw: bool = False, on_error: Callable[[WireError], None] | None = None):
+        self._deliver = deliver
+        self._inbound = inbound
+        self._skip = 0 if raw else HEADER_SIZE
+        self._on_error = on_error
+        self._pieces: list[bytes] = []  # the cut frame so far
+        self._have = 0  # bytes in _pieces
+        self._need = 0  # bytes it takes: the frame, or while it is cut inside, its header
+        self.transport: asyncio.Transport | None = None
+        self.closed = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self._inbound.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._inbound.discard(self)
+        self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        if self._pieces:
+            self._pieces.append(data)
+            self._have += len(data)
+            if self._have < self._need:
+                return
+            data = b"".join(self._pieces)  # the cut frame, and what followed it
+            self._pieces = []
+        deliver, skip = self._deliver, self._skip
+        pos, size = 0, len(data)
+        try:
             while size - pos >= HEADER_SIZE:
-                version, length = _HEADER.unpack_from(buf, pos)
+                version, length = _HEADER.unpack_from(data, pos)
                 _check_header(version, length)
                 end = pos + HEADER_SIZE + length
                 if end > size:
-                    buf = buf[pos:] + await reader.readexactly(end - size)
-                    pos, end = 0, len(buf)  # buf is exactly that frame now
-                    size = end
-                yield buf[pos + skip:end]
+                    break
+                if deliver(data[pos + skip:end]) is False:
+                    self.transport.close()
+                    return
                 pos = end
-            buf = buf[pos:]
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return
+        except WireError as exc:
+            self.transport.close()
+            if self._on_error is not None:
+                self._on_error(exc)
+            return
+        if pos < size:
+            self._pieces = [data[pos:]]
+            self._have = size - pos
+            self._need = end - pos if self._have >= HEADER_SIZE else HEADER_SIZE
+
+
+@dataclass
+class SenderStats:
+    """What a :class:`PeerSender` counts, in its flush and dial steps only."""
+
+    redials: int = 0     # dials after its first
+    dial_lost: int = 0   # frames due when a dial failed
+    peak_queue: int = 0  # the deepest queue a flush or a dial found
 
 
 class PeerSender:
     """The one write path: frames to one peer address, in order, queue-free.
 
-    A node keeps one per destination, the fault proxy one per accepted
-    pair. :meth:`put` appends a ``(due, frame)`` (``due`` a loop time) and
+    A node keeps one per destination, the fault proxy one per pair.
+    :meth:`put` appends a ``(due, frame)`` (``due`` a loop time) and
     arms at most one loop callback: ``call_soon`` when the head is due,
     ``call_at`` its due time otherwise. The callback writes every due frame
     in one ``write`` — a batch is what has piled up, never waited for — and
@@ -547,7 +596,8 @@ class PeerSender:
     fails met an unreachable peer and are lost, as on TCP. Against a peer
     that stops reading, nothing is written while the transport's buffer is
     past its high-water mark (the sender awaits ``drain()`` instead), so
-    frames wait in the queue, which ``limit`` bounds.
+    frames wait in the queue, which ``limit`` bounds. :attr:`stats` counts
+    redials, frames lost to a failed dial and the peak queue depth.
     """
 
     def __init__(self, address: tuple[str, int], *, limit: int | None = None) -> None:
@@ -558,6 +608,8 @@ class PeerSender:
         self._writer: asyncio.StreamWriter | None = None
         # The one armed step while frames wait: a flush, a dial or a drain.
         self._pending: asyncio.Handle | asyncio.Task | None = None
+        self._dialled = False
+        self.stats = SenderStats()
 
     def put(self, due: float, frame: bytes) -> bool:
         """Queue ``frame`` to leave at loop time ``due``; False if full."""
@@ -578,12 +630,16 @@ class PeerSender:
 
     def _flush(self) -> None:
         self._pending = None
+        queue, stats = self._queue, self.stats
+        stats.peak_queue = max(stats.peak_queue, len(queue))
         writer = self._writer
         if writer is None or writer.is_closing():
+            stats.redials += self._dialled
+            self._dialled = True
             self._writer = None
             self._pending = self._loop.create_task(self._dial(writer))
             return
-        queue, now = self._queue, self._loop.time()
+        now = self._loop.time()
         frames = []
         while queue and queue[0][0] <= now:
             frames.append(queue.popleft()[1])
@@ -605,9 +661,11 @@ class PeerSender:
             async with asyncio.timeout(1.0):
                 _reader, writer = await asyncio.open_connection(*self._address)
         except (OSError, asyncio.TimeoutError):
-            now, queue = self._loop.time(), self._queue
+            now, queue, stats = self._loop.time(), self._queue, self.stats
+            stats.peak_queue = max(stats.peak_queue, len(queue))
             while queue and queue[0][0] <= now:
                 queue.popleft()  # peer unreachable: the due frames are lost
+                stats.dial_lost += 1
         else:
             self._writer = writer
         self._pending = None
@@ -651,29 +709,12 @@ async def _close_writer(writer: asyncio.StreamWriter) -> None:
         pass
 
 
-def accept_into(inbound: dict, handler):
-    """A ``start_server`` callback that runs ``handler(reader, writer)`` as a
-    task registered in ``inbound`` (task -> writer) until it is done.
-
-    Registered at accept time, not inside the handler: a task cancelled
-    before its first step never reaches its ``finally``, so whoever stops
-    the listener must be able to close the writer itself
-    (:func:`close_accepted`).
-    """
-    def accept(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        task = asyncio.ensure_future(handler(reader, writer))
-        inbound[task] = writer
-        task.add_done_callback(inbound.pop)
-
-    return accept
-
-
 async def accepts_handed_over() -> None:
-    """Return once every dial that completed has reached its handler.
+    """Return once every dial that completed has reached its protocol.
 
     The loop accepts a connection in one turn, attaches its transport to
-    the server in the next and calls the :func:`accept_into` callback in a
-    third. A listener closed in between fails ``Server._attach``'s
+    the server in the next and calls :meth:`FrameProtocol.connection_made`
+    in a third. A listener closed in between fails ``Server._attach``'s
     assertion and asyncio drops the socket unclosed, so whoever closes
     listeners stops their dialers first and then waits here.
     """
@@ -681,21 +722,10 @@ async def accepts_handed_over() -> None:
         await asyncio.sleep(0)
 
 
-async def close_accepted(inbound: dict) -> None:
-    """Close every accepted connection in ``inbound``, cancel and await its
-    handler, and wait for the sockets."""
-    writers = list(inbound.values())
-    for writer in writers:
-        writer.close()
-    tasks = list(inbound)
-    for task in tasks:
-        task.cancel()
-    if tasks:
-        # Bounded: a task that somehow survives its cancel (e.g. a
-        # lost-cancel bug in a dependency) must not wedge shutdown.
-        done, pending = await asyncio.wait(tasks, timeout=2.0)
-        for task in pending:
-            task.cancel()
-    await asyncio.gather(
-        *(writer.wait_closed() for writer in writers), return_exceptions=True
-    )
+async def close_accepted(inbound: set) -> None:
+    """Close every accepted connection in ``inbound`` and wait for its
+    ``connection_lost``."""
+    protocols = list(inbound)
+    for protocol in protocols:
+        protocol.transport.close()
+    await asyncio.gather(*(protocol.closed for protocol in protocols))

@@ -9,6 +9,7 @@ full Home machinery.
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 import gc
 import sys
@@ -41,6 +42,39 @@ def resource_warnings_are_errors():
     finally:
         sys.unraisablehook = hook
     assert not unraisable, unraisable
+
+
+class _HeldTransport:
+    """Just enough transport for a protocol fed by hand: it records close()."""
+
+    closing = False
+
+    def close(self) -> None:
+        self.closing = True
+
+
+def split_chunks(chunks, *, raw: bool = False):
+    """Feed ``chunks`` one at a time to a :class:`repro.rt.wire.FrameProtocol`,
+    then EOF, the way a transport would (nothing more once it closes).
+
+    Returns ``(frames, error)``: what it delivered, bodies or ``raw``
+    frames, and the :class:`WireError` that closed it, or None.
+    """
+    from repro.rt.wire import FrameProtocol
+
+    async def go():
+        frames, errors = [], []
+        protocol = FrameProtocol(frames.append, set(), raw=raw, on_error=errors.append)
+        transport = _HeldTransport()
+        protocol.connection_made(transport)
+        for chunk in chunks:
+            if transport.closing:
+                break
+            protocol.data_received(chunk)
+        protocol.connection_lost(None)
+        return frames, (errors[0] if errors else None)
+
+    return asyncio.run(go())
 
 
 class FakeEnv(RuntimeEnv):

@@ -234,13 +234,14 @@ async def burst_through_proxy(configure) -> tuple:
 
     loop = asyncio.get_running_loop()
     arrivals: list[tuple[int, float]] = []
+    inbound: set = set()
 
-    async def sink(reader, writer):
-        async for body in wire.read_frames(reader):
-            arrivals.append((wire.decode_body(body)["i"], loop.time()))
-        writer.close()
+    def sink() -> wire.FrameProtocol:
+        return wire.FrameProtocol(
+            lambda body: arrivals.append((wire.decode_body(body)["i"], loop.time())),
+            inbound)
 
-    server = await asyncio.start_server(sink, "127.0.0.1", 0)
+    server = await loop.create_server(sink, "127.0.0.1", 0)
     target = server.sockets[0].getsockname()
     trace = Trace()
     proxy = FaultProxy(["a", "b"], {"a": target, "b": target},
@@ -262,6 +263,7 @@ async def burst_through_proxy(configure) -> tuple:
     await proxy.stop()
     server.close()
     await server.wait_closed()
+    await wire.close_accepted(inbound)
     return proxy, trace, arrivals
 
 

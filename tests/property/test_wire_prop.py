@@ -1,7 +1,6 @@
 """Property-based tests for the asyncio wire format: exact round trips,
 pinned version-3 bytes, and a decoder that raises nothing but WireError."""
 
-import asyncio
 import math
 import tracemalloc
 
@@ -22,9 +21,9 @@ from repro.rt.wire import (
     encode_message,
     encode_record,
     frame_kind,
-    read_frames,
     split_frame,
 )
+from tests.helpers import split_chunks
 
 json_scalars = st.one_of(
     st.none(),
@@ -242,22 +241,12 @@ def _decode_or_wire_error(fn, data) -> None:
 
 
 def _read_all(streams) -> None:
-    """Run every stream through :func:`read_frames` (bodies and raw frames),
-    in one event loop; only WireError may end one early."""
-
-    async def go():
-        for data in streams:
-            for raw in (False, True):
-                reader = asyncio.StreamReader()
-                reader.feed_data(data)
-                reader.feed_eof()
-                try:
-                    async for _frame in read_frames(reader, raw=raw):
-                        pass
-                except WireError:
-                    pass
-
-    asyncio.run(go())
+    """Feed every stream to a :class:`FrameProtocol` (bodies and raw frames);
+    only a WireError may end one early, and any other exception escapes."""
+    for data in streams:
+        for raw in (False, True):
+            _frames, error = split_chunks([data], raw=raw)
+            assert error is None or isinstance(error, WireError)
 
 
 def _all_decoders(data: bytes) -> None:
@@ -337,36 +326,7 @@ def test_memo_tables_stop_at_their_cap():
     assert roundtrip(message)["ids"] == ProcessIdSet({"x", "y"})
 
 
-# -- the frame splitter ----------------------------------------------------------------
-
-
-def _split(chunks, *, raw):
-    """Frames read from a stream fed ``chunks`` one at a time, then EOF.
-
-    Returns ``(frames, error)``: what was yielded before the stream ended
-    or :class:`WireError` was raised.
-    """
-
-    async def go():
-        reader = asyncio.StreamReader()
-        frames = []
-
-        async def consume():
-            async for frame in read_frames(reader, raw=raw):
-                frames.append(frame)
-
-        task = asyncio.ensure_future(consume())
-        for chunk in chunks:
-            reader.feed_data(chunk)
-            await asyncio.sleep(0)  # let the reader run between chunks
-        reader.feed_eof()
-        try:
-            await task
-        except WireError as exc:
-            return frames, exc
-        return frames, None
-
-    return asyncio.run(go())
+# -- the frame splitter (FrameProtocol.data_received) ---------------------------------
 
 
 def _cut(stream: bytes, cuts) -> list[bytes]:
@@ -389,7 +349,7 @@ cut_points = st.one_of(
 @given(small_frames, cut_points, st.booleans())
 def test_splitter_yields_every_frame_whatever_the_chunking(frames, cuts, raw):
     chunks = _cut(b"".join(frames), cuts)
-    got, error = _split(chunks, raw=raw)
+    got, error = split_chunks(chunks, raw=raw)
     assert error is None
     assert got == (frames if raw else [f[HEADER_SIZE:] for f in frames])
 
@@ -403,7 +363,7 @@ def test_splitter_raises_at_the_bad_frame_after_yielding_the_good_ones(
         bytes([WIRE_VERSION]) + (MAX_FRAME + 1).to_bytes(4, "big"),
     ]))
     stream = b"".join(frames[:k]) + bad_header + b"".join(frames[k:])
-    got, error = _split(_cut(stream, cuts), raw=raw)
+    got, error = split_chunks(_cut(stream, cuts), raw=raw)
     assert isinstance(error, WireError)
     assert got == (frames[:k] if raw else [f[HEADER_SIZE:] for f in frames[:k]])
 
@@ -412,6 +372,48 @@ def test_splitter_raises_at_the_bad_frame_after_yielding_the_good_ones(
 def test_splitter_ends_cleanly_on_eof_inside_a_frame(frames, cuts, drop):
     stream = b"".join(frames)
     drop = 1 + drop % (len(frames[-1]) - 1)  # cut the last frame, header or body
-    got, error = _split(_cut(stream[:-drop], cuts), raw=True)
+    got, error = split_chunks(_cut(stream[:-drop], cuts), raw=True)
     assert error is None
     assert got == frames[:-1]
+
+
+def _whole_buffer_parse(stream: bytes) -> tuple[list[bytes], bool]:
+    """The reference split: ``(frames, bad)`` read off the whole stream at
+    once, ``bad`` when a header with a wrong version or a length over
+    MAX_FRAME ended it."""
+    frames, pos = [], 0
+    while len(stream) - pos >= HEADER_SIZE:
+        length = int.from_bytes(stream[pos + 1:pos + HEADER_SIZE], "big")
+        if stream[pos] != WIRE_VERSION or length > MAX_FRAME:
+            return frames, True
+        end = pos + HEADER_SIZE + length
+        if end > len(stream):
+            break
+        frames.append(stream[pos:end])
+        pos = end
+    return frames, False
+
+
+stream_pieces = st.lists(st.one_of(
+    small_frames.map(b"".join),
+    st.sampled_from([
+        bytes([WIRE_VERSION + 1]) + b"\x00\x00\x00\x02",
+        bytes([WIRE_VERSION]) + (MAX_FRAME + 1).to_bytes(4, "big"),
+        bytes([WIRE_VERSION]) + b"\x00\x00\x00\x00",  # an empty body
+    ]),
+    st.binary(max_size=24),
+), min_size=1, max_size=6).map(b"".join)
+
+
+@settings(max_examples=300)
+@given(stream_pieces, cut_points, st.booleans())
+@example(bytes([WIRE_VERSION]) + b"\x00\x00\x00\x00" * 2, range(10_000), False)
+def test_splitter_matches_a_whole_buffer_parse(stream, cuts, raw):
+    """Any bytes, cut anywhere: exactly the frames the whole-buffer parse
+    finds, and a WireError (nothing else) exactly where it stops at a bad
+    header."""
+    frames, bad = _whole_buffer_parse(stream)
+    got, error = split_chunks(_cut(stream, cuts), raw=raw)
+    assert got == (frames if raw else [f[HEADER_SIZE:] for f in frames])
+    assert (error is not None) == bad
+    assert error is None or isinstance(error, WireError)

@@ -13,16 +13,18 @@ from repro.rt.wire import (
     MAX_DEPTH,
     MAX_FRAME,
     WIRE_VERSION,
+    FrameProtocol,
     PeerSender,
     WireError,
+    close_accepted,
     decode_body,
     decode_records,
     encode_message,
     encode_record,
     frame_kind,
-    read_frames,
     split_frame,
 )
+from tests.helpers import split_chunks
 
 
 def roundtrip(message: Message) -> Message:
@@ -228,15 +230,12 @@ def test_frame_kind_peeks_without_decoding():
 
 
 def _frames_from_bytes(data: bytes, **kwargs) -> list[bytes]:
-    """Everything :func:`read_frames` yields for ``data`` followed by EOF."""
-
-    async def go():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return [frame async for frame in read_frames(reader, **kwargs)]
-
-    return asyncio.run(go())
+    """Everything a :class:`FrameProtocol` delivers for ``data`` in one
+    chunk, then EOF; the WireError that closed it is raised."""
+    frames, error = split_chunks([data], **kwargs)
+    if error is not None:
+        raise error
+    return frames
 
 
 def test_read_frame_rejects_wrong_version_on_stream():
@@ -268,17 +267,32 @@ def test_read_frames_ends_cleanly_on_eof_mid_frame():
 
 
 def test_read_frames_completes_a_frame_larger_than_the_chunk():
+    """A 1 MB frame in 64 KB chunks: until its last byte, what the protocol
+    keeps is the chunks themselves (never a growing copy), joined once at
+    the end; the frames around it come out whole."""
     big = encode_message(Message(kind="sync", src="a", dst="b",
                                  payload={"blob": "x" * (1 << 20)}))
     small = encode_message(Message(kind="k", src="a", dst="b", payload={}))
+    stream = small + big + small
+    chunks = [stream[i:i + (64 << 10)] for i in range(0, len(stream), 64 << 10)]
+    for raw in (True, False):
+        assert split_chunks(chunks, raw=raw)[0] == [
+            frame if raw else frame[HEADER_SIZE:] for frame in (small, big, small)]
 
-    async def go():
-        reader = asyncio.StreamReader(limit=2 << 20)
-        reader.feed_data(small + big + small)
-        reader.feed_eof()
-        return [frame async for frame in read_frames(reader, raw=True)]
+    async def kept_pieces():
+        delivered = []
+        protocol = FrameProtocol(delivered.append, set(), raw=True)
+        protocol.connection_made(None)
+        for count, chunk in enumerate(chunks[:-1], 1):
+            protocol.data_received(chunk)
+            kept = protocol._pieces[1:]
+            assert len(kept) == count - 1
+            assert all(piece is fed for piece, fed in zip(kept, chunks[1:count]))
+            assert delivered == [small]
+        protocol.data_received(chunks[-1])
+        return delivered
 
-    assert asyncio.run(go()) == [small, big, small]
+    assert asyncio.run(kept_pieces()) == [small, big, small]
 
 
 # -- frame_kind: one slice at a fixed offset ----------------------------------------
@@ -615,14 +629,11 @@ def test_frames_put_during_the_first_dial_arrive_complete_and_in_order(monkeypat
     monkeypatch.setattr(asyncio, "open_connection", held_open)
 
     async def go():
-        received = []
-
-        async def sink(reader, writer):
-            async for body in read_frames(reader):
-                received.append(decode_body(body)["i"])
-            writer.close()
-
-        server = await asyncio.start_server(sink, "127.0.0.1", 0)
+        received, inbound = [], set()
+        server = await asyncio.get_running_loop().create_server(
+            lambda: FrameProtocol(
+                lambda body: received.append(decode_body(body)["i"]), inbound),
+            "127.0.0.1", 0)
         sender = PeerSender(server.sockets[0].getsockname()[:2])
         try:
             for i in range(300):
@@ -638,6 +649,7 @@ def test_frames_put_during_the_first_dial_arrive_complete_and_in_order(monkeypat
             await sender.close()
             server.close()
             await server.wait_closed()
+            await close_accepted(inbound)
         return received
 
     dialled = asyncio.Event()
