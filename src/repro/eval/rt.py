@@ -25,6 +25,7 @@ the tolerance rationale.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import inspect
 import math
 from typing import Any, NamedTuple
@@ -36,7 +37,8 @@ from repro.core.scenario import Scenario
 from repro.eval import metrics
 from repro.eval.cases import run_case, toggle_script
 from repro.eval.report import write_report
-from repro.rt.cluster import build_cluster
+from repro.rt import wire
+from repro.rt.cluster import LocalCluster, build_cluster
 from repro.rt.faults import RtFaultDriver
 from repro.rt.harness import RtHarness
 from repro.rt.proc import ProcessHome
@@ -124,6 +126,23 @@ class RtCase(NamedTuple):
     emitted: int
     violations: list[Violation]
     metrics: dict[str, Any]
+    diagnostics: dict[str, Any] | None  # in-process only: see node_diagnostics
+
+
+def node_diagnostics(cluster: LocalCluster) -> dict[str, Any]:
+    """Why a fast path was refused, per node of an in-process home: the
+    declared-kind frames it wrote as shape 0, by ``kind/reason``
+    (:attr:`repro.rt.wire.Names.fallbacks`), and each peer sender's
+    :class:`~repro.rt.wire.SenderStats`. Read before the nodes stop."""
+    return {
+        "declared_kinds": [kind for kind, _row in wire.SHAPES],
+        "nodes": {name: {
+            "wire_fallbacks": {f"{kind}/{reason}": count for (kind, reason), count
+                               in sorted(node.names.fallbacks.items())},
+            "senders": {dst: dataclasses.asdict(stats)
+                        for dst, stats in sorted(node.sender_stats().items())},
+        } for name, node in sorted(cluster.nodes.items())},
+    }
 
 
 def run_rt_case(
@@ -153,7 +172,8 @@ def run_rt_case(
             if inspect.isawaitable(record):  # a ProcessHome harvests its children
                 record = await record
             return RtCase(record, len(script), check_all(record),
-                          record_metrics(record, len(script)))
+                          record_metrics(record, len(script)),
+                          node_diagnostics(harness) if mode == "in-process" else None)
 
     return asyncio.run(run())
 
@@ -269,6 +289,8 @@ def run_rt_report(
             "violations": _violations_summary(sim_violations),
         },
         "cross_validation": checks,
+        # Read by people and CI, never by "ok".
+        **({} if rt.diagnostics is None else {"diagnostics": rt.diagnostics}),
         "ok": bool(
             not rt.violations
             and not sim_violations

@@ -17,10 +17,11 @@ Hot-path design (see docs/performance.md): :meth:`HomeNetwork.send` is the
 single most expensive function in a long run, so everything it needs per
 ``(src, dst)`` pair — both endpoint objects, the FIFO delivery horizon and
 the pre-resolved trace channels — lives in one cached list, resolved with
-one dictionary lookup per send. The latency formula is inlined
+one dictionary lookup per send. The stock latency formula is inlined
 bit-identically (same operations, same order as
-:meth:`repro.net.latency.LatencyModel.message_delay`), and the no-partition
-common case is a single attribute test.
+:meth:`repro.net.latency.LatencyModel.message_delay`; a subclass's own
+``message_delay`` is called instead), and the no-partition common case is
+a single attribute test.
 """
 
 from __future__ import annotations
@@ -249,22 +250,26 @@ class HomeNetwork:
         live = self._live_count_cache
         if live is None:
             live = self.live_process_count()
-        # LatencyModel.message_delay, inlined bit-identically (same ops in
-        # the same order); adding the congestion term only when non-zero is
-        # exact because delay + 0.0 == delay for the positive delays here.
         lat = self.latency
-        delay = (
-            lat.base_latency
-            + bytes_on_wire / lat.bandwidth_bytes_per_s
-            + bytes_on_wire * lat.serialization_s_per_byte
-        )
-        extra = live - 2
-        if extra > 0:
-            delay += extra * lat.congestion_per_process
-        # RandomSource.jittered inlined (same expansion, same single draw).
-        fraction = lat.jitter_fraction
-        u = -fraction + (fraction - -fraction) * self._random()
-        delay = delay * (1.0 + u)
+        if type(lat) is LatencyModel:
+            # LatencyModel.message_delay, inlined bit-identically (same ops
+            # in the same order); adding the congestion term only when
+            # non-zero is exact because delay + 0.0 == delay for the
+            # positive delays here.
+            delay = (
+                lat.base_latency
+                + bytes_on_wire / lat.bandwidth_bytes_per_s
+                + bytes_on_wire * lat.serialization_s_per_byte
+            )
+            extra = live - 2
+            if extra > 0:
+                delay += extra * lat.congestion_per_process
+            # RandomSource.jittered inlined (same expansion, same single draw).
+            fraction = lat.jitter_fraction
+            u = -fraction + (fraction - -fraction) * self._random()
+            delay = delay * (1.0 + u)
+        else:  # a subclass: its own message_delay
+            delay = lat.message_delay(bytes_on_wire, live, self._rng)
 
         deliver_at = now + delay
         # In-order delivery per (src, dst) pair, like a TCP stream.
@@ -467,7 +472,27 @@ class HomeNetwork:
         # timestamp and suffix are staged as two pieces (the hash runs over
         # the buffer's concatenation, so piece boundaries are digest-
         # neutral); with it off, the loop carries no digest work at all.
-        if hashing:
+        # Both inline the stock model; a LatencyModel subclass gets its own
+        # message_delay, one call per copy in dsts order, as `send` does.
+        if type(self.latency) is not LatencyModel:
+            lat, rng, nbytes = self.latency, self._rng, plan[_MP_NBYTES]
+            for entry, post, pair_cell, suffix in peers:
+                pair_cell[0] += 1
+                if hashing:
+                    buf += tr
+                    buf += suffix
+                deliver_at = now + lat.message_delay(nbytes, live, rng)
+                horizon = entry[_HORIZON]
+                if deliver_at <= horizon:
+                    deliver_at = horizon + 1e-9
+                entry[_HORIZON] = deliver_at
+                bucket = buckets.get(deliver_at)
+                if bucket is None:
+                    buckets[deliver_at] = bucket = [post]
+                    heappush(heap, (deliver_at, bucket))
+                else:
+                    bucket.append(post)
+        elif hashing:
             for entry, post, pair_cell, suffix in peers:
                 pair_cell[0] += 1
                 buf += tr

@@ -80,6 +80,8 @@ class AsyncRivuletNode(ServiceHost):
         # Not `trace or Trace()`: an empty Trace is falsy, and a shared
         # cluster trace is always empty at construction time.
         self._trace = trace if trace is not None else Trace()
+        # Every node of the deployment builds the same table from the plan.
+        self.names = wire.Names.of(plan)
         self._senders: dict[str, wire.PeerSender] = {}
         self._inbound: set[wire.FrameProtocol] = set()
         # Zero-delay steps, drained by one loop callback (see schedule()).
@@ -151,7 +153,7 @@ class AsyncRivuletNode(ServiceHost):
         if not self._alive:
             return
         message = Message(kind=kind, src=self.name, dst=dst, payload=payload)
-        frame = wire.encode_message(message)
+        frame = wire.encode_message(message, self.names)
         sender = self._senders.get(dst)
         if sender is None:
             sender = self._senders[dst] = wire.PeerSender(
@@ -214,7 +216,7 @@ class AsyncRivuletNode(ServiceHost):
     def _dispatch(self, body: bytes) -> bool | None:
         if not self._alive:
             return False  # halted: hang up, dispatch nothing more
-        message = wire.decode_body(body)
+        message = wire.decode_body(body, self.names)
         handler = self._handlers.get(message.kind)
         if handler is None:
             self.trace("unhandled_message", kind=message.kind)

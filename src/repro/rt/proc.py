@@ -85,7 +85,10 @@ class ProcessNode:
         return self.popen.pid
 
     def ctl(self, kind: str, payload: dict[str, Any]) -> None:
-        """Fire one control frame at the child (best-effort, like a device)."""
+        """Fire one control frame at the child (best-effort, like a device).
+
+        Encoded without a names table, so always wire shape 0: the parent
+        is no node of the deployment, and ``ctl/*`` is no declared kind."""
         if self.writer is None or self.writer.is_closing():
             return
         frame = wire.encode_message(

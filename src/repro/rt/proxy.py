@@ -23,7 +23,9 @@ leaves through the pair's one :class:`repro.rt.wire.PeerSender`, whichever
 connection carried it in.
 
 The proxy is also the rt runtime's network observer: every forwarded frame
-is recorded as a ``net_send`` trace record (src/dst/kind/bytes) and every
+is recorded as a ``net_send`` trace record (src/dst/kind/bytes; the kind is
+:func:`repro.rt.wire.frame_kind`, one byte for a shaped frame, so the proxy
+needs no names table) and every
 swallowed frame as ``net_drop``, giving :mod:`repro.eval.metrics` the same
 overhead counters it reads off simulated runs. Both are stamped with
 absolute ``loop.time()``: an rt harness's trace counts, byte-sums and

@@ -7,10 +7,14 @@ prefix pointing megabytes into garbage, raises :class:`WireError` at the
 frame boundary instead of silently desyncing the stream and misparsing
 every subsequent byte.
 
-The body (version 3) is struct-only binary, like the paper's own compact
-serializer (§8.2)::
+The body (version 4) is struct-only binary, like the paper's own compact
+serializer (§8.2), and its first byte says how the rest is laid out::
 
-    u16 header_len || header || values
+    u8 shape || fields
+
+**Shape 0** is the general layout, for any kind and payload::
+
+    0 || u16 header_len || header || values
 
 The header is ``u8 n_keys`` and then ``n_keys + 3`` names, each ``u8 len
 || UTF-8``: kind, src, dst, then the payload keys in dict order. The kind
@@ -46,36 +50,69 @@ identical ``type()`` at every level — tuples stay tuples, int dict keys
 stay ints — except ``set``, which decodes as ``frozenset``. Anything else
 (a subclass, an ``Event`` whose seq is not an int) is refused on encode.
 
+**Declared shapes** (:data:`SHAPES`, row ``i`` is shape ``i + 1``) carry
+the per-event kinds. A row lists the payload keys in order, each with a
+field codec: ``name`` (a u16 id into the :class:`Names` table), ``pids``
+(a :class:`ProcessIdSet` of the table's processes as one u32 mask) or
+``event`` / ``command`` (the id of its sensor or actuator, then the
+``q d q`` stamp). One ``struct`` per row holds the table's CRC32, the src
+and dst ids and every fixed-width field; then come the values no width
+fixes (``Event.value`` and ``epoch``, a Command's ``action``, ``value``
+and ``issued_by``), each ``any``: one tagged value as in shape 0::
+
+    shape || u32 crc || u16 src || u16 dst || fixed fields || values
+
+A Gapless forward of a 4 B reading is 52 B as shape 1, 111 B as shape 0.
+Each row's encoder and decoder are compiled once, at import, from its
+codecs' source templates (:func:`_compile`), so a shaped frame costs one
+``struct`` call each way and no per-field dispatch.
+
+A message takes its kind's shape only when the sender has a table and
+the message fits the row exactly: the same keys in the same order,
+every name interned, every value of the codec's exact type. Otherwise it
+is written as shape 0, and the sender's :attr:`Names.fallbacks` counts
+it by ``(kind, reason)``. Every node of a deployment builds the same
+table from the same plan (:meth:`Names.of`); a shaped frame whose CRC is
+not the reader's table's is refused, never misread. Decoding dispatches
+on the shape byte, and a payload arrives with the same types either way.
+
 A journal (:class:`repro.rt.child.JournalTrace`) is a file of records,
 each ``u32 length || one value`` in the same layout
 (:func:`encode_record`, :func:`decode_records`).
 
 Decoding is struct only: no ``pickle``, ``marshal`` or ``eval``. Every
 length and count is checked against the bytes left before it is used,
-nesting stops at :data:`MAX_DEPTH`, and an unknown tag, trailing bytes, a
+nesting stops at :data:`MAX_DEPTH`, and an unknown tag or shape, an id
+past the table, a mask bit past its processes, trailing bytes, a
 duplicate payload key or bad UTF-8 raise :class:`WireError`, the only
 exception that leaves :func:`decode_body`, :func:`split_frame`,
 :class:`FrameProtocol`'s splitter and :func:`decode_records`. A running
 home repeats a few headers and process-id sets, so both directions of
-each are memoized in module-level tables that stop growing at
-:data:`MEMO_CAP` entries.
+each are memoized, in module-level tables and in each :class:`Names`,
+that stop growing at :data:`MEMO_CAP` entries.
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
+import zlib
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple, Sequence
 
+from repro.core.broadcast import NBCAST, RBCAST
+from repro.core.delivery_service import CMD_FWD
 from repro.core.events import Command, Event
+from repro.core.gap import GAP_FWD
+from repro.core.gapless import GAPLESS_FWD
+from repro.core.plan import DeploymentPlan
 from repro.net.message import Message
 from repro.net.wire import ProcessIdSet
 
 #: Current frame revision. Bump on any incompatible framing/body change.
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 #: ``version byte || body length``.
 _HEADER = struct.Struct(">BI")
@@ -113,7 +150,7 @@ _LIST, _TUPLE, _DICT, _SET = b"ltdS"
 _EVENT, _COMMAND, _PIDSET = b"ECP"
 
 # The memo tables.
-_HEADS_OUT: dict[tuple, bytes] = {}      # (kind, src, dst, *keys) -> u16 len || header
+_HEADS_OUT: dict[tuple, bytes] = {}      # (kind, src, dst, *keys) -> 0 || u16 len || header
 _HEADS_IN: dict[bytes, tuple] = {}       # header -> (kind, src, dst, keys)
 _PIDSETS_OUT: dict[ProcessIdSet, bytes] = {}  # set -> its tagged value
 _PIDSETS_IN: dict[bytes, ProcessIdSet] = {}   # names image -> set
@@ -137,7 +174,7 @@ def _encode_header(key: tuple) -> bytes:
     head = bytes((len(key) - 3,)) + b"".join(map(_name, key))
     if len(head) > 0xFFFF:
         raise WireError(f"header of {len(head)} bytes")
-    head = _U16.pack(len(head)) + head
+    head = b"\x00" + _U16.pack(len(head)) + head  # shape 0
     if len(_HEADS_OUT) < MEMO_CAP:
         _HEADS_OUT[key] = head
     return head
@@ -235,8 +272,16 @@ def _put_all(out: bytearray, values, what: str) -> None:
         raise WireError(f"cannot serialize {what}: {exc}") from exc
 
 
-def encode_message(message: Message) -> bytes:
-    """One message as a complete frame (version + length prefix included)."""
+def encode_message(message: Message, names: Names | None = None) -> bytes:
+    """One message as a complete frame (version + length prefix included):
+    in its kind's declared shape if ``names`` is given and the message fits
+    the row, as shape 0 otherwise."""
+    if names is not None:
+        shape = _SHAPE_OF.get(message.kind)
+        if shape is not None:
+            frame = shape.encode(message, names)
+            if frame is not None:
+                return frame
     payload = message.payload
     key = (message.kind, message.src, message.dst, *payload)
     out = bytearray(HEADER_SIZE)
@@ -406,23 +451,32 @@ def _read_header(head: bytes) -> tuple:
     return fields
 
 
-def decode_body(body: bytes) -> Message:
+def decode_body(body: bytes, names: Names | None = None) -> Message:
     """The message a frame body carries; :class:`WireError` if it is not a
-    version-3 body."""
+    version-4 body, or if it is shaped and ``names`` is not the table it
+    was packed against."""
     try:
-        end = 2 + _U16.unpack_from(body)[0]
-        if end > len(body):
-            raise WireError("frame header runs past the end of the body")
-        head = body[2:end]
-        kind, src, dst, keys = _HEADS_IN.get(head) or _read_header(head)
-        payload = {}
-        for key in keys:
-            payload[key], end = _GET[body[end]](body, end + 1, 0)
+        shape = _SHAPE_AT[body[0]]
+        if shape is not None and names is not None:
+            message, end = shape.decode(body, names)
+        elif body[0]:
+            raise WireError(f"unknown shape {body[0]}" if shape is None else
+                            f"shape {body[0]} ({shape.kind}) needs a names table")
+        else:  # shape 0
+            end = 3 + _U16.unpack_from(body, 1)[0]
+            if end > len(body):
+                raise WireError("frame header runs past the end of the body")
+            head = body[3:end]
+            kind, src, dst, keys = _HEADS_IN.get(head) or _read_header(head)
+            payload = {}
+            for key in keys:
+                payload[key], end = _GET[body[end]](body, end + 1, 0)
+            message = Message(kind, src, dst, payload)
     except _DECODE_ERRORS as exc:
         raise WireError(f"malformed frame body: {exc!r}") from exc
     if end != len(body):
         raise WireError(f"{len(body) - end} trailing bytes after the payload")
-    return Message(kind, src, dst, payload)
+    return message
 
 
 def decode_records(data: bytes) -> list:
@@ -453,6 +507,190 @@ def decode_records(data: bytes) -> list:
     return records
 
 
+# -- declared shapes ------------------------------------------------------------------
+
+
+class Names:
+    """The interning table of one deployment: ``names`` (every id a shaped
+    frame writes indexes it), the ``processes`` a ``pids`` mask counts
+    over, and their CRC32, which every shaped frame carries.
+
+    :attr:`fallbacks` counts the declared-kind messages this table's
+    sender wrote as shape 0, by ``(kind, reason)``: ``keys`` (not the row's
+    keys in its order), ``type`` (a value not of its codec's exact type) or
+    ``name`` (a name or process not in the table).
+    """
+
+    def __init__(self, names: Sequence[str], processes: Sequence[str]) -> None:
+        if len(names) > 0x10000:
+            raise ValueError(f"{len(names)} names, more than a u16 id can index")
+        self.names = tuple(names)
+        self.processes = tuple(processes)
+        self.ids = {name: i for i, name in enumerate(self.names)}
+        # A u32 mask counts at most 32 processes: past that no set is shaped.
+        self._bits = {p: 1 << i for i, p in enumerate(processes)} if len(processes) <= 32 else {}
+        self.crc = zlib.crc32(repr((self.names, self.processes)).encode())
+        self.fallbacks: dict[tuple[str, str], int] = {}
+        self._masks: dict[ProcessIdSet, int] = {}
+        self._sets: dict[int, ProcessIdSet] = {}
+
+    @classmethod
+    def of(cls, plan: DeploymentPlan) -> Names:
+        """The plan's processes, sensors, actuators and apps, sorted and
+        de-duplicated: the same table on every node, whatever the hash seed."""
+        names = {*plan.processes, *plan.sensor_hosts, *plan.actuator_hosts,
+                 *(app.name for app in plan.apps)}
+        return cls(sorted(names), sorted(plan.processes))
+
+    def mask(self, ids: ProcessIdSet) -> int:
+        """``ids`` as a process mask; KeyError if a member is not a process."""
+        mask = self._masks.get(ids)
+        if mask is None:
+            # Not a str (an equal subclass would come back a str): key None, absent.
+            mask = sum(self._bits[p if type(p) is str else None] for p in ids)
+            if len(self._masks) < MEMO_CAP:
+                self._masks[ids] = mask
+        return mask
+
+    def pidset(self, mask: int) -> ProcessIdSet:
+        """The processes of ``mask``; :class:`WireError` for a bit past them."""
+        ids = self._sets.get(mask)
+        if ids is None:
+            bits = self._bits
+            if mask >> len(bits):
+                raise WireError(f"mask {mask:#x} has a bit past the {len(bits)} processes")
+            ids = ProcessIdSet(p for p, bit in bits.items() if mask & bit)
+            if len(self._sets) < MEMO_CAP:
+                self._sets[mask] = ids
+        return ids
+
+    def refused(self, kind: str, reason: str) -> None:
+        """Count one ``kind`` message written as shape 0 for ``reason``."""
+        self.fallbacks[kind, reason] = self.fallbacks.get((kind, reason), 0) + 1
+
+
+class _Codec(NamedTuple):
+    """A field codec, as the source a row's functions are compiled from:
+    expressions over the field's value ``{v}`` and, to decode, over the
+    unpacked struct ``f`` from its first item ``{i}`` and over its tagged
+    values ``{t0}``, ``{t1}``, ..."""
+
+    fmt: str               # its struct items
+    fits: str              # true when {v} has the codec's exact types
+    fixed: str             # its struct items; a KeyError when a name is not interned
+    tail: tuple[str, ...]  # its tagged values, each ``any``
+    value: str             # the decoded value
+
+
+def _stamped(cls: str, name: str, at: str) -> str:
+    """``fits`` of an Event or a Command: its type, then its stamp's."""
+    return (f"type({{v}}) is {cls} and type({{v}}.{name}) is str and "
+            f"type({{v}}.seq) is int and type({{v}}.{at}) is float and "
+            f"type({{v}}.size_bytes) is int")
+
+
+#: The closed set of field codecs.
+_CODECS = {
+    "name": _Codec("H", "type({v}) is str", "ids[{v}]", (), "table[f[{i}]]"),
+    "pids": _Codec("I", "type({v}) is ProcessIdSet", "mask({v})", (), "pidset(f[{i}])"),
+    "event": _Codec(
+        "Hqdq", _stamped("Event", "sensor_id", "emitted_at"),
+        "ids[{v}.sensor_id], {v}.seq, {v}.emitted_at, {v}.size_bytes",
+        ("{v}.value", "{v}.epoch"),
+        "Event(table[f[{i}]], f[{i} + 1], f[{i} + 2], {t0}, f[{i} + 3], {t1})"),
+    "command": _Codec(
+        "Hqdq", _stamped("Command", "actuator_id", "issued_at"),
+        "ids[{v}.actuator_id], {v}.seq, {v}.issued_at, {v}.size_bytes",
+        ("{v}.action", "{v}.value", "{v}.issued_by"),
+        "Command(table[f[{i}]], f[{i} + 1], f[{i} + 2], {t0}, {t1}, f[{i} + 3], {t2})"),
+}
+
+#: One row per per-event kind: the payload keys in order, each with its
+#: field codec. Row ``i`` is shape ``i + 1``.
+SHAPES: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = (
+    (GAPLESS_FWD, (("sensor", "name"), ("event", "event"), ("S", "pids"), ("V", "pids"))),
+    (GAP_FWD, (("sensor", "name"), ("event", "event"), ("app", "name"))),
+    (NBCAST, (("sensor", "name"), ("event", "event"))),
+    (RBCAST, (("sensor", "name"), ("event", "event"))),
+    (CMD_FWD, (("actuator", "name"), ("command", "command"), ("app", "name"))),
+)
+
+# A row's encoder and decoder, filled in from its codecs. The encoder
+# returns None when the message is off the row (counted) and when a tagged
+# value cannot be written in any shape (shape 0 then raises why).
+_ROW_SOURCE = """
+def encode(message, names):
+    payload = message.payload
+    if tuple(payload) != {keys!r}:
+        return names.refused({kind!r}, "keys")
+    {values}, = payload.values()
+    if not (type(message.src) is str and type(message.dst) is str and {fits}):
+        return names.refused({kind!r}, "type")
+    ids, mask = names.ids, names.mask
+    try:
+        fixed = (ids[message.src], ids[message.dst], {fixed})
+    except KeyError:
+        return names.refused({kind!r}, "name")
+    out = bytearray()
+    try:
+        for value in ({tail}):
+            _PUT[type(value)](out, value, 0)
+        if len(out) <= _MAX_TAIL:
+            return _FRAME.pack(WIRE_VERSION, _BODY.size + len(out), {index}, names.crc,
+                               *fixed) + out
+    except (KeyError, TypeError, struct.error, UnicodeEncodeError):
+        return None
+    # Past MAX_FRAME: None too.
+
+def decode(body, names):
+    f = _BODY.unpack_from(body)
+    if f[1] != names.crc:
+        raise WireError(f"shape {index} packed against names table {{f[1]:#010x}}, "
+                        f"not this one ({{names.crc:#010x}})")
+    end = _BODY.size{reads}
+    table, pidset = names.names, names.pidset
+    return Message({kind!r}, table[f[2]], table[f[3]], {{{payload}}}), end
+"""
+
+
+class _Shape(NamedTuple):
+    """One row of :data:`SHAPES`, compiled: ``shape || u32 crc || u16 src
+    || u16 dst || fixed fields`` as one struct, then the tagged values."""
+
+    kind: str
+    encode: Callable[[Message, Names], bytes | None]
+    decode: Callable[[bytes, Names], tuple[Message, int]]
+
+
+def _compile(index: int, kind: str, row: tuple[tuple[str, str], ...]) -> _Shape:
+    """Shape ``index``: ``row``'s struct, and its encoder and decoder built
+    from :data:`_ROW_SOURCE` and the codecs' templates."""
+    codecs = [_CODECS[codec] for _key, codec in row]
+    values = [f"v{n}" for n in range(len(row))]
+    payload, i, j = [], 4, 0
+    for (key, _codec), codec in zip(row, codecs):
+        value = codec.value.format(i=i, t0=f"t{j}", t1=f"t{j + 1}", t2=f"t{j + 2}")
+        payload.append(f"{key!r}: {value}")
+        i, j = i + len(codec.fmt), j + len(codec.tail)
+    body = struct.Struct(">BIHH" + "".join(codec.fmt for codec in codecs))
+    namespace = {**globals(), "_BODY": body, "_MAX_TAIL": MAX_FRAME - body.size,
+                 "_FRAME": struct.Struct(">BI" + body.format[1:])}  # frame header, body
+    exec(_ROW_SOURCE.format(  # only the templates above and the keys of SHAPES
+        keys=tuple(key for key, _codec in row), kind=kind, index=index,
+        reads="".join(f"\n    t{n}, end = _GET[body[end]](body, end + 1, 0)" for n in range(j)),
+        values=", ".join(values),
+        fits=" and ".join(c.fits.format(v=v) for c, v in zip(codecs, values)),
+        fixed=", ".join(c.fixed.format(v=v) for c, v in zip(codecs, values)),
+        tail="".join(f"{t.format(v=v)}, " for c, v in zip(codecs, values) for t in c.tail),
+        payload=", ".join(payload)), namespace)
+    return _Shape(kind, namespace["encode"], namespace["decode"])
+
+
+_SHAPE_OF = {kind: _compile(i + 1, kind, row) for i, (kind, row) in enumerate(SHAPES)}
+#: shape byte -> its compiled row (None for shape 0 and undeclared bytes).
+_SHAPE_AT: list[_Shape | None] = [None, *_SHAPE_OF.values(), *[None] * (255 - len(SHAPES))]
+
+
 def split_frame(frame: bytes) -> tuple[int, bytes]:
     """``(version, body)`` of a complete frame, validating the header."""
     if len(frame) < HEADER_SIZE:
@@ -465,19 +703,22 @@ def split_frame(frame: bytes) -> tuple[int, bytes]:
     return version, body
 
 
-#: Where the kind's length byte sits: past the frame header, the u16
-#: header length and the u8 key count.
-_KIND_AT = HEADER_SIZE + 3
+#: Where a shape-0 kind's length byte sits: past the frame header, the
+#: shape byte, the u16 header length and the u8 key count.
+_KIND_AT = HEADER_SIZE + 4
 
 
 def frame_kind(frame: bytes) -> str | None:
     """The message ``kind`` of a complete frame, or None if it has none.
 
     Used by the fault proxy to classify forwarded traffic for overhead
-    accounting without decoding payloads: the kind is one slice at a
-    fixed offset (the rest of the body is not read).
+    accounting without decoding payloads: a shaped frame's kind is its
+    shape byte, a shape-0 kind one slice at a fixed offset (the rest of
+    the body is not read).
     """
     try:
+        if frame[0] == WIRE_VERSION and frame[HEADER_SIZE]:  # shaped, or undeclared: None
+            return getattr(_SHAPE_AT[frame[HEADER_SIZE]], "kind", None)
         size = frame[_KIND_AT]
         kind = frame[_KIND_AT + 1:_KIND_AT + 1 + size]
         if frame[0] == WIRE_VERSION and len(kind) == size:

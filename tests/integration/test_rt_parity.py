@@ -58,7 +58,7 @@ def test_smoke3_sim_half_skips_only_the_process_pair_loss():
 
 @pytest.mark.rt
 def test_parity4_rt_record_passes_all_oracles():
-    record, _emitted, violations, _metrics = run_rt_case(
+    record, _emitted, violations, _metrics, diagnostics = run_rt_case(
         PARITY, seed=42, duration=6.0, mode="in-process",
     )
     assert violations == [], [str(v) for v in violations]
@@ -67,6 +67,11 @@ def test_parity4_rt_record_passes_all_oracles():
     assert record.sensor_modes["m1"] == "gapless"
     assert set(record.alive) == {"hub", "tv", "fridge"}
     assert all(record.alive.values())
+    # Every per-event frame took its declared shape; every node sent some.
+    nodes = diagnostics["nodes"]
+    assert sorted(nodes) == ["fridge", "hub", "tv"]
+    assert not any(node["wire_fallbacks"] for node in nodes.values()), nodes
+    assert all(node["senders"] for node in nodes.values()), nodes
 
 
 @pytest.mark.rt

@@ -58,7 +58,7 @@ def test_sigkill_detected_within_failure_detection_time():
 
 def test_smoke3_full_case_passes_all_oracles():
     """The acceptance scenario: SIGKILL + proxy loss, 0 violations."""
-    record, _emitted, violations, metrics = run_rt_case(
+    record, _emitted, violations, metrics, diagnostics = run_rt_case(
         scenario_named("smoke3"), seed=42, duration=5.0, mode="subprocess",
     )
     assert violations == [], [str(v) for v in violations]
@@ -70,6 +70,7 @@ def test_smoke3_full_case_passes_all_oracles():
     assert metrics["delivered_fraction"] >= 0.9
     # One run clock: parent and children stamp run-relative seconds.
     assert all(0.0 <= e.time < 60.0 for e in record.trace.events)
+    assert diagnostics is None  # the nodes' counters live in the children
 
 
 def test_emit_loss_drops_device_injections():

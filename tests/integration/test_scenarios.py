@@ -236,7 +236,7 @@ def test_run_chaos_case_is_the_hand_written_sequence(monkeypatch, mode, faulted)
 @pytest.mark.rt
 @pytest.mark.parametrize("mode", MODES)
 def test_chaos_scenario_passes_every_oracle_on_a_local_cluster(mode):
-    record, emitted, violations, _metrics = run_rt_case(
+    record, emitted, violations, _metrics, _diagnostics = run_rt_case(
         chaos_scenario(mode), seed=7, duration=4.0, mode="in-process",
     )
     assert violations == [], [str(v) for v in violations]

@@ -1,12 +1,15 @@
 """Property-based tests for the asyncio wire format: exact round trips,
-pinned version-3 bytes, and a decoder that raises nothing but WireError."""
+pinned version-4 bytes, and a decoder that raises nothing but WireError."""
 
+import dataclasses
 import math
 import tracemalloc
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.events import Command, Event
+from repro.core.plan import DeploymentPlan
 from repro.net.message import Message
 from repro.net.wire import ProcessIdSet
 from repro.rt import wire
@@ -72,6 +75,10 @@ commands = st.builds(
 pidsets = st.sets(st.text(min_size=1, max_size=8), max_size=6).map(ProcessIdSet)
 
 payload_values = st.one_of(nested_values, events, commands, pidsets)
+
+
+#: A three-process home's table: ids are positions, the mask counts p0, p1, p2.
+NAMES = wire.Names(("door", "light", "lights", "p0", "p1", "p2"), ("p0", "p1", "p2"))
 
 
 def roundtrip(message: Message) -> Message:
@@ -191,42 +198,173 @@ def test_frames_roundtrip_with_identical_types(payload, kind, src):
     assert _same(decode_records(record), [["trace", 1.0, kind, _decoded_form(payload)]])
 
 
-# -- the version-3 bytes of two real messages ----------------------------------------
+# -- declared shapes: what fits a row is shaped, anything else is shape 0 --------------
 
+table_names = st.text(min_size=1, max_size=8)
+
+
+@st.composite
+def tables(draw) -> wire.Names:
+    """The names table of a generated plan."""
+    processes = draw(st.lists(table_names, min_size=1, max_size=8, unique=True))
+    host = [processes[0]]
+    sensors = draw(st.lists(table_names, max_size=4, unique=True))
+    actuators = draw(st.lists(table_names, max_size=4, unique=True))
+    return wire.Names.of(DeploymentPlan(
+        processes, dict.fromkeys(sensors, host), dict.fromkeys(actuators, host)))
+
+
+def _stamped(cls, name_field: str, at_field: str, names: wire.Names, tagged):
+    """An Event or a Command whose name is interned and whose stamp fits."""
+    return st.builds(cls, **{
+        name_field: st.sampled_from(names.names),
+        "seq": st.integers(-(2**63), 2**63 - 1), at_field: st.floats(),
+        "size_bytes": st.integers(-(2**63), 2**63 - 1), **tagged})
+
+
+def shaped_messages(names: wire.Names):
+    """Messages of every declared kind that fit their row in ``names``."""
+    name = st.sampled_from(names.names)
+    by_codec = {
+        "name": name,
+        "pids": st.sets(st.sampled_from(names.processes)).map(ProcessIdSet),
+        "event": _stamped(Event, "sensor_id", "emitted_at", names, {
+            "value": wire_values, "epoch": st.one_of(st.none(), st.integers())}),
+        "command": _stamped(Command, "actuator_id", "issued_at", names, {
+            "action": json_scalars, "value": wire_values, "issued_by": json_scalars}),
+    }
+    return st.sampled_from(wire.SHAPES).flatmap(lambda shape: st.builds(
+        Message, st.just(shape[0]), name, name,
+        st.tuples(*(by_codec[codec] for _key, codec in shape[1])).map(
+            lambda values: dict(zip((key for key, _codec in shape[1]), values)))))
+
+
+def _shape_of(kind: str) -> int:
+    return [row_kind for row_kind, _row in wire.SHAPES].index(kind) + 1
+
+
+tables_and_messages = tables().flatmap(
+    lambda names: st.tuples(st.just(names), shaped_messages(names)))
+
+
+def _decodes_exactly(frame: bytes, message: Message, names: wire.Names) -> None:
+    decoded = decode_body(split_frame(frame)[1], names)
+    assert (decoded.kind, decoded.src, decoded.dst) == (message.kind, message.src, message.dst)
+    assert frame_kind(frame) == message.kind
+    assert list(decoded.payload) == list(message.payload)
+    assert _same(decoded.payload, _decoded_form(message.payload))
+
+
+@given(tables_and_messages)
+def test_declared_kinds_roundtrip_in_their_shape(case):
+    names, message = case
+    frame = encode_message(message, names)
+    assert frame[HEADER_SIZE] == _shape_of(message.kind)
+    assert names.fallbacks == {}
+    _decodes_exactly(frame, message, names)
+    # The same message without a table, and a table from the same plan.
+    _decodes_exactly(encode_message(message), message, names)
+    twin = wire.Names(names.names, names.processes)
+    assert decode_body(split_frame(frame)[1], twin).kind == message.kind
+
+
+def _off_shape(message: Message, names: wire.Names, push: str, data) -> Message:
+    """``message`` with one thing pushed off its row, for the ``push`` reason."""
+    payload = dict(message.payload)
+    if push == "keys":
+        return Message(message.kind, message.src, message.dst, dict(reversed(payload.items())))
+    key = data.draw(st.sampled_from([*payload, None]))
+    if push == "name":
+        stranger = data.draw(table_names.filter(lambda n: n not in names.ids))
+        if key is None:
+            return Message(message.kind, stranger, message.dst, payload)
+        value = payload[key]
+        if isinstance(value, ProcessIdSet):
+            payload[key] = ProcessIdSet({*value, stranger})
+        elif isinstance(value, Event):
+            payload[key] = dataclasses.replace(value, sensor_id=stranger)
+        elif isinstance(value, Command):
+            payload[key] = dataclasses.replace(value, actuator_id=stranger)
+        else:
+            payload[key] = stranger
+    else:  # "type": still encodable, as another type
+        value = payload[key or next(iter(payload))]
+        if isinstance(value, ProcessIdSet):
+            value = frozenset(value)
+        elif isinstance(value, Event):
+            value = dataclasses.replace(value, sensor_id=len(value.sensor_id))
+        elif isinstance(value, Command):
+            value = dataclasses.replace(value, actuator_id=(value.actuator_id,))
+        else:
+            value = [value]
+        payload[key or next(iter(payload))] = value
+    return Message(message.kind, message.src, message.dst, payload)
+
+
+@given(tables_and_messages, st.sampled_from(["keys", "name", "type"]), st.data())
+def test_a_message_off_its_shape_roundtrips_as_shape_0(case, push, data):
+    names, message = case
+    message = _off_shape(message, names, push, data)
+    frame = encode_message(message, names)
+    assert frame[HEADER_SIZE] == 0
+    assert names.fallbacks == {(message.kind, push): 1}
+    _decodes_exactly(frame, message, names)
+
+
+@given(tables_and_messages, st.sampled_from(["seq", "size_bytes"]))
+def test_a_bool_stamp_is_refused_in_every_shape(case, field):
+    """``q`` would pack True as 1 and decode an int: refused with or
+    without a table, never sent as another type."""
+    names, message = case
+    key, value = next((k, v) for k, v in message.payload.items()
+                      if isinstance(v, (Event, Command)))
+    payload = {**message.payload, key: dataclasses.replace(value, **{field: True})}
+    off = Message(message.kind, message.src, message.dst, payload)
+    for table in (names, None):
+        with pytest.raises(WireError):
+            encode_message(off, table)
+
+
+# -- the version-4 bytes of two real messages ----------------------------------------
 
 def test_gapless_forward_bytes_are_pinned():
     event = Event(sensor_id="door", seq=7, emitted_at=1.25, value=True, size_bytes=4)
-    frame = encode_message(Message("gapless_fwd", "p0", "p1", {
+    message = Message("gapless_fwd", "p0", "p1", {
         "sensor": "door", "event": event,
-        "S": ProcessIdSet({"p0"}), "V": ProcessIdSet({"p2", "p0", "p1"})}))
+        "S": ProcessIdSet({"p0"}), "V": ProcessIdSet({"p2", "p0", "p1"})})
+    frame = encode_message(message, NAMES)
+    assert NAMES.crc == 0x22E454A7
     assert frame == (
-        b"\x03\x00\x00\x00\x69"                             # version 3, 105 B body
-        b"\x00\x24\x04\x0bgapless_fwd\x02p0\x02p1"          # header: 4 keys, kind, src, dst
-        b"\x06sensor\x05event\x01S\x01V"
-        b"s\x00\x00\x00\x04door"
-        b"E\x00\x00\x00\x00\x00\x00\x00\x07"                # seq 7
+        b"\x04\x00\x00\x00\x2f"                             # version 4, 47 B body
+        b"\x01" b"\x22\xe4\x54\xa7"                          # shape 1, the table's CRC32
+        b"\x00\x03\x00\x04"                                 # src p0, dst p1
+        b"\x00\x00"                                         # sensor door
+        b"\x00\x00" b"\x00\x00\x00\x00\x00\x00\x00\x07"        # event: door, seq 7
         b"?\xf4\x00\x00\x00\x00\x00\x00"                    # emitted_at 1.25
         b"\x00\x00\x00\x00\x00\x00\x00\x04"                 # size_bytes 4
-        b"s\x00\x00\x00\x04door" b"T" b"N"                  # sensor_id, value, epoch
-        b"P\x00\x00\x00\x03\x02p0"
-        b"P\x00\x00\x00\x09\x02p0\x02p1\x02p2")             # names sorted
+        b"\x00\x00\x00\x01" b"\x00\x00\x00\x07"               # S = {p0}, V = {p0, p1, p2}
+        b"T" b"N")                                          # value, epoch
     assert frame_kind(frame) == "gapless_fwd"
+    # Without a table it is shape 0: the version-3 body behind a zero byte.
+    plain = encode_message(message)
+    assert plain[HEADER_SIZE:HEADER_SIZE + 3] == b"\x00\x00\x24"
+    assert len(plain) == 111 and frame_kind(plain) == "gapless_fwd"
 
 
 def test_cmd_fwd_bytes_are_pinned():
     command = Command("light", 3, 2.5, "on", value=None, issued_by="lights@p0")
     frame = encode_message(Message("cmd_fwd", "p0", "p2", {
-        "actuator": "light", "command": command, "app": "lights"}))
+        "actuator": "light", "command": command, "app": "lights"}), NAMES)
     assert frame == (
-        b"\x03\x00\x00\x00\x74"
-        b"\x00\x24\x03\x07cmd_fwd\x02p0\x02p2\x08actuator\x07command\x03app"
-        b"s\x00\x00\x00\x05light"
-        b"C\x00\x00\x00\x00\x00\x00\x00\x03"                # seq 3
+        b"\x04\x00\x00\x00\x3d"
+        b"\x05" b"\x22\xe4\x54\xa7" b"\x00\x03\x00\x05"         # shape 5, CRC, p0 -> p2
+        b"\x00\x01"                                         # actuator light
+        b"\x00\x01" b"\x00\x00\x00\x00\x00\x00\x00\x03"        # command: light, seq 3
         b"@\x04\x00\x00\x00\x00\x00\x00"                    # issued_at 2.5
         b"\x00\x00\x00\x00\x00\x00\x00\x08"                 # size_bytes 8
-        b"s\x00\x00\x00\x05light" b"s\x00\x00\x00\x02on"    # actuator_id, action
-        b"N" b"s\x00\x00\x00\x09lights@p0"                  # value, issued_by
-        b"s\x00\x00\x00\x06lights")
+        b"\x00\x02"                                         # app lights
+        b"s\x00\x00\x00\x02on" b"N"                          # action, value
+        b"s\x00\x00\x00\x09lights@p0")                       # issued_by
     assert frame_kind(frame) == "cmd_fwd"
 
 
@@ -251,20 +389,21 @@ def _read_all(streams) -> None:
 
 def _all_decoders(data: bytes) -> None:
     _decode_or_wire_error(decode_body, data)
+    _decode_or_wire_error(lambda body: decode_body(body, NAMES), data)
     _decode_or_wire_error(split_frame, data)
     _decode_or_wire_error(decode_records, data)
     _decode_or_wire_error(frame_kind, data)
 
 
 #: A frame whose body nests lists far past MAX_DEPTH.
-DEPTH_BOMB = b"\x00\x06\x01\x00\x00\x00\x01x" + b"l\x00\x00\x00\x01" * 10_000 + b"N"
+DEPTH_BOMB = b"\x00\x00\x06\x01\x00\x00\x00\x01x" + b"l\x00\x00\x00\x01" * 10_000 + b"N"
 
 
 @settings(max_examples=300)
 @given(st.binary(max_size=200))
 @example(DEPTH_BOMB)
 @example(bytes([WIRE_VERSION]) + len(DEPTH_BOMB).to_bytes(4, "big") + DEPTH_BOMB)
-@example(b"\x00\x06\x01\x00\x00\x00\x01x" + b"l\xff\xff\xff\xff" + bytes(10))
+@example(b"\x00\x00\x06\x01\x00\x00\x00\x01x" + b"l\xff\xff\xff\xff" + bytes(10))
 def test_arbitrary_bytes_raise_only_wire_error(data):
     _all_decoders(data)
     _all_decoders(bytes([WIRE_VERSION]) + len(data).to_bytes(4, "big") + data)
@@ -289,11 +428,29 @@ def test_every_truncation_and_byte_flip_raises_only_wire_error(payload, mask):
     _read_all(variants[: 2 * len(frame)])
 
 
+@settings(max_examples=40, deadline=None)
+@given(shaped_messages(NAMES), st.integers(1, 255))
+@example(Message("gapless_fwd", "p0", "p1", {
+    "sensor": "door", "event": Event("door", 1, 0.5, [None] * 3, 4),
+    "S": ProcessIdSet({"p0"}), "V": ProcessIdSet({"p0", "p1", "p2"})}), 0x80)
+def test_every_truncation_and_byte_flip_of_a_shaped_frame_raises_only_wire_error(
+        message, mask):
+    frame = encode_message(message, NAMES)
+    assert frame[HEADER_SIZE] != 0
+    variants = [frame[:cut] for cut in range(len(frame))]
+    variants += [frame[:i] + bytes([frame[i] ^ mask]) + frame[i + 1:]
+                 for i in range(len(frame))]
+    for data in variants:
+        _all_decoders(data)
+        _all_decoders(data[HEADER_SIZE:])
+    _read_all(variants[: 2 * len(frame)])
+
+
 def test_a_huge_count_fails_before_it_allocates():
     """A u32 count of 2**32 - 1 with ten bytes left: refused on the count,
     not after building a list of four billion slots."""
     for tag in b"ltdS":
-        body = b"\x00\x06\x01\x00\x00\x00\x01x" + bytes([tag]) + b"\xff" * 4 + bytes(10)
+        body = b"\x00\x00\x06\x01\x00\x00\x00\x01x" + bytes([tag]) + b"\xff" * 4 + bytes(10)
         tracemalloc.start()
         try:
             try:
@@ -324,6 +481,18 @@ def test_memo_tables_stop_at_their_cap():
     # Full tables still encode and decode correctly, they just stop growing.
     message = Message("late", "a", "b", {"ids": ProcessIdSet({"x", "y"})})
     assert roundtrip(message)["ids"] == ProcessIdSet({"x", "y"})
+
+
+def test_a_tables_memos_stop_at_their_cap():
+    """Ten thousand distinct process sets through a 32-process table, each
+    sent and received: its mask memos end at MEMO_CAP and still answer."""
+    processes = [f"p{i:02d}" for i in range(32)]
+    names = wire.Names(processes, processes)
+    for i in range(10_000):
+        ids = ProcessIdSet(p for bit, p in enumerate(processes) if i >> bit & 1)
+        assert names.pidset(names.mask(ids)) == ids
+    assert len(names._masks) == len(names._sets) == MEMO_CAP
+    assert names.pidset(names.mask(ProcessIdSet(processes))) == set(processes)
 
 
 # -- the frame splitter (FrameProtocol.data_received) ---------------------------------

@@ -1,7 +1,11 @@
 """Unit tests for the asyncio runtime's wire format."""
 
 import asyncio
+import contextlib
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +18,7 @@ from repro.rt.wire import (
     MAX_FRAME,
     WIRE_VERSION,
     FrameProtocol,
+    Names,
     PeerSender,
     WireError,
     close_accepted,
@@ -149,6 +154,7 @@ def test_tag_arrays_follow_the_documented_field_order():
         "c": Command("light", 2, 9.0, "set", False, 8, "app@p1"),
     }))
     assert frame[HEADER_SIZE:] == (
+        b"\x00"                                        # shape 0
         b"\x00\x0b"                                    # header length
         b"\x02\x01k\x01a\x01b\x01e\x01c"               # 2 keys; k, a, b; e, c
         b"E" b"\x00\x00\x00\x00\x00\x00\x00\x01"       # seq 1
@@ -170,14 +176,14 @@ def _v_frame(version: int, body: bytes) -> bytes:
 def test_version_1_frame_is_a_wire_error():
     """What the first revision wrote for ``Message("k", "a", "b", {})``:
     refused at its version byte, and its object body refused on its own."""
-    assert WIRE_VERSION == 3
+    assert WIRE_VERSION == 4
     body = b'{"kind":"k","src":"a","dst":"b","payload":{}}'
     frame = _v_frame(1, body)
     with pytest.raises(WireError, match="version"):
         split_frame(frame)
     with pytest.raises(WireError, match="version"):
         _frames_from_bytes(frame)
-    with pytest.raises(WireError, match="past the end"):
+    with pytest.raises(WireError, match="shape"):
         decode_body(body)
     assert frame_kind(frame) is None
 
@@ -194,6 +200,121 @@ def test_version_2_frame_is_a_wire_error():
     with pytest.raises(WireError):
         decode_body(body)
     assert frame_kind(frame) is None
+
+
+def test_version_3_frame_is_a_wire_error():
+    """The pinned version-3 Gapless forward: refused at its version byte,
+    its body (a u16 header length where the shape byte goes) too."""
+    body = (b"\x00\x24\x04\x0bgapless_fwd\x02p0\x02p1\x06sensor\x05event\x01S\x01V"
+            b"s\x00\x00\x00\x04doorE" + bytes(24) + b"s\x00\x00\x00\x04doorTN"
+            b"P\x00\x00\x00\x03\x02p0P\x00\x00\x00\x03\x02p1")
+    frame = _v_frame(3, body)
+    with pytest.raises(WireError, match="version"):
+        split_frame(frame)
+    with pytest.raises(WireError, match="version"):
+        _frames_from_bytes(frame)
+    for names in (None, NAMES):
+        with pytest.raises(WireError):
+            decode_body(body, names)
+    assert frame_kind(frame) is None
+
+
+# -- declared shapes: the refusals a shaped body can meet ---------------------------
+
+#: A three-process home's table; "door" is id 0, p0..p2 are ids 3..5.
+NAMES = Names(("door", "light", "lights", "p0", "p1", "p2"), ("p0", "p1", "p2"))
+
+
+def _shaped_body() -> bytearray:
+    """A Gapless forward's shape-1 body: shape, CRC at 1, src at 5, dst at
+    7, sensor at 9, the event from 11, S at 37 and V at 41, then ``TN``."""
+    event = Event(sensor_id="door", seq=7, emitted_at=1.25, value=True, size_bytes=4)
+    frame = encode_message(Message("gapless_fwd", "p0", "p1", {
+        "sensor": "door", "event": event,
+        "S": ProcessIdSet({"p0"}), "V": ProcessIdSet({"p0", "p1", "p2"})}), NAMES)
+    return bytearray(frame[HEADER_SIZE:])
+
+
+def test_a_shaped_body_decodes_with_its_table_only():
+    body = bytes(_shaped_body())
+    assert decode_body(body, NAMES)["V"] == ProcessIdSet({"p0", "p1", "p2"})
+    with pytest.raises(WireError, match="needs a names table"):
+        decode_body(body)
+    other = Names(NAMES.names + ("p3",), NAMES.processes + ("p3",))
+    with pytest.raises(WireError, match="names table"):
+        decode_body(body, other)
+
+
+@pytest.mark.parametrize("offset, value, error", [
+    (0, b"\x06", "unknown shape 6"),                   # past the declared rows
+    (0, b"\xff", "unknown shape 255"),
+    (5, b"\x00\x06", "IndexError"),                     # src: id 6 of a 6-name table
+    (9, b"\xff\xff", "IndexError"),                     # sensor id past the table
+    (11, b"\x00\x06", "IndexError"),                    # the event's sensor id
+    (41, b"\x00\x00\x00\x08", "past the 3 processes"),  # V: bit 3 of 3 processes
+    (37, b"\x80\x00\x00\x00", "past the 3 processes"),  # S: bit 31
+    (45, b"?", "unknown value tag"),                  # the value's tag
+])
+def test_a_shaped_body_with_a_bad_field_is_refused(offset, value, error):
+    body = _shaped_body()
+    body[offset:offset + len(value)] = value
+    with pytest.raises(WireError, match=error):
+        decode_body(bytes(body), NAMES)
+
+
+def test_a_shaped_body_cut_or_padded_is_refused():
+    body = bytes(_shaped_body())
+    for cut in range(len(body)):
+        with pytest.raises(WireError):
+            decode_body(body[:cut], NAMES)
+    with pytest.raises(WireError, match="trailing"):
+        decode_body(body + b"N", NAMES)
+
+
+def _forward(**change) -> Message:
+    return Message("gapless_fwd", change.pop("src", "p0"), "p1", {
+        "sensor": "door", "event": Event("door", 7, 1.25, True, 4),
+        "S": ProcessIdSet({"p0"}), "V": ProcessIdSet({"p0", "p1"}), **change})
+
+
+@pytest.mark.parametrize("event", [
+    Event("door", 7, 1.25, b"x" * MAX_FRAME, 4),     # past MAX_FRAME
+    Event("door", 2**63, 1.25, True, 4),             # seq past int64
+    Event("door", 7, 1.25, object(), 4),             # a value with no tag
+])
+def test_what_no_shape_can_carry_raises_wire_error(event):
+    for names in (NAMES, None):
+        with pytest.raises(WireError):
+            encode_message(_forward(event=event), names)
+
+
+class _Name(str):
+    """An interned name's equal, of another type: it would decode as a str."""
+
+
+def test_a_str_subclass_name_is_not_shaped():
+    names = Names(NAMES.names, NAMES.processes)
+    for message in (_forward(src=_Name("p0")), _forward(sensor=_Name("door"))):
+        with contextlib.suppress(WireError):  # shape 0's own verdict
+            encode_message(message, names)
+    assert names.fallbacks == {("gapless_fwd", "type"): 2}
+
+
+def test_names_of_a_plan_are_sorted_and_the_same_under_any_hash_seed():
+    from repro.apps.scenarios import SCENARIOS
+
+    plan, _devices = SCENARIOS["smoke3"].rt_deployment()
+    names = Names.of(plan)
+    expected = {*plan.processes, *plan.sensor_hosts, *plan.actuator_hosts,
+                *(app.name for app in plan.apps)}
+    assert names.names == tuple(sorted(expected))
+    assert names.processes == tuple(plan.processes)
+    probe = ("from repro.apps.scenarios import SCENARIOS; from repro.rt.wire import Names; "
+             "print(Names.of(SCENARIOS['smoke3'].rt_deployment()[0]).crc)")
+    crcs = {subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONHASHSEED": seed}).stdout.strip() for seed in ("1", "2")}
+    assert crcs == {str(names.crc)}
 
 
 def test_wrong_version_rejected_loudly():
@@ -326,9 +447,9 @@ def test_frame_kind_of_encoded_message(kind):
 ])
 def test_frame_kind_falls_back_to_the_full_parse(body, kind):
     """The JSON bodies of versions 1 and 2, each of which version 2 sent
-    through a full parse when its prefix peek failed. Version 3 has no
-    fallback: behind a version-3 byte, none of them has a kind at the
-    fixed offset (each kind length runs past the frame)."""
+    through a full parse when its prefix peek failed. Versions 3 and 4
+    have no fallback: behind a version-4 byte, none of them has a kind
+    (each starts with a byte no shape is declared at, or is empty)."""
     assert frame_kind(_frame(body)) == kind
 
 
@@ -336,8 +457,8 @@ def test_frame_kind_of_garbage_is_none():
     assert frame_kind(b"") is None
     assert frame_kind(b"\x01\x00") is None
     assert frame_kind(bytes([WIRE_VERSION + 1]) + b'\x00\x00\x00\x02{}') is None
-    assert frame_kind(_frame(b"\x00\x04\x00\x02\xff\xfe")) is None  # bad UTF-8
-    assert frame_kind(_frame(b"\x00\x04\x00\x09abc")) is None       # kind cut short
+    assert frame_kind(_frame(b"\x00\x00\x04\x00\x02\xff\xfe")) is None  # bad UTF-8
+    assert frame_kind(_frame(b"\x00\x00\x04\x00\x09abc")) is None       # kind cut short
 
 
 # -- error surface: nothing but WireError leaves the codec --------------------------
@@ -393,7 +514,8 @@ def test_self_containing_payload_raises_wire_error():
 
 
 def _head(*names: str, keys: int | None = None) -> bytes:
-    """A version-3 header (with its u16 length) holding ``names``."""
+    """A version-3 header (with its u16 length) holding ``names``: behind
+    the shape-0 byte, the start of a version-4 body."""
     keys = len(names) - 3 if keys is None else keys
     head = bytes([keys]) + b"".join(
         bytes([len(n.encode())]) + n.encode() for n in names)
@@ -428,7 +550,7 @@ _ONE = _head("k", "a", "b", "x")   # one payload key, "x"
     b'["k","a","b",{"p":{"__pidset__":"p0"}}]',
     b'["k","a","b",{"s":{"__set__":[[1]]}}]',           # an unhashable member
     b"[" * 100_000,                                     # nesting past the recursion limit
-    # Version-3 bodies, each broken in one way.
+    # Version-3 bodies (shape-0 fields), each broken in one way.
     b"", b"\x00",                                       # no header length
     b"\x00\x00",                                        # an empty header
     b"\x00\x03\x00\x05k",                               # a name past the header
@@ -461,8 +583,12 @@ _ONE = _head("k", "a", "b", "x")   # one payload key, "x"
     _ONE + b"P\x00\x00\x00\x09\x01a",                   # the set past the end
 ])
 def test_malformed_bodies_raise_wire_error(body):
-    with pytest.raises(WireError):
-        decode_body(body)
+    """Each body as it stands and as shape-0 fields, with and without a
+    names table."""
+    for data in (body, b"\x00" + body):
+        for names in (None, NAMES):
+            with pytest.raises(WireError):
+                decode_body(data, names)
 
 
 def test_nested_tagged_values_roundtrip():

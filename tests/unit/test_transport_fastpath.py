@@ -3,6 +3,7 @@ the fire-and-forget delivery lane must be invisible to callers."""
 
 import pytest
 
+from repro.net.latency import LatencyModel
 from repro.net.message import Message
 from repro.net.transport import HomeNetwork
 from repro.sim.random import RandomSource
@@ -327,3 +328,36 @@ def test_network_pickled_before_the_payload_table_restores_with_defaults():
     assert restored._mcast_payloads == {} and restored.plan_builds == 0
     assert restored.lane_refusals == {"partition": 0, "subscriber": 0, "kept": 0}
     assert restored.send_multicast("a", ("b", "c"), "keepalive")
+
+
+class ConstantLatency(LatencyModel):
+    """Every copy takes 0.25 s, whatever its size; each call is counted."""
+
+    def message_delay(self, wire_bytes, live_processes=2, rng=None):
+        self.calls.append((wire_bytes, live_processes))
+        return 0.25
+
+
+def test_a_latency_model_subclass_sets_the_delay_on_both_paths():
+    """The stock model is inlined on the send path and in the multicast
+    plan; a subclass's own message_delay is asked instead, one call per
+    copy in dsts order, on both."""
+    sched = Scheduler()
+    latency = ConstantLatency()
+    latency.calls = []
+    net = HomeNetwork(sched, RandomSource(1), Trace(keep_kinds=set()), latency=latency)
+    arrivals = []
+
+    class Timed(Sink):
+        def deliver(self, message: Message) -> None:
+            arrivals.append((message.kind, self.name, sched.now))
+
+    for name in ("a", "b", "c"):
+        net.register(Timed(name))
+    net.send(Message("m", "a", "b", {}))
+    assert net.send_multicast("a", ("c", "b"), "keepalive")
+    sched.run()
+    assert len(latency.calls) == 3 and {live for _size, live in latency.calls} == {3}
+    # The keep-alive to b queues behind the message sent to b first (FIFO).
+    assert arrivals == [("m", "b", 0.25), ("keepalive", "c", 0.25),
+                        ("keepalive", "b", 0.25 + 1e-9)]
