@@ -144,6 +144,19 @@ class RuntimeEnv(abc.ABC):
         else:
             self.trace(kind, **{id_field: id_value, "seq": seq})
 
+    def trace_row(self, kind: str, names: tuple[str, ...], values: tuple) -> None:
+        """Positional fast lane for the per-event protocol records.
+
+        ``names`` is a module-level :func:`repro.sim.tracing.row_names`
+        schema whose first field is ``process``, which the environment
+        fills; ``values`` are the other fields, in order. Semantically
+        identical to ``trace(kind, **dict(zip(names[1:], values)))`` — same
+        aggregates, same digest bytes, same kept fields — which is what
+        this default does; hot environments (the simulator runtime, the rt
+        node) override it to hand the row to ``Trace.record_row`` as is.
+        """
+        self.trace(kind, **dict(zip(names[1:], values)))
+
     @abc.abstractmethod
     def peers(self) -> list[str]:
         """Names of all other configured processes (static deployment set)."""

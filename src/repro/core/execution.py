@@ -36,10 +36,15 @@ from repro.core.windows import TriggeredWindow, WindowInstance
 from repro.membership.heartbeat import HeartbeatService
 from repro.membership.views import LocalView
 from repro.net.latency import ProcessingModel
+from repro.sim.tracing import row_names
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.delivery_service import DeliveryService
     from repro.core.env import RuntimeEnv
+
+#: The once-per-event records' schemas (see RuntimeEnv.trace_row).
+_LOGIC_DELIVERY = row_names("process", "app", "sensor", "seq", "emitted_at", "delay")
+_COMMAND_ISSUED = row_names("process", "app", "actuator", "action", "seq")
 
 
 class _OperatorContext:
@@ -250,10 +255,8 @@ class LogicRuntime:
         processed.add(event.seq)
         self.service.watermarks_changed()
         now = self.env.now()
-        self.env.trace(
-            "logic_delivery", app=self.app.name, sensor=sensor, seq=event.seq,
-            emitted_at=event.emitted_at, delay=now - event.emitted_at,
-        )
+        self.env.trace_row("logic_delivery", _LOGIC_DELIVERY, (
+            self.app.name, sensor, event.seq, event.emitted_at, now - event.emitted_at))
         if self._repair is not None:
             # Repair sits between platform delivery (traced above, so the
             # delivery-guarantee oracles are unaffected) and the app.
@@ -343,10 +346,8 @@ class LogicRuntime:
             value=value,
             issued_by=self._issuer,
         )
-        self.env.trace(
-            "command_issued", app=self.app.name, actuator=actuator, action=action,
-            seq=self._cmd_seq,
-        )
+        self.env.trace_row("command_issued", _COMMAND_ISSUED, (
+            self.app.name, actuator, action, self._cmd_seq))
         self.service.send_command(command, self.app)
 
     def on_epoch_gap(self, sensor: str, gap: EpochGap) -> None:

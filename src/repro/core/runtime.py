@@ -235,6 +235,9 @@ class RivuletProcess(ServiceHost):
             process=self.name, seq=seq,
         )
 
+    def trace_row(self, kind: str, names: tuple[str, ...], values: tuple) -> None:
+        self._trace.record_row(self._scheduler._now, kind, names, (self.name, *values))
+
     # -- transport endpoint ------------------------------------------------------------------
 
     def deliver(self, message: Message) -> None:

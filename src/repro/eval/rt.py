@@ -133,7 +133,11 @@ def node_diagnostics(cluster: LocalCluster) -> dict[str, Any]:
     """Why a fast path was refused, per node of an in-process home: the
     declared-kind frames it wrote as shape 0, by ``kind/reason``
     (:attr:`repro.rt.wire.Names.fallbacks`), and each peer sender's
-    :class:`~repro.rt.wire.SenderStats`. Read before the nodes stop."""
+    :class:`~repro.rt.wire.SenderStats`; and the fault proxy's
+    :class:`~repro.rt.proxy.PairStats` and sender stats per ``src->dst``
+    pair (None without a proxy). Read before the nodes stop."""
+    proxy = cluster.proxy
+    senders = {} if proxy is None else proxy.sender_stats()
     return {
         "declared_kinds": [kind for kind, _row in wire.SHAPES],
         "nodes": {name: {
@@ -142,6 +146,10 @@ def node_diagnostics(cluster: LocalCluster) -> dict[str, Any]:
             "senders": {dst: dataclasses.asdict(stats)
                         for dst, stats in sorted(node.sender_stats().items())},
         } for name, node in sorted(cluster.nodes.items())},
+        "proxy": None if proxy is None else {
+            f"{src}->{dst}": {**dataclasses.asdict(stats),
+                              "sender": dataclasses.asdict(senders[src, dst])}
+            for (src, dst), stats in sorted(proxy.stats.items())},
     }
 
 

@@ -400,6 +400,11 @@ class HomeNetwork:
             or plan[_MP_KIND] != kind
             or plan[_MP_EPOCH] != self._mcast_epoch
         ):
+            # Kept or kind-subscribed net_send records refuse the lane for
+            # good (neither ever stops), so no plan is built or re-payloaded.
+            if trace.keeps("net_send"):
+                self.lane_refusals["kept"] += 1
+                return False
             plan = self._build_mcast_plan(src, dsts, kind)
         peers = plan[_MP_PEERS]
         n = len(peers)
@@ -407,6 +412,7 @@ class HomeNetwork:
             return True
         state = plan[_MP_STATE]
         if state[3] is not None or state[4] is not None:
+            del self._mcast_plans[src]  # subscribed since it was built
             self.lane_refusals["kept"] += 1
             return False
         sender = plan[_MP_SENDER]

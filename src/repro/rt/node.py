@@ -36,13 +36,16 @@ from repro.net.latency import ProcessingModel
 from repro.net.message import Message
 from repro.rt import wire
 from repro.sim.random import RandomSource
-from repro.sim.tracing import Trace
+from repro.sim.tracing import Trace, row_names
 
 PollHandler = Callable[[str, Callable[[Event], None]], None]
 
 #: Frames a node holds for one peer that is not taking them; the next send
 #: is dropped and traced as ``send_dropped``.
 SEND_QUEUE_LIMIT = 10_000
+
+#: The per-command record's schema (see RuntimeEnv.trace_row).
+_ACTUATION = row_names("process", "actuator", "action", "by")
 
 
 class AsyncRivuletNode(ServiceHost):
@@ -207,21 +210,29 @@ class AsyncRivuletNode(ServiceHost):
         self._trace.record_device(
             self.now(), kind, id_field, id_value, process=self.name, seq=seq)
 
+    def trace_row(self, kind: str, names: tuple[str, ...], values: tuple) -> None:
+        self._trace.record_row(self.now(), kind, names, (self.name, *values))
+
     @property
     def traced(self) -> Trace:
         return self._trace
 
     # -- inbound ----------------------------------------------------------------------------
 
-    def _dispatch(self, body: bytes) -> bool | None:
-        if not self._alive:
-            return False  # halted: hang up, dispatch nothing more
-        message = wire.decode_body(body, self.names)
-        handler = self._handlers.get(message.kind)
-        if handler is None:
-            self.trace("unhandled_message", kind=message.kind)
-        else:
-            handler(message)
+    def _dispatch(self, data: bytes, ends: list[int]) -> bool | None:
+        """Decode and handle the frames of one chunk, in order."""
+        decode, names, handlers = wire.decode_body, self.names, self._handlers
+        start = 0
+        for end in ends:
+            if not self._alive:
+                return False  # halted: hang up, dispatch nothing more
+            message = decode(data[start + wire.HEADER_SIZE:end], names)
+            start = end
+            handler = handlers.get(message.kind)
+            if handler is None:
+                self.trace("unhandled_message", kind=message.kind)
+            else:
+                handler(message)
 
     def _wire_error(self, exc: wire.WireError) -> None:
         self.trace("wire_error", error=str(exc))
@@ -230,8 +241,8 @@ class AsyncRivuletNode(ServiceHost):
 
     def _actuate_local(self, command: Command) -> None:
         self.actuations.append(command)
-        self.trace("actuation", actuator=command.actuator_id,
-                   action=command.action, by=command.issued_by)
+        self._trace.record_row(self.now(), "actuation", _ACTUATION, (
+            self.name, command.actuator_id, command.action, command.issued_by))
         if self._on_actuate is not None:
             self._on_actuate(command)
 

@@ -17,20 +17,27 @@ lossy/partitionable transport:
 Topology: one listener per *directed* pair ``(src, dst)``. A plain proxy
 cannot know who connected to it, so each source process gets its own
 private ingress port per destination; the per-pair listener is what makes
-per-peer fault policy possible. Every frame read on a pair's listener is
-judged and queued as it is read (:class:`repro.rt.wire.FrameProtocol`), and
-leaves through the pair's one :class:`repro.rt.wire.PeerSender`, whichever
-connection carried it in.
+per-peer fault policy possible. Each chunk read on a pair's listener
+(:class:`repro.rt.wire.FrameProtocol`) is judged in one pass over its
+complete frames: every frame is dropped (blocked or partitioned pair),
+drawn for loss (one seeded draw per frame, in stream order) or forwarded.
+What is forwarded leaves as one write through the pair's one
+:class:`repro.rt.wire.PeerSender`, whichever connection carried it in: in
+the same loop turn when nothing waits ahead of it, ``delay_s`` later (or
+behind what waits) otherwise.
 
 The proxy is also the rt runtime's network observer: every forwarded frame
-is recorded as a ``net_send`` trace record (src/dst/kind/bytes; the kind is
+counts as a ``net_send`` trace record (src/dst/kind/bytes; the kind is
 :func:`repro.rt.wire.frame_kind`, one byte for a shaped frame, so the proxy
-needs no names table) and every
-swallowed frame as ``net_drop``, giving :mod:`repro.eval.metrics` the same
-overhead counters it reads off simulated runs. Both are stamped with
-absolute ``loop.time()``: an rt harness's trace counts, byte-sums and
-tallies these kinds but never keeps a record of them, so their times are
-never read.
+needs no names table) and every swallowed frame as ``net_drop``, giving
+:mod:`repro.eval.metrics` the same overhead counters it reads off simulated
+runs. Both go through the pair's :class:`repro.sim.tracing.MessageChannel`:
+``net_send``'s count, tallies, byte sum and pair cell are bumped once per
+chunk (drops, a fault path, are recorded frame by frame), and a record per
+frame is written only while the kind is kept or subscribed to, or the
+trace hashes. Records are stamped with the chunk's absolute ``loop.time()``: an rt
+harness's trace counts these kinds but never keeps a record of them, so
+their times are never read.
 """
 
 from __future__ import annotations
@@ -38,12 +45,13 @@ from __future__ import annotations
 import asyncio
 import functools
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 from repro.net.partition import PartitionState
 from repro.rt import wire
 from repro.sim.random import RandomSource
-from repro.sim.tracing import Trace
+from repro.sim.tracing import MessageChannel, Trace
 
 
 @dataclass
@@ -65,6 +73,26 @@ class PairStats:
     reasons: dict[str, int] = field(default_factory=dict)
 
 
+class _Link:
+    """One directed pair's policy, counters and sender, and its ``net_send``
+    / ``net_drop`` channels once opened, with a ``net_send`` tally cell
+    bound per frame kind."""
+
+    def __init__(self, src: str, dst: str) -> None:
+        self.src, self.dst = src, dst
+        self.policy, self.stats = PairPolicy(), PairStats()
+        self.sender: wire.PeerSender | None = None
+        self.send: MessageChannel | None = None
+        self.drop: MessageChannel | None = None
+        self.tallies: dict[str, list[int]] = {}
+        self.state = self.pair_cell = None
+
+    def tally(self, kind: str) -> list[int]:
+        self.state, tally, self.pair_cell, _suffix = self.send.bind(kind)
+        self.tallies[kind] = tally
+        return tally
+
+
 class FaultProxy:
     """Per-pair TCP shim between every ordered pair of processes."""
 
@@ -78,32 +106,27 @@ class FaultProxy:
     ) -> None:
         self._processes = list(processes)
         self._targets = dict(targets)
-        self._trace = trace
+        self._trace = trace if trace is not None else Trace(keep_kinds=set())
         self._rng = RandomSource(seed).child("rt/proxy-loss")
         self._partition = PartitionState()
-        self._policy: dict[tuple[str, str], PairPolicy] = {}
-        self.stats: dict[tuple[str, str], PairStats] = {}
+        self._links = {(src, dst): _Link(src, dst)
+                       for src in self._processes for dst in self._processes if src != dst}
+        self.stats: dict[tuple[str, str], PairStats] = {
+            pair: link.stats for pair, link in self._links.items()}
         self._ports: dict[tuple[str, str], int] = {}
         self._servers: list[asyncio.AbstractServer] = []
         self._inbound: set[wire.FrameProtocol] = set()
-        self._senders: dict[tuple[str, str], wire.PeerSender] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
-        for src in self._processes:
-            for dst in self._processes:
-                if src != dst:
-                    self._policy[(src, dst)] = PairPolicy()
-                    self.stats[(src, dst)] = PairStats()
 
     # -- lifecycle ---------------------------------------------------------------
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        for pair in self._policy:
-            sender = self._senders[pair] = wire.PeerSender(self._targets[pair[1]])
-            forward = functools.partial(
-                self._forward, pair, self._policy[pair], self.stats[pair], sender)
+        for pair, link in self._links.items():
+            link.sender = wire.PeerSender(self._targets[link.dst])
+            receive = functools.partial(self._receive, link)
             server = await self._loop.create_server(
-                functools.partial(wire.FrameProtocol, forward, self._inbound, raw=True),
+                functools.partial(wire.FrameProtocol, receive, self._inbound),
                 "127.0.0.1", 0,
             )
             self._servers.append(server)
@@ -116,9 +139,8 @@ class FaultProxy:
         for server in self._servers:
             await server.wait_closed()
         self._servers.clear()
-        senders = list(self._senders.values())
-        self._senders.clear()
-        await asyncio.gather(*(sender.close() for sender in senders))
+        await asyncio.gather(*(link.sender.close() for link in self._links.values()
+                               if link.sender is not None))
 
     def address_map_for(self, src: str) -> dict[str, tuple[str, int]]:
         """The peer-address map process ``src`` should dial through."""
@@ -127,6 +149,11 @@ class FaultProxy:
             for dst in self._processes
             if dst != src
         }
+
+    def sender_stats(self) -> dict[tuple[str, str], wire.SenderStats]:
+        """Each pair's :class:`repro.rt.wire.SenderStats` (while started)."""
+        return {pair: link.sender.stats for pair, link in self._links.items()
+                if link.sender is not None}
 
     # -- fault policy -------------------------------------------------------------
 
@@ -162,42 +189,73 @@ class FaultProxy:
     def heal(self) -> None:
         """Remove the partition and any per-link blocks."""
         self._partition.heal()
-        for policy in self._policy.values():
-            policy.blocked = False
+        for link in self._links.values():
+            link.policy.blocked = False
 
     def _pair(self, src: str, dst: str) -> PairPolicy:
         try:
-            return self._policy[(src, dst)]
+            return self._links[(src, dst)].policy
         except KeyError:
             raise KeyError(f"unknown proxy pair {src!r}->{dst!r}") from None
 
     # -- data path ----------------------------------------------------------------
 
-    def _forward(self, pair: tuple[str, str], policy: PairPolicy, stats: PairStats,
-                 sender: wire.PeerSender, frame: bytes) -> None:
-        """Apply the pair's policy to one frame read from its source."""
-        src, dst = pair
+    def _receive(self, link: _Link, data: bytes, ends: list[int]) -> None:
+        """Apply the pair's policy to the complete frames of one chunk."""
+        policy = link.policy
         now = self._loop.time()
-        if policy.blocked or not self._partition.can_communicate(src, dst):
-            self._drop(now, src, dst, frame, stats, "partition")
-        elif policy.loss > 0.0 and self._rng.chance(policy.loss):
-            self._drop(now, src, dst, frame, stats, "loss")
-        else:
-            stats.forwarded += 1
-            stats.bytes_forwarded += len(frame)
-            if self._trace is not None:
-                kind = wire.frame_kind(frame) or "?"
-                self._trace.record_message(now, "net_send", src, dst, kind, len(frame))
-            sender.put(now + policy.delay_s, frame)
+        spans = list(zip(chain((0,), ends), ends))  # each frame's (start, end)
+        if policy.blocked or not self._partition.can_communicate(link.src, link.dst):
+            self._drop(link, now, data, spans, "partition")
+            return
+        if policy.loss > 0.0:
+            lost = [self._rng.chance(policy.loss) for _ in spans]  # in stream order
+            if any(lost):
+                self._drop(link, now, data, [s for s, x in zip(spans, lost) if x], "loss")
+                spans = [span for span, x in zip(spans, lost) if not x]
+                if not spans:
+                    return
+        nbytes = self._count(link, now, data, spans)
+        link.stats.forwarded += len(spans)
+        link.stats.bytes_forwarded += nbytes
+        if len(spans) < len(ends):
+            data = b"".join(data[start:end] for start, end in spans)
+        elif ends[-1] != len(data):
+            data = data[:ends[-1]]
+        link.sender.hold(now + policy.delay_s, data, len(spans))
+        link.sender.flush()
 
-    def _drop(
-        self, now: float, src: str, dst: str, frame: bytes,
-        stats: PairStats, reason: str,
-    ) -> None:
-        stats.dropped += 1
-        stats.reasons[reason] = stats.reasons.get(reason, 0) + 1
-        if self._trace is not None:
-            kind = wire.frame_kind(frame) or "?"
-            self._trace.record_message(
-                now, "net_drop", src, dst, kind, reason=reason
-            )
+    def _count(self, link: _Link, now: float, data: bytes,
+               spans: list[tuple[int, int]]) -> int:
+        """Count forwarded frames as ``net_send``; their bytes."""
+        nbytes = 0
+        frame_kind = wire.frame_kind
+        if link.send is None:
+            link.send = self._trace.message_channel("net_send", link.src, link.dst)
+        if link.send.counted_only:  # the cells, once per chunk (and per kind)
+            tallies = link.tallies
+            for start, end in spans:
+                kind = frame_kind(data, start, end) or "?"
+                tally = tallies.get(kind) or link.tally(kind)
+                tally[0] += 1
+                tally[1] += end - start
+                nbytes += end - start
+            link.state[0] += len(spans)
+            link.state[1] += nbytes
+            link.pair_cell[0] += len(spans)
+        else:  # a record per frame
+            for start, end in spans:
+                link.send.record(now, frame_kind(data, start, end) or "?", end - start)
+                nbytes += end - start
+        return nbytes
+
+    def _drop(self, link: _Link, now: float, data: bytes,
+              spans: list[tuple[int, int]], reason: str) -> None:
+        """Swallow frames, each counted as a ``net_drop``."""
+        if link.drop is None:
+            link.drop = self._trace.message_channel("net_drop", link.src, link.dst)
+        for start, end in spans:
+            link.drop.record(now, wire.frame_kind(data, start, end) or "?", None, reason)
+        stats = link.stats
+        stats.dropped += len(spans)
+        stats.reasons[reason] = stats.reasons.get(reason, 0) + len(spans)

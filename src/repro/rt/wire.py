@@ -154,6 +154,7 @@ _HEADS_OUT: dict[tuple, bytes] = {}      # (kind, src, dst, *keys) -> 0 || u16 l
 _HEADS_IN: dict[bytes, tuple] = {}       # header -> (kind, src, dst, keys)
 _PIDSETS_OUT: dict[ProcessIdSet, bytes] = {}  # set -> its tagged value
 _PIDSETS_IN: dict[bytes, ProcessIdSet] = {}   # names image -> set
+_ONLY_STR = frozenset((str,))
 
 
 # -- encoding ------------------------------------------------------------------------
@@ -284,8 +285,13 @@ def encode_message(message: Message, names: Names | None = None) -> bytes:
                 return frame
     payload = message.payload
     key = (message.kind, message.src, message.dst, *payload)
+    head = _HEADS_OUT.get(key)
+    if head is None or not _ONLY_STR.issuperset(map(type, key)):
+        # A str subclass hashes and compares equal to the str it spells,
+        # so a hit is checked for exact types and a miss refuses it.
+        head = _encode_header(key)
     out = bytearray(HEADER_SIZE)
-    out += _HEADS_OUT.get(key) or _encode_header(key)
+    out += head
     _put_all(out, payload.values(), repr(message.kind))
     size = len(out) - HEADER_SIZE
     if size > MAX_FRAME:
@@ -708,21 +714,25 @@ def split_frame(frame: bytes) -> tuple[int, bytes]:
 _KIND_AT = HEADER_SIZE + 4
 
 
-def frame_kind(frame: bytes) -> str | None:
-    """The message ``kind`` of a complete frame, or None if it has none.
+def frame_kind(frame: bytes, start: int = 0, end: int | None = None) -> str | None:
+    """The message ``kind`` of the complete frame ``frame[start:end]``
+    (all of ``frame`` by default), or None if it has none.
 
     Used by the fault proxy to classify forwarded traffic for overhead
-    accounting without decoding payloads: a shaped frame's kind is its
-    shape byte, a shape-0 kind one slice at a fixed offset (the rest of
-    the body is not read).
+    accounting without decoding payloads or slicing the frame out of its
+    chunk: a shaped frame's kind is its shape byte, a shape-0 kind one
+    slice at a fixed offset (the rest of the body is not read).
     """
     try:
-        if frame[0] == WIRE_VERSION and frame[HEADER_SIZE]:  # shaped, or undeclared: None
-            return getattr(_SHAPE_AT[frame[HEADER_SIZE]], "kind", None)
-        size = frame[_KIND_AT]
-        kind = frame[_KIND_AT + 1:_KIND_AT + 1 + size]
-        if frame[0] == WIRE_VERSION and len(kind) == size:
-            return kind.decode()
+        if frame[start] != WIRE_VERSION:
+            return None
+        shape = frame[start + HEADER_SIZE]
+        if shape:  # shaped, or undeclared: None
+            return getattr(_SHAPE_AT[shape], "kind", None)
+        at = start + _KIND_AT + 1
+        stop = at + frame[at - 1]
+        if stop <= (len(frame) if end is None else end):
+            return frame[at:stop].decode()
     except (IndexError, UnicodeDecodeError):  # too short for a kind, or not UTF-8
         pass
     return None
@@ -740,32 +750,33 @@ def _check_header(version: int, length: int) -> None:
 class FrameProtocol(asyncio.Protocol):
     """The one read path: an accepted connection split into frames.
 
-    ``data_received`` hands every complete frame of a chunk to
-    ``deliver`` synchronously, in stream order: its body, or the whole
-    frame if ``raw`` (a node decodes bodies, the fault proxy forwards
-    frames verbatim). ``deliver`` returns False to hang up (a halted node):
-    the rest of the chunk is not delivered and the connection is closed;
-    any other return value reads on.
+    ``data_received`` reads a chunk in one pass over its complete frames'
+    headers and hands them to ``deliver(data, ends)`` in one call:
+    ``data`` starts at a frame boundary and the frames are
+    ``data[0:ends[0]]``, ``data[ends[0]:ends[1]]``, ... in stream order
+    (a node decodes each body, the fault proxy forwards the run whole).
+    ``deliver`` returns False to hang up (a halted node): the connection
+    is closed and nothing more is read; any other return value reads on.
 
     A frame the chunk cuts is kept as the chunks themselves and joined once
     its last byte has arrived (together with the rest of that chunk), never
     once per chunk. Its version byte and its length against
     :data:`MAX_FRAME` are checked before anything past its header is kept.
-    A wrong version, an oversized length, or a :class:`WireError` that
-    ``deliver`` raises closes the connection and is passed to ``on_error``
-    — the stream is unrecoverable past it. EOF, between frames or inside
-    one, just closes the connection.
+    A wrong version or an oversized length (the frames before it are
+    delivered first), or a :class:`WireError` that ``deliver`` raises,
+    closes the connection and is passed to ``on_error`` — the stream is
+    unrecoverable past it. EOF, between frames or inside one, just closes
+    the connection.
 
     The protocol is in ``inbound`` from ``connection_made`` to
     ``connection_lost``, which resolves :attr:`closed`
     (:func:`close_accepted`).
     """
 
-    def __init__(self, deliver: Callable[[bytes], bool | None], inbound: set, *,
-                 raw: bool = False, on_error: Callable[[WireError], None] | None = None):
+    def __init__(self, deliver: Callable[[bytes, list[int]], bool | None], inbound: set, *,
+                 on_error: Callable[[WireError], None] | None = None):
         self._deliver = deliver
         self._inbound = inbound
-        self._skip = 0 if raw else HEADER_SIZE
         self._on_error = on_error
         self._pieces: list[bytes] = []  # the cut frame so far
         self._have = 0  # bytes in _pieces
@@ -789,25 +800,32 @@ class FrameProtocol(asyncio.Protocol):
                 return
             data = b"".join(self._pieces)  # the cut frame, and what followed it
             self._pieces = []
-        deliver, skip = self._deliver, self._skip
-        pos, size = 0, len(data)
+        unpack = _HEADER.unpack_from
+        ends: list[int] = []
+        pos, size, error = 0, len(data), None
         try:
             while size - pos >= HEADER_SIZE:
-                version, length = _HEADER.unpack_from(data, pos)
-                _check_header(version, length)
+                version, length = unpack(data, pos)
+                if version != WIRE_VERSION or length > MAX_FRAME:
+                    _check_header(version, length)
                 end = pos + HEADER_SIZE + length
                 if end > size:
                     break
-                if deliver(data[pos + skip:end]) is False:
-                    self.transport.close()
-                    return
+                ends.append(end)
                 pos = end
         except WireError as exc:
+            error = exc
+        try:
+            if ends and self._deliver(data, ends) is False:
+                self.transport.close()
+                return
+        except WireError as exc:
+            error = exc
+        if error is not None:
             self.transport.close()
             if self._on_error is not None:
-                self._on_error(exc)
-            return
-        if pos < size:
+                self._on_error(error)
+        elif pos < size:
             self._pieces = [data[pos:]]
             self._have = size - pos
             self._need = end - pos if self._have >= HEADER_SIZE else HEADER_SIZE
@@ -820,47 +838,66 @@ class SenderStats:
     redials: int = 0     # dials after its first
     dial_lost: int = 0   # frames due when a dial failed
     peak_queue: int = 0  # the deepest queue a flush or a dial found
+    frames: int = 0      # frames written
+    writes: int = 0      # write() calls that carried them
 
 
 class PeerSender:
     """The one write path: frames to one peer address, in order, queue-free.
 
-    A node keeps one per destination, the fault proxy one per pair.
-    :meth:`put` appends a ``(due, frame)`` (``due`` a loop time) and
-    arms at most one loop callback: ``call_soon`` when the head is due,
-    ``call_at`` its due time otherwise. The callback writes every due frame
-    in one ``write`` — a batch is what has piled up, never waited for — and
-    a due frame behind a head that is not due waits for it (per-peer FIFO).
+    A node keeps one per destination, the fault proxy one per pair. An
+    entry is ``data`` holding one or more whole frames, due at a loop time.
+    :meth:`put` appends an entry and arms at most one loop callback:
+    ``call_soon`` when the head is due, ``call_at`` its due time otherwise.
+    :meth:`hold` appends one and arms nothing: its caller calls
+    :meth:`flush` before its loop turn ends, which writes at once unless a
+    callback is armed already (that one writes it, in order). Either way a
+    flush writes every due entry in one ``write`` — a batch is what has
+    piled up, never waited for — and a due entry behind a head that is not
+    due waits for it (per-peer FIFO).
 
     The peer is dialled lazily when a frame falls due, and redialled once
     the connection has closed under the sender; the frames due when a dial
     fails met an unreachable peer and are lost, as on TCP. Against a peer
     that stops reading, nothing is written while the transport's buffer is
     past its high-water mark (the sender awaits ``drain()`` instead), so
-    frames wait in the queue, which ``limit`` bounds. :attr:`stats` counts
-    redials, frames lost to a failed dial and the peak queue depth.
+    entries wait in the queue, which ``limit`` bounds. :attr:`stats` counts
+    redials, frames lost to a failed dial, the peak queue depth, and the
+    frames written and the writes that carried them.
     """
 
     def __init__(self, address: tuple[str, int], *, limit: int | None = None) -> None:
         self._address = address
         self._limit = limit
         self._loop = asyncio.get_running_loop()
-        self._queue: deque[tuple[float, bytes]] = deque()
+        self._queue: deque[tuple[float, bytes, int]] = deque()
         self._writer: asyncio.StreamWriter | None = None
         # The one armed step while frames wait: a flush, a dial or a drain.
         self._pending: asyncio.Handle | asyncio.Task | None = None
         self._dialled = False
         self.stats = SenderStats()
 
-    def put(self, due: float, frame: bytes) -> bool:
-        """Queue ``frame`` to leave at loop time ``due``; False if full."""
+    def hold(self, due: float, data: bytes, frames: int = 1) -> bool:
+        """Queue ``data`` (``frames`` whole frames) to leave at loop time
+        ``due``, arming nothing; False if the queue is full."""
         queue = self._queue
         if self._limit is not None and len(queue) >= self._limit:
             return False
-        queue.append((due, frame))
+        queue.append((due, data, frames))
+        return True
+
+    def put(self, due: float, data: bytes, frames: int = 1) -> bool:
+        """:meth:`hold`, then arm the callback that writes it."""
+        if not self.hold(due, data, frames):
+            return False
         if self._pending is None:
             self._arm()
         return True
+
+    def flush(self) -> None:
+        """Write what is due now, unless a flush, dial or drain is armed."""
+        if self._pending is None and self._queue:
+            self._flush()
 
     def _arm(self) -> None:
         due = self._queue[0][0]
@@ -881,11 +918,14 @@ class PeerSender:
             self._pending = self._loop.create_task(self._dial(writer))
             return
         now = self._loop.time()
-        frames = []
+        chunks = []
         while queue and queue[0][0] <= now:
-            frames.append(queue.popleft()[1])
-        if frames:
-            writer.write(frames[0] if len(frames) == 1 else b"".join(frames))
+            _due, data, frames = queue.popleft()
+            chunks.append(data)
+            stats.frames += frames
+        if chunks:
+            writer.write(chunks[0] if len(chunks) == 1 else b"".join(chunks))
+            stats.writes += 1
         transport = writer.transport
         if transport.get_write_buffer_size() > transport.get_write_buffer_limits()[1]:
             self._pending = self._loop.create_task(self._drain(writer))
@@ -905,8 +945,7 @@ class PeerSender:
             now, queue, stats = self._loop.time(), self._queue, self.stats
             stats.peak_queue = max(stats.peak_queue, len(queue))
             while queue and queue[0][0] <= now:
-                queue.popleft()  # peer unreachable: the due frames are lost
-                stats.dial_lost += 1
+                stats.dial_lost += queue.popleft()[2]  # peer unreachable: lost
         else:
             self._writer = writer
         self._pending = None

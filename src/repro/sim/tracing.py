@@ -21,10 +21,12 @@ O(1) appends and O(1) aggregate queries:
   :meth:`Trace.device_channel` hands the radio, the sensors and the
   delivery service a per-``(kind, sensor[, process])``
   :class:`DeviceChannel` for the once-per-event records, and
-  :meth:`Trace.record_device` is the positional lane for the remaining
-  radio/device kinds (``radio_lost``, ``poll_*``, ``command_*``) and for
-  ``trace_device`` (``ingest``, ``relay_receive``), whose records carry no
-  aggregate fields;
+  :meth:`Trace.record_row` is the positional lane for the per-event
+  records that carry no aggregate fields: ``RuntimeEnv.trace_row``
+  (``logic_delivery``, ``command_issued``, the rt ``actuation``) and, through
+  :meth:`Trace.record_device`, the remaining radio/device kinds
+  (``radio_lost``, ``poll_*``, ``command_*``) and ``trace_device``
+  (``ingest``, ``relay_receive``);
 - this module is the only one that knows the digest byte layout: one
   encoder per record shape (:func:`_record_bytes` for any row or fields
   dict, :class:`MessageChannel` and :class:`DeviceChannel` for their fixed
@@ -205,7 +207,7 @@ class TraceEvent:
 
     A record is ``time``, ``kind``, a field-name tuple and the matching
     values tuple; ``fields`` is a dict derived on each read. The lanes pass
-    interned name tuples (:func:`_names`), so every record of one schema
+    interned name tuples (:func:`row_names`), so every record of one schema
     shares one tuple object.
     Storing rows instead of dicts roughly halves a kept record's bytes
     (docs/performance.md), which is what bounds a long rt run's memory.
@@ -266,17 +268,19 @@ class TraceEvent:
 _new_event = object.__new__
 
 
-def _names(*names: str) -> tuple[str, ...]:
+def row_names(*names: str) -> tuple[str, ...]:
+    """``names`` interned: the schema a :meth:`Trace.record_row` caller
+    declares once, at module level."""
     return _intern(names, names)
 
 
 #: The positional lanes' interned schemas, in each lane's field order.
-_N_MSG = _names("src", "dst", "kind")
-_N_MSG_BYTES = _names("src", "dst", "kind", "bytes")
-_N_MSG_REASON = _names("src", "dst", "kind", "reason")
-_N_MSG_BYTES_REASON = _names("src", "dst", "kind", "bytes", "reason")
-_N_SENSOR_SEQ = _names("sensor", "seq")
-_N_SENSOR_PROCESS_SEQ = _names("sensor", "process", "seq")
+_N_MSG = row_names("src", "dst", "kind")
+_N_MSG_BYTES = row_names("src", "dst", "kind", "bytes")
+_N_MSG_REASON = row_names("src", "dst", "kind", "reason")
+_N_MSG_BYTES_REASON = row_names("src", "dst", "kind", "bytes", "reason")
+_N_SENSOR_SEQ = row_names("sensor", "seq")
+_N_SENSOR_PROCESS_SEQ = row_names("sensor", "process", "seq")
 
 
 def _message_row(
@@ -300,7 +304,7 @@ _DEVICE_NAMES: dict[str, tuple[tuple[str, ...], ...]] = {}
 def _device_shapes(id_field: str) -> tuple[tuple[str, ...], ...]:
     optional = ("process", "seq", "action")
     shapes = _DEVICE_NAMES[id_field] = tuple(
-        _names(id_field, *[name for bit, name in enumerate(optional) if mask >> bit & 1])
+        row_names(id_field, *[name for bit, name in enumerate(optional) if mask >> bit & 1])
         for mask in range(8)
     )
     return shapes
@@ -549,44 +553,33 @@ class Trace:
         nbytes: int | None = None,
         reason: str | None = None,
     ) -> None:
-        """Message-path fast lane for :meth:`record`.
+        """One message record: ``record(time, kind, src=src, dst=dst,
+        kind=sub_kind, [bytes=nbytes], [reason=reason])`` — same aggregates,
+        same kept events, same digest bytes — through a one-off
+        :meth:`message_channel`. A flow that records more than once holds
+        its channel instead (the transport, the rt fault proxy)."""
+        self.message_channel(kind, src, dst).record(time, sub_kind, nbytes, reason)
 
-        Semantically identical to ``record(time, kind, src=src, dst=dst,
-        kind=sub_kind, [bytes=nbytes | reason=reason])`` — same aggregates,
-        same kept events, same digest bytes — but the transport's per-message
-        records skip the kwargs packing and per-field probing, which is
-        worth ~15% of a long run. Only :mod:`repro.net.transport` calls it.
+    def record_row(
+        self, time: float, kind: str, names: tuple[str, ...], values: tuple
+    ) -> None:
+        """The positional lane for :meth:`record`: one record as a row.
+
+        ``names`` is an interned field-name tuple (:func:`row_names`) and
+        ``values`` its values in that order. Semantically identical to
+        ``record(time, kind, **dict(zip(names, values)))`` — same counts,
+        same kept events, same digest bytes — but the row is kept as given,
+        and nothing is built while the record is only counted. For kinds
+        whose schemas carry no aggregate fields; a kind that does carry
+        them (``bytes``, ``kind``, ``src`` + ``dst``) takes the generic path.
         """
         state = self._kind_state.get(kind)
-        if state is None:
-            fields = {"src": src, "dst": dst, "kind": sub_kind}
-            if nbytes is not None:
-                fields["bytes"] = nbytes
-            if reason is not None:
-                fields["reason"] = reason
-            self.record(time, kind, **fields)
+        if state is not None and not state[2]:
+            state[0] += 1
+            if state[3] is not None or state[4] is not None or self._has_observers:
+                self._finish(time, kind, state, names, values)
             return
-        state[0] += 1
-        if nbytes is not None:
-            state[1] += nbytes
-        tallies = self._sub_tallies[kind]
-        tally = tallies.get(sub_kind)
-        if tally is None:
-            tallies[sub_kind] = tally = [0, 0]
-        tally[0] += 1
-        if nbytes is not None:
-            tally[1] += nbytes
-        pkey = (kind, src, dst)
-        pairs = self._pair_counts
-        cell = pairs.get(pkey)
-        if cell is None:
-            pairs[pkey] = [1]
-        else:
-            cell[0] += 1
-
-        if state[3] is not None or state[4] is not None or self._has_observers:
-            names, values = _message_row(src, dst, sub_kind, nbytes, reason)
-            self._finish(time, kind, state, names, values)
+        self.record(time, kind, **dict(zip(names, values)))
 
     def record_device(
         self,
@@ -598,29 +591,23 @@ class Trace:
         seq: Any = None,
         action: str | None = None,
     ) -> None:
-        """Device-path fast lane for :meth:`record`.
+        """:meth:`record_row` for a device record: ``<id_field>=id_value,
+        [process=...], [seq=...], [action=...]``, each optional field
+        present unless None.
 
-        Semantically identical to ``record(time, kind, <id_field>=id_value,
-        [process=...], [seq=...], [action=...])`` — same counts, same kept
-        events, same digest bytes — but positional, and the record's row is
-        only built when storage, a subscriber or the streaming hash needs
-        it. Intended for the radio/device record kinds (``radio_*``,
-        ``poll_*``, ``command_*``, ``sensor_*``, ``ingest``,
-        ``relay_receive``) whose schemas carry no aggregate fields; kinds
-        that do carry them (``bytes``, ``kind``, ``src``+``dst``) fall back
-        to the generic path.
+        For the radio/device record kinds (``radio_*``, ``poll_*``,
+        ``command_*``, ``sensor_*``, ``ingest``, ``relay_receive``); the
+        row is only built when storage, a subscriber or the streaming hash
+        needs it.
         """
         state = self._kind_state.get(kind)
-        if state is not None and not state[2]:
+        if (state is not None and not state[2] and state[3] is None
+                and state[4] is None and not self._has_observers):
             state[0] += 1
-            if state[3] is None and state[4] is None and not self._has_observers:
-                return
-            # Unpacked first: a starred call costs more than the row.
-            names, values = _device_row(id_field, id_value, process, seq, action)
-            self._finish(time, kind, state, names, values)
             return
+        # Unpacked first: a starred call costs more than the row.
         names, values = _device_row(id_field, id_value, process, seq, action)
-        self.record(time, kind, **dict(zip(names, values)))
+        self.record_row(time, kind, names, values)
 
     def message_channel(self, kind: str, src: str, dst: str) -> "MessageChannel":
         """A pre-resolved recorder for one ``(kind, src, dst)`` message flow.
@@ -634,8 +621,8 @@ class Trace:
         """
         state = self._kind_state.get(kind)
         if state is None:
-            # Fix the kind's profile exactly as a first record_message would:
-            # src/dst/sub-kind always present, bytes tracked when it appears.
+            # Fix the kind's profile for message records: src/dst/sub-kind
+            # always present, bytes tracked when it appears.
             state = self._new_kind(
                 kind, {"src": src, "dst": dst, "kind": "", "bytes": 0}
             )
@@ -657,6 +644,15 @@ class Trace:
         per call site for the records written once per sensor event.
         """
         return DeviceChannel(self, kind, sensor, process)
+
+    def keeps(self, kind: str) -> bool:
+        """Whether a record of ``kind`` is kept or goes to a kind-scoped
+        subscriber, i.e. is more than counted and hashed."""
+        state = self._kind_state.get(kind)
+        if state is not None:
+            return state[3] is not None or state[4] is not None
+        keep = self._keep_kinds
+        return keep is None or kind in keep or kind in self._kind_subscribers
 
     def subscribe(
         self,
@@ -875,8 +871,9 @@ class MessageChannel:
     Every aggregate cell — the kind's state list, its sub-kind tally map
     and the pair-count cell — is resolved once at construction, so
     :meth:`record` performs no tuple-key hashing. Semantics are identical
-    to ``Trace.record_message(time, kind, src, dst, sub_kind, nbytes,
-    reason)``: same counts, same kept events, same digest bytes.
+    to ``Trace.record(time, kind, src=src, dst=dst, kind=sub_kind,
+    [bytes=nbytes], [reason=reason])``: same counts, same kept events, same
+    digest bytes.
     """
 
     __slots__ = ("_trace", "_state", "_tallies", "_pair_cell", "kind", "src", "dst",
@@ -945,6 +942,15 @@ class MessageChannel:
         if tally is None:
             self._tallies[sub_kind] = tally = [0, 0]
         return self._state, tally, self._pair_cell, self._suffix(sub_kind, nbytes)
+
+    @property
+    def counted_only(self) -> bool:
+        """Whether a record here is only counted: its kind is neither kept
+        nor subscribed to, and the trace neither hashes nor has a global
+        subscriber. A :meth:`bind` caller that stages no digest bytes may
+        bump the cells itself only then."""
+        state = self._state
+        return state[3] is None and state[4] is None and not self._trace._has_observers
 
     def record(
         self,

@@ -53,6 +53,23 @@ class _HeldTransport:
         self.closing = True
 
 
+def each_frame(fn, *, raw: bool = False):
+    """A :class:`repro.rt.wire.FrameProtocol` ``deliver`` that calls
+    ``fn`` on every frame of a chunk in order: its body, or all of it if
+    ``raw``."""
+    from repro.rt.wire import HEADER_SIZE
+
+    skip = 0 if raw else HEADER_SIZE
+
+    def deliver(data: bytes, ends: list[int]) -> None:
+        start = 0
+        for end in ends:
+            fn(data[start + skip:end])
+            start = end
+
+    return deliver
+
+
 def split_chunks(chunks, *, raw: bool = False):
     """Feed ``chunks`` one at a time to a :class:`repro.rt.wire.FrameProtocol`,
     then EOF, the way a transport would (nothing more once it closes).
@@ -64,7 +81,8 @@ def split_chunks(chunks, *, raw: bool = False):
 
     async def go():
         frames, errors = [], []
-        protocol = FrameProtocol(frames.append, set(), raw=raw, on_error=errors.append)
+        protocol = FrameProtocol(each_frame(frames.append, raw=raw), set(),
+                                 on_error=errors.append)
         transport = _HeldTransport()
         protocol.connection_made(transport)
         for chunk in chunks:

@@ -72,6 +72,13 @@ def test_parity4_rt_record_passes_all_oracles():
     assert sorted(nodes) == ["fridge", "hub", "tv"]
     assert not any(node["wire_fallbacks"] for node in nodes.values()), nodes
     assert all(node["senders"] for node in nodes.values()), nodes
+    # The proxy reports each pair; what reached a peer left in batches.
+    pairs = diagnostics["proxy"]
+    assert len(pairs) == 6 and any(cell["forwarded"] for cell in pairs.values())
+    for cell in pairs.values():
+        sender = cell["sender"]
+        assert sender["frames"] + sender["dial_lost"] <= cell["forwarded"], cell
+        assert sender["frames"] >= sender["writes"] >= (sender["frames"] > 0), cell
 
 
 @pytest.mark.rt

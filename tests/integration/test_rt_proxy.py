@@ -14,6 +14,7 @@ from repro.core.operators import Operator
 from repro.core.windows import CountWindow
 from repro.rt import LocalCluster
 from repro.sim.faults import FaultError
+from tests.helpers import each_frame
 
 pytestmark = pytest.mark.rt
 
@@ -237,8 +238,8 @@ async def burst_through_proxy(configure) -> tuple:
     inbound: set = set()
 
     def sink() -> wire.FrameProtocol:
-        return wire.FrameProtocol(
-            lambda body: arrivals.append((wire.decode_body(body)["i"], loop.time())),
+        return wire.FrameProtocol(each_frame(
+            lambda body: arrivals.append((wire.decode_body(body)["i"], loop.time()))),
             inbound)
 
     server = await loop.create_server(sink, "127.0.0.1", 0)

@@ -9,7 +9,9 @@ from repro.core.stack import RT_STACK
 from repro.net.message import Message
 from repro.rt.cluster import bound_socket
 from repro.rt.node import AsyncRivuletNode
-from repro.rt.wire import PeerSender, SenderStats, encode_message
+from repro.rt.wire import (
+    FrameProtocol, PeerSender, SenderStats, close_accepted, decode_body, encode_message)
+from tests.helpers import each_frame
 
 
 async def started_node() -> tuple[AsyncRivuletNode, object]:
@@ -153,6 +155,78 @@ def test_a_step_posted_by_a_step_waits_for_a_later_turn_and_io_runs_between():
     log = asyncio.run(go())
     assert [entry for entry in log if entry != "read"] == list(range(201))
     assert log.index("read") < 10
+
+
+# -- batched writes -----------------------------------------------------------------
+
+
+async def connected_node():
+    """A started node ``hub`` without keep-alives whose peer ``tv`` is a
+    listener collecting the ``i`` of every probe it reads, already dialled
+    by one probe; returns ``(node, probes, close)``."""
+    probes, inbound = [], set()
+
+    def read(body: bytes) -> None:
+        message = decode_body(body)
+        if message.kind == "probe":
+            probes.append(message["i"])
+
+    server = await asyncio.get_running_loop().create_server(
+        lambda: FrameProtocol(each_frame(read), inbound), "127.0.0.1", 0)
+    listener = bound_socket()
+    plan, device_info = rt_deployment(("hub", "tv"), {"s": ("hub",)}, {}, {}, [])
+    node = AsyncRivuletNode("hub", listener.getsockname()[1],
+                            {"tv": server.sockets[0].getsockname()[:2]},
+                            plan, device_info, RT_STACK)
+    await node.start(listener)
+    node.heartbeat.stop()
+    node.send("tv", "probe", i=-1)
+    await until(lambda: probes == [-1])
+
+    async def close() -> None:
+        await node.stop()
+        server.close()
+        await close_accepted(inbound)
+        await server.wait_closed()
+
+    return node, probes, close
+
+
+def test_the_frames_of_one_drain_leave_in_one_write():
+    async def go():
+        node, probes, close = await connected_node()
+        stats = node.sender_stats()["tv"]
+        try:
+            before = (stats.frames, stats.writes)
+            for i in range(5):
+                node.schedule(0.0, lambda i=i: node.send("tv", "probe", i=i))
+            await until(lambda: len(probes) == 6)
+            return before, (stats.frames, stats.writes), probes
+        finally:
+            await close()
+
+    before, after, order = asyncio.run(go())
+    assert (after[0] - before[0], after[1] - before[1]) == (5, 1)
+    assert order == list(range(-1, 5))
+
+
+def test_a_send_leaves_on_the_next_turn():
+    async def go():
+        node, probes, close = await connected_node()
+        stats = node.sender_stats()["tv"]
+        try:
+            node.send("tv", "probe", i=0)
+            node.send("tv", "probe", i=1)
+            same_turn = stats.writes
+            await asyncio.sleep(0)
+            next_turn = stats.writes
+            await until(lambda: len(probes) == 3)
+            return same_turn, next_turn
+        finally:
+            await close()
+
+    same_turn, next_turn = asyncio.run(go())
+    assert next_turn == same_turn + 1
 
 
 # -- the inbound path ----------------------------------------------------------------

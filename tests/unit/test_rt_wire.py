@@ -29,7 +29,7 @@ from repro.rt.wire import (
     frame_kind,
     split_frame,
 )
-from tests.helpers import split_chunks
+from tests.helpers import each_frame, split_chunks
 
 
 def roundtrip(message: Message) -> Message:
@@ -300,6 +300,24 @@ def test_a_str_subclass_name_is_not_shaped():
     assert names.fallbacks == {("gapless_fwd", "type"): 2}
 
 
+@pytest.mark.parametrize("where", ["kind", "src", "dst", "key"])
+def test_a_str_subclass_name_is_refused_with_a_cold_and_a_warm_memo(where):
+    """Shape 0's header memo is keyed by equality, and a str subclass
+    equals the str it spells: a memoized plain header must not carry it."""
+    name = f"memo-{where}"  # not in the memo yet
+
+    def message(cls) -> Message:
+        names = {"kind": "k", "src": "p0", "dst": "p1", "key": "x", where: cls(name)}
+        return Message(names["kind"], names["src"], names["dst"], {names["key"]: 1})
+
+    with pytest.raises(WireError, match="is not a str"):
+        encode_message(message(_Name))
+    plain = encode_message(message(str))  # memoizes the plain header
+    with pytest.raises(WireError, match="is not a str"):
+        encode_message(message(_Name))
+    assert encode_message(message(str)) == plain
+
+
 def test_names_of_a_plan_are_sorted_and_the_same_under_any_hash_seed():
     from repro.apps.scenarios import SCENARIOS
 
@@ -402,7 +420,7 @@ def test_read_frames_completes_a_frame_larger_than_the_chunk():
 
     async def kept_pieces():
         delivered = []
-        protocol = FrameProtocol(delivered.append, set(), raw=True)
+        protocol = FrameProtocol(each_frame(delivered.append, raw=True), set())
         protocol.connection_made(None)
         for count, chunk in enumerate(chunks[:-1], 1):
             protocol.data_received(chunk)
@@ -758,7 +776,7 @@ def test_frames_put_during_the_first_dial_arrive_complete_and_in_order(monkeypat
         received, inbound = [], set()
         server = await asyncio.get_running_loop().create_server(
             lambda: FrameProtocol(
-                lambda body: received.append(decode_body(body)["i"]), inbound),
+                each_frame(lambda body: received.append(decode_body(body)["i"])), inbound),
             "127.0.0.1", 0)
         sender = PeerSender(server.sockets[0].getsockname()[:2])
         try:

@@ -313,6 +313,33 @@ def test_lane_refusals_are_counted_by_cause():
     sched.run()
 
 
+def test_a_lane_refused_for_good_builds_and_repayloads_no_plan():
+    """A home that keeps ``net_send`` refuses every fan-out before a plan
+    is built, so its heartbeat's registrations re-payload nothing."""
+    from repro.eval.workloads import single_sensor_home
+
+    home, sensor = single_sensor_home(n_processes=3, receiving=["p1"], keep_trace_kinds=None)
+    home.run_until(1.0)
+    sensor.start_periodic(10.0)
+    home.run_until(20.0)
+    stats = home.stats()
+    assert stats["lane_refusals"]["kept"] > 100
+    assert stats["plan_builds"] == stats["plan_repayloads"] == 0
+
+
+def test_a_plan_refused_by_a_later_subscription_is_dropped():
+    sched, trace, net, _sinks = make_mcast_net()
+    net.multicast_payload("a", "keepalive", {"wm": 1})
+    assert net.send_multicast("a", ("b", "c"), "keepalive")
+    trace.subscribe(lambda event: None, kinds=("net_send",))
+    assert not net.send_multicast("a", ("b", "c"), "keepalive")
+    net.multicast_payload("a", "keepalive", {"wm": 2})
+    assert not net.send_multicast("a", ("b", "c"), "keepalive")
+    assert (net.plan_builds, net.plan_repayloads) == (1, 0)
+    assert net.lane_refusals["kept"] == 2
+    sched.run()
+
+
 def test_network_pickled_before_the_payload_table_restores_with_defaults():
     """A parent-written graph has no table and no counters: the defaults
     are what an unregistered (empty-payload) fan-out means."""
