@@ -218,12 +218,12 @@ def test_rt_frame_splitter(benchmark):
     chunks = [stream[i:i + (64 << 10)] for i in range(0, len(stream), 64 << 10)]
 
     async def split() -> int:
-        bodies: list[bytes] = []
-        protocol = FrameProtocol(bodies.append, set())
+        frames: list[int] = []  # each chunk's complete frames, as deliver gets them
+        protocol = FrameProtocol(lambda data, ends: frames.append(len(ends)), set())
         protocol.connection_made(None)
         for chunk in chunks:
             protocol.data_received(chunk)
-        return len(bodies)
+        return sum(frames)
 
     assert benchmark(lambda: asyncio.run(split())) == 1000
 

@@ -25,16 +25,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.core.events import slot_setters
 from repro.core.windows import TriggeredWindow
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CombinedWindows:
     """What an operator receives: the round's triggered windows by stream."""
 
     windows: dict[str, TriggeredWindow]
     fired_at: float
     missing: frozenset[str] = frozenset()
+
+    def __init__(self, windows: dict[str, TriggeredWindow], fired_at: float,
+                 missing: frozenset[str] = frozenset()) -> None:
+        a, b, c = _COMBINED_SLOTS
+        a(self, windows)
+        b(self, fired_at)
+        c(self, missing)
 
     def __getitem__(self, stream: str) -> TriggeredWindow:
         return self.windows[stream]
@@ -55,6 +63,9 @@ class CombinedWindows:
 
     def all_values(self) -> list:
         return [e.value for e in self.all_events()]
+
+
+_COMBINED_SLOTS = slot_setters(CombinedWindows)
 
 
 class CombinerViolation(RuntimeError):
@@ -116,9 +127,7 @@ class PassThroughCombiner(Combiner):
         return PassThroughCombiner()
 
     def offer(self, window: TriggeredWindow) -> CombinedWindows | None:
-        return CombinedWindows(
-            windows={window.stream: window}, fired_at=window.fired_at
-        )
+        return CombinedWindows({window.stream: window}, window.fired_at)
 
 
 @dataclass
@@ -141,9 +150,7 @@ class AllStreamsCombiner(Combiner):
         self._round.windows[window.stream] = window
         self._round.open = True
         if set(self._round.windows) >= set(self.streams):
-            combined = CombinedWindows(
-                windows=dict(self._round.windows), fired_at=window.fired_at
-            )
+            combined = CombinedWindows(dict(self._round.windows), window.fired_at)
             self._round = _Round()
             return combined
         return None
@@ -221,8 +228,6 @@ class FTCombiner(Combiner):
     def _deliver(
         self, fired_at: float, missing: frozenset = frozenset()
     ) -> CombinedWindows:
-        combined = CombinedWindows(
-            windows=dict(self._round.windows), fired_at=fired_at, missing=missing
-        )
+        combined = CombinedWindows(dict(self._round.windows), fired_at, missing)
         self._round = _Round()
         return combined

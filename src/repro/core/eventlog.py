@@ -25,9 +25,8 @@ class SensorLog:
 
     def add(self, event: Event) -> bool:
         """Record an event. Returns True iff it was not seen before."""
-        if event.seq in self.seen:
+        if not self.seen.add(event.seq):
             return False
-        self.seen.add(event.seq)
         self.events[event.seq] = event
         return True
 

@@ -12,10 +12,28 @@ microphone frames and camera images).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable
 
 EventId = tuple[str, int]
+
+
+def slot_setters(cls: type) -> tuple[Callable[[Any, Any], None], ...]:
+    """Each field's slot setter, in field order, for ``cls``'s own ``__init__``.
+
+    A frozen slotted dataclass's generated ``__init__`` writes every field
+    through ``object.__setattr__``; calling the slot's member descriptor
+    directly writes the same slot at about half the cost, and frozen
+    instances still refuse assignment. Per-event records (``Event``,
+    ``Command``, ``TriggeredWindow``, ``CombinedWindows``) are built this
+    way. Raises ``TypeError`` unless ``cls.__init__`` takes exactly the
+    fields in field order, so a field added later cannot be skipped.
+    """
+    names = tuple(f.name for f in fields(cls))
+    code = cls.__init__.__code__
+    if code.co_varnames[1:code.co_argcount] != names:
+        raise TypeError(f"{cls.__name__}.__init__ must take the fields {names}")
+    return tuple(cls.__dict__[name].__set__ for name in names)
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -39,6 +57,16 @@ class Event:
     value: Any = field(compare=False)
     size_bytes: int = field(compare=False)
     epoch: int | None = field(default=None, compare=False)
+
+    def __init__(self, sensor_id: str, seq: int, emitted_at: float, value: Any,
+                 size_bytes: int, epoch: int | None = None) -> None:
+        a, b, c, d, e, f = _EVENT_SLOTS
+        a(self, sensor_id)
+        b(self, seq)
+        c(self, emitted_at)
+        d(self, value)
+        e(self, size_bytes)
+        f(self, epoch)
 
     @property
     def event_id(self) -> EventId:
@@ -70,6 +98,17 @@ class Command:
     size_bytes: int = 8
     issued_by: str = ""
 
+    def __init__(self, actuator_id: str, seq: int, issued_at: float, action: str,
+                 value: Any = None, size_bytes: int = 8, issued_by: str = "") -> None:
+        a, b, c, d, e, f, g = _COMMAND_SLOTS
+        a(self, actuator_id)
+        b(self, seq)
+        c(self, issued_at)
+        d(self, action)
+        e(self, value)
+        f(self, size_bytes)
+        g(self, issued_by)
+
     @property
     def command_id(self) -> tuple[str, str, int]:
         return (self.actuator_id, self.issued_by, self.seq)
@@ -79,3 +118,7 @@ class Command:
             f"<Command {self.actuator_id}!{self.action} #{self.seq}"
             f" t={self.issued_at:.3f} by={self.issued_by}>"
         )
+
+
+_EVENT_SLOTS = slot_setters(Event)
+_COMMAND_SLOTS = slot_setters(Command)

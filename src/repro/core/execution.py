@@ -249,10 +249,11 @@ class LogicRuntime:
         self._process(sensor, event)
 
     def _process(self, sensor: str, event: Event) -> None:
-        processed = self._processed.setdefault(sensor, IntervalSet())
-        if event.seq in processed:
+        processed = self._processed.get(sensor)
+        if processed is None:
+            processed = self._processed[sensor] = IntervalSet()
+        if not processed.add(event.seq):
             return
-        processed.add(event.seq)
         self.service.watermarks_changed()
         now = self.env.now()
         self.env.trace_row("logic_delivery", _LOGIC_DELIVERY, (

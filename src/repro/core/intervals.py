@@ -27,8 +27,21 @@ class IntervalSet:
 
     # -- mutation ---------------------------------------------------------------
 
-    def add(self, value: int) -> None:
+    def add(self, value: int) -> bool:
+        """Insert ``value``; True iff it was not in the set.
+
+        The next value of a dense stream (last end + 1) extends the last
+        range in place, at constant cost; any other value goes through
+        :meth:`add_range`.
+        """
+        ends = self._ends
+        if ends and ends[-1] + 1 == value:
+            ends[-1] = value
+            return True
+        if value in self:
+            return False
         self.add_range(value, value)
+        return True
 
     def add_range(self, lo: int, hi: int) -> None:
         """Insert all integers in [lo, hi], merging with adjacent ranges."""

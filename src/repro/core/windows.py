@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.events import Event
+from repro.core.events import Event, slot_setters
 
 
 # -- trigger policies ------------------------------------------------------------
@@ -206,13 +206,19 @@ class CountWindow(WindowSpec):
 # -- runtime window ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriggeredWindow:
     """A snapshot handed to an operator when a window fires."""
 
     stream: str
     events: tuple[Event, ...]
     fired_at: float
+
+    def __init__(self, stream: str, events: tuple[Event, ...], fired_at: float) -> None:
+        a, b, c = _TRIGGERED_SLOTS
+        a(self, stream)
+        b(self, events)
+        c(self, fired_at)
 
     def values(self) -> list:
         return [e.value for e in self.events]
@@ -226,6 +232,9 @@ class TriggeredWindow:
     @property
     def empty(self) -> bool:
         return not self.events
+
+
+_TRIGGERED_SLOTS = slot_setters(TriggeredWindow)
 
 
 @dataclass
@@ -256,9 +265,7 @@ class WindowInstance:
         # Re-apply the buffer bound: for time-span windows, events may have
         # aged out since the last insert (periodic triggers on idle streams).
         self._buffer = self.spec.bound(self._buffer, now)
-        snapshot = TriggeredWindow(
-            stream=self.stream, events=tuple(self._buffer), fired_at=now
-        )
+        snapshot = TriggeredWindow(self.stream, tuple(self._buffer), now)
         self._buffer = self.spec.evictor.evict(self._buffer, now)
         self.on_fire(snapshot)
         return snapshot

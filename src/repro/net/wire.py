@@ -23,9 +23,10 @@ collections, numbers and strings each have well-defined encodings.
 
 Hot-path design (see docs/performance.md): messages are immutable once
 sent, so ``payload_size``/``wire_size`` are cached per :class:`Message`;
-the common payload shapes (event forwards, process-id sets, scalars) take a
-non-recursive exact-type fast path, and the fixed per-message overhead of
-the single-segment case — every protocol message except camera frames — is
+``wire_size`` sizes the common payload values (ASCII strings, events,
+process-id sets, scalars) in line on their exact type and hands anything
+else to :func:`sizeof`, and the fixed per-message overhead of the
+single-segment case — every protocol message except camera frames — is
 precomputed as :data:`SINGLE_SEGMENT_OVERHEAD`.
 """
 
@@ -69,7 +70,7 @@ def sizeof(value: Any) -> int:
     if fixed is not None:
         return fixed
     if t is str:
-        return 1 + len(value.encode("utf-8"))
+        return 1 + (len(value) if value.isascii() else len(value.encode("utf-8")))
     if t is Event:
         return EVENT_HEADER + value.size_bytes
     if t is Command:
@@ -111,20 +112,15 @@ def payload_size(message: Message) -> int:
 
     Cached on the message: messages are immutable once handed to the
     transport, and retransmissions/multi-hop forwards re-send the same
-    object.
+    object. This is the reference walk, one :func:`sizeof` per value;
+    :func:`wire_size` computes the same number with its common cases in
+    line.
     """
     cached = message._payload_bytes
-    if cached is not None:
-        return cached
-    size = MESSAGE_HEADER
-    fixed_sizes = _FIXED_SIZES
-    for value in message.payload.values():
-        # Fixed-size scalars (None/bool/float/int) resolve without a call;
-        # everything else goes through the full sizing function.
-        fixed = fixed_sizes.get(type(value))
-        size += fixed if fixed is not None else sizeof(value)
-    message._payload_bytes = size
-    return size
+    if cached is None:
+        cached = MESSAGE_HEADER + sum(map(sizeof, message.payload.values()))
+        message._payload_bytes = cached
+    return cached
 
 
 def wire_size(message: Message) -> int:
@@ -138,13 +134,21 @@ def wire_size(message: Message) -> int:
         return cached
     app_bytes = message._payload_bytes
     if app_bytes is None:
-        # payload_size inlined (identical loop) — uncached messages are the
-        # common case on first transmission, and this is a per-send cost.
+        # payload_size's walk, with sizeof's most common cases in line:
+        # sizing an uncached message is a per-send cost.
         app_bytes = MESSAGE_HEADER
         fixed_sizes = _FIXED_SIZES
         for value in message.payload.values():
-            fixed = fixed_sizes.get(type(value))
-            app_bytes += fixed if fixed is not None else sizeof(value)
+            t = type(value)
+            if t is str and value.isascii():
+                app_bytes += 1 + len(value)
+            elif t is Event:
+                app_bytes += EVENT_HEADER + value.size_bytes
+            elif t is ProcessIdSet:
+                app_bytes += 1 + PROCESS_ID_BYTES * len(value)
+            else:
+                fixed = fixed_sizes.get(t)
+                app_bytes += fixed if fixed is not None else sizeof(value)
         message._payload_bytes = app_bytes
     if app_bytes <= MSS:
         total = app_bytes + SINGLE_SEGMENT_OVERHEAD

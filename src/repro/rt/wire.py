@@ -831,6 +831,13 @@ class FrameProtocol(asyncio.Protocol):
             self._need = end - pos if self._have >= HEADER_SIZE else HEADER_SIZE
 
 
+DIAL_TIMEOUT_S = 1.0
+"""How long a :class:`PeerSender` dial may take, and its longest retry delay."""
+
+DIAL_RETRY_S = 0.05
+"""The wait after a first failed dial; it doubles per further failure."""
+
+
 @dataclass
 class SenderStats:
     """What a :class:`PeerSender` counts, in its flush and dial steps only."""
@@ -858,7 +865,11 @@ class PeerSender:
 
     The peer is dialled lazily when a frame falls due, and redialled once
     the connection has closed under the sender; the frames due when a dial
-    fails met an unreachable peer and are lost, as on TCP. Against a peer
+    fails met an unreachable peer and are lost, as on TCP. After a failed
+    dial the next waits :data:`DIAL_RETRY_S`, doubling per further failure
+    up to the connect timeout :data:`DIAL_TIMEOUT_S` (a dial that connects
+    resets it): frames falling due meanwhile wait for that dial, so a dead
+    peer costs one dial per retry delay, not one per frame. Against a peer
     that stops reading, nothing is written while the transport's buffer is
     past its high-water mark (the sender awaits ``drain()`` instead), so
     entries wait in the queue, which ``limit`` bounds. :attr:`stats` counts
@@ -875,6 +886,8 @@ class PeerSender:
         # The one armed step while frames wait: a flush, a dial or a drain.
         self._pending: asyncio.Handle | asyncio.Task | None = None
         self._dialled = False
+        self._retry_at = 0.0  # no dial before this loop time
+        self._retry_s = DIAL_RETRY_S  # the wait after the next failed dial
         self.stats = SenderStats()
 
     def hold(self, due: float, data: bytes, frames: int = 1) -> bool:
@@ -912,6 +925,9 @@ class PeerSender:
         stats.peak_queue = max(stats.peak_queue, len(queue))
         writer = self._writer
         if writer is None or writer.is_closing():
+            if self._loop.time() < self._retry_at:
+                self._pending = self._loop.call_at(self._retry_at, self._flush)
+                return
             stats.redials += self._dialled
             self._dialled = True
             self._writer = None
@@ -939,15 +955,18 @@ class PeerSender:
             # asyncio.timeout (not wait_for): under 3.11's wait_for, an
             # external cancel racing the connect timeout is swallowed as
             # TimeoutError, leaving a zombie task its owner awaits forever.
-            async with asyncio.timeout(1.0):
+            async with asyncio.timeout(DIAL_TIMEOUT_S):
                 _reader, writer = await asyncio.open_connection(*self._address)
         except (OSError, asyncio.TimeoutError):
             now, queue, stats = self._loop.time(), self._queue, self.stats
             stats.peak_queue = max(stats.peak_queue, len(queue))
             while queue and queue[0][0] <= now:
                 stats.dial_lost += queue.popleft()[2]  # peer unreachable: lost
+            self._retry_at = now + self._retry_s
+            self._retry_s = min(2 * self._retry_s, DIAL_TIMEOUT_S)
         else:
             self._writer = writer
+            self._retry_s = DIAL_RETRY_S
         self._pending = None
         if self._queue:
             self._arm()

@@ -71,3 +71,45 @@ def test_insertion_order_irrelevant(values):
         backward.add(v)
     assert forward == backward
     assert forward.ranges() == backward.ranges()
+
+
+#: One step of a seen-set's life: ``("add", v)`` or ``("range", lo, hi)``.
+#: Dense ascending runs (what a sensor stream mostly is) come from
+#: ``("run", start, length)``, unrolled into single adds.
+ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 120)),
+        st.tuples(st.just("run"), st.integers(0, 120), st.integers(1, 30)),
+        st.tuples(st.just("range"), st.integers(0, 120), st.integers(0, 20)),
+    ),
+    max_size=30,
+)
+
+
+@given(ops)
+def test_mixed_adds_match_a_set_and_a_range_only_build(steps):
+    """``add`` (its append lane and the general path alike) against a
+    Python ``set`` and against the same values inserted by ``add_range``
+    alone: same members, same ranges, and ``add`` returns whether the value
+    was new."""
+    model: set[int] = set()
+    interval_set = IntervalSet()
+    by_range = IntervalSet()
+    for step in steps:
+        if step[0] == "range":
+            lo, hi = step[1], step[1] + step[2]
+            interval_set.add_range(lo, hi)
+            by_range.add_range(lo, hi)
+            model.update(range(lo, hi + 1))
+            continue
+        values = [step[1]] if step[0] == "add" else range(step[1], step[1] + step[2])
+        for value in values:
+            assert interval_set.add(value) is (value not in model)
+            by_range.add_range(value, value)
+            model.add(value)
+    assert set(interval_set) == model
+    assert len(interval_set) == len(model)
+    assert interval_set.ranges() == by_range.ranges()
+    assert interval_set == by_range
+    for probe in range(-1, 155):
+        assert (probe in interval_set) == (probe in model)

@@ -148,6 +148,9 @@ def test_chunk_path_matches_the_per_frame_model(picks, cuts, policy, keep):
 
     async def through_proxy():
         loop = asyncio.get_running_loop()
+        # One fixed instant: the proxy stamps a frame due at now + delay and
+        # the sink reads the same now, so each lag is the delay exactly.
+        loop.time = lambda: 0.0
         trace = new_trace()
         proxy = FaultProxy(["a", "b"], {}, seed=SEED, trace=trace)
         proxy._loop = loop
@@ -160,6 +163,7 @@ def test_chunk_path_matches_the_per_frame_model(picks, cuts, policy, keep):
         for chunk in _chunks(stream, cuts):
             protocol.data_received(chunk)
         protocol.connection_lost(None)
+        del loop.time
         return proxy.stats[("a", "b")], sink, trace, rng.draws
 
     stats, sink, trace, draws = asyncio.run(through_proxy())
@@ -172,4 +176,4 @@ def test_chunk_path_matches_the_per_frame_model(picks, cuts, policy, keep):
     assert draws == expected_draws
     assert _aggregates(trace) == _aggregates(expected_trace)
     delay = policy[1] if policy[0] == "delay" else 0.0
-    assert all(abs(lag - delay) < 1e-3 for lag in sink.lags)
+    assert sink.lags == [delay] * len(sink.lags)

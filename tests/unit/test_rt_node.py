@@ -305,6 +305,41 @@ def test_sender_counts_redials_lost_frames_and_peak_depth_at_a_refusing_peer():
     assert asyncio.run(go()) == SenderStats(redials=1, dial_lost=8, peak_queue=5)
 
 
+def test_sender_backs_off_between_dials_to_a_dead_peer(monkeypatch):
+    """Frames due every 10 ms for 1 s at a refusing peer: the retry delay
+    (50 ms, doubling) allows dials at 0, 0.05, 0.15, 0.35 and 0.75 s, not
+    one per frame, and a frame due meanwhile waits for the next dial."""
+    real_open = asyncio.open_connection
+    dials = []
+
+    async def counted_open(*args, **kwargs):
+        dials.append(args)
+        return await real_open(*args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "open_connection", counted_open)
+
+    async def go():
+        refusing = bound_socket()
+        sender = PeerSender(refusing.getsockname()[:2])
+        loop = asyncio.get_running_loop()
+        put = 0
+        try:
+            end = loop.time() + 1.0
+            while loop.time() < end:
+                sender.put(loop.time(), probe(put))
+                put += 1
+                await asyncio.sleep(0.01)
+            return len(dials), put, sender.stats
+        finally:
+            await sender.close()
+            refusing.close()
+
+    dialled, put, stats = asyncio.run(go())
+    assert 2 <= dialled <= 6
+    assert stats.redials == dialled - 1
+    assert stats.frames == 0 and 0 < stats.dial_lost <= put
+
+
 def test_node_reports_its_senders_stats_per_peer():
     async def go():
         node, refusing = await started_node()
