@@ -67,6 +67,27 @@ def test_cancellable_timer_churn(benchmark):
         )
 
 
+def test_post_drain(benchmark):
+    """ns per fire-and-forget post: ``post_at`` ten thousand jittered
+    instants (nearly every one alone, as a keep-alive or delivery copy is)
+    and drain them with ``run_until`` — the scheduler's per-post floor."""
+    scheduler = Scheduler()
+    posts = 10_000
+    jitter = random.Random(7)
+
+    def run():
+        start = scheduler.now
+        post_at = scheduler.post_at
+        for i in range(posts):
+            post_at(start + 0.001 * (i + jitter.random()), int)
+        scheduler.run_until(start + 0.001 * (posts + 1))
+
+    benchmark(run)
+    assert scheduler.pending_events == 0
+    assert scheduler.processed_events % posts == 0
+    _ns_per_event(benchmark, posts)
+
+
 def test_wire_size_computation(benchmark):
     event = Event(sensor_id="s", seq=1, emitted_at=0.0, value=0, size_bytes=4)
     ids = ProcessIdSet({f"p{i}" for i in range(5)})

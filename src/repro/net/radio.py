@@ -317,7 +317,8 @@ class RadioNetwork:
         fanout, emit_channel = fan
         emit_channel.record(now, seq)
         # ``chance``, ``jittered`` and ``post_at`` inlined bit-identically
-        # (same draws in the same order, same bucket placement) — this loop
+        # (same draws in the same order; a bare post on an empty instant,
+        # promoted to a list on a taken one, appended to a list) — this loop
         # runs once per sensor emission per linked process, the device-side
         # hot path. The jitter expansion matches RandomSource.jittered with
         # the fixed 0.2 fraction: the constants below are computed exactly
@@ -341,14 +342,15 @@ class RadioNetwork:
                 tech.base_latency + size / tech.bandwidth_bytes_per_s
             ) * (1.0 + (_JITTER_NEG + _JITTER_SPAN * jitter_random()))
             deliver_at = now + delay
+            post = (deliver, (listener, link, event, delivered))
             bucket = buckets.get(deliver_at)
             if bucket is None:
-                buckets[deliver_at] = bucket = [
-                    (deliver, (listener, link, event, delivered))
-                ]
-                heapq.heappush(heap, (deliver_at, bucket))
+                buckets[deliver_at] = post
+                heapq.heappush(heap, deliver_at)
+            elif type(bucket) is tuple:
+                buckets[deliver_at] = [bucket, post]
             else:
-                bucket.append((deliver, (listener, link, event, delivered)))
+                bucket.append(post)
             posted += 1
         scheduler._live += posted
 

@@ -277,17 +277,21 @@ class HomeNetwork:
         if deliver_at <= horizon:
             deliver_at = horizon + 1e-9
         entry[_HORIZON] = deliver_at
-        # Scheduler.post_at inlined (same entry shape, same bucket order):
+        # Scheduler.post_at inlined (a bare post on an empty instant,
+        # promoted to a list on a taken one, appended to a list):
         # deliver_at > now always holds here — delay is strictly positive
         # and the FIFO horizon only pushes forward — so the past-check and
         # the call frame are pure overhead on this hottest of paths.
+        post = (self._deliver, (entry, message))
         buckets = scheduler._buckets
         bucket = buckets.get(deliver_at)
         if bucket is None:
-            buckets[deliver_at] = bucket = [(self._deliver, (entry, message))]
-            heappush(scheduler._heap, (deliver_at, bucket))
+            buckets[deliver_at] = post
+            heappush(scheduler._heap, deliver_at)
+        elif type(bucket) is tuple:
+            buckets[deliver_at] = [bucket, post]
         else:
-            bucket.append((self._deliver, (entry, message)))
+            bucket.append(post)
         scheduler._live += 1
 
     def _build_mcast_plan(self, src: str, dsts, kind: str) -> list:
@@ -480,6 +484,8 @@ class HomeNetwork:
         # neutral); with it off, the loop carries no digest work at all.
         # Both inline the stock model; a LatencyModel subclass gets its own
         # message_delay, one call per copy in dsts order, as `send` does.
+        # Each copy is Scheduler.post_at inlined, as in `send`; the plan's
+        # post tuple itself is what a lone copy's instant stores.
         if type(self.latency) is not LatencyModel:
             lat, rng, nbytes = self.latency, self._rng, plan[_MP_NBYTES]
             for entry, post, pair_cell, suffix in peers:
@@ -494,8 +500,10 @@ class HomeNetwork:
                 entry[_HORIZON] = deliver_at
                 bucket = buckets.get(deliver_at)
                 if bucket is None:
-                    buckets[deliver_at] = bucket = [post]
-                    heappush(heap, (deliver_at, bucket))
+                    buckets[deliver_at] = post
+                    heappush(heap, deliver_at)
+                elif type(bucket) is tuple:
+                    buckets[deliver_at] = [bucket, post]
                 else:
                     bucket.append(post)
         elif hashing:
@@ -513,8 +521,10 @@ class HomeNetwork:
                 entry[_HORIZON] = deliver_at
                 bucket = buckets.get(deliver_at)
                 if bucket is None:
-                    buckets[deliver_at] = bucket = [post]
-                    heappush(heap, (deliver_at, bucket))
+                    buckets[deliver_at] = post
+                    heappush(heap, deliver_at)
+                elif type(bucket) is tuple:
+                    buckets[deliver_at] = [bucket, post]
                 else:
                     bucket.append(post)
         else:
@@ -528,8 +538,10 @@ class HomeNetwork:
                 entry[_HORIZON] = deliver_at
                 bucket = buckets.get(deliver_at)
                 if bucket is None:
-                    buckets[deliver_at] = bucket = [post]
-                    heappush(heap, (deliver_at, bucket))
+                    buckets[deliver_at] = post
+                    heappush(heap, deliver_at)
+                elif type(bucket) is tuple:
+                    buckets[deliver_at] = [bucket, post]
                 else:
                     bucket.append(post)
         scheduler._live += n

@@ -1,8 +1,8 @@
 """Time-ordered callback scheduler — the heart of the simulator.
 
-The scheduler buckets entries by timestamp: the heap holds one ``(when,
-bucket)`` pair per *distinct* firing time, and each bucket is a plain list
-of entries in scheduling order. An entry has one of two shapes:
+The scheduler keeps one slot per *distinct* firing time: the heap holds
+bare ``when`` floats, and ``_buckets[when]`` is the only place that
+instant's entries live. An entry has one of two shapes:
 
 - a bare ``(callback, args)`` tuple, stored by :meth:`Scheduler.post_at`
   for fire-and-forget posts that are never cancelled;
@@ -11,6 +11,14 @@ of entries in scheduling order. An entry has one of two shapes:
   it with ``interval`` 0.0 (a one-shot), :meth:`Scheduler.post_repeating`
   with the repeat period. A :class:`TimerHandle` wraps the list for
   ``cancel()``; the drain loop never touches the handle.
+
+A ``_buckets`` value is either a *bare post* — an instant holding exactly
+one post and nothing else stores that tuple itself — or a *list bucket* of
+entries in scheduling order. Every insert follows the same three cases: an
+empty instant stores the post bare (a timer as ``[entry]``) and pushes
+``when``; a bare post is promoted to ``[post, new]``; a list is appended
+to. Most keep-alive and delivery copies land on an instant of their own,
+so they cost one float in the heap and one dict slot, nothing else.
 
 Because a timestamp appears in the heap at most once, the heap never
 compares two entries beyond their ``when`` floats, and all same-instant
@@ -28,20 +36,26 @@ Hot-path design (see docs/performance.md):
   pop and cancel instead of scanning the heap;
 - cancelling nulls the entry's ``interval`` slot and leaves the entry in
   its bucket (lazy cancel); the drain skips it, and when dead entries pile
-  up past half the stored entries, the buckets are compacted;
+  up past half the stored entries, the list buckets are compacted (a bare
+  post cannot be cancelled, so compaction leaves it alone);
 - a callback that schedules more work at the *current* instant appends to
   the bucket being drained and runs within the same batch, exactly as a
-  fresh ``seq`` would have ordered it;
+  fresh ``seq`` would have ordered it; a bare post whose callback does so
+  has been promoted to a list, which the drain notices when it pops the
+  slot and finishes from index 1;
 - a repeating entry is re-armed in place by the drain loop after its
   callback returns, at ``when + interval`` — the arithmetic of a callback
-  that re-arms itself with ``call_later(interval, ...)``;
-- there is one drain, :meth:`Scheduler.run_until` (a solo-bucket express
-  path) plus ``_drain_open`` (any bucket holding more than one entry); it
-  batches its ``processed``/``live`` counter updates per bucket and
-  memoises the re-arm bucket across consecutive same-interval repeating
-  entries, so a fleet edge of N aligned ticks pays one dictionary resolve
-  (and at most one heap push) for all N re-arms. :meth:`Scheduler.run` is
-  ``run_until`` of the next timestamp, in a loop.
+  that re-arms itself with ``call_later(interval, ...)``; a period too
+  small to advance the clock at that instant is a :class:`SimulationError`
+  at arm and re-arm time, not an endless loop;
+- there is one drain, :meth:`Scheduler.run_until` (express paths for a
+  bare post and a solo timer) plus ``_drain_open`` (any list bucket
+  holding more than one entry); it batches its ``processed``/``live``
+  counter updates per bucket and memoises the re-arm bucket across
+  consecutive same-interval repeating entries, so a fleet edge of N
+  aligned ticks pays one dictionary resolve (and at most one heap push)
+  for all N re-arms. :meth:`Scheduler.run` is ``run_until`` of the next
+  timestamp, in a loop.
 """
 
 from __future__ import annotations
@@ -64,6 +78,16 @@ _IN_BUCKET = 3
 
 class SimulationError(RuntimeError):
     """Raised when the simulation kernel is used incorrectly."""
+
+
+def _stalled(interval: float, when: float) -> SimulationError:
+    """The error for a repeating period that no longer advances the clock:
+    below the float resolution at ``when``, every re-arm would land on the
+    instant being drained, forever."""
+    return SimulationError(
+        f"repeating interval {interval!r} does not advance the clock at "
+        f"t={when!r}: it is below the float resolution there"
+    )
 
 
 class TimerHandle:
@@ -127,11 +151,12 @@ class Scheduler:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, list]] = []
-        # when -> bucket; a key is present iff its bucket is in the heap or
-        # is currently being drained. Scheduling into an existing key is a
-        # list append — no heap operation at all.
-        self._buckets: dict[float, list] = {}
+        self._heap: list[float] = []
+        # when -> a bare post or a list bucket; a key is present iff it is
+        # in the heap or is currently being drained. Scheduling into an
+        # existing key is a promotion or a list append — no heap operation
+        # at all.
+        self._buckets: dict[float, tuple | list] = {}
         # The bucket being drained by _drain_open (popped from the heap but
         # still accepting same-instant appends), plus the resume cursor a
         # raising callback leaves behind for the next run_until.
@@ -141,6 +166,20 @@ class Scheduler:
         self._processed = 0
         self._live = 0
         self._lazy_cancelled = 0
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled scheduler, whichever heap layout it was saved in.
+
+        Snapshots written before the heap held bare timestamps pickled it
+        as ``(when, bucket)`` pairs, every bucket a list (still a valid
+        ``_buckets`` value). Their instants are distinct, so the pairs were
+        ordered by ``when`` alone and the same positions hold a valid heap
+        of bare floats.
+        """
+        heap = state["_heap"]
+        if heap and type(heap[0]) is tuple:
+            state["_heap"] = [when for when, _bucket in heap]
+        self.__dict__.update(state)
 
     @property
     def now(self) -> float:
@@ -170,20 +209,25 @@ class Scheduler:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries from every heap bucket.
+        """Drop cancelled entries from every list bucket in the heap.
 
-        The bucket currently being drained (if any) is left alone — its
-        dead entries are skipped by the drain loop itself — so the lazy
-        counter is recomputed from what actually remains stored. While a
-        drain is active, buckets that end up empty keep their heap slot
-        (the re-arm memo may hold a reference to one, and bucket object
-        identity must survive); outside a drain they are dropped so mass
-        cancellation actually shrinks the heap.
+        Bare posts cannot be cancelled and are left alone. The bucket
+        currently being drained (if any) is not in the heap — its dead
+        entries are skipped by the drain loop itself — so the lazy counter
+        is recomputed from what actually remains stored. While a drain is
+        active, buckets that end up empty keep their heap slot (the re-arm
+        memo may hold a reference to one, and bucket object identity must
+        survive); outside a drain they are dropped so mass cancellation
+        actually shrinks the heap.
         """
         draining = self._draining
         heap = self._heap
-        survivors: list[tuple[float, list]] = []
-        for when, bucket in heap:
+        buckets = self._buckets
+        emptied = False
+        for when in heap:
+            bucket = buckets[when]
+            if type(bucket) is tuple:
+                continue
             kept = []
             for item in bucket:
                 if type(item) is list and item[_INTERVAL] is None:
@@ -191,16 +235,15 @@ class Scheduler:
                 else:
                     kept.append(item)
             bucket[:] = kept
-            if kept or draining is not None:
-                survivors.append((when, bucket))
-            else:
-                del self._buckets[when]
-        if draining is None and len(survivors) != len(heap):
+            if not kept and draining is None:
+                del buckets[when]
+                emptied = True
+        if emptied:
             # Mutate the heap in place: run_until holds a local binding to
             # the heap list across callbacks (and compaction can run from
             # any cancel() inside one), so the object must never be swapped
             # out from under it.
-            heap[:] = survivors
+            heap[:] = [when for when in heap if when in buckets]
             heapq.heapify(heap)
         remaining = 0
         if draining is not None:
@@ -229,8 +272,10 @@ class Scheduler:
         buckets = self._buckets
         bucket = buckets.get(when)
         if bucket is None:
-            buckets[when] = bucket = [entry]
-            heapq.heappush(self._heap, (when, bucket))
+            buckets[when] = [entry]
+            heapq.heappush(self._heap, when)
+        elif type(bucket) is tuple:
+            buckets[when] = [bucket, entry]
         else:
             bucket.append(entry)
         self._live += 1
@@ -247,21 +292,25 @@ class Scheduler:
 
         The hot transport/radio delivery paths schedule hundreds of
         thousands of callbacks that are never cancelled; this lane stores a
-        bare ``(callback, args)`` pair — no list entry, no handle. Bucket
-        position preserves scheduling order, so ordering and tie-breaking
-        are identical to :meth:`call_at`.
+        bare ``(callback, args)`` pair — no list entry, no handle, and on an
+        instant of its own no bucket list either. Bucket position preserves
+        scheduling order, so ordering and tie-breaking are identical to
+        :meth:`call_at`.
         """
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at t={when:.6f}, time is already t={self._now:.6f}"
             )
+        post = (callback, args)
         buckets = self._buckets
         bucket = buckets.get(when)
         if bucket is None:
-            buckets[when] = bucket = [(callback, args)]
-            heapq.heappush(self._heap, (when, bucket))
+            buckets[when] = post
+            heapq.heappush(self._heap, when)
+        elif type(bucket) is tuple:
+            buckets[when] = [bucket, post]
         else:
-            bucket.append((callback, args))
+            bucket.append(post)
         self._live += 1
 
     def post_repeating(
@@ -286,16 +335,11 @@ class Scheduler:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         when = self._now + delay
-        entry = [callback, args, interval, True]
-        buckets = self._buckets
-        bucket = buckets.get(when)
-        if bucket is None:
-            buckets[when] = bucket = [entry]
-            heapq.heappush(self._heap, (when, bucket))
-        else:
-            bucket.append(entry)
-        self._live += 1
-        return TimerHandle(entry, self)
+        if when + interval <= when:
+            raise _stalled(interval, when)
+        handle = self.call_at(when, callback, *args)
+        handle._entry[_INTERVAL] = interval
+        return handle
 
     def call_repeating(
         self,
@@ -346,100 +390,117 @@ class Scheduler:
         try:
             while True:
                 try:
-                    when, bucket = pop(heap)
+                    when = pop(heap)
                 except IndexError:
                     break
                 if when > deadline:
-                    # Past the horizon: restore the (untouched) bucket.
-                    push(heap, (when, bucket))
+                    # Past the horizon: restore the (untouched) slot.
+                    push(heap, when)
                     break
-                if len(bucket) == 1:
-                    # Solo-bucket express path. Jittered delivery and timer
-                    # timestamps rarely collide, so nearly every post and
-                    # timer — and, outside fleet-aligned edges, every
-                    # repeating tick — drains through here: no resume-cursor
-                    # loop, drain state only published when a same-instant
-                    # append actually happens, and a repeating re-arm into a
-                    # fresh timestamp reuses the just-drained bucket object.
-                    # The cost: if a solo callback raises, its entry is
-                    # already consumed (a lost tick / a leaked past-time
-                    # bucket entry) — same class of degradation as the
-                    # general drain re-running a bucket prefix, and
-                    # unreachable for the guarded platform callbacks, which
-                    # never leak exceptions.
-                    item = bucket[0]
-                    if type(item) is tuple:
-                        self._now = when
-                        ran += 1
-                        live_delta -= 1
-                        cb, cb_args = item
-                        cb(*cb_args)
-                        if len(bucket) == 1:
-                            del buckets[when]
-                        else:
-                            # Same-instant appends: drain them in order.
-                            self._draining = bucket
-                            self._drain_when = when
-                            self._drain_idx = 1
-                            self._processed += ran
-                            ran = 0
-                            self._drain_open()
-                        continue
-                    # One unpack instead of three subscript reads.
-                    cb, cb_args, interval, _ = item
-                    if interval is None:
-                        item[IN_BUCKET] = False
-                        self._lazy_cancelled -= 1
-                        del buckets[when]
-                        continue
+                # The express paths: jittered delivery and timer timestamps
+                # rarely collide, so nearly every post and timer — and,
+                # outside fleet-aligned edges, every repeating tick — drains
+                # alone, with no resume-cursor loop and drain state only
+                # published when a same-instant append actually happens.
+                # The cost: if a lone callback raises, its entry is already
+                # consumed (a lost tick / a leaked past-time slot) — same
+                # class of degradation as the general drain re-running a
+                # bucket prefix, and unreachable for the guarded platform
+                # callbacks, which never leak exceptions.
+                bucket = buckets[when]
+                if type(bucket) is tuple:
+                    # A bare post. Its slot stays mapped while it runs, so
+                    # a same-instant schedule promotes it to a list: that
+                    # is what the pop below finds instead of the post.
                     self._now = when
-                    item[IN_BUCKET] = False
                     ran += 1
+                    live_delta -= 1
+                    cb, cb_args = bucket
                     cb(*cb_args)
-                    # Re-read: the callback may have cancelled its own
-                    # entry, which must suppress the re-arm.
-                    interval = item[INTERVAL]
-                    if not interval:
-                        # A one-shot, or a cancelled repeating timer.
-                        live_delta -= 1
-                        if len(bucket) == 1:
+                    promoted = buckets.pop(when)
+                    if promoted is not bucket:
+                        buckets[when] = promoted
+                        self._draining = promoted
+                        self._drain_when = when
+                        self._drain_idx = 1
+                        self._processed += ran
+                        ran = 0
+                        self._drain_open()
+                    continue
+                if len(bucket) == 1:
+                    item = bucket[0]
+                    # A list holding one post (left by compaction, or read
+                    # from an older snapshot) takes the general path.
+                    if type(item) is list:
+                        # One unpack instead of three subscript reads.
+                        cb, cb_args, interval, _ = item
+                        if interval is None:
+                            item[IN_BUCKET] = False
+                            self._lazy_cancelled -= 1
                             del buckets[when]
-                        else:
+                            continue
+                        self._now = when
+                        item[IN_BUCKET] = False
+                        ran += 1
+                        cb(*cb_args)
+                        # Re-read: the callback may have cancelled its own
+                        # entry, which must suppress the re-arm.
+                        interval = item[INTERVAL]
+                        if not interval:
+                            # A one-shot, or a cancelled repeating timer.
+                            live_delta -= 1
+                            if len(bucket) == 1:
+                                del buckets[when]
+                            else:
+                                # Same-instant appends: drain them in order.
+                                self._draining = bucket
+                                self._drain_when = when
+                                self._drain_idx = 1
+                                self._processed += ran
+                                ran = 0
+                                self._drain_open()
+                            continue
+                        nxt = when + interval
+                        if nxt <= when:
+                            # Retired; the rest of the instant stays open
+                            # for the next drain.
+                            live_delta -= 1
+                            item[INTERVAL] = None
                             self._draining = bucket
                             self._drain_when = when
                             self._drain_idx = 1
-                            self._processed += ran
-                            ran = 0
-                            self._drain_open()
-                        continue
-                    nxt = when + interval
-                    if len(bucket) == 1:
-                        del buckets[when]
-                        # Single-lookup re-arm: on a fresh timestamp the
-                        # drained bucket (still exactly [item]) moves to
-                        # its new slot; on a collision the entry joins
-                        # the existing bucket.
-                        other = buckets.setdefault(nxt, bucket)
-                        if other is bucket:
-                            push(heap, (nxt, bucket))
+                            raise _stalled(interval, when)
+                        if len(bucket) == 1:
+                            del buckets[when]
+                            # Single-lookup re-arm: on a fresh timestamp the
+                            # drained bucket (still exactly [item]) moves to
+                            # its new slot; on a collision the entry joins
+                            # what is there.
+                            other = buckets.setdefault(nxt, bucket)
+                            if other is bucket:
+                                push(heap, nxt)
+                            elif type(other) is tuple:
+                                buckets[nxt] = [other, item]
+                            else:
+                                other.append(item)
+                            item[IN_BUCKET] = True
+                            continue
+                        other = buckets.get(nxt)
+                        if other is None:
+                            buckets[nxt] = [item]
+                            push(heap, nxt)
+                        elif type(other) is tuple:
+                            buckets[nxt] = [other, item]
                         else:
                             other.append(item)
                         item[IN_BUCKET] = True
+                        self._draining = bucket
+                        self._drain_when = when
+                        self._drain_idx = 1
+                        self._processed += ran
+                        ran = 0
+                        self._drain_open()
                         continue
-                    other = buckets.get(nxt)
-                    if other is None:
-                        buckets[nxt] = other = [item]
-                        push(heap, (nxt, other))
-                    else:
-                        other.append(item)
-                    item[IN_BUCKET] = True
-                    self._draining = bucket
-                    self._drain_when = when
-                    self._drain_idx = 1
-                    self._processed += ran
-                    ran = 0
-                    self._drain_open()
-                    continue
                 # Multi-entry bucket: a fleet-aligned tick edge, a burst.
                 self._draining = bucket
                 self._drain_when = when
@@ -454,7 +515,7 @@ class Scheduler:
     def _drain_open(self) -> None:
         """Drain the currently-open bucket (``self._draining``) to the end.
 
-        The general path shared by multi-entry buckets, solo buckets that
+        The general path shared by multi-entry buckets, lone entries that
         grew a same-instant append, and the resume after a raising
         callback. ``self._now`` is already the bucket's timestamp. Counter
         deltas are batched per bucket and folded in the ``finally`` so they
@@ -518,10 +579,15 @@ class Scheduler:
                         if nxt == memo_when:
                             memo_bucket.append(item)
                         else:
+                            if nxt <= when:
+                                item[INTERVAL] = None
+                                raise _stalled(interval, when)
                             memo_bucket = buckets.get(nxt)
                             if memo_bucket is None:
                                 buckets[nxt] = memo_bucket = [item]
-                                push(heap, (nxt, memo_bucket))
+                                push(heap, nxt)
+                            elif type(memo_bucket) is tuple:
+                                buckets[nxt] = memo_bucket = [memo_bucket, item]
                             else:
                                 memo_bucket.append(item)
                             memo_when = nxt
@@ -557,7 +623,7 @@ class Scheduler:
                 # An open bucket (a callback raised, or the budget ran out
                 # mid-instant) finishes alone, at its own instant.
                 self.run_until(
-                    heap[0][0] if heap and self._draining is None else self._now
+                    heap[0] if heap and self._draining is None else self._now
                 )
                 if self._processed >= budget:
                     raise SimulationError(f"exceeded event budget of {max_events}")

@@ -49,7 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 MAGIC = "rivulet-fleet-snapshot"
 #: Version 6: every cancellable timer in the scheduler heap is a bare
 #: ``[callback, args, interval, in_bucket]`` list behind a two-slot
-#: ``TimerHandle``, and the header records the run's ``horizon_days``; a v5
+#: ``TimerHandle``, and the header records the run's ``horizon_days`` (the
+#: heap's bare timestamps came later without a bump — Scheduler.__setstate__
+#: says why the old ``(when, bucket)`` pairs still load); a v5
 #: graph holds the runtime's deleted handle wrapper around the old
 #: eight-slot ``TimerHandle`` and fails to unpickle. (v5: a process keeps
 #: what its stack boots with as one ``config`` (repro.core.stack.ServiceHost)

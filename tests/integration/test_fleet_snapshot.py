@@ -201,8 +201,8 @@ def test_parent_written_v6_snapshot_loads_and_resumes():
     assert FORMAT_VERSION == 6 and resumed.context.now == DAY_S
     # Both timer shapes were pickled as bare list entries: the services'
     # one-shot timers (interval 0.0) and their repeating ticks.
-    intervals = [entry[2] for _when, bucket in resumed.scheduler._heap
-                 for entry in bucket if type(entry) is list]
+    intervals = [entry[2] for bucket in resumed.scheduler._buckets.values()
+                 if type(bucket) is list for entry in bucket if type(entry) is list]
     assert 0.0 in intervals and any(interval > 0 for interval in intervals)
 
     _second_day_with_a_crash(resumed)

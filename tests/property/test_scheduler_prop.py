@@ -263,6 +263,26 @@ _REPOSTS = ("schedule", ("call_at", 0.0, 0.25, [("schedule", ("call_later", 0.0,
 # raises before it reaches 1.0.
 @example([_REPOSTS, _REPOSTS, ("schedule", ("call_at", 1.0, 0.25, [])), ("run", 1),
           ("schedule", ("call_later", 0.0, 0.25, [])), ("run", 3)])
+# A lone post whose callback posts, then arms a one-shot, at its own
+# instant: the bare post is promoted to a list while it runs.
+@example([("schedule", ("post_at", 0.25, 0.25, [("schedule", ("post_at", 0.0, 0.25)),
+                                                ("schedule", ("call_at", 0.0, 0.25))])),
+          ("run_until", 0.5)])
+# Repeating timers re-armed onto an instant holding a lone post: a lone
+# tick (the solo re-arm) and two aligned ticks (the re-arm memo).
+@example([("schedule", ("post_repeating", 0.5, 0.5, [])),
+          ("schedule", ("post_at", 1.0, 0.25, [])),
+          ("schedule", ("post_repeating", 1.0, 0.5, [])),
+          ("schedule", ("call_repeating", 1.0, 0.5, [])),
+          ("schedule", ("post_at", 1.5, 0.25, [])),
+          ("run_until", 2.5)])
+# A bulk cancel that compacts while lone posts are stored, one of them
+# sharing an instant with the doomed timers and one of those instants
+# emptied altogether.
+@example([("schedule", ("post_at", 3.0, 0.25, [])),
+          ("schedule", ("post_at", 1.5, 0.25, [])),
+          ("bulk", 140, 9, 1.0),
+          ("run", 400)])
 def test_scheduler_matches_the_reference_heap(ops):
     ops = ops + [("run_until", 5.0)]
     expected = Interpreter(Model()).run(ops)

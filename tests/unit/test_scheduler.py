@@ -1,6 +1,9 @@
 """Unit tests for the discrete-event scheduler."""
 
+import copyreg
+import io
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -160,6 +163,68 @@ def test_event_budget_guards_a_loop_at_one_instant():
     assert done.stdout.strip() == "raised"
 
 
+def test_a_repeating_period_below_the_clock_resolution_raises():
+    # At t = 1e7 a 1e-10 period is below the float resolution: every re-arm
+    # would land on the instant being drained. Arming such a timer is
+    # refused. At 2**53 - 1 a 0.6 period advances the clock once (to 2**53,
+    # where the spacing is 2) and then no more: the re-arm raises, on the
+    # lone-timer path and on the multi-entry path (once per timer), through
+    # run and run_until alike. In a subprocess: without the check both spin
+    # forever.
+    program = textwrap.dedent("""
+        from repro.sim.scheduler import Scheduler, SimulationError
+
+        sched = Scheduler()
+        sched.run_until(1e7)
+        try:
+            sched.post_repeating(1e-10, print)
+        except SimulationError:
+            print("armed: refused")
+        sched.run(max_events=1000)
+        assert sched.pending_events == 0
+
+        edge = 2.0 ** 53 - 1
+        for timers in (1, 2):
+            for drain in ("run", "run_until"):
+                sched = Scheduler()
+                sched.run_until(edge)
+                fired = []
+                handles = [sched.post_repeating(0.6, fired.append, i, first_delay=0.0)
+                           for i in range(timers)]
+                try:
+                    if drain == "run":
+                        sched.run(max_events=1000)
+                    else:
+                        sched.run_until(edge + 10.0)
+                except SimulationError:
+                    assert sched.now == edge + 1, sched.now
+                    assert len(fired) == timers + 1, fired
+                    assert handles[0].cancelled
+                    print(f"{timers} {drain}: raised")
+                # The scheduler stays usable: the rest of the instant runs,
+                # and each other timer stalled there raises in turn.
+                for _ in range(timers - 1):
+                    try:
+                        sched.run_until(edge + 10.0)
+                    except SimulationError:
+                        pass
+                sched.run_until(edge + 10.0)
+                assert fired == [*range(timers), *range(timers)], fired
+                assert sched.pending_events == 0
+    """)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    try:
+        done = subprocess.run([sys.executable, "-c", program], env=env,
+                              capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("a repeating timer that no longer advances the clock spun")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:-1] == [
+        "armed: refused", "1 run: raised", "1 run_until: raised",
+        "2 run: raised", "2 run_until: raised",
+    ]
+
+
 def test_budget_does_not_outlive_run():
     sched = Scheduler()
     sched.call_later(0.0, lambda: None)
@@ -286,3 +351,52 @@ def test_cancelled_entries_skipped_after_compaction():
         handle.cancel()
     sched.run_until(10.0)
     assert fired == ["kept"]
+
+
+def _mixed_program(sched: Scheduler, log: list) -> None:
+    """Lone posts, posts sharing an instant with timers, one-shots, two
+    repeating timers whose ticks collide with posts and with each other,
+    and a post whose callback posts again at its own instant."""
+    for i in range(40):
+        sched.post_at(0.1 * i + 0.01 * (i % 3), log.append, ("post", i))
+        if i % 4 == 0:
+            sched.call_at(0.1 * i, log.append, ("timer", i))
+    sched.post_repeating(0.5, log.append, "tick-a")
+    sched.post_repeating(0.5, log.append, "tick-b", first_delay=0.2)
+    sched.post_at(2.5, sched.post_at, 2.5, log.append, "same-instant")
+
+
+class _OldHeapPickler(pickle.Pickler):
+    """Pickles a scheduler as it was pickled when the heap held ``(when,
+    bucket)`` pairs and every bucket was a list."""
+
+    def reducer_override(self, obj):
+        if type(obj) is not Scheduler:
+            return NotImplemented
+        state = dict(vars(obj))
+        buckets = {when: bucket if type(bucket) is list else [bucket]
+                   for when, bucket in state["_buckets"].items()}
+        state["_buckets"] = buckets
+        state["_heap"] = [(when, buckets[when]) for when in state["_heap"]]
+        return copyreg.__newobj__, (Scheduler,), state
+
+
+def test_a_scheduler_pickled_with_the_old_heap_layout_runs_on():
+    reference_log: list = []
+    reference = Scheduler()
+    _mixed_program(reference, reference_log)
+    reference.run_until(6.0)
+
+    log: list = []
+    sched = Scheduler()
+    _mixed_program(sched, log)
+    sched.run_until(1.55)
+    blob = io.BytesIO()
+    _OldHeapPickler(blob).dump((sched, log))
+    restored, log = pickle.loads(blob.getvalue())
+    assert all(type(when) is float for when in restored._heap)
+    assert all(type(bucket) is list for bucket in restored._buckets.values())
+    assert restored.pending_events == sched.pending_events
+    restored.run_until(6.0)
+    assert log == reference_log
+    assert restored.processed_events == reference.processed_events
