@@ -184,8 +184,9 @@ class HeartbeatService:
         # One fan-out call: the wire image is identical per peer. With a
         # simulator transport at hand, offer it to the quiescent fan-out
         # lane, which carries the payload registered above; when the lane
-        # refuses (partition, subscribers, kept records) or there is no
-        # such transport, env.multicast sends per message.
+        # refuses (partition, subscribers, kept records, a LatencyModel
+        # subclass) or there is no such transport, env.multicast sends per
+        # message.
         if (
             net is None
             or not env.alive

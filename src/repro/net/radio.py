@@ -45,8 +45,9 @@ POLL_REQUEST_BYTES = 8
 
 # The transmission jitter fraction is a fixed 0.2; these are the exact
 # intermediates RandomSource.jittered(base, 0.2) computes, precomputed so
-# the emit loop can expand the jitter inline without a method call while
-# staying bit-identical (determinism digests depend on the float identity).
+# the emit loop can expand RadioTechnology.transit_delay inline without a
+# method call while staying bit-identical (determinism digests depend on
+# the float identity).
 _JITTER_NEG = -0.2
 _JITTER_SPAN = 0.2 - -0.2
 
@@ -63,6 +64,8 @@ class RadioTechnology:
     supports_multicast: bool
 
     def transit_delay(self, size_bytes: int, rng: RandomSource | None = None) -> float:
+        """One frame's delay over this technology, jittered by up to ±20 %
+        when ``rng`` is given (the poll, response and command legs)."""
         delay = self.base_latency + size_bytes / self.bandwidth_bytes_per_s
         if rng is not None:
             delay = rng.jittered(delay, 0.2)
@@ -403,10 +406,7 @@ class RadioNetwork:
             # Unregistered sensor: the request leg still consumed its loss
             # draw above, exactly like the scan-based implementation.
             return
-        tech = link.technology
-        delay = self._rng.jittered(
-            tech.base_latency + POLL_REQUEST_BYTES / tech.bandwidth_bytes_per_s, 0.2
-        )
+        delay = link.technology.transit_delay(POLL_REQUEST_BYTES, self._rng)
         scheduler.post_at(
             now + delay, self._poll_arrives, sensor, link, process_name, on_response
         )
@@ -437,10 +437,7 @@ class RadioNetwork:
             self._trace.record_device(self._scheduler._now, "poll_response_lost",
                                       "sensor", link.device, process_name)
             return
-        tech = link.technology
-        delay = self._rng.jittered(
-            tech.base_latency + event.size_bytes / tech.bandwidth_bytes_per_s, 0.2
-        )
+        delay = link.technology.transit_delay(event.size_bytes, self._rng)
         scheduler = self._scheduler
         scheduler.post_at(
             scheduler._now + delay,
@@ -483,8 +480,5 @@ class RadioNetwork:
         actuator = entry[_DEVICE]
         if actuator is None:
             return
-        tech = link.technology
-        delay = self._rng.jittered(
-            tech.base_latency + command.size_bytes / tech.bandwidth_bytes_per_s, 0.2
-        )
+        delay = link.technology.transit_delay(command.size_bytes, self._rng)
         scheduler.post_at(now + delay, actuator.handle_command, command)

@@ -18,10 +18,17 @@ single most expensive function in a long run, so everything it needs per
 ``(src, dst)`` pair — both endpoint objects, the FIFO delivery horizon and
 the pre-resolved trace channels — lives in one cached list, resolved with
 one dictionary lookup per send. The stock latency formula is inlined
-bit-identically (same operations, same order as
+there bit-identically (same operations, same order as
 :meth:`repro.net.latency.LatencyModel.message_delay`; a subclass's own
 ``message_delay`` is called instead), and the no-partition common case is
 a single attribute test.
+
+A quiescent keep-alive fan-out takes :meth:`HomeNetwork.send_multicast`,
+which replays a cached per-source plan in one peer loop; it refuses, and
+the caller sends per message, under a partition, an observed
+``net_send``, or a :class:`~repro.net.latency.LatencyModel` subclass.
+Every copy, whichever path posted it, is delivered by
+:meth:`HomeNetwork._deliver`.
 """
 
 from __future__ import annotations
@@ -63,11 +70,13 @@ _MP_STATE = 3   # the shared per-kind trace state list for net_send
 _MP_TALLY = 4   # the shared (net_send, kind) sub-tally cell
 _MP_SENDER = 5  # src endpoint object (None if src never registered)
 _MP_NBYTES = 6  # precomputed wire size (identical for every copy)
-_MP_PEERS = 7   # per-peer (pair entry, post tuple, pair cell, digest suffix)
+_MP_PEERS = 7   # per-peer (pair entry, post tuple, net_send pair cell, net_send
+                # digest suffix); the post is (_deliver, (entry, message, and
+                # the copy's net_deliver cells and suffix))
 _MP_TBYTES = 8  # n * nbytes — the per-tick aggregate byte increment
 _MP_LAT = 9     # latency model the cached delay block was computed from
 _MP_LIVE = 10   # live process count it was computed for
-_MP_DELAY = 11  # pre-jitter delay (identical for every copy)
+_MP_DELAY = 11  # pre-jitter delay, LatencyModel.message_delay without rng
 _MP_NEG = 12    # jitter expansion intermediates (see RandomSource.jittered)
 _MP_SPAN = 13
 
@@ -325,11 +334,10 @@ class HomeNetwork:
             # The delivery side is just as predictable as the send side:
             # the copy's (src, dst, kind) are fixed, so the net_deliver
             # aggregate cells and digest suffix are prebound into the
-            # posted callback — _deliver_quiescent then skips the channel
-            # call entirely. Crash/partition checks stay per-delivery
-            # (they read live state).
-            post = (self._deliver_quiescent,
-                    (entry, message, *entry[_DELIVER].bind(kind)))
+            # posted callback, and _deliver bumps them without a channel
+            # call. Crash/partition checks stay per-delivery (they read
+            # live state).
+            post = (self._deliver, (entry, message, *entry[_DELIVER].bind(kind)))
             peers.append((entry, post, pair_cell, suffix))
         plan = [dsts, kind, self._mcast_epoch, state, tally, sender,
                 nbytes, peers, len(peers) * (nbytes or 0),
@@ -385,10 +393,12 @@ class HomeNetwork:
         Returns True when the multicast was fully handled; False when the
         caller must fall back to per-message :meth:`send` — an active
         partition (so per-peer drops are recorded exactly as before), a
-        trace with global subscribers, or kept/kind-subscribed net_send
-        records. The observable effects — trace aggregates, digest bytes,
-        RNG draw order, FIFO horizons, delivery schedule — are
-        bit-identical to the equivalent ``send`` loop.
+        trace with global subscribers, kept/kind-subscribed net_send
+        records, or a :class:`LatencyModel` subclass (``send`` calls its
+        ``message_delay`` once per copy, in dsts order). The observable
+        effects — trace aggregates, digest bytes, RNG draw order, FIFO
+        horizons, delivery schedule — are bit-identical to the equivalent
+        ``send`` loop.
         """
         if self.partition.group_of is not None:
             self.lane_refusals["partition"] += 1
@@ -396,6 +406,8 @@ class HomeNetwork:
         trace = self._trace
         if trace._subscribers:
             self.lane_refusals["subscriber"] += 1
+            return False
+        if type(self.latency) is not LatencyModel:
             return False
         plan = self._mcast_plans.get(src)
         if (
@@ -447,28 +459,16 @@ class HomeNetwork:
         # The pre-jitter delay depends only on (wire size, latency model,
         # live count) — all tick-invariant while the home is quiescent —
         # so the resolved value is cached in the plan and recomputed only
-        # when the latency model object or the live count changes. The
-        # recompute block is LatencyModel.message_delay +
-        # RandomSource.jittered's expansion, inlined bit-identically
-        # (see `send`).
+        # when the latency model object or the live count changes.
         if plan[_MP_LAT] is self.latency and plan[_MP_LIVE] == live:
             base_delay = plan[_MP_DELAY]
             neg = plan[_MP_NEG]
             span = plan[_MP_SPAN]
         else:
             lat = self.latency
-            nbytes = plan[_MP_NBYTES]
-            base_delay = (
-                lat.base_latency
-                + nbytes / lat.bandwidth_bytes_per_s
-                + nbytes * lat.serialization_s_per_byte
-            )
-            extra = live - 2
-            if extra > 0:
-                base_delay += extra * lat.congestion_per_process
-            fraction = lat.jitter_fraction
-            neg = -fraction
-            span = fraction - neg
+            base_delay = lat.message_delay(plan[_MP_NBYTES], live)
+            neg = -lat.jitter_fraction
+            span = lat.jitter_fraction - neg
             plan[_MP_LAT] = lat
             plan[_MP_LIVE] = live
             plan[_MP_DELAY] = base_delay
@@ -478,96 +478,53 @@ class HomeNetwork:
 
         buckets = scheduler._buckets
         heap = scheduler._heap
-        # The peer loop is duplicated by digest mode: with hashing on, the
-        # timestamp and suffix are staged as two pieces (the hash runs over
-        # the buffer's concatenation, so piece boundaries are digest-
-        # neutral); with it off, the loop carries no digest work at all.
-        # Both inline the stock model; a LatencyModel subclass gets its own
-        # message_delay, one call per copy in dsts order, as `send` does.
-        # Each copy is Scheduler.post_at inlined, as in `send`; the plan's
-        # post tuple itself is what a lone copy's instant stores.
-        if type(self.latency) is not LatencyModel:
-            lat, rng, nbytes = self.latency, self._rng, plan[_MP_NBYTES]
-            for entry, post, pair_cell, suffix in peers:
-                pair_cell[0] += 1
-                if hashing:
-                    buf += tr
-                    buf += suffix
-                deliver_at = now + lat.message_delay(nbytes, live, rng)
-                horizon = entry[_HORIZON]
-                if deliver_at <= horizon:
-                    deliver_at = horizon + 1e-9
-                entry[_HORIZON] = deliver_at
-                bucket = buckets.get(deliver_at)
-                if bucket is None:
-                    buckets[deliver_at] = post
-                    heappush(heap, deliver_at)
-                elif type(bucket) is tuple:
-                    buckets[deliver_at] = [bucket, post]
-                else:
-                    bucket.append(post)
-        elif hashing:
-            for entry, post, pair_cell, suffix in peers:
-                pair_cell[0] += 1
+        # With hashing on, each copy's timestamp and suffix are staged as
+        # two pieces (the hash runs over the buffer's concatenation, so
+        # piece boundaries are digest-neutral). Each copy is
+        # Scheduler.post_at inlined, as in `send`; the plan's post tuple
+        # itself is what a lone copy's instant stores.
+        for entry, post, pair_cell, suffix in peers:
+            pair_cell[0] += 1
+            if hashing:
                 buf += tr
                 buf += suffix
-                # One jitter draw per destination, in dsts order: the RNG
-                # sequence is exactly the per-message path's.
-                delay = base_delay * (1.0 + (neg + span * random()))
-                deliver_at = now + delay
-                horizon = entry[_HORIZON]
-                if deliver_at <= horizon:
-                    deliver_at = horizon + 1e-9
-                entry[_HORIZON] = deliver_at
-                bucket = buckets.get(deliver_at)
-                if bucket is None:
-                    buckets[deliver_at] = post
-                    heappush(heap, deliver_at)
-                elif type(bucket) is tuple:
-                    buckets[deliver_at] = [bucket, post]
-                else:
-                    bucket.append(post)
-        else:
-            for entry, post, pair_cell, suffix in peers:
-                pair_cell[0] += 1
-                delay = base_delay * (1.0 + (neg + span * random()))
-                deliver_at = now + delay
-                horizon = entry[_HORIZON]
-                if deliver_at <= horizon:
-                    deliver_at = horizon + 1e-9
-                entry[_HORIZON] = deliver_at
-                bucket = buckets.get(deliver_at)
-                if bucket is None:
-                    buckets[deliver_at] = post
-                    heappush(heap, deliver_at)
-                elif type(bucket) is tuple:
-                    buckets[deliver_at] = [bucket, post]
-                else:
-                    bucket.append(post)
+            # One jitter draw per destination, in dsts order: the RNG
+            # sequence is exactly the per-message path's.
+            deliver_at = now + base_delay * (1.0 + (neg + span * random()))
+            horizon = entry[_HORIZON]
+            if deliver_at <= horizon:
+                deliver_at = horizon + 1e-9
+            entry[_HORIZON] = deliver_at
+            bucket = buckets.get(deliver_at)
+            if bucket is None:
+                buckets[deliver_at] = post
+                heappush(heap, deliver_at)
+            elif type(bucket) is tuple:
+                buckets[deliver_at] = [bucket, post]
+            else:
+                bucket.append(post)
         scheduler._live += n
         if hashing and len(buf) >= _FLUSH_BYTES:
             trace._flush_hash()
         return True
 
-    def _deliver_quiescent(
+    def _deliver(
         self,
         entry: list,
         message: Message,
-        state: list,
-        tally: list,
-        pair_cell: list,
-        suffix: bytes,
+        state: list | None = None,
+        tally: list | None = None,
+        pair_cell: list | None = None,
+        suffix: bytes = b"",
     ) -> None:
-        """Deliver one quiescent multicast copy with prebound accounting.
+        """Deliver one copy, or drop it if its destination crashed or a
+        partition cut the pair while it was in flight.
 
-        The multicast plan fixes the copy's (src, dst, kind), so the
-        net_deliver state list, sub-kind tally, pair cell and digest suffix
-        arrive as arguments instead of being resolved per delivery.
-        Observable effects are bit-identical to :meth:`_deliver` on the
-        same message: same drop records, same aggregates, same digest
-        bytes, same handler dispatch. Liveness, partition state and the
-        observer gates are still read fresh — fault injection mid-flight
-        lands on exactly the paths the generic route would take.
+        A multicast-plan copy arrives with its net_deliver cells and digest
+        suffix prebound (:meth:`MessageChannel.bind`): while the kind is
+        only counted or hashed, they are bumped here in place, with the
+        bytes :meth:`MessageChannel.record` would stage. Every other copy
+        is recorded through the pair's channel.
         """
         endpoint = entry[_DST]
         if not endpoint.alive:
@@ -585,45 +542,19 @@ class HomeNetwork:
             return
         kind = message.kind
         trace = self._trace
-        if state[3] is None and state[4] is None and not trace._subscribers:
+        if (state is not None and state[3] is None and state[4] is None
+                and not trace._subscribers):
             state[0] += 1
             tally[0] += 1
             pair_cell[0] += 1
             buf = trace._dig_buf
             if buf is not None:
-                # Staged as two pieces: the hash runs over the buffer's
-                # accumulated bytes, so the split is digest-neutral.
                 buf += _PACK_D(self._scheduler._now)
                 buf += suffix
                 if len(buf) >= _FLUSH_BYTES:
                     trace._flush_hash()
         else:
             entry[_DELIVER].record(self._scheduler._now, kind)
-        handlers = entry[_HANDLERS]
-        if handlers is not None:
-            handler = handlers.get(kind)
-            if handler is not None:
-                handler(message)
-                return
-        endpoint.deliver(message)
-
-    def _deliver(self, entry: list, message: Message) -> None:
-        endpoint = entry[_DST]
-        if not endpoint.alive:
-            self._drop_channel(entry, message.src, message.dst).record(
-                self._scheduler._now, message.kind, None, "dst_crashed"
-            )
-            return
-        partition = self.partition
-        if partition.group_of is not None and not partition.can_communicate(
-            message.src, message.dst
-        ):
-            self._drop_channel(entry, message.src, message.dst).record(
-                self._scheduler._now, message.kind, None, "partition"
-            )
-            return
-        kind = message.kind
-        entry[_DELIVER].record(self._scheduler._now, kind)
         # Dispatch straight to the destination's handler when we hold its
         # live handler dict (liveness was checked above; a crash clears the
         # dict in place, so the cached reference never goes stale). The
@@ -635,6 +566,11 @@ class HomeNetwork:
                 handler(message)
                 return
         endpoint.deliver(message)
+
+    # A second name for _deliver, kept only because bench/tracer.py wraps
+    # it by name through the class __dict__; delete it with ROADMAP item
+    # 1(a), when the tracer resolves names through the MRO.
+    _deliver_quiescent = _deliver
 
     # -- accounting helpers used by the evaluation harness ---------------------
 

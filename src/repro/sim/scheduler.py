@@ -402,11 +402,10 @@ class Scheduler:
                 # outside fleet-aligned edges, every repeating tick — drains
                 # alone, with no resume-cursor loop and drain state only
                 # published when a same-instant append actually happens.
-                # The cost: if a lone callback raises, its entry is already
-                # consumed (a lost tick / a leaked past-time slot) — same
-                # class of degradation as the general drain re-running a
-                # bucket prefix, and unreachable for the guarded platform
-                # callbacks, which never leak exceptions.
+                # A lone callback that raises has spent its entry, as in
+                # the general drain (a repeating timer loses its re-arm);
+                # _abandon then leaves whatever it scheduled at the same
+                # instant open for the next run_until.
                 bucket = buckets[when]
                 if type(bucket) is tuple:
                     # A bare post. Its slot stays mapped while it runs, so
@@ -416,7 +415,11 @@ class Scheduler:
                     ran += 1
                     live_delta -= 1
                     cb, cb_args = bucket
-                    cb(*cb_args)
+                    try:
+                        cb(*cb_args)
+                    except BaseException:
+                        self._abandon(when)
+                        raise
                     promoted = buckets.pop(when)
                     if promoted is not bucket:
                         buckets[when] = promoted
@@ -442,7 +445,12 @@ class Scheduler:
                         self._now = when
                         item[IN_BUCKET] = False
                         ran += 1
-                        cb(*cb_args)
+                        try:
+                            cb(*cb_args)
+                        except BaseException:
+                            live_delta -= 1
+                            self._abandon(when)
+                            raise
                         # Re-read: the callback may have cancelled its own
                         # entry, which must suppress the re-arm.
                         interval = item[INTERVAL]
@@ -511,6 +519,24 @@ class Scheduler:
             self._processed += ran
             self._live += live_delta
         self._now = deadline
+
+    def _abandon(self, when: float) -> None:
+        """Tidy up after a lone callback raised on an express path.
+
+        Its entry is spent. Whatever it scheduled at its own instant
+        before raising follows it in ``_buckets[when]``; that instant has
+        no heap slot any more, so it is left open as the draining bucket,
+        resumed after the spent entry, exactly where the general drain
+        leaves a bucket whose callback raised. With nothing else there,
+        the instant is unmapped.
+        """
+        rest = self._buckets[when]
+        if type(rest) is tuple or len(rest) == 1:
+            del self._buckets[when]
+        else:
+            self._draining = rest
+            self._drain_when = when
+            self._drain_idx = 1
 
     def _drain_open(self) -> None:
         """Drain the currently-open bucket (``self._draining``) to the end.

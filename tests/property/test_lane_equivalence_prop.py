@@ -80,7 +80,7 @@ class Writer:
         elif lane == 2 or reason is not None:
             channel.record(time, sub_kind, nbytes, reason)
         else:
-            # HomeNetwork.send_multicast / _deliver_quiescent: refuse while
+            # HomeNetwork.send_multicast / a plan copy's _deliver: refuse while
             # anything observes the kind, else bump the cells and stage
             # packed time + the bound suffix.
             state, tally, pair, suffix = channel.bind(sub_kind, nbytes)

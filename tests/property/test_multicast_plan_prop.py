@@ -8,12 +8,21 @@ crashes with copies in flight, sender crash + recovery, partitions, late
 endpoint registrations and liveness changes: one rides the lane, the other
 has a ``send_multicast`` that always refuses, so every keep-alive takes
 ``RivuletProcess.multicast`` -> ``HomeNetwork.send``. Digest, aggregates and
-the order in which receivers see which payload must agree.
+the order in which receivers see which payload must agree, with the trace
+hashing (the lane stages digest bytes per copy) and without (the lane only
+counts); without a digest, aggregates and receive order must agree.
+
+A third home runs a ``LatencyModel`` subclass that only defers to the stock
+``message_delay``: the lane refuses it, so its keep-alives take ``send``,
+which asks the model once per copy. It must match the stock home's digest,
+aggregates and receive order, which holds the inline formula in ``send``
+and the plan's cached delay to the model bit for bit.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.home import Home, HomeConfig
+from repro.net.latency import LatencyModel
 
 PROCESSES = ("p0", "p1", "p2")
 #: 0.0005 s lands while the copies of a tick are in flight (a hop is ~1.5 ms).
@@ -60,11 +69,22 @@ class Bystander:
         raise AssertionError(message)
 
 
+class DeferringLatency(LatencyModel):
+    """A subclass in name only: every delay is the stock model's."""
+
+    def message_delay(self, wire_bytes, live_processes=2, rng=None):
+        return super().message_delay(wire_bytes, live_processes, rng)
+
+
 class Rig:
-    def __init__(self, *, lane: bool) -> None:
+    def __init__(
+        self, *, lane: bool, digest: bool = True, latency: LatencyModel | None = None
+    ) -> None:
+        self.digest = digest
         self.home = home = Home(HomeConfig(
             seed=5, heartbeat_interval=0.5, failure_detection_s=2.0,
-            keep_trace_kinds=set(), trace_digest=True,
+            keep_trace_kinds=set(), trace_digest=digest,
+            latency=latency or LatencyModel(),
         ))
         for name in PROCESSES:
             home.add_process(name, adapters=("ip",))
@@ -122,7 +142,7 @@ class Rig:
         trace = home.trace
         message_kinds = ("net_send", "net_deliver", "net_drop")
         return {
-            "digest": trace.digest(),
+            "digest": trace.digest() if self.digest else None,
             "counts": trace.counts,
             "bytes": {kind: trace.bytes_of_kind(kind) for kind in message_kinds},
             "tallies": {(kind, sub): trace.tally(kind, sub)
@@ -133,9 +153,18 @@ class Rig:
 
 
 @settings(max_examples=120, deadline=None)
+@given(schedules, st.booleans())
+def test_lane_and_refused_lane_homes_agree(schedule, digest):
+    assert (Rig(lane=True, digest=digest).run(schedule)
+            == Rig(lane=False, digest=digest).run(schedule))
+
+
+@settings(max_examples=40, deadline=None)
 @given(schedules)
-def test_lane_and_refused_lane_homes_agree(schedule):
-    assert Rig(lane=True).run(schedule) == Rig(lane=False).run(schedule)
+def test_a_deferring_latency_subclass_matches_the_stock_home(schedule):
+    deferring = Rig(lane=True, latency=DeferringLatency())
+    assert deferring.run(schedule) == Rig(lane=True).run(schedule)
+    assert deferring.home.stats()["plan_builds"] == 0
 
 
 def test_a_directed_schedule_exercises_every_branch():
@@ -154,6 +183,10 @@ def test_a_directed_schedule_exercises_every_branch():
     lane, plain = Rig(lane=True), Rig(lane=False)
     outcome = lane.run(schedule)
     assert outcome == plain.run(schedule)
+    assert Rig(lane=True, latency=DeferringLatency()).run(schedule) == outcome
+    counted = Rig(lane=True, digest=False)
+    assert counted.run(schedule) == {**outcome, "digest": None}
+    assert counted.home.stats()["plan_builds"] == lane.home.stats()["plan_builds"]
     assert outcome["counts"]["net_drop"] > 0
     assert {value["v"] for *_, value in outcome["seen"]} == {7, 8, "abc", "abcdef", 3}
     stats = lane.home.stats()

@@ -400,3 +400,50 @@ def test_a_scheduler_pickled_with_the_old_heap_layout_runs_on():
     restored.run_until(6.0)
     assert log == reference_log
     assert restored.processed_events == reference.processed_events
+
+
+def _boom() -> None:
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("entry", ["post_at", "call_at"])
+def test_a_lone_callback_that_raises_leaves_its_instant_usable(entry):
+    """A lone post and a solo one-shot run on run_until's express paths.
+    When the callback raises, its instant must not stay mapped without a
+    heap slot: work scheduled there later runs, and nothing is left
+    pending."""
+    sched = Scheduler()
+    log = []
+    getattr(sched, entry)(1.0, _boom)
+    with pytest.raises(RuntimeError):
+        sched.run_until(2.0)
+    assert sched.pending_events == 0
+    sched.post_at(sched.now, log.append, "x")
+    sched.run_until(3.0)
+    assert log == ["x"]
+    assert sched.pending_events == 0
+
+
+@pytest.mark.parametrize("entry", ["post_at", "call_at", "post_repeating"])
+def test_what_a_raising_lone_callback_scheduled_at_its_instant_still_runs(entry):
+    """Same-instant work scheduled before the raise resumes on the next
+    run_until, in order, as the general drain resumes a bucket; a
+    repeating timer that raised is spent (no re-arm), as it is there."""
+    sched = Scheduler()
+    log = []
+
+    def schedule_then_raise():
+        sched.post_at(sched.now, log.append, "a")
+        sched.call_at(sched.now, log.append, "b")
+        raise RuntimeError("boom")
+
+    if entry == "post_repeating":
+        sched.post_repeating(1.0, schedule_then_raise)
+    else:
+        getattr(sched, entry)(1.0, schedule_then_raise)
+    with pytest.raises(RuntimeError):
+        sched.run_until(2.0)
+    assert log == [] and sched.pending_events == 2
+    sched.run_until(2.0)
+    assert log == ["a", "b"]
+    assert sched.pending_events == 0 and not sched._buckets and not sched._heap

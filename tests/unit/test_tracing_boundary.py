@@ -6,7 +6,8 @@ generic encoder and a home's digest came to depend on the lane that wrote
 it. This guard keeps the layout behind one module: outside ``repro/sim/``
 nothing imports the packing helpers or reads the trace's digest memos, and
 the staging buffer is touched only by the transport's quiescent multicast
-pair, which stages ``packed time + a suffix from MessageChannel.bind``.
+pair (``send_multicast`` and the ``_deliver`` of a plan's copy), which
+stages ``packed time + a suffix from MessageChannel.bind``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ TRACE_INTERNALS = {"_lt", "_ltr", "_ls", "_lsr", "_kind_state"}
 #: The digest staging surface, and the only functions allowed to use it.
 STAGING_NAMES = {"_dig_buf", "_flush_hash", "_FLUSH_BYTES"}
 STAGING_ALLOWED = {
-    "net/transport.py": {"send_multicast", "_deliver_quiescent"},
+    "net/transport.py": {"send_multicast", "_deliver"},
 }
 
 

@@ -367,8 +367,10 @@ class ConstantLatency(LatencyModel):
 
 def test_a_latency_model_subclass_sets_the_delay_on_both_paths():
     """The stock model is inlined on the send path and in the multicast
-    plan; a subclass's own message_delay is asked instead, one call per
-    copy in dsts order, on both."""
+    plan; a subclass's own message_delay is asked instead. The multicast
+    lane refuses a subclass before it builds a plan (with no refusal
+    cause counted), so the fan-out's copies take ``send``: one call per
+    copy in dsts order."""
     sched = Scheduler()
     latency = ConstantLatency()
     latency.calls = []
@@ -382,7 +384,11 @@ def test_a_latency_model_subclass_sets_the_delay_on_both_paths():
     for name in ("a", "b", "c"):
         net.register(Timed(name))
     net.send(Message("m", "a", "b", {}))
-    assert net.send_multicast("a", ("c", "b"), "keepalive")
+    assert not net.send_multicast("a", ("c", "b"), "keepalive")
+    assert net.plan_builds == 0 and not net._mcast_plans
+    assert net.lane_refusals == {"partition": 0, "subscriber": 0, "kept": 0}
+    for dst in ("c", "b"):  # what RivuletProcess.multicast does on a refusal
+        net.send(Message("keepalive", "a", dst, {}))
     sched.run()
     assert len(latency.calls) == 3 and {live for _size, live in latency.calls} == {3}
     # The keep-alive to b queues behind the message sent to b first (FIFO).
