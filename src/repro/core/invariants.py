@@ -279,7 +279,7 @@ def check_no_duplicate_actuation(record: RunRecord) -> list[Violation]:
 def _down_intervals(record: RunRecord) -> dict[str, list[tuple[float, float]]]:
     intervals: dict[str, list[tuple[float, float]]] = {}
     open_since: dict[str, float] = {}
-    for entry in record.trace.events:
+    for entry in record.trace.iter_kinds("crash", "recover"):
         if entry.kind == "crash":
             open_since[entry["process"]] = entry.time
         elif entry.kind == "recover":

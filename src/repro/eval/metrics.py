@@ -17,9 +17,8 @@ import math
 from collections import Counter, defaultdict
 from typing import Iterable
 
+from repro.core.delivery_service import EVENT_CARRYING_KINDS
 from repro.sim.tracing import Trace
-
-EVENT_CARRYING_KINDS = frozenset({"gapless_fwd", "gap_fwd", "nbcast", "rbcast"})
 
 
 def mean(values: Iterable[float]) -> float:

@@ -35,7 +35,6 @@ from repro.sim.scheduler import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.home import Home
-    from repro.sim.tracing import Trace
 
 #: The namespace under which per-home seeds hang off the fleet seed.
 HOME_SEED_NAMESPACE = "home"
@@ -120,9 +119,6 @@ class SimContext:
         return self
 
     # -- fleet-level aggregates -----------------------------------------------------
-
-    def trace_of(self, home_id: str = "") -> "Trace":
-        return self.home(home_id).trace
 
     def count(self, kind: str) -> int:
         """Total records of ``kind`` across every tenant's trace."""

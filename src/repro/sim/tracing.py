@@ -32,11 +32,12 @@ O(1) appends and O(1) aggregate queries:
   dict, :class:`MessageChannel` and :class:`DeviceChannel` for their fixed
   shapes), all byte-identical for the same record — a run's digest does
   not depend on which lane wrote it or on what observes the trace;
-- ``events`` / ``of_kind`` return **read-only views** over internal lists
-  (no copying); ``iter_kind`` is the matching lazy iterator;
-- a kept :class:`TraceEvent` is a row — time, kind, an interned field-name
-  tuple and a values tuple — which the positional lanes write without
-  building a fields dict; ``digest()`` provides a stable
+- a kept record is stored as **flat columns**: each kept kind has one lane
+  per field-name tuple (schema), holding its times in an ``array('d')`` and
+  its values back to back in one list, so a record costs no object of its
+  own; ``events`` / ``of_kind`` are **read-only live views** over the
+  lanes that build a :class:`TraceEvent` per read, and ``iter_kind`` is
+  the matching lazy iterator; ``digest()`` provides a stable
   hash over the full record stream so determinism can be asserted cheaply.
   The digest payload is a versioned **binary encoding** (see
   :data:`DIGEST_VERSION` and :func:`_pack_value`): floats are packed to 8
@@ -49,8 +50,10 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from array import array
 from collections import Counter
 from collections.abc import Sequence
+from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator
 
 #: Digest format version. v1 hashed ``repr()``-joined text records; v2 is a
@@ -203,16 +206,18 @@ _intern = _NAMES.setdefault
 
 
 class TraceEvent:
-    """One timestamped occurrence, stored as a row.
+    """One timestamped occurrence, as a reader or a subscriber sees it.
 
     A record is ``time``, ``kind``, a field-name tuple and the matching
     values tuple; ``fields`` is a dict derived on each read. The lanes pass
     interned name tuples (:func:`row_names`), so every record of one schema
     shares one tuple object.
-    Storing rows instead of dicts roughly halves a kept record's bytes
-    (docs/performance.md), which is what bounds a long rt run's memory.
-    Immutable by convention (nothing in the codebase mutates a recorded
-    event).
+    A trace does not keep TraceEvents: it keeps each record as a time and
+    values in its schema's lane (:class:`_Lane`) and builds a TraceEvent
+    only when a view is read or a subscriber is called, so a kept 4-field
+    row costs ~45 B instead of an object, a boxed time, a values tuple and
+    two list slots (153 B; docs/performance.md). Immutable by convention
+    (nothing in the codebase mutates a recorded event).
     """
 
     __slots__ = ("time", "kind", "_names", "_values")
@@ -330,34 +335,77 @@ def _device_row(
     return shapes[mask | 4], values + (action,)
 
 
-class EventsView(Sequence):
-    """A read-only, live view over an internal event list.
+class _Lane:
+    """The kept records of one kind and one schema: their times, and their
+    values back to back in ``flat`` (``len(names)`` per record). ``id`` is
+    the lane's index in its trace's lanes, ``index`` in its kind's."""
 
-    Supports indexing, slicing, iteration and ``len`` without copying; the
-    view reflects events recorded after it was obtained (it is a window
-    onto the trace, not a snapshot).
+    __slots__ = ("kind", "names", "id", "index", "times", "flat")
+
+    def __init__(self, kind: str, names: tuple[str, ...], every: list, lanes: list) -> None:
+        """A new last lane of ``every`` (a trace's lanes) and of ``lanes``
+        (its kind's)."""
+        self.kind, self.names, self.id, self.index = kind, names, len(every), len(lanes)
+        self.times, self.flat = array("d"), []
+        every.append(self)
+        lanes.append(self)
+
+    def events(self) -> Iterator[TraceEvent]:
+        kind, names = self.kind, self.names
+        rows = zip(*[iter(self.flat)] * len(names)) if names else repeat(())
+        for time, values in zip(self.times, rows):
+            event = _new_event(TraceEvent)  # TraceEvent(...) without the call
+            event.time = time
+            event.kind = kind
+            event._names = names
+            event._values = values
+            yield event
+
+
+class EventsView(Sequence):
+    """The kept records of one kind (with ``kind`` None, of a whole trace):
+    the store itself, read as a read-only live view that builds a
+    :class:`TraceEvent` per read. A slice is a tuple of TraceEvents.
+
+    ``lane`` is the lane last written. While every record went to one lane
+    ``which`` is None; after that it says, per record in record order, which
+    of ``lanes`` holds it (a kind's ``bytearray``, a trace's lane ids).
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("kind", "lanes", "lane", "which")
 
-    def __init__(self, items: list[TraceEvent]) -> None:
-        self._items = items
-
-    def __getitem__(self, index):
-        result = self._items[index]
-        return EventsView(result) if isinstance(index, slice) else result
+    def __init__(self, kind: str | None, which=None) -> None:
+        self.kind, self.lanes, self.lane, self.which = kind, [], None, which
 
     def __len__(self) -> int:
-        return len(self._items)
+        return sum(len(ln.times) for ln in self.lanes) if self.which is None else len(self.which)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        which = self.which
+        if which is None:
+            lane, i = self.lanes[0], index
+        else:  # the lane of record ``i``, and how many records it held before
+            i = range(len(which))[index]
+            lane, i = self.lanes[which[i]], which[:i].count(which[i])
+        i, width = range(len(lane.times))[i], len(lane.names)
+        values = tuple(lane.flat[i * width:(i + 1) * width])
+        return TraceEvent(lane.times[i], lane.kind, lane.names, values)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._items)
+        if self.which is None:
+            return self.lanes[0].events() if self.lanes else iter(())
+        return self._walk(self.which)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<EventsView of {len(self._items)} events>"
+    def _walk(self, which: Iterable[int]) -> Iterator[TraceEvent]:
+        """The records ``which`` names, one index into ``lanes`` each."""
+        lanes, cursors = self.lanes, {}
+        for w in which:
+            yield next(cursors.get(w) or cursors.setdefault(w, lanes[w].events()))
 
 
-_EMPTY_VIEW = EventsView([])
+_EMPTY_VIEW = EventsView(None)
 
 
 class Trace:
@@ -375,16 +423,14 @@ class Trace:
 
     # _kind_state value layout: one mutable list per record kind, looked up
     # once per record() call (the profile/count/kept-list/subscriber checks
-    # all ride on that single dictionary access).
-    _COUNT = 0       # records of this kind so far
-    _BYTES = 1       # running sum of the "bytes" field
-    _PROFILE = 2     # _HAS_* bitmask, decided on first sight of the kind
-    _KEPT = 3        # per-kind list of kept TraceEvents, or None
-    _SUBS = 4        # kind-scoped subscriber list, or None
-
-    _HAS_BYTES = 1
-    _HAS_SUB = 2
-    _HAS_PAIR = 4
+    # all ride on that single dictionary access). Every lane, and the
+    # transport, spells a slot by its index:
+    #   [0] records of this kind so far
+    #   [1] running sum of the "bytes" field
+    #   [2] profile bitmask, decided on first sight of the kind: 1 = carries
+    #       "bytes", 2 = a sub-kind ("kind" field), 4 = "src" and "dst"
+    #   [3] the kind's EventsView of kept records, or None
+    #   [4] kind-scoped subscriber list, or None
 
     def __init__(
         self,
@@ -392,8 +438,9 @@ class Trace:
         *,
         digest: bool = False,
     ) -> None:
-        self._events: list[TraceEvent] = []
-        self._by_kind: dict[str, list[TraceEvent]] = {}
+        # Every kept record: the lanes in creation order (a lane's ``id`` is
+        # its index there) and one lane id per record, in record order.
+        self._all = EventsView(None, array("H"))
         self._kind_state: dict[str, list] = {}
         # record kind -> fields["kind"] -> [count, bytes]; e.g. how many
         # keepalive messages went over the wire and their byte total.
@@ -447,41 +494,32 @@ class Trace:
         record skip the field probes entirely.
         """
         profile = (
-            (self._HAS_BYTES if "bytes" in fields else 0)
-            | (self._HAS_SUB if "kind" in fields else 0)
-            | (self._HAS_PAIR if "src" in fields and "dst" in fields else 0)
+            (1 if "bytes" in fields else 0)
+            | (2 if "kind" in fields else 0)
+            | (4 if "src" in fields and "dst" in fields else 0)
         )
-        kept: list[TraceEvent] | None = None
-        if self._keep_kinds is None or kind in self._keep_kinds:
-            kept = self._by_kind.setdefault(kind, [])
-        if profile & self._HAS_SUB:
+        kept = EventsView(kind) if self._keep_kinds is None or kind in self._keep_kinds else None
+        if profile & 2:
             self._sub_tallies.setdefault(kind, {})
         state = [0, 0, profile, kept, self._kind_subscribers.get(kind)]
         self._kind_state[kind] = state
         return state
 
     def _finish(
-        self, time: float, kind: str, state: list, names: tuple[str, ...], values: tuple
+        self, time: float, kind: str, state: list, names: tuple[str, ...], values: Iterable[Any]
     ) -> None:
-        """Store / notify / hash one record given as a row: an interned
-        field-name tuple and its values.
+        """Keep / notify / hash one record given as a row: an interned
+        field-name tuple and its values (a tuple, or a fields dict's
+        ``values()``).
 
         The shared tail of every lane; only called when at least one of
         kept-storage, subscribers or the streaming hash needs the record.
         """
-        kept = state[3]
+        if state[3] is not None:
+            self._keep(state[3], time, names, values)
         kind_subs = state[4]
-        if kept is not None or kind_subs is not None or self._subscribers:
-            # TraceEvent(time, kind, names, values), inlined: the call
-            # costs ~60 ns per kept record, ~1 % of rt_closed events/s.
-            event = _new_event(TraceEvent)
-            event.time = time
-            event.kind = kind
-            event._names = names
-            event._values = values
-            if kept is not None:
-                self._events.append(event)
-                kept.append(event)
+        if kind_subs is not None or self._subscribers:
+            event = TraceEvent(time, kind, names, tuple(values))
             for subscriber in self._subscribers:
                 subscriber(event)
             if kind_subs is not None:
@@ -492,6 +530,23 @@ class Trace:
             buf += _record_bytes(time, kind, names, values)
             if len(buf) >= _FLUSH_BYTES:
                 self._flush_hash()
+
+    def _keep(self, store: EventsView, time: float, names: tuple[str, ...], values) -> None:
+        """Append one record to its schema's lane of ``store`` (a kind's
+        kept records); a schema's first record makes its lane."""
+        lane = store.lane
+        if lane is None or lane.names is not names:
+            lane = next((lane for lane in store.lanes if lane.names == names), None)
+            if lane is None:
+                if len(store.lanes) == 1:  # every record so far went to lane 0
+                    store.which = bytearray(len(store.lanes[0].times))
+                lane = _Lane(store.kind, _intern(names, names), self._all.lanes, store.lanes)
+            store.lane = lane
+        lane.times.append(time)
+        lane.flat.extend(values)
+        self._all.which.append(lane.id)
+        if store.which is not None:
+            store.which.append(lane.index)
 
     def _flush_hash(self) -> None:
         """Fold the staged record payloads into the streaming hasher."""
@@ -536,7 +591,7 @@ class Trace:
 
         if state[3] is not None or state[4] is not None or self._subscribers:
             names = tuple(fields)
-            self._finish(time, kind, state, _intern(names, names), tuple(fields.values()))
+            self._finish(time, kind, state, _intern(names, names), fields.values())
         elif self._hasher is not None:
             buf = self._hash_buf
             buf += _record_bytes(time, kind, tuple(fields), fields.values())
@@ -674,24 +729,24 @@ class Trace:
                 subs.append(callback)
                 state = self._kind_state.get(kind)
                 if state is not None:
-                    state[self._SUBS] = subs
+                    state[4] = subs
 
     # -- aggregates (maintained incrementally, all O(1)-ish) -------------------
 
     def count(self, kind: str) -> int:
         state = self._kind_state.get(kind)
-        return state[self._COUNT] if state is not None else 0
+        return state[0] if state is not None else 0
 
     @property
     def counts(self) -> Counter:
         return Counter(
-            {kind: state[self._COUNT] for kind, state in self._kind_state.items()}
+            {kind: state[0] for kind, state in self._kind_state.items()}
         )
 
     def bytes_of_kind(self, kind: str) -> int:
         """Sum of the ``bytes`` field across all records of ``kind``."""
         state = self._kind_state.get(kind)
-        return state[self._BYTES] if state is not None else 0
+        return state[1] if state is not None else 0
 
     def tally(self, kind: str, sub_kind: str) -> tuple[int, int]:
         """``(count, bytes)`` of records of ``kind`` whose ``kind`` field
@@ -727,19 +782,19 @@ class Trace:
         counts, bytes, sub-kind tallies and pair counts — with no record.
         """
         for kind, theirs in other._kind_state.items():
-            if theirs[self._KEPT] is not None:
+            if theirs[3] is not None:
                 continue
             state = self._kind_state.get(kind) or self._new_kind(kind, {})
-            state[self._PROFILE] |= theirs[self._PROFILE]
-            state[self._COUNT] += theirs[self._COUNT]
-            state[self._BYTES] += theirs[self._BYTES]
+            state[2] |= theirs[2]
+            state[0] += theirs[0]
+            state[1] += theirs[1]
             tallies = self._sub_tallies.setdefault(kind, {})
             for sub, (count, nbytes) in other._sub_tallies.get(kind, _EMPTY_DICT).items():
                 tally = tallies.setdefault(sub, [0, 0])
                 tally[0] += count
                 tally[1] += nbytes
         for (kind, src, dst), (count,) in other._pair_counts.items():
-            if other._kind_state[kind][self._KEPT] is None:
+            if other._kind_state[kind][3] is None:
                 self._pair_counts.setdefault((kind, src, dst), [0])[0] += count
 
     # -- event access (read-only views, no copying) -----------------------------
@@ -747,12 +802,12 @@ class Trace:
     @property
     def events(self) -> EventsView:
         """All kept events, in record order (a read-only live view)."""
-        return EventsView(self._events)
+        return self._all
 
     def of_kind(self, kind: str) -> EventsView:
         """Kept events of ``kind``, in record order (a read-only live view)."""
-        per_kind = self._by_kind.get(kind)
-        return EventsView(per_kind) if per_kind is not None else _EMPTY_VIEW
+        state = self._kind_state.get(kind)
+        return _EMPTY_VIEW if state is None or state[3] is None else state[3]
 
     def all_of_kind(self, kind: str) -> EventsView:
         """:meth:`of_kind`, or ValueError if the trace dropped some of them.
@@ -771,7 +826,13 @@ class Trace:
 
     def iter_kind(self, kind: str) -> Iterator[TraceEvent]:
         """Lazy iterator over kept events of ``kind``."""
-        return iter(self._by_kind.get(kind, ()))
+        return iter(self.of_kind(kind))
+
+    def iter_kinds(self, *kinds: str) -> Iterator[TraceEvent]:
+        """Lazy iterator over kept events of any of ``kinds``, in record
+        order; only their records become :class:`TraceEvent`s."""
+        ids = {lane.id for lane in self._all.lanes if lane.kind in kinds}
+        return self._all._walk(i for i in self._all.which if i in ids) if ids else iter(())
 
     def where(self, kind: str, **matches: Any) -> list[TraceEvent]:
         """Events of ``kind`` whose fields equal every given ``matches``."""
@@ -803,7 +864,7 @@ class Trace:
                 "digest() on a kind-limited trace requires Trace(digest=True)"
             )
         hasher = _new_hasher()
-        for event in self._events:
+        for event in self._all:
             hasher.update(_record_bytes(event.time, event.kind, event._names, event._values))
         return _hexdigest(hasher)
 
@@ -849,18 +910,31 @@ class Trace:
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         digest_enabled = state.pop("_digest_enabled")
+        events = state.pop("_events", None)
+        state.pop("_by_kind", None)
+        Trace.__init__(self)  # what a state lacks keeps its default
         self.__dict__.update(state)
         self._hasher = _new_hasher() if digest_enabled else None
         self._dig_buf = self._hash_buf if digest_enabled else None
+        if events is not None:
+            # Pickled when a trace kept TraceEvents in two lists (``_events``
+            # and ``_by_kind``, which was each kind state's slot 3).
+            for kind, kind_state in self._kind_state.items():
+                kind_state[3] = None if kind_state[3] is None else EventsView(kind)
+            for event in events:
+                self._keep(self._kind_state[event.kind][3], event.time,
+                           event._names, event._values)
+        for lane in self._all.lanes:
+            lane.names = _intern(lane.names, lane.names)  # one tuple per schema
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        return iter(self._all)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._all.which)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        total = sum(state[self._COUNT] for state in self._kind_state.values())
+        total = sum(state[0] for state in self._kind_state.values())
         return f"<Trace {total} records, {len(self._kind_state)} kinds>"
 
 

@@ -1,16 +1,20 @@
 """Kept trace records are rows: time, kind, interned field names, values.
 
-A kept :class:`~repro.sim.tracing.TraceEvent` used to hold its fields as
-a dict; a row holds one name tuple shared by every record of its schema
-and a values tuple, and derives ``fields`` on read. These tests pin what
-that buys (bytes per kept record), that every recording lane writes the
-same row with the same reads, and that the dict layout's pickled state
-still loads.
+A trace keeps each record in its schema's lane: the time in an
+``array('d')`` and the values back to back in one list. A
+:class:`~repro.sim.tracing.TraceEvent`, built on read, holds one name
+tuple shared by every record of its schema and a values tuple, and
+derives ``fields`` on read. These tests pin what that buys (bytes per
+kept record), that every recording lane writes the same row with the
+same reads, and that the dict layout's and the TraceEvent-list layout's
+pickled states still load.
 """
 
 from __future__ import annotations
 
+import copyreg
 import gc
+import io
 import pickle
 import tracemalloc
 
@@ -18,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.tracing import Trace, TraceEvent
+from repro.sim.tracing import Trace, TraceEvent, row_names
 
 N_RECORDS = 20_000
 
@@ -54,13 +58,41 @@ def _logic_delivery(trace, seq, emitted_at):
                  seq=seq, emitted_at=emitted_at, delay=now - emitted_at)
 
 
-# Measured 169.3 B and 217.3 B on CPython 3.11.7, 3.12.1 and 3.13.0 alike.
+# Measured 36.1 B and 83.1 B on CPython 3.11.7 (169.3 B and 217.3 B when a
+# trace kept one TraceEvent per record); logic_delivery's fresh ``delay``
+# float is 24 B of its 83.
 def test_a_kept_three_field_record_costs_at_most_180_bytes():
     assert _bytes_per_kept_record(_ingest) <= 180  # 281 B as a dict
 
 
 def test_a_kept_logic_delivery_record_costs_at_most_230_bytes():
     assert _bytes_per_kept_record(_logic_delivery) <= 230  # 393 B as a dict
+
+
+_ROW = row_names("process", "app", "sensor", "seq")
+
+
+def test_a_kept_four_field_row_costs_at_most_64_bytes():
+    """The store's own bytes per kept row, its values already made: a time
+    in an array, four slots of a flat list and one lane id (45.2 B on
+    CPython 3.11.7). One object per record, as a TraceEvent was, costs
+    81 B here (153 B with its values tuple)."""
+    n = 10_000
+    rows = [("p1", "lights", "motion", 1_000 + i) for i in range(n + 1)]
+    times = [i * 1e-3 for i in range(n + 1)]
+    trace = Trace()
+    trace.record_row(times[0], "logic_delivery", _ROW, rows[0])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(1, n + 1):
+            trace.record_row(times[i], "logic_delivery", _ROW, rows[i])
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.of_kind("logic_delivery")) == n + 1
+    assert (after - before) / n <= 64
 
 
 def test_records_of_one_schema_share_one_name_tuple():
@@ -252,3 +284,52 @@ def test_a_kept_trace_round_trips_through_every_pickle_protocol(protocol):
     clone = pickle.loads(pickle.dumps(trace, protocol=protocol))
     assert list(clone.events) == list(trace.events)
     assert clone.digest() == trace.digest()
+
+
+class _TraceEventListPickler(pickle.Pickler):
+    """Pickles a trace as it was pickled when it kept TraceEvents: every
+    kept record in ``_events`` and in its kind's ``_by_kind`` list, which
+    is also slot 3 of the kind's state."""
+
+    def reducer_override(self, obj):
+        if type(obj) is not Trace:
+            return NotImplemented
+        state = obj.__getstate__()
+        del state["_all"]
+        state["_events"] = events = list(obj.events)
+        state["_by_kind"] = by_kind = {}
+        kinds = {}
+        for kind, kind_state in obj._kind_state.items():
+            kept = None if kind_state[3] is None else by_kind.setdefault(kind, [])
+            kinds[kind] = [*kind_state[:3], kept, kind_state[4]]
+        for event in events:
+            by_kind[event.kind].append(event)
+        state["_kind_state"] = kinds
+        return copyreg.__newobj__, (Trace,), state
+
+
+def test_a_trace_pickled_with_trace_event_lists_loads_to_the_same_views():
+    trace = Trace(keep_kinds={"ingest", "crash", "net_send", "boot"})
+    trace.record(0.5, "boot", process="p1")
+    trace.record_device(1.0, "ingest", "sensor", "s", process="p1", seq=1)
+    trace.record(1.0, "crash", process="p2")
+    trace.record(1.5, "dropped", x=1)
+    trace.message_channel("net_send", "p1", "p2").record(2.0, "keepalive", 20)
+    trace.record(2.5, "crash", process="p1", reason="power")
+    trace.record(3.0, "boot", process="p1", replayed=4)
+    blob = io.BytesIO()
+    _TraceEventListPickler(blob).dump(trace)
+    assert b"_by_kind" in blob.getvalue()
+    clone = pickle.loads(blob.getvalue())
+    assert not hasattr(clone, "_events") and not hasattr(clone, "_by_kind")
+    assert list(clone.events) == list(trace.events) and len(clone) == len(trace) == 6
+    for kind in ("boot", "ingest", "crash", "net_send", "dropped"):
+        assert list(clone.of_kind(kind)) == list(trace.of_kind(kind))
+        assert clone.count(kind) == trace.count(kind)
+    assert clone.of_kind("crash")[-1]["reason"] == "power"
+    assert clone.tally("net_send", "keepalive") == (1, 20)
+    # It records on in the lane layout, each schema into its own lane.
+    for copy in (trace, clone):
+        copy.record(4.0, "crash", process="p2")
+    assert list(clone.events) == list(trace.events)
+    assert [e.time for e in clone.iter_kinds("crash", "boot")] == [0.5, 1.0, 2.5, 3.0, 4.0]
