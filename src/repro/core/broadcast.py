@@ -122,7 +122,7 @@ class NaiveBroadcastDelivery:
             listener(event)
 
     def _deliver_local(self, event: Event) -> None:
-        self._ctx.env.trace_device("ingest", "sensor", self.sensor, seq=event.seq)
+        self._ctx.env.trace_device("ingest", self.sensor, event.seq)
         self._ctx.env.schedule(
             self._ctx.processing.local_dispatch,
             self._ctx.deliver_local, self.sensor, event, None,

@@ -147,9 +147,6 @@ class DeliveryService:
     def instances(self) -> dict[str, object]:
         return dict(self._instances)
 
-    def coordinator_for(self, sensor: str) -> PollCoordinator | None:
-        return self._coordinators.get(sensor)
-
     # -- lifecycle ---------------------------------------------------------------------
 
     def start(self) -> None:
@@ -233,9 +230,7 @@ class DeliveryService:
             # Same record as trace("ingest_unrouted", sensor=..., seq=...).
             trace = self._fast_trace
             if trace is None:
-                self._ctx.env.trace_device(
-                    "ingest_unrouted", "sensor", event.sensor_id, event.seq
-                )
+                self._ctx.env.trace_device("ingest_unrouted", event.sensor_id, event.seq)
                 return
             channel = self._unrouted.get(event.sensor_id)
             if channel is None:

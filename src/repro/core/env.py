@@ -22,6 +22,7 @@ from typing import Any, Callable, Protocol, Sequence
 
 from repro.net.message import Message
 from repro.sim.random import RandomSource
+from repro.sim.schema import KINDS
 
 
 class CancelHandle(Protocol):
@@ -128,34 +129,31 @@ class RuntimeEnv(abc.ABC):
     def trace(self, kind: str, /, **fields: Any) -> None:
         """Record a structured trace event (metrics are functions of these)."""
 
-    def trace_device(
-        self, kind: str, id_field: str, id_value: str, seq: Any = None
-    ) -> None:
-        """Positional fast lane for the per-event device/ingest records.
+    def trace_device(self, kind: str, id_value: str, seq: Any) -> None:
+        """Positional fast lane for the per-event ingest records.
 
-        Semantically identical to ``trace(kind, <id_field>=id_value,
-        [seq=seq])`` — same aggregates, same digest bytes — but hot
-        environments (the simulator runtime, the rt node) override it to
-        write a positional row, skipping the kwargs packing on the records
-        emitted once per sensor event per process.
+        ``kind`` is declared ``<id field>, process, seq``
+        (:mod:`repro.sim.schema`). Semantically identical to ``trace(kind,
+        <id field>=id_value, seq=seq)`` — same counts, same digest bytes —
+        which is what this default does; hot environments (the simulator
+        runtime, the rt node) override it to write the declared row,
+        skipping the kwargs packing on the records emitted once per sensor
+        event per process.
         """
-        if seq is None:
-            self.trace(kind, **{id_field: id_value})
-        else:
-            self.trace(kind, **{id_field: id_value, "seq": seq})
+        self.trace(kind, **{KINDS[kind].fields[0]: id_value, "seq": seq})
 
-    def trace_row(self, kind: str, names: tuple[str, ...], values: tuple) -> None:
+    def trace_row(self, kind: str, values: tuple) -> None:
         """Positional fast lane for the per-event protocol records.
 
-        ``names`` is a module-level :func:`repro.sim.tracing.row_names`
-        schema whose first field is ``process``, which the environment
-        fills; ``values`` are the other fields, in order. Semantically
-        identical to ``trace(kind, **dict(zip(names[1:], values)))`` — same
-        aggregates, same digest bytes, same kept fields — which is what
-        this default does; hot environments (the simulator runtime, the rt
-        node) override it to hand the row to ``Trace.record_row`` as is.
+        ``kind`` is declared with ``process`` first (:mod:`repro.sim.schema`),
+        which the environment fills; ``values`` are its other fields, in
+        declared order. Semantically identical to ``trace(kind,
+        **dict(zip(fields[1:], values)))`` — same counts, same digest bytes,
+        same kept fields — which is what this default does; hot
+        environments (the simulator runtime, the rt node) override it to
+        hand the row to ``Trace.record_row`` as is.
         """
-        self.trace(kind, **dict(zip(names[1:], values)))
+        self.trace(kind, **dict(zip(KINDS[kind].fields[1:], values)))
 
     @abc.abstractmethod
     def peers(self) -> list[str]:

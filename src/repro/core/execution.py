@@ -36,15 +36,10 @@ from repro.core.windows import TriggeredWindow, WindowInstance
 from repro.membership.heartbeat import HeartbeatService
 from repro.membership.views import LocalView
 from repro.net.latency import ProcessingModel
-from repro.sim.tracing import row_names
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.delivery_service import DeliveryService
     from repro.core.env import RuntimeEnv
-
-#: The once-per-event records' schemas (see RuntimeEnv.trace_row).
-_LOGIC_DELIVERY = row_names("process", "app", "sensor", "seq", "emitted_at", "delay")
-_COMMAND_ISSUED = row_names("process", "app", "actuator", "action", "seq")
 
 
 class _OperatorContext:
@@ -256,7 +251,7 @@ class LogicRuntime:
             return
         self.service.watermarks_changed()
         now = self.env.now()
-        self.env.trace_row("logic_delivery", _LOGIC_DELIVERY, (
+        self.env.trace_row("logic_delivery", (
             self.app.name, sensor, event.seq, event.emitted_at, now - event.emitted_at))
         if self._repair is not None:
             # Repair sits between platform delivery (traced above, so the
@@ -347,7 +342,7 @@ class LogicRuntime:
             value=value,
             issued_by=self._issuer,
         )
-        self.env.trace_row("command_issued", _COMMAND_ISSUED, (
+        self.env.trace_row("command_issued", (
             self.app.name, actuator, action, self._cmd_seq))
         self.service.send_command(command, self.app)
 

@@ -82,7 +82,7 @@ class GapDelivery:
 
     def on_ingest(self, event: Event) -> None:
         """Direct receipt from the sensor at this process."""
-        self._ctx.env.trace_device("ingest", "sensor", self.sensor, seq=event.seq)
+        self._ctx.env.trace_device("ingest", self.sensor, event.seq)
         for listener in self._seen_listeners:
             listener(event)
         me = self._ctx.env.name
@@ -107,7 +107,7 @@ class GapDelivery:
 
     def on_message(self, message: Message) -> None:
         event: Event = message["event"]
-        self._ctx.env.trace_device("relay_receive", "sensor", self.sensor, seq=event.seq)
+        self._ctx.env.trace_device("relay_receive", self.sensor, event.seq)
         self._deliver_local(event, message["app"])
 
     def on_view_change(self, view: LocalView, added: frozenset, removed: frozenset) -> None:

@@ -96,7 +96,7 @@ class GaplessDelivery:
     def on_ingest(self, event: Event) -> None:
         if not self._record(event):
             return  # duplicate multicast receipt
-        self._ctx.env.trace_device("ingest", "sensor", self.sensor, seq=event.seq)
+        self._ctx.env.trace_device("ingest", self.sensor, event.seq)
         self._deliver_local(event)
         # The journal write happens off the local delivery path but before
         # the event enters the ring (see net.latency.ProcessingModel).
@@ -125,7 +125,7 @@ class GaplessDelivery:
         view = self._ctx.heartbeat.view
 
         if self._record(event):
-            self._ctx.env.trace_device("relay_receive", "sensor", self.sensor, seq=event.seq)
+            self._ctx.env.trace_device("relay_receive", self.sensor, event.seq)
             self._deliver_local(event)
             successor = view.ring_successor()
             if successor is not None:

@@ -27,7 +27,8 @@ generic assertion:
 - **delivered events exist** — sanity: nothing may be delivered to an
   application that no sensor ever emitted.
 
-The oracles only see trace kinds listed in :data:`ORACLE_TRACE_KINDS`, so
+The oracles only see the trace kinds :mod:`repro.sim.schema` tags
+:data:`~repro.sim.schema.ORACLE` (:data:`ORACLE_TRACE_KINDS`), so
 campaign runs can use ``keep_trace_kinds`` to bound memory, and every rt
 harness keeps exactly that set (the other kinds are counted, not stored).
 :func:`check_all` refuses a trace that counted a record of one of those
@@ -39,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro.sim.schema import ACTIVITY, EMISSION, MESSAGE, ORACLE, tagged
 from repro.sim.tracing import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,24 +49,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Trace kinds the oracles read. A campaign home may restrict its trace to
 #: this set (plus whatever else it wants) without blinding any checker; an
 #: rt harness's trace keeps this set and nothing else.
-ORACLE_TRACE_KINDS: frozenset[str] = frozenset({
-    "sensor_emit", "poll_served",
-    "ingest", "relay_receive", "rbcast_receive",
-    "logic_delivery",
-    "crash", "recover",
-    "poll_issued", "epoch_gap",
-    "command_issued", "command_rerouted", "actuation",
-    "partition", "partition_healed",
-    "promotion", "demotion", "promotion_replay",
-    "alert", "repair",
-})
+ORACLE_TRACE_KINDS: frozenset[str] = frozenset(tagged(ORACLE))
 
 #: Record kinds that represent protocol activity attributed to a process
 #: (``fields["process"]``); none may occur while that process is down.
-_PROCESS_ACTIVITY_KINDS = (
-    "ingest", "relay_receive", "rbcast_receive", "logic_delivery",
-    "poll_issued", "command_issued",
-)
+_PROCESS_ACTIVITY_KINDS = tagged(ACTIVITY)
 
 
 @dataclass(frozen=True)
@@ -221,7 +210,7 @@ def check_delivery_guarantee(record: RunRecord) -> list[Violation]:
 def check_delivered_events_exist(record: RunRecord) -> list[Violation]:
     """No app may process an event its sensor never emitted."""
     emitted: dict[str, set[int]] = {}
-    for kind in ("sensor_emit", "poll_served"):
+    for kind in tagged(EMISSION):
         for entry in record.trace.iter_kind(kind):
             emitted.setdefault(entry["sensor"], set()).add(entry["seq"])
     violations: list[Violation] = []
@@ -575,7 +564,7 @@ def check_all(record: RunRecord) -> list[Violation]:
 
 #: Trace kinds whose records carry src/dst process pairs; in a fleet, both
 #: ends must belong to the home whose trace recorded them.
-_PAIRED_NET_KINDS = ("net_send", "net_deliver", "net_drop")
+_PAIRED_NET_KINDS = tagged(MESSAGE)
 
 
 def check_fleet_isolation(fleet: Any) -> list[Violation]:

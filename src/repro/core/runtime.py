@@ -224,19 +224,11 @@ class RivuletProcess(ServiceHost):
     def trace(self, kind: str, /, **fields: Any) -> None:
         self._trace.record(self._scheduler._now, kind, process=self.name, **fields)
 
-    def trace_device(
-        self, kind: str, id_field: str, id_value: str, seq: Any = None
-    ) -> None:
-        # Same record as trace(kind, <id_field>=id_value, seq=seq) — the
-        # digest sorts field keys, so insertion order is immaterial — but
-        # routed down Trace.record_device's positional lane.
-        self._trace.record_device(
-            self._scheduler._now, kind, id_field, id_value,
-            process=self.name, seq=seq,
-        )
+    def trace_device(self, kind: str, id_value: str, seq: Any) -> None:
+        self._trace.record_device(self._scheduler._now, kind, id_value, self.name, seq)
 
-    def trace_row(self, kind: str, names: tuple[str, ...], values: tuple) -> None:
-        self._trace.record_row(self._scheduler._now, kind, names, (self.name, *values))
+    def trace_row(self, kind: str, values: tuple) -> None:
+        self._trace.record_row(self._scheduler._now, kind, (self.name, *values))
 
     # -- transport endpoint ------------------------------------------------------------------
 

@@ -337,7 +337,7 @@ class RadioNetwork:
                 continue
             rate = link.loss_rate
             if rate > 0.0 and (rate >= 1.0 or loss_rng._rng.random() < rate):
-                trace.record_device(now, "radio_lost", "sensor", link.device,
+                trace.record_device(now, "radio_lost", link.device,
                                     link.process, seq)
                 continue
             tech = link.technology
@@ -366,8 +366,8 @@ class RadioNetwork:
     ) -> None:
         now = self._scheduler._now
         if not listener.alive:
-            self._trace.record_device(now, "radio_undelivered", "sensor",
-                                      link.device, link.process, event.seq)
+            self._trace.record_device(now, "radio_undelivered", link.device,
+                                      link.process, event.seq)
             return
         delivered.record(now, event.seq)
         listener.on_sensor_event(event)
@@ -395,11 +395,11 @@ class RadioNetwork:
             return
         scheduler = self._scheduler
         now = scheduler._now
-        self._trace.record_device(now, "poll_request", "sensor", sensor_name,
+        self._trace.record_device(now, "poll_request", sensor_name,
                                   process_name)
         if self._link_stream(entry, _POLL_RNG, "poll").chance(link.loss_rate):
-            self._trace.record_device(now, "poll_request_lost", "sensor",
-                                      sensor_name, process_name)
+            self._trace.record_device(now, "poll_request_lost", sensor_name,
+                                      process_name)
             return
         sensor = entry[_DEVICE]
         if sensor is None:
@@ -435,7 +435,7 @@ class RadioNetwork:
         loss_rng = self._stream(f"pollresp/{link.device}/{process_name}")
         if loss_rng.chance(link.loss_rate):
             self._trace.record_device(self._scheduler._now, "poll_response_lost",
-                                      "sensor", link.device, process_name)
+                                      link.device, process_name)
             return
         delay = link.technology.transit_delay(event.size_bytes, self._rng)
         scheduler = self._scheduler
@@ -455,7 +455,7 @@ class RadioNetwork:
         if listener is None or not listener.alive:
             return
         self._trace.record_device(self._scheduler._now, "poll_response",
-                                  "sensor", link.device, process_name, event.seq)
+                                  link.device, process_name, event.seq)
         on_response(event)
 
     # -- actuation ----------------------------------------------------------------
@@ -470,12 +470,11 @@ class RadioNetwork:
             return
         scheduler = self._scheduler
         now = scheduler._now
-        self._trace.record_device(now, "command_sent", "actuator",
-                                  command.actuator_id, process_name,
-                                  action=command.action)
+        self._trace.record_device(now, "command_sent", command.actuator_id,
+                                  process_name, command.action)
         if self._link_stream(entry, _CMD_RNG, "cmd").chance(link.loss_rate):
-            self._trace.record_device(now, "command_lost", "actuator",
-                                      command.actuator_id, process_name)
+            self._trace.record_device(now, "command_lost", command.actuator_id,
+                                      process_name)
             return
         actuator = entry[_DEVICE]
         if actuator is None:

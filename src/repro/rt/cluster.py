@@ -48,6 +48,7 @@ from repro.core.stack import RT_STACK
 from repro.rt import wire
 from repro.rt.harness import RtHarness
 from repro.rt.node import AsyncRivuletNode, PollHandler
+from repro.sim.schema import QUIESCE, tagged
 
 
 def bound_socket() -> socket.socket:
@@ -65,11 +66,7 @@ def bound_socket() -> socket.socket:
 #: Trace kinds whose counts constitute "protocol activity" for
 #: :meth:`LocalCluster.quiesce` — heartbeat chatter never settles, but
 #: event propagation, app delivery, and actuation do.
-QUIESCE_KINDS: tuple[str, ...] = (
-    "ingest", "relay_receive", "rbcast_receive", "logic_delivery",
-    "command_issued", "command_rerouted", "actuation",
-    "poll_served", "promotion", "promotion_replay",
-)
+QUIESCE_KINDS: tuple[str, ...] = tagged(QUIESCE)
 
 
 class LocalCluster(RtHarness):

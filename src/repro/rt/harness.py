@@ -108,7 +108,7 @@ class RtHarness:
             value=value,
             size_bytes=size_bytes,
         )
-        self.trace.record_device(now, "sensor_emit", "sensor", sensor, seq=event.seq)
+        self.trace.record_device(now, "sensor_emit", sensor, event.seq)
         for receiver in receivers:
             node = self.nodes[receiver]
             if not node.alive:

@@ -36,16 +36,13 @@ from repro.net.latency import ProcessingModel
 from repro.net.message import Message
 from repro.rt import wire
 from repro.sim.random import RandomSource
-from repro.sim.tracing import Trace, row_names
+from repro.sim.tracing import Trace
 
 PollHandler = Callable[[str, Callable[[Event], None]], None]
 
 #: Frames a node holds for one peer that is not taking them; the next send
 #: is dropped and traced as ``send_dropped``.
 SEND_QUEUE_LIMIT = 10_000
-
-#: The per-command record's schema (see RuntimeEnv.trace_row).
-_ACTUATION = row_names("process", "actuator", "action", "by")
 
 
 class AsyncRivuletNode(ServiceHost):
@@ -105,7 +102,9 @@ class AsyncRivuletNode(ServiceHost):
         self._server = await self._loop.create_server(functools.partial(
             wire.FrameProtocol, self._dispatch, self._inbound, on_error=self._wire_error), **where)
         self.boot_services()
-        self.trace("boot")
+        # The real runtime never recovers a process in place, so every
+        # boot is the first: incarnation 0, as on a fresh simulated process.
+        self.trace("boot", incarnation=0)
 
     async def stop(self) -> None:
         """Crash-stop the node: close the server and all connections."""
@@ -203,15 +202,12 @@ class AsyncRivuletNode(ServiceHost):
     def trace(self, kind: str, /, **fields: Any) -> None:
         self._trace.record(self.now(), kind, process=self.name, **fields)
 
-    def trace_device(
-        self, kind: str, id_field: str, id_value: str, seq: Any = None
-    ) -> None:
+    def trace_device(self, kind: str, id_value: str, seq: Any) -> None:
         # The positional lane, as on the simulator's process.
-        self._trace.record_device(
-            self.now(), kind, id_field, id_value, process=self.name, seq=seq)
+        self._trace.record_device(self.now(), kind, id_value, self.name, seq)
 
-    def trace_row(self, kind: str, names: tuple[str, ...], values: tuple) -> None:
-        self._trace.record_row(self.now(), kind, names, (self.name, *values))
+    def trace_row(self, kind: str, values: tuple) -> None:
+        self._trace.record_row(self.now(), kind, (self.name, *values))
 
     @property
     def traced(self) -> Trace:
@@ -230,7 +226,7 @@ class AsyncRivuletNode(ServiceHost):
             start = end
             handler = handlers.get(message.kind)
             if handler is None:
-                self.trace("unhandled_message", kind=message.kind)
+                self.trace("unhandled_message", kind=message.kind, src=message.src)
             else:
                 handler(message)
 
@@ -241,7 +237,7 @@ class AsyncRivuletNode(ServiceHost):
 
     def _actuate_local(self, command: Command) -> None:
         self.actuations.append(command)
-        self._trace.record_row(self.now(), "actuation", _ACTUATION, (
+        self._trace.record_row(self.now(), "actuation", (
             self.name, command.actuator_id, command.action, command.issued_by))
         if self._on_actuate is not None:
             self._on_actuate(command)

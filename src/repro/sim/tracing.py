@@ -11,22 +11,22 @@ O(1) appends and O(1) aggregate queries:
 
 - events are stored **indexed by kind** as they arrive, so ``of_kind`` is a
   dictionary lookup instead of a scan over the full stream;
-- incremental aggregates — per-kind counts, per-kind byte totals,
-  per-``(kind, sub-kind)`` message tallies and per-``(src, dst)`` pair
-  counts — are maintained inside ``record()`` so accounting helpers such as
-  :meth:`repro.net.transport.HomeNetwork.bytes_sent` never re-scan;
+- incremental aggregates — per-kind counts and, for the message kinds,
+  byte totals, per-``(kind, sub-kind)`` tallies and per-``(src, dst)``
+  pair counts — are maintained as records arrive, so accounting helpers
+  such as :meth:`repro.net.transport.HomeNetwork.bytes_sent` never re-scan;
+- every record kind is declared once, in :mod:`repro.sim.schema`: the
+  positional lanes take their field names from that table, and its
+  message kinds are recorded through a :class:`MessageChannel`, which
+  keeps their aggregates;
 - the hottest record families bypass the kwargs path entirely:
   :meth:`Trace.message_channel` hands the transport a per-``(kind, src,
   dst)`` :class:`MessageChannel` with every aggregate cell pre-resolved,
   :meth:`Trace.device_channel` hands the radio, the sensors and the
   delivery service a per-``(kind, sensor[, process])``
-  :class:`DeviceChannel` for the once-per-event records, and
-  :meth:`Trace.record_row` is the positional lane for the per-event
-  records that carry no aggregate fields: ``RuntimeEnv.trace_row``
-  (``logic_delivery``, ``command_issued``, the rt ``actuation``) and, through
-  :meth:`Trace.record_device`, the remaining radio/device kinds
-  (``radio_lost``, ``poll_*``, ``command_*``) and ``trace_device``
-  (``ingest``, ``relay_receive``);
+  :class:`DeviceChannel`, and :meth:`Trace.record_row` /
+  :meth:`Trace.record_device` take any other declared kind's row by
+  position;
 - this module is the only one that knows the digest byte layout: one
   encoder per record shape (:func:`_record_bytes` for any row or fields
   dict, :class:`MessageChannel` and :class:`DeviceChannel` for their fixed
@@ -53,8 +53,10 @@ import struct
 from array import array
 from collections import Counter
 from collections.abc import Sequence
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Any, Callable, Iterable, Iterator
+
+from repro.sim.schema import KINDS, MESSAGE, tagged
 
 #: Digest format version. v1 hashed ``repr()``-joined text records; v2 is a
 #: length-prefixed binary framing (floats via ``struct.pack("<d", ...)``)
@@ -209,9 +211,9 @@ class TraceEvent:
     """One timestamped occurrence, as a reader or a subscriber sees it.
 
     A record is ``time``, ``kind``, a field-name tuple and the matching
-    values tuple; ``fields`` is a dict derived on each read. The lanes pass
-    interned name tuples (:func:`row_names`), so every record of one schema
-    shares one tuple object.
+    values tuple; ``fields`` is a dict derived on each read. Name tuples are
+    interned (a declared kind's are its :mod:`repro.sim.schema` fields), so
+    every record of one schema shares one tuple object.
     A trace does not keep TraceEvents: it keeps each record as a time and
     values in its schema's lane (:class:`_Lane`) and builds a TraceEvent
     only when a view is read or a subscriber is called, so a kept 4-field
@@ -273,66 +275,27 @@ class TraceEvent:
 _new_event = object.__new__
 
 
-def row_names(*names: str) -> tuple[str, ...]:
-    """``names`` interned: the schema a :meth:`Trace.record_row` caller
-    declares once, at module level."""
-    return _intern(names, names)
+#: kind -> its declared field names, interned (see :mod:`repro.sim.schema`).
+_FIELDS = {kind: _intern(spec.fields, spec.fields) for kind, spec in KINDS.items()}
+_MESSAGE_KINDS = frozenset(tagged(MESSAGE))
 
 
-#: The positional lanes' interned schemas, in each lane's field order.
-_N_MSG = row_names("src", "dst", "kind")
-_N_MSG_BYTES = row_names("src", "dst", "kind", "bytes")
-_N_MSG_REASON = row_names("src", "dst", "kind", "reason")
-_N_MSG_BYTES_REASON = row_names("src", "dst", "kind", "bytes", "reason")
-_N_SENSOR_SEQ = row_names("sensor", "seq")
-_N_SENSOR_PROCESS_SEQ = row_names("sensor", "process", "seq")
+def _declared_row(kind: str, values: tuple) -> tuple[tuple[str, ...], tuple]:
+    """A declared kind's names and values, given one value per declared
+    field: an optional field whose value is None is left out."""
+    spec = KINDS[kind]
+    if spec.optional and None in values:
+        keep = [value is not None or name not in spec.optional
+                for name, value in zip(spec.fields, values)]
+        names = tuple(compress(spec.fields, keep))
+        return _intern(names, names), tuple(compress(values, keep))
+    return _FIELDS[kind], values
 
 
-def _message_row(
-    src: str, dst: str, sub_kind: str, nbytes: int | None, reason: str | None
-) -> tuple[tuple[str, ...], tuple]:
-    """A message record's row: ``src, dst, kind[, bytes][, reason]``."""
-    if reason is None:
-        if nbytes is None:
-            return _N_MSG, (src, dst, sub_kind)
-        return _N_MSG_BYTES, (src, dst, sub_kind, nbytes)
-    if nbytes is None:
-        return _N_MSG_REASON, (src, dst, sub_kind, reason)
-    return _N_MSG_BYTES_REASON, (src, dst, sub_kind, nbytes, reason)
-
-
-#: id field -> the interned names of its eight record_device shapes,
-#: indexed by which of process (1), seq (2) and action (4) are present.
-_DEVICE_NAMES: dict[str, tuple[tuple[str, ...], ...]] = {}
-
-
-def _device_shapes(id_field: str) -> tuple[tuple[str, ...], ...]:
-    optional = ("process", "seq", "action")
-    shapes = _DEVICE_NAMES[id_field] = tuple(
-        row_names(id_field, *[name for bit, name in enumerate(optional) if mask >> bit & 1])
-        for mask in range(8)
-    )
-    return shapes
-
-
-def _device_row(
-    id_field: str, id_value: Any, process: Any, seq: Any, action: Any
-) -> tuple[tuple[str, ...], tuple]:
-    """A device record's row: ``<id_field>[, process][, seq][, action]``,
-    each optional field present unless None."""
-    shapes = _DEVICE_NAMES.get(id_field) or _device_shapes(id_field)
-    if process is None:
-        if seq is None:
-            mask, values = 0, (id_value,)
-        else:
-            mask, values = 2, (id_value, seq)
-    elif seq is None:
-        mask, values = 1, (id_value, process)
-    else:
-        mask, values = 3, (id_value, process, seq)
-    if action is None:
-        return shapes[mask], values
-    return shapes[mask | 4], values + (action,)
+def _message_args(src: str, dst: str, kind: str, bytes: int | None = None,
+                  reason: str | None = None) -> tuple:
+    """A message record's fields as :meth:`MessageChannel.record` takes them."""
+    return src, dst, kind, bytes, reason
 
 
 class _Lane:
@@ -422,13 +385,13 @@ class Trace:
     """
 
     # _kind_state value layout: one mutable list per record kind, looked up
-    # once per record() call (the profile/count/kept-list/subscriber checks
+    # once per record() call (the message/count/kept-list/subscriber checks
     # all ride on that single dictionary access). Every lane, and the
     # transport, spells a slot by its index:
     #   [0] records of this kind so far
-    #   [1] running sum of the "bytes" field
-    #   [2] profile bitmask, decided on first sight of the kind: 1 = carries
-    #       "bytes", 2 = a sub-kind ("kind" field), 4 = "src" and "dst"
+    #   [1] running sum of the "bytes" field (message kinds)
+    #   [2] True for a message kind (repro.sim.schema.MESSAGE): its records
+    #       go through a MessageChannel, which keeps the aggregates
     #   [3] the kind's EventsView of kept records, or None
     #   [4] kind-scoped subscriber list, or None
 
@@ -486,22 +449,11 @@ class Trace:
         # keep their fast path when only specific kinds are watched.
         self._has_observers = digest
 
-    def _new_kind(self, kind: str, fields: dict[str, Any]) -> list:
-        """First record of ``kind``: fix its aggregate profile and wiring.
-
-        Record schemas are stable per kind, so deciding once which of
-        bytes / sub-kind / (src, dst) the kind carries lets every later
-        record skip the field probes entirely.
-        """
-        profile = (
-            (1 if "bytes" in fields else 0)
-            | (2 if "kind" in fields else 0)
-            | (4 if "src" in fields and "dst" in fields else 0)
-        )
-        kept = EventsView(kind) if self._keep_kinds is None or kind in self._keep_kinds else None
-        if profile & 2:
-            self._sub_tallies.setdefault(kind, {})
-        state = [0, 0, profile, kept, self._kind_subscribers.get(kind)]
+    def _new_kind(self, kind: str) -> list:
+        """First record of ``kind``: its state (layout above)."""
+        keep = self._keep_kinds
+        kept = EventsView(kind) if keep is None or kind in keep else None
+        state = [0, 0, kind in _MESSAGE_KINDS, kept, self._kind_subscribers.get(kind)]
         self._kind_state[kind] = state
         return state
 
@@ -556,39 +508,12 @@ class Trace:
             buf.clear()
 
     def record(self, time: float, kind: str, /, **fields: Any) -> None:
-        state = self._kind_state.get(kind)
-        if state is None:
-            state = self._new_kind(kind, fields)
+        state = self._kind_state.get(kind) or self._new_kind(kind)
+        if state[2]:
+            src, dst, sub_kind, nbytes, reason = _message_args(**fields)
+            self.message_channel(kind, src, dst).record(time, sub_kind, nbytes, reason)
+            return
         state[0] += 1
-
-        profile = state[2]
-        if profile:
-            get = fields.get
-            nbytes = get("bytes") if profile & 1 else None
-            if nbytes is not None:
-                state[1] += nbytes
-            if profile & 2:
-                sub = get("kind")
-                if sub is not None:
-                    tallies = self._sub_tallies[kind]
-                    tally = tallies.get(sub)
-                    if tally is None:
-                        tallies[sub] = tally = [0, 0]
-                    tally[0] += 1
-                    if nbytes is not None:
-                        tally[1] += nbytes
-            if profile & 4:
-                src = get("src")
-                dst = get("dst")
-                if src is not None and dst is not None:
-                    pkey = (kind, src, dst)
-                    pairs = self._pair_counts
-                    cell = pairs.get(pkey)
-                    if cell is None:
-                        pairs[pkey] = [1]
-                    else:
-                        cell[0] += 1
-
         if state[3] is not None or state[4] is not None or self._subscribers:
             names = tuple(fields)
             self._finish(time, kind, state, _intern(names, names), fields.values())
@@ -615,54 +540,28 @@ class Trace:
         its channel instead (the transport, the rt fault proxy)."""
         self.message_channel(kind, src, dst).record(time, sub_kind, nbytes, reason)
 
-    def record_row(
-        self, time: float, kind: str, names: tuple[str, ...], values: tuple
-    ) -> None:
-        """The positional lane for :meth:`record`: one record as a row.
+    def record_row(self, time: float, kind: str, values: tuple) -> None:
+        """The positional lane for :meth:`record`: one record of a declared
+        kind as its row, one value per declared field in declared order.
 
-        ``names`` is an interned field-name tuple (:func:`row_names`) and
-        ``values`` its values in that order. Semantically identical to
-        ``record(time, kind, **dict(zip(names, values)))`` — same counts,
-        same kept events, same digest bytes — but the row is kept as given,
-        and nothing is built while the record is only counted. For kinds
-        whose schemas carry no aggregate fields; a kind that does carry
-        them (``bytes``, ``kind``, ``src`` + ``dst``) takes the generic path.
+        Same counts, same kept events, same digest bytes as ``record(time,
+        kind, **dict(zip(fields, values)))``, but the row is kept as given,
+        and nothing is built while the record is only counted. Not for the
+        message kinds, whose records go through :meth:`message_channel`.
         """
-        state = self._kind_state.get(kind)
-        if state is not None and not state[2]:
-            state[0] += 1
-            if state[3] is not None or state[4] is not None or self._has_observers:
-                self._finish(time, kind, state, names, values)
-            return
-        self.record(time, kind, **dict(zip(names, values)))
+        state = self._kind_state.get(kind) or self._new_kind(kind)
+        state[0] += 1
+        if state[3] is not None or state[4] is not None or self._has_observers:
+            names = _FIELDS[kind]
+            if len(values) != len(names):
+                raise TypeError(f"{kind!r} is declared as {names}, not {len(values)} values")
+            self._finish(time, kind, state, names, values)
 
-    def record_device(
-        self,
-        time: float,
-        kind: str,
-        id_field: str,
-        id_value: str,
-        process: str | None = None,
-        seq: Any = None,
-        action: str | None = None,
-    ) -> None:
-        """:meth:`record_row` for a device record: ``<id_field>=id_value,
-        [process=...], [seq=...], [action=...]``, each optional field
-        present unless None.
-
-        For the radio/device record kinds (``radio_*``, ``poll_*``,
-        ``command_*``, ``sensor_*``, ``ingest``, ``relay_receive``); the
-        row is only built when storage, a subscriber or the streaming hash
-        needs it.
-        """
-        state = self._kind_state.get(kind)
-        if (state is not None and not state[2] and state[3] is None
-                and state[4] is None and not self._has_observers):
-            state[0] += 1
-            return
-        # Unpacked first: a starred call costs more than the row.
-        names, values = _device_row(id_field, id_value, process, seq, action)
-        self.record_row(time, kind, names, values)
+    def record_device(self, time: float, kind: str, /, *values: Any) -> None:
+        """:meth:`record_row` with the row as arguments: the lane of the
+        radio and device kinds (``radio_*``, ``poll_*``, ``command_*``,
+        ``ingest``, ``relay_receive``)."""
+        self.record_row(time, kind, values)
 
     def message_channel(self, kind: str, src: str, dst: str) -> "MessageChannel":
         """A pre-resolved recorder for one ``(kind, src, dst)`` message flow.
@@ -674,13 +573,7 @@ class Trace:
         channel per live ``(src, dst)`` pair (see
         :mod:`repro.net.transport`).
         """
-        state = self._kind_state.get(kind)
-        if state is None:
-            # Fix the kind's profile for message records: src/dst/sub-kind
-            # always present, bytes tracked when it appears.
-            state = self._new_kind(
-                kind, {"src": src, "dst": dst, "kind": "", "bytes": 0}
-            )
+        state = self._kind_state.get(kind) or self._new_kind(kind)
         pkey = (kind, src, dst)
         cell = self._pair_counts.get(pkey)
         if cell is None:
@@ -784,8 +677,7 @@ class Trace:
         for kind, theirs in other._kind_state.items():
             if theirs[3] is not None:
                 continue
-            state = self._kind_state.get(kind) or self._new_kind(kind, {})
-            state[2] |= theirs[2]
+            state = self._kind_state.get(kind) or self._new_kind(kind)
             state[0] += theirs[0]
             state[1] += theirs[1]
             tallies = self._sub_tallies.setdefault(kind, {})
@@ -916,6 +808,9 @@ class Trace:
         self.__dict__.update(state)
         self._hasher = _new_hasher() if digest_enabled else None
         self._dig_buf = self._hash_buf if digest_enabled else None
+        for kind, kind_state in self._kind_state.items():
+            # Slot 2 held a first-record field profile before kinds were declared.
+            kind_state[2] = kind in _MESSAGE_KINDS
         if events is not None:
             # Pickled when a trace kept TraceEvents in two lists (``_events``
             # and ``_by_kind``, which was each kind state's slot 3).
@@ -1069,7 +964,8 @@ class MessageChannel:
                 if len(buf) >= _FLUSH_BYTES:
                     trace._flush_hash()
                 return
-        names, values = _message_row(self.src, self.dst, sub_kind, nbytes, reason)
+        names, values = _declared_row(
+            self.kind, (self.src, self.dst, sub_kind, nbytes, reason))
         trace._finish(time, self.kind, state, names, values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -1095,9 +991,10 @@ class DeviceChannel:
         self.kind = kind
         self.sensor = sensor
         self.process = process
-        # None until the kind's first record fixed its profile (see record).
+        # None until the kind's first record: a kind's state is made when it
+        # is first recorded, so ``counts`` lists only kinds that were.
         self._state: list | None = trace._kind_state.get(kind)
-        self._names = _N_SENSOR_SEQ if process is None else _N_SENSOR_PROCESS_SEQ
+        self._names = _FIELDS[kind]
         # Digest payload between the packed time and the packed seq; the
         # sorted key order "process" < "sensor" < "seq" is fixed by the
         # alphabet, as in _record_bytes over the equivalent fields dict.
@@ -1112,13 +1009,8 @@ class DeviceChannel:
     def record(self, time: float, seq: int) -> None:
         state = self._state
         trace = self._trace
-        if state is None or state[2]:
-            # The kind's first record fixes its aggregate profile on the
-            # generic path; a kind that carries aggregate fields stays there.
-            trace.record_device(time, self.kind, "sensor", self.sensor,
-                                self.process, seq)
-            self._state = trace._kind_state[self.kind]
-            return
+        if state is None:
+            state = self._state = trace._kind_state.get(self.kind) or trace._new_kind(self.kind)
         state[0] += 1
         if state[3] is None and state[4] is None and not trace._subscribers:
             buf = trace._dig_buf

@@ -125,6 +125,8 @@ def test_oversized_frame_rejected():
 def test_unknown_message_kind_traced():
     async def scenario():
         cluster = two_node_cluster()
+        seen = []
+        cluster.trace.subscribe(seen.append, kinds=("boot", "unhandled_message"))
         async with cluster:
             node = cluster.node("a")
             from repro.net.message import Message
@@ -137,6 +139,12 @@ def test_unknown_message_kind_traced():
                 lambda: node.traced.count("unhandled_message") >= 1,
                 timeout=5.0,
             )
+        # The simulator's shapes (repro.sim.schema): one per kind.
+        assert [e.fields for e in seen] == [
+            {"process": "a", "incarnation": 0},
+            {"process": "b", "incarnation": 0},
+            {"process": "a", "kind": "martian", "src": "x"},
+        ]
 
     run(scenario())
 

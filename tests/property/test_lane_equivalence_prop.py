@@ -10,14 +10,23 @@ times, each record through an independently drawn lane, into an
 aggregate-only trace, a keep-everything trace and an aggregate-only trace
 with a kind-scoped subscriber: all three must agree with each other and
 with the stream written through ``Trace.record`` alone.
+
+The message and device kinds come from the declared schema
+(:mod:`repro.sim.schema`), so a newly declared kind is covered as soon as
+it is declared.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.sim.schema import KINDS, MESSAGE, tagged
 from repro.sim.tracing import _PACK_D, Trace
 
-MESSAGE_KINDS = ("net_send", "net_deliver", "net_drop")
-DEVICE_KINDS = ("sensor_emit", "radio_emit", "radio_delivered", "ingest_unrouted")
+MESSAGE_KINDS = tagged(MESSAGE)
+#: Kinds a DeviceChannel can write: ``sensor[, process], seq``.
+DEVICE_KINDS = tuple(
+    kind for kind, spec in KINDS.items()
+    if spec.fields in (("sensor", "seq"), ("sensor", "process", "seq"))
+)
 ENDPOINTS = ("hub", "tv", "fridge", "küche")
 
 names = st.one_of(
@@ -35,13 +44,18 @@ message_records = st.tuples(
     st.sampled_from(ENDPOINTS), st.sampled_from(ENDPOINTS), names,
     st.none() | st.integers(0, 2**40), st.none() | st.sampled_from(("partition", "dst_crashed")),
 )
-device_records = st.tuples(
-    st.just("device"), st.sampled_from(DEVICE_KINDS), names,
-    st.none() | st.sampled_from(ENDPOINTS), st.integers(0, 2**65),
-)
-generic_records = st.tuples(
-    st.just("generic"), st.sampled_from(("alert", "window_closed")),
-    st.dictionaries(st.sampled_from(("value", "note", "größe", "seq")), values),
+device_records = st.sampled_from(DEVICE_KINDS).flatmap(lambda kind: st.tuples(
+    st.just("device"), st.just(kind), names,
+    st.sampled_from(ENDPOINTS) if "process" in KINDS[kind].fields else st.none(),
+    st.integers(0, 2**65),
+))
+extras = st.dictionaries(st.sampled_from(("value", "note", "größe", "seq")), values)
+generic_records = st.one_of(
+    # The kind open to app extras, and one the schema does not declare.
+    st.tuples(st.just("generic"), st.just("alert"), st.fixed_dictionaries(
+        {name: values for name in KINDS["alert"].fields}).flatmap(
+            lambda declared: extras.map(lambda more: declared | more))),
+    st.tuples(st.just("generic"), st.just("window_closed"), extras),
 )
 # (record, ticks since the previous record): repeated instants exercise the
 # packed-time memo, and eighths of a second are exact in binary.
@@ -104,7 +118,8 @@ class Writer:
                 fields["process"] = process
             self.trace.record(time, kind, **fields)
         elif lane == 1:
-            self.trace.record_device(time, kind, "sensor", sensor, process, seq)
+            row = (sensor, seq) if process is None else (sensor, process, seq)
+            self.trace.record_device(time, kind, *row)
         else:
             key = (kind, sensor, process)
             channel = self.devices.get(key)

@@ -21,11 +21,15 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.tracing import Trace, TraceEvent, row_names
+from repro.sim import schema
+from repro.sim.tracing import Trace, TraceEvent, _intern
 
-MESSAGE_KINDS = ("net_send", "net_drop")
-DEVICE_KINDS = ("ingest", "radio_emit")
-ROW_KINDS = ("crash", "boot", "alert")
+MESSAGE_KINDS = schema.tagged(schema.MESSAGE)
+#: One device kind declared without a process, one with.
+DEVICE_KINDS = ("radio_emit", "ingest")
+#: Kinds with several schemas — optional fields, app extras — and one the
+#: table does not declare, whose records may carry any fields at all.
+ROW_KINDS = ("alert", "repair", "actuation", "custom")
 KINDS = MESSAGE_KINDS + DEVICE_KINDS + ROW_KINDS
 ENDPOINTS = ("hub", "tv", "küche")
 
@@ -34,20 +38,42 @@ _values = st.one_of(
     _text, st.integers(-2**70, 2**70), st.booleans(), st.none(),
     st.floats(allow_nan=False), st.tuples(st.integers(0, 9)),
 )
+
+
+@st.composite
+def _rows(draw):
+    """Several schemas per kind, the empty one included: records of one kind
+    spread over lanes, and the kind's lane-per-record array is exercised."""
+    kind = draw(st.sampled_from(ROW_KINDS))
+    spec = schema.KINDS.get(kind)
+    extras = st.dictionaries(st.sampled_from(("process", "reason", "seq")), _values,
+                             max_size=3)
+    if spec is None:
+        return "row", kind, draw(extras)
+    fields = {name: draw(_values) for name in spec.fields
+              if name not in spec.optional or draw(st.booleans())}
+    if spec.open:
+        fields |= {f"x_{name}": value for name, value in draw(extras).items()}
+    return "row", kind, fields
+
+
 _records = st.one_of(
     st.tuples(st.just("message"), st.sampled_from(MESSAGE_KINDS), st.sampled_from(ENDPOINTS),
               st.sampled_from(ENDPOINTS), _text, st.none() | st.integers(0, 2**40),
               st.none() | st.sampled_from(("partition", "dst_crashed"))),
-    st.tuples(st.just("device"), st.sampled_from(DEVICE_KINDS), _text,
-              st.none() | st.sampled_from(ENDPOINTS), st.integers(0, 2**62)),
-    # Several schemas per kind, the empty one included: records of one kind
-    # spread over lanes, and the kind's lane-per-record array is exercised.
-    st.tuples(st.just("row"), st.sampled_from(ROW_KINDS),
-              st.dictionaries(st.sampled_from(("process", "reason", "seq")), _values,
-                              max_size=3)),
+    st.tuples(st.just("device"), st.just("radio_emit"), _text, st.none(),
+              st.integers(0, 2**62)),
+    st.tuples(st.just("device"), st.just("ingest"), _text, st.sampled_from(ENDPOINTS),
+              st.integers(0, 2**62)),
+    _rows(),
 )
 # (record, ticks since the previous record); eighths of a second are exact.
 _streams = st.lists(st.tuples(_records, st.integers(0, 3)), max_size=40)
+
+
+def _row(fields: dict) -> tuple[tuple[str, ...], tuple]:
+    names = tuple(fields)
+    return _intern(names, names), tuple(fields.values())
 
 
 def _message_row(src, dst, sub_kind, nbytes, reason):
@@ -56,13 +82,13 @@ def _message_row(src, dst, sub_kind, nbytes, reason):
         fields["bytes"] = nbytes
     if reason is not None:
         fields["reason"] = reason
-    return row_names(*fields), tuple(fields.values())
+    return _row(fields)
 
 
 def _device_row(sensor, process, seq):
     if process is None:
-        return row_names("sensor", "seq"), (sensor, seq)
-    return row_names("sensor", "process", "seq"), (sensor, process, seq)
+        return _row({"sensor": sensor, "seq": seq})
+    return _row({"sensor": sensor, "process": process, "seq": seq})
 
 
 def reference(stream) -> list[TraceEvent]:
@@ -75,7 +101,7 @@ def reference(stream) -> list[TraceEvent]:
         elif shape == "device":
             names, values = _device_row(*rest)
         else:
-            names, values = row_names(*rest[0]), tuple(rest[0].values())
+            names, values = _row(rest[0])
         events.append(TraceEvent(time, kind, names, values))
     return events
 
@@ -110,14 +136,14 @@ class Writer:
                 if lane == 0:
                     trace.record(time, kind, **event.fields)
                 elif lane == 1:
-                    trace.record_row(time, kind, names, values)
+                    trace.record_row(time, kind, values)
                 elif lane == 2:
-                    trace.record_device(time, kind, "sensor", sensor, process, seq)
+                    trace.record_device(time, kind, *values)
                 else:
                     self._channel(trace.device_channel, kind, sensor, process).record(
                         time, seq)
-            elif self.draw(2):
-                trace.record_row(time, kind, names, values)
+            elif kind in schema.KINDS and names == schema.KINDS[kind].fields and self.draw(2):
+                trace.record_row(time, kind, values)
             else:
                 trace.record(time, kind, **event.fields)
 

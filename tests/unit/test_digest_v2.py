@@ -163,7 +163,7 @@ trace.record(0.125, "net_send", kind="keepalive", src="p0", dst="p1", bytes=64)
 trace.record(0.25, "view_change", members={{"p2", "p0", "p1"}},
              meta={{"epoch": 3, "cause": "héartbeat"}})
 trace.record(0.5, "weird", v=float("nan"), z=-0.0, n=None, big=2**70)
-trace.record_device(0.75, "sensor_emit", "sensor", "s1", None, 7)
+trace.record_device(0.75, "sensor_emit", "s1", 7)
 print(trace.digest())
 """
 
@@ -184,7 +184,7 @@ def test_subprocess_digest_equals_in_process():
     trace.record(0.25, "view_change", members={"p2", "p0", "p1"},
                  meta={"epoch": 3, "cause": "héartbeat"})
     trace.record(0.5, "weird", v=float("nan"), z=-0.0, n=None, big=2**70)
-    trace.record_device(0.75, "sensor_emit", "sensor", "s1", None, 7)
+    trace.record_device(0.75, "sensor_emit", "s1", 7)
     local = trace.digest()
 
     for hash_seed in ("0", "12345"):

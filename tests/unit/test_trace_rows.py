@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.tracing import Trace, TraceEvent, row_names
+from repro.sim.schema import KINDS
+from repro.sim.tracing import Trace, TraceEvent
 
 N_RECORDS = 20_000
 
@@ -49,7 +50,7 @@ def _bytes_per_kept_record(record) -> float:
 
 
 def _ingest(trace, seq, emitted_at):
-    trace.record(emitted_at + 2e-4, "ingest", process="p1", sensor="motion", seq=seq)
+    trace.record(emitted_at + 2e-4, "ingest", sensor="motion", process="p1", seq=seq)
 
 
 def _logic_delivery(trace, seq, emitted_at):
@@ -69,41 +70,39 @@ def test_a_kept_logic_delivery_record_costs_at_most_230_bytes():
     assert _bytes_per_kept_record(_logic_delivery) <= 230  # 393 B as a dict
 
 
-_ROW = row_names("process", "app", "sensor", "seq")
-
-
 def test_a_kept_four_field_row_costs_at_most_64_bytes():
     """The store's own bytes per kept row, its values already made: a time
     in an array, four slots of a flat list and one lane id (45.2 B on
     CPython 3.11.7). One object per record, as a TraceEvent was, costs
     81 B here (153 B with its values tuple)."""
     n = 10_000
-    rows = [("p1", "lights", "motion", 1_000 + i) for i in range(n + 1)]
+    rows = [("p1", "motion", 1_000 + i, "single") for i in range(n + 1)]
     times = [i * 1e-3 for i in range(n + 1)]
     trace = Trace()
-    trace.record_row(times[0], "logic_delivery", _ROW, rows[0])
+    trace.record_row(times[0], "poll_issued", rows[0])
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for i in range(1, n + 1):
-            trace.record_row(times[i], "logic_delivery", _ROW, rows[i])
+            trace.record_row(times[i], "poll_issued", rows[i])
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(trace.of_kind("logic_delivery")) == n + 1
+    assert len(trace.of_kind("poll_issued")) == n + 1
     assert (after - before) / n <= 64
 
 
 def test_records_of_one_schema_share_one_name_tuple():
     trace = Trace()
-    trace.record(1.0, "ingest", sensor="s", seq=1)
-    trace.record_device(2.0, "ingest", "sensor", "s", seq=2)
-    trace.record(3.0, "ingest", seq=3, sensor="s")
+    trace.record(1.0, "ingest", sensor="s", process="p", seq=1)
+    trace.record_device(2.0, "ingest", "s", "p", 2)
+    trace.record(3.0, "ingest", seq=3, process="p", sensor="s")
     first, second, reordered = trace.events
     assert first._names is second._names
+    assert first._names == KINDS["ingest"].fields
     assert reordered._names is not first._names
-    assert reordered.fields == {"sensor": "s", "seq": 3}
+    assert reordered.fields == {"seq": 3, "process": "p", "sensor": "s"}
 
 
 # -- every lane writes the same row ----------------------------------------------------
@@ -116,7 +115,6 @@ _values = st.one_of(
 _time = st.floats(0.0, 1e6, allow_nan=False)
 _id = st.text(min_size=1, max_size=5)
 _optional = st.one_of(st.none(), _id)
-_seq = st.one_of(st.none(), st.integers(0, 2**40))
 _nbytes = st.one_of(st.none(), st.integers(0, 2**20))
 _missing = st.sampled_from(["kind", "time", "absent"])
 
@@ -160,23 +158,26 @@ def test_record_keeps_a_row_with_the_fields_it_was_given(time, fields, missing):
     _check_reads(event, fields, missing)
 
 
+#: Declared kinds a positional lane writes: one value per declared field.
+_ROW_KINDS = sorted(kind for kind, spec in KINDS.items()
+                    if not spec.optional and not spec.open and spec.fields)
+
+
 @settings(max_examples=60, deadline=None)
-@given(_time, st.sampled_from(["sensor", "actuator"]), _id, _optional, _seq, _optional,
-       _missing)
-def test_record_device_writes_the_generic_row(
-    time, id_field, id_value, process, seq, action, missing
-):
-    expected = {id_field: id_value}
-    for name, value in (("process", process), ("seq", seq), ("action", action)):
-        if value is not None:
-            expected[name] = value
+@given(_time, st.sampled_from(_ROW_KINDS), st.data(), _missing)
+def test_record_device_writes_the_generic_row(time, kind, data, missing):
+    fields = KINDS[kind].fields
+    first, values = (tuple(data.draw(st.lists(_values, min_size=len(fields),
+                                              max_size=len(fields))))
+                     for _ in range(2))
+    expected = dict(zip(fields, values))
 
     def write(trace):
-        trace.record_device(0.0, "poll_issued", "sensor", "first")  # the kind's first sight
-        trace.record_device(time, "poll_issued", id_field, id_value, process, seq, action)
+        trace.record_device(0.0, kind, *first)  # the kind's first sight
+        trace.record_device(time, kind, *values)
 
     events = _lane_against_record(
-        write, [(0.0, "poll_issued", {"sensor": "first"}), (time, "poll_issued", expected)])
+        write, [(0.0, kind, dict(zip(fields, first))), (time, kind, expected)])
     _check_reads(events[1], expected, missing)
 
 
@@ -184,18 +185,19 @@ def test_record_device_writes_the_generic_row(
 @given(st.lists(st.tuples(_time, st.integers(0, 2**40)), min_size=2, max_size=4),
        _id, _optional, _missing)
 def test_device_channel_writes_the_generic_row(records, sensor, process, missing):
+    kind = "radio_emit" if process is None else "radio_delivered"
     expected = [
         {"sensor": sensor} | ({} if process is None else {"process": process}) | {"seq": seq}
         for _, seq in records
     ]
 
     def write(trace):
-        channel = trace.device_channel("ingest", sensor, process)
+        channel = trace.device_channel(kind, sensor, process)
         for time, seq in records:
             channel.record(time, seq)
 
     events = _lane_against_record(
-        write, [(time, "ingest", fields) for (time, _), fields in zip(records, expected)])
+        write, [(time, kind, fields) for (time, _), fields in zip(records, expected)])
     for event, fields in zip(events, expected):
         _check_reads(event, fields, missing)
 
@@ -247,8 +249,8 @@ def test_subscribers_see_the_same_row_the_trace_keeps():
     trace = Trace()
     seen = []
     trace.subscribe(seen.append)
-    trace.record_device(1.0, "ingest", "sensor", "s", process="p", seq=4)
-    trace.record_device(2.0, "ingest", "sensor", "s", process="p", seq=5)
+    trace.record_device(1.0, "ingest", "s", "p", 4)
+    trace.record_device(2.0, "ingest", "s", "p", 5)
     assert seen == list(trace.events)
     assert seen[1].fields == {"sensor": "s", "process": "p", "seq": 5}
 
@@ -278,8 +280,8 @@ def test_the_dict_layout_pickle_loads_as_a_row():
 @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
 def test_a_kept_trace_round_trips_through_every_pickle_protocol(protocol):
     trace = Trace()
-    trace.record(1.0, "ingest", sensor="s", seq=1)
-    trace.record_device(2.0, "ingest", "sensor", "s", process="p", seq=2)
+    trace.record(1.0, "ingest", sensor="s", process="p", seq=1)
+    trace.record_device(2.0, "ingest", "s", "p", 2)
     trace.message_channel("net_send", "a", "b").record(3.0, "keepalive", 20)
     clone = pickle.loads(pickle.dumps(trace, protocol=protocol))
     assert list(clone.events) == list(trace.events)
@@ -309,27 +311,29 @@ class _TraceEventListPickler(pickle.Pickler):
 
 
 def test_a_trace_pickled_with_trace_event_lists_loads_to_the_same_views():
-    trace = Trace(keep_kinds={"ingest", "crash", "net_send", "boot"})
-    trace.record(0.5, "boot", process="p1")
-    trace.record_device(1.0, "ingest", "sensor", "s", process="p1", seq=1)
-    trace.record(1.0, "crash", process="p2")
+    trace = Trace(keep_kinds={"ingest", "repair", "net_send", "alert"})
+    alert = {"process": "p1", "app": "a", "operator": "o", "message": "m"}
+    repair = {"process": "p2", "app": "a", "sensor": "s", "seq": 1, "decision": "drop"}
+    trace.record(0.5, "alert", **alert)
+    trace.record_device(1.0, "ingest", "s", "p1", 1)
+    trace.record(1.0, "repair", **repair)
     trace.record(1.5, "dropped", x=1)
     trace.message_channel("net_send", "p1", "p2").record(2.0, "keepalive", 20)
-    trace.record(2.5, "crash", process="p1", reason="power")
-    trace.record(3.0, "boot", process="p1", replayed=4)
+    trace.record(2.5, "repair", **repair, reason="power")
+    trace.record(3.0, "alert", **alert, replayed=4)
     blob = io.BytesIO()
     _TraceEventListPickler(blob).dump(trace)
     assert b"_by_kind" in blob.getvalue()
     clone = pickle.loads(blob.getvalue())
     assert not hasattr(clone, "_events") and not hasattr(clone, "_by_kind")
     assert list(clone.events) == list(trace.events) and len(clone) == len(trace) == 6
-    for kind in ("boot", "ingest", "crash", "net_send", "dropped"):
+    for kind in ("alert", "ingest", "repair", "net_send", "dropped"):
         assert list(clone.of_kind(kind)) == list(trace.of_kind(kind))
         assert clone.count(kind) == trace.count(kind)
-    assert clone.of_kind("crash")[-1]["reason"] == "power"
+    assert clone.of_kind("repair")[-1]["reason"] == "power"
     assert clone.tally("net_send", "keepalive") == (1, 20)
     # It records on in the lane layout, each schema into its own lane.
     for copy in (trace, clone):
-        copy.record(4.0, "crash", process="p2")
+        copy.record(4.0, "repair", **repair)
     assert list(clone.events) == list(trace.events)
-    assert [e.time for e in clone.iter_kinds("crash", "boot")] == [0.5, 1.0, 2.5, 3.0, 4.0]
+    assert [e.time for e in clone.iter_kinds("repair", "alert")] == [0.5, 1.0, 2.5, 3.0, 4.0]

@@ -48,7 +48,7 @@ def test_event_get_and_getitem():
 
 def test_field_named_kind_is_allowed():
     trace = Trace()
-    trace.record(0.0, "net_send", kind="keepalive")
+    trace.record(0.0, "net_send", src="a", dst="b", kind="keepalive", bytes=8)
     assert trace.of_kind("net_send")[0]["kind"] == "keepalive"
 
 
@@ -100,8 +100,8 @@ def test_of_kind_unknown_is_empty():
 
 def test_bytes_of_kind_sums_incrementally():
     trace = Trace()
-    trace.record(0.0, "net_send", bytes=10)
-    trace.record(1.0, "net_send", bytes=32)
+    trace.record(0.0, "net_send", src="a", dst="b", kind="k", bytes=10)
+    trace.record(1.0, "net_send", src="a", dst="b", kind="k", bytes=32)
     trace.record(2.0, "other")
     assert trace.bytes_of_kind("net_send") == 42
     assert trace.bytes_of_kind("other") == 0
@@ -109,9 +109,9 @@ def test_bytes_of_kind_sums_incrementally():
 
 def test_tally_tracks_sub_kind_count_and_bytes():
     trace = Trace()
-    trace.record(0.0, "net_send", kind="keepalive", bytes=5)
-    trace.record(1.0, "net_send", kind="keepalive", bytes=7)
-    trace.record(2.0, "net_send", kind="event_fwd", bytes=100)
+    trace.record(0.0, "net_send", src="a", dst="b", kind="keepalive", bytes=5)
+    trace.record(1.0, "net_send", src="a", dst="b", kind="keepalive", bytes=7)
+    trace.record(2.0, "net_send", src="b", dst="a", kind="event_fwd", bytes=100)
     assert trace.tally("net_send", "keepalive") == (2, 12)
     assert trace.tally("net_send", "event_fwd") == (1, 100)
     assert trace.tally("net_send", "missing") == (0, 0)

@@ -8,12 +8,19 @@ nothing imports the packing helpers or reads the trace's digest memos, and
 the staging buffer is touched only by the transport's quiescent multicast
 pair (``send_multicast`` and the ``_deliver`` of a plan's copy), which
 stages ``packed time + a suffix from MessageChannel.bind``.
+
+Record kinds are declared in ``repro.sim.schema`` and nowhere else: every
+call site that records a literal kind under ``src/repro`` passes that
+kind's declared fields, in declared order, and no module re-types a list
+of kind names the table can derive.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+from repro.sim.schema import KINDS, MESSAGE
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -93,3 +100,103 @@ def test_digest_buffer_is_staged_only_by_the_quiescent_multicast_pair():
         and _names_used(node) & STAGING_NAMES
     }
     assert present == STAGING_ALLOWED["net/transport.py"]
+
+
+# -- the declared record schema ------------------------------------------------------
+
+#: Recording call -> (index of its kind argument, how its fields are given).
+#: "keywords": the call's keyword names; "process+keywords": the same after
+#: the ``process`` field the environment fills. The positional lanes give a
+#: row by position: their fields are the declared ones, so only the row's
+#: width and the fields the lane itself fills can be checked.
+RECORDING_CALLS = {
+    "record": (1, "keywords"),
+    "trace": (0, "process+keywords"),
+    "trace_row": (0, "process+row"),
+    "record_row": (1, "row"),
+    "record_device": (1, "args"),
+    "trace_device": (0, "device"),
+    "device_channel": (0, "channel"),
+    "message_channel": (0, "message"),
+    "record_message": (1, "message"),
+}
+#: Fields as ``MessageChannel.record`` takes them.
+MESSAGE_FIELDS = ("src", "dst", "kind", "bytes", "reason")
+
+
+def _literal_kinds(node: ast.expr) -> list[str]:
+    """The kind names an argument spells: a string, or either branch of a
+    conditional between two strings."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.IfExp):
+        return _literal_kinds(node.body) + _literal_kinds(node.orelse)
+    return []
+
+
+def _passed(how: str, call: ast.Call, at: int):
+    """``(fields, extras)`` a call passes; a ``None`` field stands for
+    whatever the declared field at that position is."""
+    rest = call.args[at + 1:]
+    keywords = tuple(kw.arg for kw in call.keywords if kw.arg is not None)
+    extras = any(kw.arg is None for kw in call.keywords)
+    if how == "keywords":
+        return keywords, extras
+    if how == "process+keywords":
+        return ("process", *keywords), extras
+    row = len(rest[-1].elts) if rest and isinstance(rest[-1], ast.Tuple) else -1
+    if how == "process+row":
+        return ("process", *[None] * row), False
+    if how == "row":
+        return (None,) * row, False
+    if how == "args":
+        return (None,) * (len(rest) + len(call.keywords)), False
+    if how == "device":  # id value and seq; the environment fills process
+        return (None, "process", "seq")[:len(rest) + 1], False
+    if how == "channel":  # sensor[, process], and seq on each record
+        return ("sensor", "seq") if len(rest) == 1 else ("sensor", "process", "seq"), False
+    return MESSAGE_FIELDS, False
+
+
+def _fits(kind: str, how: str, passed: tuple, extras: bool) -> bool:
+    spec = KINDS[kind]
+    if how == "message":
+        return MESSAGE in spec.tags and spec.fields == passed
+    if None in passed or how in ("device", "channel"):
+        return len(passed) == len(spec.fields) and all(
+            name is None or name == field for name, field in zip(passed, spec.fields))
+    expected = tuple(f for f in spec.fields if f in passed or f not in spec.optional)
+    head, more = passed[:len(expected)], passed[len(expected):]
+    if spec.open:
+        return head == expected and not set(more) & set(spec.fields)
+    return head == expected and not more and not extras
+
+
+def test_every_recorded_kind_is_declared_once():
+    undeclared, misfits, retyped = [], [], []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Tuple, ast.Set, ast.List))
+                    and relative != "sim/schema.py"):
+                named = [e.value for e in node.elts
+                         if isinstance(e, ast.Constant) and e.value in KINDS]
+                if len(named) >= 2:
+                    retyped.append(f"{relative}:{node.lineno} {named}")
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            at, how = RECORDING_CALLS.get(node.func.attr, (None, None))
+            if at is None or len(node.args) <= at:
+                continue
+            for kind in _literal_kinds(node.args[at]):
+                where = f"{relative}:{node.lineno} {node.func.attr}({kind!r})"
+                if kind not in KINDS:
+                    undeclared.append(where)
+                    continue
+                passed, extras = _passed(how, node, at)
+                if not _fits(kind, how, passed, extras):
+                    misfits.append(f"{where} passes {passed}, declared {KINDS[kind].fields}")
+    assert not undeclared, undeclared
+    assert not misfits, misfits
+    assert not retyped, retyped

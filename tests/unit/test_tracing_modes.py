@@ -9,7 +9,7 @@ def fill(trace: Trace, n: int = 10) -> Trace:
     channel = trace.message_channel("net_send", "a", "b")
     for i in range(n):
         channel.record(float(i), "keepalive", 100)
-        trace.record_device(float(i), "radio_emit", "sensor", "s1", None, i)
+        trace.record_device(float(i), "radio_emit", "s1", i)
     return trace
 
 
@@ -51,9 +51,8 @@ def test_channel_records_match_generic_record_message():
 
 def test_record_device_matches_generic_record():
     fast = Trace(digest=True)
-    fast.record_device(1.0, "radio_lost", "sensor", "s1", "p1", 7)
-    fast.record_device(2.0, "command_sent", "actuator", "a1", "p2",
-                       action="on")
+    fast.record_device(1.0, "radio_lost", "s1", "p1", 7)
+    fast.record_device(2.0, "command_sent", "a1", "p2", "on")
 
     generic = Trace(digest=True)
     generic.record(1.0, "radio_lost", sensor="s1", process="p1", seq=7)
@@ -70,7 +69,7 @@ def test_kind_scoped_subscriber_sees_channel_records():
     trace.subscribe(seen.append, kinds=("net_send",))
     channel = trace.message_channel("net_send", "a", "b")
     channel.record(1.0, "keepalive", 90)
-    trace.record_device(1.0, "radio_emit", "sensor", "s1")  # not subscribed
+    trace.record_device(1.0, "radio_emit", "s1", 1)  # not subscribed
     assert [e.kind for e in seen] == ["net_send"]
     assert seen[0]["bytes"] == 90
 
