@@ -22,7 +22,6 @@ from typing import Any, Callable, Protocol, Sequence
 
 from repro.net.message import Message
 from repro.sim.random import RandomSource
-from repro.sim.schema import KINDS
 
 
 class CancelHandle(Protocol):
@@ -129,31 +128,24 @@ class RuntimeEnv(abc.ABC):
     def trace(self, kind: str, /, **fields: Any) -> None:
         """Record a structured trace event (metrics are functions of these)."""
 
+    @abc.abstractmethod
     def trace_device(self, kind: str, id_value: str, seq: Any) -> None:
-        """Positional fast lane for the per-event ingest records.
+        """Positional lane for the per-event ingest records.
 
         ``kind`` is declared ``<id field>, process, seq``
-        (:mod:`repro.sim.schema`). Semantically identical to ``trace(kind,
-        <id field>=id_value, seq=seq)`` — same counts, same digest bytes —
-        which is what this default does; hot environments (the simulator
-        runtime, the rt node) override it to write the declared row,
-        skipping the kwargs packing on the records emitted once per sensor
-        event per process.
+        (:mod:`repro.sim.schema`); the record is that declared row, with
+        this process in the middle (``Trace.record_device``), so it keeps
+        the declared field order that ``trace(kind, **fields)`` would not.
         """
-        self.trace(kind, **{KINDS[kind].fields[0]: id_value, "seq": seq})
 
+    @abc.abstractmethod
     def trace_row(self, kind: str, values: tuple) -> None:
-        """Positional fast lane for the per-event protocol records.
+        """Positional lane for the per-event protocol records.
 
         ``kind`` is declared with ``process`` first (:mod:`repro.sim.schema`),
         which the environment fills; ``values`` are its other fields, in
-        declared order. Semantically identical to ``trace(kind,
-        **dict(zip(fields[1:], values)))`` — same counts, same digest bytes,
-        same kept fields — which is what this default does; hot
-        environments (the simulator runtime, the rt node) override it to
-        hand the row to ``Trace.record_row`` as is.
+        declared order (``Trace.record_row``).
         """
-        self.trace(kind, **dict(zip(KINDS[kind].fields[1:], values)))
 
     @abc.abstractmethod
     def peers(self) -> list[str]:

@@ -1,14 +1,18 @@
 """Fleet: N parameterized homes interleaved in one scheduler.
 
-A :class:`Fleet` owns a :class:`~repro.sim.context.SimContext` and builds
-tenant :class:`~repro.core.home.Home`\\ s inside it — one shared virtual
-timeline, per-home traces and RNG roots. It is the multi-tenant analogue
-of the ``Home`` facade:
+A :class:`Fleet` is the multi-tenant analogue of the ``Home`` facade and
+the one holder of what its tenants share: the
+:class:`~repro.sim.scheduler.Scheduler` (one virtual timeline), the fleet
+seed and the registry of tenant homes keyed by ``home_id``. Each tenant
+keeps its own trace, RNG root, transport and radio, so its trace is
+bit-identical whether it runs solo or interleaved with any number of
+siblings (see docs/fleet.md):
 
 - **construction** — :meth:`Fleet.build` stamps out N homes
   ``h000``, ``h001``, ... (see :func:`default_id_format`) from a template
-  callable; :meth:`add_home` adds one home with a per-home seed derived
-  from ``(fleet seed, home_id)`` (override it to pin a seed);
+  callable; :meth:`add_home` adds one home with the seed
+  :meth:`home_seed` derives from ``(fleet seed, home_id)`` (override it to
+  pin a seed);
 - **execution** — :meth:`run_until` / :meth:`run_for` start every home and
   drain the one scheduler, interleaving all tenants' events;
 - **fault injection** — tenants share the scheduler, so a tenant's
@@ -16,10 +20,11 @@ of the ``Home`` facade:
   ``plan.apply(fleet.home("h003"))``. A plan naming another home's
   process fails with that home's own ``FaultError``, and a heal cannot
   reach a sibling;
-- **aggregation** — :meth:`metrics` reports per-home and fleet-level
-  counters; :meth:`digest` combines per-home trace digests in sorted
-  ``home_id`` order, byte-identical no matter how the fleet was sharded
-  across worker processes (see :func:`repro.sim.context.combine_digests`).
+- **aggregation** — :meth:`metrics` reads per-home and fleet-level
+  counters off the tenants' O(1) trace aggregates; :meth:`digest`
+  combines per-home trace digests in sorted ``home_id`` order,
+  byte-identical no matter how the fleet was sharded across worker
+  processes (see :func:`combine_digests`).
 
 Typical use::
 
@@ -35,16 +40,43 @@ Typical use::
 
 from __future__ import annotations
 
-from array import array
-from typing import Any, Callable, Iterator, Sequence
+import hashlib
+from typing import Any, Callable, Iterator
 
 from repro.core.home import Home, HomeConfig
-from repro.sim.context import SimContext, combine_digests
+from repro.sim.random import derive_seed
+from repro.sim.scheduler import Scheduler
+from repro.sim.tracing import Trace
 
-#: One simulated day: the fleet's metric-fold / digest-seal granularity.
+#: One simulated day: the fleet's digest-seal granularity.
 DAY_S = 86_400.0
 
 HomeTemplate = Callable[[Home, int], None]
+
+
+def _home_counters(trace: Trace) -> dict[str, int]:
+    """A tenant's :meth:`Fleet.metrics` row: five O(1) trace aggregates."""
+    return {
+        "events_emitted": trace.count("sensor_emit"),
+        "radio_delivered": trace.count("radio_delivered"),
+        "net_messages": trace.count("net_send"),
+        "net_bytes": trace.bytes_of_kind("net_send"),
+        "logic_deliveries": trace.count("logic_delivery"),
+    }
+
+
+def combine_digests(digests: dict[str, str]) -> str:
+    """Fold per-home trace digests into one fleet digest.
+
+    Entries are folded in sorted ``home_id`` order, so the result is
+    independent of registration order and of which worker process computed
+    each per-home digest — the property the ``--jobs 1`` == ``--jobs N``
+    fleet-sharding guarantee is stated in terms of.
+    """
+    hasher = hashlib.blake2b(digest_size=16)
+    for home_id in sorted(digests):
+        hasher.update(f"{home_id}={digests[home_id]}\n".encode("utf-8"))
+    return hasher.hexdigest()
 
 
 def default_id_format(n_homes: int) -> str:
@@ -60,75 +92,16 @@ def default_id_format(n_homes: int) -> str:
     return f"h{{index:0{width}d}}"
 
 
-class FleetMetrics:
-    """Struct-of-arrays per-home counter store.
-
-    One zero-copy ``array`` per counter, indexed by sorted ``home_id``
-    position — ~40 bytes of payload per home instead of the ~0.5 KB a
-    per-home dict row costs, which is what keeps :meth:`Fleet.metrics`
-    bookkeeping memory-flat at city scale. The arrays are refreshed from
-    the tenants' O(1) trace aggregates at every simulated-day boundary
-    (the *streaming fold*: a checkpoint written at a boundary carries the
-    fleet's full metric state as five flat arrays) and on demand by
-    :meth:`Fleet.metrics`, which derives the legacy dict-of-dicts view.
-    """
-
-    __slots__ = ("home_ids", "index", "events_emitted", "radio_delivered",
-                 "net_messages", "net_bytes", "logic_deliveries",
-                 "days_folded")
-
-    def __init__(self, home_ids: Sequence[str]) -> None:
-        self.home_ids: tuple[str, ...] = tuple(home_ids)
-        self.index: dict[str, int] = {
-            home_id: i for i, home_id in enumerate(self.home_ids)
-        }
-        zeros = bytes(8 * len(self.home_ids))
-        self.events_emitted = array("q", zeros)
-        self.radio_delivered = array("q", zeros)
-        self.net_messages = array("q", zeros)
-        self.net_bytes = array("q", zeros)
-        self.logic_deliveries = array("q", zeros)
-        self.days_folded = 0
-
-    def fold(self, i: int, trace: Any) -> None:
-        """Refresh home ``i``'s row from its trace's O(1) aggregates."""
-        self.events_emitted[i] = trace.count("sensor_emit")
-        self.radio_delivered[i] = trace.count("radio_delivered")
-        self.net_messages[i] = trace.count("net_send")
-        self.net_bytes[i] = trace.bytes_of_kind("net_send")
-        self.logic_deliveries[i] = trace.count("logic_delivery")
-
-    def home_row(self, home_id: str) -> dict[str, int]:
-        i = self.index[home_id]
-        return {
-            "events_emitted": self.events_emitted[i],
-            "radio_delivered": self.radio_delivered[i],
-            "net_messages": self.net_messages[i],
-            "net_bytes": self.net_bytes[i],
-            "logic_deliveries": self.logic_deliveries[i],
-        }
-
-    def totals(self) -> dict[str, int]:
-        return {
-            "events_emitted": sum(self.events_emitted),
-            "radio_delivered": sum(self.radio_delivered),
-            "net_messages": sum(self.net_messages),
-            "net_bytes": sum(self.net_bytes),
-            "logic_deliveries": sum(self.logic_deliveries),
-        }
-
-
 class Fleet:
-    """A set of independent homes sharing one simulation context."""
+    """A set of independent homes sharing one scheduler."""
 
-    def __init__(self, *, seed: int = 42, context: SimContext | None = None) -> None:
-        self.context = context if context is not None else SimContext(seed=seed)
-        self.seed = self.context.seed
+    def __init__(self, *, seed: int = 42) -> None:
+        self.seed = int(seed)
+        self.scheduler = Scheduler()
         self._homes: dict[str, Home] = {}
-        self._metrics: FleetMetrics | None = None
         self._started = False
-        # Next simulated-day boundary at which run_until folds metrics and
-        # seals the tenants' streaming digests (see _fold_day).
+        # Next simulated-day boundary at which run_until seals the
+        # tenants' streaming digests (see _fold_day).
         self._next_fold = DAY_S
 
     @classmethod
@@ -157,6 +130,14 @@ class Fleet:
 
     # -- construction ---------------------------------------------------------------
 
+    def home_seed(self, home_id: str) -> int:
+        """The seed a tenant derives from ``(fleet seed, home_id)``.
+
+        A pure function of the two arguments, so the seed a home receives
+        does not depend on how many siblings were added before it.
+        """
+        return derive_seed(self.seed, f"home/{home_id}")
+
     def add_home(
         self,
         home_id: str,
@@ -177,18 +158,17 @@ class Fleet:
             raise ValueError(
                 "pass either a HomeConfig or seed/keyword overrides, not both"
             )
+        if home_id in self._homes:
+            raise ValueError(
+                f"fleet already has a home with home_id {home_id!r}; "
+                "give each tenant a distinct home_id"
+            )
         if config is None:
             if seed is None:
-                seed = self.context.home_seed(home_id)
+                seed = self.home_seed(home_id)
             config = HomeConfig(seed=seed, **overrides)
-        home = Home(config, context=self.context, home_id=home_id)
+        home = Home(config, scheduler=self.scheduler, home_id=home_id)
         self._homes[home_id] = home
-        if self._metrics is not None:
-            # Late add: rebuild the store with the new home set (rows are
-            # recomputed from the traces' aggregates on the next fold).
-            days = self._metrics.days_folded
-            self._metrics = FleetMetrics(sorted(self._homes))
-            self._metrics.days_folded = days
         return home
 
     # -- lifecycle ------------------------------------------------------------------
@@ -197,53 +177,43 @@ class Fleet:
         if self._started:
             return self
         self._started = True
-        if self._metrics is None:
-            self._metrics = FleetMetrics(sorted(self._homes))
-        for home_id in sorted(self._homes):
-            self._homes[home_id].start()
+        for home in self.homes():
+            home.start()
         return self
+
+    @property
+    def now(self) -> float:
+        return self.scheduler.now
 
     def run_until(self, deadline: float) -> "Fleet":
         """Run the interleaved fleet up to simulated time ``deadline``.
 
         The run is stepped day by day: at every crossed ``DAY_S`` boundary
-        the per-home counters are folded into the :class:`FleetMetrics`
-        arrays and each tenant's streaming trace digest is sealed (see
+        each tenant's streaming trace digest is sealed (see
         :meth:`repro.sim.tracing.Trace.seal`). Boundaries are absolute
-        multiples of a day, so a fleet reaches the same fold/seal points no
+        multiples of a day, so a fleet reaches the same seal points no
         matter how the run was segmented — monolithic, sharded across
         workers, or checkpointed and resumed — and digests stay
         byte-comparable across all three.
         """
         self.start()
         while self._next_fold <= deadline:
-            self.context.run_until(self._next_fold)
+            self.scheduler.run_until(self._next_fold)
             self._fold_day()
             self._next_fold += DAY_S
-        self.context.run_until(deadline)
+        self.scheduler.run_until(deadline)
         return self
 
     def run_for(self, duration: float) -> "Fleet":
-        return self.run_until(self.context.now + duration)
+        return self.run_until(self.now + duration)
 
     def _fold_day(self) -> None:
-        """A day boundary: fold counters, seal streaming digests."""
-        metrics = self._metrics
-        assert metrics is not None
-        homes = self._homes
-        for i, home_id in enumerate(metrics.home_ids):
-            trace = homes[home_id].trace
-            metrics.fold(i, trace)
-            if trace._hasher is not None:
-                trace.seal()
-        metrics.days_folded += 1
+        """A day boundary: seal every tenant's streaming digest."""
+        for home in self.homes():
+            if home.trace._hasher is not None:
+                home.trace.seal()
 
     # -- access -----------------------------------------------------------------------
-
-    @property
-    def scheduler(self):
-        """The one scheduler every tenant runs on."""
-        return self.context.scheduler
 
     @property
     def home_ids(self) -> list[str]:
@@ -264,28 +234,16 @@ class Fleet:
 
     # -- aggregation -------------------------------------------------------------------
 
-    @property
-    def fleet_metrics(self) -> FleetMetrics:
-        """The struct-of-arrays counter store (created on first use)."""
-        if self._metrics is None:
-            self._metrics = FleetMetrics(sorted(self._homes))
-        return self._metrics
-
     def metrics(self) -> dict[str, Any]:
-        """Per-home and fleet-level counters (a dict view over the store).
-
-        Counters live in the :class:`FleetMetrics` arrays; this refreshes
-        every row from the traces' O(1) aggregates (covering the partial
-        day since the last fold) and materializes the legacy dict shape.
-        """
-        store = self.fleet_metrics
-        homes_by_id = self._homes
-        for i, home_id in enumerate(store.home_ids):
-            store.fold(i, homes_by_id[home_id].trace)
-        homes = {home_id: store.home_row(home_id) for home_id in store.home_ids}
-        fleet: dict[str, Any] = store.totals()
+        """Per-home and fleet-level counters, read off the tenants' O(1)
+        trace aggregates."""
+        homes = {home.home_id: _home_counters(home.trace) for home in self.homes()}
+        fleet: dict[str, Any] = _home_counters(Trace())  # every counter at 0
+        for row in homes.values():
+            for name, value in row.items():
+                fleet[name] += value
         fleet["homes"] = len(self._homes)
-        fleet["sim_time_s"] = self.context.now
+        fleet["sim_time_s"] = self.now
         fleet["scheduler_events"] = self.scheduler.processed_events
         return {"homes": homes, "fleet": fleet}
 
@@ -301,7 +259,7 @@ class Fleet:
         """Atomically snapshot the whole running fleet to ``path``.
 
         Captures the scheduler heap (pending timers and deliveries), every
-        RNG stream's state, the tenant registries and the per-home sealed
+        RNG stream's state, the tenant registry and the per-home sealed
         trace digests — everything :meth:`restore` needs to continue the
         run byte-identically. Must be called at a simulated-day boundary
         (right after ``run_until(k * DAY_S)``), where the streaming hash

@@ -16,8 +16,8 @@ Typical use::
     home.run_for(60.0)
     home.sensor("door1").emit(True)   # or script it: home.play(script)
 
-A home may instead join a shared :class:`~repro.sim.context.SimContext` as
-one tenant of a fleet (``Home(config, context=ctx, home_id="h0")``); see
+A home may instead run as one tenant of a :class:`~repro.core.fleet.Fleet`
+on the fleet's scheduler (``fleet.add_home("h0")``); see
 :mod:`repro.core.fleet` for the fleet facade and docs/fleet.md for the
 determinism contract.
 """
@@ -40,9 +40,9 @@ from repro.net.latency import LatencyModel, ProcessingModel
 from repro.net.radio import RadioNetwork
 from repro.net.topology import HomeTopology
 from repro.net.transport import HomeNetwork
-from repro.sim.context import SimContext
 from repro.sim.faults import FaultError
 from repro.sim.random import RandomSource
+from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import Trace
 
 #: A workload script: ``(time, sensor, value)`` emissions; see :meth:`Home.play`.
@@ -162,20 +162,18 @@ class Home:
         self,
         config: HomeConfig | None = None,
         *,
-        context: SimContext | None = None,
+        scheduler: Scheduler | None = None,
         home_id: str | None = None,
         **overrides: Any,
     ) -> None:
-        """Build a home, optionally as one tenant of a shared ``context``.
+        """Build a home, optionally as one tenant on a shared ``scheduler``.
 
-        Without ``context`` the home constructs a private
-        :class:`~repro.sim.context.SimContext` — the historical sole-tenant
-        behaviour, bit-identical down to the trace digest. With one, the
-        home shares the context's scheduler (one virtual timeline across
-        all tenants) while keeping its own trace, RNG root, transport and
-        radio — so its trace is identical to a solo run of the same home.
-        ``home_id`` names the tenant inside the context; it may not
-        contain "/".
+        Without ``scheduler`` the home runs solo on a private one. With
+        one (a :class:`~repro.core.fleet.Fleet` passes its own), the home
+        shares one virtual timeline with its siblings while keeping its
+        own trace, RNG root, transport and radio — so its trace is
+        identical to a solo run of the same home. ``home_id`` names the
+        tenant in its fleet; it may not contain "/".
         """
         if config is None:
             config = HomeConfig(**overrides)
@@ -188,8 +186,7 @@ class Home:
                 )
         self.config = config
         self.home_id = home_id
-        self.context = context if context is not None else SimContext(seed=config.seed)
-        self.scheduler = self.context.scheduler
+        self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.trace = Trace(
             keep_kinds=config.keep_trace_kinds, digest=config.trace_digest
         )
@@ -199,7 +196,6 @@ class Home:
         )
         self.radio = RadioNetwork(self.scheduler, self.rng, self.trace)
         self.topology = HomeTopology()
-        self.context.register_home(self)
 
         self._process_decls: dict[str, _ProcessDecl] = {}
         self._device_decls: dict[str, _DeviceDecl] = {}

@@ -583,9 +583,8 @@ def check_fleet_isolation(fleet: Any) -> list[Violation]:
       ...) name only the home's processes, and ``ingest`` records name
       only the home's sensors.
 
-    Accepts anything with ``home_ids`` and ``home()`` — a
-    :class:`~repro.core.fleet.Fleet` or a bare
-    :class:`~repro.sim.context.SimContext` registry wrapper.
+    Accepts anything with ``home_ids`` and ``home()``, such as a
+    :class:`~repro.core.fleet.Fleet`.
     """
     violations: list[Violation] = []
     for home_id in fleet.home_ids:

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.fleet import Fleet
+from repro.core.fleet import Fleet, combine_digests
 from repro.eval.cache import RunCache
 from repro.eval.parallel import SweepResult, SweepTask, sweep_report
 from repro.eval.report import report_digest, write_report
 from repro.eval.workloads import DAY_S, fleet_deployment, fleet_home_ids
-from repro.sim.context import combine_digests
 from repro.sim.tracing import DIGEST_VERSION
 
 
@@ -171,7 +170,7 @@ def run_fleet_checkpointed(
     total_days = int(days)
     if resume:
         fleet = Fleet.restore(resume, horizon_days=total_days)
-        done_days = int(round(fleet.context.now / DAY_S))
+        done_days = int(round(fleet.now / DAY_S))
         if progress:
             print(f"resumed {len(fleet)} homes at day {done_days} from {resume}")
     else:

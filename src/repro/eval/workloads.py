@@ -384,7 +384,7 @@ def fleet_deployment(
     fleet = Fleet(seed=seed)
     workloads: dict[str, OccupancyWorkload] = {}
     for home_id in home_ids:
-        home_seed = fleet.context.home_seed(home_id)
+        home_seed = fleet.home_seed(home_id)
         home = fleet.add_home(home_id, config=_fig1_config(home_seed, trace_digest=True))
         offset = RandomSource(home_seed).child("phase").uniform(
             -FLEET_PHASE_JITTER_H, FLEET_PHASE_JITTER_H

@@ -101,11 +101,6 @@ class Endpoint(Protocol):
 class HomeNetwork:
     """The single home WiFi network connecting all Rivulet processes."""
 
-    # Lane counters with lane_refusals, bumped off the fast path only (see
-    # Home.stats); class-level so a graph pickled without them reads 0.
-    plan_builds = 0
-    plan_repayloads = 0
-
     def __init__(
         self,
         scheduler: Scheduler,
@@ -137,6 +132,9 @@ class HomeNetwork:
         # (src, kind) -> (payload, wire size): what src's fan-outs of kind
         # carry, registered by the sender when it changes (multicast_payload).
         self._mcast_payloads: dict[tuple[str, str], tuple[dict, int]] = {}
+        # Lane counters, bumped off the fast path only (see Home.stats).
+        self.plan_builds = 0
+        self.plan_repayloads = 0
         self.lane_refusals = dict.fromkeys(_REFUSAL_CAUSES, 0)
 
     def __getstate__(self) -> dict:
@@ -154,12 +152,6 @@ class HomeNetwork:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        # Defaults for files written before the payload table and the lane
-        # counters existed. Exact without a FORMAT_VERSION bump: a home with
-        # an app cannot be pickled, so every such file has empty piggybacks,
-        # which is what an unregistered fan-out carries.
-        self._mcast_payloads = {}
-        self.lane_refusals = dict.fromkeys(_REFUSAL_CAUSES, 0)
         self.__dict__.update(state)
         self._endpoints_view = MappingProxyType(self._endpoints)
         self._random = self._rng._rng.random

@@ -5,13 +5,11 @@ same seed and parameters produce bit-identical traces. The kernel is
 deliberately tiny: a time-ordered callback scheduler (:mod:`.scheduler`),
 per-process local clocks with optional skew (:mod:`.clock`), named
 reproducible random streams (:mod:`.random`), a structured trace recorder
-(:mod:`.tracing`), a fault-injection plan (:mod:`.faults`) and a shared
-multi-tenant substrate (:mod:`.context`) that lets many homes interleave
-in one scheduler.
+(:mod:`.tracing`) and a fault-injection plan (:mod:`.faults`). Many homes
+interleave in one scheduler as a :class:`repro.core.fleet.Fleet`.
 """
 
 from repro.sim.clock import LocalClock
-from repro.sim.context import SimContext, combine_digests
 from repro.sim.random import RandomSource, derive_seed
 from repro.sim.scheduler import Scheduler, TimerHandle
 from repro.sim.tracing import Trace, TraceEvent
@@ -20,10 +18,8 @@ __all__ = [
     "LocalClock",
     "RandomSource",
     "Scheduler",
-    "SimContext",
     "TimerHandle",
     "Trace",
     "TraceEvent",
-    "combine_digests",
     "derive_seed",
 ]

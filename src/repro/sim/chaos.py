@@ -184,7 +184,7 @@ class FaultScheduleGenerator:
         """A plan names the domain's processes and devices as they are.
 
         A fleet tenant's independent schedule is
-        ``generate(fleet.context.home_seed(home_id))`` applied to
+        ``generate(fleet.home_seed(home_id))`` applied to
         ``fleet.home(home_id)``: the per-home seed, not a scoped name,
         keeps tenants apart.
         """

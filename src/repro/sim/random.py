@@ -25,7 +25,7 @@ def derive_seed(parent: int, name: str) -> int:
 
     This is the one seed-derivation rule in the simulator: child streams
     (:meth:`RandomSource.child`) and per-home fleet seeds
-    (:meth:`repro.sim.context.SimContext.home_seed`) both use it, so a
+    (:meth:`repro.core.fleet.Fleet.home_seed`) both use it, so a
     ``(parent seed, name)`` pair always maps to the same stream no matter
     who derives it or in what order.
     """

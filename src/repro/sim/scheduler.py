@@ -167,20 +167,6 @@ class Scheduler:
         self._live = 0
         self._lazy_cancelled = 0
 
-    def __setstate__(self, state: dict) -> None:
-        """Restore a pickled scheduler, whichever heap layout it was saved in.
-
-        Snapshots written before the heap held bare timestamps pickled it
-        as ``(when, bucket)`` pairs, every bucket a list (still a valid
-        ``_buckets`` value). Their instants are distinct, so the pairs were
-        ordered by ``when`` alone and the same positions hold a valid heap
-        of bare floats.
-        """
-        heap = state["_heap"]
-        if heap and type(heap[0]) is tuple:
-            state["_heap"] = [when for when, _bucket in heap]
-        self.__dict__.update(state)
-
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""

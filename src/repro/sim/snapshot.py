@@ -47,20 +47,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.fleet import Fleet
 
 MAGIC = "rivulet-fleet-snapshot"
-#: Version 6: every cancellable timer in the scheduler heap is a bare
-#: ``[callback, args, interval, in_bucket]`` list behind a two-slot
-#: ``TimerHandle``, and the header records the run's ``horizon_days`` (the
-#: heap's bare timestamps came later without a bump — Scheduler.__setstate__
-#: says why the old ``(when, bucket)`` pairs still load); a v5
-#: graph holds the runtime's deleted handle wrapper around the old
-#: eight-slot ``TimerHandle`` and fails to unpickle. (v5: a process keeps
-#: what its stack boots with as one ``config`` (repro.core.stack.ServiceHost)
-#: and its retired build counters. v4: gossip-on-change state on the
-#: heartbeat and execution services, later the transport's registered-payload
-#: table without a bump — HomeNetwork.__setstate__ says why its default is
-#: exact. v3: digest-v3 trace segments and trace channel objects in the
-#: graph.)
-FORMAT_VERSION = 6
+#: Version 7: the fleet is the one holder of the scheduler, seed and tenant
+#: registry (no context object in the graph) and reads its counters off the
+#: traces (no counter arrays); a v6 graph names the deleted context module
+#: and fails to unpickle. (v6: every cancellable timer in the scheduler heap
+#: is a bare ``[callback, args, interval, in_bucket]`` list behind a
+#: two-slot ``TimerHandle``, the heap holds bare timestamps, and the header
+#: records the run's ``horizon_days``. v5: a process keeps what its stack
+#: boots with as one ``config`` (repro.core.stack.ServiceHost) and its
+#: retired build counters. v4: gossip-on-change state on the heartbeat and
+#: execution services. v3: digest-v3 trace segments and trace channel
+#: objects in the graph.)
+FORMAT_VERSION = 7
 
 
 class SnapshotError(RuntimeError):
@@ -79,7 +77,7 @@ def save_fleet(fleet: "Fleet", path: Any, horizon_days: float | None = None) -> 
     payload = {
         "magic": MAGIC,
         "format_version": FORMAT_VERSION,
-        "sim_time": fleet.context.now,
+        "sim_time": fleet.now,
         "n_homes": len(fleet),
         "horizon_days": horizon_days,
         "fleet": fleet,

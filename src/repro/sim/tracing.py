@@ -260,11 +260,6 @@ class TraceEvent:
         return (self.time, self.kind, self._names, self._values)
 
     def __setstate__(self, state: tuple) -> None:
-        if len(state) == 2:
-            # The dict layout's slot state: (None, {"time", "kind", "fields"}).
-            slots = state[1]
-            fields = slots["fields"]
-            state = (slots["time"], slots["kind"], tuple(fields), tuple(fields.values()))
         time, kind, names, values = state
         self.__init__(time, kind, _intern(names, names), values)
 
@@ -802,23 +797,9 @@ class Trace:
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         digest_enabled = state.pop("_digest_enabled")
-        events = state.pop("_events", None)
-        state.pop("_by_kind", None)
-        Trace.__init__(self)  # what a state lacks keeps its default
         self.__dict__.update(state)
         self._hasher = _new_hasher() if digest_enabled else None
         self._dig_buf = self._hash_buf if digest_enabled else None
-        for kind, kind_state in self._kind_state.items():
-            # Slot 2 held a first-record field profile before kinds were declared.
-            kind_state[2] = kind in _MESSAGE_KINDS
-        if events is not None:
-            # Pickled when a trace kept TraceEvents in two lists (``_events``
-            # and ``_by_kind``, which was each kind state's slot 3).
-            for kind, kind_state in self._kind_state.items():
-                kind_state[3] = None if kind_state[3] is None else EventsView(kind)
-            for event in events:
-                self._keep(self._kind_state[event.kind][3], event.time,
-                           event._names, event._values)
         for lane in self._all.lanes:
             lane.names = _intern(lane.names, lane.names)  # one tuple per schema
 

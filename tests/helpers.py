@@ -175,6 +175,12 @@ class FakeEnv(RuntimeEnv):
     def trace(self, kind: str, /, **fields: Any) -> None:
         self.trace_log.record(self.scheduler.now, kind, process=self.name, **fields)
 
+    def trace_device(self, kind: str, id_value: str, seq: Any) -> None:
+        self.trace_log.record_device(self.scheduler.now, kind, id_value, self.name, seq)
+
+    def trace_row(self, kind: str, values: tuple) -> None:
+        self.trace_log.record_row(self.scheduler.now, kind, (self.name, *values))
+
     def peers(self) -> list[str]:
         return sorted(n for n in self._network if n != self.name)
 

@@ -135,7 +135,7 @@ GENERATOR = FaultScheduleGenerator(DOMAIN, PROFILES["severe"], 1800.0)
 def test_scope_changes_the_sampling_stream():
     """Tenants draw independent schedules from their per-home seeds."""
     fleet = Fleet(seed=42)
-    a, b = (GENERATOR.generate(fleet.context.home_seed(home_id))
+    a, b = (GENERATOR.generate(fleet.home_seed(home_id))
             for home_id in ("h000", "h001"))
     assert len(a) and len(b)
     assert [x.at for x in a.actions] != [x.at for x in b.actions]
@@ -156,7 +156,7 @@ def test_scoped_chaos_leaves_siblings_untouched():
     quiet.run_until(1800.0)
 
     noisy = build_pair()
-    plan = GENERATOR.generate(noisy.context.home_seed("h000"))
+    plan = GENERATOR.generate(noisy.home_seed("h000"))
     assert any(a.kind == "set_partition" for a in plan.actions)
     plan.apply(noisy.home("h000"))
     noisy.run_until(1800.0)

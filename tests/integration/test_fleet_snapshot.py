@@ -43,7 +43,7 @@ def test_checkpoint_kill_resume_digest_byte_identical(tmp_path):
     assert snap.exists()
 
     resumed = Fleet.restore(snap)
-    assert resumed.context.now == DAY_S
+    assert resumed.now == DAY_S
     resumed.run_until(2 * DAY_S)
 
     reference, _ = fleet_deployment(homes=2, seed=11, days=2.0)
@@ -130,7 +130,8 @@ def test_load_rejects_foreign_and_future_files(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name", ["fleet_v3_parent.snap", "fleet_v4_parent.snap", "fleet_v5.snap"]
+    "name",
+    ["fleet_v3_parent.snap", "fleet_v4_parent.snap", "fleet_v5.snap", "fleet_v6.snap"],
 )
 def test_older_parent_written_snapshots_are_refused(name):
     """Real files from earlier builds (a 2-process home checkpointed at day
@@ -139,35 +140,37 @@ def test_older_parent_written_snapshots_are_refused(name):
     service host: its processes lack ``config`` and would die with
     AttributeError at the first recovery. v5, before the one timer entry:
     its heap holds ``_GuardedHandle`` and eight-slot ``TimerHandle``
-    objects. ``load_fleet`` must refuse all three up front with
-    ``SnapshotError`` instead."""
+    objects. v6, before the fleet held its own scheduler and registry: its
+    graph names the deleted context module. ``load_fleet`` must refuse all
+    four up front with ``SnapshotError`` instead."""
     parent = Path(__file__).parent / "data" / name
-    with pytest.raises(SnapshotError, match=r"format version [345]|incompatible build"):
+    with pytest.raises(SnapshotError, match=r"format version [3456]|incompatible build"):
         load_fleet(parent)
 
 
 def two_process_fleet() -> Fleet:
     """One home, two processes, a door and a motion sensor, two resident-days.
 
-    ``data/fleet_v6.snap`` is this fleet at day 1, written by the build
-    that introduced format 6 (one timer entry, the horizon in the header)
-    with::
+    ``data/fleet_v7.snap`` is this fleet at day 1, written by the build
+    that introduced format 7 (the fleet holds the scheduler and the tenant
+    registry itself) with::
 
         PYTHONPATH=src python -c "
         from tests.integration.test_fleet_snapshot import two_process_fleet
         from repro.core.fleet import DAY_S
         fleet = two_process_fleet(); fleet.run_until(DAY_S)
-        fleet.checkpoint('tests/integration/data/fleet_v6.snap', horizon_days=2)"
+        fleet.checkpoint('tests/integration/data/fleet_v7.snap', horizon_days=2)"
 
     so every later build reads a parent-written file
-    (``data/fleet_v5.snap`` and ``data/fleet_v4_parent.snap`` are the same
-    fleet written by the builds of formats 5 and 4).
+    (``data/fleet_v6.snap``, ``data/fleet_v5.snap`` and
+    ``data/fleet_v4_parent.snap`` are the same fleet written by the builds
+    of formats 6, 5 and 4).
 
     No app is deployed: that build (like this one) cannot checkpoint an
     active logic node, whose windows close over a lambda.
     """
     fleet = Fleet(seed=11)
-    seed = fleet.context.home_seed("h000")
+    seed = fleet.home_seed("h000")
     home = fleet.add_home("h000", config=HomeConfig(
         seed=seed, heartbeat_interval=60.0, failure_detection_s=180.0,
         kv_sync_interval=3600.0, keep_trace_kinds=set(), trace_digest=True,
@@ -192,13 +195,13 @@ def _second_day_with_a_crash(fleet: Fleet) -> Fleet:
     return fleet.run_until(2 * DAY_S)
 
 
-def test_parent_written_v6_snapshot_loads_and_resumes():
-    """A committed format-6 file loads and resumes — through a crash and a
+def test_parent_written_v7_snapshot_loads_and_resumes():
+    """A committed format-7 file loads and resumes — through a crash and a
     recovery, which boots a new stack from the restored ``config`` — to the
     digest of the uninterrupted run."""
-    parent = Path(__file__).parent / "data" / "fleet_v6.snap"
+    parent = Path(__file__).parent / "data" / "fleet_v7.snap"
     resumed = load_fleet(parent, horizon_days=2)
-    assert FORMAT_VERSION == 6 and resumed.context.now == DAY_S
+    assert FORMAT_VERSION == 7 and resumed.now == DAY_S
     # Both timer shapes were pickled as bare list entries: the services'
     # one-shot timers (interval 0.0) and their repeating ticks.
     intervals = [entry[2] for bucket in resumed.scheduler._buckets.values()
@@ -247,7 +250,7 @@ def _beacon_fleet() -> Fleet:
     a registered, changing piggyback (no app: see ``two_process_fleet``)."""
     fleet = Fleet(seed=11)
     home = fleet.add_home("h000", config=HomeConfig(
-        seed=fleet.context.home_seed("h000"), heartbeat_interval=60.0,
+        seed=fleet.home_seed("h000"), heartbeat_interval=60.0,
         failure_detection_s=180.0, kv_sync_interval=3600.0,
         keep_trace_kinds=set(), trace_digest=True,
     ))
@@ -301,8 +304,8 @@ def test_snapshot_header_records_the_horizon(tmp_path):
     fleet, _ = fleet_deployment(homes=1, seed=3, days=2.0)
     fleet.run_until(DAY_S)
     fleet.checkpoint(snap, horizon_days=2)
-    assert load_fleet(snap, horizon_days=2).context.now == DAY_S
-    assert load_fleet(snap).context.now == DAY_S  # no horizon asked: no check
+    assert load_fleet(snap, horizon_days=2).now == DAY_S
+    assert load_fleet(snap).now == DAY_S  # no horizon asked: no check
     with pytest.raises(SnapshotError, match=r"run of 2 day\(s\), not of 3 day\(s\)"):
         load_fleet(snap, horizon_days=3)
 
@@ -324,4 +327,4 @@ def test_snapshot_write_is_atomic(tmp_path):
     assert first != second
     # No staging residue next to the target.
     assert list(tmp_path.iterdir()) == [snap]
-    assert load_fleet(snap).context.now == 2 * DAY_S
+    assert load_fleet(snap).now == 2 * DAY_S

@@ -6,7 +6,6 @@ import pytest
 from repro.core.delivery import GAPLESS
 from repro.core.home import Home, HomeConfig
 from repro.eval.workloads import noop_app, single_sensor_home
-from repro.sim.context import SimContext
 from repro.sim.faults import FaultError
 
 
@@ -96,13 +95,6 @@ def test_home_id_validation():
         Home(home_id="")
     with pytest.raises(ValueError, match="home_id"):
         Home(home_id="a/b")
-
-
-def test_two_anonymous_homes_cannot_share_a_context():
-    context = SimContext(seed=1)
-    Home(context=context)
-    with pytest.raises(ValueError, match="distinct home_id"):
-        Home(context=context)
 
 
 # -- fault-injection entry points -----------------------------------------------------

@@ -1,9 +1,6 @@
 """Unit tests for the discrete-event scheduler."""
 
-import copyreg
-import io
 import os
-import pickle
 import subprocess
 import sys
 import textwrap
@@ -351,55 +348,6 @@ def test_cancelled_entries_skipped_after_compaction():
         handle.cancel()
     sched.run_until(10.0)
     assert fired == ["kept"]
-
-
-def _mixed_program(sched: Scheduler, log: list) -> None:
-    """Lone posts, posts sharing an instant with timers, one-shots, two
-    repeating timers whose ticks collide with posts and with each other,
-    and a post whose callback posts again at its own instant."""
-    for i in range(40):
-        sched.post_at(0.1 * i + 0.01 * (i % 3), log.append, ("post", i))
-        if i % 4 == 0:
-            sched.call_at(0.1 * i, log.append, ("timer", i))
-    sched.post_repeating(0.5, log.append, "tick-a")
-    sched.post_repeating(0.5, log.append, "tick-b", first_delay=0.2)
-    sched.post_at(2.5, sched.post_at, 2.5, log.append, "same-instant")
-
-
-class _OldHeapPickler(pickle.Pickler):
-    """Pickles a scheduler as it was pickled when the heap held ``(when,
-    bucket)`` pairs and every bucket was a list."""
-
-    def reducer_override(self, obj):
-        if type(obj) is not Scheduler:
-            return NotImplemented
-        state = dict(vars(obj))
-        buckets = {when: bucket if type(bucket) is list else [bucket]
-                   for when, bucket in state["_buckets"].items()}
-        state["_buckets"] = buckets
-        state["_heap"] = [(when, buckets[when]) for when in state["_heap"]]
-        return copyreg.__newobj__, (Scheduler,), state
-
-
-def test_a_scheduler_pickled_with_the_old_heap_layout_runs_on():
-    reference_log: list = []
-    reference = Scheduler()
-    _mixed_program(reference, reference_log)
-    reference.run_until(6.0)
-
-    log: list = []
-    sched = Scheduler()
-    _mixed_program(sched, log)
-    sched.run_until(1.55)
-    blob = io.BytesIO()
-    _OldHeapPickler(blob).dump((sched, log))
-    restored, log = pickle.loads(blob.getvalue())
-    assert all(type(when) is float for when in restored._heap)
-    assert all(type(bucket) is list for bucket in restored._buckets.values())
-    assert restored.pending_events == sched.pending_events
-    restored.run_until(6.0)
-    assert log == reference_log
-    assert restored.processed_events == reference.processed_events
 
 
 def _boom() -> None:

@@ -1,11 +1,20 @@
-"""Unit tests for SimContext: seed derivation, the tenant registry, the
-virtual-time facade, and digest combination."""
+"""Unit tests for the fleet as the shared simulation context: seed
+derivation, the tenant registry, the one timeline, per-home counters and
+digest combination."""
 
 import pytest
 
+from repro.core.fleet import Fleet, combine_digests
 from repro.core.home import Home
-from repro.sim.context import SimContext, combine_digests
 from repro.sim.random import RandomSource, derive_seed
+
+
+def _hub_home(fleet: Fleet, home_id: str, seed: int) -> Home:
+    home = fleet.add_home(home_id, seed=seed)
+    home.add_process("hub")
+    home.add_process("tv")
+    home.add_sensor("door1", kind="door", processes=["hub"])
+    return home
 
 
 # -- seed derivation ------------------------------------------------------------------
@@ -23,89 +32,109 @@ def test_derive_seed_matches_rng_child_streams():
 
 
 def test_home_seed_is_independent_of_registration():
-    fresh = SimContext(seed=9)
-    expected = fresh.home_seed("h001")
+    expected = Fleet(seed=9).home_seed("h001")
 
-    populated = SimContext(seed=9)
+    populated = Fleet(seed=9)
     for home_id in ("h000", "h002", "h003"):
-        Home(context=populated, home_id=home_id, seed=populated.home_seed(home_id))
-    assert populated.home_seed("h001") == expected
+        populated.add_home(home_id)
+    assert populated.home_seed("h001") == expected == derive_seed(9, "home/h001")
 
 
 def test_home_seed_never_draws_from_the_fleet_rng():
-    context = SimContext(seed=9)
-    before = context.rng.random()
-    context.home_seed("h000")
-    context.home_seed("h001")
-    sibling = SimContext(seed=9)
-    sibling.rng.random()
-    assert context.rng.random() == sibling.rng.random()
-    assert before != context.rng.random()  # the stream itself does advance on draws
+    """Asking for seeds draws from no stream: a home built after many
+    ``home_seed`` calls draws what the same home draws in a fresh fleet."""
+    busy = Fleet(seed=9)
+    for index in range(50):
+        busy.home_seed(f"h{index:03d}")
+    quiet = Fleet(seed=9)
+    draws = [fleet.add_home("h007").rng.child("x").random() for fleet in (busy, quiet)]
+    assert draws[0] == draws[1]
 
 
 # -- tenant registry ------------------------------------------------------------------
 
 
 def test_register_and_lookup_by_home_id():
-    context = SimContext(seed=1)
-    a = Home(context=context, home_id="a", seed=1)
-    b = Home(context=context, home_id="b", seed=2)
-    assert context.home("a") is a
-    assert context.home("b") is b
-    assert context.home_ids == ["a", "b"]
-    assert list(context.tenants()) == [a, b]
-    assert len(context) == 2
+    fleet = Fleet(seed=1)
+    b = fleet.add_home("b", seed=2)
+    a = fleet.add_home("a", seed=1)
+    assert fleet.home("a") is a
+    assert fleet.home("b") is b
+    assert fleet.home_ids == ["a", "b"]
+    assert list(fleet.homes()) == [a, b]
+    assert len(fleet) == 2
 
 
 def test_duplicate_home_id_rejected():
-    context = SimContext(seed=1)
-    Home(context=context, home_id="a", seed=1)
+    fleet = Fleet(seed=1)
+    first = fleet.add_home("a", seed=1)
     with pytest.raises(ValueError, match="distinct home_id"):
-        Home(context=context, home_id="a", seed=2)
+        fleet.add_home("a", seed=2)
+    assert fleet.home("a") is first and len(fleet) == 1
 
 
 def test_unknown_home_lookup_raises():
     with pytest.raises(KeyError, match="unknown home"):
-        SimContext().home("ghost")
+        Fleet().home("ghost")
 
 
-def test_sole_tenant_registers_under_empty_id():
-    home = Home(seed=5)
-    assert home.context.home("") is home
-    assert home.context.home_ids == [""]
-
-
-# -- virtual-time facade --------------------------------------------------------------
+# -- the one timeline -----------------------------------------------------------------
 
 
 def test_run_until_and_run_for_advance_shared_time():
-    context = SimContext(seed=1)
-    a = Home(context=context, home_id="a", seed=1).add_process("hub")
-    b = Home(context=context, home_id="b", seed=2).add_process("hub")
-    a.start()
-    b.start()
-    context.run_until(10.0)
-    assert context.now == 10.0
-    assert a.scheduler is b.scheduler is context.scheduler
-    context.run_for(5.0)
-    assert context.now == 15.0
+    fleet = Fleet(seed=1)
+    a = fleet.add_home("a", seed=1).add_process("hub")
+    b = fleet.add_home("b", seed=2).add_process("hub")
+    fleet.run_until(10.0)
+    assert fleet.now == 10.0
+    assert a.scheduler is b.scheduler is fleet.scheduler
+    fleet.run_for(5.0)
+    assert fleet.now == 15.0
+
+
+def test_a_solo_home_runs_on_its_own_scheduler():
+    first, second = Home(seed=5), Home(seed=5)
+    assert first.scheduler is not second.scheduler
+    assert first.home_id is None
 
 
 # -- aggregates and digests -----------------------------------------------------------
 
 
 def test_counts_by_home_and_total():
-    context = SimContext(seed=1)
+    fleet = Fleet(seed=1)
     for home_id, seed in (("a", 1), ("b", 2)):
-        home = Home(context=context, home_id=home_id, seed=seed)
-        home.add_process("hub")
-        home.add_sensor("door1", kind="door", processes=["hub"])
-        home.start()
-    context.home("a").sensor("door1").emit(True)
-    context.run_for(30.0)
-    by_home = context.counts_by_home("radio_emit")
-    assert by_home == {"a": 1, "b": 0}
-    assert context.count("radio_emit") == 1
+        _hub_home(fleet, home_id, seed)
+    fleet.start()
+    fleet.home("a").sensor("door1").emit(True)
+    fleet.run_for(30.0)
+    metrics = fleet.metrics()
+    assert {home_id: row["events_emitted"] for home_id, row in metrics["homes"].items()} == {
+        "a": 1, "b": 0,
+    }
+    assert metrics["fleet"]["events_emitted"] == 1
+    for home_id, row in metrics["homes"].items():
+        trace = fleet.home(home_id).trace
+        assert row["net_messages"] == trace.count("net_send") > 0
+        assert row["net_bytes"] == trace.bytes_of_kind("net_send")
+    assert metrics["fleet"]["sim_time_s"] == 30.0 and metrics["fleet"]["homes"] == 2
+
+
+def test_metrics_count_a_home_added_after_start():
+    fleet = Fleet(seed=1)
+    _hub_home(fleet, "a", 1)
+    fleet.run_for(10.0)
+    late = _hub_home(fleet, "b", 2)
+    late.start()
+    late.sensor("door1").emit(True)
+    fleet.run_for(30.0)
+    metrics = fleet.metrics()
+    assert sorted(metrics["homes"]) == ["a", "b"] and metrics["fleet"]["homes"] == 2
+    assert metrics["homes"]["b"]["events_emitted"] == 1
+    assert metrics["homes"]["b"]["net_messages"] == late.trace.count("net_send") > 0
+    assert metrics["fleet"]["net_messages"] == sum(
+        home.trace.count("net_send") for home in fleet.homes()
+    )
 
 
 def test_combine_digests_is_order_insensitive():
@@ -116,14 +145,11 @@ def test_combine_digests_is_order_insensitive():
 
 
 def test_context_digest_combines_tenant_traces():
-    context = SimContext(seed=1)
+    fleet = Fleet(seed=1)
     for home_id, seed in (("a", 1), ("b", 2)):
-        home = Home(context=context, home_id=home_id, seed=seed)
-        home.add_process("hub")
-        home.start()
-    context.run_for(60.0)
+        fleet.add_home(home_id, seed=seed).add_process("hub")
+    fleet.run_for(60.0)
     expected = combine_digests({
-        home_id: context.home(home_id).trace.digest()
-        for home_id in context.home_ids
+        home_id: fleet.home(home_id).trace.digest() for home_id in fleet.home_ids
     })
-    assert context.digest() == expected
+    assert fleet.digest() == expected

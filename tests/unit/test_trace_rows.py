@@ -6,15 +6,12 @@ A trace keeps each record in its schema's lane: the time in an
 tuple shared by every record of its schema and a values tuple, and
 derives ``fields`` on read. These tests pin what that buys (bytes per
 kept record), that every recording lane writes the same row with the
-same reads, and that the dict layout's and the TraceEvent-list layout's
-pickled states still load.
+same reads, and that a kept trace round-trips through pickle.
 """
 
 from __future__ import annotations
 
-import copyreg
 import gc
-import io
 import pickle
 import tracemalloc
 
@@ -24,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.sim.schema import KINDS
 from repro.sim.tracing import Trace, TraceEvent
+from tests.helpers import FakeEnv
 
 N_RECORDS = 20_000
 
@@ -255,27 +253,21 @@ def test_subscribers_see_the_same_row_the_trace_keeps():
     assert seen[1].fields == {"sensor": "s", "process": "p", "seq": 5}
 
 
+def test_a_test_environment_records_the_declared_rows():
+    """``FakeEnv`` records through the positional lanes as both runtimes
+    do: an ingest keeps its declared order, not keyword tracing's
+    ``process`` first."""
+    env = FakeEnv("p1")
+    env.trace_device("ingest", "s1", 3)
+    env.trace_row("command_issued", ("app", "light1", "on", 3))
+    ingest, command = env.trace_log.events
+    assert tuple(ingest.fields) == KINDS["ingest"].fields
+    assert ingest.fields == {"sensor": "s1", "process": "p1", "seq": 3}
+    assert tuple(command.fields) == KINDS["command_issued"].fields
+    assert command["process"] == "p1" and command["action"] == "on"
+
+
 # -- pickles -----------------------------------------------------------------------------
-
-#: ``pickle.dumps(TraceEvent(1.5, "ingest", {"sensor": "s", "seq": 3}))``
-#: under the dict layout: slot state ``(None, {"time", "kind", "fields"})``.
-DICT_LAYOUT_PICKLE = (
-    b"\x80\x04\x95q\x00\x00\x00\x00\x00\x00\x00\x8c\x11repro.sim.tracing\x94"
-    b"\x8c\nTraceEvent\x94\x93\x94)\x81\x94N}\x94(\x8c\x04time\x94G?\xf8\x00"
-    b"\x00\x00\x00\x00\x00\x8c\x04kind\x94\x8c\x06ingest\x94\x8c\x06fields\x94}"
-    b"\x94(\x8c\x06sensor\x94\x8c\x01s\x94\x8c\x03seq\x94K\x03uu\x86\x94b."
-)
-
-
-def test_the_dict_layout_pickle_loads_as_a_row():
-    event = pickle.loads(DICT_LAYOUT_PICKLE)
-    assert event == TraceEvent(1.5, "ingest", ("sensor", "seq"), ("s", 3))
-    assert (event.time, event.kind, event.fields) == (1.5, "ingest", {"sensor": "s", "seq": 3})
-    assert event["seq"] == 3 and event.get("process") is None
-    trace = Trace()
-    trace.record(0.0, "ingest", sensor="x", seq=1)
-    assert event._names is trace.events[0]._names
-
 
 @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
 def test_a_kept_trace_round_trips_through_every_pickle_protocol(protocol):
@@ -286,54 +278,3 @@ def test_a_kept_trace_round_trips_through_every_pickle_protocol(protocol):
     clone = pickle.loads(pickle.dumps(trace, protocol=protocol))
     assert list(clone.events) == list(trace.events)
     assert clone.digest() == trace.digest()
-
-
-class _TraceEventListPickler(pickle.Pickler):
-    """Pickles a trace as it was pickled when it kept TraceEvents: every
-    kept record in ``_events`` and in its kind's ``_by_kind`` list, which
-    is also slot 3 of the kind's state."""
-
-    def reducer_override(self, obj):
-        if type(obj) is not Trace:
-            return NotImplemented
-        state = obj.__getstate__()
-        del state["_all"]
-        state["_events"] = events = list(obj.events)
-        state["_by_kind"] = by_kind = {}
-        kinds = {}
-        for kind, kind_state in obj._kind_state.items():
-            kept = None if kind_state[3] is None else by_kind.setdefault(kind, [])
-            kinds[kind] = [*kind_state[:3], kept, kind_state[4]]
-        for event in events:
-            by_kind[event.kind].append(event)
-        state["_kind_state"] = kinds
-        return copyreg.__newobj__, (Trace,), state
-
-
-def test_a_trace_pickled_with_trace_event_lists_loads_to_the_same_views():
-    trace = Trace(keep_kinds={"ingest", "repair", "net_send", "alert"})
-    alert = {"process": "p1", "app": "a", "operator": "o", "message": "m"}
-    repair = {"process": "p2", "app": "a", "sensor": "s", "seq": 1, "decision": "drop"}
-    trace.record(0.5, "alert", **alert)
-    trace.record_device(1.0, "ingest", "s", "p1", 1)
-    trace.record(1.0, "repair", **repair)
-    trace.record(1.5, "dropped", x=1)
-    trace.message_channel("net_send", "p1", "p2").record(2.0, "keepalive", 20)
-    trace.record(2.5, "repair", **repair, reason="power")
-    trace.record(3.0, "alert", **alert, replayed=4)
-    blob = io.BytesIO()
-    _TraceEventListPickler(blob).dump(trace)
-    assert b"_by_kind" in blob.getvalue()
-    clone = pickle.loads(blob.getvalue())
-    assert not hasattr(clone, "_events") and not hasattr(clone, "_by_kind")
-    assert list(clone.events) == list(trace.events) and len(clone) == len(trace) == 6
-    for kind in ("alert", "ingest", "repair", "net_send", "dropped"):
-        assert list(clone.of_kind(kind)) == list(trace.of_kind(kind))
-        assert clone.count(kind) == trace.count(kind)
-    assert clone.of_kind("repair")[-1]["reason"] == "power"
-    assert clone.tally("net_send", "keepalive") == (1, 20)
-    # It records on in the lane layout, each schema into its own lane.
-    for copy in (trace, clone):
-        copy.record(4.0, "repair", **repair)
-    assert list(clone.events) == list(trace.events)
-    assert [e.time for e in clone.iter_kinds("repair", "alert")] == [0.5, 1.0, 2.5, 3.0, 4.0]

@@ -340,23 +340,6 @@ def test_a_plan_refused_by_a_later_subscription_is_dropped():
     sched.run()
 
 
-def test_network_pickled_before_the_payload_table_restores_with_defaults():
-    """A parent-written graph has no table and no counters: the defaults
-    are what an unregistered (empty-payload) fan-out means."""
-    import pickle
-
-    _sched, _trace, net, _sinks = make_mcast_net()
-    assert net.send_multicast("a", ("b", "c"), "keepalive")
-    state = net.__getstate__()
-    for name in ("_mcast_payloads", "plan_builds", "lane_refusals"):
-        del state[name]
-    restored = HomeNetwork.__new__(HomeNetwork)
-    restored.__setstate__(pickle.loads(pickle.dumps(state)))
-    assert restored._mcast_payloads == {} and restored.plan_builds == 0
-    assert restored.lane_refusals == {"partition": 0, "subscriber": 0, "kept": 0}
-    assert restored.send_multicast("a", ("b", "c"), "keepalive")
-
-
 class ConstantLatency(LatencyModel):
     """Every copy takes 0.25 s, whatever its size; each call is counted."""
 
