@@ -583,12 +583,19 @@ def check_fleet_isolation(fleet: Any) -> list[Violation]:
       ...) name only the home's processes, and ``ingest`` records name
       only the home's sensors.
 
+    The last clause reads records, so it covers only the kinds a home's
+    trace keeps (:meth:`~repro.sim.tracing.Trace.keeps`). An
+    aggregate-only tenant, such as every ``fleet_deployment`` home, counts
+    those kinds without keeping them and gets only the endpoint,
+    radio-link and message-pair checks.
+
     Accepts anything with ``home_ids`` and ``home()``, such as a
     :class:`~repro.core.fleet.Fleet`.
     """
     violations: list[Violation] = []
     for home_id in fleet.home_ids:
         home = fleet.home(home_id)
+        trace = home.trace
         processes = set(home.process_names)
         devices = set(home.sensor_names) | set(home.actuator_names)
 
@@ -617,7 +624,7 @@ def check_fleet_isolation(fleet: Any) -> list[Violation]:
                 ))
 
         for kind in _PAIRED_NET_KINDS:
-            for (src, dst), count in sorted(home.trace.pair_counts(kind).items()):
+            for (src, dst), count in sorted(trace.pair_counts(kind).items()):
                 if src not in processes or dst not in processes:
                     violations.append(Violation(
                         oracle="fleet_isolation",
@@ -629,8 +636,8 @@ def check_fleet_isolation(fleet: Any) -> list[Violation]:
                                  "src": src, "dst": dst},
                     ))
 
-        for kind in _PROCESS_ACTIVITY_KINDS:
-            for entry in home.trace.iter_kind(kind):
+        for kind in filter(trace.keeps, _PROCESS_ACTIVITY_KINDS):
+            for entry in trace.iter_kind(kind):
                 process = entry.get("process")
                 if process is not None and process not in processes:
                     violations.append(Violation(
@@ -643,16 +650,17 @@ def check_fleet_isolation(fleet: Any) -> list[Violation]:
                         context={"home_id": home_id, "kind": kind,
                                  "process": process},
                     ))
-        for entry in home.trace.iter_kind("ingest"):
-            sensor = entry.get("sensor")
-            if sensor is not None and sensor not in devices:
-                violations.append(Violation(
-                    oracle="fleet_isolation",
-                    message=(
-                        f"home {home_id!r} ingested an event from foreign "
-                        f"sensor {sensor!r}"
-                    ),
-                    at=entry.time,
-                    context={"home_id": home_id, "sensor": sensor},
-                ))
+        if trace.keeps("ingest"):
+            for entry in trace.iter_kind("ingest"):
+                sensor = entry.get("sensor")
+                if sensor is not None and sensor not in devices:
+                    violations.append(Violation(
+                        oracle="fleet_isolation",
+                        message=(
+                            f"home {home_id!r} ingested an event from foreign "
+                            f"sensor {sensor!r}"
+                        ),
+                        at=entry.time,
+                        context={"home_id": home_id, "sensor": sensor},
+                    ))
     return violations

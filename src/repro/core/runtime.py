@@ -151,8 +151,6 @@ class RivuletProcess(ServiceHost):
             return
         self.alive = False
         self._handlers.clear()
-        if self.heartbeat is not None:
-            self.heartbeat.stop()
         self._network.liveness_changed()
         self.trace("crash")
 
@@ -185,8 +183,6 @@ class RivuletProcess(ServiceHost):
         self._network.send(Message(kind, self.name, dst, payload))
 
     def multicast(self, dsts: Sequence[str], kind: str, payload: dict) -> None:
-        if not self.alive:
-            return
         network = self._network
         name = self.name
         # The per-message path (the heartbeat offers its fan-outs to the

@@ -87,9 +87,10 @@ past the table, a mask bit past its processes, trailing bytes, a
 duplicate payload key or bad UTF-8 raise :class:`WireError`, the only
 exception that leaves :func:`decode_body`, :func:`split_frame`,
 :class:`FrameProtocol`'s splitter and :func:`decode_records`. A running
-home repeats a few headers and process-id sets, so both directions of
-each are memoized, in module-level tables and in each :class:`Names`,
-that stop growing at :data:`MEMO_CAP` entries.
+home repeats a few shape-0 headers and shaped process-id masks, so both
+directions of each are memoized, the headers in module-level tables and
+the masks in each :class:`Names`; the memos stop growing at
+:data:`MEMO_CAP` entries.
 """
 
 from __future__ import annotations
@@ -152,8 +153,6 @@ _EVENT, _COMMAND, _PIDSET = b"ECP"
 # The memo tables.
 _HEADS_OUT: dict[tuple, bytes] = {}      # (kind, src, dst, *keys) -> 0 || u16 len || header
 _HEADS_IN: dict[bytes, tuple] = {}       # header -> (kind, src, dst, keys)
-_PIDSETS_OUT: dict[ProcessIdSet, bytes] = {}  # set -> its tagged value
-_PIDSETS_IN: dict[bytes, ProcessIdSet] = {}   # names image -> set
 _ONLY_STR = frozenset((str,))
 
 
@@ -235,13 +234,9 @@ def _put_command(out: bytearray, command: Command, depth: int) -> None:
 
 
 def _put_pidset(out: bytearray, ids: ProcessIdSet, depth: int) -> None:
-    image = _PIDSETS_OUT.get(ids)
-    if image is None:
-        names = b"".join(map(_name, sorted(ids)))
-        image = _pack_sized(_PIDSET, len(names)) + names
-        if len(_PIDSETS_OUT) < MEMO_CAP:
-            _PIDSETS_OUT[ids] = image
-    out += image
+    names = b"".join(map(_name, sorted(ids)))
+    out += _pack_sized(_PIDSET, len(names))
+    out += names
 
 
 #: exact type -> writer of its tag and body.
@@ -404,12 +399,7 @@ def _names(data: bytes, pos: int) -> list[str]:
 
 def _get_pidset(buf: bytes, pos: int, depth: int) -> tuple[ProcessIdSet, int]:
     raw, pos = _span(buf, pos)
-    ids = _PIDSETS_IN.get(raw)
-    if ids is None:
-        ids = ProcessIdSet(_names(raw, 0))
-        if len(_PIDSETS_IN) < MEMO_CAP:
-            _PIDSETS_IN[raw] = ids
-    return ids, pos
+    return ProcessIdSet(_names(raw, 0)), pos
 
 
 def _unknown_tag(buf: bytes, pos: int, depth: int):

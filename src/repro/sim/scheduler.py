@@ -35,9 +35,8 @@ Hot-path design (see docs/performance.md):
 - ``pending_events`` is O(1): a live-entry counter is maintained on push,
   pop and cancel instead of scanning the heap;
 - cancelling nulls the entry's ``interval`` slot and leaves the entry in
-  its bucket (lazy cancel); the drain skips it, and when dead entries pile
-  up past half the stored entries, the list buckets are compacted (a bare
-  post cannot be cancelled, so compaction leaves it alone);
+  its bucket (lazy cancel); the drain skips it at its instant, so a
+  cancelled timer holds no more memory than one that was never cancelled;
 - a callback that schedules more work at the *current* instant appends to
   the bucket being drained and runs within the same batch, exactly as a
   fresh ``seq`` would have ordered it; a bare post whose callback does so
@@ -63,15 +62,12 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable
 
-_COMPACT_MIN_CANCELLED = 64
-"""Lazy-cancel compaction kicks in past this many dead stored entries."""
-
 # Timer entry layout (a bare list, the mutable sibling of the post_at
 # tuple): [callback, args, interval, in_bucket]. ``interval`` is 0.0 for a
 # one-shot, the period for a repeating timer and None once cancelled;
 # ``in_bucket`` tracks whether the entry is currently stored in a heap
 # bucket (False once drained, and while its callback is running), which is
-# what lets cancel() keep the live/lazy counters exact from either side.
+# what lets cancel() keep the live counter exact from either side.
 _INTERVAL = 2
 _IN_BUCKET = 3
 
@@ -115,7 +111,7 @@ class TimerHandle:
             return
         entry[_INTERVAL] = None
         if entry[_IN_BUCKET]:
-            self._scheduler._on_cancel()
+            self._scheduler._live -= 1
 
     @property
     def cancelled(self) -> bool:
@@ -165,7 +161,6 @@ class Scheduler:
         self._drain_idx = 0
         self._processed = 0
         self._live = 0
-        self._lazy_cancelled = 0
 
     @property
     def now(self) -> float:
@@ -181,66 +176,6 @@ class Scheduler:
     def pending_events(self) -> int:
         """Number of not-yet-fired, not-cancelled entries (O(1))."""
         return self._live
-
-    # -- internal bookkeeping ----------------------------------------------------
-
-    def _on_cancel(self) -> None:
-        """A still-stored entry was cancelled; compact if worthwhile."""
-        self._live -= 1
-        self._lazy_cancelled += 1
-        if (
-            self._lazy_cancelled > _COMPACT_MIN_CANCELLED
-            and self._lazy_cancelled * 2 > self._live + self._lazy_cancelled
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries from every list bucket in the heap.
-
-        Bare posts cannot be cancelled and are left alone. The bucket
-        currently being drained (if any) is not in the heap — its dead
-        entries are skipped by the drain loop itself — so the lazy counter
-        is recomputed from what actually remains stored. While a drain is
-        active, buckets that end up empty keep their heap slot (the re-arm
-        memo may hold a reference to one, and bucket object identity must
-        survive); outside a drain they are dropped so mass cancellation
-        actually shrinks the heap.
-        """
-        draining = self._draining
-        heap = self._heap
-        buckets = self._buckets
-        emptied = False
-        for when in heap:
-            bucket = buckets[when]
-            if type(bucket) is tuple:
-                continue
-            kept = []
-            for item in bucket:
-                if type(item) is list and item[_INTERVAL] is None:
-                    item[_IN_BUCKET] = False
-                else:
-                    kept.append(item)
-            bucket[:] = kept
-            if not kept and draining is None:
-                del buckets[when]
-                emptied = True
-        if emptied:
-            # Mutate the heap in place: run_until holds a local binding to
-            # the heap list across callbacks (and compaction can run from
-            # any cancel() inside one), so the object must never be swapped
-            # out from under it.
-            heap[:] = [when for when in heap if when in buckets]
-            heapq.heapify(heap)
-        remaining = 0
-        if draining is not None:
-            # The in_bucket flag distinguishes still-stored dead entries
-            # from ones the drain loop already discarded, so this recount is
-            # exact even though the drain writes its cursor back only once
-            # per bucket.
-            for item in draining[self._drain_idx:]:
-                if type(item) is list and item[_INTERVAL] is None and item[_IN_BUCKET]:
-                    remaining += 1
-        self._lazy_cancelled = remaining
 
     # -- scheduling ----------------------------------------------------------------
 
@@ -365,10 +300,9 @@ class Scheduler:
         IN_BUCKET = _IN_BUCKET
         # Executed-callback and live-entry deltas are tallied in locals for
         # the whole run and folded into the instance counters once, in the
-        # outer finally (lazy-cancel decrements stay inline — dead entries
-        # are rare and _compact recounts from the stored state). Callbacks
-        # that schedule new work bump the instance counters directly, which
-        # commutes with the deferred deltas. The one mid-drain reader is
+        # outer finally. Callbacks that schedule or cancel work bump the
+        # instance counters directly, which commutes with the deferred
+        # deltas. The one mid-drain reader is
         # ``_drain_open``'s budget check, so a solo callback's count is
         # folded before its bucket is handed over.
         ran = 0
@@ -418,14 +352,12 @@ class Scheduler:
                     continue
                 if len(bucket) == 1:
                     item = bucket[0]
-                    # A list holding one post (left by compaction, or read
-                    # from an older snapshot) takes the general path.
+                    # A list holding one post (read from a snapshot that
+                    # an older build compacted) takes the general path.
                     if type(item) is list:
                         # One unpack instead of three subscript reads.
                         cb, cb_args, interval, _ = item
                         if interval is None:
-                            item[IN_BUCKET] = False
-                            self._lazy_cancelled -= 1
                             del buckets[when]
                             continue
                         self._now = when
@@ -578,7 +510,6 @@ class Scheduler:
                     cb, cb_args, interval, _ = item
                     item[IN_BUCKET] = False
                     if interval is None:
-                        self._lazy_cancelled -= 1
                         continue
                     ran += 1
                     live_delta -= 1
@@ -613,8 +544,7 @@ class Scheduler:
             self._live += live_delta
         self._draining = None
         # Within an active drain the dict always maps `when` to the drained
-        # bucket (compaction leaves every open bucket in place), so no
-        # identity re-check is needed.
+        # bucket, so no identity re-check is needed.
         del buckets[when]
 
     def run(self, max_events: int = 10_000_000) -> None:

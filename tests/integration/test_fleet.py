@@ -188,6 +188,20 @@ def test_isolation_oracle_flags_foreign_net_traffic():
     )
 
 
+def test_isolation_oracle_flags_foreign_ingest_records():
+    """A keep-all tenant's kept ``ingest`` records are read: one naming a
+    foreign process and one naming a foreign sensor are both flagged."""
+    fleet = Fleet.build(2, template, seed=42)
+    fleet.start()
+    trace = fleet.home("h000").trace
+    assert trace.keeps("ingest")
+    trace.record(0.0, "ingest", sensor="door1", process="intruder", seq=1)
+    trace.record(0.0, "ingest", sensor="alien-door", process="hub", seq=2)
+    flagged = [(v.context.get("kind"), v.context.get("process"), v.context.get("sensor"))
+               for v in check_fleet_isolation(fleet)]
+    assert flagged == [("ingest", "intruder", None), (None, None, "alien-door")]
+
+
 def test_a_plan_naming_another_home_fails_in_its_target():
     """Names are tenant-local: a foreign ``home_id/name`` is just an unknown
     process to the home the plan was applied to."""

@@ -29,6 +29,34 @@ def test_timers_from_old_incarnation_do_not_fire(make_home):
     assert fired == [], "a pre-crash timer fired after recovery"
 
 
+def test_crash_and_recovery_inside_one_heartbeat_interval():
+    """The old incarnation's tick is inert from the crash on and retires
+    itself at its next instant; the new incarnation's is the only one
+    that sends, so each peer hears one keep-alive per interval."""
+    from repro.core.home import Home
+
+    home = Home(seed=1)
+    for i in range(3):
+        home.add_process(f"p{i}")
+    home.run_until(2.1)  # ticks at 0.0, 0.5, ..., 2.0; the next is at 2.5
+    process = home.processes["p2"]
+    old_tick = process.heartbeat._tick_handle
+    home.crash_process("p2")
+    home.run_until(2.3)
+    home.recover_process("p2")  # the new incarnation ticks at once, at 2.3
+    home.run_until(2.1 + process.heartbeat.interval)
+    assert old_tick.cancelled
+    stored = [entry for bucket in home.scheduler._buckets.values()
+              if type(bucket) is list for entry in bucket]
+    assert not any(entry is old_tick._entry for entry in stored)
+    home.run_until(5.0)
+    sent = [(round(e.time, 6), e["dst"]) for e in home.trace.of_kind("net_send")
+            if e["src"] == "p2" and e["kind"] == "keepalive" and e.time > 2.0]
+    assert not [t for t, _ in sent if t < 2.3], "the crashed incarnation sent"
+    ticks = [round(2.3 + 0.5 * k, 6) for k in range(6)]  # 2.3 ... 4.8
+    assert sent == [(t, dst) for t in ticks for dst in ("p0", "p1")]
+
+
 def test_double_crash_and_double_recover_raise_fault_error(make_home):
     import pytest
 

@@ -1,16 +1,16 @@
 """The bucketed scheduler against a plain ``(when, seq)`` heap.
 
 ``Scheduler`` stores two entry shapes in per-timestamp buckets, cancels
-lazily, compacts past a threshold, drains solo buckets on an express path
-and memoises re-arm buckets. :class:`Model` does none of that: one heap of
+lazily, drains solo buckets on an express path and memoises re-arm
+buckets. :class:`Model` does none of that: one heap of
 ``(when, seq, entry)`` with a fresh ``seq`` for every push — including when a
 repeating entry re-arms after its callback returns — and cancellation as a
 flag checked at pop time. Random programs of every scheduling call, cancels
 (before firing, from inside the entry's own callback, from an earlier entry
-of the same instant, in bulk past the compaction threshold), same-instant
-scheduling from inside callbacks and ``run_until`` / ``run`` drains run
-against both; the ``(label, now)`` firing order, ``now``, ``pending_events``
-and ``processed_events`` must agree after every drain. ``run`` checks its
+of the same instant, in bulk), same-instant scheduling from inside
+callbacks and ``run_until`` / ``run`` drains run against both; the
+``(label, now)`` firing order, ``now``, ``pending_events`` and
+``processed_events`` must agree after every drain. ``run`` checks its
 budget after each instant and between the passes of one instant: the first
 pass is the entries due at the instant when it opens, each later pass the
 entries the previous one scheduled at that instant.
@@ -196,8 +196,8 @@ class Interpreter:
                 if self.handles:
                     self.cancel(self.handles[op[1] % len(self.handles)])
             elif kind == "bulk":
-                # Past the compaction threshold: schedule many one-shots,
-                # then cancel all but every ``keep``-th of them.
+                # In bulk: schedule many one-shots, then cancel all but
+                # every ``keep``-th of them.
                 _, count, keep, time = op
                 first = len(self.handles)
                 for i in range(count):
@@ -276,9 +276,9 @@ _REPOSTS = ("schedule", ("call_at", 0.0, 0.25, [("schedule", ("call_later", 0.0,
           ("schedule", ("call_repeating", 1.0, 0.5, [])),
           ("schedule", ("post_at", 1.5, 0.25, [])),
           ("run_until", 2.5)])
-# A bulk cancel that compacts while lone posts are stored, one of them
-# sharing an instant with the doomed timers and one of those instants
-# emptied altogether.
+# A bulk cancel while lone posts are stored, one of them sharing an
+# instant with the doomed timers and one of those instants left with no
+# live entry at all.
 @example([("schedule", ("post_at", 3.0, 0.25, [])),
           ("schedule", ("post_at", 1.5, 0.25, [])),
           ("bulk", 140, 9, 1.0),

@@ -476,7 +476,7 @@ def test_memo_tables_stop_at_their_cap():
         assert decoded.kind == name and decoded["s"] == name
     tables = [getattr(wire, table) for table in vars(wire)
               if table.startswith("_") and table.endswith(("_IN", "_OUT"))]
-    assert len(tables) >= 4
+    assert len(tables) >= 2
     assert all(len(table) <= MEMO_CAP for table in tables)
     # Full tables still encode and decode correctly, they just stop growing.
     message = Message("late", "a", "b", {"ids": ProcessIdSet({"x", "y"})})

@@ -44,7 +44,7 @@ def test_posted_entries_survive_compaction():
     handles = [sched.call_at(5.0, fired.append, i) for i in range(200)]
     sched.post_at(6.0, fired.append, "posted")
     for handle in handles:
-        handle.cancel()  # triggers lazy-cancel compaction
+        handle.cancel()  # a bulk cancel, skipped lazily at 5.0
     sched.run_until(10.0)
     assert fired == ["posted"]
 
@@ -121,7 +121,7 @@ def test_heavy_cancellation_keeps_equal_timestamp_order_for_survivors():
             if i % 3 == 1:
                 doomed.append(handle)
     for handle in doomed:
-        handle.cancel()  # exceeds the compaction threshold
+        handle.cancel()  # a bulk cancel inside one bucket
     assert sched.pending_events == 200
     sched.run_until(7.0)
     assert order == [i for i in range(300) if i % 3 != 1]
