@@ -1,6 +1,7 @@
 """Which statements under src/repro no benchmark workload executes.
 
     python benchmarks/traffic_census.py [--quick] [--seed 7] [--workload W ...]
+                                        [--hits FILE:LINE ...]
 
 Runs each workload ``BENCHMARK.json`` declares (or only the ``--workload``
 ones) as ``measure(seed, Sizing(1, quick=...))`` from ``bench/``, each in
@@ -17,6 +18,11 @@ event; a compound statement (``if``, ``for``, ``with``, ...) is judged by
 its header lines, its body statement by statement. ``try`` headers,
 docstrings and ``global`` / ``nonlocal`` declarations run no code and are
 not counted. Only the workload's own interpreter is traced.
+
+``--hits FILE:LINE`` (repeatable; FILE relative to the repository root)
+also prints, under each workload, how many times that line produced a
+``line`` event: the price of a fast path or a guard in executions. Only
+the named lines get a counter; the other lines are traced as without it.
 
 Report only: it exits 0 whatever it finds, and 1 only when a workload's
 interpreter fails. It imports ``bench/`` and writes nothing there (the
@@ -49,9 +55,12 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPES = (*_FUNCTIONS, ast.ClassDef)
 
 
-def _trace_workload(name: str, seed: int, quick: bool, scratch: Path) -> tuple[dict, str]:
+def _trace_workload(
+    name: str, seed: int, quick: bool, scratch: Path, hits: dict[str, dict[int, int]]
+) -> tuple[dict, str]:
     """Run one workload in this interpreter under the line tracer: the
-    lines run per file, and the workload's first error ('' if none)."""
+    lines run per file, and the workload's first error ('' if none).
+    ``hits`` maps a file to ``{line: 0}`` counters, which the run fills."""
     prefix = str(SRC) + os.sep
     lines: dict[str, set[int]] = {}
     local_tracers: dict[str, object] = {}
@@ -63,11 +72,21 @@ def _trace_workload(name: str, seed: int, quick: bool, scratch: Path) -> tuple[d
             if not filename.startswith(prefix):
                 return None
             add = lines.setdefault(filename, set()).add
+            counters = hits.get(filename)
 
-            def local(frame, event, arg):
-                if event == "line":
-                    add(frame.f_lineno)
-                return local
+            if counters is None:
+                def local(frame, event, arg):
+                    if event == "line":
+                        add(frame.f_lineno)
+                    return local
+            else:
+                def local(frame, event, arg):
+                    if event == "line":
+                        line = frame.f_lineno
+                        add(line)
+                        if line in counters:
+                            counters[line] += 1
+                    return local
 
             local_tracers[filename] = local
         return local
@@ -193,6 +212,18 @@ def report(executed: dict[str, set[int]]) -> tuple[list[str], dict[str, int]]:
 # -- command line -------------------------------------------------------------------------
 
 
+def _hit_counters(hits: list[str], parser: argparse.ArgumentParser) -> dict[str, dict[int, int]]:
+    """``FILE:LINE`` arguments as ``{absolute file: {line: 0}}``."""
+    counters: dict[str, dict[int, int]] = {}
+    for hit in hits:
+        file, _, line = hit.rpartition(":")
+        path = (ROOT / file).resolve()
+        if not (line.isdigit() and path.is_file() and path.is_relative_to(SRC)):
+            parser.error(f"--hits {hit}: not FILE:LINE of a file under {SRC.relative_to(ROOT)}")
+        counters.setdefault(str(path), {})[int(line)] = 0
+    return counters
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true",
@@ -200,14 +231,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--workload", action="append", dest="workloads",
                         help="census only this workload (repeatable)")
+    parser.add_argument("--hits", action="append", default=[], metavar="FILE:LINE",
+                        help="also count how often this line runs (repeatable)")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     parser.add_argument("--out", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    hits = _hit_counters(args.hits, parser)
 
     if args.child:
         with tempfile.TemporaryDirectory() as scratch:
-            lines, problem = _trace_workload(args.child, args.seed, args.quick, Path(scratch))
-        Path(args.out).write_text(json.dumps({"lines": lines, "problem": problem}))
+            lines, problem = _trace_workload(
+                args.child, args.seed, args.quick, Path(scratch), hits)
+        counts = [[path, line, n] for path, counters in hits.items()
+                  for line, n in counters.items()]
+        Path(args.out).write_text(json.dumps(
+            {"lines": lines, "problem": problem, "hits": counts}))
         return 0
 
     declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -221,7 +259,8 @@ def main(argv: list[str] | None = None) -> int:
         for name in names:
             out = Path(tmp) / f"{name}.json"
             command = [sys.executable, __file__, "--child", name, "--out", str(out),
-                       "--seed", str(args.seed), *(["--quick"] if args.quick else [])]
+                       "--seed", str(args.seed), *(["--quick"] if args.quick else []),
+                       *(f"--hits={hit}" for hit in args.hits)]
             start = time.perf_counter()
             done = subprocess.run(command, cwd=ROOT, stdout=subprocess.DEVNULL)
             elapsed = time.perf_counter() - start
@@ -234,6 +273,8 @@ def main(argv: list[str] | None = None) -> int:
                 executed.setdefault(path, set()).update(seen)
             count = sum(map(len, child["lines"].values()))
             print(f"workload {name}: {count} lines run, {elapsed:.1f} s traced")
+            for path, line, n in child["hits"]:
+                print(f"  {Path(path).relative_to(ROOT)}:{line} ran {n} times")
             if child["problem"]:
                 print(f"  (under the tracer it reported: {child['problem'][:300]})")
     rows, totals = report(executed)

@@ -28,42 +28,10 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
+from repro.sim.snapshot import source_tree_digest
+
 #: Default cache directory, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".rivulet-cache"
-
-_TREE_DIGEST_MEMO: dict[str, str] = {}
-
-
-def source_tree_digest(package_root: str | Path | None = None) -> str:
-    """A stable digest of every ``*.py`` file under the package tree.
-
-    Defaults to the installed ``repro`` package directory. The digest
-    covers relative paths and file contents (not mtimes), so rebuilding
-    or re-checking-out an identical tree reuses the cache.
-    """
-    if package_root is None:
-        import repro
-
-        package_root = Path(repro.__file__).parent
-    root = Path(package_root)
-    memo_key = str(root.resolve())
-    cached = _TREE_DIGEST_MEMO.get(memo_key)
-    if cached is not None:
-        return cached
-    hasher = hashlib.blake2b(digest_size=16)
-    for path in sorted(root.rglob("*.py")):
-        hasher.update(str(path.relative_to(root)).encode("utf-8"))
-        hasher.update(b"\0")
-        hasher.update(path.read_bytes())
-        hasher.update(b"\0")
-    digest = hasher.hexdigest()
-    _TREE_DIGEST_MEMO[memo_key] = digest
-    return digest
-
-
-def clear_tree_digest_memo() -> None:
-    """Forget memoized tree digests (tests mutate trees in place)."""
-    _TREE_DIGEST_MEMO.clear()
 
 
 def task_key(runner: str, spec: dict[str, Any], tree_digest: str) -> str:

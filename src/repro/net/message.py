@@ -8,7 +8,7 @@ overhead numbers (Fig. 5) come out of a real cost model.
 
 Messages are **immutable once sent** (by convention: nothing may mutate a
 message after handing it to a transport). :mod:`repro.net.wire` relies on
-this to cache the computed payload/wire sizes directly on the instance, so
+this to cache the computed wire size directly on the instance, so
 a message forwarded over several hops — the Gap chain, the Gapless ring —
 is sized exactly once. The class is slot-based rather than a frozen
 dataclass: a home simulation creates one instance per keep-alive and
@@ -23,8 +23,7 @@ from typing import Any
 class Message:
     """One point-to-point message on the home (WiFi/IP) network."""
 
-    __slots__ = ("kind", "src", "dst", "payload", "msg_id",
-                 "_payload_bytes", "_wire_bytes")
+    __slots__ = ("kind", "src", "dst", "payload", "msg_id", "_wire_bytes")
 
     def __init__(
         self,
@@ -42,7 +41,6 @@ class Message:
         # fixtures). Nothing in the platform consumes it, so no global
         # counter is drawn for it — construction is a kernel hot path.
         self.msg_id = msg_id
-        self._payload_bytes: int | None = None
         self._wire_bytes: int | None = None
 
     def __getitem__(self, key: str) -> Any:

@@ -22,7 +22,7 @@ Sizes are computed structurally from the payload: events, process-id
 collections, numbers and strings each have well-defined encodings.
 
 Hot-path design (see docs/performance.md): messages are immutable once
-sent, so ``payload_size``/``wire_size`` are cached per :class:`Message`;
+sent, so ``wire_size`` is cached per :class:`Message`;
 ``wire_size`` sizes the common payload values (ASCII strings, events,
 process-id sets, scalars) in line on their exact type and hands anything
 else to :func:`sizeof`, and the fixed per-message overhead of the
@@ -110,46 +110,39 @@ def _sizeof_general(value: Any) -> int:
 def payload_size(message: Message) -> int:
     """Application-layer size: Rivulet header plus encoded payload.
 
-    Cached on the message: messages are immutable once handed to the
-    transport, and retransmissions/multi-hop forwards re-send the same
-    object. This is the reference walk, one :func:`sizeof` per value;
+    This is the reference walk, one :func:`sizeof` per value;
     :func:`wire_size` computes the same number with its common cases in
     line.
     """
-    cached = message._payload_bytes
-    if cached is None:
-        cached = MESSAGE_HEADER + sum(map(sizeof, message.payload.values()))
-        message._payload_bytes = cached
-    return cached
+    return MESSAGE_HEADER + sum(map(sizeof, message.payload.values()))
 
 
 def wire_size(message: Message) -> int:
     """Total bytes on the home network for one message, including framing.
 
     Large payloads (camera frames) span multiple TCP segments; each segment
-    pays :data:`FRAME_OVERHEAD`.
+    pays :data:`FRAME_OVERHEAD`. Cached on the message: messages are
+    immutable once handed to the transport, and retransmissions/multi-hop
+    forwards re-send the same object.
     """
     cached = message._wire_bytes
     if cached is not None:
         return cached
-    app_bytes = message._payload_bytes
-    if app_bytes is None:
-        # payload_size's walk, with sizeof's most common cases in line:
-        # sizing an uncached message is a per-send cost.
-        app_bytes = MESSAGE_HEADER
-        fixed_sizes = _FIXED_SIZES
-        for value in message.payload.values():
-            t = type(value)
-            if t is str and value.isascii():
-                app_bytes += 1 + len(value)
-            elif t is Event:
-                app_bytes += EVENT_HEADER + value.size_bytes
-            elif t is ProcessIdSet:
-                app_bytes += 1 + PROCESS_ID_BYTES * len(value)
-            else:
-                fixed = fixed_sizes.get(t)
-                app_bytes += fixed if fixed is not None else sizeof(value)
-        message._payload_bytes = app_bytes
+    # payload_size's walk, with sizeof's most common cases in line:
+    # sizing an uncached message is a per-send cost.
+    app_bytes = MESSAGE_HEADER
+    fixed_sizes = _FIXED_SIZES
+    for value in message.payload.values():
+        t = type(value)
+        if t is str and value.isascii():
+            app_bytes += 1 + len(value)
+        elif t is Event:
+            app_bytes += EVENT_HEADER + value.size_bytes
+        elif t is ProcessIdSet:
+            app_bytes += 1 + PROCESS_ID_BYTES * len(value)
+        else:
+            fixed = fixed_sizes.get(t)
+            app_bytes += fixed if fixed is not None else sizeof(value)
     if app_bytes <= MSS:
         total = app_bytes + SINGLE_SEGMENT_OVERHEAD
     else:

@@ -87,9 +87,8 @@ past the table, a mask bit past its processes, trailing bytes, a
 duplicate payload key or bad UTF-8 raise :class:`WireError`, the only
 exception that leaves :func:`decode_body`, :func:`split_frame`,
 :class:`FrameProtocol`'s splitter and :func:`decode_records`. A running
-home repeats a few shape-0 headers and shaped process-id masks, so both
-directions of each are memoized, the headers in module-level tables and
-the masks in each :class:`Names`; the memos stop growing at
+home repeats a few shaped process-id masks, so both directions are
+memoized in each :class:`Names`; the memos stop growing at
 :data:`MEMO_CAP` entries.
 """
 
@@ -150,11 +149,6 @@ _INT, _BIGINT, _FLOAT, _STR, _BYTES = b"iIfsb"
 _LIST, _TUPLE, _DICT, _SET = b"ltdS"
 _EVENT, _COMMAND, _PIDSET = b"ECP"
 
-# The memo tables.
-_HEADS_OUT: dict[tuple, bytes] = {}      # (kind, src, dst, *keys) -> 0 || u16 len || header
-_HEADS_IN: dict[bytes, tuple] = {}       # header -> (kind, src, dst, keys)
-_ONLY_STR = frozenset((str,))
-
 
 # -- encoding ------------------------------------------------------------------------
 
@@ -174,10 +168,7 @@ def _encode_header(key: tuple) -> bytes:
     head = bytes((len(key) - 3,)) + b"".join(map(_name, key))
     if len(head) > 0xFFFF:
         raise WireError(f"header of {len(head)} bytes")
-    head = b"\x00" + _U16.pack(len(head)) + head  # shape 0
-    if len(_HEADS_OUT) < MEMO_CAP:
-        _HEADS_OUT[key] = head
-    return head
+    return b"\x00" + _U16.pack(len(head)) + head  # shape 0
 
 
 def _put_fields(out: bytearray, values, depth: int) -> None:
@@ -279,14 +270,8 @@ def encode_message(message: Message, names: Names | None = None) -> bytes:
             if frame is not None:
                 return frame
     payload = message.payload
-    key = (message.kind, message.src, message.dst, *payload)
-    head = _HEADS_OUT.get(key)
-    if head is None or not _ONLY_STR.issuperset(map(type, key)):
-        # A str subclass hashes and compares equal to the str it spells,
-        # so a hit is checked for exact types and a miss refuses it.
-        head = _encode_header(key)
     out = bytearray(HEADER_SIZE)
-    out += head
+    out += _encode_header((message.kind, message.src, message.dst, *payload))
     _put_all(out, payload.values(), repr(message.kind))
     size = len(out) - HEADER_SIZE
     if size > MAX_FRAME:
@@ -441,10 +426,7 @@ def _read_header(head: bytes) -> tuple:
     kind, src, dst, *keys = names
     if len(set(keys)) != len(keys):
         raise WireError("duplicate payload key")
-    fields = (kind, src, dst, tuple(keys))
-    if len(_HEADS_IN) < MEMO_CAP:
-        _HEADS_IN[head] = fields
-    return fields
+    return kind, src, dst, keys
 
 
 def decode_body(body: bytes, names: Names | None = None) -> Message:
@@ -462,8 +444,7 @@ def decode_body(body: bytes, names: Names | None = None) -> Message:
             end = 3 + _U16.unpack_from(body, 1)[0]
             if end > len(body):
                 raise WireError("frame header runs past the end of the body")
-            head = body[3:end]
-            kind, src, dst, keys = _HEADS_IN.get(head) or _read_header(head)
+            kind, src, dst, keys = _read_header(body[3:end])
             payload = {}
             for key in keys:
                 payload[key], end = _GET[body[end]](body, end + 1, 0)

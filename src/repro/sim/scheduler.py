@@ -351,82 +351,80 @@ class Scheduler:
                         self._drain_open()
                     continue
                 if len(bucket) == 1:
+                    # A lone timer: every insert stores a lone post bare.
                     item = bucket[0]
-                    # A list holding one post (read from a snapshot that
-                    # an older build compacted) takes the general path.
-                    if type(item) is list:
-                        # One unpack instead of three subscript reads.
-                        cb, cb_args, interval, _ = item
-                        if interval is None:
+                    # One unpack instead of three subscript reads.
+                    cb, cb_args, interval, _ = item
+                    if interval is None:
+                        del buckets[when]
+                        continue
+                    self._now = when
+                    item[IN_BUCKET] = False
+                    ran += 1
+                    try:
+                        cb(*cb_args)
+                    except BaseException:
+                        live_delta -= 1
+                        self._abandon(when)
+                        raise
+                    # Re-read: the callback may have cancelled its own
+                    # entry, which must suppress the re-arm.
+                    interval = item[INTERVAL]
+                    if not interval:
+                        # A one-shot, or a cancelled repeating timer.
+                        live_delta -= 1
+                        if len(bucket) == 1:
                             del buckets[when]
-                            continue
-                        self._now = when
-                        item[IN_BUCKET] = False
-                        ran += 1
-                        try:
-                            cb(*cb_args)
-                        except BaseException:
-                            live_delta -= 1
-                            self._abandon(when)
-                            raise
-                        # Re-read: the callback may have cancelled its own
-                        # entry, which must suppress the re-arm.
-                        interval = item[INTERVAL]
-                        if not interval:
-                            # A one-shot, or a cancelled repeating timer.
-                            live_delta -= 1
-                            if len(bucket) == 1:
-                                del buckets[when]
-                            else:
-                                # Same-instant appends: drain them in order.
-                                self._draining = bucket
-                                self._drain_when = when
-                                self._drain_idx = 1
-                                self._processed += ran
-                                ran = 0
-                                self._drain_open()
-                            continue
-                        nxt = when + interval
-                        if nxt <= when:
-                            # Retired; the rest of the instant stays open
-                            # for the next drain.
-                            live_delta -= 1
-                            item[INTERVAL] = None
+                        else:
+                            # Same-instant appends: drain them in order.
                             self._draining = bucket
                             self._drain_when = when
                             self._drain_idx = 1
-                            raise _stalled(interval, when)
-                        if len(bucket) == 1:
-                            del buckets[when]
-                            # Single-lookup re-arm: on a fresh timestamp the
-                            # drained bucket (still exactly [item]) moves to
-                            # its new slot; on a collision the entry joins
-                            # what is there.
-                            other = buckets.setdefault(nxt, bucket)
-                            if other is bucket:
-                                push(heap, nxt)
-                            elif type(other) is tuple:
-                                buckets[nxt] = [other, item]
-                            else:
-                                other.append(item)
-                            item[IN_BUCKET] = True
-                            continue
-                        other = buckets.get(nxt)
-                        if other is None:
-                            buckets[nxt] = [item]
+                            self._processed += ran
+                            ran = 0
+                            self._drain_open()
+                        continue
+                    nxt = when + interval
+                    if nxt <= when:
+                        # Retired; the rest of the instant stays open
+                        # for the next drain.
+                        live_delta -= 1
+                        item[INTERVAL] = None
+                        self._draining = bucket
+                        self._drain_when = when
+                        self._drain_idx = 1
+                        raise _stalled(interval, when)
+                    if len(bucket) == 1:
+                        del buckets[when]
+                        # Single-lookup re-arm: on a fresh timestamp the
+                        # drained bucket (still exactly [item]) moves to
+                        # its new slot; on a collision the entry joins
+                        # what is there.
+                        other = buckets.setdefault(nxt, bucket)
+                        if other is bucket:
                             push(heap, nxt)
                         elif type(other) is tuple:
                             buckets[nxt] = [other, item]
                         else:
                             other.append(item)
                         item[IN_BUCKET] = True
-                        self._draining = bucket
-                        self._drain_when = when
-                        self._drain_idx = 1
-                        self._processed += ran
-                        ran = 0
-                        self._drain_open()
                         continue
+                    other = buckets.get(nxt)
+                    if other is None:
+                        buckets[nxt] = [item]
+                        push(heap, nxt)
+                    elif type(other) is tuple:
+                        buckets[nxt] = [other, item]
+                    else:
+                        other.append(item)
+                    item[IN_BUCKET] = True
+                    self._draining = bucket
+                    self._drain_when = when
+                    self._drain_idx = 1
+                    self._processed += ran
+                    ran = 0
+                    self._drain_open()
+                    continue
                 # Multi-entry bucket: a fleet-aligned tick edge, a burst.
                 self._draining = bucket
                 self._drain_when = when

@@ -26,9 +26,14 @@ Design notes:
   directory, fsynced, then ``os.replace``\\ d over the destination — a
   reader (or a resume after a crash mid-checkpoint) sees either the old
   complete snapshot or the new one, never a torn write.
-- **Versioning.** The payload carries a magic string and a format version;
-  :func:`load_fleet` refuses foreign or future files with a clear error
-  rather than unpickling garbage.
+- **One build.** A snapshot belongs to the build that wrote it: a header
+  pickle (a magic string and :func:`source_tree_digest` of the writing
+  tree) precedes the fleet pickle, and :func:`load_fleet` refuses any other
+  build, naming both digests, before it unpickles the graph. Pickled
+  privates are therefore no outside contract — renaming one needs no
+  format bump and no migration — and a resume on changed code fails
+  loudly instead of mixing two builds. The run cache keys its entries by
+  the same digest.
 - **Horizon.** The header also records how many days the checkpointing run
   was launched for: the workload scheduled its events for exactly that
   long, so finishing it with another ``--days`` would silently run days
@@ -37,6 +42,7 @@ Design notes:
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import tempfile
@@ -47,18 +53,41 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.fleet import Fleet
 
 MAGIC = "rivulet-fleet-snapshot"
-#: Version 7: the fleet is the one holder of the scheduler, seed and tenant
-#: registry (no context object in the graph) and reads its counters off the
-#: traces (no counter arrays); a v6 graph names the deleted context module
-#: and fails to unpickle. (v6: every cancellable timer in the scheduler heap
-#: is a bare ``[callback, args, interval, in_bucket]`` list behind a
-#: two-slot ``TimerHandle``, the heap holds bare timestamps, and the header
-#: records the run's ``horizon_days``. v5: a process keeps what its stack
-#: boots with as one ``config`` (repro.core.stack.ServiceHost) and its
-#: retired build counters. v4: gossip-on-change state on the heartbeat and
-#: execution services. v3: digest-v3 trace segments and trace channel
-#: objects in the graph.)
-FORMAT_VERSION = 7
+
+_TREE_DIGEST_MEMO: dict[str, str] = {}
+
+
+def source_tree_digest(package_root: str | Path | None = None) -> str:
+    """A stable digest of every ``*.py`` file under the package tree: the
+    name of a build, for snapshots and for the run cache.
+
+    Defaults to the installed ``repro`` package directory. The digest
+    covers relative paths and file contents (not mtimes), so rebuilding
+    or re-checking-out an identical tree names the same build.
+    """
+    if package_root is None:
+        import repro
+
+        package_root = Path(repro.__file__).parent
+    root = Path(package_root)
+    memo_key = str(root.resolve())
+    cached = _TREE_DIGEST_MEMO.get(memo_key)
+    if cached is not None:
+        return cached
+    hasher = hashlib.blake2b(digest_size=16)
+    for path in sorted(root.rglob("*.py")):
+        hasher.update(str(path.relative_to(root)).encode("utf-8"))
+        hasher.update(b"\0")
+        hasher.update(path.read_bytes())
+        hasher.update(b"\0")
+    digest = hasher.hexdigest()
+    _TREE_DIGEST_MEMO[memo_key] = digest
+    return digest
+
+
+def clear_tree_digest_memo() -> None:
+    """Forget memoized tree digests (tests mutate trees in place)."""
+    _TREE_DIGEST_MEMO.clear()
 
 
 class SnapshotError(RuntimeError):
@@ -74,16 +103,17 @@ def save_fleet(fleet: "Fleet", path: Any, horizon_days: float | None = None) -> 
     generated for; the header keeps it so a resume can refuse another one.
     """
     target = Path(path)
-    payload = {
+    header = {
         "magic": MAGIC,
-        "format_version": FORMAT_VERSION,
+        "build": source_tree_digest(),
         "sim_time": fleet.now,
         "n_homes": len(fleet),
         "horizon_days": horizon_days,
-        "fleet": fleet,
     }
     try:
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = b"".join(
+            pickle.dumps(part, protocol=pickle.HIGHEST_PROTOCOL) for part in (header, fleet)
+        )
     except TypeError as exc:
         raise SnapshotError(
             f"fleet is not serializable here: {exc} — checkpoint at a "
@@ -122,37 +152,36 @@ def save_fleet(fleet: "Fleet", path: Any, horizon_days: float | None = None) -> 
 def load_fleet(path: Any, horizon_days: float | None = None) -> "Fleet":
     """Read a :func:`save_fleet` snapshot and return the live fleet.
 
-    With ``horizon_days``, refuse a snapshot whose run was launched for any
-    other horizon: its workload scheduled exactly that many days.
+    A snapshot that another build wrote is refused from its header, before
+    its graph is unpickled. With ``horizon_days``, so is one whose run was
+    launched for any other horizon: its workload scheduled exactly that
+    many days.
     """
     source = Path(path)
     try:
         with open(source, "rb") as fh:
-            payload = pickle.load(fh)
+            _check_header(source, pickle.load(fh), horizon_days)
+            return pickle.load(fh)
     except FileNotFoundError:
         raise SnapshotError(f"no snapshot at {source}") from None
     except (pickle.UnpicklingError, EOFError) as exc:
         raise SnapshotError(f"corrupt snapshot {source}: {exc}") from exc
-    except (AttributeError, ImportError) as exc:
-        # Header and fleet are one pickle, so a graph naming a class or slot
-        # this build no longer has fails before the version can be read.
-        raise SnapshotError(
-            f"snapshot {source} was written by an incompatible build "
-            f"(this build reads format version {FORMAT_VERSION}): {exc}"
-        ) from exc
-    if not isinstance(payload, dict) or payload.get("magic") != MAGIC:
+
+
+def _check_header(source: Path, header: Any, horizon_days: float | None) -> None:
+    if not isinstance(header, dict) or header.get("magic") != MAGIC:
         raise SnapshotError(f"{source} is not a fleet snapshot")
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
+    build = source_tree_digest()
+    if header.get("build") != build:
         raise SnapshotError(
-            f"snapshot {source} has format version {version!r}; "
-            f"this build reads version {FORMAT_VERSION}"
+            f"snapshot {source} was written by build {header.get('build')}, not by "
+            f"this build {build}: a snapshot resumes only on the source tree that "
+            "wrote it"
         )
-    recorded = payload["horizon_days"]
+    recorded = header["horizon_days"]
     if horizon_days is not None and recorded != horizon_days:
         length = "unrecorded length" if recorded is None else f"{recorded:g} day(s)"
         raise SnapshotError(
             f"snapshot {source} was checkpointed by a run of {length}, not of "
             f"{horizon_days:g} day(s): its workload covers only its own horizon"
         )
-    return payload["fleet"]

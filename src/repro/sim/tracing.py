@@ -509,14 +509,9 @@ class Trace:
             self.message_channel(kind, src, dst).record(time, sub_kind, nbytes, reason)
             return
         state[0] += 1
-        if state[3] is not None or state[4] is not None or self._subscribers:
+        if state[3] is not None or state[4] is not None or self._has_observers:
             names = tuple(fields)
             self._finish(time, kind, state, _intern(names, names), fields.values())
-        elif self._hasher is not None:
-            buf = self._hash_buf
-            buf += _record_bytes(time, kind, tuple(fields), fields.values())
-            if len(buf) >= _FLUSH_BYTES:
-                self._flush_hash()
 
     def record_message(
         self,

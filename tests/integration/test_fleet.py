@@ -4,6 +4,7 @@ bound, and the CLI surface."""
 
 import gc
 import json
+import pickle
 import tracemalloc
 
 import pytest
@@ -17,6 +18,7 @@ from repro.eval.fleet import run_fleet_sweep
 from repro.eval.workloads import DAY_S, fleet_deployment, noop_app
 from repro.sim.chaos import PROFILES, FaultDomain, FaultScheduleGenerator
 from repro.sim.faults import FaultError, FaultPlan
+from repro.sim.snapshot import source_tree_digest
 
 
 def template(home: Home, index: int) -> None:
@@ -299,3 +301,22 @@ def test_cli_fleet_resume_refuses_another_horizon(capsys, tmp_path):
 
     assert main(["fleet", "--resume", str(snap), "--days", "2"]) == 0
     assert "day 2/2" in capsys.readouterr().out
+
+
+def test_cli_fleet_resume_refuses_another_build(capsys, tmp_path):
+    """A snapshot resumes only on the source tree that wrote it: a header
+    naming another build is refused before the fleet is unpickled."""
+    snap = tmp_path / "fleet.snap"
+    fleet, _ = fleet_deployment(homes=1, seed=5, days=2.0)
+    fleet.run_until(DAY_S)
+    fleet.checkpoint(snap, horizon_days=2)
+    with open(snap, "rb") as fh:
+        header = pickle.load(fh)
+        graph = fh.read()
+    other = "f" * 32
+    snap.write_bytes(pickle.dumps({**header, "build": other}) + graph)
+
+    assert main(["fleet", "--resume", str(snap), "--days", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert f"written by build {other}, not by this build {source_tree_digest()}" in err

@@ -13,7 +13,7 @@ from repro.core.fleet import DAY_S, Fleet
 from repro.core.home import HomeConfig
 from repro.eval.workloads import OccupancyConfig, OccupancyWorkload, fleet_deployment
 from repro.sim.random import RandomSource
-from repro.sim.snapshot import FORMAT_VERSION, SnapshotError, load_fleet
+from repro.sim.snapshot import MAGIC, SnapshotError, load_fleet, source_tree_digest
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -96,78 +96,28 @@ def test_load_rejects_foreign_and_future_files(tmp_path):
     with pytest.raises(SnapshotError, match="not a fleet snapshot"):
         load_fleet(foreign)
 
-    future = tmp_path / "future.snap"
-    future.write_bytes(pickle.dumps({
-        "magic": "rivulet-fleet-snapshot",
-        "format_version": FORMAT_VERSION + 1,
-        "fleet": None,
-    }))
-    with pytest.raises(SnapshotError, match="format version"):
-        load_fleet(future)
-
-    # The parent build's format: refused by its header...
-    previous = tmp_path / "previous.snap"
-    previous.write_bytes(pickle.dumps({
-        "magic": "rivulet-fleet-snapshot",
-        "format_version": 2,
-        "fleet": None,
-    }))
-    with pytest.raises(SnapshotError, match="format version 2"):
-        load_fleet(previous)
-    # ...and, when its object graph names state this build no longer has
-    # (unpickling fails before the header can be read), still refused with
-    # SnapshotError instead of an AttributeError.
-    previous.write_bytes(pickle.dumps({
-        "magic": "rivulet-fleet-snapshot",
-        "format_version": 2,
-        "fleet": _StaleGraph(),
-    }))
-    with pytest.raises(SnapshotError, match="incompatible build"):
-        load_fleet(previous)
+    # Another build's file is refused by its header, naming both builds;
+    # its graph, which would raise AttributeError here, is never read.
+    other = "0" * 32
+    elsewhere = tmp_path / "elsewhere.snap"
+    elsewhere.write_bytes(pickle.dumps({
+        "magic": MAGIC, "build": other, "sim_time": DAY_S, "n_homes": 1,
+        "horizon_days": 2,
+    }) + pickle.dumps(_StaleGraph()))
+    with pytest.raises(SnapshotError) as refused:
+        load_fleet(elsewhere)
+    assert f"written by build {other}, not by this build {source_tree_digest()}" in str(
+        refused.value)
 
     with pytest.raises(SnapshotError, match="no snapshot"):
         load_fleet(tmp_path / "missing.snap")
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["fleet_v3_parent.snap", "fleet_v4_parent.snap", "fleet_v5.snap", "fleet_v6.snap"],
-)
-def test_older_parent_written_snapshots_are_refused(name):
-    """Real files from earlier builds (a 2-process home checkpointed at day
-    1). v3, before gossip-on-change: its heartbeat services lack the
-    assembled-payload state and would die on the first tick. v4, before the
-    service host: its processes lack ``config`` and would die with
-    AttributeError at the first recovery. v5, before the one timer entry:
-    its heap holds ``_GuardedHandle`` and eight-slot ``TimerHandle``
-    objects. v6, before the fleet held its own scheduler and registry: its
-    graph names the deleted context module. ``load_fleet`` must refuse all
-    four up front with ``SnapshotError`` instead."""
-    parent = Path(__file__).parent / "data" / name
-    with pytest.raises(SnapshotError, match=r"format version [3456]|incompatible build"):
-        load_fleet(parent)
-
-
 def two_process_fleet() -> Fleet:
     """One home, two processes, a door and a motion sensor, two resident-days.
 
-    ``data/fleet_v7.snap`` is this fleet at day 1, written by the build
-    that introduced format 7 (the fleet holds the scheduler and the tenant
-    registry itself) with::
-
-        PYTHONPATH=src python -c "
-        from tests.integration.test_fleet_snapshot import two_process_fleet
-        from repro.core.fleet import DAY_S
-        fleet = two_process_fleet(); fleet.run_until(DAY_S)
-        fleet.checkpoint('tests/integration/data/fleet_v7.snap', horizon_days=2)"
-
-    so every later build reads a parent-written file
-    (``data/fleet_v6.snap``, ``data/fleet_v5.snap`` and
-    ``data/fleet_v4_parent.snap`` are the same fleet written by the builds
-    of formats 6, 5 and 4).
-
-    No app is deployed: that build (like this one) cannot checkpoint an
-    active logic node, whose windows close over a lambda.
+    No app is deployed: an active logic node cannot be checkpointed, since
+    its windows close over a lambda.
     """
     fleet = Fleet(seed=11)
     seed = fleet.home_seed("h000")
@@ -195,13 +145,16 @@ def _second_day_with_a_crash(fleet: Fleet) -> Fleet:
     return fleet.run_until(2 * DAY_S)
 
 
-def test_parent_written_v7_snapshot_loads_and_resumes():
-    """A committed format-7 file loads and resumes — through a crash and a
-    recovery, which boots a new stack from the restored ``config`` — to the
-    digest of the uninterrupted run."""
-    parent = Path(__file__).parent / "data" / "fleet_v7.snap"
-    resumed = load_fleet(parent, horizon_days=2)
-    assert FORMAT_VERSION == 7 and resumed.now == DAY_S
+def test_snapshot_resumes_through_a_crash_and_recovery(tmp_path):
+    """A day-1 checkpoint resumes — through a crash and a recovery, which
+    boots a new stack from the restored ``config`` — to the digest of the
+    uninterrupted run."""
+    snap = tmp_path / "fleet.snap"
+    fleet = two_process_fleet()
+    fleet.run_until(DAY_S)
+    fleet.checkpoint(snap, horizon_days=2)
+    resumed = load_fleet(snap, horizon_days=2)
+    assert resumed.now == DAY_S
     # Both timer shapes were pickled as bare list entries: the services'
     # one-shot timers (interval 0.0) and their repeating ticks.
     intervals = [entry[2] for bucket in resumed.scheduler._buckets.values()

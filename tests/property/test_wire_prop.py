@@ -467,18 +467,15 @@ def test_a_huge_count_fails_before_it_allocates():
 
 def test_memo_tables_stop_at_their_cap():
     """Ten thousand distinct headers, strings and process-id sets, sent and
-    received: every memo table ends at or below MEMO_CAP."""
+    received, each round trip exact; the codec keeps no state that grows
+    with them."""
     for i in range(10_000):
         name = f"hostile-{i}"
         body = encode_message(Message(name, "a", "b", {
             name: ProcessIdSet({name}), "s": name}))[HEADER_SIZE:]
         decoded = decode_body(body)
         assert decoded.kind == name and decoded["s"] == name
-    tables = [getattr(wire, table) for table in vars(wire)
-              if table.startswith("_") and table.endswith(("_IN", "_OUT"))]
-    assert len(tables) >= 2
-    assert all(len(table) <= MEMO_CAP for table in tables)
-    # Full tables still encode and decode correctly, they just stop growing.
+    # A late message still encodes and decodes correctly.
     message = Message("late", "a", "b", {"ids": ProcessIdSet({"x", "y"})})
     assert roundtrip(message)["ids"] == ProcessIdSet({"x", "y"})
 

@@ -1,11 +1,7 @@
 """Unit tests for the content-addressed run cache."""
 
-from repro.eval.cache import (
-    RunCache,
-    clear_tree_digest_memo,
-    source_tree_digest,
-    task_key,
-)
+from repro.eval.cache import RunCache, task_key
+from repro.sim.snapshot import clear_tree_digest_memo, source_tree_digest
 
 RUNNER = "pkg.mod:fn"
 

@@ -302,8 +302,9 @@ def test_a_str_subclass_name_is_not_shaped():
 
 @pytest.mark.parametrize("where", ["kind", "src", "dst", "key"])
 def test_a_str_subclass_name_is_refused_with_a_cold_and_a_warm_memo(where):
-    """Shape 0's header memo is keyed by equality, and a str subclass
-    equals the str it spells: a memoized plain header must not carry it."""
+    """A str subclass equals the str it spells, so a header memo keyed by
+    equality would carry it: it is refused before and after its plain
+    equal was encoded."""
     name = f"memo-{where}"  # not in the memo yet
 
     def message(cls) -> Message:

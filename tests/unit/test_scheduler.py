@@ -341,7 +341,7 @@ def test_mass_cancellation_is_lazy():
     assert not sched._heap and not sched._buckets
 
 
-def test_cancelled_entries_skipped_after_compaction():
+def test_bulk_cancelled_entries_are_skipped():
     sched = Scheduler()
     fired = []
     sched.call_later(5.0, lambda: fired.append("kept"))

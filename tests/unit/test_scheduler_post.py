@@ -38,7 +38,7 @@ def test_post_at_counts_as_pending_and_processed():
     assert sched.processed_events == 2
 
 
-def test_posted_entries_survive_compaction():
+def test_posted_entries_survive_a_bulk_cancel():
     sched = Scheduler()
     fired = []
     handles = [sched.call_at(5.0, fired.append, i) for i in range(200)]
@@ -128,7 +128,7 @@ def test_heavy_cancellation_keeps_equal_timestamp_order_for_survivors():
     assert sched.pending_events == 0
 
 
-def test_pending_events_counts_posts_and_handles_through_compaction():
+def test_pending_events_counts_posts_and_handles_through_a_bulk_cancel():
     sched = Scheduler()
     for i in range(10):
         sched.post_at(50.0, lambda: None)
