@@ -102,9 +102,8 @@ class NaiveBroadcastDelivery:
         self._mark_seen(event)
         self._deliver_local(event)
         me = self._ctx.env.name
-        for member in self._ctx.heartbeat.view.ring:
-            if member != me:
-                self._ctx.env.send(member, NBCAST, sensor=self.sensor, event=event)
+        peers = [member for member in self._ctx.heartbeat.view.ring if member != me]
+        self._ctx.env.multicast(peers, NBCAST, {"sensor": self.sensor, "event": event})
 
     def on_message(self, message: Message) -> None:
         event: Event = message["event"]
@@ -123,7 +122,7 @@ class NaiveBroadcastDelivery:
 
     def _deliver_local(self, event: Event) -> None:
         self._ctx.env.trace_device("ingest", self.sensor, event.seq)
-        self._ctx.env.schedule(
+        self._ctx.env.defer(
             self._ctx.processing.local_dispatch,
             self._ctx.deliver_local, self.sensor, event, None,
         )

@@ -293,7 +293,7 @@ class DeliveryService:
             recheck_after = (
                 self._ctx.heartbeat.timeout + 2 * self._ctx.heartbeat.interval
             )
-            self._ctx.env.schedule(
+            self._ctx.env.defer(
                 recheck_after,
                 self._resend_if_suspected, command, app_name, hosts[0],
             )

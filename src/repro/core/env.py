@@ -98,7 +98,23 @@ class RuntimeEnv(abc.ABC):
 
     @abc.abstractmethod
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> CancelHandle:
-        """Run ``fn(*args)`` after ``delay`` seconds; returns a cancellable handle."""
+        """Run ``fn(*args)`` after ``delay`` seconds; returns a cancellable handle.
+
+        For a step that someone may call off: the caller keeps the handle
+        (a grace timer, a poll slot, a retry, the store's anti-entropy
+        tick) and cancels it. A step nobody cancels uses :meth:`defer`.
+        """
+
+    @abc.abstractmethod
+    def defer(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` seconds; nothing can cancel it.
+
+        For protocol steps whose handle would be thrown away (a journal
+        write before a ring hop, a hop's processing, a local delivery, a
+        periodic check that re-arms itself). Same instant, same order and
+        the same crash guard as :meth:`schedule`, minus the handle: the
+        simulator posts it on the scheduler's post lane.
+        """
 
     def schedule_repeating(
         self,

@@ -114,7 +114,7 @@ class GapDelivery:
         """Roles are recomputed per event from the live view; nothing stored."""
 
     def _deliver_local(self, event: Event, app_name: str) -> None:
-        self._ctx.env.schedule(
+        self._ctx.env.defer(
             self._ctx.processing.local_dispatch,
             self._ctx.deliver_local, self.sensor, event, app_name,
         )

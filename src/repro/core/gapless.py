@@ -100,7 +100,7 @@ class GaplessDelivery:
         self._deliver_local(event)
         # The journal write happens off the local delivery path but before
         # the event enters the ring (see net.latency.ProcessingModel).
-        self._ctx.env.schedule(
+        self._ctx.env.defer(
             self._ctx.processing.gapless_ingest_log, self._forward_fresh, event
         )
 
@@ -131,7 +131,7 @@ class GaplessDelivery:
             if successor is not None:
                 merged_seen = ProcessIdSet(seen | {me})
                 merged_expected = ProcessIdSet(expected | view.members)
-                self._ctx.env.schedule(
+                self._ctx.env.defer(
                     self._ctx.processing.gapless_hop_processing,
                     self._send_forward, successor, event, merged_seen, merged_expected,
                 )
@@ -209,7 +209,7 @@ class GaplessDelivery:
         return True
 
     def _deliver_local(self, event: Event) -> None:
-        self._ctx.env.schedule(
+        self._ctx.env.defer(
             self._ctx.processing.local_dispatch,
             self._ctx.deliver_local, self.sensor, event, None,
         )

@@ -102,8 +102,8 @@ class PollCoordinator:
         self._current_epoch = epoch
         next_boundary = (epoch + 1) * e
         gap_check_at = next_boundary + GAP_CHECK_GRACE_FRACTION * e
-        self._ctx.env.schedule(max(0.0, gap_check_at - now),
-                               self._check_epoch_gap, epoch)
+        self._ctx.env.defer(max(0.0, gap_check_at - now),
+                            self._check_epoch_gap, epoch)
 
         offset = self._slot_offset()
         if offset is None:

@@ -267,7 +267,7 @@ class RepairSession:
         if self.policy.echo_timeout_s is None:
             return
         for target in self._backed_by.get(sensor, ()):
-            self._env.schedule(
+            self._env.defer(
                 self.policy.echo_timeout_s, self._echo_check, target, value, now
             )
 

@@ -28,6 +28,7 @@ from repro.net.latency import ProcessingModel
 from repro.net.message import Message
 from repro.net.radio import RadioNetwork, TECHNOLOGIES
 from repro.net.transport import HomeNetwork
+from repro.net.wire import wire_size
 from repro.core.sensorwatch import SensorWatch
 from repro.sim.clock import LocalClock
 from repro.sim.random import RandomSource
@@ -189,17 +190,24 @@ class RivuletProcess(ServiceHost):
         # transport's multicast lane first; this is where a refused one
         # lands). Identical payload, identical wire image: every copy
         # carries the size the transport measured when the payload was
-        # registered; an unregistered one is sized by each send.
+        # registered; an unregistered one is sized once, on its first copy.
         wire_bytes = network.multicast_bytes(name, kind, payload)
         for dst in dsts:
             message = Message(kind, name, dst, payload)
+            if wire_bytes is None:
+                wire_bytes = wire_size(message)
             message._wire_bytes = wire_bytes
             network.send(message)
 
     # schedule, schedule_repeating and register_handler are defined on this
     # class (not the host): bench/tracer.py wraps them via cls.__dict__.
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> CancelHandle:
-        return self._scheduler.call_later(delay, _GuardedCall(self, fn, args))
+        scheduler = self._scheduler
+        return scheduler.call_at(scheduler._now + delay, _GuardedCall(self, fn, args))
+
+    def defer(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        scheduler = self._scheduler
+        scheduler.post_at(scheduler._now + delay, _GuardedCall(self, fn, args))
 
     def schedule_repeating(
         self,

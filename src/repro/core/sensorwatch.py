@@ -84,7 +84,7 @@ class SensorWatch:
             if info is None or info.mode != "push":
                 continue  # poll sensors already have epoch-gap detection
             instance.add_seen_listener(self._make_observer(sensor))
-        self._env.schedule(self.check_interval, self._check)
+        self._env.defer(self.check_interval, self._check)
 
     def add_listener(self, listener: SuspicionListener) -> None:
         """``listener(sensor, suspected)`` on every suspicion transition."""
@@ -131,7 +131,7 @@ class SensorWatch:
                     expected_gap=round(model.ewma_gap, 3),
                 )
                 self._notify(sensor, True)
-        self._env.schedule(self.check_interval, self._check)
+        self._env.defer(self.check_interval, self._check)
 
     def _notify(self, sensor: str, suspected: bool) -> None:
         for listener in self._listeners:

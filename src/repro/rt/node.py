@@ -178,6 +178,10 @@ class AsyncRivuletNode(ServiceHost):
             return step
         return loop.call_later(delay, self._fire, fn, args)
 
+    # A step nobody cancels takes the same path, handle unread: no frame
+    # of its own on the node's hottest call.
+    defer = schedule
+
     def _drain(self) -> None:
         """Run the queued steps. What they post goes to a fresh queue and
         its own callback, the next loop turn, as ``call_soon`` would run

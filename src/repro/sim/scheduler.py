@@ -5,7 +5,9 @@ bare ``when`` floats, and ``_buckets[when]`` is the only place that
 instant's entries live. An entry has one of two shapes:
 
 - a bare ``(callback, args)`` tuple, stored by :meth:`Scheduler.post_at`
-  for fire-and-forget posts that are never cancelled;
+  for fire-and-forget posts that are never cancelled: transport and radio
+  deliveries, and the protocol steps a process defers
+  (``RuntimeEnv.defer``: ring hops, local deliveries, periodic checks);
 - a ``[callback, args, interval, in_bucket]`` list for every cancellable
   timer: :meth:`Scheduler.call_at` / :meth:`~Scheduler.call_later` store
   it with ``interval`` 0.0 (a one-shot), :meth:`Scheduler.post_repeating`

@@ -166,6 +166,9 @@ class FakeEnv(RuntimeEnv):
 
         return self.scheduler.call_later(delay, guarded)
 
+    def defer(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        self.schedule(delay, fn, *args)
+
     def register_handler(self, kind: str, fn: Callable[[Message], None]) -> None:
         self._handlers[kind] = fn
 

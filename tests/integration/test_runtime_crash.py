@@ -1,5 +1,7 @@
 """Crash-recovery semantics of the process runtime (Section 3.1)."""
 
+import pytest
+
 
 def test_crashed_process_sends_and_receives_nothing(make_home):
     home, _ = make_home(receiving=["p1"])
@@ -16,12 +18,13 @@ def test_crashed_process_sends_and_receives_nothing(make_home):
     assert drops
 
 
-def test_timers_from_old_incarnation_do_not_fire(make_home):
+@pytest.mark.parametrize("method", ["schedule", "defer"])
+def test_timers_from_old_incarnation_do_not_fire(make_home, method):
     home, _ = make_home(receiving=["p1"])
     home.run_until(2.0)
     process = home.processes["p2"]
     fired = []
-    process.schedule(5.0, fired.append, "old-incarnation")
+    getattr(process, method)(5.0, fired.append, "old-incarnation")
     home.crash_process("p2")
     home.run_until(4.0)
     home.recover_process("p2")

@@ -36,6 +36,8 @@ class FakeEnv:
         )
         return handle
 
+    defer = schedule
+
     def trace(self, kind, **fields):
         self.traces.append((kind, fields))
 

@@ -4,6 +4,8 @@ counters, each on a real event loop with a bare node (no cluster, no proxy).
 
 import asyncio
 
+import pytest
+
 from repro.core.scenario import rt_deployment
 from repro.core.stack import RT_STACK
 from repro.net.message import Message
@@ -40,13 +42,16 @@ def probe(i: int) -> bytes:
 # -- zero-delay hand-offs ----------------------------------------------------------
 
 
-def test_zero_delay_steps_run_in_fifo_order():
+@pytest.mark.parametrize("methods", [("schedule",), ("defer",), ("schedule", "defer")],
+                         ids=["schedule", "defer", "mixed"])
+def test_zero_delay_steps_run_in_fifo_order(methods):
     async def go():
         node, refusing = await started_node()
         ran = []
         try:
             for i in range(500):
-                node.schedule(0.0 if i % 2 else -1.0, ran.append, i)
+                step = getattr(node, methods[i // 2 % len(methods)])
+                step(0.0 if i % 2 else -1.0, ran.append, i)
             assert ran == []  # never inline
             await asyncio.sleep(0)
             return ran
@@ -79,14 +84,15 @@ def test_cancel_on_a_zero_delay_handle_skips_the_step():
     assert asyncio.run(go()) == ([1, 2, 4, 5], [])
 
 
-def test_halt_drops_queued_steps():
+@pytest.mark.parametrize("method", ["schedule", "defer"])
+def test_halt_drops_queued_steps(method):
     async def go():
         node, refusing = await started_node()
         ran = []
         try:
-            node.schedule(0.0, ran.append, "queued")
+            getattr(node, method)(0.0, ran.append, "queued")
             await node.halt()
-            node.schedule(0.0, ran.append, "after-halt")
+            getattr(node, method)(0.0, ran.append, "after-halt")
             await asyncio.sleep(0.01)
             return ran, len(node._ready)
         finally:
